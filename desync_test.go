@@ -1,10 +1,11 @@
-// In-package regression tests for the mid-pass failure semantics of
-// syncFront: a front-end pass that dies between stages leaves state no
-// retry can reconcile (the pending sets are drained), so the session
-// must poison itself with ErrDesynced instead of silently serving the
+// In-package regression tests for the failure semantics of syncFront:
+// a wave whose front-end pass dies leaves the collection — and the
+// log — ahead of what the session serves, so the session must poison
+// itself with ErrDesynced instead of silently serving the
 // desynchronized view. The faults are injected through an engine stub
 // wrapping the real one — the only way to make eng.Ingest/eng.Evict
-// fail on demand.
+// fail on demand. A wave makes one pass: Evict if anything departed,
+// Ingest otherwise.
 package minoaner
 
 import (
@@ -66,9 +67,9 @@ func wantDesynced(t *testing.T, what string, err error) {
 }
 
 // TestDesyncEvictFault poisons via a failing engine Evict: the
-// tombstones already landed in the collection and the pending set is
-// consumed, so the session must refuse everything afterwards — even
-// after the fault clears (the missed rebuild cannot be replayed).
+// tombstones already landed in the collection and the record in the
+// log, so the session must refuse everything afterwards — even after
+// the fault clears.
 func TestDesyncEvictFault(t *testing.T) {
 	cfg := Defaults()
 	cfg.Workers = 1
@@ -113,11 +114,10 @@ func TestDesyncIngestFault(t *testing.T) {
 	wantDesynced(t, "Resume after poison", err)
 }
 
-// TestDesyncMidPass is the exact scenario of the issue: one pass in
-// which eng.Ingest succeeds (the front-end advanced) and eng.Evict then
-// fails (matcher/resolver never rebuilt). A TTL window arranges both
-// halves inside a single syncFront: the new batch ingests, the expired
-// batch evicts.
+// TestDesyncMidPass fails the single pass of a TTL wave: the new batch
+// is already in the collection and the batch it pushed out of the
+// window already tombstoned when the pass — an Evict, since something
+// departed — dies.
 func TestDesyncMidPass(t *testing.T) {
 	cfg := Defaults()
 	cfg.Workers = 1

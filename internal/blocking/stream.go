@@ -135,32 +135,6 @@ func MergeRunsStream(src *kb.Collection, cleanClean bool, runs [][]Block) Stream
 		}}
 }
 
-// IndexStream assembles raw blocks lazily from an inverted index: keys
-// in ascending order, postings resolved through look (which may layer
-// an uncommitted overlay over committed postings). It is the streaming
-// ingest/evict path's equivalent of TokenBlockingStream — identical to
-// a from-scratch token blocking over the live source, in linear time.
-// Postings must already be sorted and duplicate-free.
-func IndexStream(src *kb.Collection, keys []string, look func(tok string) ([]int, bool)) Stream {
-	cleanClean := src.NumLiveKBs() > 1
-	return Stream{Source: src, CleanClean: cleanClean,
-		Blocks: func(yield func(b *Block) bool) {
-			for _, tok := range keys {
-				ids, _ := look(tok)
-				if len(ids) < 2 {
-					continue
-				}
-				b := Block{Key: tok, Entities: ids}
-				if b.Comparisons(src, cleanClean) == 0 {
-					continue
-				}
-				if !yield(&b) {
-					return
-				}
-			}
-		}}
-}
-
 // Purge is block purging as a stream transform: blocks above the size
 // cap are dropped as they flow past. With maxSize ≤ 0 the cap is
 // chosen automatically — one extra replay of the upstream builds the

@@ -121,8 +121,8 @@ func NewCollection() *Collection {
 //
 // The token cache survives an Add: a fresh id gets an empty slot
 // (tokenized lazily), and a merged id has only its own slot
-// invalidated — the append-only discipline incremental ingestion
-// relies on to keep delta tokenization proportional to the delta.
+// invalidated — so a streaming wave's front-end pass re-tokenizes only
+// what the wave brought.
 func (c *Collection) Add(d *Description) int {
 	if id, ok := c.byURI[key(d.KB, d.URI)]; ok {
 		if c.cold != nil {
@@ -317,9 +317,9 @@ func (c *Collection) LiveIDsOfKB(name string) []int {
 }
 
 // DropTokens clears the cached token evidence of the given ids. The
-// streaming front-end calls it once evicted descriptions have been
-// spliced out of its inverted index, so tombstones stop pinning token
-// slices; a live id dropped by mistake is merely re-tokenized lazily.
+// streaming front-end calls it on the ids evicted since its last pass,
+// so tombstones stop pinning token slices; a live id dropped by mistake
+// is merely re-tokenized lazily.
 func (c *Collection) DropTokens(ids []int) {
 	if !c.hasToken {
 		return
@@ -336,8 +336,8 @@ func (c *Collection) HasEvicted() bool { return len(c.evicted) > 0 }
 
 // TakeEvicted returns the ids tombstoned since the last call,
 // deduplicated and ascending, and resets the list — the eviction
-// counterpart of TakeMerged, consumed by the incremental front-end to
-// splice the departed ids out of its inverted index.
+// counterpart of TakeMerged, consumed by the front-end once a pass
+// over the surviving descriptions has committed.
 func (c *Collection) TakeEvicted() []int {
 	if len(c.evicted) == 0 {
 		return nil
@@ -358,10 +358,9 @@ func (c *Collection) PendingMerges() int { return len(c.merged) }
 
 // TakeMerged returns the ids of existing descriptions that Add has
 // extended (same KB and URI re-added) since the last call, deduplicated
-// and ascending, and resets the list. Incremental blocking uses it to
-// find descriptions whose token evidence may have grown: Add only ever
-// appends attributes, types, and links, so a merged description's token
-// set is a superset of what it was.
+// and ascending, and resets the list. The streaming front-end drains it
+// once a pass has covered the merged descriptions; until then a
+// non-empty list is what tells it there is work to do.
 func (c *Collection) TakeMerged() []int {
 	if len(c.merged) == 0 {
 		return nil
@@ -372,8 +371,7 @@ func (c *Collection) TakeMerged() []int {
 }
 
 // DedupSortedInts returns the ids sorted ascending with duplicates
-// removed, leaving the input untouched — shared by the merge/eviction
-// bookkeeping here and the incremental front-end's id lists.
+// removed, leaving the input untouched.
 func DedupSortedInts(ids []int) []int {
 	out := append([]int(nil), ids...)
 	sort.Ints(out)

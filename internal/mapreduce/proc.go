@@ -189,13 +189,15 @@ func (r *ProcRunner) checkin(w *workerProc) {
 		r.destroy(w)
 		return
 	}
-	r.idle = append(r.idle, w)
 	ttl := r.IdleTTL
-	r.mu.Unlock()
 	if ttl <= 0 {
 		ttl = defaultIdleTTL
 	}
+	// Armed before the worker becomes visible in the idle pool: the
+	// next checkout may take it, and stop this timer, at once.
 	w.reap = time.AfterFunc(ttl, func() { r.reapIdle(w) })
+	r.idle = append(r.idle, w)
+	r.mu.Unlock()
 }
 
 // reapIdle removes a worker from the idle pool (if it is still there)

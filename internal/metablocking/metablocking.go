@@ -190,9 +190,9 @@ func (g *Graph) NumEdges() int {
 
 // Footprint returns the graph's approximate heap footprint in bytes:
 // the edge records plus the per-edge and per-node weighting evidence
-// it retains for incremental reweighing. An observability gauge (the
-// server's /status memory panel), not an accounting truth — it counts
-// the backing arrays the graph owns, not allocator overhead.
+// it retains for Reweigh. An observability gauge (the server's /status
+// memory panel), not an accounting truth — it counts the backing arrays
+// the graph owns, not allocator overhead.
 func (g *Graph) Footprint() int {
 	if g.spilled {
 		return g.spFoot
@@ -325,11 +325,9 @@ func (g *Graph) pruneCEP(opts PruneOptions) []Edge {
 	return top.Drain()
 }
 
-// Per-endpoint retention verdicts of the node-centric algorithms. Two
-// bits per edge instead of a count: locality-aware re-pruning needs to
-// know *which* endpoint retained an edge, so a dirty node can flip its
-// own bit without recomputing the other side. Shared with the parallel
-// engine (internal/parmeta), whose verdicts must be memo-compatible.
+// Per-endpoint retention verdicts of the node-centric algorithms, one
+// bit per endpoint of each edge. Shared with the parallel engine
+// (internal/parmeta), which ORs them in from concurrent node shards.
 const (
 	KeptByA uint8 = 1 << iota
 	KeptByB
@@ -373,9 +371,8 @@ func (g *Graph) wnpFlags(flags []uint8) {
 
 // ResolveK returns CNP's effective per-node budget under opts —
 // opts.KPerNode when pinned, else the paper's BC-derived default
-// ceil(assignments / live nodes). Exported so locality-aware
-// re-pruning can detect that an update shifted the default k (the
-// memoized verdicts are then invalid for CNP and a full pass runs).
+// ceil(assignments / live nodes). Exported for the parallel pruner
+// (internal/parmeta), which must resolve the same budget.
 func (g *Graph) ResolveK(opts PruneOptions) int {
 	k := opts.KPerNode
 	if live := g.LiveNodes(); k <= 0 && live > 0 {

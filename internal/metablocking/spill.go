@@ -8,24 +8,18 @@ import (
 	"repro/internal/store"
 )
 
-// Graph spilling: between streaming passes the blocking graph is the
-// session's largest idle structure — its edge and evidence arrays are
-// only read inside an ingest/evict window (structural diff, reweigh,
-// re-prune), while matching and serving read the retained-edge list,
-// never the graph. With a store attached, the session pages the CSR
-// arrays out at stage boundaries — after the front-end build, when
-// matching takes over, around a compaction epoch — and back in when
-// the next streaming pass begins, so a burst of passes pays the round
-// trip once; the scalar statistics (node counts, block count, cached
-// edge count and footprint) stay hot so /status and CNP budget
-// resolution never touch the store.
+// Graph spilling: once a front-end pass has pruned the blocking graph,
+// the graph is the session's largest idle structure — matching and
+// serving read the retained-edge list, never the graph, and the next
+// pass builds a new one. With a store attached, the session pages the
+// CSR arrays out at stage boundaries — after the front-end build, when
+// matching takes over, around a compaction epoch; the scalar statistics
+// (node counts, block count, cached edge count and footprint) stay hot
+// so /status never touches the store.
 //
 // Arrays are encoded raw little-endian, floats via IEEE-754 bits, so a
-// spill/load round trip is bit-exact — the differential suites run
-// identically whether or not the graph ever left the heap. The 'g'
-// keyspace holds exactly one graph: a compaction's replacement graph
-// overwrites it, and the superseded graph is never loaded again (a
-// failed swap poisons the session before another pass could try).
+// spill/load round trip is bit-exact. The 'g' keyspace holds exactly
+// one graph: each pass's graph overwrites its predecessor's.
 
 const graphTag = 'g'
 
@@ -42,8 +36,7 @@ func (g *Graph) Spill(s store.Store) error {
 	g.spFoot = g.Footprint()
 
 	// Put copies (or frames) the value before returning, so one scratch
-	// buffer serves all five fields — a streaming session spills every
-	// pass, and per-spill allocations would be pure GC pressure.
+	// buffer serves all five fields.
 	buf := g.scratch(24 * len(g.Edges))
 	for i, e := range g.Edges {
 		binary.LittleEndian.PutUint64(buf[24*i:], uint64(e.A))

@@ -280,18 +280,6 @@ func Build(col *blocking.Collection, scheme metablocking.Scheme, workers int) *m
 	return g
 }
 
-// Update applies an incremental block-collection delta to the graph —
-// Graph.Update's contract, bit-identical to a from-scratch Build over
-// newCol — with the global reweigh pass sharded across workers. The
-// structural diff itself is the sequential reference: its cost is
-// proportional to the delta, so the linear reweigh is what parallelism
-// buys back.
-func Update(g *metablocking.Graph, oldCol, newCol *blocking.Collection, scheme metablocking.Scheme, workers int) metablocking.UpdateStats {
-	stats := g.UpdateStructure(oldCol, newCol, scheme)
-	g.FinishUpdate(&stats, func() { Reweigh(g, scheme, workers) })
-	return stats
-}
-
 // Reweigh recomputes edge weights under a different scheme, sharding
 // the edge range across workers. Identical to Graph.Reweigh for any
 // worker count.
@@ -455,15 +443,6 @@ func pruneCEP(g *metablocking.Graph, opts metablocking.PruneOptions, workers int
 // retention sharded over node ranges with atomic per-endpoint flag
 // bits, then a sharded collect.
 func pruneNode(g *metablocking.Graph, alg metablocking.Pruning, opts metablocking.PruneOptions, workers int) []metablocking.Edge {
-	kept, _ := pruneNodeFlags(g, alg, opts, workers, false)
-	return kept
-}
-
-// pruneNodeFlags is pruneNode's engine; with wantFlags it also returns
-// the per-edge retention bits, narrowed to the uint8 encoding
-// metablocking.PruneMemo stores (the atomic flag words only ever hold
-// KeptByA|KeptByB).
-func pruneNodeFlags(g *metablocking.Graph, alg metablocking.Pruning, opts metablocking.PruneOptions, workers int, wantFlags bool) ([]metablocking.Edge, []uint8) {
 	inc := incidence(g, workers)
 	kPerNode := 0
 	if alg == metablocking.CNP {
@@ -519,42 +498,12 @@ func pruneNodeFlags(g *metablocking.Graph, alg metablocking.Pruning, opts metabl
 	wg.Wait()
 
 	both := uint32(metablocking.KeptByA | metablocking.KeptByB)
-	kept := collectShards(g, workers, func(i int) bool {
+	return collectShards(g, workers, func(i int) bool {
 		if opts.Reciprocal {
 			return flags[i] == both
 		}
 		return flags[i] != 0
 	})
-	if !wantFlags {
-		return kept, nil
-	}
-	f8 := make([]uint8, len(flags))
-	for i, f := range flags {
-		f8[i] = uint8(f)
-	}
-	return kept, f8
-}
-
-// PruneMemoized is Prune plus a reusable metablocking.PruneMemo for the
-// node-centric algorithms — the parallel counterpart of
-// Graph.PruneMemoized, memo-compatible with it bit for bit (the flag
-// encoding is shared). WEP and CEP return a nil memo.
-func PruneMemoized(g *metablocking.Graph, alg metablocking.Pruning, opts metablocking.PruneOptions, workers int) ([]metablocking.Edge, *metablocking.PruneMemo) {
-	workers = Workers(workers)
-	if workers == 1 || len(g.Edges) == 0 {
-		return g.PruneMemoized(alg, opts)
-	}
-	switch alg {
-	case metablocking.WNP, metablocking.CNP:
-		kept, flags := pruneNodeFlags(g, alg, opts, workers, true)
-		sortEdgesParallel(kept, workers)
-		memo := &metablocking.PruneMemo{Alg: alg, Reciprocal: opts.Reciprocal, Flags: flags}
-		if alg == metablocking.CNP {
-			memo.K = g.ResolveK(opts)
-		}
-		return kept, memo
-	}
-	return Prune(g, alg, opts, workers), nil
 }
 
 func endpointBit(isA bool) uint32 {

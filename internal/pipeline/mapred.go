@@ -101,25 +101,8 @@ func (e MapReduce) Prune(g *metablocking.Graph, alg metablocking.Pruning, opts m
 	return g.Prune(alg, opts), nil
 }
 
-// Ingest implements Engine: the shared incremental pass with cleaning
-// and pruning dispatched through this engine's dataflow jobs. The
-// paper's cluster realization never defined an incremental dataflow,
-// so the index extension and graph diff run the sequential reference —
-// the deltas are small by construction.
-func (e MapReduce) Ingest(st *State) error {
-	return ingest(e, st, nil,
-		func(g *metablocking.Graph, oldCol, newCol *blocking.Collection) metablocking.UpdateStats {
-			return g.Update(oldCol, newCol, st.opt.Scheme)
-		})
-}
+// Ingest implements Engine.
+func (e MapReduce) Ingest(st *State) error { return st.refresh(e) }
 
-// Evict implements Engine: the decremental pass with cleaning and
-// pruning dispatched through this engine's dataflow jobs; the index
-// splice and graph diff run the sequential reference, exactly as in
-// Ingest — the deltas are small by construction.
-func (e MapReduce) Evict(st *State) error {
-	return evict(e, st,
-		func(g *metablocking.Graph, oldCol, newCol *blocking.Collection) metablocking.UpdateStats {
-			return g.Update(oldCol, newCol, st.opt.Scheme)
-		})
-}
+// Evict implements Engine.
+func (e MapReduce) Evict(st *State) error { return st.refresh(e) }

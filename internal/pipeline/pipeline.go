@@ -25,6 +25,13 @@
 // picks the engine a Config implies, and Run drives a full front-end
 // pass through any engine uniformly, replacing the per-stage dispatch
 // ladders that used to live in minoaner.Start.
+//
+// There is one front-end plan. A streaming session (State) keeps no
+// inverted index, graph diff or pruning memo between waves: when its
+// source gained or lost descriptions, Engine.Ingest and Engine.Evict
+// run the same pass Run does over the live source and swap the result
+// in. On every workload of record that pass is cheaper than maintaining
+// the previous result was.
 package pipeline
 
 import (
@@ -67,24 +74,17 @@ type Engine interface {
 	// Prune returns the retained comparisons, sorted by descending
 	// weight (ties by ascending (A, B)).
 	Prune(g *metablocking.Graph, alg metablocking.Pruning, opts metablocking.PruneOptions) ([]metablocking.Edge, error)
-	// Ingest folds every description added to the state's source since
-	// the last Start or Ingest into the front-end incrementally: delta
-	// tokenization, append-only inverted-index extension, global (but
-	// linear) re-cleaning, a graph update confined to the blocks the
-	// batch touched, and re-pruning. st.Front afterwards equals a
-	// from-scratch Run over the grown source — bit-identically on the
-	// sequential and shared engines, up to the documented float
-	// round-off on MapReduce-built graphs.
+	// Ingest brings the state up to date with its source: when
+	// descriptions were added, merged into or tombstoned since the last
+	// pass, the engine re-runs Stream → Purge → Filter → Collect → Build
+	// → Prune over the live source and, on success, replaces st.Front;
+	// on failure the state is left as it was. With nothing pending it is
+	// a no-op. st.Front afterwards is what Run over the same source
+	// returns, so the engines agree exactly as they do on Run.
 	Ingest(st *State) error
-	// Evict splices every description tombstoned in the state's source
-	// since the last pass out of the front-end incrementally: the
-	// departed ids leave the inverted index (copy-on-delete of only the
-	// postings they appeared in), cleaning re-runs, the graph update
-	// runs down its block-shrinkage path — edges whose blocks lost
-	// members re-accumulate, orphaned edges drop — and the comparison
-	// list is re-pruned. st.Front afterwards equals a from-scratch Run
-	// over the surviving source, with the same bit-identity contract as
-	// Ingest.
+	// Evict is the same operation as Ingest. Both names stay because
+	// callers attribute a wave's cost by what it carried — arrivals or
+	// departures — and fault-injecting tests aim at one or the other.
 	Evict(st *State) error
 }
 
@@ -122,20 +122,13 @@ type Options struct {
 	// node-centric pruning.
 	Reciprocal bool
 	// KPerNode pins CNP's per-node budget (0 = the paper's default,
-	// ⌈assignments/|V|⌉). The default shifts as a streaming session
-	// ingests — assignments and live nodes both move — which invalidates
-	// every node's memoized top-k and forces locality-aware re-pruning
-	// into its full-pass fallback; pinning the budget keeps the memo
-	// live across deltas.
+	// ⌈assignments/|V|⌉, which moves as a streaming session's corpus
+	// does).
 	KPerNode int
-	// Store, when set, moves the streaming index's posting lists and
-	// the blocking graph's arrays behind the storage boundary: only the
-	// sorted token list and the graph's scalar statistics stay resident
-	// between passes (see coldindex.go). Nil keeps everything in RAM.
+	// Store, when set, lets State.SpillGraph move the blocking graph's
+	// arrays behind the storage boundary between passes, keeping only
+	// its scalar statistics resident. Nil keeps everything in RAM.
 	Store store.Store
-	// PostingCache bounds the LRU of decoded posting lists in store
-	// mode (≤ 0 = DefaultPostingCache).
-	PostingCache int
 }
 
 // pruneOptions assembles the engine-facing pruning options of a pass
@@ -163,33 +156,15 @@ type FrontEnd struct {
 //
 // The stage boundaries are iterator-composed: the engine's block
 // stream flows through the purge and filter transforms, and only the
-// final cleaned collection is materialized (the incremental state and
-// the matcher need it). The raw and purged intermediates — the bulk of
-// front-end peak memory under the old slice-per-stage handoff — never
-// exist. Cleaning transforms are bit-identical to the engines'
-// materialized stage methods, which the differential suite asserts.
+// final cleaned collection is materialized (the matcher needs it). The
+// raw and purged intermediates — the bulk of front-end peak memory
+// under the old slice-per-stage handoff — never exist. Cleaning
+// transforms are bit-identical to the engines' materialized stage
+// methods, which the differential suite asserts.
 func Run(e Engine, src *kb.Collection, opt Options) (*FrontEnd, error) {
-	fe, _, err := runFront(e, src, opt, false)
-	return fe, err
-}
-
-// memoPruner is the optional engine capability behind locality-aware
-// re-pruning: a prune that also returns the per-edge retention memo.
-// The sequential and shared engines implement it; the MapReduce engine
-// does not — the paper's cluster realization never defined an
-// incremental dataflow, so its sessions always re-prune in full.
-type memoPruner interface {
-	PruneMemoized(g *metablocking.Graph, alg metablocking.Pruning, opts metablocking.PruneOptions) ([]metablocking.Edge, *metablocking.PruneMemo, error)
-}
-
-// runFront is Run plus the pruning memo: when wantMemo is set and the
-// engine supports memoized pruning, the returned memo seeds a
-// session's locality-aware re-pruning (nil otherwise — full re-prunes
-// remain correct, just not delta-proportional).
-func runFront(e Engine, src *kb.Collection, opt Options, wantMemo bool) (*FrontEnd, *metablocking.PruneMemo, error) {
 	s, err := e.Stream(src, opt.Tokenize)
 	if err != nil {
-		return nil, nil, fmt.Errorf("pipeline(%s): blocking: %w", e.Name(), err)
+		return nil, fmt.Errorf("pipeline(%s): blocking: %w", e.Name(), err)
 	}
 	if opt.PurgeMaxBlockSize >= 0 {
 		s = s.Purge(opt.PurgeMaxBlockSize)
@@ -200,18 +175,11 @@ func runFront(e Engine, src *kb.Collection, opt Options, wantMemo bool) (*FrontE
 	col := s.Collect()
 	g, err := e.Build(col, opt.Scheme)
 	if err != nil {
-		return nil, nil, fmt.Errorf("pipeline(%s): graph build: %w", e.Name(), err)
+		return nil, fmt.Errorf("pipeline(%s): graph build: %w", e.Name(), err)
 	}
-	popts := opt.pruneOptions(col.Assignments())
-	var edges []metablocking.Edge
-	var memo *metablocking.PruneMemo
-	if mp, ok := e.(memoPruner); ok && wantMemo {
-		edges, memo, err = mp.PruneMemoized(g, opt.Pruning, popts)
-	} else {
-		edges, err = e.Prune(g, opt.Pruning, popts)
-	}
+	edges, err := e.Prune(g, opt.Pruning, opt.pruneOptions(col.Assignments()))
 	if err != nil {
-		return nil, nil, fmt.Errorf("pipeline(%s): pruning: %w", e.Name(), err)
+		return nil, fmt.Errorf("pipeline(%s): pruning: %w", e.Name(), err)
 	}
-	return &FrontEnd{Blocks: col, Graph: g, Edges: edges}, memo, nil
+	return &FrontEnd{Blocks: col, Graph: g, Edges: edges}, nil
 }

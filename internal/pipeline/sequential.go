@@ -46,29 +46,8 @@ func (Sequential) Prune(g *metablocking.Graph, alg metablocking.Pruning, opts me
 	return g.Prune(alg, opts), nil
 }
 
-// PruneMemoized implements the optional memoPruner capability: Prune
-// plus the retention memo that seeds locality-aware re-pruning.
-func (Sequential) PruneMemoized(g *metablocking.Graph, alg metablocking.Pruning, opts metablocking.PruneOptions) ([]metablocking.Edge, *metablocking.PruneMemo, error) {
-	kept, memo := g.PruneMemoized(alg, opts)
-	return kept, memo, nil
-}
+// Ingest implements Engine.
+func (Sequential) Ingest(st *State) error { return st.refresh(Sequential{}) }
 
-// Ingest implements Engine: the single-threaded reference realization
-// of the incremental pass — every other engine's Ingest must produce
-// the same state.
-func (Sequential) Ingest(st *State) error {
-	return ingest(Sequential{}, st, nil,
-		func(g *metablocking.Graph, oldCol, newCol *blocking.Collection) metablocking.UpdateStats {
-			return g.Update(oldCol, newCol, st.opt.Scheme)
-		})
-}
-
-// Evict implements Engine: the single-threaded reference realization
-// of the decremental pass — every other engine's Evict must produce
-// the same state.
-func (Sequential) Evict(st *State) error {
-	return evict(Sequential{}, st,
-		func(g *metablocking.Graph, oldCol, newCol *blocking.Collection) metablocking.UpdateStats {
-			return g.Update(oldCol, newCol, st.opt.Scheme)
-		})
-}
+// Evict implements Engine.
+func (Sequential) Evict(st *State) error { return st.refresh(Sequential{}) }

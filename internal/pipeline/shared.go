@@ -422,37 +422,8 @@ func (e Shared) Prune(g *metablocking.Graph, alg metablocking.Pruning, opts meta
 	return parmeta.Prune(g, alg, opts, e.Workers), nil
 }
 
-// PruneMemoized implements the optional memoPruner capability: the
-// sharded prune plus the retention memo that seeds locality-aware
-// re-pruning, memo-compatible with the sequential engine's bit for bit.
-func (e Shared) PruneMemoized(g *metablocking.Graph, alg metablocking.Pruning, opts metablocking.PruneOptions) ([]metablocking.Edge, *metablocking.PruneMemo, error) {
-	kept, memo := parmeta.PruneMemoized(g, alg, opts, e.Workers)
-	return kept, memo, nil
-}
+// Ingest implements Engine.
+func (e Shared) Ingest(st *State) error { return st.refresh(e) }
 
-// Ingest implements Engine: the shared incremental pass with the
-// stages where parallel deltas pay delegated per-stage — the batch is
-// tokenized on the worker pool (WarmTokens only fills the new and
-// invalidated cache slots), cleaning runs through this engine's
-// sharded Purge/Filter, the graph update runs parmeta.Update (the
-// sequential structural diff, proportional to the delta, plus a
-// reweigh sharded across workers), and pruning runs the sharded
-// pruner.
-func (e Shared) Ingest(st *State) error {
-	warm := func() { st.src.WarmTokens(st.opt.Tokenize, e.Workers) }
-	return ingest(e, st, warm,
-		func(g *metablocking.Graph, oldCol, newCol *blocking.Collection) metablocking.UpdateStats {
-			return parmeta.Update(g, oldCol, newCol, st.opt.Scheme, e.Workers)
-		})
-}
-
-// Evict implements Engine: the shared decremental pass. The index
-// splice is sequential (proportional to the departed descriptions'
-// tokens), while cleaning, the reweigh half of the graph update, and
-// pruning run this engine's sharded stages.
-func (e Shared) Evict(st *State) error {
-	return evict(e, st,
-		func(g *metablocking.Graph, oldCol, newCol *blocking.Collection) metablocking.UpdateStats {
-			return parmeta.Update(g, oldCol, newCol, st.opt.Scheme, e.Workers)
-		})
-}
+// Evict implements Engine.
+func (e Shared) Evict(st *State) error { return st.refresh(e) }

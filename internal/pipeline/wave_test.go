@@ -1,0 +1,343 @@
+package pipeline
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/blocking"
+	"repro/internal/datagen"
+	"repro/internal/kb"
+	"repro/internal/metablocking"
+	"repro/internal/tokenize"
+)
+
+// interleavedIDs reorders src's ids round-robin across KBs so every
+// ingest batch spans all KBs (the steady-state streaming shape).
+func interleavedIDs(src *kb.Collection) []int {
+	perKB := make([][]int, src.NumKBs())
+	for id := 0; id < src.Len(); id++ {
+		perKB[src.KBOf(id)] = append(perKB[src.KBOf(id)], id)
+	}
+	var out []int
+	for i := 0; len(out) < src.Len(); i++ {
+		for _, ids := range perKB {
+			if i < len(ids) {
+				out = append(out, ids[i])
+			}
+		}
+	}
+	return out
+}
+
+// waveSource is a collection under a seeded stream of mutations: it
+// grows from a pool of generated descriptions, merges late attributes
+// into descriptions it already holds, and tombstones live ones.
+type waveSource struct {
+	col   *kb.Collection
+	pool  *kb.Collection
+	order []int // pool ids, interleaved across KBs
+	next  int   // order[:next] have been added
+	rng   *rand.Rand
+	notes int // distinct late-attribute values handed out
+}
+
+func (w *waveSource) add(n int) (first int) {
+	first = w.col.Len()
+	for ; n > 0 && w.next < len(w.order); n-- {
+		d := w.pool.Desc(w.order[w.next])
+		w.col.Add(&kb.Description{URI: d.URI, KB: d.KB, Types: d.Types, Attrs: d.Attrs, Links: d.Links})
+		w.next++
+	}
+	return first
+}
+
+func (w *waveSource) live() []int {
+	var ids []int
+	for id := 0; id < w.col.Len(); id++ {
+		if w.col.Alive(id) {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// merge re-adds n live descriptions' KB+URI with a fresh attribute —
+// new tokens for ids the state already covers.
+func (w *waveSource) merge(n int) {
+	live := w.live()
+	for ; n > 0; n-- {
+		id := live[w.rng.Intn(len(live))]
+		w.notes++
+		w.col.Add(&kb.Description{URI: w.col.URIOf(id), KB: w.col.KBName(w.col.KBOf(id)), Attrs: []kb.Attribute{
+			{Predicate: "late", Value: fmt.Sprintf("lateinfo extranote%d", w.notes)},
+		}})
+	}
+}
+
+func (w *waveSource) evict(n int) {
+	live := w.live()
+	for ; n > 0; n-- {
+		w.col.Evict(live[w.rng.Intn(len(live))]) // a repeat is a no-op
+	}
+}
+
+// checkAgainstCompacted is the oracle of the streaming front-end: the
+// state over a source that was grown, merged into and tombstoned must
+// equal, under the order-preserving id map, a Run over a collection
+// that never held the departed descriptions — same blocks, same graph
+// edges, same retained comparisons, weights bit for bit on the exact
+// engines.
+func checkAgainstCompacted(t *testing.T, label string, e Engine, exact bool, st *State, src *kb.Collection, opt Options) {
+	t.Helper()
+	if !st.InSync() || st.Covered() != src.Len() {
+		t.Fatalf("%s: state covers %d of %d descriptions, in sync %v", label, st.Covered(), src.Len(), st.InSync())
+	}
+	compact, oldToNew := src.Compact()
+	want, err := Run(e, compact, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapID := func(id int) int {
+		if oldToNew[id] < 0 {
+			t.Fatalf("%s: front-end holds tombstoned id %d", label, id)
+		}
+		return oldToNew[id]
+	}
+	mapEdges := func(es []metablocking.Edge) []metablocking.Edge {
+		out := make([]metablocking.Edge, len(es))
+		for i, e := range es {
+			out[i] = metablocking.Edge{A: mapID(e.A), B: mapID(e.B), Weight: e.Weight}
+		}
+		return out
+	}
+	got := &blocking.Collection{CleanClean: st.Front.Blocks.CleanClean}
+	for _, b := range st.Front.Blocks.Blocks {
+		nb := blocking.Block{Key: b.Key}
+		for _, id := range b.Entities {
+			nb.Entities = append(nb.Entities, mapID(id))
+		}
+		got.Blocks = append(got.Blocks, nb)
+	}
+	sameCollection(t, label, want.Blocks, got)
+	sameEdges(t, want.Graph.Edges, mapEdges(st.Front.Graph.Edges), exact)
+	sameEdges(t, want.Edges, mapEdges(st.Front.Edges), exact)
+	if st.LastUpdate.EdgesTouched != len(st.Front.Graph.Edges) || !st.LastUpdate.Rebuilt || !st.LastReprune.Full {
+		t.Fatalf("%s: pass reported %+v %+v, want every edge, rebuilt, full", label, st.LastUpdate, st.LastReprune)
+	}
+}
+
+// TestWavesMatchFromScratch is the one differential behind streaming:
+// for every engine, weighting scheme and pruning algorithm, a seeded
+// random interleaving of waves — additions, merges into covered
+// descriptions, evictions, all three at once including a description
+// tombstoned before any pass saw it, a wave with nothing pending, a
+// re-Start over the tombstoned source, the departure of a whole KB
+// (clean–clean turns dirty) and its return — leaves the state, after
+// every pass, equal to a from-scratch Run over a corpus that never held
+// the departed descriptions. Ingest and Evict are one operation, so
+// each wave calls whichever the seed picks.
+func TestWavesMatchFromScratch(t *testing.T) {
+	w, err := datagen.Generate(datagen.TwoKBs(421, 90, datagen.Center(), datagen.Periphery()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := w.Collection
+	order := interleavedIDs(pool)
+	engines := []struct {
+		name  string
+		e     Engine
+		exact bool
+	}{
+		{"sequential", Sequential{}, true},
+		{"shared-2", Shared{Workers: 2}, true},
+		{"shared-4", Shared{Workers: 4}, true},
+		{"mapreduce-2", MapReduce{Workers: 2}, false},
+	}
+	steps := []string{"add", "merge", "evict", "mixed", "noop", "restart"}
+	seed := int64(0)
+	for _, scheme := range metablocking.Schemes() {
+		for _, pruning := range metablocking.Prunings() {
+			seed++
+			opt := Options{
+				Tokenize:    tokenize.Default(),
+				FilterRatio: 0.8,
+				Scheme:      scheme,
+				Pruning:     pruning,
+				Reciprocal:  seed%2 == 0,
+			}
+			for _, eng := range engines {
+				seed, eng := seed, eng
+				t.Run(fmt.Sprintf("%v/%v/%s", scheme, pruning, eng.name), func(t *testing.T) {
+					src := &waveSource{col: kb.NewCollection(), pool: pool, order: order,
+						rng: rand.New(rand.NewSource(seed))}
+					src.add(len(order) / 2)
+					st, err := Start(eng.e, src.col, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkAgainstCompacted(t, "start", eng.e, eng.exact, st, src.col, opt)
+
+					script := append([]string(nil), steps...)
+					src.rng.Shuffle(len(script), func(i, j int) { script[i], script[j] = script[j], script[i] })
+					script = append(script, "dropKB", "add")
+					for i, step := range script {
+						label := fmt.Sprintf("step %d (%s)", i, step)
+						before := st.Front
+						switch step {
+						case "add":
+							src.add(1 + src.rng.Intn(12))
+						case "merge":
+							src.add(src.rng.Intn(4))
+							src.merge(1 + src.rng.Intn(3))
+						case "evict":
+							src.evict(1 + src.rng.Intn(8))
+						case "mixed":
+							ghost := src.add(2 + src.rng.Intn(8))
+							src.col.Evict(ghost) // gone before any pass saw it
+							src.merge(1)
+							src.evict(1 + src.rng.Intn(4))
+						case "restart":
+							if st, err = Start(eng.e, src.col, opt); err != nil {
+								t.Fatal(err)
+							}
+							src.add(1)
+						case "dropKB":
+							for _, id := range src.col.LiveIDsOfKB(src.col.KBName(1)) {
+								src.col.Evict(id)
+							}
+						}
+						pass := eng.e.Ingest
+						if src.rng.Intn(2) == 0 {
+							pass = eng.e.Evict
+						}
+						if err := pass(st); err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if step == "noop" && st.Front != before {
+							t.Fatalf("%s: a pass with nothing pending replaced the front-end", label)
+						}
+						checkAgainstCompacted(t, label, eng.e, eng.exact, st, src.col, opt)
+					}
+				})
+			}
+		}
+	}
+}
+
+// probeEngine counts the stage calls a pass makes and fails Build or
+// Prune on demand. Its Ingest and Evict run the shared pass with the
+// probe itself as the engine, as every real engine's do.
+type probeEngine struct {
+	Engine
+	streams, builds, prunes int
+	failBuild, failPrune    bool
+}
+
+var errProbe = errors.New("injected stage fault")
+
+func (p *probeEngine) Stream(src *kb.Collection, opts tokenize.Options) (blocking.Stream, error) {
+	p.streams++
+	return p.Engine.Stream(src, opts)
+}
+
+func (p *probeEngine) Build(col *blocking.Collection, scheme metablocking.Scheme) (*metablocking.Graph, error) {
+	p.builds++
+	if p.failBuild {
+		return nil, errProbe
+	}
+	return p.Engine.Build(col, scheme)
+}
+
+func (p *probeEngine) Prune(g *metablocking.Graph, alg metablocking.Pruning, opts metablocking.PruneOptions) ([]metablocking.Edge, error) {
+	p.prunes++
+	if p.failPrune {
+		return nil, errProbe
+	}
+	return p.Engine.Prune(g, alg, opts)
+}
+
+func (p *probeEngine) Ingest(st *State) error { return st.refresh(p) }
+func (p *probeEngine) Evict(st *State) error  { return st.refresh(p) }
+
+func probeFixture(t *testing.T) (*probeEngine, *waveSource, *State, Options) {
+	t.Helper()
+	w, err := datagen.Generate(datagen.TwoKBs(423, 60, datagen.Center(), datagen.Center()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Tokenize: tokenize.Default(), FilterRatio: 0.8,
+		Scheme: metablocking.ECBS, Pruning: metablocking.WNP}
+	src := &waveSource{col: kb.NewCollection(), pool: w.Collection,
+		order: interleavedIDs(w.Collection), rng: rand.New(rand.NewSource(423))}
+	src.add(80)
+	p := &probeEngine{Engine: Sequential{}}
+	st, err := Start(p, src.col, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, src, st, opt
+}
+
+// TestOnePassPerCall pins the cost of a wave at the engine boundary:
+// whatever a wave carried — arrivals, departures, or both — bringing
+// the state up to date is exactly one Stream, one Build and one Prune,
+// and a call with nothing pending is none.
+func TestOnePassPerCall(t *testing.T) {
+	p, src, st, _ := probeFixture(t)
+	waves := []struct {
+		name   string
+		mutate func()
+		pass   func(*State) error
+		want   int
+	}{
+		{"ingest", func() { src.add(7); src.merge(1) }, p.Ingest, 1},
+		{"evict", func() { src.evict(5) }, p.Evict, 1},
+		{"ingest+evict", func() { src.add(7); src.evict(5) }, p.Evict, 1},
+		{"nothing pending", func() {}, p.Ingest, 0},
+	}
+	for _, wv := range waves {
+		p.streams, p.builds, p.prunes = 0, 0, 0
+		wv.mutate()
+		if err := wv.pass(st); err != nil {
+			t.Fatalf("%s: %v", wv.name, err)
+		}
+		if p.streams != wv.want || p.builds != wv.want || p.prunes != wv.want {
+			t.Fatalf("%s wave made %d Stream, %d Build, %d Prune calls, want %d of each",
+				wv.name, p.streams, p.builds, p.prunes, wv.want)
+		}
+	}
+}
+
+// TestFailedPassLeavesStateUntouched: a pass whose Build or Prune fails
+// must not swap the front-end, advance the covered count, or consume
+// the source's pending merges and evictions — the next call sees the
+// same work and, the fault gone, commits it.
+func TestFailedPassLeavesStateUntouched(t *testing.T) {
+	for _, stage := range []string{"build", "prune"} {
+		t.Run(stage, func(t *testing.T) {
+			p, src, st, opt := probeFixture(t)
+			src.add(9)
+			src.merge(2)
+			src.evict(4)
+			front, covered := st.Front, st.Covered()
+			p.failBuild, p.failPrune = stage == "build", stage == "prune"
+			if err := p.Ingest(st); !errors.Is(err, errProbe) {
+				t.Fatalf("Ingest = %v, want the injected fault", err)
+			}
+			if st.Front != front || st.Covered() != covered {
+				t.Fatalf("failed pass moved the state: front swapped %v, covered %d → %d",
+					st.Front != front, covered, st.Covered())
+			}
+			if !st.PendingIngest() || !st.PendingEvictions() {
+				t.Fatal("failed pass consumed the source's pending work")
+			}
+			p.failBuild, p.failPrune = false, false
+			if err := p.Evict(st); err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstCompacted(t, "retry", p, true, st, src.col, opt)
+		})
+	}
+}

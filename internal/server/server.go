@@ -360,9 +360,9 @@ type statusResponse struct {
 }
 
 // handleStatus answers GET /status: progress, queue depth, budget
-// spent, per-stage timings, the front-end memory gauges (graph and
-// streaming-index footprint, tombstone debt, compaction epochs), and
-// the snapshot epoch.
+// spent, per-stage timings, the front-end memory gauges (graph
+// footprint, tombstone debt, compaction epochs), and the snapshot
+// epoch.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	ev := s.snap.Load()
 	st := ev.view.Stats()

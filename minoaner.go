@@ -223,9 +223,9 @@ type Config struct {
 	// applied); the policy is the power-loss line. Ignored by New —
 	// only Open attaches a log.
 	WALFsync FsyncPolicy
-	// Store selects where the cold big structures — description bodies,
-	// inverted-index postings, blocking-graph arrays — live: "" (the
-	// default) keeps everything in RAM exactly as before; "mem" routes
+	// Store selects where the cold big structures — description bodies
+	// and blocking-graph arrays — live: "" (the default) keeps
+	// everything in RAM exactly as before; "mem" routes
 	// them through the in-memory reference store (the differential
 	// oracle); "disk" pages them out to append-only segment files under
 	// StoreDir; "disk-temp" is "disk" with a private temp directory
@@ -243,9 +243,6 @@ type Config struct {
 	// DescCache bounds the LRU of decoded description bodies when a
 	// store is active (0 = kb.DefaultDescCache).
 	DescCache int
-	// PostingCache bounds the LRU of decoded posting lists when a store
-	// is active (0 = pipeline.DefaultPostingCache).
-	PostingCache int
 }
 
 // FsyncPolicy selects when the write-ahead log is fsynced; see
@@ -673,7 +670,6 @@ func (p *Pipeline) pipelineOptions() pipeline.Options {
 		Pruning:           p.cfg.Pruning,
 		Reciprocal:        p.cfg.Reciprocal,
 		Store:             p.store,
-		PostingCache:      p.cfg.PostingCache,
 	}
 }
 
@@ -932,15 +928,15 @@ func (p *Pipeline) ResolveContext(ctx context.Context, budget int) (*Result, err
 // evidence across legs.
 //
 // A Session is also the unit of streaming resolution: Ingest and
-// IngestKB fold new descriptions into the live session incrementally —
-// the blocking graph is updated in its affected neighborhood instead
-// of rebuilt — with the guarantee that ingesting a corpus in any
-// number of batches and then resolving produces exactly the state a
-// from-scratch session over the whole corpus would. Evict and EvictKB
-// are the deletion mirror: descriptions leave the live session with
-// the guarantee that the surviving state is exactly that of a
-// from-scratch session over a corpus that never held them. Config.TTL
-// drives Evict automatically as a sliding window over ingest batches.
+// IngestKB fold new descriptions into the live session — the front-end
+// is re-derived over the grown corpus, the resolution state carries
+// over — with the guarantee that ingesting a corpus in any number of
+// batches and then resolving produces exactly the state a from-scratch
+// session over the whole corpus would. Evict and EvictKB are the
+// deletion mirror: descriptions leave the live session with the
+// guarantee that the surviving state is exactly that of a from-scratch
+// session over a corpus that never held them. Config.TTL drives Evict
+// automatically as a sliding window over ingest batches.
 type Session struct {
 	p        *Pipeline
 	eng      pipeline.Engine
@@ -1025,10 +1021,11 @@ func (s *Session) IngestKBContext(ctx context.Context, name string, r io.Reader)
 // Timings reports cumulative wall-clock time per pipeline stage of one
 // session, in nanoseconds on the wire (the JSON field names end in Ns).
 // FrontEnd is Start's preparation pass (blocking→pruning plus matcher
-// and queue construction); Ingest and Evict cover
-// streaming maintenance (index splice, graph update, re-prune, matcher
-// rebuild, reseed/retract); Resolve is the matching loop end to end,
-// and Schedule/Match/Update split its commit path (see
+// and queue construction); Ingest and Evict cover streaming waves (the
+// front-end pass over the changed corpus, matcher rebuild,
+// reseed/retract — a wave that carried any departure counts as Evict);
+// Resolve is the matching loop end to end, and
+// Schedule/Match/Update split its commit path (see
 // internal/core.Timings — on the parallel engine, Match includes time
 // the committer waits for speculative scores).
 type Timings struct {
@@ -1154,11 +1151,10 @@ func (p *Pipeline) StartContext(ctx context.Context) (*Session, error) {
 }
 
 // refreshStats recomputes the front-end statistics from the current
-// state — called at Start and after every ingest. BlockCandidates is
-// read off the blocking graph (its edges are exactly the distinct
-// comparable pairs of the cleaned blocks), not re-enumerated — an
-// O(blocks²)-pair walk would hand the delta-proportional ingest path a
-// hidden superlinear cost.
+// state — called at Start and after every streaming wave.
+// BlockCandidates is read off the blocking graph (its edges are exactly
+// the distinct comparable pairs of the cleaned blocks), not
+// re-enumerated.
 func (s *Session) refreshStats() {
 	fe := s.fstate.Front
 	s.base = Stats{
@@ -1367,13 +1363,12 @@ type Description struct {
 
 // Ingest streams a batch of new descriptions into the live session.
 //
-// The front-end state advances incrementally: the batch is tokenized
-// and appended to the inverted token index, block cleaning is
-// recomputed (linear), the blocking graph is updated only in the
-// neighborhood the batch touched — never rebuilt from its pairs — and
-// the progressive queue is re-seeded so new comparisons interleave
-// with old ones in the same benefit order a from-scratch session would
-// schedule.
+// The front-end is re-derived over the grown corpus — only the batch is
+// tokenized anew; blocking, cleaning, the blocking graph and pruning
+// run again in full, which on every measured workload costs less than
+// maintaining them did — and the progressive queue is re-seeded so new
+// comparisons interleave with old ones in the same benefit order a
+// from-scratch session would schedule.
 //
 // Equivalence guarantee: splitting a corpus into any number of Ingest
 // batches and then resolving yields exactly the from-scratch result —
@@ -1399,10 +1394,10 @@ func (s *Session) Ingest(batch []Description) error {
 // ingestable refuses streaming — ingestion and eviction alike — for
 // any session but the pipeline's current (most recent) one, before
 // anything mutates the shared collection. Sessions share that
-// collection, and the incremental index's merge and tombstone tracking
-// is single-consumer: an older session mutating would silently
-// desynchronize the newer ones. The current session always may;
-// superseded sessions keep resolving their frozen view.
+// collection, and its merge and tombstone tracking is single-consumer:
+// an older session mutating would silently desynchronize the newer
+// ones. The current session always may; superseded sessions keep
+// resolving their frozen view.
 func (s *Session) ingestable() error {
 	if s.p.current != s {
 		return fmt.Errorf("minoaner: streaming requires the pipeline's current session (a newer Start superseded this one): %w", ErrSessionClosed)
@@ -1430,15 +1425,13 @@ func (s *Session) IngestKB(name string, r io.Reader) error {
 // error wraps ErrUnknownDescription. Duplicate references within one
 // call collapse to one eviction.
 //
-// The front-end state retreats incrementally: the departed ids are
-// spliced out of the inverted token index, the blocking graph is
-// driven down its block-shrinkage path — only edges whose blocks lost
-// members are touched; orphaned edges drop — the matcher re-learns its
-// global IDF weights over the survivors (linear work), and the
-// resolution state is retracted: pairs touching evicted descriptions
-// leave the queue and the trace, clusters containing them split with
-// the surviving match history replayed minus the evicted members, and
-// confirmed matches among survivors stay resolved.
+// The front-end is re-derived over the surviving corpus (the same pass
+// an ingest runs), the matcher re-learns its global IDF weights over
+// the survivors (linear work), and the resolution state is retracted:
+// pairs touching evicted descriptions leave the queue and the trace,
+// clusters containing them split with the surviving match history
+// replayed minus the evicted members, and confirmed matches among
+// survivors stay resolved.
 //
 // Equivalence guarantee, mirroring Ingest's: for any interleaving of
 // Ingest and Evict calls before comparisons are spent, a subsequent
@@ -1572,24 +1565,25 @@ func (s *Session) ingestWire(batch []Description) error {
 }
 
 // syncFront folds every pending mutation of the shared collection into
-// the session. Additions advance the front-end through the engine's
-// Ingest; then, with TTL active, descriptions that slid out of the
-// window are tombstoned; evictions retreat the front-end through the
-// engine's Evict. The matcher is rebuilt whenever anything changed
-// (IDF weights are global — linear work). After a pure ingest the
-// resolver is reseeded (resolution is monotonic); after any eviction
-// it is retracted — the trace drops the steps touching departed
-// descriptions and the surviving history is replayed.
+// the session in one front-end pass. With TTL active, descriptions that
+// slid out of the window are tombstoned first — expiry depends only on
+// the batch counter — so a wave's arrivals and departures share the
+// pass: the engine re-derives the front-end over the live collection
+// (see pipeline.Engine.Ingest). The matcher is rebuilt whenever anything
+// changed (IDF weights are global — linear work). After a pure ingest
+// the resolver is reseeded (resolution is monotonic); after any
+// eviction it is retracted — the trace drops the steps touching
+// departed descriptions and the surviving history is replayed.
 //
-// A failure mid-pass — the engine advanced the front but the matcher
-// and resolver never caught up, or a compaction died between consuming
-// the eviction set and rebuilding — leaves state the pass cannot
-// reconcile: the pending sets are already drained, so a retry would
-// see nothing to do and silently serve the desynchronized state.
-// Instead the session poisons itself (see ErrDesynced): the first such
-// error is returned, remembered, and every later mutation or Resume
-// returns it again. Recovery is a restart — with a write-ahead log,
-// Open replays every acknowledged mutation into a fresh session.
+// A failure mid-pass — the engine refused the front, or swapped it in
+// but the matcher and resolver never caught up, or a compaction died
+// before rebuilding — leaves the collection ahead of what the session
+// serves, with the mutation already acknowledged to the log. Rather
+// than serve the desynchronized state the session poisons itself (see
+// ErrDesynced): the first such error is returned, remembered, and every
+// later mutation or Resume returns it again. Recovery is a restart —
+// with a write-ahead log, Open replays every acknowledged mutation into
+// a fresh session.
 func (s *Session) syncFront() error {
 	if err := s.ingestable(); err != nil {
 		return err // defense in depth; the public entry points check first
@@ -1598,35 +1592,26 @@ func (s *Session) syncFront() error {
 		return s.desynced
 	}
 	t0 := time.Now()
+	s.expireTTL()
+	evicted := s.fstate.PendingEvictions()
+	if !evicted && !s.fstate.PendingIngest() {
+		return nil // nothing new arrived or departed since the last pass
+	}
 	// The mutation's context rides the engine into the dataflow passes;
 	// on non-MapReduce engines WithContext is the identity.
 	eng := pipeline.WithContext(s.eng, s.opContext())
-	ingested := false
-	if s.fstate.PendingIngest() {
-		if err := eng.Ingest(s.fstate); err != nil {
-			return s.poison(fmt.Errorf("minoaner: %w", err))
-		}
-		if err := s.p.col.ColdErr(); err != nil {
-			// A description failed to page in mid-pass; the tokenizer saw
-			// a stub, so the committed front may be wrong. Poison rather
-			// than serve it.
-			return s.poison(fmt.Errorf("minoaner: ingest: description store: %w", err))
-		}
-		ingested = true
+	pass, kind := eng.Ingest, "ingest"
+	if evicted {
+		pass, kind = eng.Evict, "evict"
 	}
-	s.expireTTL()
-	evicted := false
-	if s.fstate.PendingEvictions() {
-		if err := eng.Evict(s.fstate); err != nil {
-			return s.poison(fmt.Errorf("minoaner: %w", err))
-		}
-		if err := s.p.col.ColdErr(); err != nil {
-			return s.poison(fmt.Errorf("minoaner: evict: description store: %w", err))
-		}
-		evicted = true
+	if err := pass(s.fstate); err != nil {
+		return s.poison(fmt.Errorf("minoaner: %s: %w", kind, err))
 	}
-	if !ingested && !evicted {
-		return nil // nothing new arrived or departed since the last pass
+	if err := s.p.col.ColdErr(); err != nil {
+		// A description failed to page in mid-pass; the tokenizer saw
+		// a stub, so the committed front may be wrong. Poison rather
+		// than serve it.
+		return s.poison(fmt.Errorf("minoaner: %s: description store: %w", kind, err))
 	}
 	compacted := false
 	if evicted {
@@ -1679,17 +1664,14 @@ func (s *Session) Compactions() int { return s.compactions }
 // Gauges reports the memory-relevant size gauges of a session's
 // front-end state — the numbers an operator watches to see whether a
 // long-lived streaming session is holding its footprint: the blocking
-// graph (edges and approximate bytes), the streaming inverted index
-// (zero until the first real ingest or evict builds it), the tombstone
-// count the next compaction epoch will reclaim, and the epochs already
-// passed. Exposed on the server's /status endpoint via Snapshot.
+// graph (edges and approximate bytes), the tombstone count the next
+// compaction epoch will reclaim, and the epochs already passed. Exposed
+// on the server's /status endpoint via Snapshot.
 type Gauges struct {
-	GraphEdges    int `json:"graphEdges"`
-	GraphBytes    int `json:"graphBytes"`
-	IndexTokens   int `json:"indexTokens"`
-	IndexPostings int `json:"indexPostings"`
-	Tombstones    int `json:"tombstones"`
-	Compactions   int `json:"compactions"`
+	GraphEdges  int `json:"graphEdges"`
+	GraphBytes  int `json:"graphBytes"`
+	Tombstones  int `json:"tombstones"`
+	Compactions int `json:"compactions"`
 	// Write-ahead-log gauges, zero (and omitted from JSON) without a
 	// log: current log size, records in the current file (a fresh
 	// checkpoint resets this to 1 — the records accumulated since the
@@ -1703,9 +1685,8 @@ type Gauges struct {
 	// total stored bytes (segment-file bytes on "disk"), the bytes of
 	// that actually resident in RAM (the whole store on "mem"; locator
 	// overhead only on "disk"), live keys, and the cumulative hit/miss
-	// counters of the decoded-description and decoded-posting caches
-	// combined — hits/(hits+misses) is the cache hit rate an operator
-	// sizes Config.DescCache and Config.PostingCache by.
+	// counters of the decoded-description cache — hits/(hits+misses) is
+	// the cache hit rate an operator sizes Config.DescCache by.
 	StoreBytes         int64 `json:"storeBytes,omitempty"`
 	StoreResidentBytes int64 `json:"storeResidentBytes,omitempty"`
 	StoreKeys          int64 `json:"storeKeys,omitempty"`
@@ -1727,14 +1708,11 @@ type Gauges struct {
 // Session method it must not race with a concurrent mutation — the
 // server captures it into each Snapshot from its writer goroutine.
 func (s *Session) Gauges() Gauges {
-	tokens, postings := s.fstate.IndexFootprint()
 	g := Gauges{
-		GraphEdges:    s.fstate.Front.Graph.NumEdges(),
-		GraphBytes:    s.fstate.Front.Graph.Footprint(),
-		IndexTokens:   tokens,
-		IndexPostings: postings,
-		Tombstones:    s.p.col.Tombstones(),
-		Compactions:   s.compactions,
+		GraphEdges:  s.fstate.Front.Graph.NumEdges(),
+		GraphBytes:  s.fstate.Front.Graph.Footprint(),
+		Tombstones:  s.p.col.Tombstones(),
+		Compactions: s.compactions,
 	}
 	if w := s.p.wal; w != nil {
 		st := w.Stats()
@@ -1744,9 +1722,7 @@ func (s *Session) Gauges() Gauges {
 	if cs := s.p.store; cs != nil {
 		st := cs.Stats()
 		g.StoreBytes, g.StoreResidentBytes, g.StoreKeys = st.Bytes, st.Resident, st.Keys
-		dh, dm := s.p.col.CacheStats()
-		ph, pm := s.fstate.CacheStats()
-		g.StoreCacheHits, g.StoreCacheMisses = dh+ph, dm+pm
+		g.StoreCacheHits, g.StoreCacheMisses = s.p.col.CacheStats()
 	}
 	if t := s.p.mrTotals; t != nil {
 		g.MRRetries = t.Get("task.retries")
@@ -1773,8 +1749,8 @@ func (s *Session) Gauges() Gauges {
 // surviving generation is at or past the cutoff, and the TTL cursor can
 // rewind to 0 over the compacted, tombstone-free generation array).
 // Nothing is mutated until the rebuild has succeeded — but by then the
-// eviction pass has already consumed its pending set, so a failed
-// rebuild is not retryable: syncFront poisons the session on it. The
+// eviction pass has already committed, so a failed rebuild is not
+// retryable: syncFront poisons the session on it. The
 // first return value reports whether a compaction epoch happened, so
 // syncFront can checkpoint the write-ahead log after the pass
 // completes.

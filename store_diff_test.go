@@ -88,7 +88,6 @@ func TestStoreAxisDifferential(t *testing.T) {
 					// must miss the LRU and decode from the store.
 					scfg := withStore(t, cfg, mode)
 					scfg.DescCache = 4
-					scfg.PostingCache = 8
 					if got := runOpsDigest(t, scfg, ops); got != want {
 						t.Errorf("store=%s digest %s, want the storeless %s", mode, got, want)
 					}
@@ -215,7 +214,6 @@ func TestStoreGauges(t *testing.T) {
 
 	dcfg := withStore(t, base, "disk")
 	dcfg.DescCache = 4
-	dcfg.PostingCache = 8
 	g := session(dcfg).Gauges()
 	if g.StoreBytes == 0 || g.StoreKeys == 0 {
 		t.Fatalf("disk store gauges empty: %+v", g)
