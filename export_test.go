@@ -2,6 +2,7 @@ package minoaner
 
 import (
 	"repro/internal/mapreduce"
+	"repro/internal/metablocking"
 	"repro/internal/pipeline"
 )
 
@@ -14,3 +15,18 @@ func (p *Pipeline) MRProcRunner() *mapreduce.ProcRunner { return p.mrProc }
 // WrapEngine replaces the session's front-end engine with wrap(engine),
 // so a test can count the passes a wave makes.
 func (s *Session) WrapEngine(wrap func(pipeline.Engine) pipeline.Engine) { s.eng = wrap(s.eng) }
+
+// FrontGraph returns the blocking graph of the session's latest
+// front-end pass, so a test can see whether its arrays are resident.
+func (s *Session) FrontGraph() *metablocking.Graph { return s.fstate.Front.Graph }
+
+// StoreKeys counts the keys under prefix in the pipeline's cold store
+// (0 without a store).
+func (p *Pipeline) StoreKeys(prefix string) (int, error) {
+	n := 0
+	if p.store == nil {
+		return 0, nil
+	}
+	err := p.store.ScanKeys([]byte(prefix), func([]byte) error { n++; return nil })
+	return n, err
+}

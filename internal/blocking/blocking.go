@@ -9,8 +9,10 @@ package blocking
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/kb"
+	"repro/internal/mapreduce"
 	"repro/internal/tokenize"
 )
 
@@ -194,6 +196,63 @@ func (col *Collection) EntityIndex() [][]int32 {
 		}
 	}
 	return idx
+}
+
+// EntityCSR builds the entity→blocks index in CSR form:
+// csr[start[id]:start[id+1]] lists the block indices containing id, in
+// ascending order. Construction shards contiguous block ranges;
+// per-entity, per-shard cursor ranges are disjoint, so the fill is
+// lock-free and the layout is identical for any worker count. Block
+// filtering and the blocking-graph kernel both read it.
+func (col *Collection) EntityCSR(workers int) (start, csr []int32) {
+	numEnts := col.Source.Len()
+	shards := mapreduce.Ranges(len(col.Blocks), workers)
+	counts := make([][]int32, len(shards))
+	var wg sync.WaitGroup
+	for s, r := range shards {
+		wg.Add(1)
+		go func(s int, r mapreduce.Range) {
+			defer wg.Done()
+			c := make([]int32, numEnts)
+			for bi := r.Lo; bi < r.Hi; bi++ {
+				for _, id := range col.Blocks[bi].Entities {
+					c[id]++
+				}
+			}
+			counts[s] = c
+		}(s, r)
+	}
+	wg.Wait()
+
+	start = make([]int32, numEnts+1)
+	pos := int32(0)
+	for id := 0; id < numEnts; id++ {
+		start[id] = pos
+		for s := range counts {
+			c := counts[s][id]
+			counts[s][id] = pos
+			pos += c
+		}
+	}
+	start[numEnts] = pos
+
+	csr = make([]int32, pos)
+	var fwg sync.WaitGroup
+	for s, r := range shards {
+		fwg.Add(1)
+		go func(s int, r mapreduce.Range) {
+			defer fwg.Done()
+			cur := counts[s]
+			for bi := r.Lo; bi < r.Hi; bi++ {
+				for _, id := range col.Blocks[bi].Entities {
+					csr[cur[id]] = int32(bi)
+					cur[id]++
+				}
+			}
+		}(s, r)
+	}
+	fwg.Wait()
+	return start, csr
 }
 
 // Stats summarizes a block collection.

@@ -484,70 +484,3 @@ func TestHeapItems(t *testing.T) {
 		}
 	}
 }
-
-// TestPairTable drives the open-addressed pair index differentially
-// against a Go map across several doubling boundaries: every Put must
-// be visible to Get, absent keys must miss, and Len must track the
-// live count. Keys come from a fixed-seed generator so runs are
-// reproducible; clustered key patterns (consecutive packed pairs)
-// exercise the linear-probe chains.
-func TestPairTable(t *testing.T) {
-	var pt PairTable
-	if _, ok := pt.Get(42); ok {
-		t.Fatal("zero-value table claims to hold a key")
-	}
-	if pt.Len() != 0 {
-		t.Fatalf("zero-value Len = %d", pt.Len())
-	}
-
-	rng := rand.New(rand.NewSource(7))
-	ref := make(map[uint64]int32)
-	// A mix of random keys and dense runs of consecutive keys — the
-	// latter is what canonical pair packing produces for one hub node's
-	// edges, the worst case for probe clustering.
-	keys := make([]uint64, 0, 5000)
-	for len(keys) < 4000 {
-		k := rng.Uint64()
-		if k == 0 {
-			continue
-		}
-		keys = append(keys, k)
-	}
-	base := uint64(1) << 32
-	for i := uint64(0); i < 1000; i++ {
-		keys = append(keys, base+i)
-	}
-	for i, k := range keys {
-		if _, dup := ref[k]; dup {
-			continue
-		}
-		if _, ok := pt.Get(k); ok {
-			t.Fatalf("key %#x present before Put", k)
-		}
-		pt.Put(k, int32(i))
-		ref[k] = int32(i)
-		if v, ok := pt.Get(k); !ok || v != int32(i) {
-			t.Fatalf("Get(%#x) after Put = %d, %v; want %d", k, v, ok, i)
-		}
-	}
-	if pt.Len() != len(ref) {
-		t.Fatalf("Len = %d, want %d", pt.Len(), len(ref))
-	}
-	for k, want := range ref {
-		if v, ok := pt.Get(k); !ok || v != want {
-			t.Fatalf("Get(%#x) = %d, %v; want %d", k, v, ok, want)
-		}
-	}
-	for i := 0; i < 2000; i++ {
-		k := rng.Uint64()
-		if k == 0 {
-			continue
-		}
-		if _, hit := ref[k]; hit {
-			continue
-		}
-		if v, ok := pt.Get(k); ok {
-			t.Fatalf("absent key %#x returned %d", k, v)
-		}
-	}
-}

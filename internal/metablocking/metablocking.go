@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/blocking"
 	"repro/internal/container"
-	"repro/internal/store"
 )
 
 // Scheme selects the edge-weighting function.
@@ -88,12 +87,10 @@ type Graph struct {
 	nBlock int       // total number of blocks
 	nLive  int       // live (non-tombstoned) source descriptions
 
-	// Spill state (see spill.go); zero while the arrays are resident.
-	spill    store.Store
-	spilled  bool
-	spEdges  int    // len(Edges) at spill time
-	spFoot   int    // Footprint at spill time
-	spillBuf []byte // reused encode buffer; Put consumes it before return
+	// Set by Release: the arrays are gone, the two gauges are cached.
+	released bool
+	relEdges int
+	relFoot  int
 }
 
 // LiveNodes returns how many of the graph's nodes are live source
@@ -109,29 +106,17 @@ func (g *Graph) LiveNodes() int {
 	return g.NumNodes
 }
 
-// edgeStat is one distinct pair's aggregated evidence during graph
-// construction: endpoints (a < b), common-block count, and the ARCS
-// numerator. Flat records indexed through a compact key map keep the
-// accumulation allocation-free per occurrence — the pointer-heavy
-// map[Pair]*stat variant cost ~2× in both time and bytes.
-type edgeStat struct {
-	a, b   int32
-	common int32
-	arcs   float64
-}
-
-// edgeKey packs a canonical pair (a < b) into one map key.
-func edgeKey(a, b int32) uint64 {
-	return uint64(uint32(a))<<32 | uint64(uint32(b))
-}
-
 // Build constructs the blocking graph and computes edge weights under
-// the given scheme. Evidence is folded in block order, one occurrence
-// at a time — the float accumulation order every parallel builder must
-// replay to stay bit-identical. It is BuildStream over the collection's
-// stream adapter; a collection is just one source of blocks.
+// the given scheme: the entity-centric Kernel run over every
+// description id in ascending order, single-threaded. Each edge's
+// evidence is summed over its blocks in ascending block order, so the
+// weights equal the block-order fold of the definition bit for bit;
+// internal/parmeta runs the same kernel over id chunks in parallel.
 func Build(col *blocking.Collection, scheme Scheme) *Graph {
-	return BuildStream(col.Stream(), scheme)
+	k := NewKernel(col, 1)
+	g := k.Graph([]Chunk{k.Run(k.NewAccumulator(), 0, col.Source.Len())}, 1)
+	g.reweigh(scheme)
+	return g
 }
 
 // Reweigh recomputes edge weights under a different scheme without
@@ -180,10 +165,10 @@ func safeLog(x float64) float64 {
 }
 
 // NumEdges returns the number of distinct candidate comparisons,
-// served from the cached count while the arrays are spilled.
+// served from the cached count once the graph is released.
 func (g *Graph) NumEdges() int {
-	if g.spilled {
-		return g.spEdges
+	if g.released {
+		return g.relEdges
 	}
 	return len(g.Edges)
 }
@@ -194,12 +179,26 @@ func (g *Graph) NumEdges() int {
 // memory panel), not an accounting truth — it counts the backing arrays
 // the graph owns, not allocator overhead.
 func (g *Graph) Footprint() int {
-	if g.spilled {
-		return g.spFoot
+	if g.released {
+		return g.relFoot
 	}
 	const edgeSize = int(unsafe.Sizeof(Edge{}))
 	return len(g.Edges)*edgeSize + len(g.common)*8 + len(g.arcs)*8 +
 		len(g.blocks)*4 + len(g.degree)*4
+}
+
+// Release drops the graph's arrays once its pass is over — matching and
+// serving read the retained edges, never the graph, and the next pass
+// builds its own — keeping NumEdges and Footprint answerable from
+// cached values. A released graph must not be reweighed or pruned.
+// Idempotent.
+func (g *Graph) Release() {
+	if g.released {
+		return
+	}
+	g.relEdges, g.relFoot = len(g.Edges), g.Footprint()
+	g.released = true
+	g.Edges, g.common, g.arcs, g.blocks, g.degree = nil, nil, nil, nil, nil
 }
 
 // Pruning selects the pruning algorithm.

@@ -1,7 +1,9 @@
 package metablocking
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -263,42 +265,148 @@ func TestPruningKeepsMatches(t *testing.T) {
 	}
 }
 
-// TestBuildStreamMatchesBuild is the graph half of the iterator-
-// composed stage differential: folding blocks from a stream must
-// produce a graph bit-identical — edges, canonical order, float
-// weights, per-node counters — to building from the materialized
-// collection, for every weighting scheme, on both a hand fixture and a
-// generated world flowing through the full purge/filter chain.
-func TestBuildStreamMatchesBuild(t *testing.T) {
-	w, err := datagen.Generate(datagen.TwoKBs(21, 120, datagen.Center(), datagen.Center()))
+// referenceGraph is the block-order reference of the blocking graph,
+// independent of the kernel: a plain map keyed by pair, folding every
+// block's pair occurrences in block order, then sorted into canonical
+// (A, B) order and weighed under scheme.
+func referenceGraph(col *blocking.Collection, scheme Scheme) *Graph {
+	type evidence struct {
+		common int
+		arcs   float64
+	}
+	n := col.Source.Len()
+	g := &Graph{NumNodes: n, nBlock: len(col.Blocks), nLive: col.Source.NumAlive(),
+		blocks: make([]int32, n), degree: make([]int32, n)}
+	acc := make(map[[2]int]*evidence)
+	for _, b := range col.Blocks {
+		for _, id := range b.Entities {
+			g.blocks[id]++
+		}
+		cmp := b.Comparisons(col.Source, col.CleanClean)
+		for x, a := range b.Entities {
+			for _, c := range b.Entities[x+1:] {
+				if col.CleanClean && !col.Source.CrossKB(a, c) {
+					continue
+				}
+				ev := acc[[2]int{a, c}]
+				if ev == nil {
+					ev = &evidence{}
+					acc[[2]int{a, c}] = ev
+				}
+				ev.common++
+				ev.arcs += 1 / float64(cmp)
+			}
+		}
+	}
+	pairs := make([][2]int, 0, len(acc))
+	for p := range acc {
+		pairs = append(pairs, p)
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		if pairs[i][0] != pairs[j][0] {
+			return pairs[i][0] < pairs[j][0]
+		}
+		return pairs[i][1] < pairs[j][1]
+	})
+	for _, p := range pairs {
+		g.Edges = append(g.Edges, Edge{A: p[0], B: p[1]})
+		g.common = append(g.common, acc[p].common)
+		g.arcs = append(g.arcs, acc[p].arcs)
+		g.degree[p[0]]++
+		g.degree[p[1]]++
+	}
+	g.reweigh(scheme)
+	return g
+}
+
+// interleavedTombstoned is the source shape streaming waves leave
+// behind: two KBs whose descriptions arrived in alternating small
+// batches (so KB membership interleaves across the id space), with
+// every fifth id evicted.
+func interleavedTombstoned(t *testing.T) *blocking.Collection {
+	t.Helper()
+	w, err := datagen.Generate(datagen.TwoKBs(5, 90, datagen.Center(), datagen.Periphery()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := blocking.TokenBlocking(w.Collection, tokenize.Default()).Purge(0).Filter(0.8)
-	genStream := blocking.TokenBlockingStream(w.Collection, tokenize.Default()).Purge(0).Filter(0.8)
-	for _, tc := range []struct {
-		name   string
-		col    *blocking.Collection
-		stream blocking.Stream
-	}{
-		{"fixture", fixture(t), fixture(t).Stream()},
-		{"generated", gen, genStream},
-	} {
-		for _, scheme := range []Scheme{CBS, ECBS, JS, EJS, ARCS} {
-			want := Build(tc.col, scheme)
-			got := BuildStream(tc.stream, scheme)
-			if got.NumNodes != want.NumNodes || got.NumEdges() != want.NumEdges() {
-				t.Fatalf("%s/%v: graph shape %d nodes %d edges, want %d/%d",
-					tc.name, scheme, got.NumNodes, got.NumEdges(), want.NumNodes, want.NumEdges())
+	byKB := map[string][]*kb.Description{}
+	var kbs []string
+	for id := 0; id < w.Collection.Len(); id++ {
+		d := w.Collection.Desc(id)
+		if byKB[d.KB] == nil {
+			kbs = append(kbs, d.KB)
+		}
+		byKB[d.KB] = append(byKB[d.KB], d)
+	}
+	c := kb.NewCollection()
+	for lo := 0; ; lo += 4 {
+		added := false
+		for _, name := range kbs {
+			ds := byKB[name]
+			for i := lo; i < lo+4 && i < len(ds); i++ {
+				c.Add(ds[i])
+				added = true
 			}
-			for i := range want.Edges {
-				if got.Edges[i] != want.Edges[i] {
-					t.Fatalf("%s/%v: edge %d = %+v, want %+v", tc.name, scheme, i, got.Edges[i], want.Edges[i])
+		}
+		if !added {
+			break
+		}
+	}
+	for id := 0; id < c.Len(); id += 5 {
+		c.Evict(id)
+	}
+	return blocking.TokenBlocking(c, tokenize.Default()).Purge(0).Filter(0.8)
+}
+
+// TestBuildMatchesBlockOrderReference pins the entity-centric kernel to
+// the independent block-order reference: every edge (weights compared
+// by bits), its common-block count and ARCS sum, and every per-node and
+// global counter, for every scheme, on the hand fixture, a clean–clean
+// world, a dirty world, and a tombstoned source with interleaved KBs.
+func TestBuildMatchesBlockOrderReference(t *testing.T) {
+	generated := func(cfg datagen.Config) *blocking.Collection {
+		w, err := datagen.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blocking.TokenBlocking(w.Collection, tokenize.Default()).Purge(0).Filter(0.8)
+	}
+	for _, tc := range []struct {
+		name string
+		col  *blocking.Collection
+	}{
+		{"fixture", fixture(t)},
+		{"cleanclean", generated(datagen.TwoKBs(21, 120, datagen.Center(), datagen.Center()))},
+		{"dirty", generated(datagen.DirtyKB(21, 120, 3))},
+		{"interleaved-tombstoned", interleavedTombstoned(t)},
+	} {
+		for _, scheme := range Schemes() {
+			want := referenceGraph(tc.col, scheme)
+			got := Build(tc.col, scheme)
+			label := fmt.Sprintf("%s/%v", tc.name, scheme)
+			if len(want.Edges) == 0 {
+				t.Fatalf("%s: reference graph is empty — input broken", label)
+			}
+			if got.NumNodes != want.NumNodes || got.nBlock != want.nBlock || got.LiveNodes() != want.LiveNodes() {
+				t.Fatalf("%s: nodes/blocks/live %d/%d/%d, want %d/%d/%d", label,
+					got.NumNodes, got.nBlock, got.LiveNodes(), want.NumNodes, want.nBlock, want.LiveNodes())
+			}
+			if len(got.Edges) != len(want.Edges) {
+				t.Fatalf("%s: %d edges, want %d", label, len(got.Edges), len(want.Edges))
+			}
+			for i, w := range want.Edges {
+				e := got.Edges[i]
+				if e.A != w.A || e.B != w.B || math.Float64bits(e.Weight) != math.Float64bits(w.Weight) {
+					t.Fatalf("%s: edge %d = %+v, want %+v", label, i, e, w)
+				}
+				if got.common[i] != want.common[i] || math.Float64bits(got.arcs[i]) != math.Float64bits(want.arcs[i]) {
+					t.Fatalf("%s: edge %d evidence (%d, %v), want (%d, %v)", label, i,
+						got.common[i], got.arcs[i], want.common[i], want.arcs[i])
 				}
 			}
 			for id := 0; id < want.NumNodes; id++ {
 				if got.blocks[id] != want.blocks[id] || got.degree[id] != want.degree[id] {
-					t.Fatalf("%s/%v: node %d counters (%d,%d), want (%d,%d)", tc.name, scheme, id,
+					t.Fatalf("%s: node %d counters (%d,%d), want (%d,%d)", label, id,
 						got.blocks[id], got.degree[id], want.blocks[id], want.degree[id])
 				}
 			}

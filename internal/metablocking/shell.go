@@ -65,24 +65,6 @@ func (g *Graph) Finish(scheme Scheme) {
 	g.reweigh(scheme)
 }
 
-// NewGraphFromStats builds a Graph directly from fully aggregated edge
-// statistics already in canonical (A, B) ascending order — the bulk
-// entry point for the shared-memory parallel builder
-// (internal/parmeta), which aggregates and sorts its shards itself.
-// common[i] and arcs[i] belong to edges[i]; the slices are adopted,
-// not copied. Weights are not computed: call Reweigh (or ReweighRange
-// over shards) afterwards.
-func NewGraphFromStats(col *blocking.Collection, edges []Edge, common []int, arcs []float64) *Graph {
-	g := NewGraphShell(col)
-	g.Edges, g.common, g.arcs = edges, common, arcs
-	g.degree = make([]int32, g.NumNodes)
-	for _, e := range g.Edges {
-		g.degree[e.A]++
-		g.degree[e.B]++
-	}
-	return g
-}
-
 // SortEdges orders edges by descending weight, ties by ascending
 // (A, B) — the consumption order of a budget-driven matcher.
 func SortEdges(es []Edge) { sortEdges(es) }

@@ -3,34 +3,37 @@
 // and pruning that internal/metablocking implements sequentially and
 // internal/parblock simulates as MapReduce jobs.
 //
-// The engine shards work over contiguous block, edge, and node ranges
-// and merges per-shard state lock-free: every partition of the edge
-// space is owned by exactly one goroutine, so no mutex guards the
-// accumulation maps, and floating-point evidence is summed in the same
-// global block order as the sequential builder. Results are therefore
-// bit-identical to internal/metablocking for every weighting scheme
-// and pruning algorithm — the differential tests assert it — while
-// Build and Prune scale with cores.
+// The engine shards work over contiguous id, edge, and node ranges and
+// merges per-shard state lock-free: every output range is owned by
+// exactly one goroutine, so nothing is locked, and floating-point
+// evidence is summed in the same order as the sequential builder.
+// Results are therefore bit-identical to internal/metablocking for
+// every weighting scheme and pruning algorithm — the differential tests
+// assert it — while Build and Prune scale with cores.
 //
 // Three properties make the sharding exact rather than merely
 // approximately equivalent:
 //
-//  1. Block shards are contiguous and merged in shard order, so each
-//     edge's CBS/ARCS accumulators see their per-block contributions
-//     in exactly the sequential order (float addition is not
-//     associative, so order is part of the contract).
-//  2. The edge-space partition function is monotone in the smaller
-//     endpoint, so sorted partitions concatenate directly into the
-//     canonical (A, B) edge order with no global sort.
-//  3. Node-centric pruning builds a deterministic CSR adjacency whose
-//     per-node edge lists are index-ascending — the same order the
-//     sequential engine appends them — so per-neighborhood float sums
-//     and top-k selections replay exactly.
+//  1. Id-range chunks own their edges. Graph construction runs
+//     metablocking's entity-centric kernel, which files every edge
+//     under its smaller endpoint, so each edge is accumulated by
+//     exactly one chunk, in one worker's private accumulator.
+//  2. Rows are ascending block indices. The kernel walks each id's
+//     entity→block row in ascending order, so every edge's CBS/ARCS
+//     evidence adds its blocks in exactly the sequential order (float
+//     addition is not associative, so order is part of the contract).
+//  3. Chunks concatenate in id order. Each chunk emits its edges in
+//     canonical (A, B) order, so the chunks, written at prefix-sum
+//     offsets, are the canonical edge list with no global sort.
+//
+// Node-centric pruning, likewise, builds a deterministic incidence
+// structure whose per-node edge lists are index-ascending — the order
+// the sequential engine visits them — so per-neighborhood float sums
+// and top-k selections replay exactly.
 package parmeta
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -40,11 +43,10 @@ import (
 	"repro/internal/metablocking"
 )
 
-// partsPerWorker oversubscribes edge-space partitions relative to
-// workers so the dynamic merge schedule stays balanced when the
-// entity-range partition is skewed (clean–clean graphs put every
-// smaller endpoint in the first KB's id range).
-const partsPerWorker = 4
+// chunksPerWorker oversubscribes id chunks relative to workers so the
+// dynamic schedule stays balanced when per-id work is skewed (clean–
+// clean graphs file every edge under an id of the first KB).
+const chunksPerWorker = 8
 
 // Workers resolves a worker-count option: values ≤ 0 mean one worker
 // per available CPU (GOMAXPROCS), anything else is taken literally.
@@ -55,229 +57,78 @@ func Workers(n int) int {
 	return n
 }
 
-// occurrence is one pair co-occurrence emitted by the map phase:
-// endpoints (a < b) and the block's reciprocal comparison count.
-type occurrence struct {
-	a, b int32
-	inv  float64
-}
-
-// record is one distinct edge's aggregated evidence.
-type record struct {
-	a, b   int32
-	common int32
-	arcs   float64
-}
-
-// recSegBits sizes the segments of the per-partition record pools:
-// fixed arrays that grow without copying, so accumulating a partition's
-// records never pays append-doubling churn (the largest allocation term
-// of the parallel build before pools).
-const recSegBits = 12
-
-// recPool is a segmented arena of records addressed by dense int32
-// handles; records never move as the pool grows.
-type recPool struct {
-	segs [][]record
-	n    int32
-}
-
-func (p *recPool) alloc(a, b int32) int32 {
-	i := p.n
-	s := int(i) >> recSegBits
-	if s == len(p.segs) {
-		p.segs = append(p.segs, make([]record, 1<<recSegBits))
-	}
-	p.segs[s][i&(1<<recSegBits-1)] = record{a: a, b: b}
-	p.n++
-	return i
-}
-
-func (p *recPool) at(i int32) *record {
-	return &p.segs[i>>recSegBits][i&(1<<recSegBits-1)]
-}
-
-// buildChunkComparisons bounds how many pair occurrences a single
-// map→merge round may buffer. Build streams the block range through
-// rounds of at most this many comparisons, folding each round into
-// persistent per-partition edge records, so peak memory is
-// O(distinct edges + chunk) instead of O(comparisons) — the difference
-// between the two is the whole point of meta-blocking, and on >10M-edge
-// workloads the occurrence buffer used to dwarf the graph itself. A
-// var, not a const, so tests can force many tiny rounds.
-var buildChunkComparisons = 1 << 16
-
-// chunkByComparisons cuts [0, len(cmps)) into contiguous block ranges
-// each inducing at most budget comparisons (single blocks above the
-// budget get a round of their own).
-func chunkByComparisons(cmps []int, budget int) []mapreduce.Range {
-	var out []mapreduce.Range
-	lo, load := 0, 0
-	for bi, c := range cmps {
-		if bi > lo && load+c > budget {
-			out = append(out, mapreduce.Range{Lo: lo, Hi: bi})
-			lo, load = bi, 0
-		}
-		load += c
-	}
-	if lo < len(cmps) {
-		out = append(out, mapreduce.Range{Lo: lo, Hi: len(cmps)})
-	}
-	return out
-}
-
 // Build constructs the blocking graph concurrently and computes edge
 // weights under the given scheme. The result is identical — including
 // float weights, bit for bit — to metablocking.Build for any worker
 // count; workers ≤ 0 means GOMAXPROCS and 1 falls through to the
 // sequential builder.
 //
-// The block range is processed in rounds (see buildChunkComparisons):
-// each round's map phase deals its occurrences to entity-range
-// partitions, and the merge phase folds them — shards in ascending
-// order, occurrences one at a time — into per-partition flat records.
-// Rounds and shards are both contiguous ascending block ranges, so
-// every edge's float evidence accumulates in exactly the global block
-// order of the sequential oracle.
+// The id space is cut into contiguous chunks of about equal kernel
+// work (see chunkIDs); workers claim chunks dynamically, each running
+// metablocking's kernel with its own accumulator, and the chunks'
+// records are written once into exact-size graph arrays.
 func Build(col *blocking.Collection, scheme metablocking.Scheme, workers int) *metablocking.Graph {
-	workers = Workers(workers)
+	return build(col, scheme, Workers(workers), 0)
+}
+
+// build is Build with an explicit chunk budget (kernel work per chunk;
+// ≤ 0 derives it from the total work and the worker count).
+func build(col *blocking.Collection, scheme metablocking.Scheme, workers, budget int) *metablocking.Graph {
 	if workers == 1 || len(col.Blocks) == 0 {
 		return metablocking.Build(col, scheme)
 	}
-	numNodes := col.Source.Len()
-	nParts := workers * partsPerWorker
-
-	// Per-block comparison counts, computed once in parallel: they
-	// drive both the round planning and the map loops.
-	cmps := make([]int, len(col.Blocks))
-	var cwg sync.WaitGroup
-	for _, r := range mapreduce.Ranges(len(col.Blocks), workers) {
-		cwg.Add(1)
-		go func(r mapreduce.Range) {
-			defer cwg.Done()
-			for bi := r.Lo; bi < r.Hi; bi++ {
-				cmps[bi] = col.Blocks[bi].Comparisons(col.Source, col.CleanClean)
-			}
-		}(r)
-	}
-	cwg.Wait()
-
-	// Persistent per-partition accumulators, and per-(shard, partition)
-	// occurrence buffers reused across rounds.
-	accIdx := make([]container.PairTable, nParts)
-	pools := make([]recPool, nParts)
-	emits := make([][][]occurrence, workers)
-	for s := range emits {
-		emits[s] = make([][]occurrence, nParts)
-	}
-
-	for _, round := range chunkByComparisons(cmps, buildChunkComparisons) {
-		// Map: contiguous block shards within the round. Each worker
-		// walks its blocks in order and deals every pair occurrence to
-		// the entity-range partition of the smaller endpoint.
-		shards := mapreduce.Ranges(round.Len(), workers)
-		var wg sync.WaitGroup
-		for s, sr := range shards {
-			wg.Add(1)
-			go func(s int, r mapreduce.Range) {
-				defer wg.Done()
-				parts := emits[s]
-				for p := range parts {
-					parts[p] = parts[p][:0]
-				}
-				for bi := round.Lo + r.Lo; bi < round.Lo+r.Hi; bi++ {
-					if cmps[bi] == 0 {
-						continue
-					}
-					inv := 1 / float64(cmps[bi])
-					ents := col.Blocks[bi].Entities
-					for x := 0; x < len(ents); x++ {
-						for y := x + 1; y < len(ents); y++ {
-							a, bb := ents[x], ents[y]
-							if col.CleanClean && !col.Source.CrossKB(a, bb) {
-								continue
-							}
-							if a > bb {
-								a, bb = bb, a
-							}
-							p := a * nParts / numNodes
-							parts[p] = append(parts[p], occurrence{a: int32(a), b: int32(bb), inv: inv})
-						}
-					}
-				}
-			}(s, sr)
-		}
-		wg.Wait()
-
-		// Merge: each partition is owned by exactly one goroutine
-		// (claimed off a shared counter), visiting shards in ascending
-		// order so every edge's evidence accumulates in global block
-		// order.
-		nShards := len(shards)
-		forEachPart(nParts, workers, func(p int) {
-			idx := &accIdx[p]
-			pool := &pools[p]
-			for s := 0; s < nShards; s++ {
-				for _, o := range emits[s][p] {
-					key := uint64(uint32(o.a))<<32 | uint64(uint32(o.b))
-					i, ok := idx.Get(key)
-					if !ok {
-						i = pool.alloc(o.a, o.b)
-						idx.Put(key, i)
-					}
-					r := pool.at(i)
-					r.common++
-					r.arcs += o.inv
-				}
-			}
-		})
-	}
-
-	// Records accumulated in first-occurrence order; sort each partition
-	// into canonical (A, B) order once, after the last round — an index
-	// permutation per partition, the pooled records never move.
-	orders := make([][]int32, nParts)
-	forEachPart(nParts, workers, func(p int) {
-		pool := &pools[p]
-		order := make([]int32, pool.n)
-		for i := range order {
-			order[i] = int32(i)
-		}
-		sort.Slice(order, func(x, y int) bool {
-			rx, ry := pool.at(order[x]), pool.at(order[y])
-			if rx.a != ry.a {
-				return rx.a < ry.a
-			}
-			return rx.b < ry.b
-		})
-		orders[p] = order
-	})
-
-	// Assemble: the partition function is monotone in A, so sorted
-	// partitions concatenate directly into canonical (A, B) order.
+	k := metablocking.NewKernel(col, workers)
+	work := make([]int, col.Source.Len())
 	total := 0
-	offsets := make([]int, nParts)
-	for p := range pools {
-		offsets[p] = total
-		total += int(pools[p].n)
+	for id := range work {
+		work[id] = k.Work(id)
+		total += work[id]
 	}
-	edges := make([]metablocking.Edge, total)
-	common := make([]int, total)
-	arcs := make([]float64, total)
-	forEachPart(nParts, workers, func(p int) {
-		o := offsets[p]
-		pool := &pools[p]
-		for i, h := range orders[p] {
-			r := pool.at(h)
-			edges[o+i] = metablocking.Edge{A: int(r.a), B: int(r.b)}
-			common[o+i] = int(r.common)
-			arcs[o+i] = r.arcs
-		}
-	})
-
-	g := metablocking.NewGraphFromStats(col, edges, common, arcs)
+	if budget <= 0 {
+		budget = total/(workers*chunksPerWorker) + 1
+	}
+	ranges := chunkIDs(work, budget)
+	chunks := make([]metablocking.Chunk, len(ranges))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, len(ranges)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			acc := k.NewAccumulator()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(ranges) {
+					return
+				}
+				chunks[i] = k.Run(acc, ranges[i].Lo, ranges[i].Hi)
+			}
+		}()
+	}
+	wg.Wait()
+	g := k.Graph(chunks, workers)
 	Reweigh(g, scheme, workers)
 	return g
+}
+
+// chunkIDs cuts [0, len(work)) into contiguous id ranges each carrying
+// at most budget work (a single id above the budget gets a range of its
+// own).
+func chunkIDs(work []int, budget int) []mapreduce.Range {
+	var out []mapreduce.Range
+	n := len(work)
+	lo, load := 0, 0
+	for id, w := range work {
+		if id > lo && load+w > budget {
+			out = append(out, mapreduce.Range{Lo: lo, Hi: id})
+			lo, load = id, 0
+		}
+		load += w
+	}
+	if lo < n {
+		out = append(out, mapreduce.Range{Lo: lo, Hi: n})
+	}
+	return out
 }
 
 // Reweigh recomputes edge weights under a different scheme, sharding
@@ -693,25 +544,4 @@ func mergeEdges(dst, a, b []metablocking.Edge) {
 			i++
 		}
 	}
-}
-
-// forEachPart runs fn(p) for every p in [0, nParts), distributing
-// partitions dynamically over workers goroutines.
-func forEachPart(nParts, workers int, fn func(p int)) {
-	mapreduce.ForEach(nParts, workers, fn)
-}
-
-func concat(parts [][]metablocking.Edge) []metablocking.Edge {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]metablocking.Edge, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
 }

@@ -60,14 +60,39 @@ func sameEdges(t *testing.T, label string, want, got []metablocking.Edge) {
 }
 
 // TestBuildMatchesSequential asserts bit-identical graphs — edges,
-// order, and float weights — for every scheme and worker count.
+// order, and float weights — for every scheme and worker count, on the
+// differential worlds, on a collection where most ids sit in no block,
+// and on a two-block collection with more workers than chunks.
 func TestBuildMatchesSequential(t *testing.T) {
-	for name, col := range worlds(t) {
+	cols := worlds(t)
+	cc := cols["cleanclean"]
+	sparse := &blocking.Collection{Source: cc.Source, CleanClean: cc.CleanClean}
+	for bi := 0; bi < len(cc.Blocks); bi += 4 {
+		sparse.Blocks = append(sparse.Blocks, cc.Blocks[bi])
+	}
+	isolated := 0
+	start, _ := sparse.EntityCSR(1)
+	for id := 0; id < cc.Source.Len(); id++ {
+		if start[id+1] == start[id] {
+			isolated++
+		}
+	}
+	if isolated == 0 {
+		t.Fatal("sparse collection has no isolated ids")
+	}
+	cols["isolated"] = sparse
+	workerSets := map[string][]int{"tiny": {16, 64}}
+	cols["tiny"] = &blocking.Collection{Blocks: cc.Blocks[:2], Source: cc.Source, CleanClean: cc.CleanClean}
+	for name, col := range cols {
+		workers := workerSets[name]
+		if workers == nil {
+			workers = []int{2, 3, 4, 8}
+		}
 		for _, scheme := range metablocking.Schemes() {
 			want := metablocking.Build(col, scheme)
-			for _, workers := range []int{2, 3, 4, 8} {
-				t.Run(fmt.Sprintf("%s/%v/workers=%d", name, scheme, workers), func(t *testing.T) {
-					sameGraph(t, want, Build(col, scheme, workers))
+			for _, w := range workers {
+				t.Run(fmt.Sprintf("%s/%v/workers=%d", name, scheme, w), func(t *testing.T) {
+					sameGraph(t, want, Build(col, scheme, w))
 				})
 			}
 		}
@@ -189,21 +214,18 @@ func TestStressDeterminism(t *testing.T) {
 	}
 }
 
-// TestChunkedBuildMatchesSequential shrinks the round budget so Build
-// streams the block range through many map→merge rounds — the
-// memory-capped path >10M-edge workloads take — and asserts the graph
-// is still bit-identical for every scheme and worker count.
+// TestChunkedBuildMatchesSequential shrinks the chunk budget so Build
+// cuts the id space into many small chunks — down to one id per chunk
+// — and asserts the graph is still bit-identical for every scheme and
+// worker count.
 func TestChunkedBuildMatchesSequential(t *testing.T) {
-	saved := buildChunkComparisons
-	defer func() { buildChunkComparisons = saved }()
 	for _, budget := range []int{1, 7, 64, 1024} {
-		buildChunkComparisons = budget
 		for name, col := range worlds(t) {
 			for _, scheme := range []metablocking.Scheme{metablocking.ARCS, metablocking.ECBS} {
 				want := metablocking.Build(col, scheme)
 				for _, workers := range []int{2, 5} {
 					t.Run(fmt.Sprintf("budget=%d/%s/%v/workers=%d", budget, name, scheme, workers), func(t *testing.T) {
-						sameGraph(t, want, Build(col, scheme, workers))
+						sameGraph(t, want, build(col, scheme, workers, budget))
 					})
 				}
 			}
@@ -211,34 +233,33 @@ func TestChunkedBuildMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestChunkByComparisons checks the round planner: rounds are
-// contiguous, cover every block, and respect the budget except for
-// single oversized blocks.
-func TestChunkByComparisons(t *testing.T) {
-	cmps := []int{3, 3, 3, 10, 0, 0, 2, 5}
-	rounds := chunkByComparisons(cmps, 6)
+// TestChunkIDsByWork checks the chunk planner: chunks are contiguous,
+// cover every id, and respect the budget except for single heavy ids.
+func TestChunkIDsByWork(t *testing.T) {
+	work := []int{3, 3, 3, 10, 0, 0, 2, 5}
+	chunks := chunkIDs(work, 6)
 	lo := 0
-	for _, r := range rounds {
+	for _, r := range chunks {
 		if r.Lo != lo {
-			t.Fatalf("round %+v starts at %d, want %d", r, r.Lo, lo)
+			t.Fatalf("chunk %+v starts at %d, want %d", r, r.Lo, lo)
 		}
 		if r.Len() <= 0 {
-			t.Fatalf("empty round %+v", r)
+			t.Fatalf("empty chunk %+v", r)
 		}
 		load := 0
-		for bi := r.Lo; bi < r.Hi; bi++ {
-			load += cmps[bi]
+		for id := r.Lo; id < r.Hi; id++ {
+			load += work[id]
 		}
 		if load > 6 && r.Len() > 1 {
-			t.Fatalf("round %+v holds %d comparisons over budget", r, load)
+			t.Fatalf("chunk %+v holds %d work over budget", r, load)
 		}
 		lo = r.Hi
 	}
-	if lo != len(cmps) {
-		t.Fatalf("rounds end at %d, want %d", lo, len(cmps))
+	if lo != len(work) {
+		t.Fatalf("chunks end at %d, want %d", lo, len(work))
 	}
-	if rounds := chunkByComparisons(nil, 6); rounds != nil {
-		t.Fatalf("chunking no blocks returned %+v", rounds)
+	if chunks := chunkIDs(nil, 6); chunks != nil {
+		t.Fatalf("chunking no ids returned %+v", chunks)
 	}
 }
 

@@ -41,7 +41,6 @@ import (
 	"repro/internal/kb"
 	"repro/internal/metablocking"
 	"repro/internal/parmeta"
-	"repro/internal/store"
 	"repro/internal/tokenize"
 )
 
@@ -125,10 +124,6 @@ type Options struct {
 	// ⌈assignments/|V|⌉, which moves as a streaming session's corpus
 	// does).
 	KPerNode int
-	// Store, when set, lets State.SpillGraph move the blocking graph's
-	// arrays behind the storage boundary between passes, keeping only
-	// its scalar statistics resident. Nil keeps everything in RAM.
-	Store store.Store
 }
 
 // pruneOptions assembles the engine-facing pruning options of a pass

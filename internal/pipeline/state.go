@@ -100,14 +100,3 @@ func (st *State) pass(e Engine) error {
 	st.LastReprune = RepruneStats{Full: true}
 	return nil
 }
-
-// SpillGraph pages the blocking graph's arrays out to Options.Store —
-// called by the session at stage boundaries, when matching takes over
-// and only the graph's scalar statistics are still read. No-op without
-// a store.
-func (st *State) SpillGraph() error {
-	if st.opt.Store == nil {
-		return nil
-	}
-	return st.Front.Graph.Spill(st.opt.Store)
-}

@@ -223,9 +223,8 @@ type Config struct {
 	// applied); the policy is the power-loss line. Ignored by New —
 	// only Open attaches a log.
 	WALFsync FsyncPolicy
-	// Store selects where the cold big structures — description bodies
-	// and blocking-graph arrays — live: "" (the default) keeps
-	// everything in RAM exactly as before; "mem" routes
+	// Store selects where description bodies live: "" (the default)
+	// keeps everything in RAM exactly as before; "mem" routes
 	// them through the in-memory reference store (the differential
 	// oracle); "disk" pages them out to append-only segment files under
 	// StoreDir; "disk-temp" is "disk" with a private temp directory
@@ -669,7 +668,6 @@ func (p *Pipeline) pipelineOptions() pipeline.Options {
 		Scheme:            p.cfg.Scheme,
 		Pruning:           p.cfg.Pruning,
 		Reciprocal:        p.cfg.Reciprocal,
-		Store:             p.store,
 	}
 }
 
@@ -1134,12 +1132,10 @@ func (p *Pipeline) StartContext(ctx context.Context) (*Session, error) {
 	}
 	p.current = s
 	s.refreshStats()
-	// With a store attached, the blocking graph's arrays page out until
-	// the next streaming pass needs them — refreshStats above already
-	// read the scalar gauges that stay hot.
-	if err := fstate.SpillGraph(); err != nil {
-		return nil, fmt.Errorf("minoaner: %w", err)
-	}
+	// Matching never reads the blocking graph: drop its arrays now.
+	// refreshStats above and Gauges read the cached edge count and
+	// footprint.
+	fstate.Front.Graph.Release()
 	// The log's Start marker: records before it replay as pre-Start
 	// loads, records after it as streaming mutations of the session it
 	// (re)creates. Appended only once Start has fully succeeded, so a
@@ -1185,14 +1181,10 @@ func (s *Session) ResumeContext(ctx context.Context, budget int) (*Result, error
 	if s.desynced != nil {
 		return nil, s.desynced // a poisoned session serves no reads
 	}
-	// Matching never reads the blocking graph, so this stage boundary
-	// is where its arrays page out until the next streaming pass. A
-	// failed spill leaves the resident graph authoritative — the
-	// session stays consistent, the caller just learns the store is
-	// refusing writes.
-	if err := s.fstate.SpillGraph(); err != nil {
-		return nil, fmt.Errorf("minoaner: graph spill: %w", err)
-	}
+	// Matching never reads the blocking graph, so the graph a streaming
+	// wave built is dropped at this stage boundary; the next wave
+	// builds its own.
+	s.fstate.Front.Graph.Release()
 	t0 := time.Now()
 	res := s.resolver.RunBudgetContext(ctx, budget)
 	s.tim.Resolve += time.Since(t0)
@@ -1799,11 +1791,12 @@ func (s *Session) maybeCompact() (bool, error) {
 		s.expired = 0
 	}
 	s.compactions++
+	fstate.Front.Graph.Release()
 	if st := s.p.store; st != nil {
-		// The old epoch's cold records are superseded: delete them, spill
-		// the rebuilt graph, and let the store rewrite its segments
-		// without the dead bytes — the compaction epoch is the moment
-		// disk space is actually reclaimed. The in-memory state is
+		// The old epoch's cold records are superseded: delete them and
+		// let the store rewrite its segments without the dead bytes —
+		// the compaction epoch is the moment disk space is actually
+		// reclaimed. The in-memory state is
 		// already consistent, but a store that cannot shed its garbage
 		// only falls further behind, so failures here poison like every
 		// other compaction error (the caller treats any non-nil error as
@@ -1811,9 +1804,6 @@ func (s *Session) maybeCompact() (bool, error) {
 		// poisoned session would never reach).
 		if err := col.DropCold(); err != nil {
 			return false, fmt.Errorf("minoaner: compaction: drop old epoch: %w", err)
-		}
-		if err := fstate.SpillGraph(); err != nil {
-			return false, fmt.Errorf("minoaner: compaction: %w", err)
 		}
 		if err := st.Compact(); err != nil {
 			return false, fmt.Errorf("minoaner: compaction: store compact: %w", err)
