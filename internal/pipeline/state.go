@@ -25,7 +25,7 @@ type State struct {
 
 	src *kb.Collection
 	opt Options
-	n   int // source descriptions covered so far
+	n   int // source descriptions covered so far; -1 after Rebase until the next pass
 }
 
 // UpdateStats reports the graph work of a front-end pass.
@@ -69,6 +69,12 @@ func Start(e Engine, src *kb.Collection, opt Options) (*State, error) {
 	}
 	return st, nil
 }
+
+// Rebase points the state at a new source — the compacted collection of
+// an id-space compaction epoch, whose ids Front does not speak — so the
+// next Engine.Ingest or Engine.Evict runs a full pass over it, even when
+// it is empty. Front stays as it was until that pass commits.
+func (st *State) Rebase(src *kb.Collection) { st.src, st.n = src, -1 }
 
 // refresh is Engine.Ingest and Engine.Evict for every engine: when the
 // source changed since the last pass, run the front-end over it again.

@@ -77,7 +77,7 @@ type DiskOptions struct {
 	SegmentBytes int64
 	// Reset discards any existing segments instead of replaying them —
 	// the right call when the store's content is derived state about to
-	// be rebuilt (recovery replays the WAL through the ordinary paths).
+	// be rebuilt (recovery folds the WAL back into the collection).
 	Reset bool
 }
 

@@ -182,8 +182,7 @@ type Log struct {
 // Open opens (creating if needed) the log in dir, replay-reads the
 // valid record prefix, truncates any torn tail, and returns the log
 // positioned for appending together with the surviving records. The
-// caller replays the records through its normal mutation path before
-// appending new ones.
+// caller applies the records to its state before appending new ones.
 func Open(dir string, policy Policy) (*Log, []Record, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)

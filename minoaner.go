@@ -188,13 +188,15 @@ type Config struct {
 	// long-lived session with eviction — a TTL sliding window above
 	// all — otherwise accretes dead ids that every id-indexed
 	// structure (token cache, per-node graph arrays, cluster state)
-	// keeps paying for. When the threshold trips after an eviction
-	// pass, the session re-bases onto a compacted collection holding
-	// only the live descriptions under fresh dense ids: the front-end
-	// rebuilds over it and the resolution history is replayed with
-	// remapped ids, leaving a state equivalent to a session over a
-	// corpus that never held the departed descriptions. References
-	// (KB + URI) are stable across epochs — only internal ids move.
+	// keeps paying for. When an eviction (by hand or by TTL expiry)
+	// leaves the density at the threshold, the session re-bases onto a
+	// compacted collection holding only the live descriptions under
+	// fresh dense ids before the wave's front-end pass: that one pass
+	// runs over the compacted collection and the resolution history is
+	// replayed with remapped ids, leaving a state equivalent to a
+	// session over a corpus that never held the departed descriptions.
+	// References (KB + URI) are stable across epochs — only internal
+	// ids move.
 	//
 	// 0 (the default) enables compaction at density ½ when TTL is
 	// active and disables it otherwise; negative disables it
@@ -372,9 +374,9 @@ type Pipeline struct {
 	current *Session
 	// wal, when non-nil (a pipeline constructed with Open), receives
 	// every mutation — loads, ingests, evictions, Start — as a framed
-	// record before the mutation is applied, so replaying the log
-	// through the same paths reconstructs the state. Nil on pipelines
-	// from New: logging is opt-in.
+	// record before the mutation is applied, so folding the log (see
+	// replay) reconstructs the state. Nil on pipelines from New:
+	// logging is opt-in.
 	wal *wal.Log
 	// store, when non-nil (Config.Store "mem", "disk", or
 	// "disk-temp"), holds the cold big structures behind the narrow
@@ -388,6 +390,10 @@ type Pipeline struct {
 	// honors; tests use it to exercise the boundary without allocating
 	// gigabyte payloads. 0 means the real wal.MaxPayload.
 	testPayloadCap int
+	// testWrapEngine, when set, wraps the engine of every session the
+	// pipeline opens; tests use it to count the front-end passes
+	// recovery makes.
+	testWrapEngine func(pipeline.Engine) pipeline.Engine
 	// mrProc is the shared worker-subprocess pool of a "proc" MRRunner,
 	// created lazily by engine() and reused across sessions and
 	// compaction epochs; Close reaps it. Nil for other runners.
@@ -417,24 +423,28 @@ func New(cfg Config) *Pipeline {
 // Open returns a pipeline whose mutations are write-ahead logged under
 // dir — and, when dir already holds a log, the recovered pipeline: the
 // valid record prefix (a torn or corrupted tail is dropped at the last
-// intact frame) is replayed through the ordinary load, Ingest, and
-// Evict paths, so the recovered state is exactly what a from-scratch
-// pipeline fed the same surviving mutations would hold. If the log
-// contains a Start, the recovered session is current (Current returns
-// it) and resolution resumes with a Resume call — resolution state is
-// derived, recomputed, never logged. Recovery requires the same Config
-// the log was written under; TTL expiry and compaction replay
-// deterministically from the recorded batches.
+// intact frame) is folded into the collection record by record, and
+// the recovered session is one front-end pass over the folded
+// collection (see replay). The recovered state is exactly what a
+// from-scratch pipeline fed the same surviving mutations would hold.
+// If the log contains a Start, the recovered session is current
+// (Current returns it) and resolution resumes with a Resume call —
+// resolution state is derived, recomputed, never logged. Recovery
+// requires the same Config the log was written under; TTL expiry and
+// compaction epochs fold deterministically from the recorded batches.
 //
 // After Open every mutation appends its record before applying it;
 // Config.WALFsync decides when records additionally reach the disk.
 // Close the pipeline when done to flush and sync the log.
-func Open(dir string, cfg Config) (*Pipeline, error) {
-	p := New(cfg)
+func Open(dir string, cfg Config) (*Pipeline, error) { return New(cfg).open(dir) }
+
+// open attaches the log under dir to a fresh pipeline, recovering
+// whatever it holds.
+func (p *Pipeline) open(dir string) (*Pipeline, error) {
 	if err := p.ensureStore(); err != nil {
 		return nil, err
 	}
-	log, recs, err := wal.Open(dir, cfg.WALFsync)
+	log, recs, err := wal.Open(dir, p.cfg.WALFsync)
 	if err != nil {
 		return nil, fmt.Errorf("minoaner: %w", err)
 	}
@@ -448,7 +458,7 @@ func Open(dir string, cfg Config) (*Pipeline, error) {
 }
 
 // Current returns the pipeline's current session — the one Start (or a
-// recovery replaying a logged Start) most recently created — or nil
+// recovery folding a logged Start) most recently created — or nil
 // before any Start. Streaming mutation is restricted to it.
 func (p *Pipeline) Current() *Session { return p.current }
 
@@ -570,12 +580,24 @@ func (p *Pipeline) walAppend(typ byte, payload any) error {
 	return nil
 }
 
-// replay applies a recovered record sequence through the pipeline's
-// ordinary mutation paths. The pipeline's log is still detached, so
-// nothing re-appends; TTL expiry and compaction re-fire exactly as
-// they did in the original timeline, because both are deterministic in
-// the mutation sequence.
+// replay recovers a record sequence by folding it, not by re-running
+// it. Every record goes through the same fold a live wave runs before
+// its front-end pass (Session.fold): arrivals, merges and tombstones
+// land in the collection, and once a Start record has opened a
+// session, its TTL clock, expiry and compaction epochs advance exactly
+// as they did in the original timeline — all of them deterministic in
+// the mutation sequence. No record runs a pass. Once the log is
+// consumed the recovered session is built once: one front-end pass
+// over the folded collection, one matcher, one fresh resolver.
+//
+// That one pass is the whole session, not an approximation of it: the
+// front end is a pure function of the live collection, and the log
+// carries no resolution progress, so the trace is empty throughout —
+// and over an empty trace Reseed and Retract both equal a fresh
+// resolver. The pipeline's log is still detached, so nothing
+// re-appends.
 func (p *Pipeline) replay(recs []Record) error {
+	var s *Session // the session the latest Start or checkpoint opened
 	for i, rec := range recs {
 		switch rec.Type {
 		case TypeCheckpoint:
@@ -587,8 +609,8 @@ func (p *Pipeline) replay(recs []Record) error {
 				return fmt.Errorf("minoaner: wal: decode checkpoint: %w", err)
 			}
 			p.addRaw(chk.Descs)
-			s, err := p.Start()
-			if err != nil {
+			var err error
+			if s, err = p.newSession(); err != nil {
 				return fmt.Errorf("minoaner: wal: restore checkpoint: %w", err)
 			}
 			if len(chk.Ages) > 0 && p.cfg.TTL > 0 {
@@ -602,10 +624,10 @@ func (p *Pipeline) replay(recs []Record) error {
 				for i, age := range chk.Ages {
 					s.gens[i] = -age
 				}
-				s.curGen, s.expired = 0, 0
 			}
 		case TypeStart:
-			if _, err := p.Start(); err != nil {
+			var err error
+			if s, err = p.newSession(); err != nil {
 				return fmt.Errorf("minoaner: wal: replay start: %w", err)
 			}
 		case TypeIngest:
@@ -613,27 +635,22 @@ func (p *Pipeline) replay(recs []Record) error {
 			if err := json.Unmarshal(rec.Payload, &batch); err != nil {
 				return fmt.Errorf("minoaner: wal: decode ingest record %d: %w", i, err)
 			}
-			if s := p.current; s != nil {
-				if err := s.ingestWire(batch); err != nil {
-					return fmt.Errorf("minoaner: wal: replay ingest record %d: %w", i, err)
-				}
-			} else {
+			if s == nil {
 				p.addRaw(batch)
+			} else if _, err := s.fold(batch, nil); err != nil {
+				return fmt.Errorf("minoaner: wal: replay ingest record %d: %w", i, err)
 			}
 		case TypeEvict:
 			var ev walEvict
 			if err := json.Unmarshal(rec.Payload, &ev); err != nil {
 				return fmt.Errorf("minoaner: wal: decode evict record %d: %w", i, err)
 			}
-			s := p.current
 			if s == nil {
 				return fmt.Errorf("minoaner: wal: evict record %d precedes any start", i)
 			}
-			var err error
-			if ev.KB != "" {
-				err = s.EvictKB(ev.KB)
-			} else {
-				err = s.Evict(ev.Refs)
+			ids, err := p.evictIDs(ev)
+			if err == nil {
+				_, err = s.fold(nil, ids)
 			}
 			if err != nil {
 				return fmt.Errorf("minoaner: wal: replay evict record %d: %w", i, err)
@@ -642,6 +659,16 @@ func (p *Pipeline) replay(recs []Record) error {
 			return fmt.Errorf("minoaner: wal: unknown record type %d at record %d", rec.Type, i)
 		}
 	}
+	if s == nil {
+		return nil
+	}
+	if err := s.build(context.Background()); err != nil {
+		return fmt.Errorf("minoaner: wal: rebuild session: %w", err)
+	}
+	if err := p.col.ColdErr(); err != nil {
+		return fmt.Errorf("minoaner: wal: rebuild session: description store: %w", err)
+	}
+	p.current = s
 	return nil
 }
 
@@ -1019,9 +1046,11 @@ func (s *Session) IngestKBContext(ctx context.Context, name string, r io.Reader)
 // Timings reports cumulative wall-clock time per pipeline stage of one
 // session, in nanoseconds on the wire (the JSON field names end in Ns).
 // FrontEnd is Start's preparation pass (blocking→pruning plus matcher
-// and queue construction); Ingest and Evict cover streaming waves (the
-// front-end pass over the changed corpus, matcher rebuild,
-// reseed/retract — a wave that carried any departure counts as Evict);
+// and queue construction) — for a session Open recovered, the one pass
+// over the folded log, which leaves Ingest and Evict at zero; Ingest
+// and Evict cover streaming waves (the fold, the front-end pass over
+// the changed corpus, matcher rebuild, reseed/retract — a wave that
+// carried any departure counts as Evict);
 // Resolve is the matching loop end to end, and
 // Schedule/Match/Update split its commit path (see
 // internal/core.Timings — on the parallel engine, Match includes time
@@ -1102,40 +1131,14 @@ func (p *Pipeline) StartContext(ctx context.Context) (*Session, error) {
 	if p.col.NumAlive() == 0 {
 		return nil, fmt.Errorf("minoaner: no descriptions loaded")
 	}
-	eng, err := p.engine()
+	s, err := p.newSession()
 	if err != nil {
 		return nil, err
 	}
-	tStart := time.Now()
-	fstate, err := pipeline.Start(pipeline.WithContext(eng, ctx), p.col, p.pipelineOptions())
-	if err != nil {
-		return nil, fmt.Errorf("minoaner: %w", err)
-	}
-
-	// Stages 3–5 are deferred to Resume.
-	matcher := match.NewMatcher(p.col, p.cfg.Match)
-	resolver := core.NewResolver(matcher, fstate.Front.Edges, core.Config{
-		Benefit:          p.cfg.Benefit,
-		DisableDiscovery: p.cfg.DisableDiscovery,
-		Workers:          parmeta.Workers(p.cfg.Workers),
-	})
-	s := &Session{
-		p:        p,
-		eng:      eng,
-		fstate:   fstate,
-		resolver: resolver,
-		matcher:  matcher,
-	}
-	s.tim.FrontEnd = time.Since(tStart)
-	if p.cfg.TTL > 0 {
-		s.gens = make([]int, p.col.Len()) // everything loaded so far is batch 0
+	if err := s.build(ctx); err != nil {
+		return nil, err
 	}
 	p.current = s
-	s.refreshStats()
-	// Matching never reads the blocking graph: drop its arrays now.
-	// refreshStats above and Gauges read the cached edge count and
-	// footprint.
-	fstate.Front.Graph.Release()
 	// The log's Start marker: records before it replay as pre-Start
 	// loads, records after it as streaming mutations of the session it
 	// (re)creates. Appended only once Start has fully succeeded, so a
@@ -1144,6 +1147,52 @@ func (p *Pipeline) StartContext(ctx context.Context) (*Session, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// newSession opens a session over the pipeline's collection with fresh
+// bookkeeping — everything loaded so far is batch 0, no compaction
+// epoch yet — and no front end: build makes its pass. Between the two,
+// recovery folds the logged mutations into it (see replay).
+func (p *Pipeline) newSession() (*Session, error) {
+	eng, err := p.engine()
+	if err != nil {
+		return nil, err
+	}
+	if p.testWrapEngine != nil {
+		eng = p.testWrapEngine(eng)
+	}
+	s := &Session{p: p, eng: eng}
+	if p.cfg.TTL > 0 {
+		s.gens = make([]int, p.col.Len())
+	}
+	return s, nil
+}
+
+// build runs the session's front-end pass over the pipeline's
+// collection and builds the matcher and a fresh resolver over its
+// output — Start's preparation, and the one pass a recovery makes once
+// the log is folded. Stages 3–5 are deferred to Resume.
+func (s *Session) build(ctx context.Context) error {
+	p := s.p
+	t0 := time.Now()
+	fstate, err := pipeline.Start(pipeline.WithContext(s.eng, ctx), p.col, p.pipelineOptions())
+	if err != nil {
+		return fmt.Errorf("minoaner: %w", err)
+	}
+	s.fstate = fstate
+	s.matcher = match.NewMatcher(p.col, p.cfg.Match)
+	s.resolver = core.NewResolver(s.matcher, fstate.Front.Edges, core.Config{
+		Benefit:          p.cfg.Benefit,
+		DisableDiscovery: p.cfg.DisableDiscovery,
+		Workers:          parmeta.Workers(p.cfg.Workers),
+	})
+	s.tim.FrontEnd = time.Since(t0)
+	s.refreshStats()
+	// Matching never reads the blocking graph: drop its arrays now.
+	// refreshStats above and Gauges read the cached edge count and
+	// footprint.
+	fstate.Front.Graph.Release()
+	return nil
 }
 
 // refreshStats recomputes the front-end statistics from the current
@@ -1443,35 +1492,13 @@ func (s *Session) Evict(refs []Ref) error {
 	if err := s.ingestable(); err != nil {
 		return err
 	}
-	if err := s.syncFront(); err != nil {
-		return err // fold any stranded additions before resolving refs
+	if s.desynced != nil {
+		return s.desynced
 	}
 	if len(refs) == 0 {
 		return nil
 	}
-	ids := make([]int, 0, len(refs))
-	for _, r := range refs {
-		id, ok := s.p.col.IDOf(r.KB, r.URI)
-		if !ok {
-			return fmt.Errorf("minoaner: evict %s/%s: %w", r.KB, r.URI, ErrUnknownDescription)
-		}
-		ids = append(ids, id)
-	}
-	// Every ref resolved against the live corpus, so the record will
-	// replay cleanly; append it before the first tombstone lands.
-	if err := s.p.walAppend(TypeEvict, walEvict{Refs: refs}); err != nil {
-		return err
-	}
-	changed := false
-	for _, id := range ids {
-		if s.p.col.Evict(id) {
-			changed = true
-		}
-	}
-	if !changed {
-		return nil
-	}
-	return s.syncFront()
+	return s.evict(walEvict{Refs: refs})
 }
 
 // EvictKB removes every description of the named knowledge base from
@@ -1486,34 +1513,61 @@ func (s *Session) EvictKB(name string) error {
 	if name == "" {
 		return fmt.Errorf("minoaner: KB name must not be empty: %w", ErrBadBatch)
 	}
-	if err := s.syncFront(); err != nil {
+	if s.desynced != nil {
+		return s.desynced
+	}
+	return s.evict(walEvict{KB: name})
+}
+
+// evictIDs resolves an eviction — the payload a live call logs and a
+// replayed record carries — to the live ids it tombstones. Every ref
+// must name a live description (else ErrUnknownDescription, and
+// nothing is evicted); a KB name must have carried descriptions at
+// some point (else ErrUnknownKB) and yields its live ids, possibly
+// none.
+func (p *Pipeline) evictIDs(ev walEvict) ([]int, error) {
+	if ev.KB != "" {
+		if !p.col.HasKB(ev.KB) {
+			return nil, fmt.Errorf("minoaner: evict KB %q: %w", ev.KB, ErrUnknownKB)
+		}
+		return p.col.LiveIDsOfKB(ev.KB), nil
+	}
+	ids := make([]int, 0, len(ev.Refs))
+	for _, r := range ev.Refs {
+		id, ok := p.col.IDOf(r.KB, r.URI)
+		if !ok {
+			return nil, fmt.Errorf("minoaner: evict %s/%s: %w", r.KB, r.URI, ErrUnknownDescription)
+		}
+		ids = append(ids, id)
+	}
+	return ids, nil
+}
+
+// evict runs one streaming eviction: the ids are resolved against the
+// live corpus, the record is appended to the write-ahead log, and the
+// wave folds the tombstones in and makes its pass. An eviction that
+// names nothing live — a KB already evicted down to empty — is not
+// logged.
+func (s *Session) evict(ev walEvict) error {
+	ids, err := s.p.evictIDs(ev)
+	if err != nil || len(ids) == 0 {
 		return err
 	}
-	if !s.p.col.HasKB(name) {
-		return fmt.Errorf("minoaner: evict KB %q: %w", name, ErrUnknownKB)
-	}
-	ids := s.p.col.LiveIDsOfKB(name)
-	if len(ids) == 0 {
-		return nil
-	}
-	if err := s.p.walAppend(TypeEvict, walEvict{KB: name}); err != nil {
+	// Every ref resolved against the live corpus, so the record will
+	// replay cleanly; append it before the first tombstone lands.
+	if err := s.p.walAppend(TypeEvict, ev); err != nil {
 		return err
 	}
-	for _, id := range ids {
-		s.p.col.Evict(id)
-	}
-	return s.syncFront()
+	return s.wave(nil, ids)
 }
 
 // ingestWire runs one streaming ingest of a parsed wire batch: the
-// batch is appended to the write-ahead log, folded into the shared
-// collection, the batch counter advances (the TTL clock), and the
-// session synchronizes — expiring anything that slid out of the TTL
-// window. An empty batch — an empty document — is not logged and does
-// not advance the clock: only arriving data slides the TTL window.
-// During recovery the same path replays each logged batch with the log
-// detached, so replay reconstructs the batch sequence — and with it
-// every TTL expiry and compaction epoch — exactly.
+// batch is appended to the write-ahead log, then the wave folds it in —
+// the batch counter advances (the TTL clock) and anything that slid
+// out of the TTL window expires — and makes its pass. An empty batch —
+// an empty document — is not logged and does not advance the clock:
+// only arriving data slides the TTL window. Recovery folds each logged
+// batch the same way, without the pass.
 func (s *Session) ingestWire(batch []Description) error {
 	if err := s.ingestable(); err != nil {
 		return err
@@ -1522,7 +1576,7 @@ func (s *Session) ingestWire(batch []Description) error {
 		return s.desynced
 	}
 	if len(batch) == 0 {
-		return s.syncFront()
+		return nil
 	}
 	chunks, err := splitBatch(batch, s.p.payloadCap())
 	if err != nil {
@@ -1532,10 +1586,11 @@ func (s *Session) ingestWire(batch []Description) error {
 		// The batch cannot be logged as one frame: split it and run each
 		// chunk as its own logged ingest — append, apply, sync — so the
 		// log records exactly what happened and its replay (which sees
-		// one record per chunk) takes the identical path, TTL generation
-		// stamping included. An oversized batch therefore counts as
-		// several batches against a TTL window; the alternative — one
-		// wider-than-the-log batch — could never be recovered faithfully.
+		// one record per chunk) folds the identical batches, TTL
+		// generation stamping included. An oversized batch therefore
+		// counts as several batches against a TTL window; the
+		// alternative — one wider-than-the-log batch — could never be
+		// recovered faithfully.
 		for _, chunk := range chunks {
 			if err := s.ingestWire(chunk); err != nil {
 				return err
@@ -1546,54 +1601,94 @@ func (s *Session) ingestWire(batch []Description) error {
 	if err := s.p.walAppend(TypeIngest, batch); err != nil {
 		return err
 	}
-	beforeLen, beforeMerges := s.p.col.Len(), s.p.col.PendingMerges()
-	s.p.addRaw(batch)
-	// Deltas, not absolutes: merges stranded by an earlier failed pass
-	// must not make a later no-op batch count against the TTL window.
-	if s.p.col.Len() > beforeLen || s.p.col.PendingMerges() > beforeMerges {
-		s.curGen++
-	}
-	return s.syncFront()
+	return s.wave(batch, nil)
 }
 
-// syncFront folds every pending mutation of the shared collection into
-// the session in one front-end pass. With TTL active, descriptions that
-// slid out of the window are tombstoned first — expiry depends only on
-// the batch counter — so a wave's arrivals and departures share the
-// pass: the engine re-derives the front-end over the live collection
-// (see pipeline.Engine.Ingest). The matcher is rebuilt whenever anything
+// delta is what folding one mutation changed: descriptions arrived
+// (new ids or merges into existing ones), descriptions departed (by
+// hand or by TTL expiry), and whether a compaction epoch re-based the
+// collection.
+type delta struct{ arrived, departed, compacted bool }
+
+// wave runs one logged mutation on the live session: fold it in, then
+// make the wave's one front-end pass.
+func (s *Session) wave(batch []Description, gone []int) error {
+	t0 := time.Now()
+	d, err := s.fold(batch, gone)
+	if err != nil {
+		return s.poison(err)
+	}
+	return s.syncFront(d, t0)
+}
+
+// fold applies one mutation — a batch of arrivals or a set of ids to
+// tombstone — to the collection and the session's bookkeeping: it is
+// everything a wave does before its front-end pass, shared by the live
+// wave and by recovery, which folds every logged record this way and
+// makes one pass at the end (see Pipeline.replay). The TTL clock
+// advances when the batch brought data, whatever slid out of the window
+// expires, and a wave that tombstoned anything drops the departed
+// steps from the trace and opens a compaction epoch when the tombstone
+// density crossed the threshold (see maybeCompact).
+//
+// Arrivals and departures are judged by this fold's own deltas, never
+// by the collection's pending lists: recovery folds many records
+// between passes, so those lists keep growing across them. Merges count
+// by PendingMerges, which counts repeats.
+func (s *Session) fold(batch []Description, gone []int) (delta, error) {
+	col := s.p.col
+	beforeLen, beforeMerges, beforeDead := col.Len(), col.PendingMerges(), col.Tombstones()
+	s.p.addRaw(batch)
+	for _, id := range gone {
+		col.Evict(id)
+	}
+	var d delta
+	if col.Len() > beforeLen || col.PendingMerges() > beforeMerges {
+		d.arrived = true
+		s.curGen++
+	}
+	s.expireTTL()
+	if col.Tombstones() > beforeDead {
+		d.departed = true
+		s.trace = filterAliveSteps(s.trace, col)
+		var err error
+		if d.compacted, err = s.maybeCompact(); err != nil {
+			return d, err
+		}
+	}
+	return d, nil
+}
+
+// syncFront brings the live session up to date with a folded wave in
+// one front-end pass: the engine re-derives the front-end over the live
+// collection (see pipeline.Engine.Ingest) — over the compacted one when
+// the fold opened an epoch. The matcher is rebuilt whenever anything
 // changed (IDF weights are global — linear work). After a pure ingest
 // the resolver is reseeded (resolution is monotonic); after any
-// eviction it is retracted — the trace drops the steps touching
-// departed descriptions and the surviving history is replayed.
+// eviction it is retracted — the surviving history the fold kept is
+// replayed.
 //
 // A failure mid-pass — the engine refused the front, or swapped it in
-// but the matcher and resolver never caught up, or a compaction died
-// before rebuilding — leaves the collection ahead of what the session
+// but the matcher and resolver never caught up, or the fold's
+// compaction died — leaves the collection ahead of what the session
 // serves, with the mutation already acknowledged to the log. Rather
 // than serve the desynchronized state the session poisons itself (see
 // ErrDesynced): the first such error is returned, remembered, and every
 // later mutation or Resume returns it again. Recovery is a restart —
-// with a write-ahead log, Open replays every acknowledged mutation into
+// with a write-ahead log, Open folds every acknowledged mutation into
 // a fresh session.
-func (s *Session) syncFront() error {
-	if err := s.ingestable(); err != nil {
-		return err // defense in depth; the public entry points check first
+func (s *Session) syncFront(d delta, t0 time.Time) error {
+	if !d.arrived && !d.departed {
+		return nil // nothing new arrived or departed
 	}
-	if s.desynced != nil {
-		return s.desynced
-	}
-	t0 := time.Now()
-	s.expireTTL()
-	evicted := s.fstate.PendingEvictions()
-	if !evicted && !s.fstate.PendingIngest() {
-		return nil // nothing new arrived or departed since the last pass
+	if d.compacted {
+		s.fstate.Rebase(s.p.col)
 	}
 	// The mutation's context rides the engine into the dataflow passes;
 	// on non-MapReduce engines WithContext is the identity.
 	eng := pipeline.WithContext(s.eng, s.opContext())
 	pass, kind := eng.Ingest, "ingest"
-	if evicted {
+	if d.departed {
 		pass, kind = eng.Evict, "evict"
 	}
 	if err := pass(s.fstate); err != nil {
@@ -1605,16 +1700,8 @@ func (s *Session) syncFront() error {
 		// than serve it.
 		return s.poison(fmt.Errorf("minoaner: %s: description store: %w", kind, err))
 	}
-	compacted := false
-	if evicted {
-		s.trace = filterAliveSteps(s.trace, s.p.col)
-		var err error
-		if compacted, err = s.maybeCompact(); err != nil {
-			return s.poison(err)
-		}
-	}
 	s.matcher = match.NewMatcher(s.p.col, s.p.cfg.Match)
-	if evicted {
+	if d.departed {
 		s.resolver.Retract(s.matcher, s.fstate.Front.Edges, s.trace)
 		s.tim.Evict += time.Since(t0)
 	} else {
@@ -1627,7 +1714,7 @@ func (s *Session) syncFront() error {
 		return s.poison(fmt.Errorf("minoaner: description store: %w", err))
 	}
 	s.refreshStats()
-	if compacted {
+	if d.compacted {
 		// A compaction epoch bounds the log: rotate it down to one
 		// checkpoint of the live corpus. Failure here does NOT poison —
 		// the in-memory state is fully consistent and the pre-rotation
@@ -1729,23 +1816,24 @@ func (s *Session) Gauges() Gauges {
 // maybeCompact opens a new compaction epoch when the tombstone density
 // of the shared collection has reached the configured threshold: the
 // live descriptions move into a fresh collection under dense ids, the
-// front-end rebuilds over it from scratch (a full pass, amortized by
-// the threshold against the eviction traffic that raised the density),
-// and the surviving resolution trace is remapped onto the new ids — the
-// Retract replay that follows in syncFront then rebuilds the resolver
-// exactly as a from-scratch session over the surviving corpus would.
-// References (KB + URI) never change; only internal ids move.
+// surviving resolution trace and the TTL generations are remapped onto
+// the new ids, and the old epoch's store records are dropped. It runs
+// no front-end pass: the epoch is decided before the wave's pass, and
+// that one pass (syncFront, over the re-based front-end state) is the
+// rebuild — its Retract replay then rebuilds the resolver exactly as a
+// from-scratch session over the surviving corpus would. During
+// recovery the fold opens the same epochs at the same records, and
+// the session's one pass covers them all. References (KB + URI) never
+// change; only internal ids move.
 //
-// Runs inside syncFront's eviction branch, after filterAliveSteps (so
-// every trace id is live and has a new id) and after expireTTL (so no
-// surviving generation is at or past the cutoff, and the TTL cursor can
-// rewind to 0 over the compacted, tombstone-free generation array).
-// Nothing is mutated until the rebuild has succeeded — but by then the
-// eviction pass has already committed, so a failed rebuild is not
-// retryable: syncFront poisons the session on it. The
-// first return value reports whether a compaction epoch happened, so
-// syncFront can checkpoint the write-ahead log after the pass
-// completes.
+// Runs inside fold, after filterAliveSteps (so every trace id is live
+// and has a new id) and after expireTTL (so no surviving generation is
+// at or past the cutoff, and the TTL cursor can rewind to 0 over the
+// compacted, tombstone-free generation array). An error is not
+// retryable — the mutation is already in the collection — so a live
+// wave poisons the session on it and recovery fails. The first return
+// value reports whether a compaction epoch happened, so a live wave can
+// checkpoint the write-ahead log after its pass completes.
 //
 // Superseded sessions hold trace ids of the old id space: after a
 // compaction they can no longer resolve against the shared pipeline —
@@ -1766,16 +1854,7 @@ func (s *Session) maybeCompact() (bool, error) {
 	if err := errors.Join(col.ColdErr(), newCol.ColdErr()); err != nil {
 		return false, fmt.Errorf("minoaner: compaction: description store: %w", err)
 	}
-	fstate, err := pipeline.Start(s.eng, newCol, s.p.pipelineOptions())
-	if err != nil {
-		return false, fmt.Errorf("minoaner: compaction: %w", err)
-	}
-	if err := newCol.ColdErr(); err != nil {
-		return false, fmt.Errorf("minoaner: compaction: description store: %w", err)
-	}
-	// Commit: every fallible stage succeeded.
 	s.p.col = newCol
-	s.fstate = fstate
 	for i := range s.trace {
 		s.trace[i].A = oldToNew[s.trace[i].A]
 		s.trace[i].B = oldToNew[s.trace[i].B]
@@ -1791,17 +1870,14 @@ func (s *Session) maybeCompact() (bool, error) {
 		s.expired = 0
 	}
 	s.compactions++
-	fstate.Front.Graph.Release()
 	if st := s.p.store; st != nil {
 		// The old epoch's cold records are superseded: delete them and
 		// let the store rewrite its segments without the dead bytes —
 		// the compaction epoch is the moment disk space is actually
-		// reclaimed. The in-memory state is
-		// already consistent, but a store that cannot shed its garbage
-		// only falls further behind, so failures here poison like every
-		// other compaction error (the caller treats any non-nil error as
-		// fatal; the false return just skips the log checkpoint the
-		// poisoned session would never reach).
+		// reclaimed. A store that cannot shed its garbage only falls
+		// further behind, so failures here are fatal like every other
+		// compaction error (the false return just skips the log
+		// checkpoint a poisoned session would never reach).
 		if err := col.DropCold(); err != nil {
 			return false, fmt.Errorf("minoaner: compaction: drop old epoch: %w", err)
 		}

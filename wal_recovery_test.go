@@ -412,3 +412,156 @@ func TestWALCheckpointOnCompaction(t *testing.T) {
 		})
 	}
 }
+
+// recoverVariant records a variant of the standard workload with one
+// frame per op, then recovers the full log and cuts of it at a stride:
+// each must equal the from-scratch pipeline over the surviving prefix.
+func recoverVariant(t *testing.T, cfg minoaner.Config, ops []walOp) {
+	t.Helper()
+	raw := recordWorkload(t, cfg, ops)
+	expect := expectedDigests(t, cfg, ops)
+	stride := 53
+	if testing.Short() || raceEnabled {
+		stride = 211
+	}
+	for cut := len(raw); cut >= 0; cut -= stride {
+		k, p := surviveAndRecover(t, cfg, raw[:cut])
+		if cut == len(raw) && k != len(ops) {
+			t.Fatalf("full log holds %d records, want %d", k, len(ops))
+		}
+		got := finishDigest(t, p)
+		p.Close()
+		if want := expect(k); got != want {
+			t.Fatalf("cut at byte %d (%d records survive): digest %s, want %s", cut, k, got, want)
+		}
+	}
+}
+
+// TestWALRecoveryCompactionRefired opens a log recorded with compaction
+// off under a configuration that compacts: the epochs fire for the
+// first time while the log is folded. The records are
+// configuration-independent wire batches, so this is exactly the log a
+// crash between a compaction wave's append and its checkpoint rotation
+// leaves behind — and the recovered session must match a never-crashed
+// pipeline that compacted all along, digest and epoch count both.
+func TestWALRecoveryCompactionRefired(t *testing.T) {
+	for _, store := range []string{"", "disk-temp"} {
+		for _, ttl := range []int{0, 2} {
+			t.Run(fmt.Sprintf("store=%q/ttl=%d", store, ttl), func(t *testing.T) {
+				cfg := minoaner.Defaults()
+				cfg.Workers = 1
+				cfg.Store = store
+				cfg.TTL = ttl
+				cfg.CompactionThreshold = -1
+				ops := recoveryOps(t, 8)
+				raw := recordWorkload(t, cfg, ops)
+
+				cfg.CompactionThreshold = 0.2
+				k, p := surviveAndRecover(t, cfg, raw)
+				if k != len(ops) {
+					t.Fatalf("full log holds %d records, want %d", k, len(ops))
+				}
+				gotEpochs := p.Current().Compactions()
+				got := finishDigest(t, p)
+				p.Close()
+
+				fresh := minoaner.New(cfg)
+				for _, op := range ops {
+					applyOp(t, fresh, op)
+				}
+				wantEpochs := fresh.Current().Compactions()
+				want := finishDigest(t, fresh)
+				fresh.Close()
+				if wantEpochs == 0 {
+					t.Fatal("workload never crossed the compaction threshold — raise the eviction traffic")
+				}
+				if got != want || gotEpochs != wantEpochs {
+					t.Fatalf("recovered digest %s after %d epochs, want %s after %d", got, gotEpochs, want, wantEpochs)
+				}
+			})
+		}
+	}
+}
+
+// TestWALRecoveryTwoStarts: a second Start record opens a fresh session
+// over the collection as it stands — every description batch 0 again,
+// no compaction epochs — and the records after it stream into that
+// session, not the first.
+func TestWALRecoveryTwoStarts(t *testing.T) {
+	for _, ttl := range []int{0, 2} {
+		t.Run(fmt.Sprintf("ttl=%d", ttl), func(t *testing.T) {
+			cfg := minoaner.Defaults()
+			cfg.Workers = 1
+			cfg.TTL = ttl
+			cfg.CompactionThreshold = -1
+			std := recoveryOps(t, 8)
+			ops := append(append(append([]walOp(nil), std[:5]...), walOp{start: true}), std[5:]...)
+			recoverVariant(t, cfg, ops)
+		})
+	}
+}
+
+// evictToEmptyOps is the standard pre-Start load, Start, the rest of
+// alpha and all of betaKB, then both KBs evicted wholesale.
+func evictToEmptyOps(t *testing.T) []walOp {
+	std := recoveryOps(t, 8)
+	return append(append([]walOp(nil), std[:4]...), std[7],
+		walOp{evictKB: std[0].ingest[0].KB}, walOp{evictKB: std[3].ingest[0].KB})
+}
+
+// TestWALRecoveryEvictToEmpty: a log whose live set ends empty recovers
+// to an empty session.
+func TestWALRecoveryEvictToEmpty(t *testing.T) {
+	cfg := minoaner.Defaults()
+	cfg.Workers = 1
+	cfg.CompactionThreshold = -1
+	recoverVariant(t, cfg, evictToEmptyOps(t))
+}
+
+// TestWALRecoveryEmptyCheckpoint: a compaction epoch over a collection
+// with nothing live rotates the log to an empty checkpoint, and that
+// log recovers — to an empty session that keeps streaming.
+func TestWALRecoveryEmptyCheckpoint(t *testing.T) {
+	cfg := minoaner.Defaults()
+	cfg.Workers = 1
+	cfg.CompactionThreshold = 0.2
+	ops := evictToEmptyOps(t)
+	raw := recordWorkload(t, cfg, ops)
+	_, p := surviveAndRecover(t, cfg, raw)
+	defer p.Close()
+	if n := p.NumDescriptions(); n != 0 {
+		t.Fatalf("recovered %d live descriptions, want none", n)
+	}
+	if got, want := finishDigest(t, p), expectedDigests(t, cfg, ops)(len(ops)); got != want {
+		t.Fatalf("recovered digest %s, want %s", got, want)
+	}
+	late := ops[2] // the rest of alpha, back again
+	applyOp(t, p, late)
+	if n := p.NumDescriptions(); n != len(late.ingest) {
+		t.Fatalf("ingest after an empty recovery holds %d descriptions, want %d", n, len(late.ingest))
+	}
+}
+
+// TestWALRecoveryMerges re-ingests URIs the session already holds under
+// a two-batch TTL window: a merge-only batch still counts as a batch
+// (the clock advances and older batches expire), merging again counts
+// again, an eviction that follows merges is not a batch, and a URI
+// that expired comes back under a fresh id. The fold sees all of it
+// without a pass in between, so the merges it has not drained yet must
+// not make later records count as batches.
+func TestWALRecoveryMerges(t *testing.T) {
+	std := recoveryOps(t, 8)
+	alphaHead, betaHead, betaTail := std[0].ingest, std[3].ingest, std[7].ingest
+	ops := append(append([]walOp(nil), std[:4]...),
+		walOp{ingest: betaHead[:2]}, // merges only
+		walOp{evict: []minoaner.Ref{{KB: betaHead[3].KB, URI: betaHead[3].URI}}},
+		walOp{ingest: betaHead[:2]}, // the same merges again
+		walOp{ingest: append(append([]minoaner.Description(nil), betaTail...), betaHead[0], betaHead[0])},
+		walOp{ingest: alphaHead[:2]}, // expired long ago: fresh ids
+	)
+	cfg := minoaner.Defaults()
+	cfg.Workers = 1
+	cfg.TTL = 2
+	cfg.CompactionThreshold = -1
+	recoverVariant(t, cfg, ops)
+}
