@@ -1,8 +1,10 @@
 package container
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -153,55 +155,53 @@ func TestUnionFindVersion(t *testing.T) {
 }
 
 // TestUnionFindSameReadConcurrent drives SameRead readers against a
-// single writer running Find (path compression) and Union — the
-// parallel matching engine's access pattern. The race detector proves
-// the atomic discipline; the assertions prove reads bracketed by an
-// unchanged version are exact, and that racing only path compression
-// never changes an answer.
+// single writer under the production contract: readers never call
+// Version, and their answers are trusted only across a stretch in which
+// no merge lands. The writer alternates merge phases (writer alone)
+// with compression-only phases, in which readers run SameRead while it
+// keeps compressing paths with Find; every reader answer must equal the
+// one the writer computed with Same at the phase start. The race
+// detector proves the atomic discipline; the assertions prove that
+// racing path compression never changes an answer.
 func TestUnionFindSameReadConcurrent(t *testing.T) {
-	const n = 512
+	const n, readers, phases, probes = 512, 4, 24, 64
 	u := NewUnionFind(n)
 	rng := rand.New(rand.NewSource(42))
-
-	stop := make(chan struct{})
-	errs := make(chan string, 4)
-	for w := 0; w < 4; w++ {
-		go func(seed int64) {
-			r := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				x, y := r.Intn(n), r.Intn(n)
-				v0 := u.Version()
-				got := u.SameRead(x, y)
-				// Bracketed exactness: if no merge landed around the read,
-				// it must agree with a second read — the writer below only
-				// compresses paths between merges.
-				if u.Version() == v0 && u.SameRead(x, y) != got {
-					select {
-					case errs <- "SameRead unstable at a fixed version":
-					default:
-					}
-					return
-				}
-			}
-		}(int64(w))
-	}
-	for i := 0; i < 4*n; i++ {
-		if i%3 == 0 {
+	for phase := 0; phase < phases; phase++ {
+		for i := 0; i < n/32; i++ { // ~n/3 merges in all: answers stay mixed
 			u.Union(rng.Intn(n), rng.Intn(n))
-		} else {
-			u.Find(rng.Intn(n)) // compression traffic between merges
 		}
-	}
-	close(stop)
-	select {
-	case msg := <-errs:
-		t.Fatal(msg)
-	default:
+		pairs := make([][2]int, probes)
+		want := make([]bool, probes)
+		for i := range pairs {
+			pairs[i] = [2]int{rng.Intn(n), rng.Intn(n)}
+			want[i] = u.Same(pairs[i][0], pairs[i][1])
+		}
+
+		var wg sync.WaitGroup
+		errs := make(chan string, readers)
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rr := rand.New(rand.NewSource(seed))
+				for k := 0; k < 8*probes; k++ {
+					i := rr.Intn(probes)
+					if got := u.SameRead(pairs[i][0], pairs[i][1]); got != want[i] {
+						errs <- fmt.Sprintf("phase %d: SameRead%v = %v during compression, want %v", phase, pairs[i], got, want[i])
+						return
+					}
+				}
+			}(int64(phase*readers + r))
+		}
+		for i := 0; i < n; i++ {
+			u.Find(rng.Intn(n)) // compression traffic under the readers
+		}
+		wg.Wait()
+		close(errs)
+		if msg, ok := <-errs; ok {
+			t.Fatal(msg)
+		}
 	}
 	// Quiesced, the read path must agree with Find everywhere.
 	for i := 0; i < n; i++ {

@@ -14,19 +14,18 @@ import "sync/atomic"
 // but every parent write is an atomic store, so any number of
 // goroutines may run SameRead concurrently with the writer — the
 // lock-free read path the parallel matching engine's speculative
-// neighbor-similarity scoring uses. Version orders those reads against
-// the merge history.
+// neighbor-similarity scoring uses. The writer stamps that speculative
+// work with Version and compares the stamp later; readers never call
+// Version.
 //
 // The zero value is an empty forest; use NewUnionFind or Grow to size it.
 type UnionFind struct {
 	parent []int32
 	size   []int32
 	sets   int
-	// version counts the merging Unions applied so far. A reader that
-	// saw the same Version before and after a batch of SameRead calls
-	// knows the membership relation did not change under it (path
-	// compression does not bump the version — it never changes
-	// membership).
+	// version counts the merging Unions applied so far (path
+	// compression does not bump it — it never changes membership). A
+	// plain field: only the writer reads or writes it.
 	version uint64
 }
 
@@ -56,10 +55,13 @@ func (u *UnionFind) Len() int { return len(u.parent) }
 // Sets returns the current number of disjoint sets.
 func (u *UnionFind) Sets() int { return u.sets }
 
-// Version returns the number of merging Unions applied so far. Two
-// equal readings bracket a window in which the membership relation was
-// constant — the revalidation handle for speculative work computed off
-// SameRead while the writer kept merging.
+// Version returns the number of merging Unions applied so far. It is
+// writer-only, like Union: a plain read of the field Union bumps, so
+// only the goroutine that mutates the forest may call it (the parallel
+// matcher's committer, internal/core/parallel.go, does). Two equal
+// readings bracket a window in which the membership relation was
+// constant — the writer's revalidation handle for speculative work that
+// readers computed off SameRead while it kept merging.
 func (u *UnionFind) Version() uint64 { return u.version }
 
 // Find returns the canonical representative of x's set.
@@ -103,9 +105,10 @@ func (u *UnionFind) Same(x, y int) bool { return u.Find(x) == u.Find(y) }
 // mutating the forest: root chases use atomic loads and skip path
 // compression, so any number of SameRead calls may run concurrently
 // with the single writer. A call racing a Union may settle on either
-// side of it; callers needing exactness bracket their reads with
-// Version. Racing only path compression is exact — compression moves
-// parent pointers toward the same root it never changes.
+// side of it; the writer, which alone may read Version, decides whether
+// such a result is still exact. Racing only path compression is exact —
+// compression moves parent pointers toward the same root it never
+// changes.
 func (u *UnionFind) SameRead(x, y int) bool { return u.findRead(x) == u.findRead(y) }
 
 // findRead is Find's read-only form: every parent hop is an atomic

@@ -107,14 +107,13 @@ func (g *Graph) LiveNodes() int {
 }
 
 // Build constructs the blocking graph and computes edge weights under
-// the given scheme: the entity-centric Kernel run over every
-// description id in ascending order, single-threaded. Each edge's
-// evidence is summed over its blocks in ascending block order, so the
-// weights equal the block-order fold of the definition bit for bit;
-// internal/parmeta runs the same kernel over id chunks in parallel.
+// the given scheme: BuildUnweighted on one worker, then Reweigh. Each
+// edge's evidence is summed over its blocks in ascending block order,
+// so the weights equal the block-order fold of the definition bit for
+// bit; internal/parmeta runs the same build over more workers and
+// shards the reweighing.
 func Build(col *blocking.Collection, scheme Scheme) *Graph {
-	k := NewKernel(col, 1)
-	g := k.Graph([]Chunk{k.Run(k.NewAccumulator(), 0, col.Source.Len())}, 1)
+	g := BuildUnweighted(col, 1)
 	g.reweigh(scheme)
 	return g
 }

@@ -14,10 +14,11 @@
 // Three properties make the sharding exact rather than merely
 // approximately equivalent:
 //
-//  1. Id-range chunks own their edges. Graph construction runs
-//     metablocking's entity-centric kernel, which files every edge
-//     under its smaller endpoint, so each edge is accumulated by
-//     exactly one chunk, in one worker's private accumulator.
+//  1. Id-range chunks own their edges. Graph construction is
+//     metablocking.BuildUnweighted, whose entity-centric kernel files
+//     every edge under its smaller endpoint, so each edge is
+//     accumulated by exactly one chunk, in one worker's private
+//     accumulator.
 //  2. Rows are ascending block indices. The kernel walks each id's
 //     entity→block row in ascending order, so every edge's CBS/ARCS
 //     evidence adds its blocks in exactly the sequential order (float
@@ -43,11 +44,6 @@ import (
 	"repro/internal/metablocking"
 )
 
-// chunksPerWorker oversubscribes id chunks relative to workers so the
-// dynamic schedule stays balanced when per-id work is skewed (clean–
-// clean graphs file every edge under an id of the first KB).
-const chunksPerWorker = 8
-
 // Workers resolves a worker-count option: values ≤ 0 mean one worker
 // per available CPU (GOMAXPROCS), anything else is taken literally.
 func Workers(n int) int {
@@ -60,75 +56,14 @@ func Workers(n int) int {
 // Build constructs the blocking graph concurrently and computes edge
 // weights under the given scheme. The result is identical — including
 // float weights, bit for bit — to metablocking.Build for any worker
-// count; workers ≤ 0 means GOMAXPROCS and 1 falls through to the
-// sequential builder.
-//
-// The id space is cut into contiguous chunks of about equal kernel
-// work (see chunkIDs); workers claim chunks dynamically, each running
-// metablocking's kernel with its own accumulator, and the chunks'
-// records are written once into exact-size graph arrays.
+// count; workers ≤ 0 means GOMAXPROCS. The edges and their evidence
+// come from metablocking.BuildUnweighted over the same workers, and the
+// weights from the sharded Reweigh.
 func Build(col *blocking.Collection, scheme metablocking.Scheme, workers int) *metablocking.Graph {
-	return build(col, scheme, Workers(workers), 0)
-}
-
-// build is Build with an explicit chunk budget (kernel work per chunk;
-// ≤ 0 derives it from the total work and the worker count).
-func build(col *blocking.Collection, scheme metablocking.Scheme, workers, budget int) *metablocking.Graph {
-	if workers == 1 || len(col.Blocks) == 0 {
-		return metablocking.Build(col, scheme)
-	}
-	k := metablocking.NewKernel(col, workers)
-	work := make([]int, col.Source.Len())
-	total := 0
-	for id := range work {
-		work[id] = k.Work(id)
-		total += work[id]
-	}
-	if budget <= 0 {
-		budget = total/(workers*chunksPerWorker) + 1
-	}
-	ranges := chunkIDs(work, budget)
-	chunks := make([]metablocking.Chunk, len(ranges))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(workers, len(ranges)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			acc := k.NewAccumulator()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ranges) {
-					return
-				}
-				chunks[i] = k.Run(acc, ranges[i].Lo, ranges[i].Hi)
-			}
-		}()
-	}
-	wg.Wait()
-	g := k.Graph(chunks, workers)
+	workers = Workers(workers)
+	g := metablocking.BuildUnweighted(col, workers)
 	Reweigh(g, scheme, workers)
 	return g
-}
-
-// chunkIDs cuts [0, len(work)) into contiguous id ranges each carrying
-// at most budget work (a single id above the budget gets a range of its
-// own).
-func chunkIDs(work []int, budget int) []mapreduce.Range {
-	var out []mapreduce.Range
-	n := len(work)
-	lo, load := 0, 0
-	for id, w := range work {
-		if id > lo && load+w > budget {
-			out = append(out, mapreduce.Range{Lo: lo, Hi: id})
-			lo, load = id, 0
-		}
-		load += w
-	}
-	if lo < n {
-		out = append(out, mapreduce.Range{Lo: lo, Hi: n})
-	}
-	return out
 }
 
 // Reweigh recomputes edge weights under a different scheme, sharding

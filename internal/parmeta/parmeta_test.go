@@ -214,55 +214,6 @@ func TestStressDeterminism(t *testing.T) {
 	}
 }
 
-// TestChunkedBuildMatchesSequential shrinks the chunk budget so Build
-// cuts the id space into many small chunks — down to one id per chunk
-// — and asserts the graph is still bit-identical for every scheme and
-// worker count.
-func TestChunkedBuildMatchesSequential(t *testing.T) {
-	for _, budget := range []int{1, 7, 64, 1024} {
-		for name, col := range worlds(t) {
-			for _, scheme := range []metablocking.Scheme{metablocking.ARCS, metablocking.ECBS} {
-				want := metablocking.Build(col, scheme)
-				for _, workers := range []int{2, 5} {
-					t.Run(fmt.Sprintf("budget=%d/%s/%v/workers=%d", budget, name, scheme, workers), func(t *testing.T) {
-						sameGraph(t, want, build(col, scheme, workers, budget))
-					})
-				}
-			}
-		}
-	}
-}
-
-// TestChunkIDsByWork checks the chunk planner: chunks are contiguous,
-// cover every id, and respect the budget except for single heavy ids.
-func TestChunkIDsByWork(t *testing.T) {
-	work := []int{3, 3, 3, 10, 0, 0, 2, 5}
-	chunks := chunkIDs(work, 6)
-	lo := 0
-	for _, r := range chunks {
-		if r.Lo != lo {
-			t.Fatalf("chunk %+v starts at %d, want %d", r, r.Lo, lo)
-		}
-		if r.Len() <= 0 {
-			t.Fatalf("empty chunk %+v", r)
-		}
-		load := 0
-		for id := r.Lo; id < r.Hi; id++ {
-			load += work[id]
-		}
-		if load > 6 && r.Len() > 1 {
-			t.Fatalf("chunk %+v holds %d work over budget", r, load)
-		}
-		lo = r.Hi
-	}
-	if lo != len(work) {
-		t.Fatalf("chunks end at %d, want %d", lo, len(work))
-	}
-	if chunks := chunkIDs(nil, 6); chunks != nil {
-		t.Fatalf("chunking no ids returned %+v", chunks)
-	}
-}
-
 func TestWorkersOption(t *testing.T) {
 	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("Workers(0)=%d, want GOMAXPROCS=%d", got, runtime.GOMAXPROCS(0))

@@ -61,19 +61,7 @@ func (e MapReduce) context() context.Context {
 	return context.Background()
 }
 
-// Stream implements Engine: the token-blocking dataflow job runs to
-// completion — a shuffle barrier has no lazy form — and its output
-// collection is adapted to the stream boundary, so the cleaning
-// transforms downstream still compose without further materialization.
-func (e MapReduce) Stream(src *kb.Collection, opts tokenize.Options) (blocking.Stream, error) {
-	col, err := parblock.TokenBlocking(e.context(), src, opts, e.cfg())
-	if err != nil {
-		return blocking.Stream{}, err
-	}
-	return col.Stream(), nil
-}
-
-// TokenBlocking implements Engine.
+// TokenBlocking implements Engine via the token-blocking dataflow job.
 func (e MapReduce) TokenBlocking(src *kb.Collection, opts tokenize.Options) (*blocking.Collection, error) {
 	return parblock.TokenBlocking(e.context(), src, opts, e.cfg())
 }

@@ -23,15 +23,16 @@
 // evidence in shuffle order — a property it has had since it was the
 // paper's didactic dataflow, bounded at 1e-9 by its tests). Select
 // picks the engine a Config implies, and Run drives a full front-end
-// pass through any engine uniformly, replacing the per-stage dispatch
-// ladders that used to live in minoaner.Start.
+// pass through any engine uniformly.
 //
-// There is one front-end plan. A streaming session (State) keeps no
-// inverted index, graph diff or pruning memo between waves: when its
-// source gained or lost descriptions, Engine.Ingest and Engine.Evict
-// run the same pass Run does over the live source and swap the result
-// in. On every workload of record that pass is cheaper than maintaining
-// the previous result was.
+// There is one front-end plan: Run calls the engine's own stage
+// methods in order, each handing the next a materialized
+// blocking.Collection. A streaming session (State) keeps no inverted
+// index, graph diff or pruning memo between waves: when its source
+// gained or lost descriptions, Engine.Ingest and Engine.Evict run the
+// same pass Run does over the live source and swap the result in. On
+// every workload of record that pass is cheaper than maintaining the
+// previous result was.
 package pipeline
 
 import (
@@ -44,24 +45,18 @@ import (
 	"repro/internal/tokenize"
 )
 
-// Engine runs the pipeline front-end stages. Implementations must
-// match the Sequential reference on every stage: blocking and cleaning
-// return the same blocks in the same order, Build returns the same
-// edges, Prune retains the same edges in the same output order (Shared
-// to the bit, MapReduce up to float round-off in weights).
+// Engine runs the pipeline front-end stages; Run calls them in order.
+// Implementations must match the Sequential reference on every stage:
+// blocking and cleaning return the same blocks in the same order, Build
+// returns the same edges, Prune retains the same edges in the same
+// output order (Shared to the bit, MapReduce up to float round-off in
+// weights).
 type Engine interface {
 	// Name identifies the engine in logs, benchmarks, and test labels.
 	Name() string
-	// Stream produces the engine's token-blocking output as a
-	// replayable block stream — the iterator-composed stage boundary
-	// Run feeds to the cleaning transforms, so intermediate stage
-	// outputs are never materialized. Must yield exactly
-	// TokenBlocking's blocks in the same (ascending key) order.
-	Stream(src *kb.Collection, opts tokenize.Options) (blocking.Stream, error)
-	// TokenBlocking tokenizes every description and builds one block
-	// per token (blocks inducing no comparisons are dropped). The
-	// materialized counterpart of Stream, kept as the differential
-	// reference the stream path is tested against.
+	// TokenBlocking tokenizes every live description and builds one
+	// block per token, in ascending key order (blocks inducing no
+	// comparisons are dropped).
 	TokenBlocking(src *kb.Collection, opts tokenize.Options) (*blocking.Collection, error)
 	// Purge removes oversized blocks (maxSize 0 = automatic cap).
 	Purge(col *blocking.Collection, maxSize int) (*blocking.Collection, error)
@@ -75,8 +70,8 @@ type Engine interface {
 	Prune(g *metablocking.Graph, alg metablocking.Pruning, opts metablocking.PruneOptions) ([]metablocking.Edge, error)
 	// Ingest brings the state up to date with its source: when
 	// descriptions were added, merged into or tombstoned since the last
-	// pass, the engine re-runs Stream → Purge → Filter → Collect → Build
-	// → Prune over the live source and, on success, replaces st.Front;
+	// pass, the engine re-runs TokenBlocking → Purge → Filter → Build →
+	// Prune over the live source and, on success, replaces st.Front;
 	// on failure the state is left as it was. With nothing pending it is
 	// a no-op. st.Front afterwards is what Run over the same source
 	// returns, so the engines agree exactly as they do on Run.
@@ -145,29 +140,26 @@ type FrontEnd struct {
 	Edges  []metablocking.Edge
 }
 
-// Run drives blocking → purging → filtering → graph build → pruning
-// through one engine. The result is identical for every engine and
-// worker count.
-//
-// The stage boundaries are iterator-composed: the engine's block
-// stream flows through the purge and filter transforms, and only the
-// final cleaned collection is materialized (the matcher needs it). The
-// raw and purged intermediates — the bulk of front-end peak memory
-// under the old slice-per-stage handoff — never exist. Cleaning
-// transforms are bit-identical to the engines' materialized stage
-// methods, which the differential suite asserts.
+// Run drives token blocking → purging → filtering → graph build →
+// pruning through one engine, calling its stage methods in that order
+// (purging only when PurgeMaxBlockSize ≥ 0, filtering only when
+// FilterRatio > 0). The result is identical for every engine and worker
+// count.
 func Run(e Engine, src *kb.Collection, opt Options) (*FrontEnd, error) {
-	s, err := e.Stream(src, opt.Tokenize)
+	col, err := e.TokenBlocking(src, opt.Tokenize)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline(%s): blocking: %w", e.Name(), err)
 	}
 	if opt.PurgeMaxBlockSize >= 0 {
-		s = s.Purge(opt.PurgeMaxBlockSize)
+		if col, err = e.Purge(col, opt.PurgeMaxBlockSize); err != nil {
+			return nil, fmt.Errorf("pipeline(%s): purging: %w", e.Name(), err)
+		}
 	}
 	if opt.FilterRatio > 0 {
-		s = s.Filter(opt.FilterRatio)
+		if col, err = e.Filter(col, opt.FilterRatio); err != nil {
+			return nil, fmt.Errorf("pipeline(%s): filtering: %w", e.Name(), err)
+		}
 	}
-	col := s.Collect()
 	g, err := e.Build(col, opt.Scheme)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline(%s): graph build: %w", e.Name(), err)

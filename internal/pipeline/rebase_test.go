@@ -26,14 +26,11 @@ func TestRebaseRunsOnePass(t *testing.T) {
 		if st.Front != old || st.InSync() {
 			t.Fatalf("%s: Rebase swapped the front-end or left the state in sync", tc.name)
 		}
-		p.streams, p.builds, p.prunes = 0, 0, 0
+		p.calls = map[string]int{}
 		if err := p.Evict(st); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if p.streams != 1 || p.builds != 1 || p.prunes != 1 {
-			t.Fatalf("%s: rebased pass made %d Stream, %d Build, %d Prune calls, want one of each",
-				tc.name, p.streams, p.builds, p.prunes)
-		}
+		p.checkOnePass(t, tc.name+": rebased pass", 1)
 		checkAgainstCompacted(t, tc.name, p, true, st, tc.col, opt)
 	}
 	if len(st.Front.Edges) != 0 {

@@ -16,11 +16,6 @@ type Sequential struct{}
 // Name implements Engine.
 func (Sequential) Name() string { return "sequential" }
 
-// Stream implements Engine.
-func (Sequential) Stream(src *kb.Collection, opts tokenize.Options) (blocking.Stream, error) {
-	return blocking.TokenBlockingStream(src, opts), nil
-}
-
 // TokenBlocking implements Engine.
 func (Sequential) TokenBlocking(src *kb.Collection, opts tokenize.Options) (*blocking.Collection, error) {
 	return blocking.TokenBlocking(src, opts), nil

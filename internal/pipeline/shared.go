@@ -36,37 +36,19 @@ func (Shared) Name() string { return "shared" }
 // frequencies are skewed.
 const partsPerWorker = 4
 
-// Stream implements Engine: the per-partition sorted block runs are
-// built in parallel (see blockRuns), then yielded through a lazy k-way
-// merge — blocks stay in their partitions and flow to the cleaning
-// transforms one at a time, instead of being concatenated into one
-// materialized slice.
-func (e Shared) Stream(src *kb.Collection, opts tokenize.Options) (blocking.Stream, error) {
-	runs := e.blockRuns(src, opts)
-	return blocking.MergeRunsStream(src, src.NumLiveKBs() > 1, runs), nil
-}
-
-// TokenBlocking implements Engine: blockRuns' partitions merged into
-// the global key order in parallel — the materialized reference for
-// the stream path.
+// TokenBlocking implements Engine: per-worker tokenization and local
+// inverted indexes over contiguous id ranges, then a lock-free merge
+// under a token-hash partition (each token owned by one partition, id
+// lists concatenated in shard order — already sorted, since shards are
+// ascending id ranges). Each partition's blocks come out sorted by key,
+// with the blocks that induce no comparisons already pruned, and the
+// partitions are merged into the global key order in parallel.
 func (e Shared) TokenBlocking(src *kb.Collection, opts tokenize.Options) (*blocking.Collection, error) {
-	col := &blocking.Collection{Source: src, CleanClean: src.NumLiveKBs() > 1}
-	col.Blocks = mergeBlockRuns(e.blockRuns(src, opts), e.Workers)
-	return col, nil
-}
-
-// blockRuns is the parallel half of token blocking: per-worker
-// tokenization and local inverted indexes over contiguous id ranges,
-// then a lock-free merge under a token-hash partition (each token owned
-// by one partition, id lists concatenated in shard order — already
-// sorted, since shards are ascending id ranges). Each partition's
-// blocks come out sorted by key, with the blocks that induce no
-// comparisons already pruned.
-func (e Shared) blockRuns(src *kb.Collection, opts tokenize.Options) [][]blocking.Block {
-	if src.Len() == 0 {
-		return nil
-	}
 	cleanClean := src.NumLiveKBs() > 1
+	col := &blocking.Collection{Source: src, CleanClean: cleanClean}
+	if src.Len() == 0 {
+		return col, nil
+	}
 	// Tokenize in parallel, priming the collection's token cache for
 	// the rest of the pipeline (the matcher reads the same evidence).
 	tokens := src.WarmTokens(opts, e.Workers)
@@ -135,7 +117,8 @@ func (e Shared) blockRuns(src *kb.Collection, opts tokenize.Options) [][]blockin
 		}
 		runs[p] = run
 	})
-	return runs
+	col.Blocks = mergeBlockRuns(runs, e.Workers)
+	return col, nil
 }
 
 // tokenPartition hashes a token to a merge partition (inline FNV-1a;

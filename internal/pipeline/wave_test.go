@@ -226,34 +226,72 @@ func TestWavesMatchFromScratch(t *testing.T) {
 	}
 }
 
-// probeEngine counts the stage calls a pass makes and fails Build or
-// Prune on demand. Its Ingest and Evict run the shared pass with the
-// probe itself as the engine, as every real engine's do.
+// probeStages names the engine stages a pass calls, in Run's order.
+var probeStages = []string{"blocking", "purge", "filter", "build", "prune"}
+
+// probeEngine counts the stage calls a pass makes and fails the stage
+// named by fail on demand. Its Ingest and Evict run the shared pass
+// with the probe itself as the engine, as every real engine's do.
 type probeEngine struct {
 	Engine
-	streams, builds, prunes int
-	failBuild, failPrune    bool
+	calls map[string]int // stage → calls since the last reset
+	fail  string
 }
 
 var errProbe = errors.New("injected stage fault")
 
-func (p *probeEngine) Stream(src *kb.Collection, opts tokenize.Options) (blocking.Stream, error) {
-	p.streams++
-	return p.Engine.Stream(src, opts)
+// enter counts a call to stage and returns the injected fault if the
+// stage is the one set to fail.
+func (p *probeEngine) enter(stage string) error {
+	p.calls[stage]++
+	if p.fail == stage {
+		return errProbe
+	}
+	return nil
+}
+
+// checkOnePass fails unless every stage was called want times since
+// the last reset.
+func (p *probeEngine) checkOnePass(t *testing.T, label string, want int) {
+	t.Helper()
+	for _, stage := range probeStages {
+		if p.calls[stage] != want {
+			t.Fatalf("%s made %v stage calls, want %d of each of %v", label, p.calls, want, probeStages)
+		}
+	}
+}
+
+func (p *probeEngine) TokenBlocking(src *kb.Collection, opts tokenize.Options) (*blocking.Collection, error) {
+	if err := p.enter("blocking"); err != nil {
+		return nil, err
+	}
+	return p.Engine.TokenBlocking(src, opts)
+}
+
+func (p *probeEngine) Purge(col *blocking.Collection, maxSize int) (*blocking.Collection, error) {
+	if err := p.enter("purge"); err != nil {
+		return nil, err
+	}
+	return p.Engine.Purge(col, maxSize)
+}
+
+func (p *probeEngine) Filter(col *blocking.Collection, ratio float64) (*blocking.Collection, error) {
+	if err := p.enter("filter"); err != nil {
+		return nil, err
+	}
+	return p.Engine.Filter(col, ratio)
 }
 
 func (p *probeEngine) Build(col *blocking.Collection, scheme metablocking.Scheme) (*metablocking.Graph, error) {
-	p.builds++
-	if p.failBuild {
-		return nil, errProbe
+	if err := p.enter("build"); err != nil {
+		return nil, err
 	}
 	return p.Engine.Build(col, scheme)
 }
 
 func (p *probeEngine) Prune(g *metablocking.Graph, alg metablocking.Pruning, opts metablocking.PruneOptions) ([]metablocking.Edge, error) {
-	p.prunes++
-	if p.failPrune {
-		return nil, errProbe
+	if err := p.enter("prune"); err != nil {
+		return nil, err
 	}
 	return p.Engine.Prune(g, alg, opts)
 }
@@ -272,7 +310,7 @@ func probeFixture(t *testing.T) (*probeEngine, *waveSource, *State, Options) {
 	src := &waveSource{col: kb.NewCollection(), pool: w.Collection,
 		order: interleavedIDs(w.Collection), rng: rand.New(rand.NewSource(423))}
 	src.add(80)
-	p := &probeEngine{Engine: Sequential{}}
+	p := &probeEngine{Engine: Sequential{}, calls: map[string]int{}}
 	st, err := Start(p, src.col, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -282,8 +320,8 @@ func probeFixture(t *testing.T) (*probeEngine, *waveSource, *State, Options) {
 
 // TestOnePassPerCall pins the cost of a wave at the engine boundary:
 // whatever a wave carried — arrivals, departures, or both — bringing
-// the state up to date is exactly one Stream, one Build and one Prune,
-// and a call with nothing pending is none.
+// the state up to date is exactly one call of each stage — blocking,
+// purge, filter, build, prune — and a call with nothing pending is none.
 func TestOnePassPerCall(t *testing.T) {
 	p, src, st, _ := probeFixture(t)
 	waves := []struct {
@@ -298,31 +336,29 @@ func TestOnePassPerCall(t *testing.T) {
 		{"nothing pending", func() {}, p.Ingest, 0},
 	}
 	for _, wv := range waves {
-		p.streams, p.builds, p.prunes = 0, 0, 0
+		p.calls = map[string]int{}
 		wv.mutate()
 		if err := wv.pass(st); err != nil {
 			t.Fatalf("%s: %v", wv.name, err)
 		}
-		if p.streams != wv.want || p.builds != wv.want || p.prunes != wv.want {
-			t.Fatalf("%s wave made %d Stream, %d Build, %d Prune calls, want %d of each",
-				wv.name, p.streams, p.builds, p.prunes, wv.want)
-		}
+		p.checkOnePass(t, wv.name+" wave", wv.want)
 	}
 }
 
-// TestFailedPassLeavesStateUntouched: a pass whose Build or Prune fails
-// must not swap the front-end, advance the covered count, or consume
-// the source's pending merges and evictions — the next call sees the
-// same work and, the fault gone, commits it.
+// TestFailedPassLeavesStateUntouched: a pass whose blocking, purge,
+// filter, build or prune stage fails must not swap the front-end,
+// advance the covered count, or consume the source's pending merges and
+// evictions — the next call sees the same work and, the fault gone,
+// commits it.
 func TestFailedPassLeavesStateUntouched(t *testing.T) {
-	for _, stage := range []string{"build", "prune"} {
+	for _, stage := range probeStages {
 		t.Run(stage, func(t *testing.T) {
 			p, src, st, opt := probeFixture(t)
 			src.add(9)
 			src.merge(2)
 			src.evict(4)
 			front, covered := st.Front, st.Covered()
-			p.failBuild, p.failPrune = stage == "build", stage == "prune"
+			p.fail = stage
 			if err := p.Ingest(st); !errors.Is(err, errProbe) {
 				t.Fatalf("Ingest = %v, want the injected fault", err)
 			}
@@ -333,7 +369,7 @@ func TestFailedPassLeavesStateUntouched(t *testing.T) {
 			if !st.PendingIngest() || !st.PendingEvictions() {
 				t.Fatal("failed pass consumed the source's pending work")
 			}
-			p.failBuild, p.failPrune = false, false
+			p.fail = ""
 			if err := p.Evict(st); err != nil {
 				t.Fatal(err)
 			}

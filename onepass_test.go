@@ -11,19 +11,19 @@ import (
 )
 
 // passCounter counts the engine passes a session asks for. One Ingest
-// or Evict call is one Stream → Build → Prune pass (pinned by
-// TestOnePassPerCall in internal/pipeline), and so is every
-// pipeline.Start over the wrapped engine — Start's pass is the only one
-// that calls Stream on the wrapper itself — so the sum is the number of
-// front-end passes a wave, or a recovery, cost.
+// or Evict call is one TokenBlocking → Purge → Filter → Build → Prune
+// pass (pinned by TestOnePassPerCall in internal/pipeline), and so is
+// every pipeline.Start over the wrapped engine — Start's pass is the
+// only one that calls TokenBlocking on the wrapper itself — so the sum
+// is the number of front-end passes a wave, or a recovery, cost.
 type passCounter struct {
 	pipeline.Engine
 	starts, ingests, evicts int
 }
 
-func (c *passCounter) Stream(src *kb.Collection, opts tokenize.Options) (blocking.Stream, error) {
+func (c *passCounter) TokenBlocking(src *kb.Collection, opts tokenize.Options) (*blocking.Collection, error) {
 	c.starts++
-	return c.Engine.Stream(src, opts)
+	return c.Engine.TokenBlocking(src, opts)
 }
 
 func (c *passCounter) Ingest(st *pipeline.State) error {
