@@ -28,7 +28,6 @@ import (
 	"repro/internal/match"
 	"repro/internal/metablocking"
 	"repro/internal/parblock"
-	"repro/internal/parmeta"
 	"repro/internal/pipeline"
 	"repro/internal/rdf"
 	"repro/internal/store"
@@ -84,12 +83,6 @@ func BenchmarkT4NeighborEvidence(b *testing.B) {
 func BenchmarkT5Parallel(b *testing.B) {
 	report(b, func() *experiments.Table {
 		return experiments.T5Parallel(benchSeed, 400, []int{1, 2, 4, 8})
-	})
-}
-
-func BenchmarkT7ParallelShared(b *testing.B) {
-	report(b, func() *experiments.Table {
-		return experiments.T7ParallelShared(benchSeed, 400, []int{1, 2, 4, 8})
 	})
 }
 
@@ -169,32 +162,17 @@ func BenchmarkPruneWNP(b *testing.B) {
 	}
 }
 
-// BenchmarkParMetaBuild sweeps the shared-memory builder's worker
-// count on one workload; compare ns/op across sub-benchmarks for the
-// speedup curve (workers=1 is the sequential reference engine).
-func BenchmarkParMetaBuild(b *testing.B) {
+// BenchmarkGraphBuild sweeps the graph kernel's worker count on one
+// workload, ECBS weighting included; compare ns/op across
+// sub-benchmarks for the speedup curve (workers=1 is
+// metablocking.Build).
+func BenchmarkGraphBuild(b *testing.B) {
 	w := benchWorld(b, 600)
 	col := blocking.TokenBlocking(w.Collection, tokenize.Default()).Purge(0).Filter(0.8)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				parmeta.Build(col, metablocking.ECBS, workers)
-			}
-		})
-	}
-}
-
-// BenchmarkParMetaPrune sweeps the parallel pruner's worker count over
-// the node-centric WNP algorithm, the pipeline default.
-func BenchmarkParMetaPrune(b *testing.B) {
-	w := benchWorld(b, 600)
-	col := blocking.TokenBlocking(w.Collection, tokenize.Default()).Purge(0).Filter(0.8)
-	g := parmeta.Build(col, metablocking.ECBS, 4)
-	opts := metablocking.PruneOptions{Assignments: col.Assignments()}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				parmeta.Prune(g, metablocking.WNP, opts, workers)
+				metablocking.BuildUnweighted(col, workers).Reweigh(metablocking.ECBS)
 			}
 		})
 	}
@@ -583,235 +561,6 @@ func BenchmarkStoreGet(b *testing.B) {
 			}
 		})
 	}
-}
-
-// --- PR 9 perf artifact --------------------------------------------
-
-type pr9ColdRead struct {
-	Backend string `json:"backend"`
-	Reads   int    `json:"reads"`
-	P50Ns   int64  `json:"p50Ns"`
-	P99Ns   int64  `json:"p99Ns"`
-}
-
-type pr9Footprint struct {
-	Store         string `json:"store"`
-	StoreBytes    int64  `json:"storeBytes"`
-	ResidentBytes int64  `json:"residentBytes"`
-	Keys          int64  `json:"keys"`
-	CacheHits     int64  `json:"cacheHits"`
-	CacheMisses   int64  `json:"cacheMisses"`
-}
-
-type pr9Ingest struct {
-	Store      string `json:"store"`
-	NsPerBatch int64  `json:"nsPerBatch"`
-}
-
-var pr9Written bool
-
-// BenchmarkPR9Artifact regenerates BENCH_pr9.json, the cold-store perf
-// record: point-read latency percentiles against each backend, the
-// session footprint gauges under identical streamed workloads (disk
-// resident bytes must sit below mem — the artifact's headline ratio,
-// asserted here because the gauges are deterministic for the fixed
-// seed), and the streaming ingest overhead the disk store adds at the
-// public API (the acceptance criterion reads off diskOverheadPct <=
-// 15). Regenerate the committed copy locally with
-//
-//	go test -run='^$' -bench=PR9Artifact -benchtime=1x
-//
-// Timings vary with hardware and are recorded for trend reading; the
-// bit-identity guarantees live in the store differential suite, not
-// here.
-func BenchmarkPR9Artifact(b *testing.B) {
-	if pr9Written { // the harness re-enters with growing b.N; once is enough
-		return
-	}
-	pr9Written = true
-
-	var art struct {
-		ColdRead            []pr9ColdRead  `json:"coldRead"`
-		Footprint           []pr9Footprint `json:"footprint"`
-		ResidentDiskOverMem float64        `json:"residentDiskOverMem"`
-		SessionIngest       []pr9Ingest    `json:"sessionIngest"`
-		DiskOverheadPct     float64        `json:"diskOverheadPct"`
-	}
-
-	// Point-read percentiles: per-Get wall times over a stride walk of
-	// half-KiB records, sorted once per backend.
-	const n, valSize = 4096, 512
-	for _, be := range []struct {
-		name string
-		open func() (store.Store, error)
-	}{
-		{"mem", func() (store.Store, error) { return store.NewMem(), nil }},
-		{"disk", func() (store.Store, error) {
-			return store.OpenDisk(b.TempDir(), store.DiskOptions{})
-		}},
-	} {
-		st, err := be.open()
-		if err != nil {
-			b.Fatal(err)
-		}
-		keys := storeBenchSeed(b, st, n, valSize)
-		lat := make([]int64, n)
-		for i := range lat {
-			k := keys[int(uint32(i)*2654435761)&(n-1)]
-			start := time.Now()
-			if _, ok, err := st.Get(k); err != nil || !ok {
-				b.Fatalf("get: ok=%v err=%v", ok, err)
-			}
-			lat[i] = time.Since(start).Nanoseconds()
-		}
-		if err := st.Close(); err != nil {
-			b.Fatal(err)
-		}
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		art.ColdRead = append(art.ColdRead, pr9ColdRead{
-			Backend: be.name, Reads: n,
-			P50Ns: lat[n/2], P99Ns: lat[n*99/100],
-		})
-	}
-
-	// Footprint: one streamed session per store mode, small caches so
-	// the resident gauge reflects the locator, not a warm LRU.
-	all := streamDescriptions(benchWorld(b, 400))
-	seed := len(all) / 2
-	gaugesUnder := func(mode string) minoaner.Gauges {
-		cfg := minoaner.Defaults()
-		cfg.Store = mode
-		if mode == "disk" {
-			cfg.StoreDir = b.TempDir()
-		}
-		cfg.DescCache = 64
-		p := minoaner.New(cfg)
-		if err := p.Add(all[:seed]); err != nil {
-			b.Fatal(err)
-		}
-		sess, err := p.Start()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for lo := seed; lo < len(all); lo += 10 {
-			hi := lo + 10
-			if hi > len(all) {
-				hi = len(all)
-			}
-			if err := sess.Ingest(all[lo:hi]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := sess.Resume(0); err != nil {
-			b.Fatal(err)
-		}
-		g := sess.Gauges()
-		if err := p.Close(); err != nil {
-			b.Fatal(err)
-		}
-		return g
-	}
-	footprints := map[string]minoaner.Gauges{}
-	for _, mode := range []string{"mem", "disk"} {
-		g := gaugesUnder(mode)
-		footprints[mode] = g
-		art.Footprint = append(art.Footprint, pr9Footprint{
-			Store:         mode,
-			StoreBytes:    g.StoreBytes,
-			ResidentBytes: g.StoreResidentBytes,
-			Keys:          g.StoreKeys,
-			CacheHits:     g.StoreCacheHits,
-			CacheMisses:   g.StoreCacheMisses,
-		})
-	}
-	art.ResidentDiskOverMem = float64(footprints["disk"].StoreResidentBytes) /
-		float64(footprints["mem"].StoreResidentBytes)
-	if art.ResidentDiskOverMem >= 1 {
-		b.Fatalf("disk resident bytes %d not below mem %d",
-			footprints["disk"].StoreResidentBytes, footprints["mem"].StoreResidentBytes)
-	}
-
-	// Streaming ingest overhead: the same batches through a storeless,
-	// mem-backed, and disk-backed session — per-batch wall time at the
-	// public API. Caches are sized to the hot working set (the
-	// recommended operator setting under sustained ingest) so the metric
-	// isolates the write path; the footprint run above shows the
-	// bounded-RAM configuration instead. Modes run paired inside each
-	// iteration and the overhead is the median of per-iteration ratios:
-	// machine-load drift moves both sides of a pair together, so the
-	// ratio sheds it, and the median sheds outlier pairs.
-	batches := (len(all) - seed + 9) / 10
-	stream := func(mode string) time.Duration {
-		cfg := minoaner.Defaults()
-		cfg.Store = mode
-		if mode == "disk" {
-			cfg.StoreDir = b.TempDir()
-		}
-		cfg.DescCache = 8192
-		p := minoaner.New(cfg)
-		if err := p.Add(all[:seed]); err != nil {
-			b.Fatal(err)
-		}
-		sess, err := p.Start()
-		if err != nil {
-			b.Fatal(err)
-		}
-		start := time.Now()
-		for lo := seed; lo < len(all); lo += 10 {
-			hi := lo + 10
-			if hi > len(all) {
-				hi = len(all)
-			}
-			if err := sess.Ingest(all[lo:hi]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		elapsed := time.Since(start)
-		if err := p.Close(); err != nil {
-			b.Fatal(err)
-		}
-		return elapsed
-	}
-	modes := []string{"", "mem", "disk"}
-	best := map[string]time.Duration{}
-	var ratios []float64
-	const iters = 7
-	for i := 0; i < iters; i++ {
-		var none, disk time.Duration
-		for _, mode := range modes {
-			elapsed := stream(mode)
-			name := mode
-			switch name {
-			case "":
-				name, none = "none", elapsed
-			case "disk":
-				disk = elapsed
-			}
-			if cur, ok := best[name]; !ok || elapsed < cur {
-				best[name] = elapsed
-			}
-		}
-		if i == 0 {
-			continue // warm-up pair: page cache and allocator still settling
-		}
-		ratios = append(ratios, float64(disk)/float64(none))
-	}
-	perBatch := map[string]int64{}
-	for _, mode := range []string{"none", "mem", "disk"} {
-		perBatch[mode] = best[mode].Nanoseconds() / int64(batches)
-		art.SessionIngest = append(art.SessionIngest, pr9Ingest{Store: mode, NsPerBatch: perBatch[mode]})
-	}
-	sort.Float64s(ratios)
-	art.DiskOverheadPct = 100 * (ratios[len(ratios)/2] - 1)
-
-	data, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_pr9.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	b.Log("wrote BENCH_pr9.json")
 }
 
 type pr10Ingest struct {

@@ -27,7 +27,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	id := fs.String("id", "", "run one experiment (F1, T1–T7, F2–F4, A1–A6); empty = all")
+	id := fs.String("id", "", "run one experiment (F1, T1–T6, F2–F4, A1–A6); empty = all")
 	ablations := fs.Bool("ablations", false, "also run the A1–A6 ablations when -id is empty")
 	seed := fs.Int64("seed", 2016, "workload seed")
 	scale := fs.Int("scale", 1, "multiply workload sizes by this factor")
@@ -48,9 +48,6 @@ func run(args []string) error {
 		"F3": func() *experiments.Table { return experiments.F3Benefits(*seed, n(300)) },
 		"T4": func() *experiments.Table { return experiments.T4NeighborEvidence(*seed, n(300)) },
 		"T5": func() *experiments.Table { return experiments.T5Parallel(*seed, n(400), []int{1, 2, 4, 8}) },
-		"T7": func() *experiments.Table {
-			return experiments.T7ParallelShared(*seed, n(400), []int{1, 2, 4, 8})
-		},
 		"F4": func() *experiments.Table {
 			return experiments.F4Scalability(*seed, []int{n(100), n(200), n(400), n(800)})
 		},
@@ -62,7 +59,7 @@ func run(args []string) error {
 		"A5": func() *experiments.Table { return experiments.A5PruningReciprocal(*seed, n(300)) },
 		"A6": func() *experiments.Table { return experiments.A6Clustering(*seed, n(300)) },
 	}
-	order := []string{"F1", "T1", "T2", "T3", "F2", "F3", "T4", "T5", "T7", "F4", "T6"}
+	order := []string{"F1", "T1", "T2", "T3", "F2", "F3", "T4", "T5", "F4", "T6"}
 	if *ablations {
 		order = append(order, "A1", "A2", "A3", "A4", "A5", "A6")
 	}

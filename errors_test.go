@@ -2,6 +2,7 @@ package minoaner_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -80,6 +81,41 @@ func TestErrUnknown(t *testing.T) {
 	}
 	if errors.Is(err, minoaner.ErrUnknownKB) {
 		t.Error("Evict error also matches ErrUnknownKB")
+	}
+}
+
+// TestFilterRatioAboveOne: block filtering reads a ratio outside
+// (0, 1] as 0.8, so Config.FilterRatio 1.5 would filter harder than 1.0
+// does. Start rejects it with an error naming the field and creates no
+// session; 1.0 and a negative ratio (skip filtering) still start.
+func TestFilterRatioAboveOne(t *testing.T) {
+	doc := mustDoc(t, hardSessionWorld(t, 53, 30), "alpha")
+	for _, tc := range []struct {
+		ratio float64
+		ok    bool
+	}{{1.5, false}, {1.0, true}, {-1, true}} {
+		t.Run(fmt.Sprint(tc.ratio), func(t *testing.T) {
+			cfg := minoaner.Defaults()
+			cfg.FilterRatio = tc.ratio
+			p := minoaner.New(cfg)
+			defer p.Close()
+			if err := p.LoadKB("alpha", strings.NewReader(doc)); err != nil {
+				t.Fatal(err)
+			}
+			_, err := p.Start()
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("FilterRatio %v: %v", tc.ratio, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), "FilterRatio") {
+				t.Fatalf("FilterRatio %v: err=%v, want an error naming the field", tc.ratio, err)
+			}
+			if p.Current() != nil {
+				t.Fatal("rejected Start left a session behind")
+			}
+		})
 	}
 }
 

@@ -89,8 +89,8 @@ func main() {
 	// matching sweep below.
 	fe := run(pipeline.Sequential{}, 1)
 
-	// Shared-memory engine: sharded blocking and cleaning feed the
-	// concurrent graph builder and pruner — no serialization, no
+	// Shared-memory engine: parallel tokenization and the chunked
+	// graph kernel around the reference stages — no serialization, no
 	// shuffle.
 	for _, workers := range []int{2, 4, 8} {
 		run(pipeline.Shared{Workers: workers}, workers)

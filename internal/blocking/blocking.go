@@ -202,8 +202,8 @@ func (col *Collection) EntityIndex() [][]int32 {
 // csr[start[id]:start[id+1]] lists the block indices containing id, in
 // ascending order. Construction shards contiguous block ranges;
 // per-entity, per-shard cursor ranges are disjoint, so the fill is
-// lock-free and the layout is identical for any worker count. Block
-// filtering and the blocking-graph kernel both read it.
+// lock-free and the layout is identical for any worker count. The
+// blocking-graph kernel reads it.
 func (col *Collection) EntityCSR(workers int) (start, csr []int32) {
 	numEnts := col.Source.Len()
 	shards := mapreduce.Ranges(len(col.Blocks), workers)

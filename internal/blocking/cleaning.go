@@ -72,8 +72,7 @@ func AutoPurgeSizeFromHistogram(hist map[int]int) int {
 // SizeRanks ranks the blocks by size, ties broken by block index: the
 // returned slice maps each block index to its rank, a permutation of
 // [0, len(Blocks)). Block filtering keeps each entity's smallest-rank
-// blocks; the rank order is total, so every engine — sequential or
-// sharded — selects the same blocks.
+// blocks; the rank order is total, so the selection is unique.
 func (col *Collection) SizeRanks() []int {
 	order := make([]int, len(col.Blocks))
 	for i := range order {

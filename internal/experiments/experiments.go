@@ -21,7 +21,6 @@ import (
 	"repro/internal/match"
 	"repro/internal/metablocking"
 	"repro/internal/parblock"
-	"repro/internal/parmeta"
 	"repro/internal/tokenize"
 )
 
@@ -373,44 +372,6 @@ func T5Parallel(seed int64, n int, workers []int) *Table {
 	return t
 }
 
-// T7ParallelShared measures the shared-memory meta-blocking engine
-// (internal/parmeta) against the sequential reference: blocking-graph
-// build + WNP pruning wall time as workers grow. Unlike T5 there is no
-// serialized shuffle — sharded accumulation with lock-free merges — so
-// on multicore hosts speedup should track cores closely; on a single
-// CPU the sweep degenerates to goroutine-scheduling overhead.
-func T7ParallelShared(seed int64, n int, workers []int) *Table {
-	w := mustGenerate(datagen.TwoKBs(seed, n, datagen.Center(), datagen.Center()))
-	col := blocking.TokenBlocking(w.Collection, tokenize.Default()).Purge(0).Filter(0.8)
-	opts := metablocking.PruneOptions{Assignments: col.Assignments()}
-	t := &Table{
-		ID:     "T7",
-		Title:  "Shared-memory parallel meta-blocking (internal/parmeta)",
-		Header: []string{"workers", "build(ms)", "prune(ms)", "total(ms)", "speedup", "edges"},
-	}
-	var baselineUs float64
-	for _, wk := range workers {
-		t0 := time.Now()
-		g := parmeta.Build(col, metablocking.ECBS, wk)
-		t1 := time.Now()
-		kept := parmeta.Prune(g, metablocking.WNP, opts, wk)
-		t2 := time.Now()
-		totalUs := float64(t2.Sub(t0).Microseconds())
-		if totalUs == 0 {
-			totalUs = 1
-		}
-		if baselineUs == 0 {
-			baselineUs = totalUs
-		}
-		t.Rows = append(t.Rows, []string{
-			itoa(wk), ms(t1.Sub(t0)), ms(t2.Sub(t1)), ms(t2.Sub(t0)),
-			f3(baselineUs / totalUs), itoa(len(kept)),
-		})
-	}
-	t.Notes = "workers=1 is the sequential reference engine; retained edges are identical at every width"
-	return t
-}
-
 // F4Scalability sweeps entity count: comparisons after each stage and
 // end-to-end wall time must grow near-linearly, against the quadratic
 // brute force.
@@ -469,7 +430,6 @@ func All(seed int64) []*Table {
 		F3Benefits(seed, 300),
 		T4NeighborEvidence(seed, 300),
 		T5Parallel(seed, 400, []int{1, 2, 4, 8}),
-		T7ParallelShared(seed, 400, []int{1, 2, 4, 8}),
 		F4Scalability(seed, []int{100, 200, 400, 800}),
 		T6DirtyER(seed, 300),
 	}

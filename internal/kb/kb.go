@@ -456,7 +456,7 @@ func (c *Collection) Tokens(id int, opts tokenize.Options) []string {
 // callers; WarmTokens resets the cache single-threaded, then lets each
 // worker tokenize a disjoint id range — after it returns, concurrent
 // Tokens calls with the same opts are read-only and race-free. The
-// parallel blocking engine primes the cache with it before sharding.
+// shared engine primes the cache with it before token blocking.
 func (c *Collection) WarmTokens(opts tokenize.Options, workers int) [][]string {
 	if workers < 1 {
 		workers = 1

@@ -64,8 +64,9 @@ func ForEach(n, workers int, fn func(i int)) {
 // Ranges splits [0, n) into at most parts contiguous, near-equal
 // ranges, omitting empty ones. Contiguity is what makes range sharding
 // order-preserving: concatenating per-range results in range order
-// replays the sequential iteration order. The shared-memory engine
-// (internal/parmeta) shards blocks, edges, and nodes with it.
+// replays the sequential iteration order. The shared-memory kernels
+// (blocking.Collection.EntityCSR, the blocking-graph kernel) shard
+// blocks with it.
 func Ranges(n, parts int) []Range {
 	if n <= 0 {
 		return nil

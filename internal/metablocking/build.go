@@ -17,8 +17,8 @@ const chunksPerWorker = 8
 
 // BuildUnweighted constructs the blocking graph's edges and evidence
 // over col with the given number of workers (≤ 1 runs on the calling
-// goroutine), leaving every weight zero: call Reweigh, or ReweighRange
-// over shards, afterwards. The graph is identical for any worker count.
+// goroutine), leaving every weight zero: call Reweigh afterwards. The
+// graph is identical for any worker count.
 //
 // The graph is the self-join of the (description, block) posting
 // relation, grouped by pair; the kernel evaluates that join one smaller

@@ -10,8 +10,11 @@ import (
 )
 
 // chunkWorlds returns cleaned collections for the two ER settings of
-// the paper: a clean–clean two-KB world and a dirty single-KB world with
-// duplicates, whose id-range chunks carry very different work.
+// the paper — a clean–clean two-KB world and a dirty single-KB world
+// with duplicates, whose id-range chunks carry very different work —
+// and three degenerate shapes cut from the clean–clean one: "isolated"
+// (every fourth block, so most ids sit in no block), "tiny" (two
+// blocks, fewer chunks than workers) and "empty" (no blocks).
 func chunkWorlds(t *testing.T) map[string]*blocking.Collection {
 	t.Helper()
 	cols := make(map[string]*blocking.Collection)
@@ -25,6 +28,24 @@ func chunkWorlds(t *testing.T) map[string]*blocking.Collection {
 		}
 		cols[name] = blocking.TokenBlocking(w.Collection, tokenize.Default()).Purge(0).Filter(0.8)
 	}
+	cc := cols["cleanclean"]
+	sparse := &blocking.Collection{Source: cc.Source, CleanClean: cc.CleanClean}
+	for bi := 0; bi < len(cc.Blocks); bi += 4 {
+		sparse.Blocks = append(sparse.Blocks, cc.Blocks[bi])
+	}
+	start, _ := sparse.EntityCSR(1)
+	isolated := 0
+	for id := 0; id < cc.Source.Len(); id++ {
+		if start[id+1] == start[id] {
+			isolated++
+		}
+	}
+	if isolated == 0 {
+		t.Fatal("sparse collection has no isolated ids")
+	}
+	cols["isolated"] = sparse
+	cols["tiny"] = &blocking.Collection{Blocks: cc.Blocks[:2], Source: cc.Source, CleanClean: cc.CleanClean}
+	cols["empty"] = &blocking.Collection{Source: cc.Source, CleanClean: cc.CleanClean}
 	return cols
 }
 
@@ -32,13 +53,22 @@ func chunkWorlds(t *testing.T) map[string]*blocking.Collection {
 // build cuts the id space into many small chunks — down to one id per
 // chunk — and asserts the graph is still bit-identical to the
 // one-worker build for every scheme and worker count: edges, weights,
-// and each edge's evidence.
+// and each edge's evidence. "tiny" runs on 16 and 64 workers, more
+// than it has chunks.
 func TestChunkedBuildMatchesSequential(t *testing.T) {
+	workerSets := map[string][]int{"tiny": {16, 64}}
 	for _, budget := range []int{1, 7, 64, 1024} {
 		for name, col := range chunkWorlds(t) {
+			counts := workerSets[name]
+			if counts == nil {
+				counts = []int{2, 5}
+			}
 			for _, scheme := range []Scheme{ARCS, ECBS} {
 				want := Build(col, scheme)
-				for _, workers := range []int{2, 5} {
+				if (name == "empty") != (len(want.Edges) == 0) {
+					t.Fatalf("%s: %d edges", name, len(want.Edges))
+				}
+				for _, workers := range counts {
 					t.Run(fmt.Sprintf("budget=%d/%s/%v/workers=%d", budget, name, scheme, workers), func(t *testing.T) {
 						got := buildUnweighted(col, workers, budget)
 						got.Reweigh(scheme)

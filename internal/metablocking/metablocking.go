@@ -18,9 +18,10 @@
 package metablocking
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"unsafe"
 
 	"repro/internal/blocking"
@@ -110,8 +111,8 @@ func (g *Graph) LiveNodes() int {
 // the given scheme: BuildUnweighted on one worker, then Reweigh. Each
 // edge's evidence is summed over its blocks in ascending block order,
 // so the weights equal the block-order fold of the definition bit for
-// bit; internal/parmeta runs the same build over more workers and
-// shards the reweighing.
+// bit; the shared engine (internal/pipeline) runs the same build on
+// more workers.
 func Build(col *blocking.Collection, scheme Scheme) *Graph {
 	g := BuildUnweighted(col, 1)
 	g.reweigh(scheme)
@@ -122,19 +123,9 @@ func Build(col *blocking.Collection, scheme Scheme) *Graph {
 // rebuilding the graph.
 func (g *Graph) Reweigh(scheme Scheme) { g.reweigh(scheme) }
 
-// ReweighRange recomputes the weights of edges [lo, hi) under scheme.
-// Each edge's weight reads only that edge's statistics and immutable
-// per-node aggregates, so disjoint ranges may be reweighed
-// concurrently — the shared-memory parallel engine (internal/parmeta)
-// shards Reweigh with it, producing weights bit-identical to the
-// sequential pass.
-func (g *Graph) ReweighRange(scheme Scheme, lo, hi int) { g.reweighRange(scheme, lo, hi) }
-
-func (g *Graph) reweigh(scheme Scheme) { g.reweighRange(scheme, 0, len(g.Edges)) }
-
-func (g *Graph) reweighRange(scheme Scheme, lo, hi int) {
-	nEdges := float64(len(g.Edges))
-	for i := lo; i < hi; i++ {
+func (g *Graph) reweigh(scheme Scheme) {
+	f := g.nodeFactors(scheme)
+	for i := range g.Edges {
 		e := &g.Edges[i]
 		cbs := float64(g.common[i])
 		ba, bb := float64(g.blocks[e.A]), float64(g.blocks[e.B])
@@ -142,16 +133,43 @@ func (g *Graph) reweighRange(scheme Scheme, lo, hi int) {
 		case CBS:
 			e.Weight = cbs
 		case ECBS:
-			e.Weight = cbs * safeLog(float64(g.nBlock)/ba) * safeLog(float64(g.nBlock)/bb)
+			e.Weight = cbs * f[e.A] * f[e.B]
 		case JS:
 			e.Weight = cbs / (ba + bb - cbs)
 		case EJS:
 			js := cbs / (ba + bb - cbs)
-			e.Weight = js * safeLog(nEdges/float64(g.degree[e.A])) * safeLog(nEdges/float64(g.degree[e.B]))
+			e.Weight = js * f[e.A] * f[e.B]
 		case ARCS:
 			e.Weight = g.arcs[i]
 		}
 	}
+}
+
+// nodeFactors returns the per-node log factor of scheme — ECBS's
+// safeLog(|B|/|Bv|), EJS's safeLog(|E|/deg v) — or nil for a scheme
+// without one. An edge multiplies in both endpoints' factors; reading
+// them from this table evaluates the same expression on the same
+// operands as computing them per edge, so the weights do not change by
+// a bit, at one logarithm per node instead of two per edge. Nodes
+// without blocks (ECBS) or edges (EJS) keep 0: no edge reads them.
+func (g *Graph) nodeFactors(scheme Scheme) []float64 {
+	var num float64
+	var den []int32
+	switch scheme {
+	case ECBS:
+		num, den = float64(g.nBlock), g.blocks
+	case EJS:
+		num, den = float64(len(g.Edges)), g.degree
+	default:
+		return nil
+	}
+	f := make([]float64, len(den))
+	for v, d := range den {
+		if d > 0 {
+			f[v] = safeLog(num / float64(d))
+		}
+	}
+	return f
 }
 
 // safeLog guards against log of ratios ≤ 1 collapsing evidence to
@@ -269,15 +287,18 @@ func (g *Graph) Prune(alg Pruning, opts PruneOptions) []Edge {
 	return kept
 }
 
+// sortEdges orders es by descending weight, ties by ascending (A, B).
+// Edges are distinct pairs, so the order is total and any sort yields
+// the same slice.
 func sortEdges(es []Edge) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Weight != es[j].Weight {
-			return es[i].Weight > es[j].Weight
+	slices.SortFunc(es, func(a, b Edge) int {
+		if c := cmp.Compare(b.Weight, a.Weight); c != 0 {
+			return c
 		}
-		if es[i].A != es[j].A {
-			return es[i].A < es[j].A
+		if c := cmp.Compare(a.A, b.A); c != 0 {
+			return c
 		}
-		return es[i].B < es[j].B
+		return cmp.Compare(a.B, b.B)
 	})
 }
 
@@ -324,11 +345,10 @@ func (g *Graph) pruneCEP(opts PruneOptions) []Edge {
 }
 
 // Per-endpoint retention verdicts of the node-centric algorithms, one
-// bit per endpoint of each edge. Shared with the parallel engine
-// (internal/parmeta), which ORs them in from concurrent node shards.
+// bit per endpoint of each edge.
 const (
-	KeptByA uint8 = 1 << iota
-	KeptByB
+	keptByA uint8 = 1 << iota
+	keptByB
 )
 
 func (g *Graph) pruneWNP(reciprocal bool) []Edge {
@@ -359,19 +379,18 @@ func (g *Graph) wnpFlags(flags []uint8) {
 	for i := range g.Edges {
 		e := &g.Edges[i]
 		if e.Weight >= sum[e.A] {
-			flags[i] |= KeptByA
+			flags[i] |= keptByA
 		}
 		if e.Weight >= sum[e.B] {
-			flags[i] |= KeptByB
+			flags[i] |= keptByB
 		}
 	}
 }
 
-// ResolveK returns CNP's effective per-node budget under opts —
+// resolveK returns CNP's effective per-node budget under opts —
 // opts.KPerNode when pinned, else the paper's BC-derived default
-// ceil(assignments / live nodes). Exported for the parallel pruner
-// (internal/parmeta), which must resolve the same budget.
-func (g *Graph) ResolveK(opts PruneOptions) int {
+// ceil(assignments / live nodes).
+func (g *Graph) resolveK(opts PruneOptions) int {
 	k := opts.KPerNode
 	if live := g.LiveNodes(); k <= 0 && live > 0 {
 		k = (opts.Assignments + live - 1) / live
@@ -384,7 +403,7 @@ func (g *Graph) ResolveK(opts PruneOptions) int {
 
 func (g *Graph) pruneCNP(opts PruneOptions) []Edge {
 	flags := make([]uint8, len(g.Edges))
-	g.cnpFlags(g.ResolveK(opts), flags)
+	g.cnpFlags(g.resolveK(opts), flags)
 	return g.collect(flags, opts.Reciprocal)
 }
 
@@ -466,16 +485,16 @@ func (g *Graph) cnpFlags(k int, flags []uint8) {
 		h := heap[start[v] : start[v]+hlen[v]]
 		for _, ei := range h {
 			if g.Edges[ei].A == v {
-				flags[ei] |= KeptByA
+				flags[ei] |= keptByA
 			} else {
-				flags[ei] |= KeptByB
+				flags[ei] |= keptByB
 			}
 		}
 	}
 }
 
 func (g *Graph) collect(flags []uint8, reciprocal bool) []Edge {
-	both := KeptByA | KeptByB
+	both := keptByA | keptByB
 	keep := func(f uint8) bool {
 		if reciprocal {
 			return f == both

@@ -268,7 +268,8 @@ func TestPruningKeepsMatches(t *testing.T) {
 // referenceGraph is the block-order reference of the blocking graph,
 // independent of the kernel: a plain map keyed by pair, folding every
 // block's pair occurrences in block order, then sorted into canonical
-// (A, B) order and weighed under scheme.
+// (A, B) order and weighed under scheme by the scheme's formula, not by
+// Graph.reweigh.
 func referenceGraph(col *blocking.Collection, scheme Scheme) *Graph {
 	type evidence struct {
 		common int
@@ -315,8 +316,35 @@ func referenceGraph(col *blocking.Collection, scheme Scheme) *Graph {
 		g.degree[p[0]]++
 		g.degree[p[1]]++
 	}
-	g.reweigh(scheme)
+	nBlock, nEdges := float64(g.nBlock), float64(len(g.Edges))
+	for i := range g.Edges {
+		e := &g.Edges[i]
+		cbs := float64(g.common[i])
+		ba, bb := float64(g.blocks[e.A]), float64(g.blocks[e.B])
+		switch scheme {
+		case CBS:
+			e.Weight = cbs
+		case ECBS:
+			e.Weight = cbs * definitionLog(nBlock/ba) * definitionLog(nBlock/bb)
+		case JS:
+			e.Weight = cbs / (ba + bb - cbs)
+		case EJS:
+			da, db := float64(g.degree[e.A]), float64(g.degree[e.B])
+			e.Weight = cbs / (ba + bb - cbs) * definitionLog(nEdges/da) * definitionLog(nEdges/db)
+		case ARCS:
+			e.Weight = g.arcs[i]
+		}
+	}
 	return g
+}
+
+// definitionLog is the log factor of ECBS and EJS as defined: log x,
+// clamped to 0 for ratios ≤ 1 so that weights stay non-negative.
+func definitionLog(x float64) float64 {
+	if x <= 1 {
+		return 0
+	}
+	return math.Log(x)
 }
 
 // interleavedTombstoned is the source shape streaming waves leave
@@ -360,9 +388,10 @@ func interleavedTombstoned(t *testing.T) *blocking.Collection {
 
 // TestBuildMatchesBlockOrderReference pins the entity-centric kernel to
 // the independent block-order reference: every edge (weights compared
-// by bits), its common-block count and ARCS sum, and every per-node and
-// global counter, for every scheme, on the hand fixture, a clean–clean
-// world, a dirty world, and a tombstoned source with interleaved KBs.
+// by bits), its common-block count and ARCS sum, every per-node and
+// global counter, and the per-node log factors of ECBS and EJS (by
+// bits), for every scheme, on the hand fixture, a clean–clean world, a
+// dirty world, and a tombstoned source with interleaved KBs.
 func TestBuildMatchesBlockOrderReference(t *testing.T) {
 	generated := func(cfg datagen.Config) *blocking.Collection {
 		w, err := datagen.Generate(cfg)
@@ -408,6 +437,22 @@ func TestBuildMatchesBlockOrderReference(t *testing.T) {
 				if got.blocks[id] != want.blocks[id] || got.degree[id] != want.degree[id] {
 					t.Fatalf("%s: node %d counters (%d,%d), want (%d,%d)", label, id,
 						got.blocks[id], got.degree[id], want.blocks[id], want.degree[id])
+				}
+			}
+			if scheme != ECBS && scheme != EJS {
+				continue
+			}
+			num, den := float64(want.nBlock), want.blocks
+			if scheme == EJS {
+				num, den = float64(len(want.Edges)), want.degree
+			}
+			f := got.nodeFactors(scheme)
+			for v, d := range den {
+				if d == 0 {
+					continue // no edge reads the factor of a node without blocks or edges
+				}
+				if def := definitionLog(num / float64(d)); math.Float64bits(f[v]) != math.Float64bits(def) {
+					t.Fatalf("%s: node %d log factor %v, want %v", label, v, f[v], def)
 				}
 			}
 		}

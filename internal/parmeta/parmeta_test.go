@@ -1,4 +1,4 @@
-package parmeta
+package parmeta_test
 
 import (
 	"fmt"
@@ -9,13 +9,20 @@ import (
 	"repro/internal/blocking"
 	"repro/internal/datagen"
 	"repro/internal/metablocking"
+	"repro/internal/parmeta"
+	"repro/internal/pipeline"
 	"repro/internal/tokenize"
 )
+
+// The differentials below pin the shared engine's graph stages —
+// pipeline.Shared's Build (the chunked kernel, then the reference
+// weighting) and Prune — to the sequential reference, for every scheme,
+// pruning algorithm, reciprocal setting and worker count.
 
 // worlds returns the differential workloads: a clean–clean two-KB
 // world and a dirty single-KB world with duplicates — the two ER
 // settings of the paper, which exercise the cross-KB comparison filter
-// and the skew of the entity-range partition differently.
+// and the skew of the id-chunk schedule differently.
 func worlds(t testing.TB) map[string]*blocking.Collection {
 	t.Helper()
 	cols := make(map[string]*blocking.Collection)
@@ -30,6 +37,26 @@ func worlds(t testing.TB) map[string]*blocking.Collection {
 		cols[name] = blocking.TokenBlocking(w.Collection, tokenize.Default()).Purge(0).Filter(0.8)
 	}
 	return cols
+}
+
+// build is the shared engine's graph build on the given workers.
+func build(t testing.TB, col *blocking.Collection, scheme metablocking.Scheme, workers int) *metablocking.Graph {
+	t.Helper()
+	g, err := pipeline.Shared{Workers: workers}.Build(col, scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// prune is the shared engine's pruning on the given workers.
+func prune(t testing.TB, g *metablocking.Graph, alg metablocking.Pruning, opts metablocking.PruneOptions, workers int) []metablocking.Edge {
+	t.Helper()
+	kept, err := pipeline.Shared{Workers: workers}.Prune(g, alg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kept
 }
 
 func sameGraph(t *testing.T, want, got *metablocking.Graph) {
@@ -92,7 +119,7 @@ func TestBuildMatchesSequential(t *testing.T) {
 			want := metablocking.Build(col, scheme)
 			for _, w := range workers {
 				t.Run(fmt.Sprintf("%s/%v/workers=%d", name, scheme, w), func(t *testing.T) {
-					sameGraph(t, want, Build(col, scheme, w))
+					sameGraph(t, want, build(t, col, scheme, w))
 				})
 			}
 		}
@@ -100,14 +127,14 @@ func TestBuildMatchesSequential(t *testing.T) {
 }
 
 // TestPruneMatchesSequential covers every scheme × pruning ×
-// reciprocal combination: the parallel engine must retain exactly the
+// reciprocal combination: the shared engine must retain exactly the
 // sequential edge set, in the same order, with the same weights.
 func TestPruneMatchesSequential(t *testing.T) {
 	for name, col := range worlds(t) {
 		opts := metablocking.PruneOptions{Assignments: col.Assignments()}
 		for _, scheme := range metablocking.Schemes() {
 			seq := metablocking.Build(col, scheme)
-			par := Build(col, scheme, 4)
+			par := build(t, col, scheme, 4)
 			for _, alg := range metablocking.Prunings() {
 				for _, reciprocal := range []bool{false, true} {
 					o := opts
@@ -117,7 +144,7 @@ func TestPruneMatchesSequential(t *testing.T) {
 						label := fmt.Sprintf("%s/%v/%v/reciprocal=%v/workers=%d",
 							name, scheme, alg, reciprocal, workers)
 						t.Run(label, func(t *testing.T) {
-							sameEdges(t, label, want, Prune(par, alg, o, workers))
+							sameEdges(t, label, want, prune(t, par, alg, o, workers))
 						})
 					}
 				}
@@ -127,10 +154,10 @@ func TestPruneMatchesSequential(t *testing.T) {
 }
 
 // TestPruneOptionOverrides checks the explicit K / KPerNode budgets
-// flow through the parallel engine identically.
+// flow through the shared engine identically.
 func TestPruneOptionOverrides(t *testing.T) {
 	col := worlds(t)["cleanclean"]
-	g := Build(col, metablocking.ECBS, 4)
+	g := build(t, col, metablocking.ECBS, 4)
 	seq := metablocking.Build(col, metablocking.ECBS)
 	for _, opts := range []metablocking.PruneOptions{
 		{K: 50},
@@ -143,24 +170,25 @@ func TestPruneOptionOverrides(t *testing.T) {
 			metablocking.CNP: opts,
 		} {
 			want := seq.Prune(alg, o)
-			got := Prune(g, alg, o, 4)
+			got := prune(t, g, alg, o, 4)
 			sameEdges(t, fmt.Sprintf("%v/%+v", alg, o), want, got)
 		}
 	}
 }
 
-// TestReweighMatchesSequential re-weighs one graph through every
-// scheme in place, comparing against a sequentially re-weighed twin.
+// TestReweighMatchesSequential re-weighs a chunk-built graph through
+// every scheme in place, comparing against a sequentially built twin
+// re-weighed the same way.
 func TestReweighMatchesSequential(t *testing.T) {
 	col := worlds(t)["cleanclean"]
 	seq := metablocking.Build(col, metablocking.CBS)
-	par := Build(col, metablocking.CBS, 4)
+	par := build(t, col, metablocking.CBS, 4)
 	for _, scheme := range []metablocking.Scheme{
 		metablocking.ARCS, metablocking.EJS, metablocking.JS,
 		metablocking.ECBS, metablocking.CBS,
 	} {
 		seq.Reweigh(scheme)
-		Reweigh(par, scheme, 4)
+		par.Reweigh(scheme)
 		sameGraph(t, seq, par)
 	}
 }
@@ -170,7 +198,7 @@ func TestReweighMatchesSequential(t *testing.T) {
 // be race-free and each still sequential-identical.
 func TestConcurrentPrunes(t *testing.T) {
 	col := worlds(t)["cleanclean"]
-	g := Build(col, metablocking.ECBS, 4)
+	g := build(t, col, metablocking.ECBS, 4)
 	seq := metablocking.Build(col, metablocking.ECBS)
 	opts := metablocking.PruneOptions{Assignments: col.Assignments()}
 	var wg sync.WaitGroup
@@ -180,7 +208,11 @@ func TestConcurrentPrunes(t *testing.T) {
 			go func(alg metablocking.Pruning) {
 				defer wg.Done()
 				want := seq.Prune(alg, opts)
-				got := Prune(g, alg, opts, 4)
+				got, err := pipeline.Shared{Workers: 4}.Prune(g, alg, opts)
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				if len(got) != len(want) {
 					t.Errorf("%v: %d edges, want %d", alg, len(got), len(want))
 					return
@@ -197,31 +229,32 @@ func TestConcurrentPrunes(t *testing.T) {
 	wg.Wait()
 }
 
-// TestStressDeterminism hammers the full engine repeatedly with an
-// oversubscribed worker count; under -race this is the concurrency
-// stress test, and every repetition must reproduce the same result.
+// TestStressDeterminism hammers the shared engine's graph stages
+// repeatedly with an oversubscribed worker count; under -race this is
+// the concurrency stress test, and every repetition must reproduce the
+// same result.
 func TestStressDeterminism(t *testing.T) {
 	col := worlds(t)["dirty"]
 	opts := metablocking.PruneOptions{Assignments: col.Assignments()}
-	ref := Prune(Build(col, metablocking.EJS, 6), metablocking.CNP, opts, 6)
+	ref := prune(t, build(t, col, metablocking.EJS, 6), metablocking.CNP, opts, 6)
 	reps := 8
 	if testing.Short() {
 		reps = 2
 	}
 	for rep := 0; rep < reps; rep++ {
-		got := Prune(Build(col, metablocking.EJS, 6), metablocking.CNP, opts, 6)
+		got := prune(t, build(t, col, metablocking.EJS, 6), metablocking.CNP, opts, 6)
 		sameEdges(t, fmt.Sprintf("rep %d", rep), ref, got)
 	}
 }
 
 func TestWorkersOption(t *testing.T) {
-	if got := Workers(0); got != runtime.GOMAXPROCS(0) {
+	if got := parmeta.Workers(0); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("Workers(0)=%d, want GOMAXPROCS=%d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := Workers(-3); got != runtime.GOMAXPROCS(0) {
+	if got := parmeta.Workers(-3); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("Workers(-3)=%d, want GOMAXPROCS=%d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := Workers(5); got != 5 {
+	if got := parmeta.Workers(5); got != 5 {
 		t.Errorf("Workers(5)=%d, want 5", got)
 	}
 }
@@ -230,11 +263,11 @@ func TestWorkersOption(t *testing.T) {
 // blocks than workers.
 func TestEmptyAndTiny(t *testing.T) {
 	empty := &blocking.Collection{Source: worlds(t)["cleanclean"].Source}
-	g := Build(empty, metablocking.ECBS, 4)
+	g := build(t, empty, metablocking.ECBS, 4)
 	if g.NumEdges() != 0 {
 		t.Errorf("empty collection produced %d edges", g.NumEdges())
 	}
-	if kept := Prune(g, metablocking.WEP, metablocking.PruneOptions{}, 4); len(kept) != 0 {
+	if kept := prune(t, g, metablocking.WEP, metablocking.PruneOptions{}, 4); len(kept) != 0 {
 		t.Errorf("empty graph pruned to %d edges", len(kept))
 	}
 
@@ -245,5 +278,5 @@ func TestEmptyAndTiny(t *testing.T) {
 		CleanClean: col.CleanClean,
 	}
 	want := metablocking.Build(tiny, metablocking.JS)
-	sameGraph(t, want, Build(tiny, metablocking.JS, 16))
+	sameGraph(t, want, build(t, tiny, metablocking.JS, 16))
 }

@@ -7,9 +7,10 @@
 //   - Sequential: the single-threaded reference implementations in
 //     internal/blocking and internal/metablocking — the oracle every
 //     other engine is differentially tested against.
-//   - Shared: the shared-memory parallel engine — sharded token
-//     blocking and block cleaning (this package) plus the sharded
-//     graph build and pruning of internal/parmeta.
+//   - Shared: the reference plus the two parallel kernels that pay —
+//     tokenization on every worker before token blocking, and the
+//     graph kernel over worker id chunks before weighting; purging,
+//     filtering and pruning are the reference's own.
 //   - MapReduce: the paper's cluster dataflow simulated on the
 //     in-process MapReduce engine (internal/parblock), kept for
 //     didactic runs and cross-engine differential tests.

@@ -137,7 +137,8 @@ type Config struct {
 	// (0 = automatic; negative = skip purging).
 	PurgeMaxBlockSize int
 	// FilterRatio keeps each description in this fraction of its
-	// smallest blocks (0 = default 0.8; negative = skip filtering).
+	// smallest blocks (0 = default 0.8; negative = skip filtering;
+	// above 1 fails Start).
 	FilterRatio float64
 	// Scheme is the edge-weighting scheme (default ECBS).
 	Scheme Scheme
@@ -1154,6 +1155,9 @@ func (p *Pipeline) StartContext(ctx context.Context) (*Session, error) {
 // epoch yet — and no front end: build makes its pass. Between the two,
 // recovery folds the logged mutations into it (see replay).
 func (p *Pipeline) newSession() (*Session, error) {
+	if p.cfg.FilterRatio > 1 {
+		return nil, fmt.Errorf("minoaner: Config.FilterRatio %v is above 1 (want a fraction in (0, 1], or negative to skip filtering)", p.cfg.FilterRatio)
+	}
 	eng, err := p.engine()
 	if err != nil {
 		return nil, err
@@ -1180,6 +1184,10 @@ func (s *Session) build(ctx context.Context) error {
 		return fmt.Errorf("minoaner: %w", err)
 	}
 	s.fstate = fstate
+	// Nothing after the pass reads the blocking graph: drop its arrays
+	// before the matcher and resolver allocate. refreshStats and Gauges
+	// read the cached edge count and footprint.
+	fstate.Front.Graph.Release()
 	s.matcher = match.NewMatcher(p.col, p.cfg.Match)
 	s.resolver = core.NewResolver(s.matcher, fstate.Front.Edges, core.Config{
 		Benefit:          p.cfg.Benefit,
@@ -1188,10 +1196,6 @@ func (s *Session) build(ctx context.Context) error {
 	})
 	s.tim.FrontEnd = time.Since(t0)
 	s.refreshStats()
-	// Matching never reads the blocking graph: drop its arrays now.
-	// refreshStats above and Gauges read the cached edge count and
-	// footprint.
-	fstate.Front.Graph.Release()
 	return nil
 }
 
@@ -1230,10 +1234,6 @@ func (s *Session) ResumeContext(ctx context.Context, budget int) (*Result, error
 	if s.desynced != nil {
 		return nil, s.desynced // a poisoned session serves no reads
 	}
-	// Matching never reads the blocking graph, so the graph a streaming
-	// wave built is dropped at this stage boundary; the next wave
-	// builds its own.
-	s.fstate.Front.Graph.Release()
 	t0 := time.Now()
 	res := s.resolver.RunBudgetContext(ctx, budget)
 	s.tim.Resolve += time.Since(t0)
@@ -1700,6 +1700,8 @@ func (s *Session) syncFront(d delta, t0 time.Time) error {
 		// than serve it.
 		return s.poison(fmt.Errorf("minoaner: %s: description store: %w", kind, err))
 	}
+	// As in build: the graph's arrays go before the matcher is rebuilt.
+	s.fstate.Front.Graph.Release()
 	s.matcher = match.NewMatcher(s.p.col, s.p.cfg.Match)
 	if d.departed {
 		s.resolver.Retract(s.matcher, s.fstate.Front.Edges, s.trace)
