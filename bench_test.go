@@ -325,7 +325,7 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 	docB, _ := rdf.WriteString(w.Triples("betaKB"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := minoaner.New(minoaner.Defaults())
+		p := minoaner.New(minoaner.EnvDefaults())
 		if err := p.LoadKB("alpha", strings.NewReader(docA)); err != nil {
 			b.Fatal(err)
 		}
@@ -396,7 +396,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // and returns the description count a replay must recover.
 func walBenchLog(b *testing.B, dir string) int {
 	b.Helper()
-	p, err := minoaner.Open(dir, minoaner.Defaults())
+	p, err := minoaner.Open(dir, minoaner.EnvDefaults())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func BenchmarkWALReplay(b *testing.B) {
 	n := walBenchLog(b, dir)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := minoaner.Open(dir, minoaner.Defaults())
+		p, err := minoaner.Open(dir, minoaner.EnvDefaults())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -490,13 +490,13 @@ func BenchmarkSessionIngest(b *testing.B) {
 		}
 	}
 	b.Run("wal=none", func(b *testing.B) {
-		run(b, func() (*minoaner.Pipeline, error) { return minoaner.New(minoaner.Defaults()), nil })
+		run(b, func() (*minoaner.Pipeline, error) { return minoaner.New(minoaner.EnvDefaults()), nil })
 	})
 	for _, pol := range []minoaner.FsyncPolicy{minoaner.FsyncWave, minoaner.FsyncAlways} {
 		pol := pol
 		b.Run("wal="+pol.String(), func(b *testing.B) {
 			run(b, func() (*minoaner.Pipeline, error) {
-				cfg := minoaner.Defaults()
+				cfg := minoaner.EnvDefaults()
 				cfg.WALFsync = pol
 				return minoaner.Open(filepath.Join(b.TempDir(), "wal"), cfg)
 			})
@@ -613,7 +613,7 @@ func BenchmarkPR10Artifact(b *testing.B) {
 	seed := len(all) / 2
 	batches := (len(all) - seed + 9) / 10
 	stream := func(runner string) (time.Duration, int64) {
-		cfg := minoaner.Defaults()
+		cfg := minoaner.EnvDefaults()
 		cfg.Workers = 2
 		cfg.MapReduce = true
 		cfg.MRRunner = runner

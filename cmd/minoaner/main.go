@@ -95,9 +95,7 @@ func run(args []string) error {
 	cfg := minoaner.Defaults()
 	cfg.Workers = *workers
 	cfg.MapReduce = *mr
-	if *mrRunner != "" {
-		cfg.MRRunner = *mrRunner
-	}
+	cfg.MRRunner = *mrRunner
 	alg, err := clusteringAlg(*clustering)
 	if err != nil {
 		return err
@@ -182,7 +180,7 @@ func runServe(args []string, ready chan<- net.Addr, quit <-chan struct{}) error 
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	walDir := fs.String("wal", "", "write-ahead-log directory: mutations are logged and a restart recovers the session (empty = RAM only)")
 	walFsync := fs.String("wal-fsync", "wave", "WAL fsync policy with -wal: always | wave | off")
-	storeMode := fs.String("store", "", "cold store for description bodies, postings, and the blocking graph: mem | disk (empty = all in RAM)")
+	storeMode := fs.String("store", "", "cold store for description bodies: mem | disk (empty = all in RAM)")
 	storeDir := fs.String("store-dir", "", "segment directory for -store disk (derived state; reset on every start)")
 	maxBody := fs.Int64("max-body", server.DefaultMaxBody, "cap on a mutation request body in bytes (oversized requests answer 413)")
 	if err := fs.Parse(args); err != nil {
@@ -192,9 +190,7 @@ func runServe(args []string, ready chan<- net.Addr, quit <-chan struct{}) error 
 	cfg := minoaner.Defaults()
 	cfg.Workers = *workers
 	cfg.MapReduce = *mr
-	if *mrRunner != "" {
-		cfg.MRRunner = *mrRunner
-	}
+	cfg.MRRunner = *mrRunner
 	cfg.TTL = *ttl
 	cfg.Store = *storeMode
 	cfg.StoreDir = *storeDir

@@ -55,6 +55,17 @@ func TestRunWritesLinks(t *testing.T) {
 	}
 }
 
+// TestRunIgnoresStoreEnv: the CLI's config comes from its flags alone,
+// so a MINOANER_STORE left in the environment cannot ask for a disk
+// store the flags never gave a directory.
+func TestRunIgnoresStoreEnv(t *testing.T) {
+	t.Setenv("MINOANER_STORE", "disk")
+	dir, a, b := writeFiles(t)
+	if err := run([]string{"-kb", "a=" + a, "-kb", "b=" + b, "-out", filepath.Join(dir, "links.nt")}); err != nil {
+		t.Fatalf("run with MINOANER_STORE=disk in the environment: %v", err)
+	}
+}
+
 func TestRunTruthMode(t *testing.T) {
 	dir, a, b := writeFiles(t)
 	truth := filepath.Join(dir, "truth.nt")

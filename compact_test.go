@@ -41,7 +41,7 @@ func TestCompactionEquivalentToFromScratch(t *testing.T) {
 	seedN := len(all) / 2
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := minoaner.Defaults()
+			cfg := minoaner.EnvDefaults()
 			cfg.Workers = workers
 			cfg.CompactionThreshold = 0.25
 
@@ -87,7 +87,7 @@ func TestCompactionEquivalentToFromScratch(t *testing.T) {
 func TestCompactionPreservesSpentMatches(t *testing.T) {
 	w := hardSessionWorld(t, 682, 130)
 	all := streamDescriptions(w)
-	cfg := minoaner.Defaults()
+	cfg := minoaner.EnvDefaults()
 	cfg.Workers = 4
 	cfg.CompactionThreshold = 0.3
 
@@ -153,7 +153,7 @@ func TestCompactionPreservesSpentMatches(t *testing.T) {
 func TestCompactionTTLDefaultOn(t *testing.T) {
 	w := hardSessionWorld(t, 683, 120)
 	all := streamDescriptions(w)
-	cfg := minoaner.Defaults()
+	cfg := minoaner.EnvDefaults()
 	cfg.TTL = 1
 	p := minoaner.New(cfg)
 	if err := p.Add(all[:len(all)/3]); err != nil {
@@ -184,7 +184,7 @@ func TestCompactionDisabled(t *testing.T) {
 	w := hardSessionWorld(t, 684, 80)
 	all := streamDescriptions(w)
 
-	cfg := minoaner.Defaults()
+	cfg := minoaner.EnvDefaults()
 	cfg.TTL = 1
 	cfg.CompactionThreshold = -1
 	p := minoaner.New(cfg)
@@ -205,7 +205,7 @@ func TestCompactionDisabled(t *testing.T) {
 		t.Fatal("negative threshold still compacted")
 	}
 
-	cfg2 := minoaner.Defaults()
+	cfg2 := minoaner.EnvDefaults()
 	p2 := minoaner.New(cfg2)
 	if err := p2.Add(all); err != nil {
 		t.Fatal(err)

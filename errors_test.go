@@ -26,7 +26,7 @@ func mustDoc(t *testing.T, w *datagen.World, kbName string) string {
 // which sentinel.
 
 func TestErrBadBatch(t *testing.T) {
-	p := minoaner.New(minoaner.Defaults())
+	p := minoaner.New(minoaner.EnvDefaults())
 	cases := []struct {
 		name string
 		call func() error
@@ -52,7 +52,7 @@ func TestErrBadBatch(t *testing.T) {
 
 func TestErrBadBatchSession(t *testing.T) {
 	w := hardSessionWorld(t, 41, 30)
-	s := loadSession(t, w, minoaner.Defaults())
+	s := loadSession(t, w, minoaner.EnvDefaults())
 	if err := s.Ingest([]minoaner.Description{{KB: "", URI: "http://x"}}); !errors.Is(err, minoaner.ErrBadBatch) {
 		t.Errorf("Ingest empty kb: got %v, want ErrBadBatch", err)
 	}
@@ -66,7 +66,7 @@ func TestErrBadBatchSession(t *testing.T) {
 
 func TestErrUnknown(t *testing.T) {
 	w := hardSessionWorld(t, 43, 30)
-	s := loadSession(t, w, minoaner.Defaults())
+	s := loadSession(t, w, minoaner.EnvDefaults())
 	err := s.Evict([]minoaner.Ref{{KB: "alpha", URI: "http://never-loaded"}})
 	if !errors.Is(err, minoaner.ErrUnknownDescription) {
 		t.Errorf("Evict unknown ref: got %v, want ErrUnknownDescription", err)
@@ -95,7 +95,7 @@ func TestFilterRatioAboveOne(t *testing.T) {
 		ok    bool
 	}{{1.5, false}, {1.0, true}, {-1, true}} {
 		t.Run(fmt.Sprint(tc.ratio), func(t *testing.T) {
-			cfg := minoaner.Defaults()
+			cfg := minoaner.EnvDefaults()
 			cfg.FilterRatio = tc.ratio
 			p := minoaner.New(cfg)
 			defer p.Close()
@@ -124,7 +124,7 @@ func TestFilterRatioAboveOne(t *testing.T) {
 // ErrSessionClosed — the condition internal/server maps to 409.
 func TestErrSessionClosed(t *testing.T) {
 	w := hardSessionWorld(t, 47, 30)
-	p := minoaner.New(minoaner.Defaults())
+	p := minoaner.New(minoaner.EnvDefaults())
 	if err := p.LoadKB("alpha", strings.NewReader(mustDoc(t, w, "alpha"))); err != nil {
 		t.Fatal(err)
 	}

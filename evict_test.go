@@ -40,7 +40,7 @@ func TestEvictEquivalentToFromScratch(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		for _, budget := range []int{7, 0} {
 			t.Run(fmt.Sprintf("workers=%d/budget=%d", workers, budget), func(t *testing.T) {
-				cfg := minoaner.Defaults()
+				cfg := minoaner.EnvDefaults()
 				cfg.Workers = workers
 
 				p := minoaner.New(cfg)
@@ -108,7 +108,7 @@ func TestEvictEquivalentToFromScratch(t *testing.T) {
 func TestEvictKBEquivalent(t *testing.T) {
 	w := hardSessionWorld(t, 672, 100)
 	all := streamDescriptions(w)
-	cfg := minoaner.Defaults()
+	cfg := minoaner.EnvDefaults()
 	cfg.Workers = 4
 
 	p := minoaner.New(cfg)
@@ -155,7 +155,7 @@ func TestEvictKBEquivalent(t *testing.T) {
 func TestEvictEdgeCases(t *testing.T) {
 	w := hardSessionWorld(t, 673, 60)
 	all := streamDescriptions(w)
-	p := minoaner.New(minoaner.Defaults())
+	p := minoaner.New(minoaner.EnvDefaults())
 	if err := p.Add(all); err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestEvictEdgeCases(t *testing.T) {
 func TestEvictEverything(t *testing.T) {
 	w := hardSessionWorld(t, 674, 50)
 	all := streamDescriptions(w)
-	p := minoaner.New(minoaner.Defaults())
+	p := minoaner.New(minoaner.EnvDefaults())
 	if err := p.Add(all); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestEvictThenReingestGolden(t *testing.T) {
 			KB: d.KB, URI: d.URI, Types: d.Types, Attrs: d.Attrs, Links: d.Links,
 		})
 	}
-	p := minoaner.New(minoaner.Defaults())
+	p := minoaner.New(minoaner.EnvDefaults())
 	for _, name := range []string{"alpha", "betaKB"} {
 		if err := p.Add(batches[name]); err != nil {
 			t.Fatal(err)
@@ -341,7 +341,7 @@ func TestEvictTTL(t *testing.T) {
 	batch := func(i int) []minoaner.Description {
 		return all[i*len(all)/batches : (i+1)*len(all)/batches]
 	}
-	cfg := minoaner.Defaults()
+	cfg := minoaner.EnvDefaults()
 	cfg.TTL = 2
 	cfg.Workers = 4
 	p := minoaner.New(cfg)
@@ -382,7 +382,7 @@ func TestEvictTTL(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Oracle: a fresh session over exactly the surviving window.
-	cfg2 := minoaner.Defaults()
+	cfg2 := minoaner.EnvDefaults()
 	cfg2.Workers = 4
 	p2 := minoaner.New(cfg2)
 	window := append(append([]minoaner.Description(nil), batch(batches-2)...), batch(batches-1)...)
@@ -405,7 +405,7 @@ func TestInterleavedIngestEvictResume(t *testing.T) {
 	all := streamDescriptions(w)
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := minoaner.Defaults()
+			cfg := minoaner.EnvDefaults()
 			cfg.Workers = workers
 			p := minoaner.New(cfg)
 			if err := p.Add(all[:len(all)/2]); err != nil {
@@ -509,7 +509,7 @@ func TestPostStartMutationStaysInSync(t *testing.T) {
 	half := len(all) / 2
 
 	// Path A: Pipeline.Add after Start ≡ Session.Ingest.
-	p := minoaner.New(minoaner.Defaults())
+	p := minoaner.New(minoaner.EnvDefaults())
 	if err := p.Add(all[:half]); err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +528,7 @@ func TestPostStartMutationStaysInSync(t *testing.T) {
 		t.Fatalf("post-Start Add left the session at %d descriptions, want %d",
 			got.Stats.Descriptions, len(all))
 	}
-	pi := minoaner.New(minoaner.Defaults())
+	pi := minoaner.New(minoaner.EnvDefaults())
 	if err := pi.Add(all[:half]); err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +554,7 @@ func TestPostStartMutationStaysInSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := minoaner.New(minoaner.Defaults())
+	pl := minoaner.New(minoaner.EnvDefaults())
 	if err := pl.LoadKB("alpha", strings.NewReader(alphaDoc)); err != nil {
 		t.Fatal(err)
 	}

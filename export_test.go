@@ -1,10 +1,25 @@
 package minoaner
 
 import (
+	"os"
+
 	"repro/internal/mapreduce"
 	"repro/internal/metablocking"
 	"repro/internal/pipeline"
 )
+
+// EnvDefaults is Defaults with the store mode and the MapReduce runner
+// taken from MINOANER_STORE ("mem", "disk-temp") and MINOANER_MR_RUNNER
+// ("local", "proc"): how CI's store and runner legs drive this
+// package's differential suites through a cold store or worker
+// subprocesses without touching a call site. Tests that need a
+// specific mode set Config.Store / Config.MRRunner after it.
+func EnvDefaults() Config {
+	cfg := Defaults()
+	cfg.Store = os.Getenv("MINOANER_STORE")
+	cfg.MRRunner = os.Getenv("MINOANER_MR_RUNNER")
+	return cfg
+}
 
 // MRProcRunner exposes the pipeline's shared worker pool to tests —
 // the fault-injection hooks (KillNextTask) and the Spawned gauge live

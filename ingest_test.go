@@ -50,7 +50,7 @@ func TestIngestEquivalentToFromScratch(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			for _, budget := range []int{7, 0} {
 				t.Run(fmt.Sprintf("K=%d/workers=%d/budget=%d", k, workers, budget), func(t *testing.T) {
-					cfg := minoaner.Defaults()
+					cfg := minoaner.EnvDefaults()
 					cfg.Workers = workers
 
 					// Incremental: seed, Start, K ingest batches, resolve.
@@ -118,7 +118,7 @@ func TestIngestKBEquivalent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := minoaner.Defaults()
+	cfg := minoaner.EnvDefaults()
 	cfg.Workers = 4
 
 	p := minoaner.New(cfg)
@@ -193,7 +193,7 @@ func TestIngestBetweenResumes(t *testing.T) {
 	all := streamDescriptions(w)
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := minoaner.Defaults()
+			cfg := minoaner.EnvDefaults()
 			cfg.Workers = workers
 
 			p := minoaner.New(cfg)
@@ -251,7 +251,7 @@ func TestIngestBetweenResumesQuality(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := streamDescriptions(w)
-	p2 := minoaner.New(minoaner.Defaults())
+	p2 := minoaner.New(minoaner.EnvDefaults())
 	if err := p2.Add(all); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestIngestBetweenResumesQuality(t *testing.T) {
 	wantQ := matchQuality(t, w, want)
 	for _, leg := range []int{30, 120} {
 		t.Run(fmt.Sprintf("leg=%d", leg), func(t *testing.T) {
-			p := minoaner.New(minoaner.Defaults())
+			p := minoaner.New(minoaner.EnvDefaults())
 			if err := p.Add(all[:len(all)/2]); err != nil {
 				t.Fatal(err)
 			}
@@ -292,7 +292,7 @@ func TestIngestBetweenResumesQuality(t *testing.T) {
 func TestIngestValidation(t *testing.T) {
 	w := hardSessionWorld(t, 274, 60)
 	all := streamDescriptions(w)
-	p := minoaner.New(minoaner.Defaults())
+	p := minoaner.New(minoaner.EnvDefaults())
 	if err := p.Add(all); err != nil {
 		t.Fatal(err)
 	}

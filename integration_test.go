@@ -27,7 +27,7 @@ const kbB = `
 `
 
 func TestPipelineEndToEnd(t *testing.T) {
-	p := minoaner.New(minoaner.Defaults())
+	p := minoaner.New(minoaner.EnvDefaults())
 	if err := p.LoadKB("a", strings.NewReader(kbA)); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestPipelineBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(budget int) *minoaner.Result {
-		p := minoaner.New(minoaner.Defaults())
+		p := minoaner.New(minoaner.EnvDefaults())
 		for _, name := range []string{"alpha", "betaKB"} {
 			doc, err := rdf.WriteString(w.Triples(name))
 			if err != nil {
@@ -118,7 +118,7 @@ func TestPipelineQualityAgainstTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := minoaner.New(minoaner.Defaults())
+	p := minoaner.New(minoaner.EnvDefaults())
 	for _, name := range []string{"alpha", "betaKB"} {
 		doc, err := rdf.WriteString(w.Triples(name))
 		if err != nil {
@@ -182,15 +182,15 @@ func TestPipelineParallelMatchesSequential(t *testing.T) {
 		}
 		return res
 	}
-	seqCfg := minoaner.Defaults()
+	seqCfg := minoaner.EnvDefaults()
 	seqCfg.Workers = 1
 	seq := load(seqCfg)
 
-	parCfg := minoaner.Defaults()
+	parCfg := minoaner.EnvDefaults()
 	parCfg.Workers = 4
 	par := load(parCfg)
 
-	mrCfg := minoaner.Defaults()
+	mrCfg := minoaner.EnvDefaults()
 	mrCfg.Workers = 4
 	mrCfg.MapReduce = true
 	mr := load(mrCfg)
@@ -211,7 +211,7 @@ func TestPipelineParallelMatchesSequential(t *testing.T) {
 }
 
 func TestPipelineErrors(t *testing.T) {
-	p := minoaner.New(minoaner.Defaults())
+	p := minoaner.New(minoaner.EnvDefaults())
 	if _, err := p.Resolve(); err == nil {
 		t.Error("empty pipeline resolved")
 	}
@@ -230,7 +230,7 @@ func TestPipelineErrors(t *testing.T) {
 }
 
 func TestAddDescriptionAndFiles(t *testing.T) {
-	p := minoaner.New(minoaner.Defaults())
+	p := minoaner.New(minoaner.EnvDefaults())
 	err := p.AddDescription("k1", "http://k1/x", map[string]string{"name": "turing award"}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func TestAddDescriptionAndFiles(t *testing.T) {
 	if err := os.WriteFile(path, []byte(kbA), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	p2 := minoaner.New(minoaner.Defaults())
+	p2 := minoaner.New(minoaner.EnvDefaults())
 	if err := p2.LoadKBFile("a", path); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestSessionResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := minoaner.New(minoaner.Defaults())
+	p := minoaner.New(minoaner.EnvDefaults())
 	for _, name := range []string{"alpha", "betaKB"} {
 		doc, _ := rdf.WriteString(w.Triples(name))
 		if err := p.LoadKB(name, strings.NewReader(doc)); err != nil {
@@ -296,7 +296,7 @@ func TestSessionResume(t *testing.T) {
 	// A cumulative session must reach the same final state as one
 	// unbounded run.
 	whole, err := func() (*minoaner.Result, error) {
-		q := minoaner.New(minoaner.Defaults())
+		q := minoaner.New(minoaner.EnvDefaults())
 		for _, name := range []string{"alpha", "betaKB"} {
 			doc, _ := rdf.WriteString(w.Triples(name))
 			if err := q.LoadKB(name, strings.NewReader(doc)); err != nil {
@@ -314,7 +314,7 @@ func TestSessionResume(t *testing.T) {
 }
 
 func TestPipelineLoadQuads(t *testing.T) {
-	p := minoaner.New(minoaner.Defaults())
+	p := minoaner.New(minoaner.EnvDefaults())
 	doc := `<http://a/x> <http://a/name> "turing award" <http://graphs/a> .
 <http://b/x> <http://b/label> "turing award" <http://graphs/b> .
 `

@@ -328,99 +328,6 @@ func TestBoundedTopKProperty(t *testing.T) {
 	}
 }
 
-func TestSparseSet(t *testing.T) {
-	s := NewSparseSet(10)
-	if s.Capacity() != 10 || s.Len() != 0 {
-		t.Fatalf("fresh set Cap=%d Len=%d", s.Capacity(), s.Len())
-	}
-	if !s.Add(3) || !s.Add(7) || s.Add(3) {
-		t.Error("Add return values wrong")
-	}
-	if !s.Contains(3) || !s.Contains(7) || s.Contains(4) {
-		t.Error("Contains wrong")
-	}
-	if s.Contains(-1) || s.Contains(100) {
-		t.Error("out-of-range Contains should be false")
-	}
-	if got := s.Sorted(); !equalInts(got, []int{3, 7}) {
-		t.Errorf("Sorted=%v", got)
-	}
-	s.Clear()
-	if s.Len() != 0 || s.Contains(3) {
-		t.Error("Clear did not empty the set")
-	}
-	// Reuse after clear: stale sparse entries must not cause false positives.
-	if !s.Add(7) || s.Contains(3) {
-		t.Error("stale entry visible after Clear")
-	}
-}
-
-func TestBitset(t *testing.T) {
-	b := NewBitset(130)
-	if b.Len() != 130 || b.Count() != 0 {
-		t.Fatalf("fresh bitset Len=%d Count=%d", b.Len(), b.Count())
-	}
-	for _, i := range []int{0, 63, 64, 129} {
-		b.Set(i)
-	}
-	for _, i := range []int{0, 63, 64, 129} {
-		if !b.Test(i) {
-			t.Errorf("bit %d not set", i)
-		}
-	}
-	if b.Test(1) || b.Test(128) {
-		t.Error("unset bit reads as set")
-	}
-	if b.Count() != 4 {
-		t.Errorf("Count=%d, want 4", b.Count())
-	}
-	b.Clear(64)
-	if b.Test(64) || b.Count() != 3 {
-		t.Error("Clear failed")
-	}
-	b.Reset()
-	if b.Count() != 0 {
-		t.Errorf("Count=%d after Reset", b.Count())
-	}
-}
-
-// Property: SparseSet agrees with map[int]bool under random ops.
-func TestSparseSetMatchesMap(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		const capacity = 50
-		s := NewSparseSet(capacity)
-		ref := make(map[int]bool)
-		for op := 0; op < 300; op++ {
-			v := rng.Intn(capacity)
-			switch rng.Intn(3) {
-			case 0:
-				added := s.Add(v)
-				if added == ref[v] {
-					return false
-				}
-				ref[v] = true
-			case 1:
-				if s.Contains(v) != ref[v] {
-					return false
-				}
-			case 2:
-				if rng.Intn(10) == 0 {
-					s.Clear()
-					ref = make(map[int]bool)
-				}
-			}
-			if s.Len() != len(ref) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestNewHeapFrom checks Floyd heapification against one-by-one
 // pushes: same multiset in, same sorted drain out.
 func TestNewHeapFrom(t *testing.T) {

@@ -1,7 +1,6 @@
 // Package container provides the small data structures the resolution
-// pipeline is built on: a disjoint-set forest for match clustering, a
-// generic binary heap for comparison scheduling, and compact integer
-// sets for block manipulation.
+// pipeline is built on: a disjoint-set forest for match clustering and
+// a generic binary heap for comparison scheduling.
 package container
 
 import "sync/atomic"

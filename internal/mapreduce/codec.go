@@ -1,32 +1,21 @@
 package mapreduce
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"repro/internal/frame"
 )
 
-// The worker protocol reuses the wal frame idiom — the repo's one way
-// of putting structured records on an untrusted byte stream:
-//
-//	[u32 payload length, little endian]
-//	[u32 CRC32C over type byte + payload, little endian]
-//	[u8  frame type]
-//	[payload]
-//
-// The CRC covers the type byte, so a flipped tag is detected
-// corruption, not a misdispatch. A torn or corrupted frame surfaces as
-// ErrFrameCorrupt / io.ErrUnexpectedEOF; the coordinator treats either
-// as a dead worker and re-dispatches the task to a fresh one — a
-// partial TaskOut can never be accepted because a partial frame never
-// decodes.
+// The worker protocol puts one internal/frame frame per message on the
+// pipe — the repo's one record format — with the message kind as the
+// frame type. A torn or corrupted frame surfaces as io.ErrUnexpectedEOF
+// / ErrFrameCorrupt; the coordinator treats either as a dead worker and
+// re-dispatches the task to a fresh one — a partial TaskOut can never
+// be accepted because a partial frame never decodes.
 
 const (
-	frameHeaderSize = 9
-
 	// frameTask carries a coordinator→worker wireTask.
 	frameTask byte = 1
 	// frameResult carries a worker→coordinator wireResult.
@@ -36,32 +25,20 @@ const (
 	frameError byte = 3
 )
 
-// maxFramePayload rejects absurd length fields before allocating. A
-// var, not a const, so the torn-frame tests can shrink it.
-var maxFramePayload = uint32(1 << 30)
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// maxFramePayload rejects absurd length fields before allocating.
+const maxFramePayload = 1 << 30
 
 // ErrFrameCorrupt reports a frame whose checksum failed or whose
 // length field is implausible — the stream is damaged and the worker
 // that produced it cannot be trusted further.
-var ErrFrameCorrupt = errors.New("mapreduce: protocol frame corrupt")
+var ErrFrameCorrupt = frame.ErrCorrupt
 
-// writeFrame appends one frame to w.
+// writeFrame writes one frame to w.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	if uint32(len(payload)) > maxFramePayload {
+	if len(payload) > maxFramePayload {
 		return fmt.Errorf("mapreduce: frame payload %d exceeds cap", len(payload))
 	}
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	crc := crc32.Checksum([]byte{typ}, castagnoli)
-	crc = crc32.Update(crc, castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	hdr[8] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	_, err := w.Write(frame.Append(nil, typ, payload))
 	return err
 }
 
@@ -69,38 +46,7 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 // a short header or truncated payload is io.ErrUnexpectedEOF; a bad
 // length or checksum is ErrFrameCorrupt.
 func readFrame(r io.Reader) (typ byte, payload []byte, err error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, err
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, io.ErrUnexpectedEOF
-		}
-		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n > maxFramePayload {
-		return 0, nil, fmt.Errorf("%w: implausible payload length %d", ErrFrameCorrupt, n)
-	}
-	want := binary.LittleEndian.Uint32(hdr[4:8])
-	typ = hdr[8]
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, io.ErrUnexpectedEOF
-		}
-		return 0, nil, err
-	}
-	crc := crc32.Checksum([]byte{typ}, castagnoli)
-	crc = crc32.Update(crc, castagnoli, payload)
-	if crc != want {
-		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrFrameCorrupt)
-	}
-	return typ, payload, nil
+	return frame.Read(r, maxFramePayload)
 }
 
 // wireTask is a Task's wire form: the job travels as its registry

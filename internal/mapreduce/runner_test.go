@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/frame"
 )
 
 // TestMain doubles this test binary as a worker executable: a spawned
@@ -307,22 +309,19 @@ func TestFrameTornAtEveryOffset(t *testing.T) {
 // turn: the CRC (which covers the type byte) must reject each mutation
 // — corruption is detected, never decoded.
 func TestFrameCorruptAtEveryByte(t *testing.T) {
-	// Shrink the plausibility cap so a corrupted length field is caught
-	// by arithmetic, not by attempting a giant allocation.
-	defer func(old uint32) { maxFramePayload = old }(maxFramePayload)
-	maxFramePayload = 1 << 16
-
 	var buf bytes.Buffer
 	payload := []byte(`{"kvs":[{"k":"alpha","v":"1"}]}`)
 	if err := writeFrame(&buf, frameResult, payload); err != nil {
 		t.Fatal(err)
 	}
-	frame := buf.Bytes()
-	for i := 0; i < len(frame); i++ {
+	good := buf.Bytes()
+	for i := 0; i < len(good); i++ {
 		for _, flip := range []byte{0x01, 0x80} {
-			bad := bytes.Clone(frame)
+			bad := bytes.Clone(good)
 			bad[i] ^= flip
-			typ, got, err := readFrame(bytes.NewReader(bad))
+			// A small cap catches a corrupted length field by
+			// arithmetic, not by attempting a giant allocation.
+			typ, got, err := frame.Read(bytes.NewReader(bad), 1<<16)
 			if err == nil {
 				t.Fatalf("byte %d ^ %#x: accepted a corrupt frame (type %d, %d bytes)", i, flip, typ, len(got))
 			}

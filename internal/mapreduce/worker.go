@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"repro/internal/frame"
 )
 
 // WorkerMain serves the worker side of the task protocol: read a task
@@ -126,24 +128,10 @@ func serveTornWorker(r io.Reader, w io.Writer) {
 		return
 	}
 	reply, replyType := runWireTask(payload)
-	var buf []byte
-	{
-		bw := &sliceWriter{}
-		if err := writeFrame(bw, replyType, reply); err != nil {
-			return
-		}
-		buf = bw.b
-	}
+	buf := frame.Append(nil, replyType, reply)
 	cut := len(buf) - len(buf)/3 // drop the last third: header intact, payload torn
-	if cut <= frameHeaderSize {
-		cut = frameHeaderSize
+	if cut <= frame.HeaderSize {
+		cut = frame.HeaderSize
 	}
 	w.Write(buf[:cut])
-}
-
-type sliceWriter struct{ b []byte }
-
-func (s *sliceWriter) Write(p []byte) (int, error) {
-	s.b = append(s.b, p...)
-	return len(p), nil
 }

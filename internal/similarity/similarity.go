@@ -1,14 +1,12 @@
-// Package similarity provides the string- and set-similarity measures
-// used by entity matching: token-set measures (Jaccard, Dice, overlap,
-// cosine with TF-IDF weighting) and edit-based measures (Levenshtein,
-// Jaro, Jaro-Winkler). All measures return values in [0, 1], where 1
-// means identical.
+// Package similarity provides the token-set similarity measures used by
+// entity matching and blocking: Jaccard and cosine with TF-IDF
+// weighting. All measures return values in [0, 1], where 1 means
+// identical.
 package similarity
 
 import (
 	"math"
 	"sort"
-	"strings"
 )
 
 // Jaccard returns |a∩b| / |a∪b| over two token sets.
@@ -24,27 +22,6 @@ func Jaccard(a, b map[string]struct{}) float64 {
 	}
 	return float64(inter) / float64(union)
 }
-
-// Dice returns 2|a∩b| / (|a|+|b|).
-func Dice(a, b map[string]struct{}) float64 {
-	if len(a)+len(b) == 0 {
-		return 0
-	}
-	inter := intersectionSize(a, b)
-	return 2 * float64(inter) / float64(len(a)+len(b))
-}
-
-// Overlap returns |a∩b| / min(|a|,|b|), the overlap coefficient.
-func Overlap(a, b map[string]struct{}) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	inter := intersectionSize(a, b)
-	return float64(inter) / float64(min(len(a), len(b)))
-}
-
-// CommonTokens returns |a∩b|.
-func CommonTokens(a, b map[string]struct{}) int { return intersectionSize(a, b) }
 
 func intersectionSize(a, b map[string]struct{}) int {
 	if len(b) < len(a) {
@@ -217,127 +194,4 @@ func (m *TFIDF) weights(tokens []string) []tokenWeight {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].token < out[j].token })
 	return out
-}
-
-// Levenshtein returns the normalized edit similarity:
-// 1 − editDistance(a,b)/max(len(a),len(b)). Identical strings score 1;
-// the empty-vs-empty case scores 1 as well.
-func Levenshtein(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	d := editDistance(ra, rb)
-	return 1 - float64(d)/float64(max(la, lb))
-}
-
-func editDistance(a, b []rune) int {
-	if len(a) < len(b) {
-		a, b = b, a
-	}
-	// Single-row dynamic program over the shorter string.
-	prev := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		diag := prev[0]
-		prev[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur := min(min(prev[j]+1, prev[j-1]+1), diag+cost)
-			diag = prev[j]
-			prev[j] = cur
-		}
-	}
-	return prev[len(b)]
-}
-
-// Jaro returns the Jaro similarity of two strings.
-func Jaro(a, b string) float64 {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	if la == 0 || lb == 0 {
-		return 0
-	}
-	window := max(la, lb)/2 - 1
-	if window < 0 {
-		window = 0
-	}
-	matchA := make([]bool, la)
-	matchB := make([]bool, lb)
-	matches := 0
-	for i := 0; i < la; i++ {
-		lo := max(0, i-window)
-		hi := min(lb-1, i+window)
-		for j := lo; j <= hi; j++ {
-			if matchB[j] || ra[i] != rb[j] {
-				continue
-			}
-			matchA[i], matchB[j] = true, true
-			matches++
-			break
-		}
-	}
-	if matches == 0 {
-		return 0
-	}
-	// Count transpositions among matched characters.
-	trans := 0
-	j := 0
-	for i := 0; i < la; i++ {
-		if !matchA[i] {
-			continue
-		}
-		for !matchB[j] {
-			j++
-		}
-		if ra[i] != rb[j] {
-			trans++
-		}
-		j++
-	}
-	m := float64(matches)
-	return (m/float64(la) + m/float64(lb) + (m-float64(trans)/2)/m) / 3
-}
-
-// JaroWinkler boosts Jaro similarity for strings sharing a common
-// prefix (up to 4 runes), with the standard scaling factor 0.1.
-func JaroWinkler(a, b string) float64 {
-	j := Jaro(a, b)
-	prefix := 0
-	for prefix < len(a) && prefix < len(b) && prefix < 4 && a[prefix] == b[prefix] {
-		prefix++
-	}
-	return j + float64(prefix)*0.1*(1-j)
-}
-
-// ExactNormalized reports 1 if the two strings are equal after trimming
-// and case folding, else 0. Used as a cheap first-stage matcher.
-func ExactNormalized(a, b string) float64 {
-	if strings.EqualFold(strings.TrimSpace(a), strings.TrimSpace(b)) {
-		return 1
-	}
-	return 0
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

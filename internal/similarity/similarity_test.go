@@ -36,22 +36,6 @@ func TestJaccard(t *testing.T) {
 	}
 }
 
-func TestDiceOverlapCommon(t *testing.T) {
-	a, b := set("a", "b", "c"), set("b", "c", "d", "e")
-	if got := Dice(a, b); !approx(got, 4.0/7.0) {
-		t.Errorf("Dice=%v", got)
-	}
-	if got := Overlap(a, b); !approx(got, 2.0/3.0) {
-		t.Errorf("Overlap=%v", got)
-	}
-	if got := CommonTokens(a, b); got != 2 {
-		t.Errorf("CommonTokens=%d", got)
-	}
-	if Overlap(set(), b) != 0 || Dice(set(), set()) != 0 {
-		t.Error("empty-set cases wrong")
-	}
-}
-
 func TestJaccardSlices(t *testing.T) {
 	if got := JaccardSlices([]string{"x", "y", "x"}, []string{"y", "z"}); !approx(got, 1.0/3.0) {
 		t.Errorf("JaccardSlices=%v", got)
@@ -95,100 +79,19 @@ func TestTFIDFEmptyModel(t *testing.T) {
 	}
 }
 
-func TestLevenshtein(t *testing.T) {
-	cases := []struct {
-		a, b string
-		want float64
-	}{
-		{"kitten", "sitting", 1 - 3.0/7.0},
-		{"", "", 1},
-		{"abc", "", 0},
-		{"abc", "abc", 1},
-		{"flaw", "lawn", 0.5},
-	}
-	for _, c := range cases {
-		if got := Levenshtein(c.a, c.b); !approx(got, c.want) {
-			t.Errorf("Levenshtein(%q,%q)=%v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestJaro(t *testing.T) {
-	if got := Jaro("MARTHA", "MARHTA"); !approx(got, 0.944444444444444) {
-		t.Errorf("Jaro(MARTHA,MARHTA)=%v", got)
-	}
-	if got := Jaro("DIXON", "DICKSONX"); math.Abs(got-0.766666) > 1e-4 {
-		t.Errorf("Jaro(DIXON,DICKSONX)=%v", got)
-	}
-	if Jaro("", "") != 1 || Jaro("a", "") != 0 {
-		t.Error("empty cases wrong")
-	}
-	if Jaro("abc", "xyz") != 0 {
-		t.Error("disjoint strings should score 0")
-	}
-}
-
-func TestJaroWinkler(t *testing.T) {
-	// Winkler boosts common prefixes.
-	jw := JaroWinkler("MARTHA", "MARHTA")
-	if math.Abs(jw-0.961111) > 1e-4 {
-		t.Errorf("JaroWinkler=%v", jw)
-	}
-	if JaroWinkler("abc", "abc") != 1 {
-		t.Error("identical strings should score 1")
-	}
-}
-
-func TestExactNormalized(t *testing.T) {
-	if ExactNormalized(" Paris ", "paris") != 1 {
-		t.Error("case/space fold failed")
-	}
-	if ExactNormalized("Paris", "London") != 0 {
-		t.Error("distinct strings scored 1")
-	}
-}
-
-// Properties shared by all measures: range [0,1], symmetry, identity.
+// Properties of Jaccard: range [0,1], symmetry, and identity on
+// non-empty sets.
 func TestMeasureProperties(t *testing.T) {
-	strMeasures := map[string]func(a, b string) float64{
-		"Levenshtein": Levenshtein,
-		"Jaro":        Jaro,
-		"JaroWinkler": JaroWinkler,
-	}
-	for name, fn := range strMeasures {
-		fn := fn
-		f := func(a, b string) bool {
-			s := fn(a, b)
-			if s < -1e-12 || s > 1+1e-12 {
-				return false
-			}
-			if !approx(fn(a, b), fn(b, a)) {
-				return false
-			}
-			return approx(fn(a, a), 1)
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-	setF := func(xs, ys []string) bool {
+	f := func(xs, ys []string) bool {
 		a, b := toSet(xs), toSet(ys)
-		for _, fn := range []func(a, b map[string]struct{}) float64{Jaccard, Dice, Overlap} {
-			s := fn(a, b)
-			if s < 0 || s > 1+1e-12 || !approx(s, fn(b, a)) {
-				return false
-			}
+		s := Jaccard(a, b)
+		if s < 0 || s > 1+1e-12 || !approx(s, Jaccard(b, a)) {
+			return false
 		}
-		// Jaccard <= Dice <= Overlap ordering on non-empty sets.
-		if len(a) > 0 && len(b) > 0 {
-			if Jaccard(a, b) > Dice(a, b)+1e-12 || Dice(a, b) > Overlap(a, b)+1e-12 {
-				return false
-			}
-		}
-		return true
+		return len(a) == 0 || approx(Jaccard(a, a), 1)
 	}
-	if err := quick.Check(setF, &quick.Config{MaxCount: 200}); err != nil {
-		t.Errorf("set measures: %v", err)
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"repro/internal/frame"
 )
 
 // Disk is the paged segment-file backend: records append to numbered
@@ -19,10 +21,10 @@ import (
 // session's WAL (or source corpus) can always rebuild a store, so the
 // store is a spill space, not a database.
 //
-// Record frame, all integers big endian:
-//
-//	[u8 op: 1=put 2=delete] [u16 key length] [u32 value length]
-//	[u32 CRC32C over op + key + value] [key] [value]
+// A record is one internal/frame frame whose type is the op (1 = put,
+// 2 = delete) and whose payload is [u16 key length, little endian]
+// [key] [value], so the value's length is what the key leaves of the
+// payload.
 //
 // Open replays segments in order to rebuild the locator. A torn or
 // corrupted record — the expected shape of a crash mid-append — ends
@@ -52,11 +54,15 @@ type diskLoc struct {
 }
 
 const (
-	diskHeader  = 11 // op + klen + vlen + crc
-	opPut       = 1
-	opDelete    = 2
+	opPut    = 1
+	opDelete = 2
+	// klenSize is the payload's u16 key-length prefix; a record's key
+	// starts at keyOffset, right after it.
+	klenSize    = 2
+	keyOffset   = frame.HeaderSize + klenSize
 	maxKeyLen   = 1 << 16
 	maxValueLen = 1 << 30
+	maxPayload  = klenSize + maxKeyLen + maxValueLen
 	// DefaultSegmentBytes rotates segments at 4 MiB: large enough to
 	// amortize file overhead, small enough that Compact rewrites in
 	// bounded pieces.
@@ -67,8 +73,6 @@ const (
 	// so deferring the write loses nothing a crash had anyway.
 	wbufMax = 256 << 10
 )
-
-var diskCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // DiskOptions tunes OpenDisk. The zero value is usable.
 type DiskOptions struct {
@@ -196,33 +200,24 @@ func (d *Disk) replaySegment(id int) (int64, bool, error) {
 	d.segBytes += int64(len(data))
 	var off int64
 	for {
-		rest := data[off:]
-		if len(rest) == 0 {
+		op, payload, err := frame.Decode(data[off:], maxPayload)
+		if err == io.EOF {
 			return off, true, nil
 		}
-		if len(rest) < diskHeader {
-			return off, false, nil // torn header
+		if err != nil || (op != opPut && op != opDelete) || len(payload) < klenSize {
+			return off, false, nil // torn or corrupted record
 		}
-		op := rest[0]
-		klen := int(binary.BigEndian.Uint16(rest[1:3]))
-		vlen := int(binary.BigEndian.Uint32(rest[3:7]))
-		sum := binary.BigEndian.Uint32(rest[7:11])
-		if (op != opPut && op != opDelete) || vlen > maxValueLen ||
-			len(rest) < diskHeader+klen+vlen {
-			return off, false, nil // implausible or torn body
+		klen := int(binary.LittleEndian.Uint16(payload))
+		if klenSize+klen > len(payload) {
+			return off, false, nil // key length past the payload
 		}
-		body := rest[diskHeader : diskHeader+klen+vlen]
-		crc := crc32.Update(crc32.Checksum([]byte{op}, diskCRC), diskCRC, body)
-		if crc != sum {
-			return off, false, nil // corrupted record
-		}
-		key := string(body[:klen])
+		key := string(payload[klenSize : klenSize+klen])
 		if op == opDelete {
 			delete(d.loc, key)
 		} else {
-			d.loc[key] = diskLoc{seg: id, off: off + diskHeader + int64(klen), vlen: vlen}
+			d.loc[key] = diskLoc{seg: id, off: off + keyOffset + int64(klen), vlen: len(payload) - klenSize - klen}
 		}
-		off += int64(diskHeader + klen + vlen)
+		off += frame.HeaderSize + int64(len(payload))
 	}
 }
 
@@ -275,18 +270,11 @@ func (d *Disk) append(op byte, key, value []byte) (int, int64, error) {
 			return 0, 0, err
 		}
 	}
-	var hdr [diskHeader]byte
-	hdr[0] = op
-	binary.BigEndian.PutUint16(hdr[1:3], uint16(len(key)))
-	binary.BigEndian.PutUint32(hdr[3:7], uint32(len(value)))
-	crc := crc32.Update(crc32.Checksum([]byte{op}, diskCRC), diskCRC, key)
-	crc = crc32.Update(crc, diskCRC, value)
-	binary.BigEndian.PutUint32(hdr[7:11], crc)
-	d.wbuf = append(d.wbuf, hdr[:]...)
-	d.wbuf = append(d.wbuf, key...)
-	d.wbuf = append(d.wbuf, value...)
-	size := int64(diskHeader + len(key) + len(value))
-	voff := d.actSize + diskHeader + int64(len(key))
+	var klen [klenSize]byte
+	binary.LittleEndian.PutUint16(klen[:], uint16(len(key)))
+	d.wbuf = frame.Append(d.wbuf, op, klen[:], key, value)
+	size := int64(keyOffset + len(key) + len(value))
+	voff := d.actSize + keyOffset + int64(len(key))
 	d.actSize += size
 	d.segBytes += size
 	if len(d.wbuf) >= wbufMax {

@@ -295,7 +295,7 @@ func TestDiskCorruptMidFile(t *testing.T) {
 	recSize := len(image) / n
 	for rec := 0; rec < n; rec++ {
 		corrupt := append([]byte(nil), image...)
-		corrupt[rec*recSize+diskHeader] ^= 0x5a // flip a key byte under the CRC
+		corrupt[rec*recSize+keyOffset] ^= 0x5a // flip a key byte under the CRC
 		if err := os.WriteFile(seg, corrupt, 0o644); err != nil {
 			t.Fatal(err)
 		}

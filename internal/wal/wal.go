@@ -10,19 +10,12 @@
 //
 // # Frame format
 //
-// One record is one frame:
-//
-//	[u32 payload length, little endian]
-//	[u32 CRC32C over type byte + payload, little endian]
-//	[u8  record type]
-//	[payload]
-//
-// The CRC uses the Castagnoli polynomial (hardware-accelerated on
-// amd64/arm64). A reader stops cleanly at the first frame whose header
-// is short, whose payload is truncated, whose length field is
-// implausible, or whose checksum fails — a torn or corrupted tail
-// never poisons the valid prefix, and Open truncates the file back to
-// that prefix so new appends land on a clean boundary.
+// One record is one internal/frame frame — the repo's one record
+// format — with the record type as the frame type. A reader stops
+// cleanly at the first frame that is torn, whose length field is over
+// the cap, or whose checksum fails: a torn or corrupted tail never
+// poisons the valid prefix, and Open truncates the file back to that
+// prefix so new appends land on a clean boundary.
 //
 // # Fsync policy
 //
@@ -48,14 +41,14 @@ package wal
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"time"
+
+	"repro/internal/frame"
 )
 
 // Policy selects when appended records are fsynced to disk. The zero
@@ -120,10 +113,7 @@ type Record struct {
 	Payload []byte
 }
 
-const (
-	headerSize = 9 // u32 length + u32 crc + u8 type
-	logName    = "wal.log"
-)
+const logName = "wal.log"
 
 // maxPayload bounds a frame's length field both ways: an appended
 // payload over it could not be re-read (readers treat implausible
@@ -144,8 +134,6 @@ func MaxPayload() int { return maxPayload }
 // record every reader rejects as corrupt. Nothing is appended. Callers
 // split their batches under MaxPayload instead. Test with errors.Is.
 var ErrFrameTooLarge = errors.New("wal: record exceeds frame cap")
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Stats are the operator-facing gauges of a live log, surfaced on the
 // server's /status endpoint.
@@ -168,9 +156,7 @@ type Stats struct {
 type Log struct {
 	dir    string
 	f      *os.File
-	bw     *bufio.Writer
 	policy Policy
-	hdr    [headerSize]byte
 
 	size        int64
 	records     int64
@@ -211,7 +197,6 @@ func Open(dir string, policy Policy) (*Log, []Record, error) {
 	l := &Log{
 		dir:     dir,
 		f:       f,
-		bw:      bufio.NewWriter(f),
 		policy:  policy,
 		size:    valid,
 		records: int64(len(recs)),
@@ -230,33 +215,16 @@ func readFrames(f *os.File) ([]Record, int64, error) {
 	br := bufio.NewReader(f)
 	var recs []Record
 	var valid int64
-	hdr := make([]byte, headerSize)
 	for {
-		if _, err := io.ReadFull(br, hdr); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return recs, valid, nil // clean end, or a torn header
-			}
+		typ, payload, err := frame.Read(br, maxPayload)
+		if err == io.EOF || err == io.ErrUnexpectedEOF || errors.Is(err, frame.ErrCorrupt) {
+			return recs, valid, nil // clean end, or a torn or corrupt frame
+		}
+		if err != nil {
 			return nil, 0, err
-		}
-		length := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		typ := hdr[8]
-		if length > uint32(maxPayload) {
-			return recs, valid, nil // implausible length: corrupt frame
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return recs, valid, nil // torn payload
-			}
-			return nil, 0, err
-		}
-		crc := crc32.Update(crc32.Checksum([]byte{typ}, castagnoli), castagnoli, payload)
-		if crc != sum {
-			return recs, valid, nil // checksum failure: stop at the last good frame
 		}
 		recs = append(recs, Record{Type: typ, Payload: payload})
-		valid += headerSize + int64(length)
+		valid += frame.HeaderSize + int64(len(payload))
 	}
 }
 
@@ -269,20 +237,11 @@ func (l *Log) Append(typ byte, payload []byte) error {
 	if len(payload) > maxPayload {
 		return fmt.Errorf("%w: record of %d bytes over the %d-byte cap", ErrFrameTooLarge, len(payload), maxPayload)
 	}
-	binary.LittleEndian.PutUint32(l.hdr[0:4], uint32(len(payload)))
-	crc := crc32.Update(crc32.Checksum([]byte{typ}, castagnoli), castagnoli, payload)
-	binary.LittleEndian.PutUint32(l.hdr[4:8], crc)
-	l.hdr[8] = typ
-	if _, err := l.bw.Write(l.hdr[:]); err != nil {
+	rec := frame.Append(nil, typ, payload)
+	if _, err := l.f.Write(rec); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	if _, err := l.bw.Write(payload); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	if err := l.bw.Flush(); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
-	}
-	l.size += headerSize + int64(len(payload))
+	l.size += int64(len(rec))
 	l.records++
 	l.dirty = true
 	if l.policy == SyncAlways {
@@ -333,18 +292,10 @@ func (l *Log) Checkpoint(payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("wal: checkpoint: %w", err)
 	}
-	var hdr [headerSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	crc := crc32.Update(crc32.Checksum([]byte{TypeCheckpoint}, castagnoli), castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	hdr[8] = TypeCheckpoint
-	if _, err := tmp.Write(hdr[:]); err == nil {
-		_, err = tmp.Write(payload)
-		if err == nil {
-			err = tmp.Sync()
-		}
-	} else {
-		err = fmt.Errorf("write: %w", err)
+	rec := frame.Append(nil, TypeCheckpoint, payload)
+	_, err = tmp.Write(rec)
+	if err == nil {
+		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
@@ -365,14 +316,13 @@ func (l *Log) Checkpoint(payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("wal: checkpoint: reopen: %w", err)
 	}
-	newSize := int64(headerSize + len(payload))
+	newSize := int64(len(rec))
 	if _, err := nf.Seek(newSize, io.SeekStart); err != nil {
 		nf.Close()
 		return fmt.Errorf("wal: checkpoint: %w", err)
 	}
 	l.f.Close()
 	l.f = nf
-	l.bw = bufio.NewWriter(nf)
 	l.size = newSize
 	l.records = 1
 	l.checkpoints++
@@ -411,16 +361,13 @@ func unixNano(t time.Time) int64 {
 	return t.UnixNano()
 }
 
-// Close flushes, fsyncs (whatever the policy — closing is a durability
+// Close fsyncs (whatever the policy — closing is a durability
 // point), and closes the log. A closed log refuses further appends.
 func (l *Log) Close() error {
 	if l.f == nil {
 		return nil
 	}
-	err := l.bw.Flush()
-	if serr := l.f.Sync(); err == nil {
-		err = serr
-	}
+	err := l.f.Sync()
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}

@@ -273,16 +273,7 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 }
 
 // Defaults returns the configuration used throughout the paper
-// reproduction.
-//
-// The MINOANER_STORE environment variable, when set, routes the
-// returned config through that store mode ("mem", "disk-temp") — how
-// CI's disk leg runs the entire differential suite cold-store-backed
-// without touching any call site. MINOANER_MR_RUNNER does the same for
-// the MapReduce runner ("local", "proc"): CI's proc leg re-proves the
-// differential surface with dataflow tasks crossing a process
-// boundary. Callers that need a specific mode set Config.Store /
-// Config.MRRunner explicitly after Defaults and are unaffected.
+// reproduction. It reads no environment.
 func Defaults() Config {
 	return Config{
 		Tokenize:    tokenize.Default(),
@@ -291,8 +282,6 @@ func Defaults() Config {
 		Pruning:     WNP,
 		Match:       match.DefaultOptions(),
 		Benefit:     AttributeCompleteness,
-		Store:       os.Getenv("MINOANER_STORE"),
-		MRRunner:    os.Getenv("MINOANER_MR_RUNNER"),
 	}
 }
 

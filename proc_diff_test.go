@@ -20,7 +20,7 @@ import (
 // mrConfig returns the MapReduce-engine config pinned to one runner,
 // immune to the CI matrix's MINOANER_MR_RUNNER leg.
 func mrConfig(runner string) minoaner.Config {
-	cfg := minoaner.Defaults()
+	cfg := minoaner.EnvDefaults()
 	cfg.Workers = 4
 	cfg.MapReduce = true
 	cfg.MRRunner = runner
@@ -152,14 +152,17 @@ func TestProcRunnerDifferential(t *testing.T) {
 	})
 }
 
-// TestMRRunnerConfig pins the knob's surface: the env hook feeds
-// Defaults, explicit spellings pass validation, and a typo fails Start
-// with an error naming the bad value instead of silently running
-// in-process.
+// TestMRRunnerConfig pins the knob's surface: the env hook feeds the
+// test helper and never Defaults, explicit spellings pass validation,
+// and a typo fails Start with an error naming the bad value instead of
+// silently running in-process.
 func TestMRRunnerConfig(t *testing.T) {
 	t.Setenv("MINOANER_MR_RUNNER", "proc")
-	if got := minoaner.Defaults().MRRunner; got != "proc" {
-		t.Errorf("Defaults().MRRunner=%q, want env's proc", got)
+	if got := minoaner.EnvDefaults().MRRunner; got != "proc" {
+		t.Errorf("EnvDefaults().MRRunner=%q, want env's proc", got)
+	}
+	if got := minoaner.Defaults().MRRunner; got != "" {
+		t.Errorf("Defaults().MRRunner=%q, want no env read", got)
 	}
 	t.Setenv("MINOANER_MR_RUNNER", "")
 
@@ -177,7 +180,7 @@ func TestMRRunnerConfig(t *testing.T) {
 
 	// The runner knob is MapReduce-scoped: on the shared engine it is
 	// validated but otherwise inert.
-	scfg := minoaner.Defaults()
+	scfg := minoaner.EnvDefaults()
 	scfg.Workers = 4
 	scfg.MRRunner = "proc"
 	sp := minoaner.New(scfg)
@@ -295,7 +298,7 @@ func TestMRGaugesAcrossRunners(t *testing.T) {
 			proc.MRShuffleBytes, local.MRShuffleBytes)
 	}
 
-	shared := minoaner.Defaults()
+	shared := minoaner.EnvDefaults()
 	shared.Workers = 4
 	if g := gauges(shared); g.MRWorkers != 0 || g.MRRetries != 0 || g.MRShuffleBytes != 0 {
 		t.Errorf("shared engine reports MR gauges: %+v", g)

@@ -15,7 +15,7 @@ import (
 // put through Resume; and a disk-store session never writes a graph key
 // ('g') into its store.
 func TestGraphReleasedAfterPass(t *testing.T) {
-	base := minoaner.Defaults()
+	base := minoaner.EnvDefaults()
 	ops := recoveryOps(t, 12)
 	if !ops[1].start {
 		t.Fatal("workload's second op is not Start")

@@ -78,7 +78,7 @@ func TestSessionLegsConcatenate(t *testing.T) {
 	w := hardSessionWorld(t, 65, 150)
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := minoaner.Defaults()
+			cfg := minoaner.EnvDefaults()
 			cfg.Workers = workers
 
 			legs := []int{120, 1, 7, 200}

@@ -72,7 +72,7 @@ func TestStoreAxisDifferential(t *testing.T) {
 	for _, eng := range engines {
 		for _, sc := range scenarios {
 			t.Run(eng.name+"/"+sc.name, func(t *testing.T) {
-				cfg := minoaner.Defaults()
+				cfg := minoaner.EnvDefaults()
 				cfg.Workers = eng.workers
 				cfg.MapReduce = eng.mr
 				cfg.TTL = sc.ttl
@@ -102,7 +102,7 @@ func TestStoreAxisDifferential(t *testing.T) {
 // resetting and rebuilding the store through replay — to the digest of
 // a storeless pipeline that never restarted.
 func TestStoreAxisWALRecovery(t *testing.T) {
-	cfg := minoaner.Defaults()
+	cfg := minoaner.EnvDefaults()
 	cfg.Workers = 1
 	cfg.TTL = 2
 	cfg.CompactionThreshold = 0.2 // recovery crosses a checkpointed epoch too
@@ -150,7 +150,7 @@ func TestStoreAxisWALRecovery(t *testing.T) {
 // derived state: recovery resets it, so no segment byte ever
 // influences the outcome.
 func TestWALRecoveryDiskStoreSweep(t *testing.T) {
-	cfg := minoaner.Defaults()
+	cfg := minoaner.EnvDefaults()
 	cfg.Workers = 1
 	cfg.CompactionThreshold = -1 // one frame per op: cuts map to op prefixes
 	ops := recoveryOps(t, 8)
@@ -188,7 +188,7 @@ func TestWALRecoveryDiskStoreSweep(t *testing.T) {
 // Bytes. Storeless sessions keep all five gauges at zero (and out of
 // the /status JSON).
 func TestStoreGauges(t *testing.T) {
-	base := minoaner.Defaults()
+	base := minoaner.EnvDefaults()
 	base.Workers = 1
 	base.Store = "" // pin storeless: CI's MINOANER_STORE leg must not leak in
 	ops := recoveryOps(t, 12)
@@ -233,7 +233,7 @@ func TestStoreConfigErrors(t *testing.T) {
 	d := []minoaner.Description{{KB: "a", URI: "http://x/1",
 		Attrs: []minoaner.Attribute{{Predicate: "name", Value: "one"}}}}
 
-	cfg := minoaner.Defaults()
+	cfg := minoaner.EnvDefaults()
 	cfg.Store = "disk"
 	if err := minoaner.New(cfg).Add(d); err == nil {
 		t.Fatal("disk store without StoreDir accepted")
@@ -242,7 +242,7 @@ func TestStoreConfigErrors(t *testing.T) {
 		t.Fatal("Open with disk store and no StoreDir accepted")
 	}
 
-	cfg = minoaner.Defaults()
+	cfg = minoaner.EnvDefaults()
 	cfg.Store = "bogus"
 	err := minoaner.New(cfg).Add(d)
 	if err == nil {

@@ -174,7 +174,7 @@ func expectedDigests(t *testing.T, cfg minoaner.Config, ops []walOp) func(k int)
 // frames survive in full. This is exactly the state a SIGKILL (or a
 // power cut under fsync=always) at that write offset leaves behind.
 func TestWALRecoveryTruncationSweep(t *testing.T) {
-	cfg := minoaner.Defaults()
+	cfg := minoaner.EnvDefaults()
 	cfg.Workers = 1
 	cfg.CompactionThreshold = -1 // keep one frame per op: no checkpoint rotation
 	ops := recoveryOps(t, 8)
@@ -216,7 +216,7 @@ func TestWALRecoveryTruncationSweep(t *testing.T) {
 // those mutations — a checksum failure is a clean cut, never an error
 // or a garbled state.
 func TestWALRecoveryCorruption(t *testing.T) {
-	cfg := minoaner.Defaults()
+	cfg := minoaner.EnvDefaults()
 	cfg.Workers = 1
 	cfg.CompactionThreshold = -1 // keep one frame per op: no checkpoint rotation
 	ops := recoveryOps(t, 8)
@@ -267,7 +267,7 @@ func TestWALRecoveryGrid(t *testing.T) {
 		for _, pol := range policies {
 			for _, ttl := range []int{0, 2} {
 				t.Run(fmt.Sprintf("%s/fsync=%s/ttl=%d", eng.name, pol.name, ttl), func(t *testing.T) {
-					cfg := minoaner.Defaults()
+					cfg := minoaner.EnvDefaults()
 					cfg.Workers = eng.workers
 					cfg.MapReduce = eng.mr
 					cfg.TTL = ttl
@@ -303,7 +303,7 @@ func TestWALRecoveryGrid(t *testing.T) {
 // new mutations after recovery append to the same log, and a second
 // recovery sees the concatenated history.
 func TestWALRecoveryContinues(t *testing.T) {
-	cfg := minoaner.Defaults()
+	cfg := minoaner.EnvDefaults()
 	cfg.Workers = 1
 	cfg.CompactionThreshold = -1
 	ops := recoveryOps(t, 8)
@@ -359,7 +359,7 @@ func TestWALRecoveryContinues(t *testing.T) {
 func TestWALCheckpointOnCompaction(t *testing.T) {
 	for _, ttl := range []int{0, 2} {
 		t.Run(fmt.Sprintf("ttl=%d", ttl), func(t *testing.T) {
-			cfg := minoaner.Defaults()
+			cfg := minoaner.EnvDefaults()
 			cfg.Workers = 1
 			cfg.TTL = ttl
 			cfg.CompactionThreshold = 0.2
@@ -448,7 +448,7 @@ func TestWALRecoveryCompactionRefired(t *testing.T) {
 	for _, store := range []string{"", "disk-temp"} {
 		for _, ttl := range []int{0, 2} {
 			t.Run(fmt.Sprintf("store=%q/ttl=%d", store, ttl), func(t *testing.T) {
-				cfg := minoaner.Defaults()
+				cfg := minoaner.EnvDefaults()
 				cfg.Workers = 1
 				cfg.Store = store
 				cfg.TTL = ttl
@@ -490,7 +490,7 @@ func TestWALRecoveryCompactionRefired(t *testing.T) {
 func TestWALRecoveryTwoStarts(t *testing.T) {
 	for _, ttl := range []int{0, 2} {
 		t.Run(fmt.Sprintf("ttl=%d", ttl), func(t *testing.T) {
-			cfg := minoaner.Defaults()
+			cfg := minoaner.EnvDefaults()
 			cfg.Workers = 1
 			cfg.TTL = ttl
 			cfg.CompactionThreshold = -1
@@ -512,7 +512,7 @@ func evictToEmptyOps(t *testing.T) []walOp {
 // TestWALRecoveryEvictToEmpty: a log whose live set ends empty recovers
 // to an empty session.
 func TestWALRecoveryEvictToEmpty(t *testing.T) {
-	cfg := minoaner.Defaults()
+	cfg := minoaner.EnvDefaults()
 	cfg.Workers = 1
 	cfg.CompactionThreshold = -1
 	recoverVariant(t, cfg, evictToEmptyOps(t))
@@ -522,7 +522,7 @@ func TestWALRecoveryEvictToEmpty(t *testing.T) {
 // with nothing live rotates the log to an empty checkpoint, and that
 // log recovers — to an empty session that keeps streaming.
 func TestWALRecoveryEmptyCheckpoint(t *testing.T) {
-	cfg := minoaner.Defaults()
+	cfg := minoaner.EnvDefaults()
 	cfg.Workers = 1
 	cfg.CompactionThreshold = 0.2
 	ops := evictToEmptyOps(t)
@@ -559,7 +559,7 @@ func TestWALRecoveryMerges(t *testing.T) {
 		walOp{ingest: append(append([]minoaner.Description(nil), betaTail...), betaHead[0], betaHead[0])},
 		walOp{ingest: alphaHead[:2]}, // expired long ago: fresh ids
 	)
-	cfg := minoaner.Defaults()
+	cfg := minoaner.EnvDefaults()
 	cfg.Workers = 1
 	cfg.TTL = 2
 	cfg.CompactionThreshold = -1
