@@ -12,8 +12,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/kb"
 	"repro/internal/match"
@@ -67,14 +68,14 @@ func Algorithms() []Algorithm {
 // degrades to one partner total per description.
 func Cluster(alg Algorithm, matches []Match, col *kb.Collection, n int) *match.Clusters {
 	ordered := append([]Match(nil), matches...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		if ordered[i].Score != ordered[j].Score {
-			return ordered[i].Score > ordered[j].Score
+	slices.SortStableFunc(ordered, func(a, b Match) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		if ordered[i].A != ordered[j].A {
-			return ordered[i].A < ordered[j].A
+		if c := cmp.Compare(a.A, b.A); c != 0 {
+			return c
 		}
-		return ordered[i].B < ordered[j].B
+		return cmp.Compare(a.B, b.B)
 	})
 	var cl *match.Clusters
 	if col != nil {

@@ -238,20 +238,6 @@ func TestHeapOrdering(t *testing.T) {
 	}
 }
 
-func TestHeapReset(t *testing.T) {
-	h := NewHeap(func(a, b int) bool { return a < b })
-	h.Push(3)
-	h.Push(1)
-	h.Reset()
-	if h.Len() != 0 {
-		t.Fatalf("Len=%d after Reset", h.Len())
-	}
-	h.Push(7)
-	if v, _ := h.Pop(); v != 7 {
-		t.Errorf("heap unusable after Reset: got %d", v)
-	}
-}
-
 // Property: heap drains any random input in sorted order.
 func TestHeapSortsProperty(t *testing.T) {
 	f := func(xs []int) bool {
@@ -325,69 +311,5 @@ func TestBoundedTopKProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestNewHeapFrom checks Floyd heapification against one-by-one
-// pushes: same multiset in, same sorted drain out.
-func TestNewHeapFrom(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(200)
-		items := make([]int, n)
-		for i := range items {
-			items[i] = rng.Intn(50) // duplicates likely
-		}
-		h := NewHeapFrom(func(a, b int) bool { return a < b }, append([]int(nil), items...))
-		if h.Len() != n {
-			t.Fatalf("Len=%d, want %d", h.Len(), n)
-		}
-		var drained []int
-		for {
-			v, ok := h.Pop()
-			if !ok {
-				break
-			}
-			drained = append(drained, v)
-		}
-		want := append([]int(nil), items...)
-		sort.Ints(want)
-		if len(drained) != len(want) {
-			t.Fatalf("drained %d items, want %d", len(drained), len(want))
-		}
-		for i := range want {
-			if drained[i] != want[i] {
-				t.Fatalf("trial %d: drain[%d]=%d, want %d", trial, i, drained[i], want[i])
-			}
-		}
-	}
-}
-
-// TestHeapItems checks the read-only view: heap order (every element
-// ≥ its children under the max ordering), all elements present, and a
-// descending input left untouched by heapify (the property the
-// matching engine's snapshot relies on).
-func TestHeapItems(t *testing.T) {
-	h := NewHeap(func(a, b int) bool { return a > b }) // max-heap
-	for _, v := range []int{5, 1, 9, 3, 9, 2} {
-		h.Push(v)
-	}
-	items := h.Items()
-	if len(items) != h.Len() {
-		t.Fatalf("Items len %d != Len %d", len(items), h.Len())
-	}
-	for i := range items {
-		for _, c := range []int{2*i + 1, 2*i + 2} {
-			if c < len(items) && items[i] < items[c] {
-				t.Fatalf("heap property violated at %d: %v", i, items)
-			}
-		}
-	}
-	desc := []int{9, 7, 5, 5, 3, 1, 0}
-	hd := NewHeapFrom(func(a, b int) bool { return a > b }, append([]int(nil), desc...))
-	for i, v := range hd.Items() {
-		if v != desc[i] {
-			t.Fatalf("descending input reordered by heapify: %v", hd.Items())
-		}
 	}
 }

@@ -1,8 +1,9 @@
 package container
 
 // Heap is a generic binary heap ordered by a user-supplied less
-// function. The progressive scheduler uses a max-heap of pending
-// comparisons keyed by estimated benefit.
+// function. BoundedTopK keeps its top-k set in one. (The progressive
+// scheduler has its own heap specialised to its slot type, in
+// internal/core.)
 type Heap[T any] struct {
 	items []T
 	less  func(a, b T) bool
@@ -12,18 +13,6 @@ type Heap[T any] struct {
 // "greater" function.
 func NewHeap[T any](less func(a, b T) bool) *Heap[T] {
 	return &Heap[T]{less: less}
-}
-
-// NewHeapFrom returns a heap over items, taking ownership of the
-// slice and heapifying it in place with Floyd's sift-down — O(n)
-// instead of the O(n log n) of pushing items one by one. Bulk builds
-// (the progressive scheduler seeding every pruned edge) use it.
-func NewHeapFrom[T any](less func(a, b T) bool, items []T) *Heap[T] {
-	h := &Heap[T]{items: items, less: less}
-	for i := len(items)/2 - 1; i >= 0; i-- {
-		h.down(i)
-	}
-	return h
 }
 
 // Len returns the number of items in the heap.
@@ -62,23 +51,6 @@ func (h *Heap[T]) Pop() (T, bool) {
 		h.down(0)
 	}
 	return top, true
-}
-
-// Items exposes the heap's backing slice in heap order (partially
-// sorted: every element is ≤ its parent under less-reversed order).
-// Callers must treat it as read-only and must not retain it across
-// mutations. The parallel matching engine scans a prefix of it to pick
-// speculation candidates — an approximation of the top of the heap
-// that never needs to be exact.
-func (h *Heap[T]) Items() []T { return h.items }
-
-// Reset empties the heap, retaining allocated capacity.
-func (h *Heap[T]) Reset() {
-	var zero T
-	for i := range h.items {
-		h.items[i] = zero
-	}
-	h.items = h.items[:0]
 }
 
 func (h *Heap[T]) up(i int) {

@@ -1,6 +1,6 @@
 // Package container provides the small data structures the resolution
 // pipeline is built on: a disjoint-set forest for match clustering and
-// a generic binary heap for comparison scheduling.
+// a generic binary heap for meta-blocking's top-k edge selection.
 package container
 
 import "sync/atomic"

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/datagen"
 )
@@ -54,8 +55,11 @@ func TestRunBudgetContextCancel(t *testing.T) {
 }
 
 // TestResolverTimings sanity-checks the per-stage counters: a drained
-// run spends time in schedule, match, and update, and the counters
-// accumulate monotonically across legs.
+// run spends time in schedule, match, and update, the counters
+// accumulate monotonically across legs, and the three stages partition
+// each call — their sum never exceeds the wall time around it and, on
+// either engine, covers most of it. Only the upper bound is exact; the
+// lower one leaves room for the call and return around the loop.
 func TestResolverTimings(t *testing.T) {
 	w, err := datagen.Generate(datagen.TwoKBs(73, 150, datagen.Center(), datagen.Center()))
 	if err != nil {
@@ -78,5 +82,20 @@ func TestResolverTimings(t *testing.T) {
 	}
 	if second.Update <= 0 {
 		t.Error("drained run never spent time in update")
+	}
+	for _, workers := range []int{0, 4} {
+		r := NewResolver(m, edges, Config{Workers: workers})
+		for _, budget := range []int{50, 0} {
+			before := r.Timings()
+			start := time.Now()
+			r.RunBudget(budget)
+			wall := time.Since(start)
+			after := r.Timings()
+			sum := after.Schedule - before.Schedule + after.Match - before.Match + after.Update - before.Update
+			if sum > wall || sum < wall/2 {
+				t.Errorf("workers=%d budget=%d: stages sum to %v of a %v call, want within [wall/2, wall]",
+					workers, budget, sum, wall)
+			}
+		}
 	}
 }

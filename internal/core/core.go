@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/blocking"
-	"repro/internal/container"
 	"repro/internal/match"
 	"repro/internal/metablocking"
 )
@@ -135,8 +134,13 @@ func (r *Result) MatchedPairs(m *match.Matcher) []blocking.Pair {
 // Timings reports the cumulative wall-clock time the resolver has
 // spent in each stage of the progressive loop, summed over every Run
 // since construction (Retract and Reseed do not reset it). The three
-// stages partition the commit path: Schedule is queue maintenance —
-// pops, lazy revalidation, reinsertion; Match is similarity evaluation
+// stages partition each RunBudgetContext call from entry to return:
+// the clock is read once per stage boundary and every interval is
+// charged to the stage it closes, so Schedule + Match + Update is the
+// loop's wall time. Schedule is everything between comparisons — pops,
+// lazy revalidation, reinsertion, the per-step result bookkeeping and,
+// on the parallel engine, the speculation bookkeeping (the queue
+// snapshot, wave launches and merges); Match is similarity evaluation
 // and the match decision (on the parallel engine this includes time the
 // committer waits for a speculative score); Update is benefit
 // accounting, cluster merging, and neighbor-evidence propagation.
@@ -153,11 +157,13 @@ type Resolver struct {
 	matcher *match.Matcher
 	cfg     Config
 
-	heap   *container.Heap[entry]
+	queue  queue
 	states map[uint64]*pairState
 	cl     *match.Clusters
 	maxW   float64
 	tim    Timings
+	// clk is the last stage boundary of the running loop (see lap).
+	clk time.Time
 	// spec is the speculative scoring engine, non-nil when
 	// cfg.Workers > 1 (see parallel.go). The commit path below is the
 	// same either way; spec only changes where ValueSim values come
@@ -165,7 +171,7 @@ type Resolver struct {
 	spec *speculator
 }
 
-// entry is one heap slot: the pair's state (popping dereferences it
+// entry is one queue slot: the pair's state (popping dereferences it
 // directly — no map lookup on the hot path) and its priority at push
 // time. The slot stays at 16 bytes, which matters — pops sift a slot
 // down the whole heap, and the heap holds every pruned edge plus
@@ -251,7 +257,7 @@ func NewResolver(m *match.Matcher, edges []metablocking.Edge, cfg Config) *Resol
 		r.states[k] = st
 		entries = append(entries, entry{st: st, prio: r.priority(p, st)})
 	}
-	r.heap = container.NewHeapFrom(func(a, b entry) bool { return a.prio > b.prio }, entries) // max-heap
+	r.queue = newQueue(entries)
 	return r
 }
 
@@ -265,7 +271,7 @@ func (r *Resolver) Clusters() *match.Clusters { return r.cl }
 
 // Pending returns the number of queued (not yet executed) comparisons.
 // Stale heap entries may inflate the count; it is an upper bound.
-func (r *Resolver) Pending() int { return r.heap.Len() }
+func (r *Resolver) Pending() int { return r.queue.Len() }
 
 // Run executes the progressive loop until the budget is exhausted or
 // the queue drains, returning the trace of this call. The resolver
@@ -290,6 +296,8 @@ func (r *Resolver) RunBudget(budget int) *Result {
 // uninterrupted run's. The caller learns about the interruption from
 // ctx.Err(); the partial Result itself carries no error.
 func (r *Resolver) RunBudgetContext(ctx context.Context, budget int) *Result {
+	r.clk = time.Now()
+	defer r.lap(&r.tim.Schedule)
 	if r.spec == nil && r.cfg.Workers > 1 {
 		r.spec = newSpeculator(r, r.cfg.Workers)
 	}
@@ -334,13 +342,19 @@ func (r *Resolver) RunBudgetContext(ctx context.Context, budget int) *Result {
 // it from the goroutine that runs the resolver, between Runs.
 func (r *Resolver) Timings() Timings { return r.tim }
 
+// lap is a stage boundary: one clock read charges the interval since
+// the previous boundary to the stage that just ended.
+func (r *Resolver) lap(stage *time.Duration) {
+	now := time.Now()
+	*stage += now.Sub(r.clk)
+	r.clk = now
+}
+
 // next pops, validates, executes, and propagates one comparison.
 func (r *Resolver) next() (Step, bool) {
-	start := time.Now()
 	for {
-		e, ok := r.heap.Pop()
+		e, ok := r.queue.Pop()
 		if !ok {
-			r.tim.Schedule += time.Since(start)
 			return Step{}, false
 		}
 		st := e.st
@@ -352,7 +366,7 @@ func (r *Resolver) next() (Step, bool) {
 		// this entry is stale-high, reinsert at its current priority.
 		cur := r.priority(p, st)
 		if cur < e.prio-1e-9 {
-			r.heap.Push(entry{st: st, prio: cur})
+			r.queue.Push(entry{st: st, prio: cur})
 			continue
 		}
 		// Skip pairs already resolved transitively — their comparison
@@ -363,14 +377,13 @@ func (r *Resolver) next() (Step, bool) {
 			st.done = true
 			continue
 		}
-		r.tim.Schedule += time.Since(start)
+		r.lap(&r.tim.Schedule)
 		return r.execute(p, st), true
 	}
 }
 
 func (r *Resolver) execute(p blocking.Pair, st *pairState) Step {
 	st.done = true
-	t0 := time.Now()
 	// valueSim may block on an in-flight wave, which also fills the
 	// pair's speculative neighbor score — check its stamp only after.
 	v := r.valueSim(p, st)
@@ -383,19 +396,18 @@ func (r *Resolver) execute(p blocking.Pair, st *pairState) Step {
 	} else {
 		score, matched = r.matcher.DecideValue(p.A, p.B, v, r.cl)
 	}
-	r.tim.Match += time.Since(t0)
+	r.lap(&r.tim.Match)
 	step := Step{A: p.A, B: p.B, Score: score, Matched: matched,
 		Discovered: st.discovered, Recheck: st.recheck}
 	if !matched {
 		return step
 	}
-	t1 := time.Now()
 	step.Gain = r.cfg.Benefit.Gain(p.A, p.B, r.cl, r.matcher)
 	step.Merged = r.cl.Merge(p.A, p.B)
 	if step.Merged {
 		r.propagate(p.A, p.B)
 	}
-	r.tim.Update += time.Since(t1)
+	r.lap(&r.tim.Update)
 	return step
 }
 
@@ -461,7 +473,7 @@ func (r *Resolver) boost(p blocking.Pair) {
 		st.recheck = true
 	}
 	st.boost += r.cfg.NeighborBoost
-	r.heap.Push(entry{st: st, prio: r.priority(p, st)})
+	r.queue.Push(entry{st: st, prio: r.priority(p, st)})
 	if r.spec != nil && !st.hasVsim {
 		r.spec.noteFresh(st)
 	}

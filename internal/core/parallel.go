@@ -10,10 +10,13 @@
 //   - Scoring phase (parallel): workers precompute ValueSim in
 //     pipelined waves, streamed from a priority-sorted snapshot of
 //     the queued pairs plus the pairs the update phase boosts or
-//     discovers as the run evolves. Value similarity is independent
-//     of the cluster state, so a speculative score is never wrong —
-//     at worst it is wasted, when a merge resolves the pair
-//     transitively before it is popped.
+//     discovers as the run evolves. The snapshot is taken whenever the
+//     engine (re)starts — on the first Run and on the first Run after
+//     every Reseed or Retract — and a restart's queue is in no
+//     particular order, so the snapshot pays one pdqsort by priority.
+//     Value similarity is independent of the cluster state, so a
+//     speculative score is never wrong — at worst it is wasted, when a
+//     merge resolves the pair transitively before it is popped.
 //   - Commit phase (serial): the resolver's unmodified pop →
 //     revalidate → decide → merge → propagate loop runs on one
 //     goroutine, reading speculative scores instead of recomputing
@@ -30,7 +33,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 )
 
@@ -74,8 +78,8 @@ type wave struct {
 // channel, and all bookkeeping lives in the pair states the committer
 // already owns.
 //
-// Speculation draws from two sources. The queue is a one-time
-// snapshot of every pair waiting in the heap when the engine starts,
+// Speculation draws from two sources. The queue is a snapshot of
+// every pair waiting in the resolver's queue when the engine starts,
 // in scheduling-priority order: the resolver will execute almost all
 // of them, in roughly this order, so a cursor streaming the queue
 // through pipelined waves keeps the workers exactly where the
@@ -95,18 +99,17 @@ type speculator struct {
 }
 
 func newSpeculator(r *Resolver, workers int) *speculator {
-	// Snapshot the heap. Pruned edges arrive sorted by weight, and for
-	// the common benefit models the initial bias is uniform, so the
-	// heapified array is usually already in priority order and the
-	// sort below is a verification pass; when a model's initial bias
-	// reorders pairs, it pays one O(n log n) sort. Order only steers
-	// speculation accuracy, never the trace.
-	items := r.heap.Items()
-	snap := make([]entry, len(items))
-	copy(snap, items)
-	if !sort.SliceIsSorted(snap, func(i, j int) bool { return snap[i].prio > snap[j].prio }) {
-		sort.SliceStable(snap, func(i, j int) bool { return snap[i].prio > snap[j].prio })
-	}
+	// Snapshot the queue in descending priority. A fresh resolver's
+	// Floyd heap over weight-sorted edges is often already in that
+	// order, where pdqsort runs in linear time; after a Reseed or
+	// Retract it never is (the bias differs between pairs), and the
+	// sort is a full O(n log n) pass on the 16-byte entries. The
+	// comparator reads prio only — touching the states would chase a
+	// pointer per comparison — so ties land in pdqsort's deterministic
+	// but unstable order: the order only steers speculation, never the
+	// trace.
+	snap := slices.Clone(r.queue.items)
+	slices.SortFunc(snap, func(a, b entry) int { return cmp.Compare(b.prio, a.prio) })
 	queue := make([]*pairState, len(snap))
 	for i, e := range snap {
 		queue[i] = e.st

@@ -4,9 +4,12 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/blocking"
 	"repro/internal/datagen"
+	"repro/internal/kb"
 	"repro/internal/match"
 	"repro/internal/metablocking"
+	"repro/internal/tokenize"
 )
 
 // hardWorld builds the center+periphery workload with links: the one
@@ -197,5 +200,93 @@ func TestConfigExplicitZero(t *testing.T) {
 	}
 	if !differs {
 		t.Error("BiasWeight=0 produced the default-bias trace; explicit zero had no effect")
+	}
+}
+
+// waveLegs drives one resolver through the streaming life cycle a
+// session puts it through: a budgeted leg over two thirds of a linked
+// world, a Reseed onto the grown matcher and edges and a budgeted leg,
+// then a Retract after evicting every fifth description, with the
+// surviving history, and a draining leg. It returns each leg's result.
+// The world is rebuilt per call, so every worker count sees the same
+// inputs.
+func waveLegs(t *testing.T, workers int) []*Result {
+	t.Helper()
+	w, err := datagen.Generate(datagen.Config{
+		Seed:        301,
+		NumEntities: 140,
+		KBs: []datagen.KBConfig{
+			{Name: "centerA", Coverage: 1, Profile: datagen.Center()},
+			{Name: "periphX", Coverage: 1, Profile: datagen.Periphery()},
+		},
+		LinksPerEntity: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := w.Collection
+	col := kb.NewCollection()
+	add := func(from, to int) {
+		for id := from; id < to; id++ {
+			d := full.Desc(id)
+			col.Add(&kb.Description{URI: d.URI, KB: d.KB, Types: d.Types, Attrs: d.Attrs, Links: d.Links})
+		}
+	}
+	frontEnd := func() (*match.Matcher, []metablocking.Edge) {
+		bl := blocking.TokenBlocking(col, tokenize.Default()).Purge(0).Filter(0.8)
+		g := metablocking.Build(bl, metablocking.ECBS)
+		edges := g.Prune(metablocking.WNP, metablocking.PruneOptions{Assignments: bl.Assignments()})
+		return match.NewMatcher(col, match.DefaultOptions()), edges
+	}
+
+	add(0, full.Len()*2/3)
+	m, edges := frontEnd()
+	r := NewResolver(m, edges, Config{Workers: workers})
+	legs := []*Result{r.RunBudget(40)}
+
+	add(full.Len()*2/3, full.Len())
+	m, edges = frontEnd()
+	r.Reseed(m, edges)
+	legs = append(legs, r.RunBudget(60))
+
+	for id := 0; id < col.Len(); id += 5 {
+		col.Evict(id)
+	}
+	var history []Step
+	for _, leg := range legs {
+		for _, s := range leg.Trace {
+			if col.Alive(s.A) && col.Alive(s.B) {
+				history = append(history, s)
+			}
+		}
+	}
+	m, edges = frontEnd()
+	r.Retract(m, edges, history)
+	return append(legs, r.RunBudget(0))
+}
+
+// TestParallelTraceAcrossWaves extends the differential suite past a
+// fresh resolver: after a Reseed or a Retract the speculation snapshot
+// is rebuilt from a queue in no particular order, and speculative waves
+// from the previous leg are still in flight when the wave arrives. Every
+// leg of every worker count must equal the sequential trace in every
+// Step field.
+func TestParallelTraceAcrossWaves(t *testing.T) {
+	seq := waveLegs(t, 0)
+	recheck := false
+	for _, s := range seq[1].Trace {
+		recheck = recheck || s.Recheck
+	}
+	if !recheck {
+		t.Error("the post-Reseed leg re-examined no failed pair; the world is too easy")
+	}
+	if len(seq[2].Trace) == 0 {
+		t.Fatal("the post-Retract leg executed nothing")
+	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		par := waveLegs(t, workers)
+		for i, name := range []string{"first", "reseed", "retract"} {
+			sameTrace(t, "workers="+strconv.Itoa(workers)+"/"+name, seq[i], par[i])
+		}
 	}
 }

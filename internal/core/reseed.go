@@ -1,10 +1,10 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/blocking"
-	"repro/internal/container"
 	"repro/internal/match"
 	"repro/internal/metablocking"
 )
@@ -106,11 +106,11 @@ func (r *Resolver) Reseed(m *match.Matcher, edges []metablocking.Edge) {
 			leftovers = append(leftovers, st)
 		}
 	}
-	sort.Slice(leftovers, func(i, j int) bool {
-		return pairKey(leftovers[i].pair) < pairKey(leftovers[j].pair)
+	slices.SortFunc(leftovers, func(a, b *pairState) int {
+		return cmp.Compare(pairKey(a.pair), pairKey(b.pair))
 	})
 	for _, st := range leftovers {
 		entries = append(entries, entry{st: st, prio: r.priority(st.pair, st)})
 	}
-	r.heap = container.NewHeapFrom(func(a, b entry) bool { return a.prio > b.prio }, entries)
+	r.queue = newQueue(entries)
 }

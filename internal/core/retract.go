@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/blocking"
-	"repro/internal/container"
 	"repro/internal/match"
 	"repro/internal/metablocking"
 )
@@ -83,7 +82,7 @@ func (r *Resolver) Retract(m *match.Matcher, edges []metablocking.Edge, steps []
 		edgeStates = append(edgeStates, st)
 		entries = append(entries, entry{st: st, prio: r.priority(p, st)})
 	}
-	r.heap = container.NewHeapFrom(func(a, b entry) bool { return a.prio > b.prio }, entries)
+	r.queue = newQueue(entries)
 
 	// Replay the surviving history through the live machinery: done
 	// flags mark budget already spent, merges rebuild the clusters, and
@@ -118,7 +117,7 @@ func (r *Resolver) Retract(m *match.Matcher, edges []metablocking.Edge, steps []
 		if st.done && !r.cl.Same(st.pair.A, st.pair.B) {
 			st.done = false
 			st.recheck = true
-			r.heap.Push(entry{st: st, prio: r.priority(st.pair, st)})
+			r.queue.Push(entry{st: st, prio: r.priority(st.pair, st)})
 		}
 	}
 }

@@ -6,7 +6,8 @@ package similarity
 
 import (
 	"math"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Jaccard returns |a∩b| / |a∪b| over two token sets.
@@ -192,6 +193,6 @@ func (m *TFIDF) weights(tokens []string) []tokenWeight {
 	for t, f := range tf {
 		out = append(out, tokenWeight{token: t, weight: (1 + math.Log(f)) * m.IDF(t)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].token < out[j].token })
+	slices.SortFunc(out, func(a, b tokenWeight) int { return strings.Compare(a.token, b.token) })
 	return out
 }

@@ -1042,9 +1042,9 @@ func (s *Session) IngestKBContext(ctx context.Context, name string, r io.Reader)
 // the changed corpus, matcher rebuild, reseed/retract — a wave that
 // carried any departure counts as Evict);
 // Resolve is the matching loop end to end, and
-// Schedule/Match/Update split its commit path (see
-// internal/core.Timings — on the parallel engine, Match includes time
-// the committer waits for speculative scores).
+// Schedule/Match/Update partition it (see internal/core.Timings — the
+// parallel engine's speculation bookkeeping counts as Schedule, and
+// Match includes time the committer waits for speculative scores).
 type Timings struct {
 	FrontEnd time.Duration `json:"frontendNs"`
 	Ingest   time.Duration `json:"ingestNs"`
