@@ -17,10 +17,6 @@
 // /evict, and /resume. SIGINT/SIGTERM shut it down cleanly. With -wal
 // every mutation is write-ahead logged and a restart (even after a
 // crash) recovers the session from the log instead of -kb files.
-//
-// The worker subcommand is internal: with -mapreduce -mr-runner proc
-// the engine spawns `minoaner worker` subprocesses and ships dataflow
-// tasks to them over a framed stdin/stdout protocol.
 package main
 
 import (
@@ -40,7 +36,6 @@ import (
 	"repro/internal/blocking"
 	"repro/internal/eval"
 	"repro/internal/kb"
-	"repro/internal/mapreduce"
 	"repro/internal/server"
 )
 
@@ -67,20 +62,12 @@ func run(args []string) error {
 	if len(args) > 0 && args[0] == "serve" {
 		return runServe(args[1:], nil, nil)
 	}
-	if len(args) > 0 && args[0] == "worker" {
-		// MapReduce task executor: a ProcRunner parent speaks the framed
-		// task protocol over our stdin/stdout and reaps us on idle. Not
-		// meant for interactive use — there are no flags to parse.
-		return mapreduce.WorkerMain(os.Stdin, os.Stdout)
-	}
 	fs := flag.NewFlagSet("minoaner", flag.ContinueOnError)
 	var kbs kbFlags
 	fs.Var(&kbs, "kb", "knowledge base as name=path.nt (repeatable)")
 	budget := fs.Int("budget", 0, "comparison budget (0 = unlimited)")
 	out := fs.String("out", "", "write owl:sameAs links to this file (default stdout)")
 	workers := fs.Int("workers", 0, "meta-blocking workers (0 = one per CPU, 1 = sequential)")
-	mr := fs.Bool("mapreduce", false, "use the in-process MapReduce engine instead of the shared-memory engine")
-	mrRunner := fs.String("mr-runner", "", "MapReduce task runner with -mapreduce: local | proc (worker subprocesses)")
 	verbose := fs.Bool("v", false, "print per-match lines to stderr")
 	truth := fs.String("truth", "", "owl:sameAs ground-truth file: report precision/recall instead of links")
 	clustering := fs.String("clustering", "closure", "final clustering: closure | center | unique")
@@ -94,8 +81,6 @@ func run(args []string) error {
 
 	cfg := minoaner.Defaults()
 	cfg.Workers = *workers
-	cfg.MapReduce = *mr
-	cfg.MRRunner = *mrRunner
 	alg, err := clusteringAlg(*clustering)
 	if err != nil {
 		return err
@@ -173,8 +158,6 @@ func runServe(args []string, ready chan<- net.Addr, quit <-chan struct{}) error 
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (port 0 = ephemeral)")
 	budget := fs.Int("budget", 0, "initial comparison budget before serving (0 = resolve fully)")
 	workers := fs.Int("workers", 0, "pipeline workers (0 = one per CPU, 1 = sequential)")
-	mr := fs.Bool("mapreduce", false, "use the in-process MapReduce engine instead of the shared-memory engine")
-	mrRunner := fs.String("mr-runner", "", "MapReduce task runner with -mapreduce: local | proc (worker subprocesses)")
 	ttl := fs.Int("ttl", 0, "sliding-window TTL in ingest batches (0 = keep everything)")
 	clustering := fs.String("clustering", "closure", "final clustering: closure | center | unique")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
@@ -189,8 +172,6 @@ func runServe(args []string, ready chan<- net.Addr, quit <-chan struct{}) error 
 
 	cfg := minoaner.Defaults()
 	cfg.Workers = *workers
-	cfg.MapReduce = *mr
-	cfg.MRRunner = *mrRunner
 	cfg.TTL = *ttl
 	cfg.Store = *storeMode
 	cfg.StoreDir = *storeDir

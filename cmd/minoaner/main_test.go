@@ -114,8 +114,8 @@ func TestRunWorkers(t *testing.T) {
 	if err := run([]string{"-kb", "a=" + a, "-kb", "b=" + b, "-workers", "4", "-out", out}); err != nil {
 		t.Fatalf("parallel run: %v", err)
 	}
-	if err := run([]string{"-kb", "a=" + a, "-kb", "b=" + b, "-workers", "4", "-mapreduce", "-out", out}); err != nil {
-		t.Fatalf("mapreduce run: %v", err)
+	if err := run([]string{"-kb", "a=" + a, "-kb", "b=" + b, "-workers", "1", "-out", out}); err != nil {
+		t.Fatalf("sequential run: %v", err)
 	}
 }
 

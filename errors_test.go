@@ -119,6 +119,69 @@ func TestFilterRatioAboveOne(t *testing.T) {
 	}
 }
 
+// TestMRRunnerRejected: Config.MRRunner named a task runner of an
+// engine that no longer exists. Any value but "" fails Start with an
+// error naming the field, and no session is created.
+func TestMRRunnerRejected(t *testing.T) {
+	doc := mustDoc(t, hardSessionWorld(t, 53, 30), "alpha")
+	for _, runner := range []string{"local", "proc"} {
+		t.Run(runner, func(t *testing.T) {
+			cfg := minoaner.EnvDefaults()
+			cfg.MRRunner = runner
+			p := minoaner.New(cfg)
+			defer p.Close()
+			if err := p.LoadKB("alpha", strings.NewReader(doc)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Start(); err == nil || !strings.Contains(err.Error(), "MRRunner") {
+				t.Fatalf("MRRunner %q: err=%v, want an error naming the field", runner, err)
+			}
+			if p.Current() != nil {
+				t.Fatal("rejected Start left a session behind")
+			}
+		})
+	}
+}
+
+// TestMRRunnerConfig pins the knob's surface now that it has no engine
+// to select: neither Defaults nor EnvDefaults sets it, the empty value
+// starts on the sequential and the shared engine alike, and any other
+// spelling — a typo included — fails Start with an error naming the
+// field and the value, leaving no session behind.
+func TestMRRunnerConfig(t *testing.T) {
+	if got := minoaner.Defaults().MRRunner; got != "" {
+		t.Errorf("Defaults().MRRunner=%q, want empty", got)
+	}
+	if got := minoaner.EnvDefaults().MRRunner; got != "" {
+		t.Errorf("EnvDefaults().MRRunner=%q, want empty", got)
+	}
+	doc := mustDoc(t, hardSessionWorld(t, 59, 30), "alpha")
+	start := func(workers int, runner string) (*minoaner.Pipeline, error) {
+		cfg := minoaner.EnvDefaults()
+		cfg.Workers = workers
+		cfg.MRRunner = runner
+		p := minoaner.New(cfg)
+		t.Cleanup(func() { p.Close() })
+		if err := p.LoadKB("alpha", strings.NewReader(doc)); err != nil {
+			t.Fatal(err)
+		}
+		_, err := p.Start()
+		return p, err
+	}
+	for _, workers := range []int{1, 4} {
+		if _, err := start(workers, ""); err != nil {
+			t.Fatalf("workers=%d, empty runner: %v", workers, err)
+		}
+	}
+	p, err := start(4, "bogus")
+	if err == nil || !strings.Contains(err.Error(), "MRRunner") || !strings.Contains(err.Error(), "bogus") {
+		t.Fatalf("unknown runner: err=%v, want the field and the value named", err)
+	}
+	if p.Current() != nil {
+		t.Fatal("rejected Start left a session behind")
+	}
+}
+
 // TestErrSessionClosed pins the supersession contract: once a newer
 // Start replaces a session, every streaming call on the old one wraps
 // ErrSessionClosed — the condition internal/server maps to 409.

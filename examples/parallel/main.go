@@ -1,16 +1,14 @@
 // parallel drives the full pipeline — token blocking, block cleaning,
 // graph construction, pruning, and progressive matching — through
-// every parallel engine over an increasing worker count. The
-// front-end sweeps the engine layer (internal/pipeline): the
-// sequential reference, the shared-memory parallel engine, and the
-// in-process MapReduce simulation. The matching sweep then drives the
-// speculative-score/serial-commit engine (internal/core) over the
-// pruned comparisons. Both sweeps print wall clocks and verify the
-// parallel property end to end: every engine and every worker count
-// produces the identical pruned blocking graph and a bit-identical
-// progressive trace — what makes both the Hadoop realization of [4]
-// and the multicore realization safe substitutes for the sequential
-// reference.
+// the parallel engines over an increasing worker count. The front-end
+// sweeps the engine layer (internal/pipeline): the sequential
+// reference and the shared-memory parallel engine. The matching sweep
+// then drives the speculative-score/serial-commit engine
+// (internal/core) over the pruned comparisons. Both sweeps print wall
+// clocks and verify the parallel property end to end: every engine and
+// every worker count produces the identical pruned blocking graph and
+// a bit-identical progressive trace — what makes the multicore
+// realization a safe substitute for the sequential reference.
 //
 //	go run ./examples/parallel
 package main
@@ -64,7 +62,7 @@ func main() {
 			refBlocks, refEdges, refWeight = fe.Blocks.NumBlocks(), len(fe.Edges), sum
 			return
 		}
-		if fe.Blocks.NumBlocks() != refBlocks || len(fe.Edges) != refEdges || abs(sum-refWeight) > 1e-6 {
+		if fe.Blocks.NumBlocks() != refBlocks || len(fe.Edges) != refEdges || sum != refWeight {
 			log.Fatalf("%s with %d workers changed the result: %d blocks, %d edges (Σ %.3f) vs %d, %d (Σ %.3f)",
 				engine, workers, fe.Blocks.NumBlocks(), len(fe.Edges), sum,
 				refBlocks, refEdges, refWeight)
@@ -90,16 +88,9 @@ func main() {
 	fe := run(pipeline.Sequential{}, 1)
 
 	// Shared-memory engine: parallel tokenization and the chunked
-	// graph kernel around the reference stages — no serialization, no
-	// shuffle.
+	// graph kernel around the reference stages.
 	for _, workers := range []int{2, 4, 8} {
 		run(pipeline.Shared{Workers: workers}, workers)
-	}
-
-	// MapReduce simulation: the same dataflow a Hadoop cluster would
-	// run, including blocking as a map/reduce pass.
-	for _, workers := range []int{2, 4, 8} {
-		run(pipeline.MapReduce{Workers: workers}, workers)
 	}
 
 	fmt.Println("\nevery engine, every worker count: identical pruned graph")
@@ -136,11 +127,4 @@ func main() {
 	}
 
 	fmt.Println("\nevery worker count: bit-identical progressive trace")
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

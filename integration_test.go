@@ -190,22 +190,15 @@ func TestPipelineParallelMatchesSequential(t *testing.T) {
 	parCfg.Workers = 4
 	par := load(parCfg)
 
-	mrCfg := minoaner.EnvDefaults()
-	mrCfg.Workers = 4
-	mrCfg.MapReduce = true
-	mr := load(mrCfg)
-
-	for name, got := range map[string]*minoaner.Result{"shared-memory": par, "mapreduce": mr} {
-		if seq.Stats != got.Stats {
-			t.Errorf("%s stats differ: seq=%+v got=%+v", name, seq.Stats, got.Stats)
-		}
-		if len(seq.Matches) != len(got.Matches) {
-			t.Fatalf("%s: %d matches, want %d", name, len(got.Matches), len(seq.Matches))
-		}
-		for i := range seq.Matches {
-			if seq.Matches[i] != got.Matches[i] {
-				t.Errorf("%s: match %d = %+v, want %+v", name, i, got.Matches[i], seq.Matches[i])
-			}
+	if seq.Stats != par.Stats {
+		t.Errorf("stats differ: seq=%+v par=%+v", seq.Stats, par.Stats)
+	}
+	if len(seq.Matches) != len(par.Matches) {
+		t.Fatalf("%d matches, want %d", len(par.Matches), len(seq.Matches))
+	}
+	for i := range seq.Matches {
+		if seq.Matches[i] != par.Matches[i] {
+			t.Errorf("match %d = %+v, want %+v", i, par.Matches[i], seq.Matches[i])
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 	"sync"
 
 	"repro/internal/kb"
-	"repro/internal/mapreduce"
+	"repro/internal/parmeta"
 	"repro/internal/tokenize"
 )
 
@@ -206,12 +206,12 @@ func (col *Collection) EntityIndex() [][]int32 {
 // blocking-graph kernel reads it.
 func (col *Collection) EntityCSR(workers int) (start, csr []int32) {
 	numEnts := col.Source.Len()
-	shards := mapreduce.Ranges(len(col.Blocks), workers)
+	shards := parmeta.Ranges(len(col.Blocks), workers)
 	counts := make([][]int32, len(shards))
 	var wg sync.WaitGroup
 	for s, r := range shards {
 		wg.Add(1)
-		go func(s int, r mapreduce.Range) {
+		go func(s int, r parmeta.Range) {
 			defer wg.Done()
 			c := make([]int32, numEnts)
 			for bi := r.Lo; bi < r.Hi; bi++ {
@@ -240,7 +240,7 @@ func (col *Collection) EntityCSR(workers int) (start, csr []int32) {
 	var fwg sync.WaitGroup
 	for s, r := range shards {
 		fwg.Add(1)
-		go func(s int, r mapreduce.Range) {
+		go func(s int, r parmeta.Range) {
 			defer fwg.Done()
 			cur := counts[s]
 			for bi := r.Lo; bi < r.Hi; bi++ {

@@ -34,20 +34,10 @@ func (col *Collection) Purge(maxSize int) *Collection {
 // co-occurs with its duplicates in smaller, rarer-key blocks too, the
 // rationale of block purging in Papadakis et al.).
 func (col *Collection) AutoPurgeSize() int {
-	hist := make(map[int]int)
+	hist := make(map[int]int) // block size → number of blocks of that size
 	for i := range col.Blocks {
 		hist[col.Blocks[i].Size()]++
 	}
-	return AutoPurgeSizeFromHistogram(hist)
-}
-
-// AutoPurgeSizeFromHistogram computes AutoPurgeSize from a block-size
-// histogram (size → number of blocks of that size). Split out so
-// parallel engines can merge per-shard histograms and still pick
-// exactly the sequential cap: every quantity involved is an integer
-// far below 2⁵³, so the float arithmetic is exact in any summation
-// order.
-func AutoPurgeSizeFromHistogram(hist map[int]int) int {
 	if len(hist) == 0 {
 		return 0
 	}
@@ -69,11 +59,11 @@ func AutoPurgeSizeFromHistogram(hist map[int]int) int {
 	return sizes[len(sizes)-1]
 }
 
-// SizeRanks ranks the blocks by size, ties broken by block index: the
+// sizeRanks ranks the blocks by size, ties broken by block index: the
 // returned slice maps each block index to its rank, a permutation of
 // [0, len(Blocks)). Block filtering keeps each entity's smallest-rank
 // blocks; the rank order is total, so the selection is unique.
-func (col *Collection) SizeRanks() []int {
+func (col *Collection) sizeRanks() []int {
 	order := make([]int, len(col.Blocks))
 	for i := range order {
 		order[i] = i
@@ -92,12 +82,6 @@ func (col *Collection) SizeRanks() []int {
 	return rank
 }
 
-// FilterLimit returns how many of an entity's n blocks block filtering
-// retains: ⌈ratio·n⌉.
-func FilterLimit(ratio float64, n int) int {
-	return int(math.Ceil(ratio * float64(n)))
-}
-
 // Filter applies block filtering: each description is retained only in
 // the ⌈ratio·|blocks(e)|⌉ smallest of its blocks. Smaller blocks carry
 // stronger evidence (rarer keys), so trimming each entity's largest
@@ -110,7 +94,7 @@ func (col *Collection) Filter(ratio float64) *Collection {
 	if ratio <= 0 || ratio > 1 {
 		ratio = 0.8
 	}
-	rank := col.SizeRanks()
+	rank := col.sizeRanks()
 
 	// For each entity, keep the blocks with the smallest ranks.
 	idx := col.EntityIndex()
@@ -119,7 +103,7 @@ func (col *Collection) Filter(ratio float64) *Collection {
 		if len(blocks) == 0 {
 			continue
 		}
-		limit := FilterLimit(ratio, len(blocks))
+		limit := int(math.Ceil(ratio * float64(len(blocks))))
 		bs := append([]int32(nil), blocks...)
 		sort.Slice(bs, func(a, b int) bool { return rank[bs[a]] < rank[bs[b]] })
 		keep[e] = make(map[int]struct{}, limit)

@@ -1,7 +1,7 @@
 // Package frame is the repo's one record format: the checksummed,
-// length-prefixed frame that the write-ahead log, the disk store's
-// segments and the MapReduce worker protocol all put on their byte
-// streams.
+// length-prefixed frame that the write-ahead log (read as a stream,
+// Read) and the disk store's segments (read from a buffer, Decode) put
+// on their bytes.
 //
 //	[u32 payload length, little endian]
 //	[u32 CRC-32C over type byte + payload, little endian]

@@ -7,7 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/blocking"
-	"repro/internal/mapreduce"
+	"repro/internal/parmeta"
 )
 
 // chunksPerWorker oversubscribes id chunks relative to workers so the
@@ -75,19 +75,19 @@ func buildUnweighted(col *blocking.Collection, workers, budget int) *Graph {
 // chunkIDs cuts [0, len(work)) into contiguous id ranges each carrying
 // at most budget work (a single id above the budget gets a range of its
 // own).
-func chunkIDs(work []int, budget int) []mapreduce.Range {
-	var out []mapreduce.Range
+func chunkIDs(work []int, budget int) []parmeta.Range {
+	var out []parmeta.Range
 	n := len(work)
 	lo, load := 0, 0
 	for id, w := range work {
 		if id > lo && load+w > budget {
-			out = append(out, mapreduce.Range{Lo: lo, Hi: id})
+			out = append(out, parmeta.Range{Lo: lo, Hi: id})
 			lo, load = id, 0
 		}
 		load += w
 	}
 	if lo < n {
-		out = append(out, mapreduce.Range{Lo: lo, Hi: n})
+		out = append(out, parmeta.Range{Lo: lo, Hi: n})
 	}
 	return out
 }
@@ -118,8 +118,8 @@ type kernel struct {
 func newKernel(col *blocking.Collection, workers int) *kernel {
 	k := &kernel{col: col, inv: make([]float64, len(col.Blocks))}
 	k.start, k.csr = col.EntityCSR(workers)
-	shards := mapreduce.Ranges(len(col.Blocks), workers)
-	mapreduce.ForEach(len(shards), workers, func(s int) {
+	shards := parmeta.Ranges(len(col.Blocks), workers)
+	parmeta.ForEach(len(shards), workers, func(s int) {
 		for bi := shards[s].Lo; bi < shards[s].Hi; bi++ {
 			if c := col.Blocks[bi].Comparisons(col.Source, col.CleanClean); c > 0 {
 				k.inv[bi] = 1 / float64(c)
@@ -222,7 +222,7 @@ func (k *kernel) graph(chunks []chunk, workers int) *Graph {
 	g.Edges = make([]Edge, total)
 	g.common = make([]int, total)
 	g.arcs = make([]float64, total)
-	mapreduce.ForEach(len(chunks), workers, func(c int) {
+	parmeta.ForEach(len(chunks), workers, func(c int) {
 		ch := &chunks[c]
 		i, o := 0, offsets[c]
 		for off, cnt := range ch.counts {

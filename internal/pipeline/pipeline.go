@@ -1,30 +1,22 @@
 // Package pipeline is the engine layer of the resolution front-end: it
 // dispatches every stage before matching — token blocking, block
 // purging, block filtering, blocking-graph construction, and pruning —
-// through one Engine interface with three interchangeable
-// realizations:
+// through one Engine interface with two realizations:
 //
 //   - Sequential: the single-threaded reference implementations in
-//     internal/blocking and internal/metablocking — the oracle every
-//     other engine is differentially tested against.
+//     internal/blocking and internal/metablocking — the oracle the
+//     parallel engine is differentially tested against.
 //   - Shared: the reference plus the two parallel kernels that pay —
 //     tokenization on every worker before token blocking, and the
 //     graph kernel over worker id chunks before weighting; purging,
 //     filtering and pruning are the reference's own.
-//   - MapReduce: the paper's cluster dataflow simulated on the
-//     in-process MapReduce engine (internal/parblock), kept for
-//     didactic runs and cross-engine differential tests.
 //
-// Sequential and Shared are bit-identical on every stage — the same
-// blocks in the same order, the same edges with the same float
-// weights — for any worker count; the differential tests in this
-// package and in internal/parmeta assert it. MapReduce produces the
-// same blocks and the same retained comparisons, with edge weights
-// equal up to round-off (its reducers re-serialize and re-sum float
-// evidence in shuffle order — a property it has had since it was the
-// paper's didactic dataflow, bounded at 1e-9 by its tests). Select
-// picks the engine a Config implies, and Run drives a full front-end
-// pass through any engine uniformly.
+// The two are bit-identical on every stage — the same blocks in the
+// same order, the same edges with the same float weights — for any
+// worker count; the differential tests in this package and in
+// internal/parmeta assert it. Select picks the engine a worker count
+// implies, and Run drives a full front-end pass through either engine
+// uniformly.
 //
 // There is one front-end plan: Run calls the engine's own stage
 // methods in order, each handing the next a materialized
@@ -47,11 +39,10 @@ import (
 )
 
 // Engine runs the pipeline front-end stages; Run calls them in order.
-// Implementations must match the Sequential reference on every stage:
-// blocking and cleaning return the same blocks in the same order, Build
-// returns the same edges, Prune retains the same edges in the same
-// output order (Shared to the bit, MapReduce up to float round-off in
-// weights).
+// Implementations must match the Sequential reference on every stage to
+// the bit: blocking and cleaning return the same blocks in the same
+// order, Build returns the same edges with the same weights, Prune
+// retains the same edges in the same output order.
 type Engine interface {
 	// Name identifies the engine in logs, benchmarks, and test labels.
 	Name() string
@@ -83,20 +74,20 @@ type Engine interface {
 	Evict(st *State) error
 }
 
-// Select resolves a (workers, mapReduce) configuration to its engine —
-// the mapping minoaner.Config documents: workers ≤ 0 means one worker
-// per CPU, 1 worker is the sequential reference, more than one is the
-// shared-memory engine unless mapReduce routes the stages through the
-// in-process MapReduce dataflow instead.
+// Select resolves a worker count to its engine — the mapping
+// minoaner.Config documents: workers ≤ 0 means one worker per CPU, 1
+// worker is the sequential reference, more than one is the
+// shared-memory engine. mapReduce is kept for the frozen benchmark
+// read, ROADMAP item 1, and must be false: Select panics if it is true,
+// which no caller passes.
 func Select(workers int, mapReduce bool) Engine {
-	w := parmeta.Workers(workers)
-	if w <= 1 {
-		return Sequential{}
-	}
 	if mapReduce {
-		return MapReduce{Workers: w}
+		panic("pipeline: Select: mapReduce must be false")
 	}
-	return Shared{Workers: w}
+	if w := parmeta.Workers(workers); w > 1 {
+		return Shared{Workers: w}
+	}
+	return Sequential{}
 }
 
 // Options configures a full front-end pass.

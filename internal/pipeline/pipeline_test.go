@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"repro/internal/blocking"
@@ -64,17 +63,6 @@ func engineFor(workers int) Engine {
 	return Shared{Workers: workers}
 }
 
-// cleaningEngines lists every engine whose Purge/Filter must match the
-// sequential reference exactly — including the MapReduce dataflow
-// jobs, which no longer delegate to it.
-func cleaningEngines(workers int) []Engine {
-	es := []Engine{engineFor(workers)}
-	if workers > 1 {
-		es = append(es, MapReduce{Workers: workers})
-	}
-	return es
-}
-
 func sameCollection(t *testing.T, label string, want, got *blocking.Collection) {
 	t.Helper()
 	if got.CleanClean != want.CleanClean {
@@ -99,28 +87,15 @@ func sameCollection(t *testing.T, label string, want, got *blocking.Collection) 
 	}
 }
 
-// sameEdges compares pruned edge lists. With exact set, weights must
-// match bit for bit; otherwise endpoints must match and weights agree
-// within the relative tolerance the MapReduce engine's own
-// differential tests use.
-func sameEdges(t *testing.T, want, got []metablocking.Edge, exact bool) {
+// sameEdges compares pruned edge lists, weights bit for bit.
+func sameEdges(t *testing.T, want, got []metablocking.Edge) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%d pruned edges, want %d", len(got), len(want))
 	}
 	for i := range want {
-		w, g := want[i], got[i]
-		if exact {
-			if g != w {
-				t.Fatalf("edge %d = %+v, want %+v", i, g, w)
-			}
-			continue
-		}
-		if g.A != w.A || g.B != w.B {
-			t.Fatalf("edge %d = (%d,%d), want (%d,%d)", i, g.A, g.B, w.A, w.B)
-		}
-		if math.Abs(g.Weight-w.Weight) > 1e-9*(1+math.Abs(w.Weight)) {
-			t.Fatalf("edge %d weight = %v, want %v", i, g.Weight, w.Weight)
+		if g, w := got[i], want[i]; g != w {
+			t.Fatalf("edge %d = %+v, want %+v", i, g, w)
 		}
 	}
 }
@@ -157,32 +132,30 @@ func TestCleaningMatchesSequential(t *testing.T) {
 		for _, maxSize := range []int{0, 3, 25} {
 			want := raw.Purge(maxSize)
 			for _, workers := range workerCounts {
-				for _, eng := range cleaningEngines(workers) {
-					label := fmt.Sprintf("%s/purge=%d/%s/workers=%d", world, maxSize, eng.Name(), workers)
-					t.Run(label, func(t *testing.T) {
-						got, err := eng.Purge(raw, maxSize)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameCollection(t, label, want, got)
-					})
-				}
+				eng := engineFor(workers)
+				label := fmt.Sprintf("%s/purge=%d/%s/workers=%d", world, maxSize, eng.Name(), workers)
+				t.Run(label, func(t *testing.T) {
+					got, err := eng.Purge(raw, maxSize)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameCollection(t, label, want, got)
+				})
 			}
 		}
 		purged := raw.Purge(0)
 		for _, ratio := range []float64{0.5, 0.8, 1.0} {
 			want := purged.Filter(ratio)
 			for _, workers := range workerCounts {
-				for _, eng := range cleaningEngines(workers) {
-					label := fmt.Sprintf("%s/filter=%.1f/%s/workers=%d", world, ratio, eng.Name(), workers)
-					t.Run(label, func(t *testing.T) {
-						got, err := eng.Filter(purged, ratio)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameCollection(t, label, want, got)
-					})
-				}
+				eng := engineFor(workers)
+				label := fmt.Sprintf("%s/filter=%.1f/%s/workers=%d", world, ratio, eng.Name(), workers)
+				t.Run(label, func(t *testing.T) {
+					got, err := eng.Filter(purged, ratio)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameCollection(t, label, want, got)
+				})
 			}
 		}
 	}
@@ -217,26 +190,19 @@ func TestRunMatchesSequential(t *testing.T) {
 				Shared{Workers: 2},
 				Shared{Workers: 4},
 				Shared{Workers: 8},
-				MapReduce{Workers: 4},
 			}
 			for _, eng := range engines {
 				label := fmt.Sprintf("%s/%v/%v/%s", world, cse.scheme, cse.pruning, eng.Name())
 				if sh, ok := eng.(Shared); ok {
 					label = fmt.Sprintf("%s-%d", label, sh.Workers)
 				}
-				// The shared-memory engine is bit-identical; the
-				// MapReduce engine re-serializes and re-sums float
-				// evidence in shuffle order, so its weights agree only
-				// within round-off (the tolerance its own differential
-				// tests use).
-				_, exact := eng.(Shared)
 				t.Run(label, func(t *testing.T) {
 					got, err := Run(eng, src, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
 					sameCollection(t, label, want.Blocks, got.Blocks)
-					sameEdges(t, want.Edges, got.Edges, exact)
+					sameEdges(t, want.Edges, got.Edges)
 				})
 			}
 		}
@@ -256,7 +222,7 @@ func TestRunSkipsOptionalStages(t *testing.T) {
 		Pruning:           metablocking.WNP,
 	}
 	want := blocking.TokenBlocking(src, opt.Tokenize)
-	for _, eng := range []Engine{Sequential{}, Shared{Workers: 4}, MapReduce{Workers: 2}} {
+	for _, eng := range []Engine{Sequential{}, Shared{Workers: 4}} {
 		fe, err := Run(eng, src, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -265,20 +231,23 @@ func TestRunSkipsOptionalStages(t *testing.T) {
 	}
 }
 
-// TestSelect checks the Config → engine mapping.
+// TestSelect checks the worker count → engine mapping, and that the
+// retired mapReduce selector is refused.
 func TestSelect(t *testing.T) {
 	if got := Select(1, false).Name(); got != "sequential" {
 		t.Errorf("Select(1, false) = %s, want sequential", got)
 	}
-	if got := Select(1, true).Name(); got != "sequential" {
-		t.Errorf("Select(1, true) = %s, want sequential (MapReduce needs >1 workers)", got)
-	}
 	if got := Select(4, false).Name(); got != "shared" {
 		t.Errorf("Select(4, false) = %s, want shared", got)
 	}
-	if got := Select(4, true).Name(); got != "mapreduce" {
-		t.Errorf("Select(4, true) = %s, want mapreduce", got)
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Select(4, true) did not panic")
+			}
+		}()
+		Select(4, true)
+	}()
 	if eng, ok := Select(0, false).(Shared); ok {
 		if eng.Workers < 1 {
 			t.Errorf("Select(0, false) resolved %d workers", eng.Workers)

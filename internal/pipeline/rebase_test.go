@@ -31,7 +31,7 @@ func TestRebaseRunsOnePass(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		p.checkOnePass(t, tc.name+": rebased pass", 1)
-		checkAgainstCompacted(t, tc.name, p, true, st, tc.col, opt)
+		checkAgainstCompacted(t, tc.name, p, st, tc.col, opt)
 	}
 	if len(st.Front.Edges) != 0 {
 		t.Fatalf("a pass over an empty source retained %d comparisons", len(st.Front.Edges))

@@ -87,9 +87,8 @@ func (w *waveSource) evict(n int) {
 // state over a source that was grown, merged into and tombstoned must
 // equal, under the order-preserving id map, a Run over a collection
 // that never held the departed descriptions — same blocks, same graph
-// edges, same retained comparisons, weights bit for bit on the exact
-// engines.
-func checkAgainstCompacted(t *testing.T, label string, e Engine, exact bool, st *State, src *kb.Collection, opt Options) {
+// edges, same retained comparisons, weights bit for bit.
+func checkAgainstCompacted(t *testing.T, label string, e Engine, st *State, src *kb.Collection, opt Options) {
 	t.Helper()
 	if !st.InSync() || st.Covered() != src.Len() {
 		t.Fatalf("%s: state covers %d of %d descriptions, in sync %v", label, st.Covered(), src.Len(), st.InSync())
@@ -121,8 +120,8 @@ func checkAgainstCompacted(t *testing.T, label string, e Engine, exact bool, st 
 		got.Blocks = append(got.Blocks, nb)
 	}
 	sameCollection(t, label, want.Blocks, got)
-	sameEdges(t, want.Graph.Edges, mapEdges(st.Front.Graph.Edges), exact)
-	sameEdges(t, want.Edges, mapEdges(st.Front.Edges), exact)
+	sameEdges(t, want.Graph.Edges, mapEdges(st.Front.Graph.Edges))
+	sameEdges(t, want.Edges, mapEdges(st.Front.Edges))
 	if st.LastUpdate.EdgesTouched != len(st.Front.Graph.Edges) || !st.LastUpdate.Rebuilt || !st.LastReprune.Full {
 		t.Fatalf("%s: pass reported %+v %+v, want every edge, rebuilt, full", label, st.LastUpdate, st.LastReprune)
 	}
@@ -146,14 +145,12 @@ func TestWavesMatchFromScratch(t *testing.T) {
 	pool := w.Collection
 	order := interleavedIDs(pool)
 	engines := []struct {
-		name  string
-		e     Engine
-		exact bool
+		name string
+		e    Engine
 	}{
-		{"sequential", Sequential{}, true},
-		{"shared-2", Shared{Workers: 2}, true},
-		{"shared-4", Shared{Workers: 4}, true},
-		{"mapreduce-2", MapReduce{Workers: 2}, false},
+		{"sequential", Sequential{}},
+		{"shared-2", Shared{Workers: 2}},
+		{"shared-4", Shared{Workers: 4}},
 	}
 	steps := []string{"add", "merge", "evict", "mixed", "noop", "restart"}
 	seed := int64(0)
@@ -177,7 +174,7 @@ func TestWavesMatchFromScratch(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					checkAgainstCompacted(t, "start", eng.e, eng.exact, st, src.col, opt)
+					checkAgainstCompacted(t, "start", eng.e, st, src.col, opt)
 
 					script := append([]string(nil), steps...)
 					src.rng.Shuffle(len(script), func(i, j int) { script[i], script[j] = script[j], script[i] })
@@ -218,7 +215,7 @@ func TestWavesMatchFromScratch(t *testing.T) {
 						if step == "noop" && st.Front != before {
 							t.Fatalf("%s: a pass with nothing pending replaced the front-end", label)
 						}
-						checkAgainstCompacted(t, label, eng.e, eng.exact, st, src.col, opt)
+						checkAgainstCompacted(t, label, eng.e, st, src.col, opt)
 					}
 				})
 			}
@@ -373,7 +370,7 @@ func TestFailedPassLeavesStateUntouched(t *testing.T) {
 			if err := p.Evict(st); err != nil {
 				t.Fatal(err)
 			}
-			checkAgainstCompacted(t, "retry", p, true, st, src.col, opt)
+			checkAgainstCompacted(t, "retry", p, st, src.col, opt)
 		})
 	}
 }

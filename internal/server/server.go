@@ -72,14 +72,6 @@ type Server struct {
 	quit    chan struct{} // closed by Close: writer drains and exits
 	done    chan struct{} // closed by the writer on exit
 
-	// baseCtx scopes in-flight dataflow work (the MapReduce front end
-	// honors it) to the server's lifetime, not the request's: a client
-	// disconnecting mid-ingest must not cancel — and thereby poison —
-	// a mutation already applying. Close cancels it, so shutdown still
-	// stops a long-running pass.
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-
 	closeOnce sync.Once
 }
 
@@ -123,7 +115,6 @@ func NewWith(sess *minoaner.Session, cfg Config) *Server {
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.snap.Store(&epochView{epoch: 1, view: sess.Snapshot()})
 	go s.writer()
 	return s
@@ -133,10 +124,7 @@ func NewWith(sess *minoaner.Session, cfg Config) *Server {
 // and waits for it to exit. Reads keep working against the last
 // committed snapshot; mutations return 503.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		close(s.quit)
-		s.baseCancel() // stop any in-flight dataflow pass
-	})
+	s.closeOnce.Do(func() { close(s.quit) })
 	<-s.done
 }
 
@@ -402,7 +390,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		epoch, err := s.do(r.Context(), func(context.Context) error {
-			return s.sess.IngestKBContext(s.baseCtx, kbName, strings.NewReader(string(doc)))
+			return s.sess.IngestKB(kbName, strings.NewReader(string(doc)))
 		})
 		if err != nil {
 			writeError(w, epoch, errStatus(err), err)
@@ -417,7 +405,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	epoch, err := s.do(r.Context(), func(context.Context) error {
-		return s.sess.IngestContext(s.baseCtx, batch)
+		return s.sess.Ingest(batch)
 	})
 	if err != nil {
 		writeError(w, epoch, errStatus(err), err)
@@ -447,9 +435,9 @@ func (s *Server) handleEvict(w http.ResponseWriter, r *http.Request) {
 	}
 	epoch, err := s.do(r.Context(), func(context.Context) error {
 		if req.KB != "" {
-			return s.sess.EvictKBContext(s.baseCtx, req.KB)
+			return s.sess.EvictKB(req.KB)
 		}
-		return s.sess.EvictContext(s.baseCtx, req.Refs)
+		return s.sess.Evict(req.Refs)
 	})
 	if err != nil {
 		writeError(w, epoch, errStatus(err), err)

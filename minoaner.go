@@ -33,7 +33,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/kb"
-	"repro/internal/mapreduce"
 	"repro/internal/match"
 	"repro/internal/metablocking"
 	"repro/internal/parmeta"
@@ -203,19 +202,9 @@ type Config struct {
 	// active and disables it otherwise; negative disables it
 	// unconditionally; an explicit value in (0, 1] sets the density.
 	CompactionThreshold float64
-	// MapReduce routes the front-end stages through the in-process
-	// MapReduce engine (internal/parblock) instead of the
-	// shared-memory one when Workers resolves to more than 1 — the
-	// paper's cluster dataflow, kept for didactic runs and
-	// cross-engine differential tests. Results are identical on every
-	// engine.
-	MapReduce bool
-	// MRRunner selects where the MapReduce engine's tasks execute: ""
-	// or "local" runs them on in-process goroutines (the single-node
-	// fast path); "proc" dispatches them to a pool of `minoaner worker`
-	// subprocesses over the framed stdin/stdout protocol — the
-	// two-process scale-out proof. Results are bit-identical across
-	// runners. Ignored unless the MapReduce engine is selected.
+	// MRRunner must be empty: Start fails with an error naming it
+	// otherwise. It selected where the removed MapReduce engine's tasks
+	// ran and is kept for the frozen benchmark read, ROADMAP item 1.
 	MRRunner string
 	// WALFsync selects the fsync policy of a write-ahead-logged
 	// pipeline (one constructed with Open): FsyncWave — the default —
@@ -384,14 +373,6 @@ type Pipeline struct {
 	// pipeline opens; tests use it to count the front-end passes
 	// recovery makes.
 	testWrapEngine func(pipeline.Engine) pipeline.Engine
-	// mrProc is the shared worker-subprocess pool of a "proc" MRRunner,
-	// created lazily by engine() and reused across sessions and
-	// compaction epochs; Close reaps it. Nil for other runners.
-	mrProc *mapreduce.ProcRunner
-	// mrTotals accumulates the MapReduce engine's job counters across
-	// the pipeline's lifetime — the source of the mrRetries and
-	// mrShuffleBytes gauges. Created with the first MapReduce engine.
-	mrTotals *mapreduce.Counters
 }
 
 // New returns an empty pipeline with the given configuration.
@@ -459,12 +440,6 @@ func (p *Pipeline) Close() error {
 	var err error
 	if p.wal != nil {
 		err = p.wal.Close()
-	}
-	if p.mrProc != nil {
-		if merr := p.mrProc.Close(); err == nil {
-			err = merr
-		}
-		p.mrProc = nil
 	}
 	if p.store != nil {
 		if serr := p.store.Close(); err == nil {
@@ -652,7 +627,7 @@ func (p *Pipeline) replay(recs []Record) error {
 	if s == nil {
 		return nil
 	}
-	if err := s.build(context.Background()); err != nil {
+	if err := s.build(); err != nil {
 		return fmt.Errorf("minoaner: wal: rebuild session: %w", err)
 	}
 	if err := p.col.ColdErr(); err != nil {
@@ -919,17 +894,14 @@ func (p *Pipeline) ResolveBudget(budget int) (*Result, error) {
 	return p.ResolveContext(context.Background(), budget)
 }
 
-// ResolveContext is ResolveBudget with cancellation: on the MapReduce
-// engine the front end itself honors ctx (an in-flight dataflow pass
-// stops and Start returns the cancellation without creating a
-// session); on the other engines Start runs to completion. The
-// matching loop then honors ctx between comparisons via
-// Session.ResumeContext. On cancellation mid-matching it returns the
-// partial cumulative result together with ctx.Err(); the session it
-// started remains the pipeline's current one, so a later Start or
-// streaming call continues normally.
+// ResolveContext is ResolveBudget with cancellation: Start runs to
+// completion, then the matching loop honors ctx between comparisons via
+// Session.ResumeContext. On cancellation it returns the partial
+// cumulative result together with ctx.Err(); the session it started
+// remains the pipeline's current one, so a later Start or streaming
+// call continues normally.
 func (p *Pipeline) ResolveContext(ctx context.Context, budget int) (*Result, error) {
-	s, err := p.StartContext(ctx)
+	s, err := p.Start()
 	if err != nil {
 		return nil, err
 	}
@@ -981,56 +953,6 @@ type Session struct {
 	// synchronization (see syncFront): every later mutation and Resume
 	// returns it. It wraps ErrDesynced and the first cause.
 	desynced error
-	// opCtx is the context of the in-flight mutation (set by the
-	// *Context entry points for the duration of the call): on the
-	// MapReduce engine, syncFront's dataflow passes run under it, so
-	// cancelling stops the pass. Like every Session field it is
-	// single-writer — mutations must not race.
-	opCtx context.Context
-}
-
-// opContext returns the in-flight mutation's context.
-func (s *Session) opContext() context.Context {
-	if s.opCtx != nil {
-		return s.opCtx
-	}
-	return context.Background()
-}
-
-// withOpCtx runs fn with ctx attached as the session's mutation
-// context, so the dataflow passes inside fn honor its cancellation.
-func (s *Session) withOpCtx(ctx context.Context, fn func() error) error {
-	s.opCtx = ctx
-	defer func() { s.opCtx = nil }()
-	return fn()
-}
-
-// IngestContext is Ingest with cancellation: on the MapReduce engine a
-// cancelled ctx stops the in-flight dataflow pass. Cancellation
-// mid-pass leaves state the pass cannot reconcile, so it poisons the
-// session exactly like any other mid-pass failure (the returned error
-// wraps both ErrDesynced and ctx.Err()); cancellation before the pass
-// commits anything returns cleanly.
-func (s *Session) IngestContext(ctx context.Context, batch []Description) error {
-	return s.withOpCtx(ctx, func() error { return s.Ingest(batch) })
-}
-
-// EvictContext is Evict with cancellation, with IngestContext's
-// semantics.
-func (s *Session) EvictContext(ctx context.Context, refs []Ref) error {
-	return s.withOpCtx(ctx, func() error { return s.Evict(refs) })
-}
-
-// EvictKBContext is EvictKB with cancellation, with IngestContext's
-// semantics.
-func (s *Session) EvictKBContext(ctx context.Context, name string) error {
-	return s.withOpCtx(ctx, func() error { return s.EvictKB(name) })
-}
-
-// IngestKBContext is IngestKB with cancellation, with IngestContext's
-// semantics.
-func (s *Session) IngestKBContext(ctx context.Context, name string, r io.Reader) error {
-	return s.withOpCtx(ctx, func() error { return s.IngestKB(name, r) })
 }
 
 // Timings reports cumulative wall-clock time per pipeline stage of one
@@ -1069,55 +991,15 @@ func (s *Session) Timings() Timings {
 // Start freezes the loaded KBs and prepares the comparison queue.
 //
 // Stages 1–2 (blocking, cleaning, meta-blocking) run through the
-// engine layer: pipeline.Select maps Config.Workers/Config.MapReduce
-// onto the sequential reference, the shared-memory parallel engine, or
-// the in-process MapReduce dataflow, and every stage is dispatched
-// uniformly through it. The matching stage (run by Resume) gets the
-// same resolved worker count: with more than one worker the resolver
-// precomputes value similarities on a worker pool while a single
-// committer replays the exact sequential schedule. The results are
-// bit-identical whichever engine runs and whatever the worker count.
+// engine layer: pipeline.Select maps Config.Workers onto the sequential
+// reference or the shared-memory parallel engine, and every stage is
+// dispatched uniformly through it. The matching stage (run by Resume)
+// gets the same resolved worker count: with more than one worker the
+// resolver precomputes value similarities on a worker pool while a
+// single committer replays the exact sequential schedule. The results
+// are bit-identical whichever engine runs and whatever the worker
+// count.
 func (p *Pipeline) Start() (*Session, error) {
-	return p.StartContext(context.Background())
-}
-
-// engine resolves the pipeline's engine: pipeline.Select picks the
-// dispatch layer from Workers/MapReduce, then — when the MapReduce
-// engine is selected — Config.MRRunner picks where its tasks execute
-// and the pipeline's lifetime counters are attached. The "proc" worker
-// pool is created once and shared by every session and compaction
-// epoch; Close reaps it.
-func (p *Pipeline) engine() (pipeline.Engine, error) {
-	switch p.cfg.MRRunner {
-	case "", "local", "proc":
-	default:
-		return nil, fmt.Errorf("minoaner: unknown MapReduce runner %q (want \"\", \"local\", or \"proc\")", p.cfg.MRRunner)
-	}
-	eng := pipeline.Select(p.cfg.Workers, p.cfg.MapReduce)
-	mr, ok := eng.(pipeline.MapReduce)
-	if !ok {
-		return eng, nil
-	}
-	if p.mrTotals == nil {
-		p.mrTotals = &mapreduce.Counters{}
-	}
-	mr.Totals = p.mrTotals
-	if p.cfg.MRRunner == "proc" {
-		if p.mrProc == nil {
-			p.mrProc = mapreduce.NewProcRunner()
-		}
-		mr.Runner = p.mrProc
-	}
-	return mr, nil
-}
-
-// StartContext is Start with cancellation: on the MapReduce engine the
-// front-end dataflow honors ctx — a cancelled pass stops at the next
-// task-record boundary and StartContext returns the cancellation with
-// no session created and the pipeline unchanged. The session itself
-// keeps the engine without the context; later mutations attach their
-// own.
-func (p *Pipeline) StartContext(ctx context.Context) (*Session, error) {
 	if p.col.NumAlive() == 0 {
 		return nil, fmt.Errorf("minoaner: no descriptions loaded")
 	}
@@ -1125,7 +1007,7 @@ func (p *Pipeline) StartContext(ctx context.Context) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.build(ctx); err != nil {
+	if err := s.build(); err != nil {
 		return nil, err
 	}
 	p.current = s
@@ -1147,10 +1029,10 @@ func (p *Pipeline) newSession() (*Session, error) {
 	if p.cfg.FilterRatio > 1 {
 		return nil, fmt.Errorf("minoaner: Config.FilterRatio %v is above 1 (want a fraction in (0, 1], or negative to skip filtering)", p.cfg.FilterRatio)
 	}
-	eng, err := p.engine()
-	if err != nil {
-		return nil, err
+	if p.cfg.MRRunner != "" {
+		return nil, fmt.Errorf("minoaner: Config.MRRunner %q is not supported (the MapReduce engine was removed; leave it empty)", p.cfg.MRRunner)
 	}
+	eng := pipeline.Select(p.cfg.Workers, false)
 	if p.testWrapEngine != nil {
 		eng = p.testWrapEngine(eng)
 	}
@@ -1165,10 +1047,10 @@ func (p *Pipeline) newSession() (*Session, error) {
 // collection and builds the matcher and a fresh resolver over its
 // output — Start's preparation, and the one pass a recovery makes once
 // the log is folded. Stages 3–5 are deferred to Resume.
-func (s *Session) build(ctx context.Context) error {
+func (s *Session) build() error {
 	p := s.p
 	t0 := time.Now()
-	fstate, err := pipeline.Start(pipeline.WithContext(s.eng, ctx), p.col, p.pipelineOptions())
+	fstate, err := pipeline.Start(s.eng, p.col, p.pipelineOptions())
 	if err != nil {
 		return fmt.Errorf("minoaner: %w", err)
 	}
@@ -1403,8 +1285,7 @@ type Description struct {
 // Equivalence guarantee: splitting a corpus into any number of Ingest
 // batches and then resolving yields exactly the from-scratch result —
 // the same Result.Trace bit for bit, for any worker count and any
-// budget (on the MapReduce engine, up to its documented float
-// round-off). Ingesting after comparisons have already been spent is
+// budget. Ingesting after comparisons have already been spent is
 // also supported, with monotonic semantics: confirmed matches stay
 // resolved, executed pairs are not re-executed, and new evidence
 // interleaves by benefit from then on.
@@ -1468,8 +1349,7 @@ func (s *Session) IngestKB(name string, r io.Reader) error {
 // Resume produces exactly what a from-scratch session over the
 // surviving corpus would — the same trace bit for bit (modulo the
 // densely re-assigned ids a fresh load implies), for any worker count
-// and any budget, on the sequential and shared engines (MapReduce
-// within its documented round-off). Evicting after comparisons have
+// and any budget. Evicting after comparisons have
 // been spent keeps monotone semantics: surviving matches stay
 // resolved, executed surviving pairs are not re-spent, and pairs whose
 // failed comparison was decided under the departed corpus's IDF
@@ -1673,12 +1553,9 @@ func (s *Session) syncFront(d delta, t0 time.Time) error {
 	if d.compacted {
 		s.fstate.Rebase(s.p.col)
 	}
-	// The mutation's context rides the engine into the dataflow passes;
-	// on non-MapReduce engines WithContext is the identity.
-	eng := pipeline.WithContext(s.eng, s.opContext())
-	pass, kind := eng.Ingest, "ingest"
+	pass, kind := s.eng.Ingest, "ingest"
 	if d.departed {
-		pass, kind = eng.Evict, "evict"
+		pass, kind = s.eng.Evict, "evict"
 	}
 	if err := pass(s.fstate); err != nil {
 		return s.poison(fmt.Errorf("minoaner: %s: %w", kind, err))
@@ -1762,16 +1639,6 @@ type Gauges struct {
 	StoreKeys          int64 `json:"storeKeys,omitempty"`
 	StoreCacheHits     int64 `json:"storeCacheHits,omitempty"`
 	StoreCacheMisses   int64 `json:"storeCacheMisses,omitempty"`
-	// MapReduce-engine gauges, zero (and omitted from JSON) unless the
-	// MapReduce engine has run: worker subprocesses spawned by the
-	// "proc" runner (cumulative — stable against idle reaping; zero on
-	// the in-process runner), task re-dispatches after worker failures,
-	// and the key+value bytes that crossed the map→reduce shuffle
-	// boundary across every job — the wire traffic a distributed
-	// shuffle would carry.
-	MRWorkers      int64 `json:"mrWorkers,omitempty"`
-	MRRetries      int64 `json:"mrRetries,omitempty"`
-	MRShuffleBytes int64 `json:"mrShuffleBytes,omitempty"`
 }
 
 // Gauges returns the session's current memory gauges. Like every
@@ -1793,13 +1660,6 @@ func (s *Session) Gauges() Gauges {
 		st := cs.Stats()
 		g.StoreBytes, g.StoreResidentBytes, g.StoreKeys = st.Bytes, st.Resident, st.Keys
 		g.StoreCacheHits, g.StoreCacheMisses = s.p.col.CacheStats()
-	}
-	if t := s.p.mrTotals; t != nil {
-		g.MRRetries = t.Get("task.retries")
-		g.MRShuffleBytes = t.Get("shuffle.bytes")
-	}
-	if pr := s.p.mrProc; pr != nil {
-		g.MRWorkers = pr.Spawned()
 	}
 	return g
 }

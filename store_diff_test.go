@@ -54,11 +54,9 @@ func TestStoreAxisDifferential(t *testing.T) {
 	engines := []struct {
 		name    string
 		workers int
-		mr      bool
 	}{
-		{"sequential", 1, false},
-		{"shared", 4, false},
-		{"mapreduce", 4, true},
+		{"sequential", 1},
+		{"shared", 4},
 	}
 	scenarios := []struct {
 		name string
@@ -74,7 +72,6 @@ func TestStoreAxisDifferential(t *testing.T) {
 			t.Run(eng.name+"/"+sc.name, func(t *testing.T) {
 				cfg := minoaner.EnvDefaults()
 				cfg.Workers = eng.workers
-				cfg.MapReduce = eng.mr
 				cfg.TTL = sc.ttl
 				cfg.CompactionThreshold = sc.thr
 				ops := recoveryOps(t, 8)

@@ -242,18 +242,14 @@ func TestWALRecoveryCorruption(t *testing.T) {
 
 // TestWALRecoveryGrid crosses fsync policy × engine × TTL: whatever
 // combination wrote the log, a full recovery equals the from-scratch
-// pipeline under the same configuration. (Digest comparison stays
-// within one engine — MapReduce's documented float round-off keeps
-// cross-engine bits out of scope, as everywhere in this repo.)
+// pipeline under the same configuration.
 func TestWALRecoveryGrid(t *testing.T) {
 	engines := []struct {
 		name    string
 		workers int
-		mr      bool
 	}{
-		{"sequential", 1, false},
-		{"shared", 4, false},
-		{"mapreduce", 4, true},
+		{"sequential", 1},
+		{"shared", 4},
 	}
 	policies := []struct {
 		name string
@@ -269,7 +265,6 @@ func TestWALRecoveryGrid(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/fsync=%s/ttl=%d", eng.name, pol.name, ttl), func(t *testing.T) {
 					cfg := minoaner.EnvDefaults()
 					cfg.Workers = eng.workers
-					cfg.MapReduce = eng.mr
 					cfg.TTL = ttl
 					cfg.WALFsync = pol.p
 					// Checkpoint rotation (TTL's default compaction
