@@ -510,10 +510,10 @@ func storeBenchSeed(b *testing.B, st store.Store, n, valSize int) [][]byte {
 }
 
 // BenchmarkStoreGet measures point reads through the storage boundary:
-// the mem reference map versus disk segments (locator lookup + pread +
+// the mem reference map versus the disk file (locator lookup + pread +
 // checksum). The multiplicative-stride walk defeats sequential-read
-// locality, so every disk Get pays a real out-of-order segment read —
-// the cost a cache miss pays in a paged session.
+// locality, so every disk Get pays a real out-of-order file read —
+// the cost every body read pays in a paged session.
 func BenchmarkStoreGet(b *testing.B) {
 	const n, valSize = 4096, 512
 	backends := []struct {
@@ -522,7 +522,7 @@ func BenchmarkStoreGet(b *testing.B) {
 	}{
 		{"mem", func(b *testing.B) (store.Store, error) { return store.NewMem(), nil }},
 		{"disk", func(b *testing.B) (store.Store, error) {
-			return store.OpenDisk(b.TempDir(), store.DiskOptions{})
+			return store.OpenDisk(b.TempDir(), store.DiskOptions{Reset: true})
 		}},
 	}
 	for _, be := range backends {

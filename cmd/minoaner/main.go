@@ -163,8 +163,8 @@ func runServe(args []string, ready chan<- net.Addr, quit <-chan struct{}) error 
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	walDir := fs.String("wal", "", "write-ahead-log directory: mutations are logged and a restart recovers the session (empty = RAM only)")
 	walFsync := fs.String("wal-fsync", "wave", "WAL fsync policy with -wal: always | wave | off")
-	storeMode := fs.String("store", "", "cold store for description bodies: mem | disk (empty = all in RAM)")
-	storeDir := fs.String("store-dir", "", "segment directory for -store disk (derived state; reset on every start)")
+	storeMode := fs.String("store", "", "cold store for description bodies: disk | disk-temp (empty = all in RAM)")
+	storeDir := fs.String("store-dir", "", "store directory for -store disk (scratch space; cleared on every start)")
 	maxBody := fs.Int64("max-body", server.DefaultMaxBody, "cap on a mutation request body in bytes (oversized requests answer 413)")
 	if err := fs.Parse(args); err != nil {
 		return err

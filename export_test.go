@@ -8,10 +8,10 @@ import (
 )
 
 // EnvDefaults is Defaults with the store mode taken from
-// MINOANER_STORE ("mem", "disk-temp"): how CI's store leg drives this
-// package's differential suites through a cold store without touching
-// a call site. Tests that need a specific mode set Config.Store after
-// it.
+// MINOANER_STORE (CI's store leg sets "disk-temp"): how that leg drives
+// this package's differential suites through the disk store without
+// touching a call site. Tests that need a specific mode set
+// Config.Store after it.
 func EnvDefaults() Config {
 	cfg := Defaults()
 	cfg.Store = os.Getenv("MINOANER_STORE")

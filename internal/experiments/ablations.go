@@ -217,15 +217,3 @@ func A6Clustering(seed int64, n int) *Table {
 	t.Notes = "expected shape: center/unique-mapping beat transitive closure on precision"
 	return t
 }
-
-// AllAblations runs every ablation at laptop scale.
-func AllAblations(seed int64) []*Table {
-	return []*Table{
-		A1BlockingMethods(seed, 300),
-		A2NeighborWeight(seed, 300),
-		A3SchedulerComponents(seed, 300),
-		A4SchemeProgressive(seed, 300),
-		A5PruningReciprocal(seed, 300),
-		A6Clustering(seed, 300),
-	}
-}

@@ -1,6 +1,6 @@
 // Package frame is the repo's one record format: the checksummed,
 // length-prefixed frame that the write-ahead log (read as a stream,
-// Read) and the disk store's segments (read from a buffer, Decode) put
+// Read) and the disk store's file (one record read whole, Decode) put
 // on their bytes.
 //
 //	[u32 payload length, little endian]
@@ -82,7 +82,7 @@ func verify(hdr, payload []byte) (byte, []byte, error) {
 	return typ, payload, nil
 }
 
-// Decode decodes the frame at the start of buf, a segment read whole.
+// Decode decodes the frame at the start of buf, a record read whole.
 // The payload is a subslice of buf, and the frame spans
 // HeaderSize+len(payload) bytes. An empty buf is io.EOF.
 func Decode(buf []byte, max int) (typ byte, payload []byte, err error) {

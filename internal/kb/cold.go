@@ -3,7 +3,6 @@ package kb
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"repro/internal/store"
 )
@@ -11,9 +10,9 @@ import (
 // Cold descriptions: with a store attached, a Collection keeps only the
 // id-addressed hot state resident — URIs, KB indices, liveness, the
 // token cache — and moves description bodies (types, attributes, links)
-// behind the storage boundary. Bodies page back in through a small LRU
-// of decoded descriptions; everything that only needs identity or
-// liveness (Evict, CrossKB, LiveIDsOfKB) never touches the store.
+// behind the storage boundary. Every Desc of a spilled id is a store
+// read and a decode; everything that only needs identity or liveness
+// (Evict, CrossKB, LiveIDsOfKB) never touches the store.
 //
 // Bodies live under 13-byte sort-preserving keys: the 'D' namespace
 // tag, a big-endian compaction epoch, and the big-endian id. Epochs
@@ -24,10 +23,6 @@ import (
 
 // descTag is the store key namespace for description bodies.
 const descTag = 'D'
-
-// DefaultDescCache is the default capacity of the decoded-description
-// LRU when AttachStore is given no size.
-const DefaultDescCache = 256
 
 func descKey(epoch uint32, id int) []byte {
 	var k [13]byte
@@ -44,53 +39,12 @@ func epochPrefix(epoch uint32) []byte {
 	return k[:]
 }
 
-// descCache is the mutex-wrapped LRU of decoded descriptions. The lock
-// matters: WarmTokens pages bodies in from worker goroutines.
-type descCache struct {
-	mu  sync.Mutex
-	lru *store.LRU[int, *Description]
-}
-
-func newDescCache(size int) *descCache {
-	if size <= 0 {
-		size = DefaultDescCache
-	}
-	return &descCache{lru: store.NewLRU[int, *Description](size)}
-}
-
-func (dc *descCache) get(id int) (*Description, bool) {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	return dc.lru.Get(id)
-}
-
-func (dc *descCache) put(id int, d *Description) {
-	dc.mu.Lock()
-	dc.lru.Put(id, d)
-	dc.mu.Unlock()
-}
-
-func (dc *descCache) remove(id int) {
-	dc.mu.Lock()
-	dc.lru.Remove(id)
-	dc.mu.Unlock()
-}
-
-func (dc *descCache) counters() (hits, misses int64) {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	return dc.lru.Counters()
-}
-
 // AttachStore moves description bodies behind the storage boundary:
 // every body already resident is spilled to the store under the given
-// epoch, and every later Add writes through. cacheSize bounds the LRU
-// of decoded descriptions (≤ 0 means DefaultDescCache).
-func (c *Collection) AttachStore(s store.Store, epoch uint32, cacheSize int) error {
+// epoch, and every later Add writes through.
+func (c *Collection) AttachStore(s store.Store, epoch uint32) error {
 	c.cold = s
 	c.epoch = epoch
-	c.cacheSize = cacheSize
-	c.cache = newDescCache(cacheSize)
 	c.uris = make([]string, len(c.descs))
 	for id, d := range c.descs {
 		if d == nil {
@@ -121,15 +75,6 @@ func (c *Collection) DropCold() error {
 	return store.DropPrefix(c.cold, epochPrefix(c.epoch))
 }
 
-// CacheStats returns the decoded-description LRU's cumulative hit and
-// miss counts (zero without a store).
-func (c *Collection) CacheStats() (hits, misses int64) {
-	if c.cache == nil {
-		return 0, 0
-	}
-	return c.cache.counters()
-}
-
 // ColdErr returns the first store error the collection absorbed on a
 // path with no error return (a page-in inside Desc, a write-through
 // inside Add). The session checks it after every mutation wave and
@@ -149,12 +94,10 @@ func (c *Collection) setColdErr(err error) {
 	c.coldMu.Unlock()
 }
 
-// pageIn resolves a spilled description: LRU first, then a store read
-// and decode. Safe under concurrent readers (WarmTokens workers).
+// pageIn resolves a spilled description: a store read and a decode
+// into a fresh Description. Safe under concurrent readers (WarmTokens
+// workers): the store serializes its reads.
 func (c *Collection) pageIn(id int) *Description {
-	if d, ok := c.cache.get(id); ok {
-		return d
-	}
 	buf, ok, err := c.cold.Get(descKey(c.epoch, id))
 	if err == nil && !ok {
 		err = fmt.Errorf("kb: cold description %d missing from store (epoch %d)", id, c.epoch)
@@ -167,7 +110,6 @@ func (c *Collection) pageIn(id int) *Description {
 		c.setColdErr(err)
 		return &Description{URI: c.uris[id], KB: c.kbNames[c.kbOf[id]]}
 	}
-	c.cache.put(id, d)
 	return d
 }
 
@@ -176,25 +118,6 @@ func (c *Collection) putCold(id int, d *Description) {
 	if err := c.cold.Put(descKey(c.epoch, id), encodeDesc(d)); err != nil {
 		c.setColdErr(err)
 	}
-}
-
-// concatStrs and concatAttrs build the merged slices of a read-modify-
-// write Add on a spilled description: always a fresh backing array, so
-// the previously cached value is never mutated under a reader.
-func concatStrs(a, b []string) []string {
-	if len(a)+len(b) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(a)+len(b))
-	return append(append(out, a...), b...)
-}
-
-func concatAttrs(a, b []Attribute) []Attribute {
-	if len(a)+len(b) == 0 {
-		return nil
-	}
-	out := make([]Attribute, 0, len(a)+len(b))
-	return append(append(out, a...), b...)
 }
 
 // encodeDesc serializes a description body — types, attributes, links,

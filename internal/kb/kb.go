@@ -97,13 +97,11 @@ type Collection struct {
 	evicted  []int // ids tombstoned since the last TakeEvicted
 
 	// Cold-description state (see cold.go); all nil/zero without a store.
-	cold      store.Store
-	epoch     uint32     // store key epoch for this collection's bodies
-	uris      []string   // id → URI, kept hot while bodies are spilled
-	cache     *descCache // LRU of decoded descriptions
-	cacheSize int
-	coldMu    sync.Mutex
-	coldErr   error // first store failure on a no-error-return path
+	cold    store.Store
+	epoch   uint32   // store key epoch for this collection's bodies
+	uris    []string // id → URI, kept hot while bodies are spilled
+	coldMu  sync.Mutex
+	coldErr error // first store failure on a no-error-return path
 }
 
 // NewCollection returns an empty collection.
@@ -125,23 +123,14 @@ func NewCollection() *Collection {
 // what the wave brought.
 func (c *Collection) Add(d *Description) int {
 	if id, ok := c.byURI[key(d.KB, d.URI)]; ok {
+		// A spilled body decodes into a fresh Description no reader
+		// holds: merge into it and write it back.
+		ex := c.Desc(id)
+		ex.Types = append(ex.Types, d.Types...)
+		ex.Attrs = append(ex.Attrs, d.Attrs...)
+		ex.Links = append(ex.Links, d.Links...)
 		if c.cold != nil {
-			// Spilled bodies are immutable once decoded (concurrent
-			// readers may hold the cached pointer): merge into a fresh
-			// description, write it through, and replace the cache slot.
-			old := c.Desc(id)
-			nd := &Description{URI: old.URI, KB: old.KB,
-				Types: concatStrs(old.Types, d.Types),
-				Attrs: concatAttrs(old.Attrs, d.Attrs),
-				Links: concatStrs(old.Links, d.Links),
-			}
-			c.putCold(id, nd)
-			c.cache.put(id, nd)
-		} else {
-			ex := c.descs[id]
-			ex.Types = append(ex.Types, d.Types...)
-			ex.Attrs = append(ex.Attrs, d.Attrs...)
-			ex.Links = append(ex.Links, d.Links...)
+			c.putCold(id, ex)
 		}
 		if c.hasToken {
 			c.tokens[id] = nil
@@ -154,7 +143,6 @@ func (c *Collection) Add(d *Description) int {
 		c.descs = append(c.descs, nil)
 		c.uris = append(c.uris, d.URI)
 		c.putCold(id, d)
-		c.cache.put(id, d) // fresh ids are tokenized next — keep them warm
 	} else {
 		c.descs = append(c.descs, d)
 	}
@@ -213,9 +201,6 @@ func (c *Collection) Evict(id int) bool {
 			c.anyURI[uri] = kept
 		}
 	}
-	if c.cache != nil {
-		c.cache.remove(id)
-	}
 	ki := c.kbOf[id]
 	c.kbLive[ki]--
 	if c.kbLive[ki] == 0 {
@@ -248,8 +233,6 @@ func (c *Collection) Compact() (*Collection, []int) {
 		// slots together, never one without the other.
 		nc.cold = c.cold
 		nc.epoch = c.epoch + 1
-		nc.cacheSize = c.cacheSize
-		nc.cache = newDescCache(c.cacheSize)
 	}
 	oldToNew := make([]int, len(c.descs))
 	for id := range c.descs {
@@ -390,9 +373,10 @@ func key(kb, uri string) string { return kb + "\x00" + uri }
 // Len returns the number of descriptions.
 func (c *Collection) Len() int { return len(c.descs) }
 
-// Desc returns the description with the given id, paging its body in
-// from the store when spilled. Safe for concurrent readers between
-// mutations (page-ins go through a locked cache).
+// Desc returns the description with the given id. A spilled body is
+// read from the store and decoded afresh on every call, so callers that
+// need it twice keep the pointer. Safe for concurrent readers between
+// mutations (the store serializes its reads).
 func (c *Collection) Desc(id int) *Description {
 	if d := c.descs[id]; d != nil {
 		return d

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,275 +13,170 @@ import (
 	"repro/internal/frame"
 )
 
-// Disk is the paged segment-file backend: records append to numbered
-// segment files, a sparse in-memory locator maps each live key to its
-// (segment, offset), and reads page values in on demand through reused
-// per-segment handles. No write-ahead discipline of its own — the
-// session's WAL (or source corpus) can always rebuild a store, so the
-// store is a spill space, not a database.
+// Disk is the paged file backend: records append to one file, a sparse
+// in-memory locator maps each live key to its record's place in it, and
+// reads page values in on demand. It is scratch space, not a database:
+// OpenDisk starts it empty, nothing ever reopens its file, and the
+// session's WAL (or source corpus) rebuilds its content after a
+// restart.
 //
-// A record is one internal/frame frame whose type is the op (1 = put,
-// 2 = delete) and whose payload is [u16 key length, little endian]
-// [key] [value], so the value's length is what the key leaves of the
-// payload.
+// A record is one internal/frame frame of type 1 whose payload is
+// [u16 key length, little endian] [key] [value], so the value's length
+// is what the key leaves of the payload. Every Get reads the whole
+// frame and verifies its checksum, so a damaged byte surfaces as
+// frame.ErrCorrupt, never as an altered value.
 //
-// Open replays segments in order to rebuild the locator. A torn or
-// corrupted record — the expected shape of a crash mid-append — ends
-// the replay: the torn segment is truncated back to its last intact
-// record and any later segments are dropped, exactly the torn-tail
-// discipline the WAL applies to its frames.
+// Delete only drops the locator entry; the record's bytes stay dead in
+// the file until Compact copies the live records into the next
+// generation's file (seg-%06d.dat, numbered from 1) and removes the
+// old one.
 type Disk struct {
 	mu  sync.Mutex
 	dir string
 
-	loc     map[string]diskLoc
-	active  *os.File // append handle of the highest segment
-	actID   int
-	actSize int64  // logical size of the active segment, buffered bytes included
-	wbuf    []byte // appends not yet written to the active segment
-	segMax  int64
-	handles map[int]*os.File // reused read handles, segment id → file
-
-	segBytes int64 // total bytes across segment files
-	gets     int64
+	loc  map[string]diskLoc
+	f    *os.File // the live generation's file; nil once closed
+	gen  int
+	size int64  // logical file size, buffered bytes included
+	wbuf []byte // appends not yet written to f
+	gets int64
 }
 
+// diskLoc places one record: its frame's offset and length in the file.
 type diskLoc struct {
-	seg  int
-	off  int64 // offset of the value inside the segment
-	vlen int
+	off int64
+	n   int
 }
 
 const (
-	opPut    = 1
-	opDelete = 2
-	// klenSize is the payload's u16 key-length prefix; a record's key
-	// starts at keyOffset, right after it.
+	opPut = 1
+	// klenSize is the payload's u16 key-length prefix.
 	klenSize    = 2
-	keyOffset   = frame.HeaderSize + klenSize
 	maxKeyLen   = 1 << 16
 	maxValueLen = 1 << 30
-	maxPayload  = klenSize + maxKeyLen + maxValueLen
-	// DefaultSegmentBytes rotates segments at 4 MiB: large enough to
-	// amortize file overhead, small enough that Compact rewrites in
-	// bounded pieces.
-	DefaultSegmentBytes = 4 << 20
-	// wbufMax caps the append buffer: a posting-commit wave is hundreds
-	// of small records, and one buffered write replaces their syscalls.
-	// The store carries no durability promise — the WAL rebuilds it —
-	// so deferring the write loses nothing a crash had anyway.
+	// locBytes is a locator entry's heap share beside its key: a
+	// diskLoc.
+	locBytes = 16
+	// wbufMax caps the append buffer: an ingest wave or a compaction
+	// epoch writes one description body per record, and one buffered
+	// write replaces their syscalls. The store carries no durability
+	// promise — the WAL rebuilds it — so deferring the write loses
+	// nothing a crash had anyway.
 	wbufMax = 256 << 10
 )
 
-// DiskOptions tunes OpenDisk. The zero value is usable.
+// DiskOptions is OpenDisk's argument.
 type DiskOptions struct {
-	// SegmentBytes rotates the active segment once it exceeds this
-	// size (0 = DefaultSegmentBytes).
-	SegmentBytes int64
-	// Reset discards any existing segments instead of replaying them —
-	// the right call when the store's content is derived state about to
-	// be rebuilt (recovery folds the WAL back into the collection).
+	// Reset must be true: OpenDisk fails with an error naming it
+	// otherwise. A disk store always starts empty, clearing whatever an
+	// earlier process left in its directory; the field is kept for the
+	// frozen benchmark read, ROADMAP item 1.
 	Reset bool
 }
 
-// OpenDisk opens (creating if needed) a segment store under dir.
+// OpenDisk creates an empty store under dir (creating dir if needed),
+// removing every segment file an earlier process left there.
 func OpenDisk(dir string, opt DiskOptions) (*Disk, error) {
+	if !opt.Reset {
+		return nil, errors.New("store: DiskOptions.Reset must be true (a disk store always starts empty)")
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	d := &Disk{
-		dir:     dir,
-		loc:     make(map[string]diskLoc),
-		segMax:  opt.SegmentBytes,
-		handles: make(map[int]*os.File),
-	}
-	if d.segMax <= 0 {
-		d.segMax = DefaultSegmentBytes
-	}
-	segs, err := d.listSegments()
-	if err != nil {
-		return nil, err
-	}
-	if opt.Reset {
-		for _, id := range segs {
-			if err := os.Remove(d.segPath(id)); err != nil {
-				return nil, fmt.Errorf("store: reset: %w", err)
-			}
-		}
-		segs = nil
-	}
-	if err := d.replay(segs); err != nil {
-		return nil, err
-	}
-	if d.active == nil {
-		if err := d.rotate(); err != nil {
-			return nil, err
-		}
-	}
-	return d, nil
-}
-
-func (d *Disk) segPath(id int) string {
-	return filepath.Join(d.dir, fmt.Sprintf("seg-%06d.dat", id))
-}
-
-func (d *Disk) listSegments() ([]int, error) {
-	ents, err := os.ReadDir(d.dir)
+	stale, err := filepath.Glob(filepath.Join(dir, "seg-*.dat"))
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	var ids []int
-	for _, e := range ents {
-		var id int
-		if n, _ := fmt.Sscanf(e.Name(), "seg-%06d.dat", &id); n == 1 {
-			ids = append(ids, id)
+	for _, path := range stale {
+		if err := os.Remove(path); err != nil {
+			return nil, fmt.Errorf("store: reset: %w", err)
 		}
 	}
-	sort.Ints(ids)
-	return ids, nil
+	return create(dir, 1)
 }
 
-// replay rebuilds the locator from the segments, truncating the first
-// torn record and dropping everything after it.
-func (d *Disk) replay(segs []int) error {
-	for i, id := range segs {
-		valid, clean, err := d.replaySegment(id)
-		if err != nil {
-			return err
-		}
-		d.actID = id
-		if clean {
-			continue
-		}
-		// Torn: truncate this segment and drop the later ones — records
-		// past a tear are newer than the gap and must not apply.
-		d.segBytes -= d.sizeOfSegment(id) - valid
-		if err := os.Truncate(d.segPath(id), valid); err != nil {
-			return fmt.Errorf("store: truncate torn segment: %w", err)
-		}
-		for _, late := range segs[i+1:] {
-			if err := os.Remove(d.segPath(late)); err != nil {
-				return fmt.Errorf("store: drop post-tear segment: %w", err)
-			}
-		}
-		break
-	}
-	if d.actID > 0 {
-		f, err := os.OpenFile(d.segPath(d.actID), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		fi, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return fmt.Errorf("store: %w", err)
-		}
-		d.active, d.actSize = f, fi.Size()
-	}
-	return nil
-}
-
-func (d *Disk) sizeOfSegment(id int) int64 {
-	if fi, err := os.Stat(d.segPath(id)); err == nil {
-		return fi.Size()
-	}
-	return 0
-}
-
-// replaySegment applies one segment's records to the locator,
-// returning the byte offset of the last intact record's end and
-// whether the whole file was intact.
-func (d *Disk) replaySegment(id int) (int64, bool, error) {
-	data, err := os.ReadFile(d.segPath(id))
+// create opens generation gen's file, which must not exist yet.
+func create(dir string, gen int) (*Disk, error) {
+	d := &Disk{dir: dir, gen: gen, loc: make(map[string]diskLoc)}
+	f, err := os.OpenFile(d.path(), os.O_RDWR|os.O_APPEND|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
-		return 0, false, fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	d.segBytes += int64(len(data))
-	var off int64
-	for {
-		op, payload, err := frame.Decode(data[off:], maxPayload)
-		if err == io.EOF {
-			return off, true, nil
-		}
-		if err != nil || (op != opPut && op != opDelete) || len(payload) < klenSize {
-			return off, false, nil // torn or corrupted record
-		}
-		klen := int(binary.LittleEndian.Uint16(payload))
-		if klenSize+klen > len(payload) {
-			return off, false, nil // key length past the payload
-		}
-		key := string(payload[klenSize : klenSize+klen])
-		if op == opDelete {
-			delete(d.loc, key)
-		} else {
-			d.loc[key] = diskLoc{seg: id, off: off + keyOffset + int64(klen), vlen: len(payload) - klenSize - klen}
-		}
-		off += frame.HeaderSize + int64(len(payload))
-	}
+	d.f = f
+	return d, nil
 }
 
-// flush writes the buffered appends through to the active segment.
+func (d *Disk) path() string {
+	return filepath.Join(d.dir, fmt.Sprintf("seg-%06d.dat", d.gen))
+}
+
+// flush writes the buffered appends through to the file.
 func (d *Disk) flush() error {
 	if len(d.wbuf) == 0 {
 		return nil
 	}
-	if _, err := d.active.Write(d.wbuf); err != nil {
+	if _, err := d.f.Write(d.wbuf); err != nil {
 		return fmt.Errorf("store: append: %w", err)
 	}
 	d.wbuf = d.wbuf[:0]
 	return nil
 }
 
-// rotate opens the next segment for appending.
-func (d *Disk) rotate() error {
-	if d.active != nil {
-		if err := d.flush(); err != nil {
-			return err
-		}
-		if err := d.active.Close(); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		d.active = nil
-	}
-	d.actID++
-	f, err := os.OpenFile(d.segPath(d.actID), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	d.active, d.actSize = f, 0
-	return nil
-}
-
-// append frames one record onto the active segment and returns the
-// offset its value starts at.
-func (d *Disk) append(op byte, key, value []byte) (int, int64, error) {
-	if d.active == nil {
-		return 0, 0, ErrClosed
+// put frames one record onto the file and points the locator at it.
+func (d *Disk) put(key string, value []byte) error {
+	if d.f == nil {
+		return ErrClosed
 	}
 	if len(key) >= maxKeyLen {
-		return 0, 0, fmt.Errorf("store: key of %d bytes exceeds the %d-byte cap", len(key), maxKeyLen)
+		return fmt.Errorf("store: key of %d bytes exceeds the %d-byte cap", len(key), maxKeyLen)
 	}
 	if len(value) > maxValueLen {
-		return 0, 0, fmt.Errorf("store: value of %d bytes exceeds the %d-byte cap", len(value), maxValueLen)
-	}
-	if d.actSize >= d.segMax {
-		if err := d.rotate(); err != nil {
-			return 0, 0, err
-		}
+		return fmt.Errorf("store: value of %d bytes exceeds the %d-byte cap", len(value), maxValueLen)
 	}
 	var klen [klenSize]byte
 	binary.LittleEndian.PutUint16(klen[:], uint16(len(key)))
-	d.wbuf = frame.Append(d.wbuf, op, klen[:], key, value)
-	size := int64(keyOffset + len(key) + len(value))
-	voff := d.actSize + keyOffset + int64(len(key))
-	d.actSize += size
-	d.segBytes += size
+	start := len(d.wbuf)
+	d.wbuf = frame.Append(d.wbuf, opPut, klen[:], []byte(key), value)
+	n := len(d.wbuf) - start
+	d.loc[key] = diskLoc{off: d.size, n: n}
+	d.size += int64(n)
 	if len(d.wbuf) >= wbufMax {
-		if err := d.flush(); err != nil {
-			return 0, 0, err
+		return d.flush()
+	}
+	return nil
+}
+
+// value reads the record at l and verifies its frame, returning the
+// value as a fresh slice the caller owns.
+func (d *Disk) value(key string, l diskLoc) ([]byte, error) {
+	var rec []byte
+	// Flush empties the whole buffer and records enter it whole, so a
+	// buffered record lies entirely in wbuf — a read right after its
+	// write never touches the file.
+	bufStart := d.size - int64(len(d.wbuf))
+	buffered := l.off >= bufStart
+	if buffered {
+		rec = d.wbuf[l.off-bufStart : l.off-bufStart+int64(l.n)]
+	} else {
+		rec = make([]byte, l.n)
+		if _, err := d.f.ReadAt(rec, l.off); err != nil {
+			return nil, fmt.Errorf("store: read record at offset %d: %w", l.off, err)
 		}
 	}
-	return d.actID, voff, nil
+	// The locator knows the frame's length, so that is the cap: a
+	// damaged length field is corrupt, not a torn tail.
+	typ, payload, err := frame.Decode(rec, l.n-frame.HeaderSize)
+	if err == nil && (typ != opPut || frame.HeaderSize+len(payload) != l.n) {
+		err = fmt.Errorf("%w: record does not span its locator entry", frame.ErrCorrupt)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: record at offset %d: %w", l.off, err)
+	}
+	v := payload[klenSize+len(key):]
+	if buffered {
+		v = bytes.Clone(v)
+	}
+	return v, nil
 }
 
 // Get implements Store. The returned slice is freshly allocated and
@@ -290,75 +184,35 @@ func (d *Disk) append(op byte, key, value []byte) (int, int64, error) {
 func (d *Disk) Get(key []byte) ([]byte, bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.f == nil {
+		return nil, false, ErrClosed
+	}
 	d.gets++
 	l, ok := d.loc[string(key)]
 	if !ok {
 		return nil, false, nil
 	}
-	v, err := d.readValue(l)
+	v, err := d.value(string(key), l)
 	if err != nil {
 		return nil, false, err
 	}
 	return v, true, nil
 }
 
-func (d *Disk) readValue(l diskLoc) ([]byte, error) {
-	if l.seg == d.actID {
-		// Flush empties the whole buffer and records enter it whole, so a
-		// buffered record is entirely in wbuf — read-after-write (a graph
-		// load right after its spill, a posting re-read after commit)
-		// never touches the file.
-		if bufStart := d.actSize - int64(len(d.wbuf)); l.off >= bufStart {
-			v := d.wbuf[l.off-bufStart : l.off-bufStart+int64(l.vlen)]
-			return append([]byte(nil), v...), nil
-		}
-	}
-	f, err := d.handle(l.seg)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, l.vlen)
-	if _, err := f.ReadAt(buf, l.off); err != nil {
-		return nil, fmt.Errorf("store: read segment %d: %w", l.seg, err)
-	}
-	return buf, nil
-}
-
-// handle returns the reused read handle of a segment.
-func (d *Disk) handle(id int) (*os.File, error) {
-	if f, ok := d.handles[id]; ok {
-		return f, nil
-	}
-	f, err := os.Open(d.segPath(id))
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	d.handles[id] = f
-	return f, nil
-}
-
 // Put implements Store.
 func (d *Disk) Put(key, value []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	seg, off, err := d.append(opPut, key, value)
-	if err != nil {
-		return err
-	}
-	d.loc[string(key)] = diskLoc{seg: seg, off: off, vlen: len(value)}
-	return nil
+	return d.put(string(key), value)
 }
 
-// Delete implements Store: a tombstone record appends (replay must see
-// the deletion) and the locator entry drops.
+// Delete implements Store: the locator entry drops, and the record's
+// bytes stay dead in the file until Compact.
 func (d *Disk) Delete(key []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if _, ok := d.loc[string(key)]; !ok {
-		return nil
-	}
-	if _, _, err := d.append(opDelete, key, nil); err != nil {
-		return err
+	if d.f == nil {
+		return ErrClosed
 	}
 	delete(d.loc, string(key))
 	return nil
@@ -376,35 +230,8 @@ func (d *Disk) sortedKeys(prefix []byte) []string {
 	return keys
 }
 
-// Scan implements Store.
-func (d *Disk) Scan(prefix []byte, fn func(key, value []byte) error) error {
-	d.mu.Lock()
-	keys := d.sortedKeys(prefix)
-	d.mu.Unlock()
-	for _, k := range keys {
-		d.mu.Lock()
-		l, ok := d.loc[k]
-		var v []byte
-		var err error
-		if ok {
-			v, err = d.readValue(l)
-		}
-		d.mu.Unlock()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue // deleted mid-scan
-		}
-		if err := fn([]byte(k), v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScanKeys implements Store: a key-only scan walks the resident
-// locator and never touches a segment.
+// ScanKeys implements Store: it walks the resident locator and never
+// touches the file.
 func (d *Disk) ScanKeys(prefix []byte, fn func(key []byte) error) error {
 	d.mu.Lock()
 	keys := d.sortedKeys(prefix)
@@ -417,81 +244,73 @@ func (d *Disk) ScanKeys(prefix []byte, fn func(key []byte) error) error {
 	return nil
 }
 
-// Compact implements Store: every live record is rewritten into fresh
-// segments (numbered after the current ones, so a replay applies them
-// last) and the old segments are removed. Runs alongside the session's
-// id-space compaction epochs, when the description keyspace has just
-// shed its dead ids.
+// Compact implements Store: every live record is copied, in key order,
+// into the next generation's file, which then replaces the current one.
+// Runs alongside the session's id-space compaction epochs, when the
+// description keyspace has just shed its dead ids. On failure the
+// current generation stays in place, untouched.
 func (d *Disk) Compact() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	old, err := d.listSegments()
+	if d.f == nil {
+		return ErrClosed
+	}
+	next, err := create(d.dir, d.gen+1)
 	if err != nil {
 		return err
 	}
-	keys := d.sortedKeys(nil)
-	if err := d.rotate(); err != nil {
+	for _, k := range d.sortedKeys(nil) {
+		var v []byte
+		if v, err = d.value(k, d.loc[k]); err == nil {
+			err = next.put(k, v)
+		}
+		if err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = next.flush()
+	}
+	if err != nil {
+		next.f.Close()
+		os.Remove(next.path())
 		return err
 	}
-	for _, k := range keys {
-		l := d.loc[k]
-		v, err := d.readValue(l)
-		if err != nil {
-			return err
-		}
-		seg, off, err := d.append(opPut, []byte(k), v)
-		if err != nil {
-			return err
-		}
-		d.loc[k] = diskLoc{seg: seg, off: off, vlen: len(v)}
-	}
-	for _, id := range old {
-		if f, ok := d.handles[id]; ok {
-			f.Close()
-			delete(d.handles, id)
-		}
-		d.segBytes -= d.sizeOfSegment(id)
-		if err := os.Remove(d.segPath(id)); err != nil {
-			return fmt.Errorf("store: compact: %w", err)
-		}
+	oldF, oldPath := d.f, d.path()
+	d.f, d.gen, d.loc, d.size, d.wbuf = next.f, next.gen, next.loc, next.size, next.wbuf
+	if err := errors.Join(oldF.Close(), os.Remove(oldPath)); err != nil {
+		return fmt.Errorf("store: compact: %w", err)
 	}
 	return nil
 }
 
-// Stats implements Store. Resident approximates the locator's heap
-// share: the keys plus the fixed locator record per key.
+// Stats implements Store. Bytes is the file's logical size, dead
+// records included; Resident approximates the locator's heap share:
+// the keys plus one fixed locator entry per key.
 func (d *Disk) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st := Stats{Bytes: d.segBytes, Keys: int64(len(d.loc)), Gets: d.gets}
+	st := Stats{Bytes: d.size, Keys: int64(len(d.loc)), Gets: d.gets}
 	for k := range d.loc {
-		st.Resident += int64(len(k)) + 24
+		st.Resident += int64(len(k)) + locBytes
 	}
 	return st
 }
 
-// Close implements Store.
+// Close implements Store. Every later operation but ScanKeys and Stats
+// returns ErrClosed.
 func (d *Disk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var err error
-	if d.active != nil {
-		err = d.flush()
-		if cerr := d.active.Close(); err == nil {
-			err = cerr
-		}
-		d.active = nil
+	if d.f == nil {
+		return nil
 	}
-	for id, f := range d.handles {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		delete(d.handles, id)
+	err := d.flush()
+	if cerr := d.f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("store: close: %w", cerr)
 	}
-	if err != nil {
-		return fmt.Errorf("store: close: %w", err)
-	}
-	return nil
+	d.f = nil
+	return err
 }
 
 var _ Store = (*Mem)(nil)

@@ -1,31 +1,26 @@
-// Package store is the narrow storage boundary behind which the
-// session's cold big structures — description bodies, inverted-index
-// postings, blocking-graph arrays — can live outside the heap.
+// Package store is the narrow storage boundary behind which a
+// session's description bodies can live outside the heap.
 //
-// The interface is deliberately small, in the LSM-backend idiom:
-// point Get/Put/Delete over opaque byte keys, ordered Scan/ScanKeys
-// over a key prefix, and a Compact that rewrites storage down to the
-// live records. Keys for numeric id spaces are fixed-size and
-// sort-preserving (big-endian integers under a one-byte namespace
-// tag), so a prefix scan enumerates one structure's records in id
-// order without any secondary index.
+// The interface is deliberately small, in the LSM-backend idiom: point
+// Get/Put/Delete over opaque byte keys, an ordered ScanKeys over a key
+// prefix, and a Compact that rewrites storage down to the live records.
+// Keys for numeric id spaces are fixed-size and sort-preserving
+// (big-endian integers under a one-byte namespace tag), so a prefix
+// scan enumerates one structure's keys in id order without any
+// secondary index.
 //
 // Two implementations share the interface:
 //
-//   - Mem — the existing in-memory layout refactored behind the
-//     boundary: a plain map plus ordered scans. It is the reference
-//     oracle; every differential suite proves disk ≡ mem bit for bit.
-//   - Disk (OpenDisk) — a dependency-free paged backend: append-only
-//     segment files holding checksum-framed records, with a sparse
-//     in-memory locator (key → segment, offset) as the only resident
-//     state. Reads reuse per-segment handles; appends coalesce in a
-//     buffer the reads know how to serve; ScanKeys never touches a
-//     value.
+//   - Disk (OpenDisk) — the backend sessions use: one append-only file
+//     of checksum-framed records, with a sparse in-memory locator
+//     (key → offset, length) as the only resident state. Appends
+//     coalesce in a buffer the reads know how to serve; every read
+//     verifies its record's checksum; ScanKeys never touches the file.
+//   - Mem — a plain map, the reference the tests compare Disk against.
 //
 // Everything a store holds is derived state: the write-ahead log (or
-// the source corpus) can always rebuild it, which is why recovery
-// resets the store and replays rather than trusting segments that may
-// run ahead of the log's durable prefix.
+// the source corpus) can always rebuild it. So a disk store is scratch
+// space: it starts empty on every open and is never reopened.
 package store
 
 import (
@@ -48,12 +43,10 @@ type Store interface {
 	Put(key, value []byte) error
 	// Delete removes key; deleting an absent key is a no-op.
 	Delete(key []byte) error
-	// Scan calls fn for every key with the given prefix, in ascending
-	// key order, with the key and its value. Returning an error stops
-	// the scan and propagates.
-	Scan(prefix []byte, fn func(key, value []byte) error) error
-	// ScanKeys is Scan without values — on the disk backend it never
-	// reads a segment, only the resident locator.
+	// ScanKeys calls fn for every key with the given prefix, in
+	// ascending key order. Returning an error stops the scan and
+	// propagates. On the disk backend it reads only the resident
+	// locator, never the file.
 	ScanKeys(prefix []byte, fn func(key []byte) error) error
 	// Compact rewrites storage down to the live records, reclaiming
 	// space deleted and overwritten records still occupy.
@@ -66,8 +59,9 @@ type Store interface {
 
 // Stats are a store's size and traffic gauges, surfaced on /status.
 type Stats struct {
-	// Bytes is the total stored footprint: segment bytes on disk for
-	// the disk backend, encoded bytes in the heap for the mem backend.
+	// Bytes is the total stored footprint: file bytes on disk for the
+	// disk backend, dead records included; encoded bytes in the heap
+	// for the mem backend.
 	Bytes int64 `json:"bytes"`
 	// Resident is the part of Bytes' bookkeeping held in RAM: the
 	// locator index for the disk backend, everything for mem.
@@ -78,9 +72,8 @@ type Stats struct {
 	Gets int64 `json:"gets"`
 }
 
-// DropPrefix deletes every key carrying the prefix — how a structure
-// clears its namespace before a rebuild (a fresh inverted index, a
-// superseded description epoch).
+// DropPrefix deletes every key carrying the prefix — how a collection
+// clears a superseded description epoch.
 func DropPrefix(s Store, prefix []byte) error {
 	var doomed [][]byte
 	if err := s.ScanKeys(prefix, func(key []byte) error {
@@ -106,8 +99,8 @@ func U64Key(tag byte, id uint64) []byte {
 	return k[:]
 }
 
-// Mem is the in-memory reference implementation: the heap layout the
-// disk backend must be bit-equivalent to.
+// Mem is the in-memory reference implementation: the map the tests
+// require the disk backend to agree with.
 type Mem struct {
 	mu   sync.Mutex
 	m    map[string][]byte
@@ -139,22 +132,6 @@ func (s *Mem) Delete(key []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.m, string(key))
-	return nil
-}
-
-// Scan implements Store.
-func (s *Mem) Scan(prefix []byte, fn func(key, value []byte) error) error {
-	for _, k := range s.sortedKeys(prefix) {
-		s.mu.Lock()
-		v, ok := s.m[k]
-		s.mu.Unlock()
-		if !ok {
-			continue // deleted mid-scan
-		}
-		if err := fn([]byte(k), v); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

@@ -2,11 +2,15 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/frame"
 )
 
 // both runs a subtest against the mem oracle and the disk backend.
@@ -14,7 +18,7 @@ func both(t *testing.T, fn func(t *testing.T, s Store)) {
 	t.Helper()
 	t.Run("mem", func(t *testing.T) { fn(t, NewMem()) })
 	t.Run("disk", func(t *testing.T) {
-		d, err := OpenDisk(t.TempDir(), DiskOptions{})
+		d, err := OpenDisk(t.TempDir(), DiskOptions{Reset: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,9 +70,10 @@ func TestStoreScanOrder(t *testing.T) {
 		}
 		s.Put([]byte("p-token"), []byte("x")) // other namespace, excluded
 		var got []string
-		err := s.Scan([]byte{'d'}, func(k, v []byte) error {
+		err := s.ScanKeys([]byte{'d'}, func(k []byte) error {
+			v, _, err := s.Get(k)
 			got = append(got, string(v))
-			return nil
+			return err
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -76,13 +81,6 @@ func TestStoreScanOrder(t *testing.T) {
 		want := []string{"0", "7", "8", "42", "1000"}
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("scan order = %v, want %v", got, want)
-		}
-		var keys int
-		if err := s.ScanKeys([]byte{'d'}, func(k []byte) error { keys++; return nil }); err != nil {
-			t.Fatal(err)
-		}
-		if keys != 5 {
-			t.Fatalf("ScanKeys saw %d keys, want 5", keys)
 		}
 		if err := DropPrefix(s, []byte{'d'}); err != nil {
 			t.Fatal(err)
@@ -97,7 +95,8 @@ func TestStoreScanOrder(t *testing.T) {
 // workload and requires identical contents at every step.
 func TestStoreDifferential(t *testing.T) {
 	mem := NewMem()
-	disk, err := OpenDisk(t.TempDir(), DiskOptions{SegmentBytes: 1 << 12})
+	dir := t.TempDir()
+	disk, err := OpenDisk(dir, DiskOptions{Reset: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,10 @@ func TestStoreDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after := disk.Stats().Bytes; after >= before {
-		t.Fatalf("compaction did not shrink segments: %d -> %d", before, after)
+		t.Fatalf("compaction did not shrink the file: %d -> %d", before, after)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "seg-*.dat")); len(files) != 1 {
+		t.Fatalf("after compaction the directory holds %v, want one file", files)
 	}
 	requireEqual(t, mem, disk)
 }
@@ -147,9 +149,13 @@ func requireEqual(t *testing.T, want, got Store) {
 	type kv struct{ k, v string }
 	collect := func(s Store) []kv {
 		var out []kv
-		if err := s.Scan(nil, func(k, v []byte) error {
+		if err := s.ScanKeys(nil, func(k []byte) error {
+			v, ok, err := s.Get(k)
+			if !ok && err == nil {
+				err = fmt.Errorf("scanned key %q does not resolve", k)
+			}
 			out = append(out, kv{string(k), string(v)})
-			return nil
+			return err
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -166,177 +172,122 @@ func requireEqual(t *testing.T, want, got Store) {
 	}
 }
 
-// TestDiskReplay closes and reopens a store and requires the locator
-// to rebuild exactly, including deletions and overwrites.
-func TestDiskReplay(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDisk(dir, DiskOptions{SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 50; i++ {
-		if err := d.Put(U64Key('d', i), bytes.Repeat([]byte{byte(i)}, 20)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := uint64(0); i < 50; i += 3 {
-		if err := d.Delete(U64Key('d', i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d.Put(U64Key('d', 7), []byte("rewritten"))
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := OpenDisk(dir, DiskOptions{SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	for i := uint64(0); i < 50; i++ {
-		v, ok, err := r.Get(U64Key('d', i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i%3 == 0 {
-			if ok {
-				t.Fatalf("deleted key %d survived replay", i)
-			}
-			continue
-		}
-		want := bytes.Repeat([]byte{byte(i)}, 20)
-		if i == 7 {
-			want = []byte("rewritten")
-		}
-		if !ok || !bytes.Equal(v, want) {
-			t.Fatalf("key %d = %q ok=%v after replay", i, v, ok)
-		}
-	}
-}
-
-// TestDiskTornTail truncates the newest segment at every byte offset
-// and requires reopening to recover exactly the records whose frames
-// survived whole — the store-level mirror of the WAL's torn-tail
-// discipline.
-func TestDiskTornTail(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDisk(dir, DiskOptions{}) // one segment: every record in it
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 12
-	for i := uint64(0); i < n; i++ {
-		if err := d.Put(U64Key('d', i), bytes.Repeat([]byte{byte('A' + i)}, 10)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	seg := filepath.Join(dir, "seg-000001.dat")
-	image, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recSize := len(image) / n
-	if recSize*n != len(image) {
-		t.Fatalf("uneven segment: %d bytes / %d records", len(image), n)
-	}
-	for cut := 0; cut <= len(image); cut++ {
-		if err := os.WriteFile(seg, image[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		r, err := OpenDisk(dir, DiskOptions{})
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		wantLive := cut / recSize // records fully inside the cut
-		if got := int(r.Stats().Keys); got != wantLive {
-			r.Close()
-			t.Fatalf("cut %d: recovered %d records, want %d", cut, got, wantLive)
-		}
-		for i := 0; i < wantLive; i++ {
-			v, ok, err := r.Get(U64Key('d', uint64(i)))
-			if err != nil || !ok || !bytes.Equal(v, bytes.Repeat([]byte{byte('A' + i)}, 10)) {
-				r.Close()
-				t.Fatalf("cut %d: record %d = %q ok=%v err=%v", cut, i, v, ok, err)
-			}
-		}
-		// The torn tail is truncated: appends restart on a clean boundary.
-		if err := r.Put([]byte("new"), []byte("after-tear")); err != nil {
-			r.Close()
-			t.Fatalf("cut %d: append after recovery: %v", cut, err)
-		}
-		r.Close()
-	}
-}
-
-// TestDiskCorruptMidFile flips one byte in each record's frame and
-// requires replay to stop at the corruption, never resurrect it.
-func TestDiskCorruptMidFile(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDisk(dir, DiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 8
-	for i := uint64(0); i < n; i++ {
-		if err := d.Put(U64Key('d', i), bytes.Repeat([]byte{byte(i + 1)}, 16)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d.Close()
-	seg := filepath.Join(dir, "seg-000001.dat")
-	image, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recSize := len(image) / n
-	for rec := 0; rec < n; rec++ {
-		corrupt := append([]byte(nil), image...)
-		corrupt[rec*recSize+keyOffset] ^= 0x5a // flip a key byte under the CRC
-		if err := os.WriteFile(seg, corrupt, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		r, err := OpenDisk(dir, DiskOptions{})
-		if err != nil {
-			t.Fatalf("rec %d: %v", rec, err)
-		}
-		if got := int(r.Stats().Keys); got != rec {
-			r.Close()
-			t.Fatalf("corrupting record %d recovered %d records, want %d", rec, got, rec)
-		}
-		r.Close()
-	}
-}
-
-// TestDiskReset wipes existing segments: the store is derived state,
-// so recovery rebuilds it from the WAL rather than trusting segments
-// that may run ahead of the log's durable prefix.
+// TestDiskReset: a disk store always opens empty, clearing what an
+// earlier process left — the store is derived state, so recovery
+// rebuilds it from the WAL rather than trusting a file that may run
+// ahead of the log's durable prefix. An open that would keep the old
+// file is refused, naming the option.
 func TestDiskReset(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDisk(dir, DiskOptions{})
+	d, err := OpenDisk(dir, DiskOptions{Reset: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d.Put([]byte("stale"), []byte("x"))
 	d.Close()
+	if _, err := OpenDisk(dir, DiskOptions{}); err == nil || !strings.Contains(err.Error(), "Reset") {
+		t.Fatalf("OpenDisk without Reset: err=%v, want one naming Reset", err)
+	}
 	r, err := OpenDisk(dir, DiskOptions{Reset: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if st := r.Stats(); st.Keys != 0 {
-		t.Fatalf("reset store still holds %d keys", st.Keys)
+	if st := r.Stats(); st.Keys != 0 || st.Bytes != 0 {
+		t.Fatalf("reset store still holds %d keys in %d bytes", st.Keys, st.Bytes)
 	}
 	if _, ok, _ := r.Get([]byte("stale")); ok {
 		t.Fatal("reset store resolves a stale key")
 	}
 }
 
+// TestDiskClosed: once closed, a store refuses reads and writes instead
+// of reopening its file behind the caller's back.
+func TestDiskClosed(t *testing.T) {
+	d, err := OpenDisk(t.TempDir(), DiskOptions{Reset: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put([]byte("k"), []byte("body")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := d.Get([]byte("k")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Get after Close = %q ok=%v err=%v, want ErrClosed", v, ok, err)
+	}
+	for name, err := range map[string]error{
+		"Put":     d.Put([]byte("k2"), nil),
+		"Delete":  d.Delete([]byte("k")),
+		"Compact": d.Compact(),
+	} {
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("%s after Close = %v, want ErrClosed", name, err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestDiskCorruptRecord flips single bytes of one record in the live
+// file — header, key and value — and requires every Get of that record
+// to fail with frame.ErrCorrupt instead of serving altered bytes, while
+// the other records still read back intact. A compaction over the
+// damaged record fails the same way and leaves the store as it was.
+func TestDiskCorruptRecord(t *testing.T) {
+	dir := t.TempDir()
+	d, err := OpenDisk(dir, DiskOptions{Reset: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	// Enough bytes to overflow the append buffer, so the first records
+	// are in the file, not only in memory.
+	const n, size = 40, 8 << 10
+	val := func(i uint64) []byte { return bytes.Repeat([]byte{byte(i + 1)}, size) }
+	for i := uint64(0); i < n; i++ {
+		if err := d.Put(U64Key('d', i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := os.OpenFile(filepath.Join(dir, "seg-000001.dat"), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	flip := func(off int64) {
+		var b [1]byte
+		if _, err := f.ReadAt(b[:], off); err != nil {
+			t.Fatal(err)
+		}
+		b[0] ^= 0x5a
+		if _, err := f.WriteAt(b[:], off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const keyOff = frame.HeaderSize + klenSize
+	valOff := int64(keyOff + len(U64Key('d', 0)))
+	for _, off := range []int64{0, 4, 8, keyOff - 1, keyOff + 3, valOff, valOff + size - 1} {
+		flip(off)
+		if v, ok, err := d.Get(U64Key('d', 0)); !errors.Is(err, frame.ErrCorrupt) {
+			t.Fatalf("byte %d flipped: Get = %d bytes ok=%v err=%v, want frame.ErrCorrupt", off, len(v), ok, err)
+		}
+		if err := d.Compact(); !errors.Is(err, frame.ErrCorrupt) {
+			t.Fatalf("byte %d flipped: Compact err=%v, want frame.ErrCorrupt", off, err)
+		}
+		flip(off)
+	}
+	for i := uint64(0); i < n; i++ {
+		if v, ok, err := d.Get(U64Key('d', i)); err != nil || !ok || !bytes.Equal(v, val(i)) {
+			t.Fatalf("record %d after the flips: %d bytes ok=%v err=%v", i, len(v), ok, err)
+		}
+	}
+}
+
 func TestDiskResidentBelowBytes(t *testing.T) {
-	d, err := OpenDisk(t.TempDir(), DiskOptions{})
+	d, err := OpenDisk(t.TempDir(), DiskOptions{Reset: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,37 +301,5 @@ func TestDiskResidentBelowBytes(t *testing.T) {
 	st := d.Stats()
 	if st.Resident*4 > st.Bytes {
 		t.Fatalf("locator not sparse: resident=%d of bytes=%d", st.Resident, st.Bytes)
-	}
-}
-
-func TestLRU(t *testing.T) {
-	l := NewLRU[int, string](2)
-	l.Put(1, "a")
-	l.Put(2, "b")
-	if v, ok := l.Get(1); !ok || v != "a" {
-		t.Fatalf("Get(1) = %q ok=%v", v, ok)
-	}
-	l.Put(3, "c") // evicts 2 (1 was just used)
-	if _, ok := l.Get(2); ok {
-		t.Fatal("LRU kept the least recently used entry")
-	}
-	if _, ok := l.Get(1); !ok {
-		t.Fatal("LRU evicted the recently used entry")
-	}
-	l.Put(1, "a2")
-	if v, _ := l.Get(1); v != "a2" {
-		t.Fatalf("replace failed: %q", v)
-	}
-	l.Remove(1)
-	if _, ok := l.Get(1); ok {
-		t.Fatal("Remove left the entry")
-	}
-	hits, misses := l.Counters()
-	if hits == 0 || misses == 0 {
-		t.Fatalf("counters idle: hits=%d misses=%d", hits, misses)
-	}
-	l.Clear()
-	if l.Len() != 0 {
-		t.Fatal("Clear left entries")
 	}
 }

@@ -216,24 +216,19 @@ type Config struct {
 	// only Open attaches a log.
 	WALFsync FsyncPolicy
 	// Store selects where description bodies live: "" (the default)
-	// keeps everything in RAM exactly as before; "mem" routes
-	// them through the in-memory reference store (the differential
-	// oracle); "disk" pages them out to append-only segment files under
-	// StoreDir; "disk-temp" is "disk" with a private temp directory
-	// removed on Close (no StoreDir to manage — for tests and
+	// keeps everything in RAM; "disk" pages them out to an append-only
+	// file under StoreDir, and every read of a body is a checksummed
+	// file read and a decode; "disk-temp" is "disk" with a private temp
+	// directory removed on Close (no StoreDir to manage — for tests and
 	// ephemeral runs). Results are bit-identical across the settings —
-	// the store moves bytes, never bits. The store holds derived state
-	// only: recovery (Open) resets it and rebuilds through WAL replay,
-	// so a store that ran ahead of the log's durable prefix can never
-	// corrupt a recovered session.
+	// the store moves bytes, never bits. The store is scratch space:
+	// every New or Open starts it empty (recovery rebuilds it through
+	// WAL replay), so nothing a previous process wrote is ever read.
 	Store string
-	// StoreDir is the segment directory of Store "disk"; required then,
+	// StoreDir is the directory of Store "disk"'s file; required then,
 	// ignored otherwise. It may live alongside the WAL directory but
 	// must not be the same path.
 	StoreDir string
-	// DescCache bounds the LRU of decoded description bodies when a
-	// store is active (0 = kb.DefaultDescCache).
-	DescCache int
 }
 
 // FsyncPolicy selects when the write-ahead log is fsynced; see
@@ -357,12 +352,12 @@ type Pipeline struct {
 	// replay) reconstructs the state. Nil on pipelines from New:
 	// logging is opt-in.
 	wal *wal.Log
-	// store, when non-nil (Config.Store "mem", "disk", or
-	// "disk-temp"), holds the cold big structures behind the narrow
-	// storage boundary. Attached lazily by ensureStore before the
-	// first description lands.
+	// store, when non-nil (Config.Store "disk" or "disk-temp"), holds
+	// the description bodies behind the narrow storage boundary.
+	// Attached lazily by ensureStore before the first description
+	// lands.
 	store store.Store
-	// storeTemp is the private segment directory a "disk-temp" store
+	// storeTemp is the private store directory a "disk-temp" store
 	// minted; Close removes it.
 	storeTemp string
 	// testPayloadCap overrides the WAL frame budget batch splitting
@@ -456,49 +451,43 @@ func (p *Pipeline) Close() error {
 }
 
 // ensureStore attaches the configured cold store before the first
-// description lands. A "disk" store is always opened with Reset: its
-// contents are derived state the WAL (or the caller's corpus) rebuilds,
-// and segments written after the log's last durable record must never
-// survive into a recovered session. Idempotent; "" is the no-store
-// legacy layout.
+// description lands. A disk store always opens empty: its contents are
+// derived state the WAL (or the caller's corpus) rebuilds, and a file
+// written after the log's last durable record must never survive into
+// a recovered session. Idempotent; "" is the all-in-RAM layout.
 func (p *Pipeline) ensureStore() error {
 	if p.cfg.Store == "" || p.store != nil {
 		return nil
 	}
-	var st store.Store
+	dir := p.cfg.StoreDir
 	switch p.cfg.Store {
-	case "mem":
-		st = store.NewMem()
 	case "disk":
-		if p.cfg.StoreDir == "" {
+		if dir == "" {
 			return fmt.Errorf("minoaner: Config.Store %q requires Config.StoreDir", p.cfg.Store)
 		}
-		d, err := store.OpenDisk(p.cfg.StoreDir, store.DiskOptions{Reset: true})
-		if err != nil {
-			return fmt.Errorf("minoaner: open store: %w", err)
-		}
-		st = d
 	case "disk-temp":
-		// Like "disk", but the segments live in a fresh private temp
+		// Like "disk", but the file lives in a fresh private temp
 		// directory removed on Close. Sound because the store is derived
 		// state — nothing in it outlives the process usefully — and it
 		// gives tests and ephemeral runs the paged backend without a
 		// directory to manage or collide on.
-		dir, err := os.MkdirTemp("", "minoaner-store-")
-		if err != nil {
+		var err error
+		if dir, err = os.MkdirTemp("", "minoaner-store-"); err != nil {
 			return fmt.Errorf("minoaner: temp store dir: %w", err)
 		}
-		d, err := store.OpenDisk(dir, store.DiskOptions{Reset: true})
-		if err != nil {
-			os.RemoveAll(dir)
-			return fmt.Errorf("minoaner: open store: %w", err)
-		}
 		p.storeTemp = dir
-		st = d
 	default:
-		return fmt.Errorf("minoaner: unknown Config.Store %q (want \"\", \"mem\", \"disk\", or \"disk-temp\")", p.cfg.Store)
+		return fmt.Errorf("minoaner: unknown Config.Store %q (want \"\", \"disk\", or \"disk-temp\")", p.cfg.Store)
 	}
-	if err := p.col.AttachStore(st, 0, p.cfg.DescCache); err != nil {
+	st, err := store.OpenDisk(dir, store.DiskOptions{Reset: true})
+	if err != nil {
+		if p.storeTemp != "" {
+			os.RemoveAll(p.storeTemp)
+			p.storeTemp = ""
+		}
+		return fmt.Errorf("minoaner: open store: %w", err)
+	}
+	if err := p.col.AttachStore(st, 0); err != nil {
 		st.Close()
 		return fmt.Errorf("minoaner: attach store: %w", err)
 	}
@@ -1629,16 +1618,17 @@ type Gauges struct {
 	WALCheckpoints int64 `json:"walCheckpoints,omitempty"`
 	WALLastSyncNs  int64 `json:"walLastSyncNs,omitempty"`
 	// Cold-store gauges, zero (and omitted from JSON) without a store:
-	// total stored bytes (segment-file bytes on "disk"), the bytes of
-	// that actually resident in RAM (the whole store on "mem"; locator
-	// overhead only on "disk"), live keys, and the cumulative hit/miss
-	// counters of the decoded-description cache — hits/(hits+misses) is
-	// the cache hit rate an operator sizes Config.DescCache by.
+	// the store file's bytes (dead records included until the next
+	// compaction epoch), the locator bytes of that resident in RAM, and
+	// live keys.
 	StoreBytes         int64 `json:"storeBytes,omitempty"`
 	StoreResidentBytes int64 `json:"storeResidentBytes,omitempty"`
 	StoreKeys          int64 `json:"storeKeys,omitempty"`
-	StoreCacheHits     int64 `json:"storeCacheHits,omitempty"`
-	StoreCacheMisses   int64 `json:"storeCacheMisses,omitempty"`
+	// StoreCacheHits and StoreCacheMisses are always zero: there is no
+	// decoded-description cache. They are kept for the frozen benchmark
+	// read, ROADMAP item 1.
+	StoreCacheHits   int64 `json:"storeCacheHits,omitempty"`
+	StoreCacheMisses int64 `json:"storeCacheMisses,omitempty"`
 }
 
 // Gauges returns the session's current memory gauges. Like every
@@ -1659,7 +1649,6 @@ func (s *Session) Gauges() Gauges {
 	if cs := s.p.store; cs != nil {
 		st := cs.Stats()
 		g.StoreBytes, g.StoreResidentBytes, g.StoreKeys = st.Bytes, st.Resident, st.Keys
-		g.StoreCacheHits, g.StoreCacheMisses = s.p.col.CacheStats()
 	}
 	return g
 }
@@ -1723,7 +1712,7 @@ func (s *Session) maybeCompact() (bool, error) {
 	s.compactions++
 	if st := s.p.store; st != nil {
 		// The old epoch's cold records are superseded: delete them and
-		// let the store rewrite its segments without the dead bytes —
+		// let the store rewrite its file without the dead bytes —
 		// the compaction epoch is the moment disk space is actually
 		// reclaimed. A store that cannot shed its garbage only falls
 		// further behind, so failures here are fatal like every other

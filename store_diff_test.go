@@ -1,15 +1,16 @@
 // Store-axis differential suite: the cold store moves bytes, never
-// bits. Every configuration of Config.Store — "" (all in RAM), "mem"
-// (the in-memory reference store), "disk" (paged segment files) — must
-// produce byte-identical resolution digests under the same workload,
-// across engines, TTL windows, compaction epochs, and WAL recovery.
-// The disk-store crash sweep extends the WAL recovery suite (S4): a
-// SIGKILL at any WAL byte offset leaves whatever segment bytes were in
-// flight, and recovery must reset the store and rebuild it from the
-// log's durable prefix alone.
+// bits. Both configurations of Config.Store — "" (all in RAM) and
+// "disk" (a paged file) — must produce byte-identical resolution
+// digests under the same workload, across engines, TTL windows,
+// compaction epochs, and WAL recovery. The disk-store crash sweep
+// extends the WAL recovery suite (S4): a SIGKILL at any WAL byte offset
+// leaves whatever store bytes were in flight, and recovery must reset
+// the store and rebuild it from the log's durable prefix alone.
 package minoaner_test
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,14 +43,13 @@ func runOpsDigest(t *testing.T, cfg minoaner.Config, ops []walOp) string {
 	return finishDigest(t, p)
 }
 
-// TestStoreAxisDifferential is the tentpole's correctness proof: the
+// TestStoreAxisDifferential is the store's correctness proof: the
 // standard ingest/evict workload, swept across engines and the
-// TTL/compaction scenarios, digests identically whether the cold
-// structures live in RAM, behind the mem store, or behind disk
-// segments. The compaction scenario drives a full epoch through the
+// TTL/compaction scenarios, digests identically whether description
+// bodies live in RAM or in the disk store, where every read pages a
+// body in. The compaction scenario drives a full epoch through the
 // store — survivor re-encode under the next epoch, old-epoch drop,
-// segment rewrite, index flush, graph respill — and still must not
-// move a bit.
+// file rewrite — and still must not move a bit.
 func TestStoreAxisDifferential(t *testing.T) {
 	engines := []struct {
 		name    string
@@ -80,14 +80,8 @@ func TestStoreAxisDifferential(t *testing.T) {
 				if want == "empty" {
 					t.Fatal("workload resolves to nothing — the axis would prove nothing")
 				}
-				for _, mode := range []string{"mem", "disk"} {
-					// Tiny caches force real paging traffic: most reads
-					// must miss the LRU and decode from the store.
-					scfg := withStore(t, cfg, mode)
-					scfg.DescCache = 4
-					if got := runOpsDigest(t, scfg, ops); got != want {
-						t.Errorf("store=%s digest %s, want the storeless %s", mode, got, want)
-					}
+				if got := runOpsDigest(t, withStore(t, cfg, "disk"), ops); got != want {
+					t.Errorf("store=disk digest %s, want the storeless %s", got, want)
 				}
 			})
 		}
@@ -95,7 +89,7 @@ func TestStoreAxisDifferential(t *testing.T) {
 }
 
 // TestStoreAxisWALRecovery crosses the store axis with full-log
-// recovery: a workload recorded under each store mode reopens —
+// recovery: a workload recorded under the disk store reopens —
 // resetting and rebuilding the store through replay — to the digest of
 // a storeless pipeline that never restarted.
 func TestStoreAxisWALRecovery(t *testing.T) {
@@ -106,7 +100,7 @@ func TestStoreAxisWALRecovery(t *testing.T) {
 	ops := recoveryOps(t, 8)
 	want := runOpsDigest(t, cfg, ops)
 
-	for _, mode := range []string{"mem", "disk"} {
+	for _, mode := range []string{"disk"} {
 		t.Run(mode, func(t *testing.T) {
 			scfg := withStore(t, cfg, mode)
 			dir := t.TempDir()
@@ -180,10 +174,10 @@ func TestWALRecoveryDiskStoreSweep(t *testing.T) {
 }
 
 // TestStoreGauges checks the operator surface: a disk-backed session
-// reports segment bytes with a resident footprint well below them,
-// live keys, and cache traffic; the mem store reports Resident ==
-// Bytes. Storeless sessions keep all five gauges at zero (and out of
-// the /status JSON).
+// reports file bytes with a resident footprint well below them and
+// live keys. Storeless sessions keep all five gauges at zero (and out
+// of the /status JSON); the two cache gauges are zero everywhere, since
+// there is no cache.
 func TestStoreGauges(t *testing.T) {
 	base := minoaner.EnvDefaults()
 	base.Workers = 1
@@ -204,22 +198,15 @@ func TestStoreGauges(t *testing.T) {
 		t.Fatalf("storeless session reports store gauges: %+v", g)
 	}
 
-	mcfg := withStore(t, base, "mem")
-	if g := session(mcfg).Gauges(); g.StoreBytes == 0 || g.StoreResidentBytes != g.StoreBytes || g.StoreKeys == 0 {
-		t.Fatalf("mem store gauges: %+v", g)
-	}
-
-	dcfg := withStore(t, base, "disk")
-	dcfg.DescCache = 4
-	g := session(dcfg).Gauges()
+	g := session(withStore(t, base, "disk")).Gauges()
 	if g.StoreBytes == 0 || g.StoreKeys == 0 {
 		t.Fatalf("disk store gauges empty: %+v", g)
 	}
 	if g.StoreResidentBytes*2 > g.StoreBytes {
 		t.Fatalf("disk store resident %d not well below stored %d", g.StoreResidentBytes, g.StoreBytes)
 	}
-	if g.StoreCacheHits+g.StoreCacheMisses == 0 {
-		t.Fatalf("no cache traffic recorded: %+v", g)
+	if g.StoreCacheHits != 0 || g.StoreCacheMisses != 0 {
+		t.Fatalf("cache gauges move without a cache: %+v", g)
 	}
 }
 
@@ -247,5 +234,54 @@ func TestStoreConfigErrors(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("unknown-mode error does not name the mode: %v", err)
+	}
+}
+
+// TestStoreCorruptionDesyncs flips one byte of a description body in
+// the disk store's file between two waves. The store verifies every
+// record it reads, so the next wave — whose matcher rebuild pages every
+// live body in — must poison the session with ErrDesynced and name the
+// damaged frame, instead of resolving over a silently altered body.
+func TestStoreCorruptionDesyncs(t *testing.T) {
+	cfg := withStore(t, minoaner.Defaults(), "disk")
+	cfg.Workers = 1
+	p := minoaner.New(cfg)
+	defer p.Close()
+	const marker = "marker value alpha"
+	desc := func(kb, uri, name string) minoaner.Description {
+		return minoaner.Description{KB: kb, URI: uri, Attrs: []minoaner.Attribute{{Predicate: "name", Value: name}}}
+	}
+	// The padding body overflows the store's append buffer, so every
+	// body before it is in the file, not only in memory.
+	padding := desc("b", "pad", strings.Repeat("padding words ", 24<<10))
+	if err := p.Add([]minoaner.Description{
+		desc("a", "u1", marker), desc("a", "u2", "beta two"),
+		desc("b", "v1", marker), desc("b", "v2", "beta two"),
+		padding,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := p.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(cfg.StoreDir, "seg-000001.dat")
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(image, []byte(marker))
+	if at < 0 {
+		t.Fatalf("no body holding %q in the store file (%d bytes)", marker, len(image))
+	}
+	image[at] ^= 0x01 // 'm' → 'l': still a well-formed body
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	err = s.Ingest([]minoaner.Description{desc("a", "u3", "gamma three")})
+	if !errors.Is(err, minoaner.ErrDesynced) || !strings.Contains(err.Error(), "corrupt") {
+		t.Fatalf("Ingest over a corrupted body = %v, want ErrDesynced naming the corruption", err)
 	}
 }
