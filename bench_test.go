@@ -240,10 +240,11 @@ func BenchmarkFrontEndRun(b *testing.B) {
 
 // BenchmarkMatching drives the progressive matching stage — the
 // schedule → match → update loop over the pruned comparison list —
-// sequentially (workers=1) and through the speculative-score/
-// serial-commit parallel engine. Every worker count produces a
-// bit-identical trace (differentially tested in internal/core); the
-// sub-benchmark ratio is the matching-stage speedup. The workload uses
+// sequentially (workers=1) and with a parallel value-similarity
+// pre-pass ahead of the serial loop (workers > 1). Every worker count
+// produces a bit-identical trace (differentially tested in
+// internal/core); the sub-benchmark ratio is the matching-stage
+// speedup. The workload uses
 // token-rich descriptions (tens of tokens, like the paper's DBpedia
 // and BTC corpora) so value similarity carries its real-world share of
 // the cost.

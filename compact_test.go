@@ -226,3 +226,67 @@ func TestCompactionDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSupersededSessionSurvivesCompaction pins ErrSessionClosed's
+// promise across a compaction epoch: a session superseded by a newer
+// Start keeps resolving its frozen view after the current session
+// re-bases the pipeline onto a compacted collection. The superseded
+// session's trace ids belong to the collection it was built over, so
+// its Resume and Snapshot must read that one. Its results must equal
+// those of the same run with compaction switched off, where the
+// evictions land in the same shared collection and nothing re-bases.
+func TestSupersededSessionSurvivesCompaction(t *testing.T) {
+	w := hardSessionWorld(t, 681, 120)
+	all := streamDescriptions(w)
+	gone := make(map[string]bool)
+	run := func(threshold float64) (*minoaner.Result, *minoaner.Snapshot) {
+		t.Helper()
+		cfg := minoaner.EnvDefaults()
+		cfg.CompactionThreshold = threshold
+		p := minoaner.New(cfg)
+		if err := p.Add(all); err != nil {
+			t.Fatal(err)
+		}
+		a, err := p.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Resume(50); err != nil {
+			t.Fatal(err)
+		}
+		b, err := p.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if threshold > 0 {
+			forceCompaction(t, b, all, gone)
+		} else {
+			for _, d := range all {
+				if r := (minoaner.Ref{KB: d.KB, URI: d.URI}); gone[refKey(r)] {
+					if err := b.Evict([]minoaner.Ref{r}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if b.Compactions() != 0 {
+				t.Fatal("negative threshold compacted")
+			}
+		}
+		res, err := a.Resume(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, a.Snapshot()
+	}
+	got, gotSn := run(0.25)
+	want, wantSn := run(-1)
+	sameResult(t, "superseded Resume", want, got)
+	sameResult(t, "superseded Snapshot", wantSn.Result(), gotSn.Result())
+	for _, d := range all {
+		wc, wok := wantSn.Cluster(d.KB, d.URI)
+		gc, gok := gotSn.Cluster(d.KB, d.URI)
+		if wok != gok || fmt.Sprint(wc) != fmt.Sprint(gc) {
+			t.Fatalf("Cluster(%s, %s) = %v, %v; want %v, %v", d.KB, d.URI, gc, gok, wc, wok)
+		}
+	}
+}

@@ -3,8 +3,8 @@
 // the parallel engines over an increasing worker count. The front-end
 // sweeps the engine layer (internal/pipeline): the sequential
 // reference and the shared-memory parallel engine. The matching sweep
-// then drives the speculative-score/serial-commit engine
-// (internal/core) over the pruned comparisons. Both sweeps print wall
+// then drives the resolver (internal/core) over the pruned comparisons
+// with a widening value-similarity pre-pass. Both sweeps print wall
 // clocks and verify the parallel property end to end: every engine and
 // every worker count produces the identical pruned blocking graph and
 // a bit-identical progressive trace — what makes the multicore
@@ -95,11 +95,12 @@ func main() {
 
 	fmt.Println("\nevery engine, every worker count: identical pruned graph")
 
-	// Matching stage: the speculative-score/serial-commit engine over
-	// the pruned comparisons of the sequential reference run. Workers
-	// precompute TF-IDF cosines in pipelined waves; one committer
-	// replays the exact sequential schedule, so the trace must match
-	// the sequential resolver step for step, in every field.
+	// Matching stage: the resolver over the pruned comparisons of the
+	// sequential reference run. With more than one worker, a pre-pass
+	// computes every queued pair's TF-IDF cosine in parallel; the
+	// serial loop then replays the exact sequential schedule, so the
+	// trace must match the sequential resolver step for step, in every
+	// field.
 	matcher := match.NewMatcher(world.Collection, match.DefaultOptions())
 
 	fmt.Printf("\n%-12s  %-8s  %-10s  %-12s  %-8s  %-10s\n",
@@ -110,7 +111,7 @@ func main() {
 		res := core.NewResolver(matcher, fe.Edges, core.Config{Workers: workers}).Run()
 		wall := time.Since(start)
 		fmt.Printf("%-12s  %-8d  %-10s  %-12d  %-8d  %-10.1f\n",
-			"speculative", workers, wall.Round(time.Millisecond),
+			"pre-pass", workers, wall.Round(time.Millisecond),
 			res.Comparisons, res.Matches, res.TotalGain)
 		if ref == nil {
 			ref = res // workers=1 is the sequential reference loop

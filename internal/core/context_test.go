@@ -2,14 +2,17 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/datagen"
 )
 
-// TestRunBudgetContextCancel pins the resolver's cancellation contract:
-// a dead context stops the run at the next comparison boundary, the
+// TestRunBudgetContextCancel pins the resolver's cancellation contract
+// on the serial loop and with the pre-pass width set: a dead context
+// stops the run at the next comparison boundary — a pre-cancelled
+// draining leg runs neither a comparison nor the pre-pass — the
 // partial result is the same prefix an equal budget would have
 // produced, and the queue stays resumable.
 func TestRunBudgetContextCancel(t *testing.T) {
@@ -18,40 +21,57 @@ func TestRunBudgetContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, edges := pipeline(t, w)
+	whole := NewResolver(m, edges, Config{}).Run()
 
-	// Pre-cancelled: zero comparisons, nothing consumed.
-	r := NewResolver(m, edges, Config{})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res := r.RunBudgetContext(ctx, 0)
-	if res.Comparisons != 0 || len(res.Trace) != 0 {
-		t.Fatalf("cancelled run executed %d comparisons", res.Comparisons)
-	}
-	if r.Pending() == 0 {
-		t.Fatal("cancelled run drained the queue")
-	}
+	for _, workers := range []int{0, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			// Pre-cancelled: zero comparisons, nothing consumed.
+			r := NewResolver(m, edges, Config{Workers: workers})
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			res := r.RunBudgetContext(ctx, 0)
+			if res.Comparisons != 0 || len(res.Trace) != 0 {
+				t.Fatalf("cancelled run executed %d comparisons", res.Comparisons)
+			}
+			if r.Pending() == 0 {
+				t.Fatal("cancelled run drained the queue")
+			}
+			if n := scored(r); n != 0 {
+				t.Fatalf("cancelled run scored %d pairs", n)
+			}
 
-	// An interrupted run resumes: cancelled leg + live drain equals one
-	// uninterrupted run, trace for trace.
-	if got := r.RunBudget(40); got.Comparisons != 40 {
-		t.Fatalf("budget leg ran %d comparisons, want 40", got.Comparisons)
-	}
-	res = r.RunBudgetContext(ctx, 0) // dead ctx again: a no-op leg
-	if res.Comparisons != 0 {
-		t.Fatalf("second cancelled leg executed %d comparisons", res.Comparisons)
-	}
-	rest := r.RunBudgetContext(context.Background(), 0)
+			// An interrupted run resumes: cancelled leg + live drain
+			// equals one uninterrupted run, trace for trace.
+			if got := r.RunBudget(40); got.Comparisons != 40 {
+				t.Fatalf("budget leg ran %d comparisons, want 40", got.Comparisons)
+			}
+			res = r.RunBudgetContext(ctx, 0) // dead ctx again: a no-op leg
+			if res.Comparisons != 0 {
+				t.Fatalf("second cancelled leg executed %d comparisons", res.Comparisons)
+			}
+			rest := r.RunBudgetContext(context.Background(), 0)
 
-	m2, edges2 := pipeline(t, w)
-	whole := NewResolver(m2, edges2, Config{}).Run()
-	if 40+rest.Comparisons != whole.Comparisons {
-		t.Fatalf("legs total %d comparisons, whole run %d", 40+rest.Comparisons, whole.Comparisons)
+			if 40+rest.Comparisons != whole.Comparisons {
+				t.Fatalf("legs total %d comparisons, whole run %d", 40+rest.Comparisons, whole.Comparisons)
+			}
+			for i, s := range rest.Trace {
+				if whole.Trace[40+i] != s {
+					t.Fatalf("trace diverges at resumed step %d", i)
+				}
+			}
+		})
 	}
-	for i, s := range rest.Trace {
-		if whole.Trace[40+i] != s {
-			t.Fatalf("trace diverges at resumed step %d", i)
+}
+
+// scored counts the pair states holding a memoized value similarity.
+func scored(r *Resolver) int {
+	n := 0
+	for _, st := range r.states {
+		if st.hasVsim {
+			n++
 		}
 	}
+	return n
 }
 
 // TestResolverTimings sanity-checks the per-stage counters: a drained

@@ -8,6 +8,7 @@ import (
 	"repro/internal/blocking"
 	"repro/internal/match"
 	"repro/internal/metablocking"
+	"repro/internal/parmeta"
 )
 
 // Config tunes the progressive resolver.
@@ -29,11 +30,12 @@ type Config struct {
 	// confirmed match). Discovery is on by default; it is what recovers
 	// somehow-similar periphery matches.
 	DisableDiscovery bool
-	// Workers sets how many goroutines speculatively precompute value
-	// similarities for upcoming comparisons (see parallel.go). 0 or 1
-	// runs the sequential reference loop; n > 1 runs the speculative-
-	// score/serial-commit engine with n scoring workers. Every setting
-	// produces a bit-identical trace.
+	// Workers sets the width of a draining run's value-similarity
+	// pre-pass (see prescore): with n > 1, an unbudgeted Run first
+	// scores every queued pair on n goroutines, then runs the serial
+	// loop over the memoized scores. 0 or 1 — and every budgeted leg —
+	// runs the serial loop alone, scoring each pair as it executes.
+	// Every setting produces a bit-identical trace.
 	Workers int
 	// Normalized marks the config as fully specified: zero numeric
 	// fields are taken literally instead of being replaced by the
@@ -138,12 +140,11 @@ func (r *Result) MatchedPairs(m *match.Matcher) []blocking.Pair {
 // the clock is read once per stage boundary and every interval is
 // charged to the stage it closes, so Schedule + Match + Update is the
 // loop's wall time. Schedule is everything between comparisons — pops,
-// lazy revalidation, reinsertion, the per-step result bookkeeping and,
-// on the parallel engine, the speculation bookkeeping (the queue
-// snapshot, wave launches and merges); Match is similarity evaluation
-// and the match decision (on the parallel engine this includes time the
-// committer waits for a speculative score); Update is benefit
-// accounting, cluster merging, and neighbor-evidence propagation.
+// lazy revalidation, reinsertion and the per-step result bookkeeping;
+// Match is similarity evaluation and the match decision, including the
+// whole value-similarity pre-pass of a parallel draining run; Update is
+// benefit accounting, cluster merging, and neighbor-evidence
+// propagation.
 // Timings is read on the goroutine that runs the resolver — it is not
 // synchronized for concurrent readers.
 type Timings struct {
@@ -152,7 +153,9 @@ type Timings struct {
 	Update   time.Duration `json:"updateNs"`
 }
 
-// Resolver runs the progressive schedule → match → update loop.
+// Resolver runs the progressive schedule → match → update loop. The
+// loop itself is serial; with Config.Workers > 1 a draining run first
+// computes the queued pairs' value similarities in parallel (prescore).
 type Resolver struct {
 	matcher *match.Matcher
 	cfg     Config
@@ -164,11 +167,6 @@ type Resolver struct {
 	tim    Timings
 	// clk is the last stage boundary of the running loop (see lap).
 	clk time.Time
-	// spec is the speculative scoring engine, non-nil when
-	// cfg.Workers > 1 (see parallel.go). The commit path below is the
-	// same either way; spec only changes where ValueSim values come
-	// from.
-	spec *speculator
 }
 
 // entry is one queue slot: the pair's state (popping dereferences it
@@ -201,22 +199,12 @@ type pairState struct {
 	done       bool
 	discovered bool // true when blocking never proposed this pair
 	recheck    bool // re-opened by neighbor evidence after failing
-	// inflight marks the pair as handed to a speculation wave whose
-	// results are not merged back yet (parallel engine only; read and
-	// written by the committer goroutine exclusively).
-	inflight bool
 	// vsim memoizes the pair's value similarity once it has been
-	// computed, so a recheck is free. Value similarity is
-	// cluster-independent: the memo can never go stale.
+	// computed — by the pre-pass or at execution — so a recheck is
+	// free. Value similarity is cluster-independent: the memo can
+	// never go stale.
 	vsim    float64
 	hasVsim bool
-	// nsim is the speculatively scored neighbor similarity, exact only
-	// while the cluster version still equals nsimVer — unlike vsim it
-	// depends on the evolving merge state, so the committer revalidates
-	// the stamp before trusting it (parallel engine only).
-	nsim    float64
-	nsimVer uint64
-	hasNsim bool
 }
 
 // NewResolver prepares a progressive run over the pruned comparison
@@ -288,18 +276,23 @@ func (r *Resolver) RunBudget(budget int) *Result {
 }
 
 // RunBudgetContext is RunBudget with cancellation: the loop checks ctx
-// between commit waves — before each comparison is popped — and stops
-// early when the context is done, returning the trace executed so far.
+// before each comparison is popped and stops early when the context is
+// done, returning the trace executed so far.
 // Cancellation never corrupts the resolver: every completed comparison
 // is fully committed, so a later Run continues exactly where the
 // cancelled one stopped, and the concatenated traces still equal one
 // uninterrupted run's. The caller learns about the interruption from
 // ctx.Err(); the partial Result itself carries no error.
+//
+// A draining call (budget 0) with Config.Workers > 1 and a live
+// context first runs the parallel pre-pass (prescore) to completion;
+// the loop after it is the same serial loop either way.
 func (r *Resolver) RunBudgetContext(ctx context.Context, budget int) *Result {
 	r.clk = time.Now()
 	defer r.lap(&r.tim.Schedule)
-	if r.spec == nil && r.cfg.Workers > 1 {
-		r.spec = newSpeculator(r, r.cfg.Workers)
+	if budget == 0 && r.cfg.Workers > 1 && ctx.Err() == nil {
+		r.prescore()
+		r.lap(&r.tim.Match)
 	}
 	done := ctx.Done() // nil for Background: the check below vanishes
 	res := &Result{Clusters: r.cl}
@@ -310,13 +303,6 @@ func (r *Resolver) RunBudgetContext(ctx context.Context, budget int) *Result {
 				return res
 			default:
 			}
-		}
-		if r.spec != nil {
-			remaining := 0
-			if budget > 0 {
-				remaining = budget - res.Comparisons
-			}
-			r.spec.prepare(remaining)
 		}
 		step, ok := r.next()
 		if !ok {
@@ -341,6 +327,40 @@ func (r *Resolver) RunBudgetContext(ctx context.Context, budget int) *Result {
 // Timings returns the cumulative per-stage wall-clock counters. Call
 // it from the goroutine that runs the resolver, between Runs.
 func (r *Resolver) Timings() Timings { return r.tim }
+
+// prescore is the parallel half of a draining run, the decomposition
+// Theoretically-Efficient Parallel DBSCAN applies to clustering
+// (arXiv:1912.06255): do the state-independent distance work in
+// parallel, then the state mutation in order. Value similarity depends
+// on neither the cluster state nor the schedule, so every queued pair
+// the run may execute is scored up front across Config.Workers
+// goroutines, and the serial loop then reads the memo. One serial walk
+// over the queue claims each state that is neither executed nor
+// memoized; the claim sets hasVsim at once, so a state's stale
+// duplicate heap entries share it. The workers each
+// write only the vsim of the states in their chunks and read only the
+// immutable matcher, and the call returns after the last of them, so
+// no state is ever marked scored without its score and no goroutine
+// outlives it. Pairs the update phase boosts or discovers later are
+// scored inline when they execute.
+func (r *Resolver) prescore() {
+	var todo []*pairState
+	for _, e := range r.queue.items {
+		st := e.st
+		if st.done || st.hasVsim {
+			continue
+		}
+		st.hasVsim = true
+		todo = append(todo, st)
+	}
+	m := r.matcher
+	chunks := parmeta.Ranges(len(todo), 8*r.cfg.Workers)
+	parmeta.ForEach(len(chunks), r.cfg.Workers, func(i int) {
+		for _, st := range todo[chunks[i].Lo:chunks[i].Hi] {
+			st.vsim = m.ValueSim(st.pair.A, st.pair.B)
+		}
+	})
+}
 
 // lap is a stage boundary: one clock read charges the interval since
 // the previous boundary to the stage that just ended.
@@ -370,8 +390,8 @@ func (r *Resolver) next() (Step, bool) {
 			continue
 		}
 		// Skip pairs already resolved transitively — their comparison
-		// spends budget without any possible benefit. A speculative
-		// score it may have received is dead weight in its state, never
+		// spends budget without any possible benefit. A pre-pass score
+		// it may have received is dead weight in its state, never
 		// consulted again.
 		if r.cl.Same(p.A, p.B) {
 			st.done = true
@@ -384,18 +404,7 @@ func (r *Resolver) next() (Step, bool) {
 
 func (r *Resolver) execute(p blocking.Pair, st *pairState) Step {
 	st.done = true
-	// valueSim may block on an in-flight wave, which also fills the
-	// pair's speculative neighbor score — check its stamp only after.
-	v := r.valueSim(p, st)
-	var score float64
-	var matched bool
-	if st.hasNsim && st.nsimVer == r.cl.UF().Version() {
-		// No merge landed since the wave launched: the speculative
-		// neighbor score is exactly what DecideValue would recompute.
-		score, matched = r.matcher.DecideScored(p.A, p.B, v, st.nsim, r.cl)
-	} else {
-		score, matched = r.matcher.DecideValue(p.A, p.B, v, r.cl)
-	}
+	score, matched := r.matcher.DecideValue(p.A, p.B, r.valueSim(p, st), r.cl)
 	r.lap(&r.tim.Match)
 	step := Step{A: p.A, B: p.B, Score: score, Matched: matched,
 		Discovered: st.discovered, Recheck: st.recheck}
@@ -411,18 +420,14 @@ func (r *Resolver) execute(p blocking.Pair, st *pairState) Step {
 	return step
 }
 
-// valueSim returns the pair's value similarity: memoized from an
-// earlier execution (a recheck re-decides the pair, but its value
-// evidence cannot have changed), from the speculative score cache
-// when the parallel engine runs, or computed inline. ValueSim is
-// deterministic and cluster-independent, so every source yields the
-// same float.
+// valueSim returns the pair's value similarity: memoized by the
+// pre-pass or an earlier execution (a recheck re-decides the pair, but
+// its value evidence cannot have changed), or computed inline.
+// ValueSim is deterministic and cluster-independent, so either source
+// yields the same float.
 func (r *Resolver) valueSim(p blocking.Pair, st *pairState) float64 {
 	if st.hasVsim {
 		return st.vsim
-	}
-	if r.spec != nil {
-		return r.spec.valueSim(st)
 	}
 	v := r.matcher.ValueSim(p.A, p.B)
 	st.vsim, st.hasVsim = v, true
@@ -474,9 +479,6 @@ func (r *Resolver) boost(p blocking.Pair) {
 	}
 	st.boost += r.cfg.NeighborBoost
 	r.queue.Push(entry{st: st, prio: r.priority(p, st)})
-	if r.spec != nil && !st.hasVsim {
-		r.spec.noteFresh(st)
-	}
 }
 
 // String renders a result summary.

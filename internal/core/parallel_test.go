@@ -52,11 +52,11 @@ func sameTrace(t *testing.T, label string, seq, par *Result) {
 }
 
 // TestParallelTraceBitIdentical is the differential suite of the
-// speculative-score/serial-commit engine: for every benefit model,
-// discovery setting, and budget, the parallel trace must equal the
-// sequential resolver's step for step in every field, for every worker
-// count. CI runs it under -race, which also exercises the engine's
-// synchronization.
+// value-similarity pre-pass: for every benefit model, discovery
+// setting, and budget, the trace with the pre-pass width set must
+// equal the sequential resolver's step for step in every field, for
+// every worker count. CI runs it under -race, which also exercises the
+// pre-pass's hand-off to the serial loop.
 func TestParallelTraceBitIdentical(t *testing.T) {
 	m, edges := hardWorld(t, 99, 130)
 	sawDiscovered, sawRecheck := false, false
@@ -104,10 +104,11 @@ func itoa(n int) string {
 	return strconv.Itoa(n)
 }
 
-// TestParallelResumeLegs drives the parallel engine through uneven
-// budget legs on one resolver — in-flight speculation waves cross leg
-// boundaries — and requires the concatenated trace to equal one
-// sequential run with the summed budget.
+// TestParallelResumeLegs drives a resolver with the pre-pass width set
+// through uneven budget legs — scored inline — and a draining leg,
+// whose pre-pass finds part of the queue already executed, and
+// requires the concatenated trace to equal one sequential run with the
+// summed budget.
 func TestParallelResumeLegs(t *testing.T) {
 	m, edges := hardWorld(t, 100, 120)
 	seq := NewResolver(m, edges, Config{}).Run()
@@ -266,11 +267,11 @@ func waveLegs(t *testing.T, workers int) []*Result {
 }
 
 // TestParallelTraceAcrossWaves extends the differential suite past a
-// fresh resolver: after a Reseed or a Retract the speculation snapshot
-// is rebuilt from a queue in no particular order, and speculative waves
-// from the previous leg are still in flight when the wave arrives. Every
-// leg of every worker count must equal the sequential trace in every
-// Step field.
+// fresh resolver: a Reseed invalidates every memoized score and
+// re-opens failed pairs, and a Retract rebuilds the queue from a
+// replay, so the draining leg's pre-pass runs over a queue in no
+// particular order. Every leg of every worker count must equal the
+// sequential trace in every Step field.
 func TestParallelTraceAcrossWaves(t *testing.T) {
 	seq := waveLegs(t, 0)
 	recheck := false
@@ -288,5 +289,68 @@ func TestParallelTraceAcrossWaves(t *testing.T) {
 		for i, name := range []string{"first", "reseed", "retract"} {
 			sameTrace(t, "workers="+strconv.Itoa(workers)+"/"+name, seq[i], par[i])
 		}
+	}
+}
+
+// TestPrescore pins what the pre-pass computes and when it runs. A
+// budgeted leg scores only what it executes. A direct pre-pass leaves
+// every queued pair not yet executed holding exactly ValueSim's float.
+// And a draining run at width 4 runs it: the pairs
+// its loop skips as transitively resolved were scored anyway, which
+// never happens on the serial loop.
+func TestPrescore(t *testing.T) {
+	m, edges := hardWorld(t, 102, 120)
+	r := NewResolver(m, edges, Config{Workers: 4})
+	leg := r.RunBudget(30)
+	if n := scored(r); n > leg.Comparisons {
+		t.Fatalf("a %d-comparison budgeted leg scored %d pairs", leg.Comparisons, n)
+	}
+	r.prescore()
+	for _, e := range r.queue.items {
+		st := e.st
+		if st.done {
+			continue
+		}
+		if !st.hasVsim || st.vsim != m.ValueSim(st.pair.A, st.pair.B) {
+			t.Fatalf("pair %v after the pre-pass: hasVsim=%v vsim=%v, want %v",
+				st.pair, st.hasVsim, st.vsim, m.ValueSim(st.pair.A, st.pair.B))
+		}
+	}
+
+	// Three KBs, so matches chain and some queued pairs resolve
+	// transitively before they pop.
+	w, err := datagen.Generate(datagen.Config{
+		Seed:        103,
+		NumEntities: 120,
+		KBs: []datagen.KBConfig{
+			{Name: "centerA", Coverage: 1, Profile: datagen.Center()},
+			{Name: "centerB", Coverage: 1, Profile: datagen.Center()},
+			{Name: "periphX", Coverage: 1, Profile: datagen.Periphery()},
+		},
+		LinksPerEntity: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, edges = pipeline(t, w)
+	wasted := func(workers int) int {
+		r := NewResolver(m, edges, Config{Workers: workers})
+		executed := make(map[uint64]bool)
+		for _, s := range r.RunBudget(0).Trace {
+			executed[pairKey(blocking.MakePair(s.A, s.B))] = true
+		}
+		n := 0
+		for k, st := range r.states {
+			if st.hasVsim && !executed[k] {
+				n++
+			}
+		}
+		return n
+	}
+	if n := wasted(0); n != 0 {
+		t.Fatalf("the serial loop scored %d pairs it never executed", n)
+	}
+	if wasted(4) == 0 {
+		t.Fatal("a draining run at width 4 scored nothing beyond what it executed; the pre-pass did not run")
 	}
 }

@@ -29,8 +29,6 @@ import (
 //     queued.
 //   - Memoized value similarities are invalidated wholesale: the new
 //     matcher's IDF weights make them stale.
-//   - The speculative engine is quiesced and discarded; the next Run
-//     re-creates it against the reseeded queue.
 //
 // When nothing has been executed yet, the reseeded resolver is
 // indistinguishable from NewResolver(m, edges, cfg): the same states,
@@ -38,10 +36,6 @@ import (
 // same priorities — which is what makes ingest-then-resolve
 // bit-identical to a from-scratch session.
 func (r *Resolver) Reseed(m *match.Matcher, edges []metablocking.Edge) {
-	if r.spec != nil {
-		r.spec.shutdown()
-		r.spec = nil
-	}
 	r.matcher = m
 	r.cl.GrowFor(m.Collection())
 
@@ -73,8 +67,7 @@ func (r *Resolver) Reseed(m *match.Matcher, edges []metablocking.Edge) {
 			st.pair = p
 		} else {
 			delete(old, k)
-			st.hasVsim, st.vsim, st.inflight = false, 0, false
-			st.hasNsim = false
+			st.hasVsim, st.vsim = false, 0
 		}
 		st.base = e.Weight / r.maxW
 		if st.done && !r.cl.Same(p.A, p.B) {
@@ -99,8 +92,7 @@ func (r *Resolver) Reseed(m *match.Matcher, edges []metablocking.Edge) {
 		if !st.done && !st.discovered {
 			continue
 		}
-		st.hasVsim, st.vsim, st.inflight = false, 0, false
-		st.hasNsim = false
+		st.hasVsim, st.vsim = false, 0
 		r.states[k] = st
 		if !st.done {
 			leftovers = append(leftovers, st)

@@ -35,8 +35,6 @@ import (
 //   - Pairs touching evicted descriptions leave the queue entirely:
 //     the new edge list cannot contain them, the replay never
 //     recreates them, and their states are discarded.
-//   - The speculative engine is quiesced and discarded; the next Run
-//     re-creates it against the retracted queue.
 //
 // When steps is empty — nothing executed yet — the retracted resolver
 // is indistinguishable from NewResolver(m, edges, cfg): the same
@@ -44,10 +42,6 @@ import (
 // makes evict-then-resolve bit-identical to a from-scratch session
 // over the surviving corpus.
 func (r *Resolver) Retract(m *match.Matcher, edges []metablocking.Edge, steps []Step) {
-	if r.spec != nil {
-		r.spec.shutdown()
-		r.spec = nil
-	}
 	r.matcher = m
 	r.cl = match.NewClustersFor(m.Collection())
 

@@ -420,19 +420,3 @@ func T6DirtyER(seed int64, n int) *Table {
 	}
 	return t
 }
-
-// All runs every experiment with laptop-scale defaults.
-func All(seed int64) []*Table {
-	return []*Table{
-		F1Pipeline(seed, 300),
-		T1Blocking(seed, []int{200, 400}),
-		T2BlockCleaning(seed, 400),
-		T3MetaBlocking(seed, 300),
-		F2Progressive(seed, 300),
-		F3Benefits(seed, 300),
-		T4NeighborEvidence(seed, 300),
-		T5Parallel(seed, 400, []int{1, 2, 4, 8}),
-		F4Scalability(seed, []int{100, 200, 400, 800}),
-		T6DirtyER(seed, 300),
-	}
-}

@@ -83,9 +83,9 @@ func (o Options) WithDefaults() Options {
 
 // Matcher scores and decides description pairs over one collection.
 // It is read-only after construction: NewMatcher pre-warms the token
-// cache and vectorizes every description, so concurrent ValueSim and
-// Score calls are race-free — the property the parallel matching
-// engine's speculative scoring workers rely on.
+// cache and vectorizes every description, so concurrent ValueSim
+// calls are race-free — the property the resolver's parallel
+// value-similarity pre-pass relies on.
 type Matcher struct {
 	col   *kb.Collection
 	opts  Options
@@ -201,36 +201,6 @@ func (m *Matcher) NeighborSim(a, b int, resolved *container.UnionFind) float64 {
 	return s
 }
 
-// NeighborSimRead is NeighborSim over the forest's lock-free read path
-// (container.UnionFind.SameRead): the parallel engine's scoring
-// workers call it concurrently with the committer's merges. A call
-// racing a merge may land on either side of it, so the caller stamps
-// the result with the forest Version at wave launch and treats it as
-// exact only while the version holds.
-func (m *Matcher) NeighborSimRead(a, b int, resolved *container.UnionFind) float64 {
-	na, nb := m.neighbors[a], m.neighbors[b]
-	if len(na) == 0 || len(nb) == 0 || resolved == nil {
-		return 0
-	}
-	if len(nb) < len(na) {
-		na, nb = nb, na
-	}
-	hits := 0
-	for _, x := range na {
-		for _, y := range nb {
-			if resolved.SameRead(x, y) {
-				hits++
-				break
-			}
-		}
-	}
-	s := float64(hits) / math.Sqrt(float64(len(na))*float64(len(nb)))
-	if s > 1 {
-		return 1
-	}
-	return s
-}
-
 // Score returns the combined match score:
 // valueSim + NeighborWeight·neighborSim, capped at 1.
 func (m *Matcher) Score(a, b int, resolved *container.UnionFind) float64 {
@@ -254,26 +224,15 @@ func (m *Matcher) Decide(a, b int, cl *Clusters) (score float64, matched bool) {
 }
 
 // DecideValue is Decide with the pair's value similarity supplied by
-// the caller — the commit hook of the parallel matching engine, whose
-// scoring workers precompute ValueSim speculatively. v must equal
-// ValueSim(a, b); then DecideValue(a, b, v, cl) is bit-identical to
-// Decide(a, b, cl).
+// the caller — the resolver's hook for scores memoized by its pre-pass
+// or an earlier execution. v must equal ValueSim(a, b); then
+// DecideValue(a, b, v, cl) is bit-identical to Decide(a, b, cl).
 func (m *Matcher) DecideValue(a, b int, v float64, cl *Clusters) (score float64, matched bool) {
 	var resolved *container.UnionFind
 	if cl != nil {
 		resolved = cl.UF()
 	}
-	return m.DecideScored(a, b, v, m.NeighborSim(a, b, resolved), cl)
-}
-
-// DecideScored is DecideValue with the neighbor similarity also
-// supplied by the caller — the commit hook for speculated neighbor
-// scores. ns must equal NeighborSim(a, b, cl.UF()) at decision time
-// (the parallel engine guarantees it by revalidating the cluster
-// version a speculative score was stamped with); then
-// DecideScored(a, b, v, ns, cl) is bit-identical to Decide(a, b, cl).
-func (m *Matcher) DecideScored(a, b int, v, ns float64, cl *Clusters) (score float64, matched bool) {
-	score = v + m.opts.NeighborWeight*ns
+	score = v + m.opts.NeighborWeight*m.NeighborSim(a, b, resolved)
 	if score > 1 {
 		score = 1
 	}

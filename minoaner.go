@@ -161,10 +161,11 @@ type Config struct {
 	// Workers sets the parallelism of the whole pipeline. The
 	// front-end stages — token blocking, block cleaning, graph build,
 	// weighting, and pruning — dispatch through one engine
-	// (internal/pipeline), and the matching stage runs the
-	// speculative-score/serial-commit engine (internal/core) with the
-	// same worker count: 1 runs the sequential reference everywhere,
-	// n > 1 runs the parallel engines with n workers, and 0 — the
+	// (internal/pipeline), and the matching stage (internal/core) uses
+	// the same worker count as the width of the value-similarity
+	// pre-pass a draining Resume runs before its serial loop: 1 runs
+	// the sequential reference everywhere, n > 1 runs the parallel
+	// engine and an n-wide pre-pass, and 0 — the
 	// default — uses one worker per available CPU (GOMAXPROCS), so
 	// Resolve is automatically parallel on multicore hosts. Every
 	// setting produces identical results, including a bit-identical
@@ -914,7 +915,12 @@ func (p *Pipeline) ResolveContext(ctx context.Context, budget int) (*Result, err
 // session over a corpus that never held them. Config.TTL drives Evict
 // automatically as a sliding window over ingest batches.
 type Session struct {
-	p        *Pipeline
+	p *Pipeline
+	// col is the collection the session's ids index: the pipeline's at
+	// Start, replaced only by the session's own compaction epochs. A
+	// superseded session keeps reading it after the current session
+	// re-bases the pipeline onto a compacted collection.
+	col      *kb.Collection
 	eng      pipeline.Engine
 	fstate   *pipeline.State
 	resolver *core.Resolver
@@ -954,8 +960,8 @@ type Session struct {
 // carried any departure counts as Evict);
 // Resolve is the matching loop end to end, and
 // Schedule/Match/Update partition it (see internal/core.Timings — the
-// parallel engine's speculation bookkeeping counts as Schedule, and
-// Match includes time the committer waits for speculative scores).
+// parallel value-similarity pre-pass of a draining Resume counts as
+// Match).
 type Timings struct {
 	FrontEnd time.Duration `json:"frontendNs"`
 	Ingest   time.Duration `json:"ingestNs"`
@@ -983,11 +989,11 @@ func (s *Session) Timings() Timings {
 // engine layer: pipeline.Select maps Config.Workers onto the sequential
 // reference or the shared-memory parallel engine, and every stage is
 // dispatched uniformly through it. The matching stage (run by Resume)
-// gets the same resolved worker count: with more than one worker the
-// resolver precomputes value similarities on a worker pool while a
-// single committer replays the exact sequential schedule. The results
-// are bit-identical whichever engine runs and whatever the worker
-// count.
+// gets the same resolved worker count: with more than one worker, a
+// draining Resume first computes the queued pairs' value similarities
+// on that many goroutines, then runs the exact sequential schedule
+// over them. The results are bit-identical whichever engine runs and
+// whatever the worker count.
 func (p *Pipeline) Start() (*Session, error) {
 	if p.col.NumAlive() == 0 {
 		return nil, fmt.Errorf("minoaner: no descriptions loaded")
@@ -1025,7 +1031,7 @@ func (p *Pipeline) newSession() (*Session, error) {
 	if p.testWrapEngine != nil {
 		eng = p.testWrapEngine(eng)
 	}
-	s := &Session{p: p, eng: eng}
+	s := &Session{p: p, col: p.col, eng: eng}
 	if p.cfg.TTL > 0 {
 		s.gens = make([]int, p.col.Len())
 	}
@@ -1039,7 +1045,7 @@ func (p *Pipeline) newSession() (*Session, error) {
 func (s *Session) build() error {
 	p := s.p
 	t0 := time.Now()
-	fstate, err := pipeline.Start(s.eng, p.col, p.pipelineOptions())
+	fstate, err := pipeline.Start(s.eng, s.col, p.pipelineOptions())
 	if err != nil {
 		return fmt.Errorf("minoaner: %w", err)
 	}
@@ -1048,7 +1054,7 @@ func (s *Session) build() error {
 	// before the matcher and resolver allocate. refreshStats and Gauges
 	// read the cached edge count and footprint.
 	fstate.Front.Graph.Release()
-	s.matcher = match.NewMatcher(p.col, p.cfg.Match)
+	s.matcher = match.NewMatcher(s.col, p.cfg.Match)
 	s.resolver = core.NewResolver(s.matcher, fstate.Front.Edges, core.Config{
 		Benefit:          p.cfg.Benefit,
 		DisableDiscovery: p.cfg.DisableDiscovery,
@@ -1067,9 +1073,9 @@ func (s *Session) build() error {
 func (s *Session) refreshStats() {
 	fe := s.fstate.Front
 	s.base = Stats{
-		Descriptions:    s.p.col.NumAlive(),
-		KBs:             s.p.col.NumLiveKBs(),
-		BruteForce:      bruteForce(s.p.col),
+		Descriptions:    s.col.NumAlive(),
+		KBs:             s.col.NumLiveKBs(),
+		BruteForce:      bruteForce(s.col),
 		Blocks:          fe.Blocks.NumBlocks(),
 		BlockCandidates: fe.Graph.NumEdges(),
 		PrunedEdges:     len(fe.Edges),
@@ -1122,19 +1128,19 @@ func (s *Session) buildResult() (*Result, [][]int) {
 		}
 		out.Stats.Matches++
 		out.Matches = append(out.Matches, Match{
-			A:          p.ref(step.A),
-			B:          p.ref(step.B),
+			A:          s.ref(step.A),
+			B:          s.ref(step.B),
 			Score:      step.Score,
 			Discovered: step.Discovered,
 			Rechecked:  step.Recheck,
 		})
 	}
-	final := cluster.Cluster(p.cfg.Clustering, cluster.FromSteps(s.trace), p.col, p.col.Len())
+	final := cluster.Cluster(p.cfg.Clustering, cluster.FromSteps(s.trace), s.col, s.col.Len())
 	members := final.Resolved()
 	for _, ids := range members {
 		cl := make(Cluster, len(ids))
 		for i, id := range ids {
-			cl[i] = p.ref(id)
+			cl[i] = s.ref(id)
 		}
 		out.Clusters = append(out.Clusters, cl)
 	}
@@ -1177,19 +1183,19 @@ func (s *Session) Snapshot() *Snapshot {
 		pending: s.resolver.Pending(),
 		tim:     s.Timings(),
 		gauges:  s.Gauges(),
-		index:   make(map[Ref]int, s.p.col.NumAlive()),
+		index:   make(map[Ref]int, s.col.NumAlive()),
 		byURI:   make(map[string][]Ref),
 	}
 	for ci, ids := range members {
 		for _, id := range ids {
-			sn.index[s.p.ref(id)] = ci
+			sn.index[s.ref(id)] = ci
 		}
 	}
-	for id := 0; id < s.p.col.Len(); id++ {
-		if !s.p.col.Alive(id) {
+	for id := 0; id < s.col.Len(); id++ {
+		if !s.col.Alive(id) {
 			continue
 		}
-		r := s.p.ref(id)
+		r := s.ref(id)
 		if _, ok := sn.index[r]; !ok {
 			sn.index[r] = -1
 		}
@@ -1494,7 +1500,7 @@ func (s *Session) wave(batch []Description, gone []int) error {
 // between passes, so those lists keep growing across them. Merges count
 // by PendingMerges, which counts repeats.
 func (s *Session) fold(batch []Description, gone []int) (delta, error) {
-	col := s.p.col
+	col := s.col
 	beforeLen, beforeMerges, beforeDead := col.Len(), col.PendingMerges(), col.Tombstones()
 	s.p.addRaw(batch)
 	for _, id := range gone {
@@ -1540,7 +1546,7 @@ func (s *Session) syncFront(d delta, t0 time.Time) error {
 		return nil // nothing new arrived or departed
 	}
 	if d.compacted {
-		s.fstate.Rebase(s.p.col)
+		s.fstate.Rebase(s.col)
 	}
 	pass, kind := s.eng.Ingest, "ingest"
 	if d.departed {
@@ -1549,7 +1555,7 @@ func (s *Session) syncFront(d delta, t0 time.Time) error {
 	if err := pass(s.fstate); err != nil {
 		return s.poison(fmt.Errorf("minoaner: %s: %w", kind, err))
 	}
-	if err := s.p.col.ColdErr(); err != nil {
+	if err := s.col.ColdErr(); err != nil {
 		// A description failed to page in mid-pass; the tokenizer saw
 		// a stub, so the committed front may be wrong. Poison rather
 		// than serve it.
@@ -1557,7 +1563,7 @@ func (s *Session) syncFront(d delta, t0 time.Time) error {
 	}
 	// As in build: the graph's arrays go before the matcher is rebuilt.
 	s.fstate.Front.Graph.Release()
-	s.matcher = match.NewMatcher(s.p.col, s.p.cfg.Match)
+	s.matcher = match.NewMatcher(s.col, s.p.cfg.Match)
 	if d.departed {
 		s.resolver.Retract(s.matcher, s.fstate.Front.Edges, s.trace)
 		s.tim.Evict += time.Since(t0)
@@ -1565,7 +1571,7 @@ func (s *Session) syncFront(d delta, t0 time.Time) error {
 		s.resolver.Reseed(s.matcher, s.fstate.Front.Edges)
 		s.tim.Ingest += time.Since(t0)
 	}
-	if err := s.p.col.ColdErr(); err != nil {
+	if err := s.col.ColdErr(); err != nil {
 		// The matcher rebuild and the resolver replay page descriptions
 		// too; a failure there desyncs scores the same way.
 		return s.poison(fmt.Errorf("minoaner: description store: %w", err))
@@ -1638,7 +1644,7 @@ func (s *Session) Gauges() Gauges {
 	g := Gauges{
 		GraphEdges:  s.fstate.Front.Graph.NumEdges(),
 		GraphBytes:  s.fstate.Front.Graph.Footprint(),
-		Tombstones:  s.p.col.Tombstones(),
+		Tombstones:  s.col.Tombstones(),
 		Compactions: s.compactions,
 	}
 	if w := s.p.wal; w != nil {
@@ -1675,12 +1681,13 @@ func (s *Session) Gauges() Gauges {
 // value reports whether a compaction epoch happened, so a live wave can
 // checkpoint the write-ahead log after its pass completes.
 //
-// Superseded sessions hold trace ids of the old id space: after a
-// compaction they can no longer resolve against the shared pipeline —
-// one more reason streaming is restricted to the current session.
+// Superseded sessions hold trace ids of the old id space, so they keep
+// reading the collection they were built over (Session.col) and go on
+// resolving their frozen view; only this session and the pipeline move
+// to the compacted one.
 func (s *Session) maybeCompact() (bool, error) {
 	thr := s.p.compactionThreshold()
-	col := s.p.col
+	col := s.col
 	if thr <= 0 || col.Len() == 0 {
 		return false, nil
 	}
@@ -1694,7 +1701,7 @@ func (s *Session) maybeCompact() (bool, error) {
 	if err := errors.Join(col.ColdErr(), newCol.ColdErr()); err != nil {
 		return false, fmt.Errorf("minoaner: compaction: description store: %w", err)
 	}
-	s.p.col = newCol
+	s.p.col, s.col = newCol, newCol
 	for i := range s.trace {
 		s.trace[i].A = oldToNew[s.trace[i].A]
 		s.trace[i].B = oldToNew[s.trace[i].B]
@@ -1739,7 +1746,7 @@ func (s *Session) walCheckpoint() error {
 	if w == nil {
 		return nil
 	}
-	col := s.p.col
+	col := s.col
 	chk := walCheckpoint{Descs: make([]Description, 0, col.NumAlive())}
 	if s.gens != nil {
 		chk.Ages = make([]int, 0, col.NumAlive())
@@ -1795,12 +1802,12 @@ func (s *Session) expireTTL() {
 		return
 	}
 	// Stamp ids that arrived since the last pass with the current batch.
-	for id := len(s.gens); id < s.p.col.Len(); id++ {
+	for id := len(s.gens); id < s.col.Len(); id++ {
 		s.gens = append(s.gens, s.curGen)
 	}
 	cutoff := s.curGen - ttl
 	for s.expired < len(s.gens) && s.gens[s.expired] <= cutoff {
-		s.p.col.Evict(s.expired) // no-op when already evicted by hand
+		s.col.Evict(s.expired) // no-op when already evicted by hand
 		s.expired++
 	}
 }
@@ -1821,8 +1828,8 @@ func filterAliveSteps(steps []core.Step, col *kb.Collection) []core.Step {
 // ref builds the stable reference of an id from the always-hot KB and
 // URI arrays — never from Desc, which in store mode would page a whole
 // body in just to read two fields every result row repeats.
-func (p *Pipeline) ref(id int) Ref {
-	return Ref{KB: p.col.KBName(p.col.KBOf(id)), URI: p.col.URIOf(id)}
+func (s *Session) ref(id int) Ref {
+	return Ref{KB: s.col.KBName(s.col.KBOf(id)), URI: s.col.URIOf(id)}
 }
 
 func bruteForce(c *kb.Collection) int {
