@@ -173,15 +173,15 @@ func BenchmarkGraphBuild(b *testing.B) {
 }
 
 // BenchmarkFrontEndBlocking sweeps tokenize + token blocking across
-// the engine layer's worker counts (workers=1 is the sequential
-// reference engine). Each sub-benchmark gets its own world so no
-// engine inherits another's warm token cache; after the first
-// iteration the cache is warm, as in a real pipeline run.
+// the engine's worker counts (workers=1 tokenizes inline). Each
+// sub-benchmark gets its own world so no worker count inherits
+// another's warm token cache; after the first iteration the cache is
+// warm, as in a real pipeline run.
 func BenchmarkFrontEndBlocking(b *testing.B) {
 	opts := tokenize.Default()
 	for _, workers := range []int{1, 2, 4} {
 		eng := pipeline.Select(workers, false)
-		b.Run(fmt.Sprintf("%s/workers=%d", eng.Name(), workers), func(b *testing.B) {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			w := benchWorld(b, 1000)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -194,13 +194,13 @@ func BenchmarkFrontEndBlocking(b *testing.B) {
 }
 
 // BenchmarkFrontEndCleaning sweeps block purging + filtering across
-// the engine layer's worker counts on one pre-built block collection.
+// the engine's worker counts on one pre-built block collection.
 func BenchmarkFrontEndCleaning(b *testing.B) {
 	w := benchWorld(b, 1000)
 	col := blocking.TokenBlocking(w.Collection, tokenize.Default())
 	for _, workers := range []int{1, 2, 4} {
 		eng := pipeline.Select(workers, false)
-		b.Run(fmt.Sprintf("%s/workers=%d", eng.Name(), workers), func(b *testing.B) {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				purged, err := eng.Purge(col, 0)
 				if err != nil {
@@ -215,8 +215,7 @@ func BenchmarkFrontEndCleaning(b *testing.B) {
 }
 
 // BenchmarkFrontEndRun drives the whole front-end — blocking,
-// cleaning, graph build, pruning — through each engine, the wall-clock
-// the engine refactor targets.
+// cleaning, graph build, pruning — at each worker count.
 func BenchmarkFrontEndRun(b *testing.B) {
 	opt := pipeline.Options{
 		Tokenize:    tokenize.Default(),
@@ -226,7 +225,7 @@ func BenchmarkFrontEndRun(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4} {
 		eng := pipeline.Select(workers, false)
-		b.Run(fmt.Sprintf("%s/workers=%d", eng.Name(), workers), func(b *testing.B) {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			w := benchWorld(b, 1000)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -1,14 +1,14 @@
 // parallel drives the full pipeline — token blocking, block cleaning,
-// graph construction, pruning, and progressive matching — through
-// the parallel engines over an increasing worker count. The front-end
-// sweeps the engine layer (internal/pipeline): the sequential
-// reference and the shared-memory parallel engine. The matching sweep
-// then drives the resolver (internal/core) over the pruned comparisons
-// with a widening value-similarity pre-pass. Both sweeps print wall
-// clocks and verify the parallel property end to end: every engine and
-// every worker count produces the identical pruned blocking graph and
-// a bit-identical progressive trace — what makes the multicore
-// realization a safe substitute for the sequential reference.
+// graph construction, pruning, and progressive matching — over an
+// increasing worker count. The front-end sweeps the engine layer
+// (internal/pipeline), whose one engine runs inline at one worker and
+// fans tokenization and the graph kernel out above it. The matching
+// sweep then drives the resolver (internal/core) over the pruned
+// comparisons with a widening value-similarity pre-pass. Both sweeps
+// print wall clocks and verify the parallel property end to end: every
+// worker count produces the identical pruned blocking graph and a
+// bit-identical progressive trace — what makes the multicore
+// realization a safe substitute for the one-worker run.
 //
 //	go run ./examples/parallel
 package main
@@ -41,21 +41,21 @@ func main() {
 	}
 
 	// Warm the shared token cache once, outside any timed run:
-	// whichever engine ran first would otherwise pay tokenization for
+	// whichever width ran first would otherwise pay tokenization for
 	// everyone after it, skewing the sweep. The timings below compare
-	// the engines' index building, cleaning, graph, and pruning work.
+	// index building, cleaning, graph, and pruning work.
 	world.Collection.WarmTokens(opt.Tokenize, 4)
 
 	var refSet bool
 	var refBlocks, refEdges int
 	var refWeight float64
-	check := func(engine string, workers int, fe *pipeline.FrontEnd, wall time.Duration) {
+	check := func(workers int, fe *pipeline.FrontEnd, wall time.Duration) {
 		sum := 0.0
 		for _, e := range fe.Edges {
 			sum += e.Weight
 		}
 		fmt.Printf("%-12s  %-8d  %-10s  %-8d  %-8d  %-10.1f\n",
-			engine, workers, wall.Round(time.Millisecond),
+			"front end", workers, wall.Round(time.Millisecond),
 			fe.Blocks.NumBlocks(), len(fe.Edges), sum)
 		if !refSet {
 			refSet = true
@@ -63,40 +63,34 @@ func main() {
 			return
 		}
 		if fe.Blocks.NumBlocks() != refBlocks || len(fe.Edges) != refEdges || sum != refWeight {
-			log.Fatalf("%s with %d workers changed the result: %d blocks, %d edges (Σ %.3f) vs %d, %d (Σ %.3f)",
-				engine, workers, fe.Blocks.NumBlocks(), len(fe.Edges), sum,
+			log.Fatalf("%d workers changed the result: %d blocks, %d edges (Σ %.3f) vs %d, %d (Σ %.3f)",
+				workers, fe.Blocks.NumBlocks(), len(fe.Edges), sum,
 				refBlocks, refEdges, refWeight)
 		}
 	}
 
 	fmt.Printf("%-12s  %-8s  %-10s  %-8s  %-8s  %-10s\n",
-		"engine", "workers", "wall", "blocks", "edges", "Σweight")
+		"stage", "workers", "wall", "blocks", "edges", "Σweight")
 
-	run := func(eng pipeline.Engine, workers int) *pipeline.FrontEnd {
+	// One worker first: the run every wider one must reproduce bit for
+	// bit. Its pruned graph also feeds the matching sweep below.
+	var fe *pipeline.FrontEnd
+	for _, workers := range []int{1, 2, 4, 8} {
 		start := time.Now()
-		fe, err := pipeline.Run(eng, world.Collection, opt)
+		got, err := pipeline.Run(pipeline.Shared{Workers: workers}, world.Collection, opt)
 		if err != nil {
 			log.Fatal(err)
 		}
-		check(eng.Name(), workers, fe, time.Since(start))
-		return fe
+		check(workers, got, time.Since(start))
+		if fe == nil {
+			fe = got
+		}
 	}
 
-	// The sequential reference first: the oracle the parallel engines
-	// must reproduce bit for bit. Its pruned graph also feeds the
-	// matching sweep below.
-	fe := run(pipeline.Sequential{}, 1)
-
-	// Shared-memory engine: parallel tokenization and the chunked
-	// graph kernel around the reference stages.
-	for _, workers := range []int{2, 4, 8} {
-		run(pipeline.Shared{Workers: workers}, workers)
-	}
-
-	fmt.Println("\nevery engine, every worker count: identical pruned graph")
+	fmt.Println("\nevery worker count: identical pruned graph")
 
 	// Matching stage: the resolver over the pruned comparisons of the
-	// sequential reference run. With more than one worker, a pre-pass
+	// one-worker run. With more than one worker, a pre-pass
 	// computes every queued pair's TF-IDF cosine in parallel; the
 	// serial loop then replays the exact sequential schedule, so the
 	// trace must match the sequential resolver step for step, in every

@@ -209,15 +209,25 @@ type pairState struct {
 
 // NewResolver prepares a progressive run over the pruned comparison
 // list from meta-blocking. Edges should be the output of Graph.Prune
-// (any order; the scheduler orders them).
+// (any order; the scheduler orders them). It is a resolver with no
+// history: Retract(m, edges, nil) on an empty one.
 func NewResolver(m *match.Matcher, edges []metablocking.Edge, cfg Config) *Resolver {
-	cfg = cfg.withDefaults()
-	r := &Resolver{
-		matcher: m,
-		cfg:     cfg,
-		states:  make(map[uint64]*pairState, len(edges)),
-		cl:      match.NewClustersFor(m.Collection()),
-	}
+	r := &Resolver{cfg: cfg.withDefaults()}
+	r.Retract(m, edges, nil)
+	return r
+}
+
+// index is the one queue-indexing step of NewResolver, Reseed and
+// Retract: it sets maxW from the edges, gives each distinct retained
+// pair one state in edge order, and returns the queue entries of the
+// states left to execute, in that order, for newQueue to heapify.
+// Fresh states come from one slab (its capacity is fixed, so the
+// interior pointers stay valid). A pair that already has a state in
+// old — only Reseed passes one — keeps it, minus its memoized value
+// similarity (the matcher changed), and leaves old; if it was executed
+// but not matched it re-opens as a recheck (Reseed's rule).
+func (r *Resolver) index(edges []metablocking.Edge, old map[uint64]*pairState) []entry {
+	r.maxW = 0
 	for _, e := range edges {
 		if e.Weight > r.maxW {
 			r.maxW = e.Weight
@@ -226,9 +236,7 @@ func NewResolver(m *match.Matcher, edges []metablocking.Edge, cfg Config) *Resol
 	if r.maxW == 0 {
 		r.maxW = 1
 	}
-	// States come from one slab (its capacity is fixed, so the interior
-	// pointers stay valid) and the heap is built with one O(n) heapify
-	// instead of n pushes.
+	r.states = make(map[uint64]*pairState, len(edges))
 	slab := make([]pairState, len(edges))
 	used := 0
 	entries := make([]entry, 0, len(edges))
@@ -238,15 +246,30 @@ func NewResolver(m *match.Matcher, edges []metablocking.Edge, cfg Config) *Resol
 		if _, dup := r.states[k]; dup {
 			continue
 		}
-		st := &slab[used]
-		used++
-		st.pair = p
+		st := old[k]
+		if st == nil {
+			st = &slab[used]
+			used++
+			st.pair = p
+		} else {
+			delete(old, k)
+			st.hasVsim, st.vsim = false, 0
+			if st.done && !r.cl.Same(p.A, p.B) {
+				// Executed but unmatched, and still retained: the ingest
+				// changed the IDF landscape its decision was made under,
+				// so it gets re-examined — the streaming form of a
+				// recheck.
+				st.done = false
+				st.recheck = true
+			}
+		}
 		st.base = e.Weight / r.maxW
 		r.states[k] = st
-		entries = append(entries, entry{st: st, prio: r.priority(p, st)})
+		if !st.done {
+			entries = append(entries, entry{st: st, prio: r.priority(p, st)})
+		}
 	}
-	r.queue = newQueue(entries)
-	return r
+	return entries
 }
 
 // priority computes a pair's current scheduling priority.

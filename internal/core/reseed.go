@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"slices"
 
-	"repro/internal/blocking"
 	"repro/internal/match"
 	"repro/internal/metablocking"
 )
@@ -39,49 +38,8 @@ func (r *Resolver) Reseed(m *match.Matcher, edges []metablocking.Edge) {
 	r.matcher = m
 	r.cl.GrowFor(m.Collection())
 
-	r.maxW = 0
-	for _, e := range edges {
-		if e.Weight > r.maxW {
-			r.maxW = e.Weight
-		}
-	}
-	if r.maxW == 0 {
-		r.maxW = 1
-	}
-
 	old := r.states
-	r.states = make(map[uint64]*pairState, len(edges))
-	slab := make([]pairState, len(edges))
-	used := 0
-	entries := make([]entry, 0, len(edges))
-	for _, e := range edges {
-		p := blocking.MakePair(e.A, e.B)
-		k := pairKey(p)
-		if _, dup := r.states[k]; dup {
-			continue
-		}
-		st := old[k]
-		if st == nil {
-			st = &slab[used]
-			used++
-			st.pair = p
-		} else {
-			delete(old, k)
-			st.hasVsim, st.vsim = false, 0
-		}
-		st.base = e.Weight / r.maxW
-		if st.done && !r.cl.Same(p.A, p.B) {
-			// Executed but unmatched, and still retained: the ingest
-			// changed the IDF landscape its decision was made under, so
-			// it gets re-examined — the streaming form of a recheck.
-			st.done = false
-			st.recheck = true
-		}
-		r.states[k] = st
-		if !st.done {
-			entries = append(entries, entry{st: st, prio: r.priority(p, st)})
-		}
-	}
+	entries := r.index(edges, old)
 
 	// Survivors outside the new edge list: executed pairs keep their
 	// history (a recheck must not re-discover them as fresh pairs), and

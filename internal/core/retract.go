@@ -45,36 +45,17 @@ func (r *Resolver) Retract(m *match.Matcher, edges []metablocking.Edge, steps []
 	r.matcher = m
 	r.cl = match.NewClustersFor(m.Collection())
 
-	r.maxW = 0
-	for _, e := range edges {
-		if e.Weight > r.maxW {
-			r.maxW = e.Weight
-		}
-	}
-	if r.maxW == 0 {
-		r.maxW = 1
-	}
-
 	// Fresh states for the retained comparisons, heapified in edge
-	// order — byte for byte the NewResolver construction.
-	r.states = make(map[uint64]*pairState, len(edges))
-	slab := make([]pairState, len(edges))
-	used := 0
-	entries := make([]entry, 0, len(edges))
-	edgeStates := make([]*pairState, 0, len(edges))
-	for _, e := range edges {
-		p := blocking.MakePair(e.A, e.B)
-		k := pairKey(p)
-		if _, dup := r.states[k]; dup {
-			continue
+	// order — with no history, this is all NewResolver does. Every fresh
+	// state is queued, so the entries are the edge states in edge order;
+	// only the recheck pass after a replay needs them kept.
+	entries := r.index(edges, nil)
+	var edgeStates []*pairState
+	if len(steps) > 0 {
+		edgeStates = make([]*pairState, len(entries))
+		for i, e := range entries {
+			edgeStates[i] = e.st
 		}
-		st := &slab[used]
-		used++
-		st.pair = p
-		st.base = e.Weight / r.maxW
-		r.states[k] = st
-		edgeStates = append(edgeStates, st)
-		entries = append(entries, entry{st: st, prio: r.priority(p, st)})
 	}
 	r.queue = newQueue(entries)
 

@@ -331,9 +331,9 @@ func T4NeighborEvidence(seed int64, n int) *Table {
 }
 
 // T5Parallel measures blocking + meta-blocking wall time as workers
-// increase (the parallelism claim of [4], laptop scale), on the engine
-// pipeline.Select picks for each count: the sequential reference at 1
-// worker, the shared-memory engine above it.
+// increase (the parallelism claim of [4], laptop scale), through the
+// engine pipeline.Select resolves for each count: at 1 worker its
+// tokenizer and graph kernel run inline, above it they fan out.
 func T5Parallel(seed int64, n int, workers []int) *Table {
 	t := &Table{
 		ID:     "T5",
@@ -370,7 +370,7 @@ func T5Parallel(seed int64, n int, workers []int) *Table {
 			f3(baselineMs / float64(total.Microseconds())),
 		})
 	}
-	t.Notes = "expected shape: block and graph time fall as workers grow, up to the core count; prune runs the sequential reference on every row"
+	t.Notes = "expected shape: block and graph time fall as workers grow, up to the core count (1 worker runs both kernels inline); prune is single-threaded on every row"
 	return t
 }
 

@@ -114,8 +114,6 @@ func TestColdDifferential(t *testing.T) {
 		for _, id := range []int{3, 7, 20} {
 			c.Evict(id)
 		}
-		c.TakeMerged()
-		c.TakeEvicted()
 	})
 	requireSameCollections(t, cs)
 

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/parmeta"
 	"repro/internal/rdf"
 	"repro/internal/store"
 	"repro/internal/tokenize"
@@ -91,10 +92,8 @@ type Collection struct {
 	tokens   [][]string // id → cached token evidence (built lazily)
 	tokOpts  tokenize.Options
 	hasToken bool
-	merged   []int  // existing ids extended by Add since the last TakeMerged
 	dead     []bool // id → tombstoned by Evict (nil while nothing evicted)
 	numDead  int
-	evicted  []int // ids tombstoned since the last TakeEvicted
 
 	// Cold-description state (see cold.go); all nil/zero without a store.
 	cold    store.Store
@@ -119,8 +118,8 @@ func NewCollection() *Collection {
 //
 // The token cache survives an Add: a fresh id gets an empty slot
 // (tokenized lazily), and a merged id has only its own slot
-// invalidated — so a streaming wave's front-end pass re-tokenizes only
-// what the wave brought.
+// invalidated — so the front-end pass after a streaming wave
+// re-tokenizes only what the wave brought.
 func (c *Collection) Add(d *Description) int {
 	if id, ok := c.byURI[key(d.KB, d.URI)]; ok {
 		// A spilled body decodes into a fresh Description no reader
@@ -135,7 +134,6 @@ func (c *Collection) Add(d *Description) int {
 		if c.hasToken {
 			c.tokens[id] = nil
 		}
-		c.merged = append(c.merged, id)
 		return id
 	}
 	id := len(c.descs)
@@ -172,9 +170,10 @@ func (c *Collection) Add(d *Description) int {
 // Evict tombstones a description: its id stays allocated (so every
 // id-indexed structure remains valid) but the description stops
 // resolving by URI or KB+URI, stops being anyone's neighbor, and is
-// skipped by blocking, matching, and statistics. Its KB+URI may be
-// re-added later under a fresh id. Reports whether the id was live;
-// evicting an out-of-range or already-dead id is a no-op.
+// skipped by blocking, matching, and statistics. Its token-cache slot
+// is cleared at once, so a tombstone never pins its token slice. Its
+// KB+URI may be re-added later under a fresh id. Reports whether the id
+// was live; evicting an out-of-range or already-dead id is a no-op.
 func (c *Collection) Evict(id int) bool {
 	if id < 0 || id >= len(c.descs) || !c.Alive(id) {
 		return false
@@ -184,6 +183,9 @@ func (c *Collection) Evict(id int) bool {
 	}
 	c.dead[id] = true
 	c.numDead++
+	if c.hasToken {
+		c.tokens[id] = nil
+	}
 	// Key removal needs only identity, which stays hot — eviction never
 	// pages a spilled body back in.
 	uri := c.URIOf(id)
@@ -206,7 +208,6 @@ func (c *Collection) Evict(id int) bool {
 	if c.kbLive[ki] == 0 {
 		c.liveKBs--
 	}
-	c.evicted = append(c.evicted, id)
 	return true
 }
 
@@ -215,9 +216,9 @@ func (c *Collection) Evict(id int) bool {
 // together with the old→new id mapping (-1 for tombstoned ids). The
 // copy shares the description values (they are immutable under the
 // append-only Add discipline) and inherits the token cache, so
-// compaction never re-tokenizes; it starts with no pending merges,
-// evictions, or tombstones — a collection that never held the departed
-// descriptions. The receiver is left untouched.
+// compaction never re-tokenizes; it starts with no tombstones — a
+// collection that never held the departed descriptions. The receiver is
+// left untouched.
 //
 // Long-lived sessions with eviction (TTL windows especially) call this
 // when tombstone density crosses a threshold: ids are never reused
@@ -242,7 +243,6 @@ func (c *Collection) Compact() (*Collection, []int) {
 		}
 		oldToNew[id] = nc.Add(c.Desc(id))
 	}
-	nc.merged = nil // distinct live KB+URI pairs: the Adds never merged
 	if c.hasToken {
 		nc.tokens = make([][]string, len(nc.descs))
 		nc.tokOpts = c.tokOpts
@@ -297,75 +297,6 @@ func (c *Collection) LiveIDsOfKB(name string) []int {
 		}
 	}
 	return out
-}
-
-// DropTokens clears the cached token evidence of the given ids. The
-// streaming front-end calls it on the ids evicted since its last pass,
-// so tombstones stop pinning token slices; a live id dropped by mistake
-// is merely re-tokenized lazily.
-func (c *Collection) DropTokens(ids []int) {
-	if !c.hasToken {
-		return
-	}
-	for _, id := range ids {
-		if id >= 0 && id < len(c.tokens) {
-			c.tokens[id] = nil
-		}
-	}
-}
-
-// HasEvicted reports whether any evictions are pending for TakeEvicted.
-func (c *Collection) HasEvicted() bool { return len(c.evicted) > 0 }
-
-// TakeEvicted returns the ids tombstoned since the last call,
-// deduplicated and ascending, and resets the list — the eviction
-// counterpart of TakeMerged, consumed by the front-end once a pass
-// over the surviving descriptions has committed.
-func (c *Collection) TakeEvicted() []int {
-	if len(c.evicted) == 0 {
-		return nil
-	}
-	ids := DedupSortedInts(c.evicted)
-	c.evicted = nil
-	return ids
-}
-
-// HasMerged reports whether any merge-Adds are pending for TakeMerged.
-func (c *Collection) HasMerged() bool { return len(c.merged) > 0 }
-
-// PendingMerges returns how many merge-Adds are pending for
-// TakeMerged (counting repeats). Comparing it across a load tells
-// whether the load merged anything, independent of merges already
-// stranded by an earlier failed pass.
-func (c *Collection) PendingMerges() int { return len(c.merged) }
-
-// TakeMerged returns the ids of existing descriptions that Add has
-// extended (same KB and URI re-added) since the last call, deduplicated
-// and ascending, and resets the list. The streaming front-end drains it
-// once a pass has covered the merged descriptions; until then a
-// non-empty list is what tells it there is work to do.
-func (c *Collection) TakeMerged() []int {
-	if len(c.merged) == 0 {
-		return nil
-	}
-	ids := DedupSortedInts(c.merged)
-	c.merged = nil
-	return ids
-}
-
-// DedupSortedInts returns the ids sorted ascending with duplicates
-// removed, leaving the input untouched.
-func DedupSortedInts(ids []int) []int {
-	out := append([]int(nil), ids...)
-	sort.Ints(out)
-	w := 0
-	for i, v := range out {
-		if i == 0 || v != out[i-1] {
-			out[w] = v
-			w++
-		}
-	}
-	return out[:w]
 }
 
 func key(kb, uri string) string { return kb + "\x00" + uri }
@@ -437,42 +368,31 @@ func (c *Collection) Tokens(id int, opts tokenize.Options) []string {
 // WarmTokens fills the whole token cache for opts with the given
 // parallelism and returns it as an id-indexed slice. Tokens itself
 // fills the cache lazily per id, which is unsafe under concurrent
-// callers; WarmTokens resets the cache single-threaded, then lets each
-// worker tokenize a disjoint id range — after it returns, concurrent
-// Tokens calls with the same opts are read-only and race-free. The
-// shared engine primes the cache with it before token blocking.
+// callers; WarmTokens resets the cache single-threaded, then tokenizes
+// workers contiguous id ranges on parmeta.ForEach — inline at one
+// worker — each writing only its own slots. After it returns,
+// concurrent Tokens calls with the same opts are read-only and
+// race-free. The front-end engine primes the cache with it before
+// token blocking.
 func (c *Collection) WarmTokens(opts tokenize.Options, workers int) [][]string {
-	if workers < 1 {
-		workers = 1
-	}
 	if !c.hasToken || c.tokOpts != opts {
 		c.tokens = make([][]string, len(c.descs))
 		c.tokOpts = opts
 		c.hasToken = true
 	}
-	n := len(c.descs)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for id := lo; id < hi; id++ {
-				if c.tokens[id] != nil || !c.Alive(id) {
-					continue
-				}
-				toks := c.Desc(id).Tokens(opts)
-				if toks == nil {
-					toks = []string{}
-				}
-				c.tokens[id] = toks
+	ranges := parmeta.Ranges(len(c.descs), workers)
+	parmeta.ForEach(len(ranges), workers, func(i int) {
+		for id := ranges[i].Lo; id < ranges[i].Hi; id++ {
+			if c.tokens[id] != nil || !c.Alive(id) {
+				continue
 			}
-		}(lo, hi)
-	}
-	wg.Wait()
+			toks := c.Desc(id).Tokens(opts)
+			if toks == nil {
+				toks = []string{}
+			}
+			c.tokens[id] = toks
+		}
+	})
 	return c.tokens
 }
 

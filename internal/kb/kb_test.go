@@ -184,7 +184,7 @@ func TestAddPreservesTokenCache(t *testing.T) {
 // returned mapping marks tombstones with -1, lookups and KB bookkeeping
 // work against the new ids, the token cache is carried over (no
 // re-tokenization), and the compacted collection starts with no
-// tombstones and nothing pending.
+// tombstones.
 func TestCompact(t *testing.T) {
 	c := NewCollection()
 	opts := tokenize.Default()
@@ -198,7 +198,6 @@ func TestCompact(t *testing.T) {
 	cached := c.Tokens(ids[2], opts) // warm one slot of the cache
 	c.Evict(ids[1])
 	c.Evict(ids[3])
-	c.TakeEvicted() // a session would have consumed these already
 
 	nc, oldToNew := c.Compact()
 	if len(oldToNew) != c.Len() {
@@ -211,9 +210,6 @@ func TestCompact(t *testing.T) {
 	if nc.Len() != 4 || nc.NumAlive() != 4 || nc.Tombstones() != 0 {
 		t.Fatalf("compacted: Len=%d NumAlive=%d Tombstones=%d, want 4/4/0",
 			nc.Len(), nc.NumAlive(), nc.Tombstones())
-	}
-	if nc.HasMerged() || nc.HasEvicted() {
-		t.Fatal("compacted collection starts with pending merges or evictions")
 	}
 	for oid, nid := range oldToNew {
 		if nid < 0 {
@@ -238,24 +234,6 @@ func TestCompact(t *testing.T) {
 	// The original is untouched — compaction is a pure read.
 	if c.NumAlive() != 4 || c.Tombstones() != 2 {
 		t.Fatalf("source mutated: NumAlive=%d Tombstones=%d", c.NumAlive(), c.Tombstones())
-	}
-}
-
-func TestTakeMerged(t *testing.T) {
-	c := loadSample(t)
-	if got := c.TakeMerged(); got != nil {
-		t.Fatalf("fresh collection reports merged ids %v", got)
-	}
-	paris, _ := c.IDOf("kb1", "http://kb1.org/Paris")
-	c.Add(&Description{URI: "http://kb1.org/Paris", KB: "kb1"})
-	c.Add(&Description{URI: "http://kb1.org/Paris", KB: "kb1"})
-	c.Add(&Description{URI: "http://kb1.org/Brandnew", KB: "kb1"})
-	got := c.TakeMerged()
-	if !reflect.DeepEqual(got, []int{paris}) {
-		t.Fatalf("TakeMerged=%v, want [%d] (deduplicated, new ids excluded)", got, paris)
-	}
-	if again := c.TakeMerged(); again != nil {
-		t.Fatalf("TakeMerged did not reset: %v", again)
 	}
 }
 
@@ -514,12 +492,6 @@ func TestEvictTombstones(t *testing.T) {
 	if ns := c.Neighbors(a0); len(ns) != 0 {
 		t.Fatalf("link to an evicted description still resolves: %v", ns)
 	}
-	if got := c.TakeEvicted(); len(got) != 1 || got[0] != a1 {
-		t.Fatalf("TakeEvicted = %v, want [%d]", got, a1)
-	}
-	if c.HasEvicted() {
-		t.Fatal("TakeEvicted did not drain")
-	}
 
 	// KB liveness: evicting betaKB's only member drops the live count.
 	if c.NumLiveKBs() != 2 {
@@ -552,13 +524,29 @@ func TestEvictTombstones(t *testing.T) {
 	if !c.Alive(back) || c.NumLiveKBs() != 2 {
 		t.Fatalf("re-added description not live (liveKBs=%d)", c.NumLiveKBs())
 	}
+}
 
-	// Token cache entries of tombstones can be dropped and lazily
-	// rebuilt for live ids only.
+// TestEvictClearsTokenSlot: evicting an id clears its token-cache slot
+// at once, so the tombstone stops pinning its token slice without
+// waiting for a front-end pass; every other slot, and a fresh warm
+// over the survivors, is untouched by it.
+func TestEvictClearsTokenSlot(t *testing.T) {
+	c := loadSample(t)
 	opts := tokenize.Default()
-	c.Tokens(a0, opts)
-	c.DropTokens([]int{a0, a1, -3, 99})
-	if toks := c.Tokens(a0, opts); len(toks) == 0 {
-		t.Fatal("dropped live id no longer tokenizes")
+	warm := c.WarmTokens(opts, 2)
+	gone, kept := 0, 1
+	if len(warm[gone]) == 0 || len(warm[kept]) == 0 {
+		t.Fatal("sample descriptions carry no tokens")
+	}
+	keptToks := warm[kept]
+	c.Evict(gone)
+	if c.tokens[gone] != nil {
+		t.Fatalf("evicted id %d still holds its tokens %v", gone, c.tokens[gone])
+	}
+	if got := c.tokens[kept]; len(got) == 0 || &got[0] != &keptToks[0] {
+		t.Fatal("evicting one id cleared another id's slot")
+	}
+	if rewarmed := c.WarmTokens(opts, 2); rewarmed[gone] != nil {
+		t.Fatal("WarmTokens re-tokenized a tombstone")
 	}
 }

@@ -1,10 +1,12 @@
 // Package parmeta holds the shared-memory parallelism helpers of the
 // front end: the worker-count option (Workers) and the index
 // partitioning the parallel kernels shard their work with (Range,
-// Ranges, ForEach). The shared engine itself lives in internal/pipeline,
-// its graph kernel in metablocking.BuildUnweighted and its entity index
-// in blocking.Collection.EntityCSR; this package imports only the
-// standard library so that all of them can use it.
+// Ranges, ForEach). The front-end engine itself lives in
+// internal/pipeline, its tokenizer in kb.Collection.WarmTokens, its
+// graph kernel in metablocking.BuildUnweighted and its entity index in
+// blocking.Collection.EntityCSR; the matching pre-pass in internal/core
+// shards with it too. This package imports only the standard library
+// so that all of them can use it.
 package parmeta
 
 import (
@@ -70,9 +72,10 @@ func ForEach(n, workers int, fn func(i int)) {
 // Ranges splits [0, n) into at most parts contiguous, near-equal
 // ranges, omitting empty ones. Contiguity is what makes range sharding
 // order-preserving: concatenating per-range results in range order
-// replays the sequential iteration order. The shared-memory kernels
-// (blocking.Collection.EntityCSR, the blocking-graph kernel) shard
-// blocks with it.
+// replays the sequential iteration order. The tokenizer
+// (kb.Collection.WarmTokens), the entity index
+// (blocking.Collection.EntityCSR), the blocking-graph kernel and the
+// matching pre-pass shard with it.
 func Ranges(n, parts int) []Range {
 	if n <= 0 {
 		return nil

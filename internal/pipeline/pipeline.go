@@ -1,31 +1,27 @@
 // Package pipeline is the engine layer of the resolution front-end: it
 // dispatches every stage before matching — token blocking, block
 // purging, block filtering, blocking-graph construction, and pruning —
-// through one Engine interface with two realizations:
+// through one Engine interface. Shared is its one implementation: the
+// single-threaded reference functions of internal/blocking and
+// internal/metablocking plus two parallel kernels — tokenization on
+// every worker before token blocking, and the graph kernel over worker
+// id chunks before weighting. At one worker (Sequential, its zero
+// value) both kernels run inline. The Engine interface stays as the
+// seam that tests wrap to count passes and inject stage faults.
 //
-//   - Sequential: the single-threaded reference implementations in
-//     internal/blocking and internal/metablocking — the oracle the
-//     parallel engine is differentially tested against.
-//   - Shared: the reference plus the two parallel kernels that pay —
-//     tokenization on every worker before token blocking, and the
-//     graph kernel over worker id chunks before weighting; purging,
-//     filtering and pruning are the reference's own.
-//
-// The two are bit-identical on every stage — the same blocks in the
-// same order, the same edges with the same float weights — for any
-// worker count; the differential tests in this package and in
-// internal/parmeta assert it. Select picks the engine a worker count
-// implies, and Run drives a full front-end pass through either engine
-// uniformly.
+// Every worker count is bit-identical on every stage — the same blocks
+// in the same order, the same edges with the same float weights; the
+// differential tests in this package and in internal/parmeta assert it
+// against the reference functions. Select picks the worker count, and
+// Run drives a full front-end pass.
 //
 // There is one front-end plan: Run calls the engine's own stage
 // methods in order, each handing the next a materialized
 // blocking.Collection. A streaming session (State) keeps no inverted
-// index, graph diff or pruning memo between waves: when its source
-// gained or lost descriptions, Engine.Ingest and Engine.Evict run the
-// same pass Run does over the live source and swap the result in. On
-// every workload of record that pass is cheaper than maintaining the
-// previous result was.
+// index, graph diff, pruning memo or record of what changed between
+// waves: Engine.Ingest and Engine.Evict run the same pass Run does over
+// the live source and swap the result in. On every workload of record
+// that pass is cheaper than maintaining the previous result was.
 package pipeline
 
 import (
@@ -39,10 +35,10 @@ import (
 )
 
 // Engine runs the pipeline front-end stages; Run calls them in order.
-// Implementations must match the Sequential reference on every stage to
-// the bit: blocking and cleaning return the same blocks in the same
-// order, Build returns the same edges with the same weights, Prune
-// retains the same edges in the same output order.
+// Shared is the implementation; test wrappers around it must keep its
+// results to the bit: blocking and cleaning return the same blocks in
+// the same order, Build returns the same edges with the same weights,
+// Prune retains the same edges in the same output order.
 type Engine interface {
 	// Name identifies the engine in logs, benchmarks, and test labels.
 	Name() string
@@ -60,13 +56,11 @@ type Engine interface {
 	// Prune returns the retained comparisons, sorted by descending
 	// weight (ties by ascending (A, B)).
 	Prune(g *metablocking.Graph, alg metablocking.Pruning, opts metablocking.PruneOptions) ([]metablocking.Edge, error)
-	// Ingest brings the state up to date with its source: when
-	// descriptions were added, merged into or tombstoned since the last
-	// pass, the engine re-runs TokenBlocking → Purge → Filter → Build →
-	// Prune over the live source and, on success, replaces st.Front;
-	// on failure the state is left as it was. With nothing pending it is
-	// a no-op. st.Front afterwards is what Run over the same source
-	// returns, so the engines agree exactly as they do on Run.
+	// Ingest brings the state up to date with its source: it re-runs
+	// TokenBlocking → Purge → Filter → Build → Prune over the live
+	// source — one pass per call, whatever changed — and, on success,
+	// replaces st.Front; on failure the state is left as it was.
+	// st.Front afterwards is what Run over the same source returns.
 	Ingest(st *State) error
 	// Evict is the same operation as Ingest. Both names stay because
 	// callers attribute a wave's cost by what it carried — arrivals or
@@ -74,20 +68,16 @@ type Engine interface {
 	Evict(st *State) error
 }
 
-// Select resolves a worker count to its engine — the mapping
-// minoaner.Config documents: workers ≤ 0 means one worker per CPU, 1
-// worker is the sequential reference, more than one is the
-// shared-memory engine. mapReduce is kept for the frozen benchmark
-// read, ROADMAP item 1, and must be false: Select panics if it is true,
-// which no caller passes.
+// Select resolves a worker count to the engine — the mapping
+// minoaner.Config documents: workers ≤ 0 means one worker per CPU,
+// anything else is taken literally. mapReduce is kept for the frozen
+// benchmark read, ROADMAP item 1, and must be false: Select panics if
+// it is true, which no caller passes.
 func Select(workers int, mapReduce bool) Engine {
 	if mapReduce {
 		panic("pipeline: Select: mapReduce must be false")
 	}
-	if w := parmeta.Workers(workers); w > 1 {
-		return Shared{Workers: w}
-	}
-	return Sequential{}
+	return Shared{Workers: parmeta.Workers(workers)}
 }
 
 // Options configures a full front-end pass.
@@ -135,8 +125,7 @@ type FrontEnd struct {
 // Run drives token blocking → purging → filtering → graph build →
 // pruning through one engine, calling its stage methods in that order
 // (purging only when PurgeMaxBlockSize ≥ 0, filtering only when
-// FilterRatio > 0). The result is identical for every engine and worker
-// count.
+// FilterRatio > 0). The result is identical for every worker count.
 func Run(e Engine, src *kb.Collection, opt Options) (*FrontEnd, error) {
 	col, err := e.TokenBlocking(src, opt.Tokenize)
 	if err != nil {

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/blocking"
@@ -52,15 +53,17 @@ func tokenizeCombos() map[string]tokenize.Options {
 	}
 }
 
-var workerCounts = []int{1, 2, 4, 8}
+// workerCounts are the engine widths the differential tests sweep; 0
+// is Sequential, the zero value.
+var workerCounts = []int{0, 1, 2, 4, 8}
 
-// engineFor returns the engine under test for a worker count: the
-// sequential reference at 1, the shared-memory engine above.
-func engineFor(workers int) Engine {
-	if workers == 1 {
-		return Sequential{}
+// mode names a worker count in subtest labels: "sequential" runs both
+// kernels inline, "shared" fans them out.
+func mode(workers int) string {
+	if workers <= 1 {
+		return "sequential"
 	}
-	return Shared{Workers: workers}
+	return "shared"
 }
 
 func sameCollection(t *testing.T, label string, want, got *blocking.Collection) {
@@ -100,8 +103,8 @@ func sameEdges(t *testing.T, want, got []metablocking.Edge) {
 	}
 }
 
-// TestTokenBlockingMatchesSequential asserts that the sharded token
-// blocking produces the sequential reference's collection — same
+// TestTokenBlockingMatchesSequential asserts that the engine's token
+// blocking produces the reference blocking.TokenBlocking's collection — same
 // blocks, same order, same entity lists — for every tokenize option
 // combination and worker count, on both ER settings.
 func TestTokenBlockingMatchesSequential(t *testing.T) {
@@ -111,7 +114,7 @@ func TestTokenBlockingMatchesSequential(t *testing.T) {
 			for _, workers := range workerCounts {
 				label := fmt.Sprintf("%s/%s/workers=%d", world, optName, workers)
 				t.Run(label, func(t *testing.T) {
-					got, err := engineFor(workers).TokenBlocking(src, opts)
+					got, err := Shared{Workers: workers}.TokenBlocking(src, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -124,16 +127,16 @@ func TestTokenBlockingMatchesSequential(t *testing.T) {
 
 // TestCleaningMatchesSequential runs block purging (automatic and
 // explicit caps) and block filtering (several ratios) through the
-// shared engine and compares against the sequential reference, for
-// every worker count.
+// engine and compares against the blocking package's own, for every
+// worker count.
 func TestCleaningMatchesSequential(t *testing.T) {
 	for world, src := range worlds(t) {
 		raw := blocking.TokenBlocking(src, tokenize.Default())
 		for _, maxSize := range []int{0, 3, 25} {
 			want := raw.Purge(maxSize)
 			for _, workers := range workerCounts {
-				eng := engineFor(workers)
-				label := fmt.Sprintf("%s/purge=%d/%s/workers=%d", world, maxSize, eng.Name(), workers)
+				eng := Shared{Workers: workers}
+				label := fmt.Sprintf("%s/purge=%d/%s/workers=%d", world, maxSize, mode(workers), workers)
 				t.Run(label, func(t *testing.T) {
 					got, err := eng.Purge(raw, maxSize)
 					if err != nil {
@@ -147,8 +150,8 @@ func TestCleaningMatchesSequential(t *testing.T) {
 		for _, ratio := range []float64{0.5, 0.8, 1.0} {
 			want := purged.Filter(ratio)
 			for _, workers := range workerCounts {
-				eng := engineFor(workers)
-				label := fmt.Sprintf("%s/filter=%.1f/%s/workers=%d", world, ratio, eng.Name(), workers)
+				eng := Shared{Workers: workers}
+				label := fmt.Sprintf("%s/filter=%.1f/%s/workers=%d", world, ratio, mode(workers), workers)
 				t.Run(label, func(t *testing.T) {
 					got, err := eng.Filter(purged, ratio)
 					if err != nil {
@@ -162,9 +165,10 @@ func TestCleaningMatchesSequential(t *testing.T) {
 }
 
 // TestRunMatchesSequential drives the full front-end — blocking,
-// cleaning, graph build, pruning — through every engine and asserts
-// bit-identical outputs end to end: the cleaned collection and the
-// pruned edge list, float weights included.
+// cleaning, graph build, pruning — at every worker count and asserts
+// outputs bit-identical to the blocking and metablocking packages' own
+// functions end to end: the cleaned collection and the pruned edge
+// list, float weights included.
 func TestRunMatchesSequential(t *testing.T) {
 	for world, src := range worlds(t) {
 		for _, cse := range []struct {
@@ -182,27 +186,17 @@ func TestRunMatchesSequential(t *testing.T) {
 				Scheme:      cse.scheme,
 				Pruning:     cse.pruning,
 			}
-			want, err := Run(Sequential{}, src, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			engines := []Engine{
-				Shared{Workers: 2},
-				Shared{Workers: 4},
-				Shared{Workers: 8},
-			}
-			for _, eng := range engines {
-				label := fmt.Sprintf("%s/%v/%v/%s", world, cse.scheme, cse.pruning, eng.Name())
-				if sh, ok := eng.(Shared); ok {
-					label = fmt.Sprintf("%s-%d", label, sh.Workers)
-				}
+			cleaned := blocking.TokenBlocking(src, opt.Tokenize).Purge(0).Filter(opt.FilterRatio)
+			wantEdges := metablocking.Build(cleaned, cse.scheme).Prune(cse.pruning, opt.pruneOptions(cleaned.Assignments()))
+			for _, workers := range workerCounts {
+				label := fmt.Sprintf("%s/%v/%v/%s-%d", world, cse.scheme, cse.pruning, mode(workers), workers)
 				t.Run(label, func(t *testing.T) {
-					got, err := Run(eng, src, opt)
+					got, err := Run(Shared{Workers: workers}, src, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameCollection(t, label, want.Blocks, got.Blocks)
-					sameEdges(t, want.Edges, got.Edges)
+					sameCollection(t, label, cleaned, got.Blocks)
+					sameEdges(t, wantEdges, got.Edges)
 				})
 			}
 		}
@@ -222,23 +216,25 @@ func TestRunSkipsOptionalStages(t *testing.T) {
 		Pruning:           metablocking.WNP,
 	}
 	want := blocking.TokenBlocking(src, opt.Tokenize)
-	for _, eng := range []Engine{Sequential{}, Shared{Workers: 4}} {
-		fe, err := Run(eng, src, opt)
+	for _, workers := range []int{1, 4} {
+		fe, err := Run(Shared{Workers: workers}, src, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameCollection(t, eng.Name(), want, fe.Blocks)
+		sameCollection(t, fmt.Sprintf("workers=%d", workers), want, fe.Blocks)
 	}
 }
 
-// TestSelect checks the worker count → engine mapping, and that the
-// retired mapReduce selector is refused.
+// TestSelect checks the worker count → engine mapping — one engine,
+// counts taken literally, ≤ 0 resolved to one worker per CPU — and
+// that the retired mapReduce selector is refused.
 func TestSelect(t *testing.T) {
-	if got := Select(1, false).Name(); got != "sequential" {
-		t.Errorf("Select(1, false) = %s, want sequential", got)
-	}
-	if got := Select(4, false).Name(); got != "shared" {
-		t.Errorf("Select(4, false) = %s, want shared", got)
+	for _, tc := range []struct{ workers, want int }{
+		{1, 1}, {4, 4}, {0, runtime.GOMAXPROCS(0)}, {-2, runtime.GOMAXPROCS(0)},
+	} {
+		if got := Select(tc.workers, false); got != (Shared{Workers: tc.want}) {
+			t.Errorf("Select(%d, false) = %#v, want Shared{Workers: %d}", tc.workers, got, tc.want)
+		}
 	}
 	func() {
 		defer func() {
@@ -248,11 +244,6 @@ func TestSelect(t *testing.T) {
 		}()
 		Select(4, true)
 	}()
-	if eng, ok := Select(0, false).(Shared); ok {
-		if eng.Workers < 1 {
-			t.Errorf("Select(0, false) resolved %d workers", eng.Workers)
-		}
-	}
 }
 
 // TestEmptyAndDegenerate covers empty sources and collections with no

@@ -7,22 +7,30 @@ import (
 	"repro/internal/tokenize"
 )
 
-// Shared is the shared-memory parallel engine: the Sequential reference
-// plus the two parallel kernels that measurably beat it. Token blocking
-// tokenizes the collection on Workers goroutines before the reference
-// index build reads the warmed cache, and the graph build runs the
-// entity-centric kernel over Workers id chunks
+// Shared is the front-end engine: the reference implementations in
+// internal/blocking and internal/metablocking plus the two parallel
+// kernels that measurably beat them. Token blocking tokenizes the
+// collection on Workers goroutines (kb.Collection.WarmTokens) before
+// the reference index build reads the warmed cache, and the graph
+// build runs the entity-centric kernel over Workers id chunks
 // (metablocking.BuildUnweighted) before the reference weighting.
 // Purging, filtering and pruning are the reference itself: sharded
 // copies of them saved nothing measurable on two cores.
 //
-// Every stage is bit-identical to Sequential for any worker count —
-// same blocks in the same order, same float weights — which the
-// differential tests in this package assert.
+// Workers ≤ 1 runs both kernels inline on the calling goroutine, so
+// the zero value is the single-threaded reference. Every stage is
+// bit-identical for any worker count — same blocks in the same order,
+// same float weights — which the differential tests in this package
+// and in internal/parmeta assert against the packages' own functions.
 type Shared struct {
-	// Workers is the parallelism (> 1).
+	// Workers is the parallelism (≤ 1 = one worker).
 	Workers int
 }
+
+// Sequential is the one-worker engine, Shared's zero value. It is kept
+// as a name because the benchmark of record times pipeline.Run on
+// Sequential{} as its single-threaded baseline.
+type Sequential = Shared
 
 // Name implements Engine.
 func (Shared) Name() string { return "shared" }
@@ -58,7 +66,7 @@ func (Shared) Prune(g *metablocking.Graph, alg metablocking.Pruning, opts metabl
 }
 
 // Ingest implements Engine.
-func (e Shared) Ingest(st *State) error { return st.refresh(e) }
+func (e Shared) Ingest(st *State) error { return st.pass(e) }
 
 // Evict implements Engine.
-func (e Shared) Evict(st *State) error { return st.refresh(e) }
+func (e Shared) Evict(st *State) error { return st.pass(e) }

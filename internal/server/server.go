@@ -18,7 +18,8 @@
 //
 // Errors cross the wire by type, not by string: the sentinel errors of
 // the public minoaner API map onto status codes (ErrBadBatch and RDF
-// parse errors → 400, an oversized body → 413, ErrUnknownDescription/
+// parse errors → 400, an oversized body or a description too large for
+// one log frame → 413, ErrUnknownDescription/
 // ErrUnknownKB → 404, ErrSessionClosed → 409, a closed server or
 // cancelled request → 503, a desynced session → 500).
 package server
@@ -37,6 +38,7 @@ import (
 
 	minoaner "repro"
 	"repro/internal/rdf"
+	"repro/internal/wal"
 )
 
 // ErrClosed reports an operation on a server whose writer has shut
@@ -505,6 +507,10 @@ func errStatus(err error) int {
 	switch {
 	case errors.Is(err, minoaner.ErrBadBatch), errors.As(err, &parseErr):
 		return http.StatusBadRequest
+	case errors.Is(err, wal.ErrFrameTooLarge):
+		// One description encodes past the log's frame cap: the
+		// client's payload is too large, whatever -max-body allowed.
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, minoaner.ErrUnknownDescription), errors.Is(err, minoaner.ErrUnknownKB):
 		return http.StatusNotFound
 	case errors.Is(err, minoaner.ErrSessionClosed):

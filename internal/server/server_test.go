@@ -14,6 +14,7 @@ import (
 	minoaner "repro"
 	"repro/internal/datagen"
 	"repro/internal/rdf"
+	"repro/internal/wal"
 )
 
 // testWorld synthesizes a two-KB clean–clean corpus with links, so
@@ -592,9 +593,19 @@ func TestOversizedBody413(t *testing.T) {
 }
 
 // TestDesyncedStatus pins the wire mapping of a poisoned session: 500,
-// the operator's cue to restart and recover from the WAL.
+// the operator's cue to restart and recover from the WAL. A description
+// too large for any log frame is the client's payload: 413, like a body
+// over -max-body.
 func TestDesyncedStatus(t *testing.T) {
-	if got := errStatus(fmt.Errorf("wrap: %w", minoaner.ErrDesynced)); got != http.StatusInternalServerError {
-		t.Fatalf("errStatus(ErrDesynced) = %d, want 500", got)
+	for _, tc := range []struct {
+		err  error
+		want int
+	}{
+		{minoaner.ErrDesynced, http.StatusInternalServerError},
+		{wal.ErrFrameTooLarge, http.StatusRequestEntityTooLarge},
+	} {
+		if got := errStatus(fmt.Errorf("wrap: %w", tc.err)); got != tc.want {
+			t.Errorf("errStatus(%v) = %d, want %d", tc.err, got, tc.want)
+		}
 	}
 }

@@ -173,7 +173,7 @@ func normalize(tok string, opts Options) string {
 	// Truncate before the length gate, so MinLength holds for what is
 	// actually emitted (with MaxLength < MinLength every token drops —
 	// degenerate, but coherent). One rune scan: this is the tokenize
-	// hot path under WarmTokens and delta ingestion.
+	// hot path under WarmTokens, which every front-end pass runs.
 	n := utf8.RuneCountInString(tok)
 	if opts.MaxLength > 0 && n > opts.MaxLength {
 		tok = string([]rune(tok)[:opts.MaxLength])

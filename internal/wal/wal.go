@@ -2,11 +2,12 @@
 // session: an append-only, checksum-framed write-ahead log of the
 // mutation batches (ingests, evictions, session starts, checkpoints)
 // that the public layer already streams. Recovery is replay — the log
-// records exactly the inputs of the incremental path, so feeding the
-// surviving prefix back through Session.Ingest/Evict reconstructs the
-// state a from-scratch session over that prefix would hold; the
-// golden-digest differential suite at the repo root proves it at every
-// byte boundary of a torn tail.
+// records exactly the inputs of the streaming path, so folding the
+// surviving prefix into the collection record by record (the session's
+// fold, which every live wave runs too) and then making one front-end
+// pass reconstructs the state a from-scratch session over that prefix
+// would hold; the golden-digest differential suite at the repo root
+// proves it at every byte boundary of a torn tail.
 //
 // # Frame format
 //

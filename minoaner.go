@@ -164,8 +164,8 @@ type Config struct {
 	// (internal/pipeline), and the matching stage (internal/core) uses
 	// the same worker count as the width of the value-similarity
 	// pre-pass a draining Resume runs before its serial loop: 1 runs
-	// the sequential reference everywhere, n > 1 runs the parallel
-	// engine and an n-wide pre-pass, and 0 — the
+	// everything on the calling goroutine, n > 1 fans tokenization, the
+	// graph kernel and the pre-pass out over n workers, and 0 — the
 	// default — uses one worker per available CPU (GOMAXPROCS), so
 	// Resolve is automatically parallel on multicore hosts. Every
 	// setting produces identical results, including a bit-identical
@@ -986,14 +986,13 @@ func (s *Session) Timings() Timings {
 // Start freezes the loaded KBs and prepares the comparison queue.
 //
 // Stages 1–2 (blocking, cleaning, meta-blocking) run through the
-// engine layer: pipeline.Select maps Config.Workers onto the sequential
-// reference or the shared-memory parallel engine, and every stage is
-// dispatched uniformly through it. The matching stage (run by Resume)
-// gets the same resolved worker count: with more than one worker, a
-// draining Resume first computes the queued pairs' value similarities
-// on that many goroutines, then runs the exact sequential schedule
-// over them. The results are bit-identical whichever engine runs and
-// whatever the worker count.
+// engine layer: pipeline.Select resolves Config.Workers to the
+// engine's width, and every stage is dispatched through it. The
+// matching stage (run by Resume) gets the same resolved worker count:
+// with more than one worker, a draining Resume first computes the
+// queued pairs' value similarities on that many goroutines, then runs
+// the exact sequential schedule over them. The results are
+// bit-identical whatever the worker count.
 func (p *Pipeline) Start() (*Session, error) {
 	if p.col.NumAlive() == 0 {
 		return nil, fmt.Errorf("minoaner: no descriptions loaded")
@@ -1495,20 +1494,20 @@ func (s *Session) wave(batch []Description, gone []int) error {
 // steps from the trace and opens a compaction epoch when the tombstone
 // density crossed the threshold (see maybeCompact).
 //
-// Arrivals and departures are judged by this fold's own deltas, never
-// by the collection's pending lists: recovery folds many records
-// between passes, so those lists keep growing across them. Merges count
-// by PendingMerges, which counts repeats.
+// Arrivals are judged by the input: every description of a non-empty
+// batch either opens an id or merges into one, and no empty batch is
+// ever folded (ingestWire returns before logging one, so replay never
+// sees one). Departures are judged by the tombstone count, since
+// evicting a dead id is a no-op.
 func (s *Session) fold(batch []Description, gone []int) (delta, error) {
 	col := s.col
-	beforeLen, beforeMerges, beforeDead := col.Len(), col.PendingMerges(), col.Tombstones()
+	beforeDead := col.Tombstones()
 	s.p.addRaw(batch)
 	for _, id := range gone {
 		col.Evict(id)
 	}
-	var d delta
-	if col.Len() > beforeLen || col.PendingMerges() > beforeMerges {
-		d.arrived = true
+	d := delta{arrived: len(batch) > 0}
+	if d.arrived {
 		s.curGen++
 	}
 	s.expireTTL()
@@ -1526,7 +1525,9 @@ func (s *Session) fold(batch []Description, gone []int) (delta, error) {
 // syncFront brings the live session up to date with a folded wave in
 // one front-end pass: the engine re-derives the front-end over the live
 // collection (see pipeline.Engine.Ingest) — over the compacted one when
-// the fold opened an epoch. The matcher is rebuilt whenever anything
+// the fold opened an epoch. The engine keeps no record of what
+// changed, so skipping a fold that neither added nor removed anything
+// is this function's job. The matcher is rebuilt whenever anything
 // changed (IDF weights are global — linear work). After a pure ingest
 // the resolver is reseeded (resolution is monotonic); after any
 // eviction it is retracted — the surviving history the fold kept is

@@ -38,7 +38,8 @@ func (c *passCounter) Evict(st *pipeline.State) error {
 
 // TestOnePassPerWave: every commit wave — arrivals only, departures
 // only, a TTL ingest whose batch pushes an older one out of the window,
-// or an eviction that opens a compaction epoch — costs exactly one
+// an eviction that opens a compaction epoch, or a batch that only
+// merges into a description the session holds — costs exactly one
 // front-end pass, attributed to Evict when anything departed; a wave
 // that changes nothing costs none. A compaction epoch is decided before
 // the pass, so the pass runs over the compacted collection and nothing
@@ -88,6 +89,11 @@ func TestOnePassPerWave(t *testing.T) {
 		{"evict with compaction", func() error {
 			return s.Evict([]minoaner.Ref{{KB: "b", URI: "v3"}, {KB: "a", URI: "u4"}})
 		}, 0, 1, 1},
+		// Every description merges into v4, the survivor: no id opens,
+		// yet the batch arrived — the fold judges that by its input.
+		{"merge-only ingest", func() error {
+			return s.Ingest([]minoaner.Description{named("b", "v4", "late note")})
+		}, 1, 0, 0},
 	}
 	for _, wv := range waves {
 		c.starts, c.ingests, c.evicts = 0, 0, 0
