@@ -277,6 +277,37 @@ func BenchmarkMatching(b *testing.B) {
 	}
 }
 
+// BenchmarkNewResolver isolates the scheduler's index build —
+// core.NewResolver's pair-state store and heapified queue — over the
+// retained edges of a LOD-cloud world the size of the benchmark of
+// record's batch_lod corpus (2 000 entities, ECBS + WNP, filter 0.8:
+// about 300 k edges). The front end and the matcher are built once,
+// outside the timer.
+func BenchmarkNewResolver(b *testing.B) {
+	w, err := datagen.Generate(datagen.LODCloud(benchSeed, 2000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	fe, err := pipeline.Run(pipeline.Select(1, false), w.Collection, pipeline.Options{
+		Tokenize:    tokenize.Default(),
+		FilterRatio: 0.8,
+		Scheme:      metablocking.ECBS,
+		Pruning:     metablocking.WNP,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := match.NewMatcher(w.Collection, match.DefaultOptions())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resolverSink = core.NewResolver(m, fe.Edges, core.Config{})
+	}
+	b.ReportMetric(float64(len(fe.Edges)), "edges")
+}
+
+// resolverSink keeps BenchmarkNewResolver's result live.
+var resolverSink *core.Resolver
+
 func BenchmarkMatcherValueSim(b *testing.B) {
 	w := benchWorld(b, 400)
 	m := match.NewMatcher(w.Collection, match.DefaultOptions())

@@ -66,7 +66,7 @@ func TestRunBudgetContextCancel(t *testing.T) {
 // scored counts the pair states holding a memoized value similarity.
 func scored(r *Resolver) int {
 	n := 0
-	for _, st := range r.states {
+	for st := range r.states.all() {
 		if st.hasVsim {
 			n++
 		}

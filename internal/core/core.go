@@ -156,12 +156,15 @@ type Timings struct {
 // Resolver runs the progressive schedule → match → update loop. The
 // loop itself is serial; with Config.Workers > 1 a draining run first
 // computes the queued pairs' value similarities in parallel (prescore).
+// Pair states live in a rank-addressed store (pairStates): a slab over
+// the retained edges found through a per-entity CSR, plus a small map
+// for the pairs outside the edge list — there is no map of every pair.
 type Resolver struct {
 	matcher *match.Matcher
 	cfg     Config
 
 	queue  queue
-	states map[uint64]*pairState
+	states pairStates
 	cl     *match.Clusters
 	maxW   float64
 	tim    Timings
@@ -169,42 +172,38 @@ type Resolver struct {
 	clk time.Time
 }
 
-// entry is one queue slot: the pair's state (popping dereferences it
-// directly — no map lookup on the hot path) and its priority at push
-// time. The slot stays at 16 bytes, which matters — pops sift a slot
-// down the whole heap, and the heap holds every pruned edge plus
-// every boost reinsertion.
+// entry is one queue slot: the rank of the pair's state (popping
+// indexes the state store directly — no lookup on the hot path) and its
+// priority at push time. The slot stays at 16 bytes and holds no
+// pointer, which matters — pops sift a slot down the whole heap, the
+// heap holds every pruned edge plus every boost reinsertion, and the
+// garbage collector never scans it.
 type entry struct {
-	st   *pairState
+	rank int32
 	prio float64
 }
 
-// pairKey packs a normalized pair into one word, so the scheduler's
-// update-phase map hashes and compares a single uint64 instead of a
-// two-word struct. Description ids are array indexes and fit 32 bits
+// pairKey packs a normalized pair into one word, so the map of pairs
+// outside the edge list hashes and compares a single uint64 instead of
+// a two-word struct. Description ids are array indexes and fit 32 bits
 // with room to spare.
 func pairKey(p blocking.Pair) uint64 {
 	return uint64(uint32(p.A))<<32 | uint64(uint32(p.B))
 }
 
-// keyPair is the inverse of pairKey.
-func keyPair(k uint64) blocking.Pair {
-	return blocking.Pair{A: int(k >> 32), B: int(uint32(k))}
-}
-
 type pairState struct {
-	pair       blocking.Pair // immutable after construction
-	base       float64       // normalized meta-blocking weight
-	boost      float64       // accumulated neighbor-evidence priority
-	done       bool
-	discovered bool // true when blocking never proposed this pair
-	recheck    bool // re-opened by neighbor evidence after failing
+	pair  blocking.Pair // immutable after construction
+	base  float64       // normalized meta-blocking weight
+	boost float64       // accumulated neighbor-evidence priority
 	// vsim memoizes the pair's value similarity once it has been
 	// computed — by the pre-pass or at execution — so a recheck is
 	// free. Value similarity is cluster-independent: the memo can
 	// never go stale.
-	vsim    float64
-	hasVsim bool
+	vsim       float64
+	hasVsim    bool
+	done       bool
+	discovered bool // true when blocking never proposed this pair
+	recheck    bool // re-opened by neighbor evidence after failing
 }
 
 // NewResolver prepares a progressive run over the pruned comparison
@@ -219,14 +218,13 @@ func NewResolver(m *match.Matcher, edges []metablocking.Edge, cfg Config) *Resol
 
 // index is the one queue-indexing step of NewResolver, Reseed and
 // Retract: it sets maxW from the edges, gives each distinct retained
-// pair one state in edge order, and returns the queue entries of the
-// states left to execute, in that order, for newQueue to heapify.
-// Fresh states come from one slab (its capacity is fixed, so the
-// interior pointers stay valid). A pair that already has a state in
-// old — only Reseed passes one — keeps it, minus its memoized value
-// similarity (the matcher changed), and leaves old; if it was executed
-// but not matched it re-opens as a recheck (Reseed's rule).
-func (r *Resolver) index(edges []metablocking.Edge, old map[uint64]*pairState) []entry {
+// pair one state in edge order (indexEdges), and returns the queue
+// entries of the states left to execute, in that order, for newQueue
+// to heapify. A pair that already has a state in old — only Reseed
+// passes one — takes its history over, minus its memoized value
+// similarity (the matcher changed); if it was executed but not matched
+// it re-opens as a recheck (Reseed's rule).
+func (r *Resolver) index(edges []metablocking.Edge, old *pairStates) []entry {
 	r.maxW = 0
 	for _, e := range edges {
 		if e.Weight > r.maxW {
@@ -236,37 +234,29 @@ func (r *Resolver) index(edges []metablocking.Edge, old map[uint64]*pairState) [
 	if r.maxW == 0 {
 		r.maxW = 1
 	}
-	r.states = make(map[uint64]*pairState, len(edges))
-	slab := make([]pairState, len(edges))
-	used := 0
-	entries := make([]entry, 0, len(edges))
-	for _, e := range edges {
-		p := blocking.MakePair(e.A, e.B)
-		k := pairKey(p)
-		if _, dup := r.states[k]; dup {
-			continue
-		}
-		st := old[k]
-		if st == nil {
-			st = &slab[used]
-			used++
-			st.pair = p
-		} else {
-			delete(old, k)
-			st.hasVsim, st.vsim = false, 0
-			if st.done && !r.cl.Same(p.A, p.B) {
-				// Executed but unmatched, and still retained: the ingest
-				// changed the IDF landscape its decision was made under,
-				// so it gets re-examined — the streaming form of a
-				// recheck.
-				st.done = false
-				st.recheck = true
+	r.states = indexEdges(edges, r.maxW)
+	slab := r.states.slab
+	entries := make([]entry, 0, len(slab))
+	for i := range slab {
+		st := &slab[i]
+		if old != nil {
+			if _, o := old.find(st.pair); o != nil {
+				base := st.base
+				*st = *o
+				st.base = base
+				st.hasVsim, st.vsim = false, 0
+				if st.done && !r.cl.Same(st.pair.A, st.pair.B) {
+					// Executed but unmatched, and still retained: the
+					// ingest changed the IDF landscape its decision was
+					// made under, so it gets re-examined — the streaming
+					// form of a recheck.
+					st.done = false
+					st.recheck = true
+				}
 			}
 		}
-		st.base = e.Weight / r.maxW
-		r.states[k] = st
 		if !st.done {
-			entries = append(entries, entry{st: st, prio: r.priority(p, st)})
+			entries = append(entries, entry{rank: int32(i), prio: r.priority(st.pair, st)})
 		}
 	}
 	return entries
@@ -369,7 +359,7 @@ func (r *Resolver) Timings() Timings { return r.tim }
 func (r *Resolver) prescore() {
 	var todo []*pairState
 	for _, e := range r.queue.items {
-		st := e.st
+		st := r.states.at(e.rank)
 		if st.done || st.hasVsim {
 			continue
 		}
@@ -400,7 +390,7 @@ func (r *Resolver) next() (Step, bool) {
 		if !ok {
 			return Step{}, false
 		}
-		st := e.st
+		st := r.states.at(e.rank)
 		if st.done {
 			continue // stale entry
 		}
@@ -409,7 +399,7 @@ func (r *Resolver) next() (Step, bool) {
 		// this entry is stale-high, reinsert at its current priority.
 		cur := r.priority(p, st)
 		if cur < e.prio-1e-9 {
-			r.queue.Push(entry{st: st, prio: cur})
+			r.queue.Push(entry{rank: e.rank, prio: cur})
 			continue
 		}
 		// Skip pairs already resolved transitively — their comparison
@@ -437,7 +427,7 @@ func (r *Resolver) execute(p blocking.Pair, st *pairState) Step {
 	step.Gain = r.cfg.Benefit.Gain(p.A, p.B, r.cl, r.matcher)
 	step.Merged = r.cl.Merge(p.A, p.B)
 	if step.Merged {
-		r.propagate(p.A, p.B)
+		r.propagate(p.A, p.B) // may grow the store: st is not read after it
 	}
 	r.lap(&r.tim.Update)
 	return step
@@ -478,14 +468,12 @@ func (r *Resolver) boost(p blocking.Pair) {
 	if col.NumLiveKBs() > 1 && !col.CrossKB(p.A, p.B) {
 		return
 	}
-	k := pairKey(p)
-	st := r.states[k]
+	rank, st := r.states.find(p)
 	if st == nil {
 		if r.cfg.DisableDiscovery {
 			return
 		}
-		st = &pairState{pair: p, discovered: true} // no blocking evidence
-		r.states[k] = st
+		rank, st = r.states.add(pairState{pair: p, discovered: true}) // no blocking evidence
 	}
 	if st.done {
 		// The pair was already compared and failed (matched pairs are
@@ -501,7 +489,7 @@ func (r *Resolver) boost(p blocking.Pair) {
 		st.recheck = true
 	}
 	st.boost += r.cfg.NeighborBoost
-	r.queue.Push(entry{st: st, prio: r.priority(p, st)})
+	r.queue.Push(entry{rank: rank, prio: r.priority(p, st)})
 }
 
 // String renders a result summary.

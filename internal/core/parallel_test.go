@@ -134,8 +134,8 @@ func TestParallelResumeLegs(t *testing.T) {
 // as an upper bound on this.
 func executable(r *Resolver) int {
 	n := 0
-	for k, st := range r.states {
-		if p := keyPair(k); !st.done && !r.cl.Same(p.A, p.B) {
+	for st := range r.states.all() {
+		if p := st.pair; !st.done && !r.cl.Same(p.A, p.B) {
 			n++
 		}
 	}
@@ -307,7 +307,7 @@ func TestPrescore(t *testing.T) {
 	}
 	r.prescore()
 	for _, e := range r.queue.items {
-		st := e.st
+		st := r.states.at(e.rank)
 		if st.done {
 			continue
 		}
@@ -340,8 +340,8 @@ func TestPrescore(t *testing.T) {
 			executed[pairKey(blocking.MakePair(s.A, s.B))] = true
 		}
 		n := 0
-		for k, st := range r.states {
-			if st.hasVsim && !executed[k] {
+		for st := range r.states.all() {
+			if st.hasVsim && !executed[pairKey(st.pair)] {
 				n++
 			}
 		}

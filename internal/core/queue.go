@@ -53,7 +53,6 @@ func (q *queue) Pop() (entry, bool) {
 	}
 	top := q.items[0]
 	e := q.items[last]
-	q.items[last] = entry{} // release the state pointer
 	q.items = q.items[:last]
 	if last > 0 {
 		q.down(0, e)

@@ -5,16 +5,16 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/blocking"
 	"repro/internal/container"
 )
 
-// tiedEntries returns n entries with distinct states and priorities
-// drawn from a handful of values, so ties are the common case.
-func tiedEntries(rng *rand.Rand, n int) []entry {
+// tiedEntries returns n entries with distinct ranks from first on and
+// priorities drawn from a handful of values, so ties are the common
+// case.
+func tiedEntries(rng *rand.Rand, first, n int) []entry {
 	out := make([]entry, n)
 	for i := range out {
-		out[i] = entry{st: &pairState{pair: blocking.Pair{A: i}}, prio: float64(rng.Intn(6)) / 4}
+		out[i] = entry{rank: int32(first + i), prio: float64(rng.Intn(6)) / 4}
 	}
 	return out
 }
@@ -45,12 +45,13 @@ func swapHeapify(items []entry) {
 // TestQueueMatchesContainerHeap is the queue's differential test: from
 // the same heapified start, a random interleaving of pushes and pops
 // with heavily tied priorities must pop the very same entries — state
-// pointers, not just priorities — as container.Heap ordered by
+// ranks, not just priorities — as container.Heap ordered by
 // a.prio > b.prio. Tie order is what the golden trace digests pin.
 func TestQueueMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	for trial := 0; trial < 200; trial++ {
-		init := tiedEntries(rng, rng.Intn(60))
+		init := tiedEntries(rng, 0, rng.Intn(60))
+		next := len(init)
 		ref := slices.Clone(init)
 		swapHeapify(ref)
 		q := newQueue(slices.Clone(init))
@@ -63,7 +64,8 @@ func TestQueueMatchesContainerHeap(t *testing.T) {
 		}
 		for op := 0; op < 400; op++ {
 			if rng.Intn(3) == 0 {
-				e := tiedEntries(rng, 1)[0]
+				e := tiedEntries(rng, next, 1)[0]
+				next++
 				q.Push(e)
 				h.Push(e)
 				continue
@@ -85,7 +87,7 @@ func TestQueueMatchesContainerHeap(t *testing.T) {
 func TestQueueHeapifyEqualsPushes(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 50; trial++ {
-		items := tiedEntries(rng, rng.Intn(200))
+		items := tiedEntries(rng, 0, rng.Intn(200))
 		floyd := newQueue(slices.Clone(items))
 		var pushed queue
 		for _, e := range items {
@@ -110,7 +112,7 @@ func TestQueueHeapifyEqualsPushes(t *testing.T) {
 func TestQueueHeapifyKeepsDescending(t *testing.T) {
 	var desc []entry
 	for _, p := range []float64{9, 7, 5, 5, 3, 1, 1, 0} {
-		desc = append(desc, entry{st: &pairState{}, prio: p})
+		desc = append(desc, entry{rank: int32(len(desc)), prio: p})
 	}
 	q := newQueue(slices.Clone(desc))
 	if !slices.Equal(q.items, desc) {

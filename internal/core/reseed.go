@@ -29,6 +29,12 @@ import (
 //   - Memoized value similarities are invalidated wholesale: the new
 //     matcher's IDF weights make them stale.
 //
+// The state store is rebuilt, not patched: the new edges get a fresh
+// slab and CSR (index), each retained pair copies its history from the
+// old store — found through the old CSR, or the old map for a pair
+// outside the old edge list — and the surviving pairs outside the new
+// edge list move to the new store's map, in pair order.
+//
 // When nothing has been executed yet, the reseeded resolver is
 // indistinguishable from NewResolver(m, edges, cfg): the same states,
 // the same heap layout (entries in edge order, Floyd-heapified), the
@@ -39,28 +45,31 @@ func (r *Resolver) Reseed(m *match.Matcher, edges []metablocking.Edge) {
 	r.cl.GrowFor(m.Collection())
 
 	old := r.states
-	entries := r.index(edges, old)
+	entries := r.index(edges, &old)
 
 	// Survivors outside the new edge list: executed pairs keep their
 	// history (a recheck must not re-discover them as fresh pairs), and
 	// discovered pairs stay queued — their evidence came from the
 	// update phase, which re-pruning does not speak for.
-	leftovers := make([]*pairState, 0)
-	for k, st := range old {
+	var leftovers []pairState
+	for st := range old.all() {
 		if !st.done && !st.discovered {
 			continue
 		}
-		st.hasVsim, st.vsim = false, 0
-		r.states[k] = st
-		if !st.done {
-			leftovers = append(leftovers, st)
+		if _, kept := r.states.edgeRank(st.pair); kept {
+			continue // index took it over
 		}
+		leftovers = append(leftovers, *st)
 	}
-	slices.SortFunc(leftovers, func(a, b *pairState) int {
+	slices.SortFunc(leftovers, func(a, b pairState) int {
 		return cmp.Compare(pairKey(a.pair), pairKey(b.pair))
 	})
 	for _, st := range leftovers {
-		entries = append(entries, entry{st: st, prio: r.priority(st.pair, st)})
+		st.hasVsim, st.vsim = false, 0
+		rank, _ := r.states.add(st)
+		if !st.done {
+			entries = append(entries, entry{rank: rank, prio: r.priority(st.pair, &st)})
+		}
 	}
 	r.queue = newQueue(entries)
 }

@@ -36,6 +36,10 @@ import (
 //     the new edge list cannot contain them, the replay never
 //     recreates them, and their states are discarded.
 //
+// The replay looks each step's pair up in the fresh store — the edge
+// CSR first, then the map of pairs outside the edge list — and adds an
+// executed pair the new pruning no longer retains to that map.
+//
 // When steps is empty — nothing executed yet — the retracted resolver
 // is indistinguishable from NewResolver(m, edges, cfg): the same
 // states, the same heap layout, the same priorities. That is what
@@ -46,18 +50,8 @@ func (r *Resolver) Retract(m *match.Matcher, edges []metablocking.Edge, steps []
 	r.cl = match.NewClustersFor(m.Collection())
 
 	// Fresh states for the retained comparisons, heapified in edge
-	// order — with no history, this is all NewResolver does. Every fresh
-	// state is queued, so the entries are the edge states in edge order;
-	// only the recheck pass after a replay needs them kept.
-	entries := r.index(edges, nil)
-	var edgeStates []*pairState
-	if len(steps) > 0 {
-		edgeStates = make([]*pairState, len(entries))
-		for i, e := range entries {
-			edgeStates[i] = e.st
-		}
-	}
-	r.queue = newQueue(entries)
+	// order — with no history, this is all NewResolver does.
+	r.queue = newQueue(r.index(edges, nil))
 
 	// Replay the surviving history through the live machinery: done
 	// flags mark budget already spent, merges rebuild the clusters, and
@@ -68,14 +62,12 @@ func (r *Resolver) Retract(m *match.Matcher, edges []metablocking.Edge, steps []
 	// lazy, and stale or duplicate slots are skipped on pop.
 	for _, s := range steps {
 		p := blocking.MakePair(s.A, s.B)
-		k := pairKey(p)
-		st := r.states[k]
+		_, st := r.states.find(p)
 		if st == nil {
 			// Executed but no longer retained by pruning (or never
 			// proposed by blocking): keep the history so the pair is not
 			// re-discovered as fresh.
-			st = &pairState{pair: p, discovered: s.Discovered}
-			r.states[k] = st
+			_, st = r.states.add(pairState{pair: p, discovered: s.Discovered})
 		}
 		st.done = true
 		st.recheck = false
@@ -87,12 +79,14 @@ func (r *Resolver) Retract(m *match.Matcher, edges []metablocking.Edge, steps []
 	// Executed-but-failed pairs still retained by the new pruning:
 	// their decision was made under the departed corpus's IDF weights,
 	// so they re-open as rechecks (Reseed's rule), unless the replay
-	// already re-opened or transitively resolved them.
-	for _, st := range edgeStates {
+	// already re-opened or transitively resolved them. Only a replay
+	// leaves an edge state executed.
+	for i := range r.states.slab {
+		st := &r.states.slab[i]
 		if st.done && !r.cl.Same(st.pair.A, st.pair.B) {
 			st.done = false
 			st.recheck = true
-			r.queue.Push(entry{st: st, prio: r.priority(st.pair, st)})
+			r.queue.Push(entry{rank: int32(i), prio: r.priority(st.pair, st)})
 		}
 	}
 }

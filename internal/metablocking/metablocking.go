@@ -18,7 +18,6 @@
 package metablocking
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -270,7 +269,9 @@ type PruneOptions struct {
 
 // Prune returns the retained edges under the chosen algorithm, sorted
 // by descending weight (ties by (A,B) ascending) — the order a
-// budget-driven matcher would consume them in.
+// budget-driven matcher would consume them in. Every algorithm collects
+// its kept set in the graph's (A, B) order, and sortEdges places it by
+// weight in linear time, stably, which yields exactly that order.
 func (g *Graph) Prune(alg Pruning, opts PruneOptions) []Edge {
 	var kept []Edge
 	switch alg {
@@ -287,19 +288,81 @@ func (g *Graph) Prune(alg Pruning, opts PruneOptions) []Edge {
 	return kept
 }
 
-// sortEdges orders es by descending weight, ties by ascending (A, B).
-// Edges are distinct pairs, so the order is total and any sort yields
-// the same slice.
+// sortEdges orders es, given in ascending (A, B) order, by descending
+// weight under cmp.Compare: an LSD radix sort over descKey in 11-bit
+// digits that skips every digit all keys share. Each pass carries the
+// keys with the edge positions, so it reads sequentially; the edges
+// themselves move once, gathered into place at the end. Radix passes
+// are stable, so equal weights keep their (A, B) order and the result
+// is the total order "weight descending, then (A, B) ascending" — what
+// a comparator sort over all three fields produces — in O(n) time.
+// Scratch is 48 bytes per edge (keys and positions double-buffered,
+// the gathered copy), freed on return.
 func sortEdges(es []Edge) {
-	slices.SortFunc(es, func(a, b Edge) int {
-		if c := cmp.Compare(b.Weight, a.Weight); c != 0 {
-			return c
+	n := len(es)
+	if n < 2 {
+		return
+	}
+	const bits, digits = 11, 6
+	const mask = 1<<bits - 1
+	keys := make([]uint64, n)
+	pos := make([]int32, n)
+	count := make([][1 << bits]int32, digits)
+	for i := range es {
+		k := descKey(es[i].Weight)
+		keys[i] = k
+		pos[i] = int32(i)
+		for d := range count {
+			count[d][(k>>(bits*d))&mask]++
 		}
-		if c := cmp.Compare(a.A, b.A); c != 0 {
-			return c
+	}
+	keys2 := make([]uint64, n)
+	pos2 := make([]int32, n)
+	for d := range count {
+		c := &count[d]
+		shift := bits * d
+		if c[(keys[0]>>shift)&mask] == int32(n) {
+			continue // every key has this digit: the pass would move nothing
 		}
-		return cmp.Compare(a.B, b.B)
-	})
+		sum := int32(0)
+		for b, k := range c {
+			c[b] = sum
+			sum += k
+		}
+		for i, k := range keys {
+			b := (k >> shift) & mask
+			j := c[b]
+			c[b]++
+			keys2[j] = k
+			pos2[j] = pos[i]
+		}
+		keys, keys2 = keys2, keys
+		pos, pos2 = pos2, pos
+	}
+	out := make([]Edge, n)
+	for j, i := range pos {
+		out[j] = es[i]
+	}
+	copy(es, out)
+}
+
+// descKey maps a weight to a key whose ascending order is the weight's
+// descending cmp.Compare order: −0 and +0 share a key, and NaN, which
+// cmp.Compare ranks below every number, takes the largest.
+func descKey(w float64) uint64 {
+	if w != w {
+		return math.MaxUint64
+	}
+	b := math.Float64bits(w)
+	if b == 1<<63 {
+		b = 0 // −0
+	}
+	if b>>63 == 0 {
+		b |= 1 << 63 // non-negative: above every negative
+	} else {
+		b = ^b // negative: larger magnitude sorts lower
+	}
+	return ^b
 }
 
 func (g *Graph) pruneWEP() []Edge {
@@ -320,15 +383,19 @@ func (g *Graph) pruneWEP() []Edge {
 	return kept
 }
 
+// pruneCEP keeps the K heaviest edges. A bounded top-K pass finds the
+// K-th edge under (weight, then earlier (A, B) first) — a strict total
+// order over distinct pairs — and a second pass keeps every edge that
+// ranks at or above it, in the graph's (A, B) order.
 func (g *Graph) pruneCEP(opts PruneOptions) []Edge {
 	k := opts.K
 	if k <= 0 {
 		k = opts.Assignments / 2
 	}
-	if k <= 0 {
-		k = len(g.Edges)
+	if k <= 0 || k >= len(g.Edges) {
+		return slices.Clone(g.Edges)
 	}
-	top := container.NewBoundedTopK(k, func(a, b Edge) bool {
+	less := func(a, b Edge) bool {
 		if a.Weight != b.Weight {
 			return a.Weight < b.Weight
 		}
@@ -337,11 +404,19 @@ func (g *Graph) pruneCEP(opts PruneOptions) []Edge {
 			return a.A > b.A
 		}
 		return a.B > b.B
-	})
+	}
+	top := container.NewBoundedTopK(k, less)
 	for _, e := range g.Edges {
 		top.Offer(e)
 	}
-	return top.Drain()
+	cut, _ := top.Threshold()
+	kept := make([]Edge, 0, k)
+	for _, e := range g.Edges {
+		if !less(e, cut) {
+			kept = append(kept, e)
+		}
+	}
+	return kept
 }
 
 // Per-endpoint retention verdicts of the node-centric algorithms, one

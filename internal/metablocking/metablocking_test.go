@@ -386,13 +386,17 @@ func interleavedTombstoned(t *testing.T) *blocking.Collection {
 	return blocking.TokenBlocking(c, tokenize.Default()).Purge(0).Filter(0.8)
 }
 
-// TestBuildMatchesBlockOrderReference pins the entity-centric kernel to
-// the independent block-order reference: every edge (weights compared
-// by bits), its common-block count and ARCS sum, every per-node and
-// global counter, and the per-node log factors of ECBS and EJS (by
-// bits), for every scheme, on the hand fixture, a clean–clean world, a
-// dirty world, and a tombstoned source with interleaved KBs.
-func TestBuildMatchesBlockOrderReference(t *testing.T) {
+// buildWorld is one named cleaned block collection of buildWorlds.
+type buildWorld struct {
+	name string
+	col  *blocking.Collection
+}
+
+// buildWorlds returns the graph tests' inputs: the hand fixture, a
+// clean–clean world, a dirty world, and a tombstoned source with
+// interleaved KBs.
+func buildWorlds(t *testing.T) []buildWorld {
+	t.Helper()
 	generated := func(cfg datagen.Config) *blocking.Collection {
 		w, err := datagen.Generate(cfg)
 		if err != nil {
@@ -400,15 +404,22 @@ func TestBuildMatchesBlockOrderReference(t *testing.T) {
 		}
 		return blocking.TokenBlocking(w.Collection, tokenize.Default()).Purge(0).Filter(0.8)
 	}
-	for _, tc := range []struct {
-		name string
-		col  *blocking.Collection
-	}{
+	return []buildWorld{
 		{"fixture", fixture(t)},
 		{"cleanclean", generated(datagen.TwoKBs(21, 120, datagen.Center(), datagen.Center()))},
 		{"dirty", generated(datagen.DirtyKB(21, 120, 3))},
 		{"interleaved-tombstoned", interleavedTombstoned(t)},
-	} {
+	}
+}
+
+// TestBuildMatchesBlockOrderReference pins the entity-centric kernel to
+// the independent block-order reference: every edge (weights compared
+// by bits), its common-block count and ARCS sum, every per-node and
+// global counter, and the per-node log factors of ECBS and EJS (by
+// bits), for every scheme, on the hand fixture, a clean–clean world, a
+// dirty world, and a tombstoned source with interleaved KBs.
+func TestBuildMatchesBlockOrderReference(t *testing.T) {
+	for _, tc := range buildWorlds(t) {
 		for _, scheme := range Schemes() {
 			want := referenceGraph(tc.col, scheme)
 			got := Build(tc.col, scheme)

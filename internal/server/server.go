@@ -507,6 +507,10 @@ func errStatus(err error) int {
 	switch {
 	case errors.Is(err, minoaner.ErrBadBatch), errors.As(err, &parseErr):
 		return http.StatusBadRequest
+	case errors.Is(err, minoaner.ErrCheckpoint):
+		// The wave was applied; only the log rotation after a
+		// compaction failed. Nothing the client sent was wrong.
+		return http.StatusInternalServerError
 	case errors.Is(err, wal.ErrFrameTooLarge):
 		// One description encodes past the log's frame cap: the
 		// client's payload is too large, whatever -max-body allowed.

@@ -595,7 +595,8 @@ func TestOversizedBody413(t *testing.T) {
 // TestDesyncedStatus pins the wire mapping of a poisoned session: 500,
 // the operator's cue to restart and recover from the WAL. A description
 // too large for any log frame is the client's payload: 413, like a body
-// over -max-body.
+// over -max-body. A failed checkpoint after an applied compaction wave
+// is the server's: 500, whatever its cause.
 func TestDesyncedStatus(t *testing.T) {
 	for _, tc := range []struct {
 		err  error
@@ -603,6 +604,8 @@ func TestDesyncedStatus(t *testing.T) {
 	}{
 		{minoaner.ErrDesynced, http.StatusInternalServerError},
 		{wal.ErrFrameTooLarge, http.StatusRequestEntityTooLarge},
+		{minoaner.ErrCheckpoint, http.StatusInternalServerError},
+		{fmt.Errorf("%w: %v", minoaner.ErrCheckpoint, wal.ErrFrameTooLarge), http.StatusInternalServerError},
 	} {
 		if got := errStatus(fmt.Errorf("wrap: %w", tc.err)); got != tc.want {
 			t.Errorf("errStatus(%v) = %d, want %d", tc.err, got, tc.want)

@@ -76,6 +76,15 @@ var ErrBadBatch = errors.New("bad batch")
 // error joins ErrDesynced with the underlying cause.
 var ErrDesynced = errors.New("session desynced")
 
+// ErrCheckpoint reports a compaction wave whose write-ahead-log
+// checkpoint failed: the wave itself was applied and the session stays
+// consistent (not desynced); only the log kept its pre-rotation length,
+// and it still replays to the same state. Test with errors.Is. The
+// cause is described in the message but kept out of the chain, so a
+// checkpoint over the frame cap never reads as wal.ErrFrameTooLarge —
+// the client's payload was not the problem.
+var ErrCheckpoint = errors.New("wal checkpoint failed")
+
 // Scheme selects the meta-blocking edge-weighting scheme.
 type Scheme = metablocking.Scheme
 
@@ -361,9 +370,9 @@ type Pipeline struct {
 	// storeTemp is the private store directory a "disk-temp" store
 	// minted; Close removes it.
 	storeTemp string
-	// testPayloadCap overrides the WAL frame budget batch splitting
-	// honors; tests use it to exercise the boundary without allocating
-	// gigabyte payloads. 0 means the real wal.MaxPayload.
+	// testPayloadCap overrides the WAL frame budget batch splitting and
+	// checkpoints honor; tests use it to exercise the boundary without
+	// allocating gigabyte payloads. 0 means the real wal.MaxPayload.
 	testPayloadCap int
 	// testWrapEngine, when set, wraps the engine of every session the
 	// pipeline opens; tests use it to count the front-end passes
@@ -1582,8 +1591,8 @@ func (s *Session) syncFront(d delta, t0 time.Time) error {
 		// A compaction epoch bounds the log: rotate it down to one
 		// checkpoint of the live corpus. Failure here does NOT poison —
 		// the in-memory state is fully consistent and the pre-rotation
-		// log still replays to it; the caller just learns the log kept
-		// its old length.
+		// log still replays to it; the caller just learns, through
+		// ErrCheckpoint, that the log kept its old length.
 		return s.walCheckpoint()
 	}
 	return nil
@@ -1766,10 +1775,15 @@ func (s *Session) walCheckpoint() error {
 	}
 	data, err := json.Marshal(chk)
 	if err != nil {
-		return fmt.Errorf("minoaner: wal checkpoint: %w", err)
+		return fmt.Errorf("minoaner: %w: %v", ErrCheckpoint, err)
+	}
+	// The cap the session splits ingest batches under (wal.MaxPayload
+	// unless a test lowered it) bounds the checkpoint too.
+	if cap := s.p.payloadCap(); len(data) > cap {
+		return fmt.Errorf("minoaner: %w: checkpoint of %d bytes over the %d-byte frame cap", ErrCheckpoint, len(data), cap)
 	}
 	if err := w.Checkpoint(data); err != nil {
-		return fmt.Errorf("minoaner: %w", err)
+		return fmt.Errorf("minoaner: %w: %v", ErrCheckpoint, err)
 	}
 	return nil
 }

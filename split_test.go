@@ -192,3 +192,50 @@ func TestFrameTooLargeTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheckpointOverCapTyped shrinks the frame cap so that every
+// description and batch still fits but a checkpoint of the live corpus
+// does not: the compacting wave must fail with ErrCheckpoint and not
+// with wal.ErrFrameTooLarge (the client sent nothing too large), and
+// the session must stay live — the wave was applied, only the log
+// rotation was refused.
+func TestCheckpointOverCapTyped(t *testing.T) {
+	cfg := EnvDefaults()
+	cfg.Workers = 1
+	cfg.CompactionThreshold = 0.2
+	p, err := Open(t.TempDir(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.testPayloadCap = 400
+	all := splitWorld(24)
+	if err := p.Add(all); err != nil {
+		t.Fatal(err)
+	}
+	s, err := p.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var waveErr error
+	for _, d := range all {
+		if waveErr = s.Evict([]Ref{{KB: d.KB, URI: d.URI}}); waveErr != nil {
+			break
+		}
+	}
+	if s.Compactions() == 0 {
+		t.Fatal("eviction never crossed the compaction threshold")
+	}
+	if !errors.Is(waveErr, ErrCheckpoint) || errors.Is(waveErr, wal.ErrFrameTooLarge) {
+		t.Fatalf("compacting wave returned %v, want ErrCheckpoint without wal.ErrFrameTooLarge", waveErr)
+	}
+	if errors.Is(waveErr, ErrDesynced) {
+		t.Fatalf("a refused checkpoint poisoned the session: %v", waveErr)
+	}
+	if g := s.Gauges(); g.WALCheckpoints != 0 {
+		t.Fatalf("%d checkpoints written past the cap", g.WALCheckpoints)
+	}
+	if _, err := s.Resume(0); err != nil {
+		t.Fatalf("session unusable after a refused checkpoint: %v", err)
+	}
+}
