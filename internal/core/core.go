@@ -216,15 +216,11 @@ func NewResolver(m *match.Matcher, edges []metablocking.Edge, cfg Config) *Resol
 	return r
 }
 
-// index is the one queue-indexing step of NewResolver, Reseed and
-// Retract: it sets maxW from the edges, gives each distinct retained
-// pair one state in edge order (indexEdges), and returns the queue
-// entries of the states left to execute, in that order, for newQueue
-// to heapify. A pair that already has a state in old — only Reseed
-// passes one — takes its history over, minus its memoized value
-// similarity (the matcher changed); if it was executed but not matched
-// it re-opens as a recheck (Reseed's rule).
-func (r *Resolver) index(edges []metablocking.Edge, old *pairStates) []entry {
+// index is the one queue-indexing step of NewResolver, Retract and
+// Reseed: it sets maxW from the edges, gives each distinct retained
+// pair one fresh state in edge order (indexEdges), and returns one
+// queue entry per state, in that order, for newQueue to heapify.
+func (r *Resolver) index(edges []metablocking.Edge) []entry {
 	r.maxW = 0
 	for _, e := range edges {
 		if e.Weight > r.maxW {
@@ -236,28 +232,9 @@ func (r *Resolver) index(edges []metablocking.Edge, old *pairStates) []entry {
 	}
 	r.states = indexEdges(edges, r.maxW)
 	slab := r.states.slab
-	entries := make([]entry, 0, len(slab))
+	entries := make([]entry, len(slab))
 	for i := range slab {
-		st := &slab[i]
-		if old != nil {
-			if _, o := old.find(st.pair); o != nil {
-				base := st.base
-				*st = *o
-				st.base = base
-				st.hasVsim, st.vsim = false, 0
-				if st.done && !r.cl.Same(st.pair.A, st.pair.B) {
-					// Executed but unmatched, and still retained: the
-					// ingest changed the IDF landscape its decision was
-					// made under, so it gets re-examined — the streaming
-					// form of a recheck.
-					st.done = false
-					st.recheck = true
-				}
-			}
-		}
-		if !st.done {
-			entries = append(entries, entry{rank: int32(i), prio: r.priority(st.pair, st)})
-		}
+		entries[i] = entry{rank: int32(i), prio: r.priority(slab[i].pair, &slab[i])}
 	}
 	return entries
 }

@@ -8,6 +8,10 @@ import (
 	"repro/internal/metablocking"
 )
 
+// Reseed is unused by the session, which rebuilds after every wave
+// with Retract; it is kept for the frozen benchmark's layer probe until
+// ROADMAP item 1.
+//
 // Reseed replaces the resolver's comparison queue after an ingest: m
 // is a matcher rebuilt over the grown collection (IDF weights are
 // global, so every value similarity may have shifted) and edges is the
@@ -38,14 +42,38 @@ import (
 // When nothing has been executed yet, the reseeded resolver is
 // indistinguishable from NewResolver(m, edges, cfg): the same states,
 // the same heap layout (entries in edge order, Floyd-heapified), the
-// same priorities — which is what makes ingest-then-resolve
-// bit-identical to a from-scratch session.
+// same priorities.
 func (r *Resolver) Reseed(m *match.Matcher, edges []metablocking.Edge) {
 	r.matcher = m
 	r.cl.GrowFor(m.Collection())
 
 	old := r.states
-	entries := r.index(edges, &old)
+	entries := r.index(edges)
+
+	// Retained pairs take their history over, minus the memoized value
+	// similarity (the matcher changed). An executed but unmatched pair
+	// that is still retained re-opens as a recheck: the ingest changed
+	// the IDF landscape its decision was made under.
+	kept := entries[:0]
+	for _, e := range entries {
+		st := &r.states.slab[e.rank]
+		if _, o := old.find(st.pair); o != nil {
+			base := st.base
+			*st = *o
+			st.base = base
+			st.hasVsim, st.vsim = false, 0
+			if st.done && !r.cl.Same(st.pair.A, st.pair.B) {
+				st.done = false
+				st.recheck = true
+			}
+			if st.done {
+				continue
+			}
+			e.prio = r.priority(st.pair, st)
+		}
+		kept = append(kept, e)
+	}
+	entries = kept
 
 	// Survivors outside the new edge list: executed pairs keep their
 	// history (a recheck must not re-discover them as fresh pairs), and

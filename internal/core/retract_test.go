@@ -78,9 +78,10 @@ func TestRetractFreshEqualsNewResolver(t *testing.T) {
 // TestRetractAfterRun pins the monotone semantics of mid-session
 // eviction: after spending budget, retracting with the surviving
 // history keeps surviving matches resolved, never touches a dead id
-// again, never re-spends an executed surviving pair (except as an
-// explicit recheck), and keeps Pending an upper bound on the
-// executable comparisons.
+// again, never re-spends a surviving match, re-spends a surviving
+// failed pair only as a fresh comparison — retained by the new pruning
+// or rediscovered by a replayed merge, never flagged as a recheck —
+// and keeps Pending an upper bound on the executable comparisons.
 func TestRetractAfterRun(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -115,21 +116,82 @@ func TestRetractAfterRun(t *testing.T) {
 			}
 
 			rest := r.RunBudget(0)
-			executed := make(map[blocking.Pair]bool, len(steps))
+			matched := make(map[blocking.Pair]bool, len(steps))
+			failed := make(map[blocking.Pair]bool, len(steps))
 			for _, s := range steps {
-				executed[blocking.MakePair(s.A, s.B)] = true
+				if s.Matched {
+					matched[blocking.MakePair(s.A, s.B)] = true
+				} else {
+					failed[blocking.MakePair(s.A, s.B)] = true
+				}
 			}
+			retained := make(map[blocking.Pair]bool, len(postEdges))
+			for _, e := range postEdges {
+				retained[blocking.MakePair(e.A, e.B)] = true
+			}
+			seen := make(map[blocking.Pair]bool)
+			respent := 0
 			for _, s := range rest.Trace {
+				p := blocking.MakePair(s.A, s.B)
 				if !col.Alive(s.A) || !col.Alive(s.B) {
 					t.Fatalf("post-retract step touches evicted id: %+v", s)
 				}
-				if executed[blocking.MakePair(s.A, s.B)] && !s.Recheck {
-					t.Fatalf("executed pair (%d,%d) re-spent without a recheck flag", s.A, s.B)
+				if matched[p] {
+					t.Fatalf("surviving match (%d,%d) re-spent", s.A, s.B)
 				}
+				if failed[p] && !seen[p] {
+					respent++
+					if s.Recheck {
+						t.Fatalf("failed pair (%d,%d) re-spent as a recheck, want a fresh comparison", s.A, s.B)
+					}
+					if !retained[p] && !s.Discovered {
+						t.Fatalf("failed pair (%d,%d) re-spent though neither retained nor rediscovered", s.A, s.B)
+					}
+				}
+				seen[p] = true
+			}
+			if respent == 0 {
+				t.Fatal("no surviving failed pair was re-spent — the world is too easy")
 			}
 			if e := executable(r); e != 0 {
 				t.Fatalf("drained resolver left %d executable pairs", e)
 			}
+		})
+	}
+}
+
+// TestRetractIgnoresFailedSteps is the rule as a property: only
+// matched steps are evidence, so Retract over the full trace and
+// Retract over its matched steps alone build resolvers whose drained
+// traces agree in every Step field, on random evictions and budgets.
+func TestRetractIgnoresFailedSteps(t *testing.T) {
+	for trial := int64(0); trial < 4; trial++ {
+		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
+			pre, post, preEdges, postEdges := retractWorld(t, 560+trial, 120, 5+int(trial))
+			col := post.Collection()
+			cfg := DefaultConfig()
+			mid := NewResolver(pre, preEdges, cfg).RunBudget(30 + 40*int(trial))
+			var full, merges []Step
+			for _, s := range mid.Trace {
+				if !col.Alive(s.A) || !col.Alive(s.B) {
+					continue
+				}
+				full = append(full, s)
+				if s.Matched {
+					merges = append(merges, s)
+				}
+			}
+			if len(merges) == 0 || len(merges) == len(full) {
+				t.Fatalf("%d surviving steps, %d matched: the history must mix both", len(full), len(merges))
+			}
+			a := NewResolver(post, nil, cfg)
+			a.Retract(post, postEdges, full)
+			b := NewResolver(post, nil, cfg)
+			b.Retract(post, postEdges, merges)
+			if a.Pending() != b.Pending() {
+				t.Fatalf("Pending %d from the full trace, %d from the merges", a.Pending(), b.Pending())
+			}
+			sameTrace(t, "full-vs-merges", a.RunBudget(0), b.RunBudget(0))
 		})
 	}
 }

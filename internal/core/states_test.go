@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/blocking"
+	"repro/internal/match"
 	"repro/internal/metablocking"
 )
 
@@ -115,8 +116,9 @@ func checkStates(t *testing.T, label string, r *Resolver, edges []metablocking.E
 // resolver, then a Reseed and a Retract with history, against the map
 // the store replaced: the tracked pairs are exactly the old map's keys —
 // the new edges, plus Reseed's executed or discovered survivors, plus
-// Retract's replayed steps — each found at its one state, with the
-// history Reseed carries over intact.
+// the pairs a replay of the history's merges tracks — each found at its
+// one state, with the history Reseed carries over intact and the
+// history Retract derives equal to that replay's (replayMerges).
 func TestPairStatesMatchMap(t *testing.T) {
 	m, pool := hardWorld(t, 36, 80)
 	ids := m.Collection().Len()
@@ -130,10 +132,6 @@ func TestPairStatesMatchMap(t *testing.T) {
 
 		trace := r.RunBudget(1 + rng.Intn(120)).Trace
 		before := stateModel(t, label+"/run", r)
-		type history struct {
-			boost                     float64
-			done, discovered, recheck bool
-		}
 		old := make(map[uint64]history, len(before))
 		for k, st := range before {
 			old[k] = history{st.boost, st.done, st.discovered, st.recheck}
@@ -171,19 +169,79 @@ func TestPairStatesMatchMap(t *testing.T) {
 		r.Retract(m, edges, trace)
 		after = checkStates(t, label+"/retract", r, edges, ids, rng)
 		discovered += len(r.states.more)
-		for _, s := range trace {
-			st := after[pairKey(blocking.MakePair(s.A, s.B))]
+		want := replayMerges(r, edges, trace)
+		if len(after) != len(want) {
+			t.Fatalf("%s/retract: store tracks %d pairs, the merges replay %d", label, len(after), len(want))
+		}
+		for k, w := range want {
+			st := after[k]
 			if st == nil {
-				t.Fatalf("%s/retract: executed pair (%d,%d) lost its history", label, s.A, s.B)
+				t.Fatalf("%s/retract: pair %v missing from the store", label, keyOf(k))
 			}
-			if !st.done && !st.recheck {
-				t.Fatalf("%s/retract: executed pair %v neither done nor a recheck", label, st.pair)
+			if got := (history{st.boost, st.done, st.discovered, st.recheck}); got != w || st.hasVsim {
+				t.Fatalf("%s/retract: pair %v history %+v (memo %v), want %+v", label, st.pair, got, st.hasVsim, w)
 			}
 		}
 	}
 	if discovered == 0 {
 		t.Fatal("no pair outside the edge lists was ever tracked: the map half went untested")
 	}
+}
+
+// history is the part of a pair state the rebuild rules carry or
+// derive.
+type history struct {
+	boost                     float64
+	done, discovered, recheck bool
+}
+
+// replayMerges is the map Retract's store must equal: every retained
+// edge fresh, then, for each matched step in order, the pair marked
+// executed (tracked as in the step when no edge retains it) and, when
+// it unites two clusters, one boost to every cross pair of the two
+// sides' neighbors, discovering the untracked ones. Failed steps
+// contribute nothing. It reads the resolver's rebuilt matcher and
+// config only.
+func replayMerges(r *Resolver, edges []metablocking.Edge, trace []Step) map[uint64]history {
+	want := make(map[uint64]history)
+	for _, e := range edges {
+		want[pairKey(blocking.MakePair(e.A, e.B))] = history{}
+	}
+	col := r.matcher.Collection()
+	cl := match.NewClustersFor(col)
+	for _, s := range trace {
+		if !s.Matched {
+			continue
+		}
+		k := pairKey(blocking.MakePair(s.A, s.B))
+		h, ok := want[k]
+		if !ok {
+			h.discovered = s.Discovered
+		}
+		h.done = true
+		want[k] = h
+		if !cl.Merge(s.A, s.B) {
+			continue
+		}
+		for _, x := range r.matcher.Neighbors(s.A) {
+			for _, y := range r.matcher.Neighbors(s.B) {
+				p := blocking.MakePair(x, y)
+				if x == y || (col.NumLiveKBs() > 1 && !col.CrossKB(x, y)) {
+					continue
+				}
+				h, ok := want[pairKey(p)]
+				if !ok {
+					h.discovered = true
+				}
+				if h.done {
+					continue // a replayed match: resolved, never re-opened
+				}
+				h.boost += r.cfg.NeighborBoost
+				want[pairKey(p)] = h
+			}
+		}
+	}
+	return want
 }
 
 // keyOf is the inverse of pairKey, for messages.
