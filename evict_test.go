@@ -240,7 +240,9 @@ func TestEvictEdgeCases(t *testing.T) {
 }
 
 // TestEvictEverything empties the session: every queue drains, the
-// result is empty, and the emptied session accepts a fresh corpus.
+// result holds no match and no cluster, the comparisons already spent
+// stay counted (Stats.Comparisons never falls), and the emptied session
+// accepts a fresh corpus.
 func TestEvictEverything(t *testing.T) {
 	w := hardSessionWorld(t, 674, 50)
 	all := streamDescriptions(w)
@@ -252,8 +254,12 @@ func TestEvictEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Resume(25); err != nil {
+	spent, err := s.Resume(25)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if spent.Stats.Comparisons != 25 {
+		t.Fatalf("a 25-comparison leg spent %d", spent.Stats.Comparisons)
 	}
 	for _, name := range []string{"alpha", "betaKB"} {
 		if err := s.EvictKB(name); err != nil {
@@ -270,8 +276,12 @@ func TestEvictEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Matches) != 0 || len(res.Clusters) != 0 || res.Stats.Comparisons != 0 {
+	if len(res.Matches) != 0 || len(res.Clusters) != 0 || res.Stats.Matches != 0 {
 		t.Fatalf("emptied session resolved something: %+v", res.Stats)
+	}
+	if res.Stats.Comparisons != spent.Stats.Comparisons || res.Stats.DiscoveredCmps != spent.Stats.DiscoveredCmps {
+		t.Fatalf("emptied session counts %d comparisons (%d discovered), want the %d (%d) spent before the eviction",
+			res.Stats.Comparisons, res.Stats.DiscoveredCmps, spent.Stats.Comparisons, spent.Stats.DiscoveredCmps)
 	}
 	// Starting over on the same pipeline works once data returns.
 	if err := s.Ingest(all[:10]); err != nil {

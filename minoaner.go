@@ -935,7 +935,15 @@ type Session struct {
 	resolver *core.Resolver
 	matcher  *match.Matcher
 	base     Stats
-	trace    []core.Step
+	// merges is the session's resolution history: its matched steps in
+	// execution order, minus those touching departed descriptions. It is
+	// all the evidence a rebuild replays (core.Resolver.Retract); a
+	// failed comparison is not kept. comparisons and discovered count
+	// every comparison the session has executed, and the discovered
+	// ones among them, and never fall.
+	merges      []core.Step
+	comparisons int
+	discovered  int
 	// gens records, per description id, the index of the ingest batch
 	// that first brought it (Start's corpus is batch 0) — the age TTL
 	// expires on. Ids are stamped in batch order, so the array is
@@ -1111,7 +1119,13 @@ func (s *Session) ResumeContext(ctx context.Context, budget int) (*Result, error
 	t0 := time.Now()
 	res := s.resolver.RunBudgetContext(ctx, budget)
 	s.tim.Resolve += time.Since(t0)
-	s.trace = append(s.trace, res.Trace...)
+	s.comparisons += res.Comparisons
+	s.discovered += res.Discovered
+	for _, step := range res.Trace {
+		if step.Matched {
+			s.merges = append(s.merges, step)
+		}
+	}
 	out, _ := s.buildResult()
 	if err := ctx.Err(); err != nil {
 		return out, err
@@ -1119,22 +1133,17 @@ func (s *Session) ResumeContext(ctx context.Context, budget int) (*Result, error
 	return out, nil
 }
 
-// buildResult assembles the cumulative Result from the session's trace
-// without spending any budget. It also returns the member ids of each
-// cluster, aligned with Result.Clusters — Snapshot builds its lookup
-// index from them.
+// buildResult assembles the cumulative Result from the session's
+// merges and counters without spending any budget. It also returns the
+// member ids of each cluster, aligned with Result.Clusters — Snapshot
+// builds its lookup index from them.
 func (s *Session) buildResult() (*Result, [][]int) {
 	p := s.p
 	out := &Result{Stats: s.base}
-	for _, step := range s.trace {
-		out.Stats.Comparisons++
-		if step.Discovered {
-			out.Stats.DiscoveredCmps++
-		}
-		if !step.Matched {
-			continue
-		}
-		out.Stats.Matches++
+	out.Stats.Comparisons = s.comparisons
+	out.Stats.DiscoveredCmps = s.discovered
+	out.Stats.Matches = len(s.merges)
+	for _, step := range s.merges {
 		out.Matches = append(out.Matches, Match{
 			A:          s.ref(step.A),
 			B:          s.ref(step.B),
@@ -1143,7 +1152,7 @@ func (s *Session) buildResult() (*Result, [][]int) {
 			Rechecked:  step.Recheck,
 		})
 	}
-	final := cluster.Cluster(p.cfg.Clustering, cluster.FromSteps(s.trace), s.col, s.col.Len())
+	final := cluster.Cluster(p.cfg.Clustering, cluster.FromSteps(s.merges), s.col, s.col.Len())
 	members := final.Resolved()
 	for _, ids := range members {
 		cl := make(Cluster, len(ids))
@@ -1522,7 +1531,7 @@ func (s *Session) fold(batch []Description, gone []int) (delta, error) {
 	s.expireTTL()
 	if col.Tombstones() > beforeDead {
 		d.departed = true
-		s.trace = filterAliveSteps(s.trace, col)
+		s.merges = filterAliveSteps(s.merges, col)
 		var err error
 		if d.compacted, err = s.maybeCompact(); err != nil {
 			return d, err
@@ -1537,10 +1546,11 @@ func (s *Session) fold(batch []Description, gone []int) (delta, error) {
 // the fold opened an epoch. The engine keeps no record of what
 // changed, so skipping a fold that neither added nor removed anything
 // is this function's job. The matcher is rebuilt whenever anything
-// changed (IDF weights are global — linear work). After a pure ingest
-// the resolver is reseeded (resolution is monotonic); after any
-// eviction it is retracted — the surviving history the fold kept is
-// replayed.
+// changed (IDF weights are global — linear work), and the resolver is
+// rebuilt by one rule whatever the wave carried: Retract replays the
+// session's live merges over the new matcher and edges. Whether the
+// wave carried a departure only picks the engine method and the
+// Timings counter (Ingest or Evict) the wave is charged to.
 //
 // A failure mid-pass — the engine refused the front, or swapped it in
 // but the matcher and resolver never caught up, or the fold's
@@ -1558,9 +1568,9 @@ func (s *Session) syncFront(d delta, t0 time.Time) error {
 	if d.compacted {
 		s.fstate.Rebase(s.col)
 	}
-	pass, kind := s.eng.Ingest, "ingest"
+	pass, kind, spent := s.eng.Ingest, "ingest", &s.tim.Ingest
 	if d.departed {
-		pass, kind = s.eng.Evict, "evict"
+		pass, kind, spent = s.eng.Evict, "evict", &s.tim.Evict
 	}
 	if err := pass(s.fstate); err != nil {
 		return s.poison(fmt.Errorf("minoaner: %s: %w", kind, err))
@@ -1575,12 +1585,11 @@ func (s *Session) syncFront(d delta, t0 time.Time) error {
 	s.fstate.Front.Graph.Release()
 	s.matcher = match.NewMatcher(s.col, s.p.cfg.Match)
 	if d.departed {
-		s.resolver.Retract(s.matcher, s.fstate.Front.Edges, s.trace)
-		s.tim.Evict += time.Since(t0)
+		s.resolver.Retract(s.matcher, s.fstate.Front.Edges, s.merges)
 	} else {
 		s.resolver.Reseed(s.matcher, s.fstate.Front.Edges)
-		s.tim.Ingest += time.Since(t0)
 	}
+	*spent += time.Since(t0)
 	if err := s.col.ColdErr(); err != nil {
 		// The matcher rebuild and the resolver replay page descriptions
 		// too; a failure there desyncs scores the same way.
@@ -1712,9 +1721,9 @@ func (s *Session) maybeCompact() (bool, error) {
 		return false, fmt.Errorf("minoaner: compaction: description store: %w", err)
 	}
 	s.p.col, s.col = newCol, newCol
-	for i := range s.trace {
-		s.trace[i].A = oldToNew[s.trace[i].A]
-		s.trace[i].B = oldToNew[s.trace[i].B]
+	for i := range s.merges {
+		s.merges[i].A = oldToNew[s.merges[i].A]
+		s.merges[i].B = oldToNew[s.merges[i].B]
 	}
 	if s.gens != nil {
 		kept := s.gens[:0]
