@@ -1584,11 +1584,7 @@ func (s *Session) syncFront(d delta, t0 time.Time) error {
 	// As in build: the graph's arrays go before the matcher is rebuilt.
 	s.fstate.Front.Graph.Release()
 	s.matcher = match.NewMatcher(s.col, s.p.cfg.Match)
-	if d.departed {
-		s.resolver.Retract(s.matcher, s.fstate.Front.Edges, s.merges)
-	} else {
-		s.resolver.Reseed(s.matcher, s.fstate.Front.Edges)
-	}
+	s.resolver.Retract(s.matcher, s.fstate.Front.Edges, s.merges)
 	*spent += time.Since(t0)
 	if err := s.col.ColdErr(); err != nil {
 		// The matcher rebuild and the resolver replay page descriptions

@@ -10,17 +10,19 @@ import (
 )
 
 // rebuildRuleDigests pins, per LOD-world seed, the result of a stream
-// that spends part of its budget between ingest waves. After an
-// ingest-only wave the session reseeds its resolver — clusters, boosts
-// and queued discoveries carry over — rather than replaying the
-// surviving trace from singletons as an eviction wave does. The two
-// rules agree on a session with no history but not on this stream, so
-// the digests fail if an ingest wave ever rebuilds by replay. A change
-// that is meant to move the rule updates them with the reason.
+// that spends part of its budget between ingest waves. Every wave —
+// ingest or eviction — rebuilds the resolver by one rule: Retract
+// replays the session's live merges from singletons over the new
+// matcher and edges, and a failed comparison is not carried over, so a
+// failed pair the new pruning retains runs again as a fresh pair. On a
+// session with no history the rule equals a fresh resolver; on this
+// stream the digests fail if a wave ever carries more than the merges
+// (boosts, failed pairs, rechecks) or fewer. A change that is meant to
+// move the rule updates them with the reason.
 var rebuildRuleDigests = map[int64]string{
-	1: "85f4c5fef48ad82daeb349b81a8daf5c45866f13a5507b80fed963b329125717",
-	2: "9cec7d1721a8697811a7875c931d43fe33ad8ed91988db2d8b3ed08585cbd370",
-	3: "374bc1ccc4a73acdd57577f84932dda81f7d97e088a90afa708cd23081a98fc1",
+	1: "f6ccf672ab17206f028f69d77801cd211041d09c7b5fe099328438d79ea067b2",
+	2: "dc19c039b1938a2240b32976075783c42c5418444014e00278323f6fab6b6d9c",
+	3: "264ea6ff47bd7fde091ae64a1d7723b67887f4fc2dffd82aae44082af8030680",
 }
 
 // TestIngestWaveRebuildRule drives the stream shape of a live service:
