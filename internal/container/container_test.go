@@ -179,6 +179,19 @@ func TestHeapSortsProperty(t *testing.T) {
 	}
 }
 
+// popAll empties the collector's heap, returning the retained items in
+// ascending order — the top-k set, read without widening the API.
+func popAll[T any](b *BoundedTopK[T]) []T {
+	var out []T
+	for {
+		v, ok := b.heap.Pop()
+		if !ok {
+			return out
+		}
+		out = append(out, v)
+	}
+}
+
 func TestBoundedTopK(t *testing.T) {
 	tk := NewBoundedTopK(3, func(a, b float64) bool { return a < b })
 	for _, v := range []float64{0.1, 0.9, 0.5, 0.7, 0.3, 0.8} {
@@ -190,11 +203,11 @@ func TestBoundedTopK(t *testing.T) {
 	if thr, _ := tk.Threshold(); thr != 0.7 {
 		t.Errorf("Threshold=%v, want 0.7", thr)
 	}
-	got := tk.Drain()
+	got := popAll(tk)
 	want := []float64{0.7, 0.8, 0.9}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Drain=%v, want %v", got, want)
+			t.Fatalf("retained %v, want %v", got, want)
 		}
 	}
 }
@@ -215,7 +228,7 @@ func TestBoundedTopKProperty(t *testing.T) {
 		for _, x := range xs {
 			tk.Offer(x)
 		}
-		got := tk.Drain()
+		got := popAll(tk)
 		sorted := append([]int(nil), xs...)
 		sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
 		if k > len(sorted) {

@@ -117,15 +117,3 @@ func (b *BoundedTopK[T]) Len() int { return b.heap.Len() }
 // Threshold returns the smallest retained item, the entry bar for the
 // top-k set. It reports false when empty.
 func (b *BoundedTopK[T]) Threshold() (T, bool) { return b.heap.Peek() }
-
-// Drain removes and returns all retained items in ascending order.
-func (b *BoundedTopK[T]) Drain() []T {
-	out := make([]T, 0, b.heap.Len())
-	for {
-		v, ok := b.heap.Pop()
-		if !ok {
-			return out
-		}
-		out = append(out, v)
-	}
-}

@@ -13,7 +13,7 @@ import (
 // a pair's rank is found through a CSR keyed by its smaller endpoint,
 // whose row lists the larger partners ascending, each packed with its
 // rank. Pairs outside the edge list — discovered by the update phase,
-// Reseed's leftovers, Retract's executed-but-unretained pairs — are
+// Reseed's leftovers, Retract's matched-but-unretained pairs — are
 // appended to more (ranks len(slab) and up) and found through a small
 // map. Positional arrays over dense ids instead of one hash entry per
 // retained pair is the lesson of Relational E-Matching

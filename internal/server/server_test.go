@@ -345,6 +345,68 @@ func TestServedEqualsSession(t *testing.T) {
 	}
 }
 
+// TestBudgetSpentNeverFalls pins budgetSpent as the comparisons the
+// session has executed: /status and /resume report it, and an /evict
+// wave that removes every description those comparisons touched leaves
+// it where it was — it counts budget spent, not surviving history.
+func TestBudgetSpentNeverFalls(t *testing.T) {
+	w := testWorld(t, 13, 60)
+	alpha1, alpha2 := docHalves(t, w, "alpha")
+	beta1, _ := docHalves(t, w, "betaKB")
+	_, ts, _ := startServed(t, 30, map[string]string{"alpha": alpha1, "betaKB": beta1})
+
+	last := 0
+	spent := func(label string, got int) {
+		t.Helper()
+		if got < last {
+			t.Fatalf("%s: budgetSpent fell from %d to %d", label, last, got)
+		}
+		last = got
+	}
+	status := func(label string) int {
+		t.Helper()
+		resp, body := get(t, ts, "/status", "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d\n%s", label, resp.StatusCode, body)
+		}
+		n := decode[statusResponse](t, body).BudgetSpent
+		spent(label, n)
+		return n
+	}
+	resume := func(label, budget string) int {
+		t.Helper()
+		resp, body := post(t, ts, "/resume?budget="+budget, "", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d\n%s", label, resp.StatusCode, body)
+		}
+		n := decode[resumeResponse](t, body).BudgetSpent
+		spent(label, n)
+		return n
+	}
+	if n := status("start"); n != 30 {
+		t.Fatalf("budgetSpent %d after a 30-comparison leg", n)
+	}
+	before := resume("leg", "40")
+	if before != 70 {
+		t.Fatalf("budgetSpent %d after legs of 30 and 40", before)
+	}
+	resp, body := post(t, ts, "/evict", "application/json", []byte(`{"kb":"alpha"}`))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("evict: status %d\n%s", resp.StatusCode, body)
+	}
+	if n := status("after evict"); n != before {
+		t.Fatalf("budgetSpent %d after evicting every compared description, want %d", n, before)
+	}
+	resp, body = post(t, ts, "/ingest?kb=alpha", "application/n-triples", []byte(alpha2))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: status %d\n%s", resp.StatusCode, body)
+	}
+	status("after ingest")
+	if n := resume("drain", "0"); n <= before {
+		t.Fatalf("draining the re-ingested half spent nothing: budgetSpent %d", n)
+	}
+}
+
 // descriptionsOf converts an N-Triples document into a Description
 // batch the JSON ingest endpoint accepts, mirroring the loader's
 // attribute/link/type split.

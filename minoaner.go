@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -315,8 +316,8 @@ type Stats struct {
 	Blocks          int `json:"blocks"`          // after cleaning
 	BlockCandidates int `json:"blockCandidates"` // distinct pairs after cleaning
 	PrunedEdges     int `json:"prunedEdges"`     // comparisons retained by meta-blocking
-	Comparisons     int `json:"comparisons"`     // comparisons actually executed
-	DiscoveredCmps  int `json:"discoveredCmps"`  // executed comparisons found by the update phase
+	Comparisons     int `json:"comparisons"`     // comparisons this session executed; never falls
+	DiscoveredCmps  int `json:"discoveredCmps"`  // of those, the ones found by the update phase
 	Matches         int `json:"matches"`
 }
 
@@ -378,6 +379,9 @@ type Pipeline struct {
 	// pipeline opens; tests use it to count the front-end passes
 	// recovery makes.
 	testWrapEngine func(pipeline.Engine) pipeline.Engine
+	// testLeg, when set, sees every Resume leg's trace: tests keep the
+	// full history the sessions do not.
+	testLeg func(*Session, []core.Step)
 }
 
 // New returns an empty pipeline with the given configuration.
@@ -556,8 +560,8 @@ func (p *Pipeline) walAppend(typ byte, payload any) error {
 //
 // That one pass is the whole session, not an approximation of it: the
 // front end is a pure function of the live collection, and the log
-// carries no resolution progress, so the trace is empty throughout —
-// and over an empty trace Reseed and Retract both equal a fresh
+// carries no resolution progress, so the session holds no merges
+// throughout — and with no merges a wave's Retract equals a fresh
 // resolver. The pipeline's log is still detached, so nothing
 // re-appends.
 func (p *Pipeline) replay(recs []Record) error {
@@ -915,14 +919,16 @@ func (p *Pipeline) ResolveContext(ctx context.Context, budget int) (*Result, err
 //
 // A Session is also the unit of streaming resolution: Ingest and
 // IngestKB fold new descriptions into the live session — the front-end
-// is re-derived over the grown corpus, the resolution state carries
-// over — with the guarantee that ingesting a corpus in any number of
-// batches and then resolving produces exactly the state a from-scratch
-// session over the whole corpus would. Evict and EvictKB are the
-// deletion mirror: descriptions leave the live session with the
-// guarantee that the surviving state is exactly that of a from-scratch
-// session over a corpus that never held them. Config.TTL drives Evict
-// automatically as a sliding window over ingest batches.
+// is re-derived over the grown corpus — with the guarantee that
+// ingesting a corpus in any number of batches and then resolving
+// produces exactly the state a from-scratch session over the whole
+// corpus would. Evict and EvictKB are the deletion mirror:
+// descriptions leave the live session with the guarantee that the
+// surviving state is exactly that of a from-scratch session over a
+// corpus that never held them. Config.TTL drives Evict automatically
+// as a sliding window over ingest batches. Across waves a session
+// carries only its merges: every wave rebuilds the resolver as a fresh
+// one with the live matched steps replayed (core.Resolver.Retract).
 type Session struct {
 	p *Pipeline
 	// col is the collection the session's ids index: the pipeline's at
@@ -935,12 +941,9 @@ type Session struct {
 	resolver *core.Resolver
 	matcher  *match.Matcher
 	base     Stats
-	// merges is the session's resolution history: its matched steps in
-	// execution order, minus those touching departed descriptions. It is
-	// all the evidence a rebuild replays (core.Resolver.Retract); a
-	// failed comparison is not kept. comparisons and discovered count
-	// every comparison the session has executed, and the discovered
-	// ones among them, and never fall.
+	// merges holds the matched steps over live ids in execution order;
+	// failed ones are only counted, with the discovered ones, in
+	// comparisons and discovered, which never fall.
 	merges      []core.Step
 	comparisons int
 	discovered  int
@@ -973,7 +976,7 @@ type Session struct {
 // and queue construction) — for a session Open recovered, the one pass
 // over the folded log, which leaves Ingest and Evict at zero; Ingest
 // and Evict cover streaming waves (the fold, the front-end pass over
-// the changed corpus, matcher rebuild, reseed/retract — a wave that
+// the changed corpus, matcher and resolver rebuild — a wave that
 // carried any departure counts as Evict);
 // Resolve is the matching loop end to end, and
 // Schedule/Match/Update partition it (see internal/core.Timings — the
@@ -1119,6 +1122,9 @@ func (s *Session) ResumeContext(ctx context.Context, budget int) (*Result, error
 	t0 := time.Now()
 	res := s.resolver.RunBudgetContext(ctx, budget)
 	s.tim.Resolve += time.Since(t0)
+	if s.p.testLeg != nil {
+		s.p.testLeg(s, res.Trace)
+	}
 	s.comparisons += res.Comparisons
 	s.discovered += res.Discovered
 	for _, step := range res.Trace {
@@ -1171,7 +1177,7 @@ func (s *Session) Pending() int { return s.resolver.Pending() }
 // resolution state: the cumulative Result, a cluster index for URI
 // lookups, the pending count, and the timing counters — everything a
 // read path needs, detached from the live session. Building one costs
-// a pass over the trace and the live descriptions; reading one costs
+// a pass over the merges and the live descriptions; reading one costs
 // no locks, no session access, and never observes a later mutation.
 // internal/server swaps a Snapshot behind an atomic pointer after each
 // commit wave, so any number of concurrent readers share it safely.
@@ -1290,17 +1296,17 @@ type Description struct {
 // The front-end is re-derived over the grown corpus — only the batch is
 // tokenized anew; blocking, cleaning, the blocking graph and pruning
 // run again in full, which on every measured workload costs less than
-// maintaining them did — and the progressive queue is re-seeded so new
-// comparisons interleave with old ones in the same benefit order a
-// from-scratch session would schedule.
+// maintaining them did — and the resolver is rebuilt with the
+// session's merges replayed, so new comparisons interleave with open
+// ones in the benefit order a from-scratch session would schedule.
 //
 // Equivalence guarantee: splitting a corpus into any number of Ingest
 // batches and then resolving yields exactly the from-scratch result —
 // the same Result.Trace bit for bit, for any worker count and any
 // budget. Ingesting after comparisons have already been spent is
 // also supported, with monotonic semantics: confirmed matches stay
-// resolved, executed pairs are not re-executed, and new evidence
-// interleaves by benefit from then on.
+// resolved, a failed pair still retained is compared again as a fresh
+// pair, and new evidence interleaves by benefit from then on.
 //
 // Ingestion requires the Session to be its Pipeline's current (most
 // recent) one: sessions share the pipeline's collection, so mutating
@@ -1350,22 +1356,20 @@ func (s *Session) IngestKB(name string, r io.Reader) error {
 //
 // The front-end is re-derived over the surviving corpus (the same pass
 // an ingest runs), the matcher re-learns its global IDF weights over
-// the survivors (linear work), and the resolution state is retracted:
-// pairs touching evicted descriptions leave the queue and the trace,
-// clusters containing them split with the surviving match history
-// replayed minus the evicted members, and confirmed matches among
-// survivors stay resolved.
+// the survivors (linear work), and the resolver is rebuilt as after an
+// ingest: matches touching evicted descriptions leave the merges,
+// clusters containing them split, and matches among survivors stay
+// resolved.
 //
 // Equivalence guarantee, mirroring Ingest's: for any interleaving of
 // Ingest and Evict calls before comparisons are spent, a subsequent
 // Resume produces exactly what a from-scratch session over the
 // surviving corpus would — the same trace bit for bit (modulo the
 // densely re-assigned ids a fresh load implies), for any worker count
-// and any budget. Evicting after comparisons have
-// been spent keeps monotone semantics: surviving matches stay
-// resolved, executed surviving pairs are not re-spent, and pairs whose
-// failed comparison was decided under the departed corpus's IDF
-// weights re-open as rechecks.
+// and any budget. Evicting after comparisons have been spent keeps
+// monotone semantics: surviving matches stay resolved, the budget
+// spent stays counted, and a surviving failed pair still retained is
+// compared again as a fresh pair.
 //
 // Like Ingest, Evict requires the Session to be its Pipeline's current
 // one.
@@ -1509,7 +1513,7 @@ func (s *Session) wave(batch []Description, gone []int) error {
 // makes one pass at the end (see Pipeline.replay). The TTL clock
 // advances when the batch brought data, whatever slid out of the window
 // expires, and a wave that tombstoned anything drops the departed
-// steps from the trace and opens a compaction epoch when the tombstone
+// matches from the merges and opens a compaction epoch when the tombstone
 // density crossed the threshold (see maybeCompact).
 //
 // Arrivals are judged by the input: every description of a non-empty
@@ -1531,7 +1535,9 @@ func (s *Session) fold(batch []Description, gone []int) (delta, error) {
 	s.expireTTL()
 	if col.Tombstones() > beforeDead {
 		d.departed = true
-		s.merges = filterAliveSteps(s.merges, col)
+		s.merges = slices.DeleteFunc(s.merges, func(st core.Step) bool {
+			return !col.Alive(st.A) || !col.Alive(st.B)
+		})
 		var err error
 		if d.compacted, err = s.maybeCompact(); err != nil {
 			return d, err
@@ -1546,11 +1552,9 @@ func (s *Session) fold(batch []Description, gone []int) (delta, error) {
 // the fold opened an epoch. The engine keeps no record of what
 // changed, so skipping a fold that neither added nor removed anything
 // is this function's job. The matcher is rebuilt whenever anything
-// changed (IDF weights are global — linear work), and the resolver is
-// rebuilt by one rule whatever the wave carried: Retract replays the
-// session's live merges over the new matcher and edges. Whether the
-// wave carried a departure only picks the engine method and the
-// Timings counter (Ingest or Evict) the wave is charged to.
+// changed (IDF weights are global — linear work), and the resolver by
+// one rule, Retract over the live merges; a departure only picks the
+// engine method and the Timings counter the wave is charged to.
 //
 // A failure mid-pass — the engine refused the front, or swapped it in
 // but the matcher and resolver never caught up, or the fold's
@@ -1677,7 +1681,7 @@ func (s *Session) Gauges() Gauges {
 // maybeCompact opens a new compaction epoch when the tombstone density
 // of the shared collection has reached the configured threshold: the
 // live descriptions move into a fresh collection under dense ids, the
-// surviving resolution trace and the TTL generations are remapped onto
+// surviving merges and the TTL generations are remapped onto
 // the new ids, and the old epoch's store records are dropped. It runs
 // no front-end pass: the epoch is decided before the wave's pass, and
 // that one pass (syncFront, over the re-based front-end state) is the
@@ -1687,16 +1691,17 @@ func (s *Session) Gauges() Gauges {
 // the session's one pass covers them all. References (KB + URI) never
 // change; only internal ids move.
 //
-// Runs inside fold, after filterAliveSteps (so every trace id is live
-// and has a new id) and after expireTTL (so no surviving generation is
-// at or past the cutoff, and the TTL cursor can rewind to 0 over the
-// compacted, tombstone-free generation array). An error is not
-// retryable — the mutation is already in the collection — so a live
-// wave poisons the session on it and recovery fails. The first return
-// value reports whether a compaction epoch happened, so a live wave can
-// checkpoint the write-ahead log after its pass completes.
+// Runs inside fold, after the departed merges are dropped (so every
+// merge id is live and has a new id) and after expireTTL (so no
+// surviving generation is at or past the cutoff, and the TTL cursor
+// can rewind to 0 over the compacted, tombstone-free generation
+// array). An error is not retryable — the mutation is already in the
+// collection — so a live wave poisons the session on it and recovery
+// fails. The first return value reports whether a compaction epoch
+// happened, so a live wave can checkpoint the write-ahead log after
+// its pass completes.
 //
-// Superseded sessions hold trace ids of the old id space, so they keep
+// Superseded sessions hold merge ids of the old id space, so they keep
 // reading the collection they were built over (Session.col) and go on
 // resolving their frozen view; only this session and the pipeline move
 // to the compacted one.
@@ -1830,19 +1835,6 @@ func (s *Session) expireTTL() {
 		s.col.Evict(s.expired) // no-op when already evicted by hand
 		s.expired++
 	}
-}
-
-// filterAliveSteps drops trace steps touching evicted descriptions, in
-// place: the surviving history reads exactly as if those comparisons
-// had never been scheduled.
-func filterAliveSteps(steps []core.Step, col *kb.Collection) []core.Step {
-	kept := steps[:0]
-	for _, st := range steps {
-		if col.Alive(st.A) && col.Alive(st.B) {
-			kept = append(kept, st)
-		}
-	}
-	return kept
 }
 
 // ref builds the stable reference of an id from the always-hot KB and
