@@ -24,7 +24,6 @@ import (
 	"repro/internal/metablocking"
 	"repro/internal/pipeline"
 	"repro/internal/rdf"
-	"repro/internal/store"
 	"repro/internal/tokenize"
 	"repro/internal/wal"
 )
@@ -338,7 +337,7 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 	docB, _ := rdf.WriteString(w.Triples("betaKB"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := minoaner.New(minoaner.EnvDefaults())
+		p := minoaner.New(minoaner.Defaults())
 		if err := p.LoadKB("alpha", strings.NewReader(docA)); err != nil {
 			b.Fatal(err)
 		}
@@ -409,7 +408,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // and returns the description count a replay must recover.
 func walBenchLog(b *testing.B, dir string) int {
 	b.Helper()
-	p, err := minoaner.Open(dir, minoaner.EnvDefaults())
+	p, err := minoaner.Open(dir, minoaner.Defaults())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -446,7 +445,7 @@ func BenchmarkWALReplay(b *testing.B) {
 	n := walBenchLog(b, dir)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p, err := minoaner.Open(dir, minoaner.EnvDefaults())
+		p, err := minoaner.Open(dir, minoaner.Defaults())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -503,75 +502,16 @@ func BenchmarkSessionIngest(b *testing.B) {
 		}
 	}
 	b.Run("wal=none", func(b *testing.B) {
-		run(b, func() (*minoaner.Pipeline, error) { return minoaner.New(minoaner.EnvDefaults()), nil })
+		run(b, func() (*minoaner.Pipeline, error) { return minoaner.New(minoaner.Defaults()), nil })
 	})
 	for _, pol := range []minoaner.FsyncPolicy{minoaner.FsyncWave, minoaner.FsyncAlways} {
 		pol := pol
 		b.Run("wal="+pol.String(), func(b *testing.B) {
 			run(b, func() (*minoaner.Pipeline, error) {
-				cfg := minoaner.EnvDefaults()
+				cfg := minoaner.Defaults()
 				cfg.WALFsync = pol
 				return minoaner.Open(filepath.Join(b.TempDir(), "wal"), cfg)
 			})
-		})
-	}
-}
-
-// --- PR 9 cold-store benchmarks ------------------------------------
-
-// storeBenchSeed fills st with n values of valSize deterministic
-// pseudo-random bytes under the description namespace and returns the
-// keys in insertion order.
-func storeBenchSeed(b *testing.B, st store.Store, n, valSize int) [][]byte {
-	b.Helper()
-	keys := make([][]byte, n)
-	rng := uint64(benchSeed)
-	val := make([]byte, valSize)
-	for i := range keys {
-		keys[i] = store.U64Key('D', uint64(i))
-		for j := range val {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			val[j] = byte(rng >> 33)
-		}
-		if err := st.Put(keys[i], val); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return keys
-}
-
-// BenchmarkStoreGet measures point reads through the storage boundary:
-// the mem reference map versus the disk file (locator lookup + pread +
-// checksum). The multiplicative-stride walk defeats sequential-read
-// locality, so every disk Get pays a real out-of-order file read —
-// the cost every body read pays in a paged session.
-func BenchmarkStoreGet(b *testing.B) {
-	const n, valSize = 4096, 512
-	backends := []struct {
-		name string
-		open func(b *testing.B) (store.Store, error)
-	}{
-		{"mem", func(b *testing.B) (store.Store, error) { return store.NewMem(), nil }},
-		{"disk", func(b *testing.B) (store.Store, error) {
-			return store.OpenDisk(b.TempDir(), store.DiskOptions{Reset: true})
-		}},
-	}
-	for _, be := range backends {
-		b.Run(be.name, func(b *testing.B) {
-			st, err := be.open(b)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			keys := storeBenchSeed(b, st, n, valSize)
-			b.SetBytes(valSize)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := keys[int(uint32(i)*2654435761)&(n-1)]
-				if _, ok, err := st.Get(k); err != nil || !ok {
-					b.Fatalf("get: ok=%v err=%v", ok, err)
-				}
-			}
 		})
 	}
 }

@@ -16,7 +16,7 @@ import (
 func TestCloseAfterBudgetStopLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	all := streamDescriptions(hardSessionWorld(t, 281, 140))
-	cfg := minoaner.EnvDefaults()
+	cfg := minoaner.Defaults()
 	cfg.Workers = 4
 	p := minoaner.New(cfg)
 	if err := p.Add(all[:len(all)/2]); err != nil {

@@ -163,8 +163,6 @@ func runServe(args []string, ready chan<- net.Addr, quit <-chan struct{}) error 
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	walDir := fs.String("wal", "", "write-ahead-log directory: mutations are logged and a restart recovers the session (empty = RAM only)")
 	walFsync := fs.String("wal-fsync", "wave", "WAL fsync policy with -wal: always | wave | off")
-	storeMode := fs.String("store", "", "cold store for description bodies: disk | disk-temp (empty = all in RAM)")
-	storeDir := fs.String("store-dir", "", "store directory for -store disk (scratch space; cleared on every start)")
 	maxBody := fs.Int64("max-body", server.DefaultMaxBody, "cap on a mutation request body in bytes (oversized requests answer 413)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -173,8 +171,6 @@ func runServe(args []string, ready chan<- net.Addr, quit <-chan struct{}) error 
 	cfg := minoaner.Defaults()
 	cfg.Workers = *workers
 	cfg.TTL = *ttl
-	cfg.Store = *storeMode
-	cfg.StoreDir = *storeDir
 	alg, err := clusteringAlg(*clustering)
 	if err != nil {
 		return err
@@ -192,7 +188,7 @@ func runServe(args []string, ready chan<- net.Addr, quit <-chan struct{}) error 
 	} else {
 		p = minoaner.New(cfg)
 	}
-	defer p.Close() // releases the WAL and the cold store; no-op without either
+	defer p.Close() // releases the WAL; no-op without one
 
 	// A log that already holds a corpus defines the state; -kb would
 	// re-load (and re-log) the same files on every restart.

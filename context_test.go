@@ -19,7 +19,7 @@ import (
 
 func TestResumeContextPreCancelled(t *testing.T) {
 	w := hardSessionWorld(t, 51, 60)
-	s := loadSession(t, w, minoaner.EnvDefaults())
+	s := loadSession(t, w, minoaner.Defaults())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := s.ResumeContext(ctx, 0)
@@ -40,12 +40,12 @@ func TestResumeContextPreCancelled(t *testing.T) {
 func TestCancelledLegThenDrainEqualsWholeRun(t *testing.T) {
 	w := hardSessionWorld(t, 53, 100)
 
-	whole, err := loadSession(t, w, minoaner.EnvDefaults()).Resume(0)
+	whole, err := loadSession(t, w, minoaner.Defaults()).Resume(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	s := loadSession(t, w, minoaner.EnvDefaults())
+	s := loadSession(t, w, minoaner.Defaults())
 	// A budget leg, then a cancelled leg (deterministically: cancelled
 	// before it starts), then a drain — cancellation must behave as a
 	// clean leg boundary, leaving the queue resumable.
@@ -71,7 +71,7 @@ func TestResolveContext(t *testing.T) {
 	w := hardSessionWorld(t, 59, 60)
 
 	load := func() *minoaner.Pipeline {
-		p := minoaner.New(minoaner.EnvDefaults())
+		p := minoaner.New(minoaner.Defaults())
 		for _, name := range []string{"alpha", "betaKB"} {
 			if err := p.LoadKB(name, strings.NewReader(mustDoc(t, w, name))); err != nil {
 				t.Fatal(err)
@@ -106,7 +106,7 @@ func TestResolveContext(t *testing.T) {
 // clocks have advanced, and successive reads are monotone.
 func TestTimingsAccumulate(t *testing.T) {
 	w := hardSessionWorld(t, 61, 80)
-	s := loadSession(t, w, minoaner.EnvDefaults())
+	s := loadSession(t, w, minoaner.Defaults())
 	if s.Timings().FrontEnd <= 0 {
 		t.Error("front-end timing is zero after Start")
 	}

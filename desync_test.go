@@ -71,7 +71,7 @@ func wantDesynced(t *testing.T, what string, err error) {
 // log, so the session must refuse everything afterwards — even after
 // the fault clears.
 func TestDesyncEvictFault(t *testing.T) {
-	cfg := EnvDefaults()
+	cfg := Defaults()
 	cfg.Workers = 1
 	s := desyncSession(t, cfg)
 	fe := &faultyEngine{Engine: s.eng, failEvict: true}
@@ -104,7 +104,7 @@ func TestDesyncEvictFault(t *testing.T) {
 // TestDesyncIngestFault poisons via a failing engine Ingest — the batch
 // is already in the collection, the front never advanced.
 func TestDesyncIngestFault(t *testing.T) {
-	cfg := EnvDefaults()
+	cfg := Defaults()
 	cfg.Workers = 1
 	s := desyncSession(t, cfg)
 	s.eng = &faultyEngine{Engine: s.eng, failIngest: true}
@@ -119,7 +119,7 @@ func TestDesyncIngestFault(t *testing.T) {
 // window already tombstoned when the pass — an Evict, since something
 // departed — dies.
 func TestDesyncMidPass(t *testing.T) {
-	cfg := EnvDefaults()
+	cfg := Defaults()
 	cfg.Workers = 1
 	cfg.TTL = 1
 	s := desyncSession(t, cfg)

@@ -26,7 +26,7 @@ func mustDoc(t *testing.T, w *datagen.World, kbName string) string {
 // which sentinel.
 
 func TestErrBadBatch(t *testing.T) {
-	p := minoaner.New(minoaner.EnvDefaults())
+	p := minoaner.New(minoaner.Defaults())
 	cases := []struct {
 		name string
 		call func() error
@@ -52,7 +52,7 @@ func TestErrBadBatch(t *testing.T) {
 
 func TestErrBadBatchSession(t *testing.T) {
 	w := hardSessionWorld(t, 41, 30)
-	s := loadSession(t, w, minoaner.EnvDefaults())
+	s := loadSession(t, w, minoaner.Defaults())
 	if err := s.Ingest([]minoaner.Description{{KB: "", URI: "http://x"}}); !errors.Is(err, minoaner.ErrBadBatch) {
 		t.Errorf("Ingest empty kb: got %v, want ErrBadBatch", err)
 	}
@@ -66,7 +66,7 @@ func TestErrBadBatchSession(t *testing.T) {
 
 func TestErrUnknown(t *testing.T) {
 	w := hardSessionWorld(t, 43, 30)
-	s := loadSession(t, w, minoaner.EnvDefaults())
+	s := loadSession(t, w, minoaner.Defaults())
 	err := s.Evict([]minoaner.Ref{{KB: "alpha", URI: "http://never-loaded"}})
 	if !errors.Is(err, minoaner.ErrUnknownDescription) {
 		t.Errorf("Evict unknown ref: got %v, want ErrUnknownDescription", err)
@@ -95,7 +95,7 @@ func TestFilterRatioAboveOne(t *testing.T) {
 		ok    bool
 	}{{1.5, false}, {1.0, true}, {-1, true}} {
 		t.Run(fmt.Sprint(tc.ratio), func(t *testing.T) {
-			cfg := minoaner.EnvDefaults()
+			cfg := minoaner.Defaults()
 			cfg.FilterRatio = tc.ratio
 			p := minoaner.New(cfg)
 			defer p.Close()
@@ -126,7 +126,7 @@ func TestMRRunnerRejected(t *testing.T) {
 	doc := mustDoc(t, hardSessionWorld(t, 53, 30), "alpha")
 	for _, runner := range []string{"local", "proc"} {
 		t.Run(runner, func(t *testing.T) {
-			cfg := minoaner.EnvDefaults()
+			cfg := minoaner.Defaults()
 			cfg.MRRunner = runner
 			p := minoaner.New(cfg)
 			defer p.Close()
@@ -144,20 +144,17 @@ func TestMRRunnerRejected(t *testing.T) {
 }
 
 // TestMRRunnerConfig pins the knob's surface now that it has no engine
-// to select: neither Defaults nor EnvDefaults sets it, the empty value
-// starts on the sequential and the shared engine alike, and any other
+// to select: Defaults does not set it, the empty value starts on the
+// sequential and the shared engine alike, and any other
 // spelling — a typo included — fails Start with an error naming the
 // field and the value, leaving no session behind.
 func TestMRRunnerConfig(t *testing.T) {
 	if got := minoaner.Defaults().MRRunner; got != "" {
 		t.Errorf("Defaults().MRRunner=%q, want empty", got)
 	}
-	if got := minoaner.EnvDefaults().MRRunner; got != "" {
-		t.Errorf("EnvDefaults().MRRunner=%q, want empty", got)
-	}
 	doc := mustDoc(t, hardSessionWorld(t, 59, 30), "alpha")
 	start := func(workers int, runner string) (*minoaner.Pipeline, error) {
-		cfg := minoaner.EnvDefaults()
+		cfg := minoaner.Defaults()
 		cfg.Workers = workers
 		cfg.MRRunner = runner
 		p := minoaner.New(cfg)
@@ -187,7 +184,7 @@ func TestMRRunnerConfig(t *testing.T) {
 // ErrSessionClosed — the condition internal/server maps to 409.
 func TestErrSessionClosed(t *testing.T) {
 	w := hardSessionWorld(t, 47, 30)
-	p := minoaner.New(minoaner.EnvDefaults())
+	p := minoaner.New(minoaner.Defaults())
 	if err := p.LoadKB("alpha", strings.NewReader(mustDoc(t, w, "alpha"))); err != nil {
 		t.Fatal(err)
 	}

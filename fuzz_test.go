@@ -42,7 +42,7 @@ func FuzzSessionLifecycle(f *testing.F) {
 		if len(data) < 2 {
 			return
 		}
-		cfg := EnvDefaults()
+		cfg := Defaults()
 		cfg.CompactionThreshold = []float64{-1, 0.1, 0.25, 0.5}[data[0]&3]
 		cfg.TTL = []int{0, 0, 2, 3}[data[0]>>2&3]
 		cfg.Workers = 1 + int(data[0]>>4&1)

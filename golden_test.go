@@ -80,7 +80,7 @@ func TestGoldenResolution(t *testing.T) {
 	traceDigest := sha256digest(tb.String())
 
 	// Final clusters at the public level, scores included.
-	p := minoaner.New(minoaner.EnvDefaults())
+	p := minoaner.New(minoaner.Defaults())
 	for _, name := range []string{"alpha", "betaKB"} {
 		var docs []minoaner.Description
 		for id := 0; id < w.Collection.Len(); id++ {

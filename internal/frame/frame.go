@@ -1,7 +1,7 @@
 // Package frame is the repo's one record format: the checksummed,
 // length-prefixed frame that the write-ahead log (read as a stream,
-// Read) and the disk store's file (one record read whole, Decode) put
-// on their bytes.
+// Read) and internal/store's disk file (one record read whole, Decode)
+// put on their bytes.
 //
 //	[u32 payload length, little endian]
 //	[u32 CRC-32C over type byte + payload, little endian]

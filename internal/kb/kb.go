@@ -14,11 +14,9 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/parmeta"
 	"repro/internal/rdf"
-	"repro/internal/store"
 	"repro/internal/tokenize"
 )
 
@@ -94,13 +92,6 @@ type Collection struct {
 	hasToken bool
 	dead     []bool // id → tombstoned by Evict (nil while nothing evicted)
 	numDead  int
-
-	// Cold-description state (see cold.go); all nil/zero without a store.
-	cold    store.Store
-	epoch   uint32   // store key epoch for this collection's bodies
-	uris    []string // id → URI, kept hot while bodies are spilled
-	coldMu  sync.Mutex
-	coldErr error // first store failure on a no-error-return path
 }
 
 // NewCollection returns an empty collection.
@@ -122,28 +113,17 @@ func NewCollection() *Collection {
 // re-tokenizes only what the wave brought.
 func (c *Collection) Add(d *Description) int {
 	if id, ok := c.byURI[key(d.KB, d.URI)]; ok {
-		// A spilled body decodes into a fresh Description no reader
-		// holds: merge into it and write it back.
-		ex := c.Desc(id)
+		ex := c.descs[id]
 		ex.Types = append(ex.Types, d.Types...)
 		ex.Attrs = append(ex.Attrs, d.Attrs...)
 		ex.Links = append(ex.Links, d.Links...)
-		if c.cold != nil {
-			c.putCold(id, ex)
-		}
 		if c.hasToken {
 			c.tokens[id] = nil
 		}
 		return id
 	}
 	id := len(c.descs)
-	if c.cold != nil {
-		c.descs = append(c.descs, nil)
-		c.uris = append(c.uris, d.URI)
-		c.putCold(id, d)
-	} else {
-		c.descs = append(c.descs, d)
-	}
+	c.descs = append(c.descs, d)
 	c.byURI[key(d.KB, d.URI)] = id
 	c.anyURI[d.URI] = append(c.anyURI[d.URI], id)
 	ki, ok := c.kbIndex[d.KB]
@@ -186,9 +166,7 @@ func (c *Collection) Evict(id int) bool {
 	if c.hasToken {
 		c.tokens[id] = nil
 	}
-	// Key removal needs only identity, which stays hot — eviction never
-	// pages a spilled body back in.
-	uri := c.URIOf(id)
+	uri := c.descs[id].URI
 	delete(c.byURI, key(c.kbNames[c.kbOf[id]], uri))
 	if ids := c.anyURI[uri]; len(ids) > 0 {
 		kept := make([]int, 0, len(ids)-1)
@@ -227,21 +205,13 @@ func (c *Collection) Evict(id int) bool {
 // descriptions that left long ago.
 func (c *Collection) Compact() (*Collection, []int) {
 	nc := NewCollection()
-	if c.cold != nil {
-		// Survivors rewrite under the next epoch: the old epoch's records
-		// stay untouched until the swap commits and the caller DropColds
-		// this collection — invalidating store offsets and token cache
-		// slots together, never one without the other.
-		nc.cold = c.cold
-		nc.epoch = c.epoch + 1
-	}
 	oldToNew := make([]int, len(c.descs))
 	for id := range c.descs {
 		if !c.Alive(id) {
 			oldToNew[id] = -1
 			continue
 		}
-		oldToNew[id] = nc.Add(c.Desc(id))
+		oldToNew[id] = nc.Add(c.descs[id])
 	}
 	if c.hasToken {
 		nc.tokens = make([][]string, len(nc.descs))
@@ -304,24 +274,11 @@ func key(kb, uri string) string { return kb + "\x00" + uri }
 // Len returns the number of descriptions.
 func (c *Collection) Len() int { return len(c.descs) }
 
-// Desc returns the description with the given id. A spilled body is
-// read from the store and decoded afresh on every call, so callers that
-// need it twice keep the pointer. Safe for concurrent readers between
-// mutations (the store serializes its reads).
-func (c *Collection) Desc(id int) *Description {
-	if d := c.descs[id]; d != nil {
-		return d
-	}
-	return c.pageIn(id)
-}
+// Desc returns the description with the given id.
+func (c *Collection) Desc(id int) *Description { return c.descs[id] }
 
-// URIOf returns the URI of id without paging in the description body.
-func (c *Collection) URIOf(id int) string {
-	if c.cold != nil {
-		return c.uris[id]
-	}
-	return c.descs[id].URI
-}
+// URIOf returns the URI of id.
+func (c *Collection) URIOf(id int) string { return c.descs[id].URI }
 
 // KBOf returns the KB index of a description id.
 func (c *Collection) KBOf(id int) int { return c.kbOf[id] }

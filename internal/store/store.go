@@ -1,5 +1,8 @@
-// Package store is the narrow storage boundary behind which a
-// session's description bodies can live outside the heap.
+// Package store is a small key-value storage boundary. No session uses
+// it: description bodies live in RAM, since paging them to disk saved
+// under 10 % of the heap at rest and nothing at the peak. It stays only
+// for the benchmark of record's store.* layer rows, until the
+// benchmark-only refresh (ROADMAP item 1) deletes it.
 //
 // The interface is deliberately small, in the LSM-backend idiom: point
 // Get/Put/Delete over opaque byte keys, an ordered ScanKeys over a key
@@ -11,16 +14,16 @@
 //
 // Two implementations share the interface:
 //
-//   - Disk (OpenDisk) — the backend sessions use: one append-only file
-//     of checksum-framed records, with a sparse in-memory locator
-//     (key → offset, length) as the only resident state. Appends
-//     coalesce in a buffer the reads know how to serve; every read
-//     verifies its record's checksum; ScanKeys never touches the file.
+//   - Disk (OpenDisk) — the backend the benchmark times: one
+//     append-only file of checksum-framed records, with a sparse
+//     in-memory locator (key → offset, length) as the only resident
+//     state. Appends coalesce in a buffer the reads know how to serve;
+//     every read verifies its record's checksum; ScanKeys never touches
+//     the file.
 //   - Mem — a plain map, the reference the tests compare Disk against.
 //
-// Everything a store holds is derived state: the write-ahead log (or
-// the source corpus) can always rebuild it. So a disk store is scratch
-// space: it starts empty on every open and is never reopened.
+// A disk store is scratch space: it starts empty on every open and is
+// never reopened.
 package store
 
 import (
@@ -30,9 +33,8 @@ import (
 	"sync"
 )
 
-// Store is the storage boundary. One goroutine mutates (the session's
-// writer); any number may Get concurrently while no mutation is in
-// flight — WarmTokens pages descriptions in from worker goroutines.
+// Store is the storage boundary. One goroutine mutates; any number may
+// Get concurrently while no mutation is in flight.
 type Store interface {
 	// Get returns the value stored under key, or ok=false. The returned
 	// slice is owned by the caller on the disk backend and shared on the
@@ -57,7 +59,7 @@ type Store interface {
 	Close() error
 }
 
-// Stats are a store's size and traffic gauges, surfaced on /status.
+// Stats are a store's size and traffic gauges.
 type Stats struct {
 	// Bytes is the total stored footprint: file bytes on disk for the
 	// disk backend, dead records included; encoded bytes in the heap
@@ -72,8 +74,7 @@ type Stats struct {
 	Gets int64 `json:"gets"`
 }
 
-// DropPrefix deletes every key carrying the prefix — how a collection
-// clears a superseded description epoch.
+// DropPrefix deletes every key carrying the prefix.
 func DropPrefix(s Store, prefix []byte) error {
 	var doomed [][]byte
 	if err := s.ScanKeys(prefix, func(key []byte) error {

@@ -39,7 +39,6 @@ import (
 	"repro/internal/parmeta"
 	"repro/internal/pipeline"
 	"repro/internal/rdf"
-	"repro/internal/store"
 	"repro/internal/tokenize"
 	"repro/internal/wal"
 )
@@ -226,19 +225,15 @@ type Config struct {
 	// applied); the policy is the power-loss line. Ignored by New —
 	// only Open attaches a log.
 	WALFsync FsyncPolicy
-	// Store selects where description bodies live: "" (the default)
-	// keeps everything in RAM; "disk" pages them out to an append-only
-	// file under StoreDir, and every read of a body is a checksummed
-	// file read and a decode; "disk-temp" is "disk" with a private temp
-	// directory removed on Close (no StoreDir to manage — for tests and
-	// ephemeral runs). Results are bit-identical across the settings —
-	// the store moves bytes, never bits. The store is scratch space:
-	// every New or Open starts it empty (recovery rebuilds it through
-	// WAL replay), so nothing a previous process wrote is ever read.
+	// Store is inert: description bodies always live in RAM, because
+	// paging them to disk saved under 10 % of the heap at rest and
+	// nothing at the peak (every wave's matcher rebuild reads every
+	// live body). It is kept, validated, for the frozen benchmark's
+	// read (ROADMAP item 1): "", "disk" and "disk-temp" are accepted;
+	// any other value fails the first Open, Add or load.
 	Store string
-	// StoreDir is the directory of Store "disk"'s file; required then,
-	// ignored otherwise. It may live alongside the WAL directory but
-	// must not be the same path.
+	// StoreDir is inert like Store: nothing is written to it. Store
+	// "disk" still requires it.
 	StoreDir string
 }
 
@@ -363,14 +358,6 @@ type Pipeline struct {
 	// replay) reconstructs the state. Nil on pipelines from New:
 	// logging is opt-in.
 	wal *wal.Log
-	// store, when non-nil (Config.Store "disk" or "disk-temp"), holds
-	// the description bodies behind the narrow storage boundary.
-	// Attached lazily by ensureStore before the first description
-	// lands.
-	store store.Store
-	// storeTemp is the private store directory a "disk-temp" store
-	// minted; Close removes it.
-	storeTemp string
 	// testPayloadCap overrides the WAL frame budget batch splitting and
 	// checkpoints honor; tests use it to exercise the boundary without
 	// allocating gigabyte payloads. 0 means the real wal.MaxPayload.
@@ -421,7 +408,7 @@ func Open(dir string, cfg Config) (*Pipeline, error) { return New(cfg).open(dir)
 // open attaches the log under dir to a fresh pipeline, recovering
 // whatever it holds.
 func (p *Pipeline) open(dir string) (*Pipeline, error) {
-	if err := p.ensureStore(); err != nil {
+	if err := p.checkStore(); err != nil {
 		return nil, err
 	}
 	log, recs, err := wal.Open(dir, p.cfg.WALFsync)
@@ -446,67 +433,25 @@ func (p *Pipeline) Current() *Session { return p.current }
 // it first; on a pipeline from New it is a no-op. The pipeline still
 // resolves afterwards, but mutations fail on the closed log.
 func (p *Pipeline) Close() error {
-	var err error
-	if p.wal != nil {
-		err = p.wal.Close()
-	}
-	if p.store != nil {
-		if serr := p.store.Close(); err == nil {
-			err = serr
-		}
-	}
-	if p.storeTemp != "" {
-		if rerr := os.RemoveAll(p.storeTemp); err == nil {
-			err = rerr
-		}
-		p.storeTemp = ""
-	}
-	return err
-}
-
-// ensureStore attaches the configured cold store before the first
-// description lands. A disk store always opens empty: its contents are
-// derived state the WAL (or the caller's corpus) rebuilds, and a file
-// written after the log's last durable record must never survive into
-// a recovered session. Idempotent; "" is the all-in-RAM layout.
-func (p *Pipeline) ensureStore() error {
-	if p.cfg.Store == "" || p.store != nil {
+	if p.wal == nil {
 		return nil
 	}
-	dir := p.cfg.StoreDir
+	return p.wal.Close()
+}
+
+// checkStore validates the inert Config.Store/StoreDir pair (see
+// Config.Store); Open and every ingest run it.
+func (p *Pipeline) checkStore() error {
 	switch p.cfg.Store {
+	case "", "disk-temp":
+		return nil
 	case "disk":
-		if dir == "" {
+		if p.cfg.StoreDir == "" {
 			return fmt.Errorf("minoaner: Config.Store %q requires Config.StoreDir", p.cfg.Store)
 		}
-	case "disk-temp":
-		// Like "disk", but the file lives in a fresh private temp
-		// directory removed on Close. Sound because the store is derived
-		// state — nothing in it outlives the process usefully — and it
-		// gives tests and ephemeral runs the paged backend without a
-		// directory to manage or collide on.
-		var err error
-		if dir, err = os.MkdirTemp("", "minoaner-store-"); err != nil {
-			return fmt.Errorf("minoaner: temp store dir: %w", err)
-		}
-		p.storeTemp = dir
-	default:
-		return fmt.Errorf("minoaner: unknown Config.Store %q (want \"\", \"disk\", or \"disk-temp\")", p.cfg.Store)
+		return nil
 	}
-	st, err := store.OpenDisk(dir, store.DiskOptions{Reset: true})
-	if err != nil {
-		if p.storeTemp != "" {
-			os.RemoveAll(p.storeTemp)
-			p.storeTemp = ""
-		}
-		return fmt.Errorf("minoaner: open store: %w", err)
-	}
-	if err := p.col.AttachStore(st, 0); err != nil {
-		st.Close()
-		return fmt.Errorf("minoaner: attach store: %w", err)
-	}
-	p.store = st
-	return nil
+	return fmt.Errorf("minoaner: unknown Config.Store %q (want \"\", \"disk\", or \"disk-temp\")", p.cfg.Store)
 }
 
 // walEvict is the wire payload of an eviction record — the same shape
@@ -605,8 +550,8 @@ func (p *Pipeline) replay(recs []Record) error {
 			}
 			if s == nil {
 				p.addRaw(batch)
-			} else if _, err := s.fold(batch, nil); err != nil {
-				return fmt.Errorf("minoaner: wal: replay ingest record %d: %w", i, err)
+			} else {
+				s.fold(batch, nil)
 			}
 		case TypeEvict:
 			var ev walEvict
@@ -617,12 +562,10 @@ func (p *Pipeline) replay(recs []Record) error {
 				return fmt.Errorf("minoaner: wal: evict record %d precedes any start", i)
 			}
 			ids, err := p.evictIDs(ev)
-			if err == nil {
-				_, err = s.fold(nil, ids)
-			}
 			if err != nil {
 				return fmt.Errorf("minoaner: wal: replay evict record %d: %w", i, err)
 			}
+			s.fold(nil, ids)
 		default:
 			return fmt.Errorf("minoaner: wal: unknown record type %d at record %d", rec.Type, i)
 		}
@@ -632,9 +575,6 @@ func (p *Pipeline) replay(recs []Record) error {
 	}
 	if err := s.build(); err != nil {
 		return fmt.Errorf("minoaner: wal: rebuild session: %w", err)
-	}
-	if err := p.col.ColdErr(); err != nil {
-		return fmt.Errorf("minoaner: wal: rebuild session: description store: %w", err)
 	}
 	p.current = s
 	return nil
@@ -786,7 +726,7 @@ func (p *Pipeline) Add(batch []Description) error {
 // exactly the batches the collection absorbed, replayable without
 // re-parsing any RDF.
 func (p *Pipeline) dispatchIngest(batch []Description) error {
-	if err := p.ensureStore(); err != nil {
+	if err := p.checkStore(); err != nil {
 		return err
 	}
 	if s := p.current; s != nil {
@@ -807,9 +747,6 @@ func (p *Pipeline) dispatchIngest(batch []Description) error {
 			return err
 		}
 		p.addRaw(chunk)
-	}
-	if err := p.col.ColdErr(); err != nil {
-		return fmt.Errorf("minoaner: cold store: %w", err)
 	}
 	return nil
 }
@@ -1499,11 +1436,7 @@ type delta struct{ arrived, departed, compacted bool }
 // make the wave's one front-end pass.
 func (s *Session) wave(batch []Description, gone []int) error {
 	t0 := time.Now()
-	d, err := s.fold(batch, gone)
-	if err != nil {
-		return s.poison(err)
-	}
-	return s.syncFront(d, t0)
+	return s.syncFront(s.fold(batch, gone), t0)
 }
 
 // fold applies one mutation — a batch of arrivals or a set of ids to
@@ -1521,7 +1454,7 @@ func (s *Session) wave(batch []Description, gone []int) error {
 // ever folded (ingestWire returns before logging one, so replay never
 // sees one). Departures are judged by the tombstone count, since
 // evicting a dead id is a no-op.
-func (s *Session) fold(batch []Description, gone []int) (delta, error) {
+func (s *Session) fold(batch []Description, gone []int) delta {
 	col := s.col
 	beforeDead := col.Tombstones()
 	s.p.addRaw(batch)
@@ -1538,12 +1471,9 @@ func (s *Session) fold(batch []Description, gone []int) (delta, error) {
 		s.merges = slices.DeleteFunc(s.merges, func(st core.Step) bool {
 			return !col.Alive(st.A) || !col.Alive(st.B)
 		})
-		var err error
-		if d.compacted, err = s.maybeCompact(); err != nil {
-			return d, err
-		}
+		d.compacted = s.maybeCompact()
 	}
-	return d, nil
+	return d
 }
 
 // syncFront brings the live session up to date with a folded wave in
@@ -1556,11 +1486,10 @@ func (s *Session) fold(batch []Description, gone []int) (delta, error) {
 // one rule, Retract over the live merges; a departure only picks the
 // engine method and the Timings counter the wave is charged to.
 //
-// A failure mid-pass — the engine refused the front, or swapped it in
-// but the matcher and resolver never caught up, or the fold's
-// compaction died — leaves the collection ahead of what the session
-// serves, with the mutation already acknowledged to the log. Rather
-// than serve the desynchronized state the session poisons itself (see
+// A failure mid-pass — the engine refused the front — leaves the
+// collection ahead of what the session serves, with the mutation
+// already acknowledged to the log. Rather than serve the
+// desynchronized state the session poisons itself (see
 // ErrDesynced): the first such error is returned, remembered, and every
 // later mutation or Resume returns it again. Recovery is a restart —
 // with a write-ahead log, Open folds every acknowledged mutation into
@@ -1579,22 +1508,11 @@ func (s *Session) syncFront(d delta, t0 time.Time) error {
 	if err := pass(s.fstate); err != nil {
 		return s.poison(fmt.Errorf("minoaner: %s: %w", kind, err))
 	}
-	if err := s.col.ColdErr(); err != nil {
-		// A description failed to page in mid-pass; the tokenizer saw
-		// a stub, so the committed front may be wrong. Poison rather
-		// than serve it.
-		return s.poison(fmt.Errorf("minoaner: %s: description store: %w", kind, err))
-	}
 	// As in build: the graph's arrays go before the matcher is rebuilt.
 	s.fstate.Front.Graph.Release()
 	s.matcher = match.NewMatcher(s.col, s.p.cfg.Match)
 	s.resolver.Retract(s.matcher, s.fstate.Front.Edges, s.merges)
 	*spent += time.Since(t0)
-	if err := s.col.ColdErr(); err != nil {
-		// The matcher rebuild and the resolver replay page descriptions
-		// too; a failure there desyncs scores the same way.
-		return s.poison(fmt.Errorf("minoaner: description store: %w", err))
-	}
 	s.refreshStats()
 	if d.compacted {
 		// A compaction epoch bounds the log: rotate it down to one
@@ -1642,13 +1560,6 @@ type Gauges struct {
 	WALRecords     int64 `json:"walRecords,omitempty"`
 	WALCheckpoints int64 `json:"walCheckpoints,omitempty"`
 	WALLastSyncNs  int64 `json:"walLastSyncNs,omitempty"`
-	// Cold-store gauges, zero (and omitted from JSON) without a store:
-	// the store file's bytes (dead records included until the next
-	// compaction epoch), the locator bytes of that resident in RAM, and
-	// live keys.
-	StoreBytes         int64 `json:"storeBytes,omitempty"`
-	StoreResidentBytes int64 `json:"storeResidentBytes,omitempty"`
-	StoreKeys          int64 `json:"storeKeys,omitempty"`
 	// StoreCacheHits and StoreCacheMisses are always zero: there is no
 	// decoded-description cache. They are kept for the frozen benchmark
 	// read, ROADMAP item 1.
@@ -1671,10 +1582,6 @@ func (s *Session) Gauges() Gauges {
 		g.WALBytes, g.WALRecords = st.Bytes, st.Records
 		g.WALCheckpoints, g.WALLastSyncNs = st.Checkpoints, st.LastSyncUnixNano
 	}
-	if cs := s.p.store; cs != nil {
-		st := cs.Stats()
-		g.StoreBytes, g.StoreResidentBytes, g.StoreKeys = st.Bytes, st.Resident, st.Keys
-	}
 	return g
 }
 
@@ -1682,7 +1589,7 @@ func (s *Session) Gauges() Gauges {
 // of the shared collection has reached the configured threshold: the
 // live descriptions move into a fresh collection under dense ids, the
 // surviving merges and the TTL generations are remapped onto
-// the new ids, and the old epoch's store records are dropped. It runs
+// the new ids. It runs
 // no front-end pass: the epoch is decided before the wave's pass, and
 // that one pass (syncFront, over the re-based front-end state) is the
 // rebuild — its Retract replay then rebuilds the resolver exactly as a
@@ -1695,32 +1602,23 @@ func (s *Session) Gauges() Gauges {
 // merge id is live and has a new id) and after expireTTL (so no
 // surviving generation is at or past the cutoff, and the TTL cursor
 // can rewind to 0 over the compacted, tombstone-free generation
-// array). An error is not retryable — the mutation is already in the
-// collection — so a live wave poisons the session on it and recovery
-// fails. The first return value reports whether a compaction epoch
-// happened, so a live wave can checkpoint the write-ahead log after
-// its pass completes.
+// array). It reports whether a compaction epoch happened, so a live
+// wave can checkpoint the write-ahead log after its pass completes.
 //
 // Superseded sessions hold merge ids of the old id space, so they keep
 // reading the collection they were built over (Session.col) and go on
 // resolving their frozen view; only this session and the pipeline move
 // to the compacted one.
-func (s *Session) maybeCompact() (bool, error) {
+func (s *Session) maybeCompact() bool {
 	thr := s.p.compactionThreshold()
 	col := s.col
 	if thr <= 0 || col.Len() == 0 {
-		return false, nil
+		return false
 	}
 	if float64(col.Tombstones()) < thr*float64(col.Len()) {
-		return false, nil
+		return false
 	}
 	newCol, oldToNew := col.Compact()
-	// With a store attached, Compact paged every survivor's body in from
-	// the old epoch and rewrote it under the new one; either side may
-	// have parked a failure.
-	if err := errors.Join(col.ColdErr(), newCol.ColdErr()); err != nil {
-		return false, fmt.Errorf("minoaner: compaction: description store: %w", err)
-	}
 	s.p.col, s.col = newCol, newCol
 	for i := range s.merges {
 		s.merges[i].A = oldToNew[s.merges[i].A]
@@ -1737,22 +1635,7 @@ func (s *Session) maybeCompact() (bool, error) {
 		s.expired = 0
 	}
 	s.compactions++
-	if st := s.p.store; st != nil {
-		// The old epoch's cold records are superseded: delete them and
-		// let the store rewrite its file without the dead bytes —
-		// the compaction epoch is the moment disk space is actually
-		// reclaimed. A store that cannot shed its garbage only falls
-		// further behind, so failures here are fatal like every other
-		// compaction error (the false return just skips the log
-		// checkpoint a poisoned session would never reach).
-		if err := col.DropCold(); err != nil {
-			return false, fmt.Errorf("minoaner: compaction: drop old epoch: %w", err)
-		}
-		if err := st.Compact(); err != nil {
-			return false, fmt.Errorf("minoaner: compaction: store compact: %w", err)
-		}
-	}
-	return true, nil
+	return true
 }
 
 // walCheckpoint rotates the write-ahead log down to a single
@@ -1837,9 +1720,7 @@ func (s *Session) expireTTL() {
 	}
 }
 
-// ref builds the stable reference of an id from the always-hot KB and
-// URI arrays — never from Desc, which in store mode would page a whole
-// body in just to read two fields every result row repeats.
+// ref builds the stable reference of an id: its KB name and URI.
 func (s *Session) ref(id int) Ref {
 	return Ref{KB: s.col.KBName(s.col.KBOf(id)), URI: s.col.URIOf(id)}
 }

@@ -49,7 +49,7 @@ func TestOnePassPerWave(t *testing.T) {
 		return minoaner.Description{KB: kb, URI: uri,
 			Attrs: []minoaner.Attribute{{Predicate: "name", Value: name}}}
 	}
-	cfg := minoaner.EnvDefaults()
+	cfg := minoaner.Defaults()
 	cfg.Workers = 1
 	cfg.TTL = 2 // and with it the default compaction threshold, ½
 	p := minoaner.New(cfg)
@@ -124,7 +124,7 @@ func TestOnePassPerWave(t *testing.T) {
 // arrivals, evictions, and compaction epochs re-fired while folding —
 // costs one front-end pass, all of it Timings.FrontEnd.
 func TestOpenMakesOnePass(t *testing.T) {
-	cfg := minoaner.EnvDefaults()
+	cfg := minoaner.Defaults()
 	cfg.Workers = 1
 	cfg.CompactionThreshold = -1 // one record per op while recording
 	late := func(uri string) walOp {

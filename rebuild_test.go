@@ -39,7 +39,7 @@ func TestIngestWaveRebuildRule(t *testing.T) {
 				t.Fatal(err)
 			}
 			all := streamDescriptions(w)
-			p := minoaner.New(minoaner.EnvDefaults())
+			p := minoaner.New(minoaner.Defaults())
 			next := len(all) / 2
 			if err := p.Add(all[:next]); err != nil {
 				t.Fatal(err)

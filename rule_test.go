@@ -212,7 +212,7 @@ func TestRebuildRuleEquation(t *testing.T) {
 	for _, threshold := range []float64{-1, 0.15} {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("compaction=%v/seed=%d", threshold > 0, seed), func(t *testing.T) {
-				cfg := EnvDefaults()
+				cfg := Defaults()
 				cfg.Workers = 1 + int(seed%2)
 				cfg.CompactionThreshold = threshold
 				ops := randomLife(rand.New(rand.NewSource(seed)), 8)

@@ -14,7 +14,7 @@ import (
 // of the parser.
 func TestSameAsRoundTrip(t *testing.T) {
 	w := hardSessionWorld(t, 67, 80)
-	s := loadSession(t, w, minoaner.EnvDefaults())
+	s := loadSession(t, w, minoaner.Defaults())
 	res, err := s.Resume(0)
 	if err != nil {
 		t.Fatal(err)

@@ -82,7 +82,7 @@ func TestSplitBatchShape(t *testing.T) {
 func TestIngestChunkingReplays(t *testing.T) {
 	for _, ttl := range []int{0, 2} {
 		t.Run(fmt.Sprintf("ttl=%d", ttl), func(t *testing.T) {
-			cfg := EnvDefaults()
+			cfg := Defaults()
 			cfg.Workers = 1
 			cfg.TTL = ttl
 			cfg.CompactionThreshold = -1
@@ -153,7 +153,7 @@ func TestIngestChunkingReplays(t *testing.T) {
 // Append refuses it with the typed sentinel, and nothing was logged or
 // applied — the session stays healthy, not poisoned.
 func TestFrameTooLargeTyped(t *testing.T) {
-	cfg := EnvDefaults()
+	cfg := Defaults()
 	cfg.Workers = 1
 	p, err := Open(t.TempDir(), cfg)
 	if err != nil {
@@ -200,7 +200,7 @@ func TestFrameTooLargeTyped(t *testing.T) {
 // the session must stay live — the wave was applied, only the log
 // rotation was refused.
 func TestCheckpointOverCapTyped(t *testing.T) {
-	cfg := EnvDefaults()
+	cfg := Defaults()
 	cfg.Workers = 1
 	cfg.CompactionThreshold = 0.2
 	p, err := Open(t.TempDir(), cfg)
