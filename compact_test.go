@@ -7,16 +7,12 @@ import (
 	minoaner "repro"
 )
 
-// forceDensity evicts live descriptions (skipping the keep-set) until
-// the session has compacted at least once, returning the evicted
-// reference set. Fails the test if the corpus drains first — the
-// threshold was never reached, meaning compaction is broken.
-func forceCompaction(t *testing.T, s *minoaner.Session, all []minoaner.Description, gone map[string]bool) {
+// evictEach evicts every listed description not yet gone, one wave
+// each, and records it in gone. Every wave compacts before its pass, so
+// after each one the session's collection must hold no tombstone.
+func evictEach(t *testing.T, s *minoaner.Session, descs []minoaner.Description, gone map[string]bool) {
 	t.Helper()
-	for _, d := range all {
-		if s.Compactions() > 0 {
-			return
-		}
+	for _, d := range descs {
 		r := minoaner.Ref{KB: d.KB, URI: d.URI}
 		if gone[refKey(r)] {
 			continue
@@ -25,16 +21,18 @@ func forceCompaction(t *testing.T, s *minoaner.Session, all []minoaner.Descripti
 			t.Fatal(err)
 		}
 		gone[refKey(r)] = true
+		if n := s.Tombstones(); n != 0 {
+			t.Fatalf("evicting %v left %d tombstones in the session's collection", r, n)
+		}
 	}
-	t.Fatal("corpus drained without a compaction epoch")
 }
 
-// TestCompactionEquivalentToFromScratch is the epoch headline
-// guarantee at the public API: a session that crossed one or more
-// compaction epochs — its internal ids re-based onto a fresh dense
-// space — resolves to exactly what a from-scratch session over the
-// surviving corpus produces, for any worker count. Ingesting after the
-// epoch must also work: the rebuilt front-end state keeps streaming.
+// TestCompactionEquivalentToFromScratch is the compaction headline
+// guarantee at the public API: a session whose internal ids were
+// re-based onto a fresh dense space by one eviction wave after another
+// resolves to exactly what a from-scratch session over the surviving
+// corpus produces, for any worker count. Ingesting afterwards must also
+// work: the rebuilt front-end state keeps streaming.
 func TestCompactionEquivalentToFromScratch(t *testing.T) {
 	w := hardSessionWorld(t, 681, 120)
 	all := streamDescriptions(w)
@@ -43,7 +41,6 @@ func TestCompactionEquivalentToFromScratch(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			cfg := minoaner.Defaults()
 			cfg.Workers = workers
-			cfg.CompactionThreshold = 0.25
 
 			p := minoaner.New(cfg)
 			if err := p.Add(all[:seedN]); err != nil {
@@ -54,10 +51,7 @@ func TestCompactionEquivalentToFromScratch(t *testing.T) {
 				t.Fatal(err)
 			}
 			gone := make(map[string]bool)
-			forceCompaction(t, s, all[:seedN], gone)
-			if s.Compactions() == 0 {
-				t.Fatal("threshold 0.25 never compacted")
-			}
+			evictEach(t, s, all[:seedN/4], gone)
 			// The session must keep streaming over the re-based id space.
 			if err := s.Ingest(all[seedN:]); err != nil {
 				t.Fatal(err)
@@ -81,15 +75,15 @@ func TestCompactionEquivalentToFromScratch(t *testing.T) {
 }
 
 // TestCompactionPreservesSpentMatches pins the trace remap and the Ref
-// stability property: matches confirmed before a compaction epoch
-// survive it with identical references — the epoch moves internal ids
-// only, never the KB + URI identity any result is reported under.
+// stability property: matches confirmed before a run of eviction waves
+// survive their compactions with identical references — compaction
+// moves internal ids only, never the KB + URI identity any result is
+// reported under.
 func TestCompactionPreservesSpentMatches(t *testing.T) {
 	w := hardSessionWorld(t, 682, 130)
 	all := streamDescriptions(w)
 	cfg := minoaner.Defaults()
 	cfg.Workers = 4
-	cfg.CompactionThreshold = 0.3
 
 	p := minoaner.New(cfg)
 	if err := p.Add(all); err != nil {
@@ -104,10 +98,10 @@ func TestCompactionPreservesSpentMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(mid.Matches) == 0 {
-		t.Fatal("no matches before the epoch — workload too easy for this test")
+		t.Fatal("no matches before the evictions — workload too easy for this test")
 	}
 	gone := make(map[string]bool)
-	forceCompaction(t, s, all, gone)
+	evictEach(t, s, all[:len(all)*3/10], gone)
 	final, err := s.Resume(0)
 	if err != nil {
 		t.Fatal(err)
@@ -126,11 +120,11 @@ func TestCompactionPreservesSpentMatches(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Fatalf("surviving match %v == %v lost across a compaction epoch", m.A, m.B)
+			t.Fatalf("surviving match %v == %v lost across the compactions", m.A, m.B)
 		}
 	}
 	if surviving == 0 {
-		t.Fatal("compaction evicted every early match — workload too easy for this test")
+		t.Fatal("the evictions took every early match — workload too easy for this test")
 	}
 	// Every reported reference must resolve in the compacted snapshot:
 	// lookups go KB + URI → current internal id, so a stale mapping
@@ -145,11 +139,11 @@ func TestCompactionPreservesSpentMatches(t *testing.T) {
 	}
 }
 
-// TestCompactionTTLDefaultOn pins the default: a TTL session compacts
-// at tombstone density ½ without any configuration — the sliding
-// window is exactly the workload that otherwise accretes dead ids
-// without bound. The window equivalence oracle of TestEvictTTL already
-// ran above; here the epoch counter proves the default fired.
+// TestCompactionTTLDefaultOn pins compaction under a sliding window: a
+// TTL session needs no configuration to drop what expired — every wave
+// that slides the window compacts before its pass, so the session's
+// collection holds the window and nothing else. The window equivalence
+// oracle of TestEvictTTL already ran above.
 func TestCompactionTTLDefaultOn(t *testing.T) {
 	w := hardSessionWorld(t, 683, 120)
 	all := streamDescriptions(w)
@@ -163,88 +157,39 @@ func TestCompactionTTLDefaultOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Ingest(all[len(all)/3 : 2*len(all)/3]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Ingest(all[2*len(all)/3:]); err != nil {
-		t.Fatal(err)
-	}
-	if s.Compactions() == 0 {
-		t.Fatal("TTL session never compacted under the default threshold")
+	for _, batch := range [][]minoaner.Description{all[len(all)/3 : 2*len(all)/3], all[2*len(all)/3:]} {
+		if err := s.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.Tombstones(); n != 0 {
+			t.Fatalf("a window slide left %d tombstones in the session's collection", n)
+		}
+		if got := p.NumDescriptions(); got != len(batch) {
+			t.Fatalf("the window holds %d descriptions, want the last batch's %d", got, len(batch))
+		}
 	}
 	if _, err := s.Resume(0); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestCompactionDisabled pins the off switches: a negative threshold
-// disables compaction even under TTL, and the zero default disables it
-// for sessions without TTL no matter how dense the tombstones get.
-func TestCompactionDisabled(t *testing.T) {
-	w := hardSessionWorld(t, 684, 80)
-	all := streamDescriptions(w)
-
-	cfg := minoaner.Defaults()
-	cfg.TTL = 1
-	cfg.CompactionThreshold = -1
-	p := minoaner.New(cfg)
-	if err := p.Add(all[:len(all)/2]); err != nil {
-		t.Fatal(err)
-	}
-	s, err := p.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Ingest(all[len(all)/2:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Ingest(all[:10]); err != nil { // slides the window again
-		t.Fatal(err)
-	}
-	if s.Compactions() != 0 {
-		t.Fatal("negative threshold still compacted")
-	}
-
-	cfg2 := minoaner.Defaults()
-	p2 := minoaner.New(cfg2)
-	if err := p2.Add(all); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := p2.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range all[:len(all)*3/4] {
-		if err := s2.Evict([]minoaner.Ref{{KB: d.KB, URI: d.URI}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s2.Compactions() != 0 {
-		t.Fatal("non-TTL session compacted under the zero default")
-	}
-	if _, err := s2.Resume(0); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSupersededSessionSurvivesCompaction pins ErrSessionClosed's
-// promise across a compaction epoch: a session superseded by a newer
-// Start keeps resolving its frozen view after the current session
-// re-bases the pipeline onto a compacted collection. The superseded
-// session's trace ids belong to the collection it was built over, so
-// its Resume and Snapshot must read that one. Its results must equal
-// those of the same run with compaction switched off, where the
-// evictions land in the same shared collection and nothing re-bases.
+// promise across compaction: a session superseded by a newer Start
+// keeps resolving its frozen view. The successor's first departure
+// wave re-bases the pipeline onto a compacted collection; the
+// superseded session's trace ids belong to the collection it was built
+// over, so it keeps reading that one, and from then on nothing the
+// successor does — more evictions, ingests (merges into descriptions
+// both sessions hold included), resolution — changes the superseded
+// session's Resume or Snapshot.
 func TestSupersededSessionSurvivesCompaction(t *testing.T) {
 	w := hardSessionWorld(t, 681, 120)
 	all := streamDescriptions(w)
-	gone := make(map[string]bool)
-	run := func(threshold float64) (*minoaner.Result, *minoaner.Snapshot) {
+	run := func(more bool) (*minoaner.Result, *minoaner.Snapshot) {
 		t.Helper()
-		cfg := minoaner.Defaults()
-		cfg.CompactionThreshold = threshold
-		p := minoaner.New(cfg)
-		if err := p.Add(all); err != nil {
+		p := minoaner.New(minoaner.Defaults())
+		half := len(all) / 2
+		if err := p.Add(all[:half]); err != nil {
 			t.Fatal(err)
 		}
 		a, err := p.Start()
@@ -258,18 +203,19 @@ func TestSupersededSessionSurvivesCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if threshold > 0 {
-			forceCompaction(t, b, all, gone)
-		} else {
-			for _, d := range all {
-				if r := (minoaner.Ref{KB: d.KB, URI: d.URI}); gone[refKey(r)] {
-					if err := b.Evict([]minoaner.Ref{r}); err != nil {
-						t.Fatal(err)
-					}
-				}
+		evictEach(t, b, all[:1], map[string]bool{}) // the first departure wave
+		if more {
+			evictEach(t, b, all[1:half/4], map[string]bool{})
+			if err := b.Ingest(all[half:]); err != nil {
+				t.Fatal(err)
 			}
-			if b.Compactions() != 0 {
-				t.Fatal("negative threshold compacted")
+			merge := all[half-1]
+			if err := b.Ingest([]minoaner.Description{{KB: merge.KB, URI: merge.URI,
+				Attrs: []minoaner.Attribute{{Predicate: "note", Value: "late merge"}}}}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Resume(0); err != nil {
+				t.Fatal(err)
 			}
 		}
 		res, err := a.Resume(0)
@@ -278,8 +224,8 @@ func TestSupersededSessionSurvivesCompaction(t *testing.T) {
 		}
 		return res, a.Snapshot()
 	}
-	got, gotSn := run(0.25)
-	want, wantSn := run(-1)
+	got, gotSn := run(true)
+	want, wantSn := run(false)
 	sameResult(t, "superseded Resume", want, got)
 	sameResult(t, "superseded Snapshot", wantSn.Result(), gotSn.Result())
 	for _, d := range all {

@@ -239,6 +239,52 @@ func TestEvictEdgeCases(t *testing.T) {
 	}
 }
 
+// TestEvictKBAfterItExpired: a KB whose every description slid out of
+// a TTL window stays a KB the session knows, although the wave that
+// expired it compacted its ids away. EvictKB of it is the documented
+// clean no-op, not ErrUnknownKB, and Stats.KBs counts only the KBs
+// that still hold live descriptions.
+func TestEvictKBAfterItExpired(t *testing.T) {
+	w := hardSessionWorld(t, 673, 60)
+	var alpha, beta []minoaner.Description
+	for _, d := range streamDescriptions(w) {
+		if d.KB == "betaKB" {
+			beta = append(beta, d)
+		} else {
+			alpha = append(alpha, d)
+		}
+	}
+	cfg := minoaner.Defaults()
+	cfg.TTL = 1
+	p := minoaner.New(cfg)
+	if err := p.Add(beta); err != nil {
+		t.Fatal(err)
+	}
+	s, err := p.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Ingest(alpha[:3]); err != nil { // betaKB, batch 0, expires
+		t.Fatal(err)
+	}
+	if n := p.NumDescriptions(); n != 3 {
+		t.Fatalf("the window holds %d descriptions, want alpha's 3", n)
+	}
+	if err := s.EvictKB("betaKB"); err != nil {
+		t.Fatalf("evicting a KB that expired to empty: %v", err)
+	}
+	if err := s.EvictKB("nosuchkb"); !errors.Is(err, minoaner.ErrUnknownKB) {
+		t.Fatalf("unknown KB: got %v, want ErrUnknownKB", err)
+	}
+	res, err := s.Resume(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.KBs != 1 {
+		t.Fatalf("Stats.KBs = %d with only alpha live, want 1", res.Stats.KBs)
+	}
+}
+
 // TestEvictEverything empties the session: every queue drains, the
 // result holds no match and no cluster, the comparisons already spent
 // stay counted (Stats.Comparisons never falls), and the emptied session

@@ -21,3 +21,11 @@ func OpenWrapped(dir string, cfg Config, wrap func(pipeline.Engine) pipeline.Eng
 // FrontGraph returns the blocking graph of the session's latest
 // front-end pass, so a test can see whether its arrays are resident.
 func (s *Session) FrontGraph() *metablocking.Graph { return s.fstate.Front.Graph }
+
+// Tombstones returns how many tombstoned ids the session's collection
+// holds: none, after any pass.
+func (s *Session) Tombstones() int { return s.col.Tombstones() }
+
+// SuppressRotation keeps the pipeline's write-ahead log from rotating to
+// a checkpoint, so a test can read it as one frame per mutation.
+func (p *Pipeline) SuppressRotation() { p.testNoRotate = true }

@@ -11,8 +11,8 @@ import (
 // FuzzSessionLifecycle drives a pipeline through an op sequence decoded
 // from the input and checks the session guarantees the README states
 // after every op. The input's first byte picks the configuration
-// (compaction threshold, TTL, worker count), the second the size of the
-// corpus loaded before Start; every later pair of bytes is one op:
+// (TTL, worker count), the second the size of the corpus loaded before
+// Start; every later pair of bytes is one op:
 //
 //	0 ingest the next 1–24 stream descriptions (the stream wraps, so
 //	  late batches re-ingest evicted or live descriptions)
@@ -28,8 +28,9 @@ import (
 // bit is set and one exists. The oracles: no panic; every error is a
 // documented sentinel, or Start's refusal of an empty corpus; on every
 // session Stats.Matches == len(Matches) and Stats.Comparisons never
-// falls; the current session's clusters partition its live set and
-// every live description resolves; a held snapshot never changes.
+// falls; the current session's collection holds no tombstone, its
+// clusters partition its live set and every live description resolves;
+// a held snapshot never changes.
 //
 // Seeds live in testdata/fuzz/FuzzSessionLifecycle; a plain test run
 // replays them. CI fuzzes for 30 seconds:
@@ -43,8 +44,8 @@ func FuzzSessionLifecycle(f *testing.F) {
 			return
 		}
 		cfg := Defaults()
-		cfg.CompactionThreshold = []float64{-1, 0.1, 0.25, 0.5}[data[0]&3]
-		cfg.TTL = []int{0, 0, 2, 3}[data[0]>>2&3]
+		// Bits 0–1 and 2–3 add up to the TTL window (0 = none).
+		cfg.TTL = int(data[0]&3) + []int{0, 0, 2, 3}[data[0]>>2&3]
 		cfg.Workers = 1 + int(data[0]>>4&1)
 		p := New(cfg)
 		defer p.Close()
@@ -159,6 +160,9 @@ func checkSession(t *testing.T, s *Session, live bool, spent map[*Session]int) {
 	spent[s] = st.Comparisons
 	if !live {
 		return
+	}
+	if n := s.Tombstones(); n != 0 {
+		t.Fatalf("the current session's collection holds %d tombstones", n)
 	}
 	if st.Descriptions != s.col.NumAlive() {
 		t.Fatalf("Stats.Descriptions %d, %d live", st.Descriptions, s.col.NumAlive())

@@ -12,8 +12,9 @@ package kb
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/parmeta"
 	"repro/internal/rdf"
@@ -192,26 +193,32 @@ func (c *Collection) Evict(id int) bool {
 // Compact returns a copy of the collection holding only the live
 // descriptions, re-assigned dense ids in the same relative order,
 // together with the old→new id mapping (-1 for tombstoned ids). The
-// copy shares the description values (they are immutable under the
-// append-only Add discipline) and inherits the token cache, so
-// compaction never re-tokenizes; it starts with no tombstones — a
-// collection that never held the departed descriptions. The receiver is
-// left untouched.
+// copy holds its own Description values — an Add that extends one
+// appends to the copy's slice headers, never the receiver's — and
+// inherits the token cache, so compaction never re-tokenizes; it
+// starts with no tombstones — a collection that never held the
+// departed descriptions. It keeps every KB name under its old index,
+// live descriptions or not, so HasKB and KBOf read as before. The
+// receiver is left untouched.
 //
-// Long-lived sessions with eviction (TTL windows especially) call this
-// when tombstone density crosses a threshold: ids are never reused
-// within a collection, so every id-indexed structure — token cache,
-// per-node graph arrays, cluster state — otherwise keeps paying for
-// descriptions that left long ago.
+// A streaming session compacts before every front-end pass over a
+// collection that holds tombstones, so no id-indexed structure — token
+// cache, per-node graph arrays, cluster state — pays for a description
+// that left.
 func (c *Collection) Compact() (*Collection, []int) {
 	nc := NewCollection()
+	nc.kbNames = slices.Clone(c.kbNames)
+	nc.kbIndex = maps.Clone(c.kbIndex)
+	nc.kbLive = make([]int, len(c.kbLive))
 	oldToNew := make([]int, len(c.descs))
-	for id := range c.descs {
+	bodies := make([]Description, 0, c.NumAlive())
+	for id, d := range c.descs {
 		if !c.Alive(id) {
 			oldToNew[id] = -1
 			continue
 		}
-		oldToNew[id] = nc.Add(c.descs[id])
+		bodies = append(bodies, *d)
+		oldToNew[id] = nc.Add(&bodies[len(bodies)-1])
 	}
 	if c.hasToken {
 		nc.tokens = make([][]string, len(nc.descs))
@@ -226,8 +233,7 @@ func (c *Collection) Compact() (*Collection, []int) {
 	return nc, oldToNew
 }
 
-// Tombstones returns how many ids are tombstoned — the numerator of
-// the compaction-density test.
+// Tombstones returns how many ids are tombstoned.
 func (c *Collection) Tombstones() int { return c.numDead }
 
 // Alive reports whether the id is live (not tombstoned by Evict).
@@ -239,12 +245,7 @@ func (c *Collection) NumAlive() int { return len(c.descs) - c.numDead }
 // NumLiveKBs returns how many KBs still contribute at least one live
 // description — the count that decides clean–clean semantics once
 // descriptions can leave.
-func (c *Collection) NumLiveKBs() int {
-	if c.numDead == 0 {
-		return len(c.kbNames)
-	}
-	return c.liveKBs
-}
+func (c *Collection) NumLiveKBs() int { return c.liveKBs }
 
 // HasKB reports whether a KB of this name has ever contributed
 // descriptions (live or evicted).
@@ -663,33 +664,4 @@ func (g *GroundTruth) ParseSameAs(c *Collection, r io.Reader) (int, error) {
 		return 0, fmt.Errorf("kb: ground truth: %w", err)
 	}
 	return g.LoadSameAs(c, triples), nil
-}
-
-// DebugDump writes a human-readable listing of the collection, for
-// example programs and troubleshooting.
-func (c *Collection) DebugDump(w io.Writer, max int) {
-	n := len(c.descs)
-	if max > 0 && max < n {
-		n = max
-	}
-	for id := 0; id < n; id++ {
-		if !c.Alive(id) {
-			continue
-		}
-		d := c.Desc(id)
-		fmt.Fprintf(w, "[%d] %s (%s)\n", id, d.URI, d.KB)
-		for _, a := range d.Attrs {
-			fmt.Fprintf(w, "    %s = %q\n", shortPred(a.Predicate), a.Value)
-		}
-		for _, l := range d.Links {
-			fmt.Fprintf(w, "    --> %s\n", l)
-		}
-	}
-}
-
-func shortPred(p string) string {
-	if i := strings.LastIndexAny(p, "/#"); i >= 0 && i+1 < len(p) {
-		return p[i+1:]
-	}
-	return p
 }

@@ -1,6 +1,7 @@
 package kb
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -215,12 +216,18 @@ func TestCompact(t *testing.T) {
 		if nid < 0 {
 			continue
 		}
-		if nc.Desc(nid) != c.Desc(oid) {
-			t.Fatalf("id %d→%d does not share the description", oid, nid)
+		if nc.Desc(nid) == c.Desc(oid) || !reflect.DeepEqual(*nc.Desc(nid), *c.Desc(oid)) {
+			t.Fatalf("id %d→%d is not its own copy of the description", oid, nid)
 		}
 	}
 	if got, ok := nc.IDOf("k2", "a"); !ok || got != oldToNew[other] {
 		t.Fatalf("IDOf(k2,a)=%d,%v — byURI index broken", got, ok)
+	}
+	if got := nc.IDsOfURI("a"); !reflect.DeepEqual(got, []int{0, 3}) {
+		t.Fatalf("IDsOfURI(a)=%v, want [0 3] — anyURI index broken", got)
+	}
+	if _, ok := nc.IDOf("k1", "b"); ok || nc.IDsOfURI("b") != nil {
+		t.Fatal("a tombstoned URI resolves after compaction")
 	}
 	if nc.NumKBs() != 2 || nc.NumLiveKBs() != 2 {
 		t.Fatalf("KB bookkeeping: NumKBs=%d NumLiveKBs=%d, want 2/2", nc.NumKBs(), nc.NumLiveKBs())
@@ -231,9 +238,29 @@ func TestCompact(t *testing.T) {
 	if len(cached) == 0 || &carried[0] != &cached[0] {
 		t.Fatal("token cache not carried across compaction")
 	}
-	// The original is untouched — compaction is a pure read.
+	// The original is untouched — compaction is a pure read, and
+	// extending a description in the copy leaves the original's alone.
+	nc.Add(&Description{URI: "a", KB: "k1", Attrs: []Attribute{{"p", "late"}}})
+	if got := len(c.Desc(ids[0]).Attrs); got != 1 {
+		t.Fatalf("extending the copy's description grew the original's to %d attributes", got)
+	}
 	if c.NumAlive() != 4 || c.Tombstones() != 2 {
 		t.Fatalf("source mutated: NumAlive=%d Tombstones=%d", c.NumAlive(), c.Tombstones())
+	}
+
+	// A KB compacted away whole keeps its name and index: HasKB still
+	// knows it, it no longer counts as live, and a later description of
+	// it lands under its old index.
+	nc.Evict(nc.Len() - 1) // k2's only description
+	gone, _ := nc.Compact()
+	if !gone.HasKB("k2") || gone.NumKBs() != 2 || gone.NumLiveKBs() != 1 || gone.LiveIDsOfKB("k2") != nil {
+		t.Fatalf("k2 compacted away: HasKB=%v NumKBs=%d NumLiveKBs=%d LiveIDsOfKB=%v, want true/2/1/nil",
+			gone.HasKB("k2"), gone.NumKBs(), gone.NumLiveKBs(), gone.LiveIDsOfKB("k2"))
+	}
+	back := gone.Add(&Description{URI: "b", KB: "k2"})
+	if gone.KBOf(back) != c.KBOf(other) || gone.NumLiveKBs() != 2 {
+		t.Fatalf("k2 came back under index %d with %d live KBs, want index %d and 2",
+			gone.KBOf(back), gone.NumLiveKBs(), c.KBOf(other))
 	}
 }
 
@@ -332,16 +359,6 @@ func TestLoadErrors(t *testing.T) {
 	c := NewCollection()
 	if err := c.Load("bad", strings.NewReader("not ntriples")); err == nil {
 		t.Error("Load accepted garbage")
-	}
-}
-
-func TestDebugDump(t *testing.T) {
-	c := loadSample(t)
-	var sb strings.Builder
-	c.DebugDump(&sb, 1)
-	out := sb.String()
-	if !strings.Contains(out, "Paris") || strings.Contains(out, "France\" ") {
-		t.Errorf("DebugDump output unexpected:\n%s", out)
 	}
 }
 
@@ -548,5 +565,27 @@ func TestEvictClearsTokenSlot(t *testing.T) {
 	}
 	if rewarmed := c.WarmTokens(opts, 2); rewarmed[gone] != nil {
 		t.Fatal("WarmTokens re-tokenized a tombstone")
+	}
+}
+
+// BenchmarkCompact times the compaction every session pass opens with
+// after an eviction wave: 1 000 descriptions over two KBs, each with a
+// few attributes and links and a warm token cache, 16 of them evicted.
+func BenchmarkCompact(b *testing.B) {
+	c := NewCollection()
+	for i := range 1000 {
+		kbName := []string{"alpha", "beta"}[i%2]
+		c.Add(&Description{URI: fmt.Sprintf("http://%s/e%d", kbName, i), KB: kbName,
+			Attrs: []Attribute{{"name", fmt.Sprintf("entity %d", i)}, {"year", fmt.Sprint(1900 + i%100)}},
+			Links: []string{fmt.Sprintf("http://%s/e%d", kbName, (i+2)%1000)}})
+	}
+	c.WarmTokens(tokenize.Default(), 1)
+	for id := 0; id < 16; id++ {
+		c.Evict(id * 7)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		c.Compact()
 	}
 }

@@ -48,8 +48,8 @@ func Start(e Engine, src *kb.Collection, opt Options) (*State, error) {
 	return st, nil
 }
 
-// Rebase points the state at a new source — the compacted collection of
-// an id-space compaction epoch, whose ids Front does not speak. Front
+// Rebase points the state at a new source — the compacted collection a
+// session moves to before a pass, whose ids Front does not speak. Front
 // stays as it was until the next Engine.Ingest or Engine.Evict commits
 // a pass over the new source.
 func (st *State) Rebase(src *kb.Collection) { st.src = src }

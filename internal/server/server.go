@@ -350,8 +350,8 @@ type statusResponse struct {
 }
 
 // handleStatus answers GET /status: progress, queue depth, budget
-// spent, per-stage timings, the front-end memory gauges (graph
-// footprint, tombstone debt, compaction epochs), and the snapshot
+// spent, per-stage timings, the memory gauges (blocking-graph
+// footprint, write-ahead-log size and rotations), and the snapshot
 // epoch.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	ev := s.snap.Load()
@@ -508,8 +508,9 @@ func errStatus(err error) int {
 	case errors.Is(err, minoaner.ErrBadBatch), errors.As(err, &parseErr):
 		return http.StatusBadRequest
 	case errors.Is(err, minoaner.ErrCheckpoint):
-		// The wave was applied; only the log rotation after a
-		// compaction failed. Nothing the client sent was wrong.
+		// The wave was applied; only the log's rotation to a
+		// checkpoint failed, and the next wave retries it. Nothing the
+		// client sent was wrong.
 		return http.StatusInternalServerError
 	case errors.Is(err, wal.ErrFrameTooLarge):
 		// One description encodes past the log's frame cap: the

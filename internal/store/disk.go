@@ -246,9 +246,8 @@ func (d *Disk) ScanKeys(prefix []byte, fn func(key []byte) error) error {
 
 // Compact implements Store: every live record is copied, in key order,
 // into the next generation's file, which then replaces the current one.
-// Runs alongside the session's id-space compaction epochs, when the
-// description keyspace has just shed its dead ids. On failure the
-// current generation stays in place, untouched.
+// Meant for the moment the description keyspace has just shed its dead
+// ids. On failure the current generation stays in place, untouched.
 func (d *Disk) Compact() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -35,7 +35,8 @@
 // Checkpoint atomically replaces the log with a single checkpoint
 // record (write to a temp file, fsync, rename, fsync the directory),
 // so a log whose history has been folded into a compact state — the
-// session's id-space compaction epochs — stops growing with history.
+// live corpus a session writes once as many ids have departed as are
+// live — stops growing with history.
 // A crash anywhere during the rotation leaves either the old log or
 // the new one, both valid.
 package wal

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -76,10 +75,11 @@ var ErrBadBatch = errors.New("bad batch")
 // error joins ErrDesynced with the underlying cause.
 var ErrDesynced = errors.New("session desynced")
 
-// ErrCheckpoint reports a compaction wave whose write-ahead-log
+// ErrCheckpoint reports a wave whose write-ahead-log rotation to a
 // checkpoint failed: the wave itself was applied and the session stays
 // consistent (not desynced); only the log kept its pre-rotation length,
-// and it still replays to the same state. Test with errors.Is. The
+// it still replays to the same state, and the next wave tries the
+// rotation again. Test with errors.Is. The
 // cause is described in the message but kept out of the chain, so a
 // checkpoint over the frame cap never reads as wal.ErrFrameTooLarge —
 // the client's payload was not the problem.
@@ -190,28 +190,10 @@ type Config struct {
 	// not refresh its age, and nothing expires while no new batch
 	// arrives — an ingest call that brings no data (an empty batch or
 	// document) is not a batch and leaves the window untouched.
+	// Expired descriptions leave like evicted ones: the wave's pass runs
+	// over a collection renumbered without them (see Session).
 	// 0 (the default) disables the window.
 	TTL int
-	// CompactionThreshold triggers an id-space compaction epoch when
-	// the fraction of tombstoned ids in the session's collection
-	// reaches it. Ids are never reused within a collection, so a
-	// long-lived session with eviction — a TTL sliding window above
-	// all — otherwise accretes dead ids that every id-indexed
-	// structure (token cache, per-node graph arrays, cluster state)
-	// keeps paying for. When an eviction (by hand or by TTL expiry)
-	// leaves the density at the threshold, the session re-bases onto a
-	// compacted collection holding only the live descriptions under
-	// fresh dense ids before the wave's front-end pass: that one pass
-	// runs over the compacted collection and the resolution history is
-	// replayed with remapped ids, leaving a state equivalent to a
-	// session over a corpus that never held the departed descriptions.
-	// References (KB + URI) are stable across epochs — only internal
-	// ids move.
-	//
-	// 0 (the default) enables compaction at density ½ when TTL is
-	// active and disables it otherwise; negative disables it
-	// unconditionally; an explicit value in (0, 1] sets the density.
-	CompactionThreshold float64
 	// MRRunner must be empty: Start fails with an error naming it
 	// otherwise. It selected where the removed MapReduce engine's tasks
 	// ran and is kept for the frozen benchmark read, ROADMAP item 1.
@@ -362,6 +344,9 @@ type Pipeline struct {
 	// checkpoints honor; tests use it to exercise the boundary without
 	// allocating gigabyte payloads. 0 means the real wal.MaxPayload.
 	testPayloadCap int
+	// testNoRotate, when set, keeps the log from ever rotating to a
+	// checkpoint, so tests can read it as one frame per mutation.
+	testNoRotate bool
 	// testWrapEngine, when set, wraps the engine of every session the
 	// pipeline opens; tests use it to count the front-end passes
 	// recovery makes.
@@ -397,8 +382,8 @@ func New(cfg Config) *Pipeline {
 // If the log contains a Start, the recovered session is current
 // (Current returns it) and resolution resumes with a Resume call —
 // resolution state is derived, recomputed, never logged. Recovery
-// requires the same Config the log was written under; TTL expiry and
-// compaction epochs fold deterministically from the recorded batches.
+// requires the same Config the log was written under; TTL expiry folds
+// deterministically from the recorded batches.
 //
 // After Open every mutation appends its record before applying it;
 // Config.WALFsync decides when records additionally reach the disk.
@@ -497,11 +482,12 @@ func (p *Pipeline) walAppend(typ byte, payload any) error {
 // it. Every record goes through the same fold a live wave runs before
 // its front-end pass (Session.fold): arrivals, merges and tombstones
 // land in the collection, and once a Start record has opened a
-// session, its TTL clock, expiry and compaction epochs advance exactly
-// as they did in the original timeline — all of them deterministic in
-// the mutation sequence. No record runs a pass. Once the log is
-// consumed the recovered session is built once: one front-end pass
-// over the folded collection, one matcher, one fresh resolver.
+// session, its TTL clock, expiry and count of departed ids advance
+// exactly as they did in the original timeline — all of them
+// deterministic in the mutation sequence. No record runs a pass or a
+// compaction. Once the log is consumed the recovered session is built
+// once: one compaction of every tombstone the fold left, one front-end
+// pass over the compacted collection, one matcher, one fresh resolver.
 //
 // That one pass is the whole session, not an approximation of it: the
 // front end is a pure function of the live collection, and the log
@@ -593,8 +579,7 @@ const (
 )
 
 // pipelineOptions maps the public configuration onto the front-end
-// engine options — one translation, shared by Start and by the
-// compaction epoch's rebuild, so the two can never drift.
+// engine options — one translation for every session's pass.
 func (p *Pipeline) pipelineOptions() pipeline.Options {
 	return pipeline.Options{
 		Tokenize:          p.cfg.Tokenize,
@@ -604,21 +589,6 @@ func (p *Pipeline) pipelineOptions() pipeline.Options {
 		Pruning:           p.cfg.Pruning,
 		Reciprocal:        p.cfg.Reciprocal,
 	}
-}
-
-// compactionThreshold resolves Config.CompactionThreshold to the
-// effective tombstone-density trigger: the configured value, defaulting
-// to ½ for TTL sessions; 0 means compaction is disabled.
-func (p *Pipeline) compactionThreshold() float64 {
-	switch {
-	case p.cfg.CompactionThreshold < 0:
-		return 0
-	case p.cfg.CompactionThreshold > 0:
-		return p.cfg.CompactionThreshold
-	case p.cfg.TTL > 0:
-		return 0.5
-	}
-	return 0
 }
 
 // LoadKB reads an N-Triples stream as one knowledge base. Literal
@@ -719,36 +689,53 @@ func (p *Pipeline) Add(batch []Description) error {
 }
 
 // dispatchIngest routes a validated wire batch to wherever mutations
-// currently go — the live session's streaming path after Start, the
-// shared collection before it — appending the batch to the write-ahead
-// log first in either case. Every load and add funnels through here
-// (parse first, then log, then apply), so the log's ingest records are
-// exactly the batches the collection absorbed, replayable without
-// re-parsing any RDF.
+// currently go — the live session's streaming wave after Start, the
+// shared collection before it. Every load, add and ingest funnels
+// through here (parse first, then log, then apply), so the log's ingest
+// records are exactly the batches the collection absorbed, replayable
+// without re-parsing any RDF. An empty batch — an empty document — is
+// not logged and, after Start, does not advance the TTL clock: only
+// arriving data slides the window.
+//
+// One WAL frame caps at wal.MaxPayload bytes; a larger batch splits
+// into halves recursively, and each chunk is logged and applied as its
+// own ingest — append, then addRaw or a wave — so the log records
+// exactly what happened and replay, which sees one record per chunk,
+// folds the identical batches, TTL generation stamping included. An
+// oversized batch therefore counts as several batches against a TTL
+// window; the alternative — one wider-than-the-log batch — could never
+// be recovered faithfully. A chunk's wave whose log rotation fails
+// (ErrCheckpoint) was applied and leaves the session consistent, so the
+// rest of the batch is applied too and the error is returned last.
 func (p *Pipeline) dispatchIngest(batch []Description) error {
 	if err := p.checkStore(); err != nil {
 		return err
 	}
-	if s := p.current; s != nil {
-		return s.ingestWire(batch)
+	s := p.current
+	if s != nil && s.desynced != nil {
+		return s.desynced
 	}
 	if len(batch) == 0 {
 		return nil
 	}
-	// One WAL frame caps at wal.MaxPayload bytes; a larger batch splits
-	// into halves recursively, each logged and applied separately —
-	// replay then re-applies the same sub-batches in the same order.
 	chunks, err := splitBatch(batch, p.payloadCap())
 	if err != nil {
-		return err
+		return err // refused whole before anything was logged or applied
 	}
+	var rotation error
 	for _, chunk := range chunks {
 		if err := p.walAppend(TypeIngest, chunk); err != nil {
 			return err
 		}
-		p.addRaw(chunk)
+		if s == nil {
+			p.addRaw(chunk)
+		} else if err := s.wave(chunk, nil); errors.Is(err, ErrCheckpoint) {
+			rotation = err
+		} else if err != nil {
+			return err
+		}
 	}
-	return nil
+	return rotation
 }
 
 // payloadCap is the WAL frame budget a single ingest record must fit;
@@ -866,12 +853,18 @@ func (p *Pipeline) ResolveContext(ctx context.Context, budget int) (*Result, err
 // as a sliding window over ingest batches. Across waves a session
 // carries only its merges: every wave rebuilds the resolver as a fresh
 // one with the live matched steps replayed (core.Resolver.Retract).
+//
+// The collection a session serves holds no tombstone: every pass —
+// Start's, a recovery's, each wave's — begins by compacting away the
+// ids that departed, so the pass runs over dense ids that name live
+// descriptions only. References (KB + URI) never change; only internal
+// ids move.
 type Session struct {
 	p *Pipeline
 	// col is the collection the session's ids index: the pipeline's at
-	// Start, replaced only by the session's own compaction epochs. A
-	// superseded session keeps reading it after the current session
-	// re-bases the pipeline onto a compacted collection.
+	// Start, replaced by each compaction (see compact). A superseded
+	// session keeps reading the one it last held, so it stops seeing its
+	// successor from the successor's first departure wave on.
 	col      *kb.Collection
 	eng      pipeline.Engine
 	fstate   *pipeline.State
@@ -894,9 +887,10 @@ type Session struct {
 	expired int
 	// curGen counts ingest batches, TTL or not.
 	curGen int
-	// compactions counts the id-space compaction epochs this session
-	// has been through (see Config.CompactionThreshold).
-	compactions int
+	// departed counts the ids that left since the log last rotated to a
+	// checkpoint; a wave after which it reaches the live count rotates
+	// the log (see syncFront).
+	departed int
 	// tim accumulates the session-level wall-clock counters (front end,
 	// streaming maintenance, resolve legs); the matching-stage split
 	// lives in the resolver and is merged in by Timings().
@@ -973,8 +967,8 @@ func (p *Pipeline) Start() (*Session, error) {
 }
 
 // newSession opens a session over the pipeline's collection with fresh
-// bookkeeping — everything loaded so far is batch 0, no compaction
-// epoch yet — and no front end: build makes its pass. Between the two,
+// bookkeeping — everything loaded so far is batch 0, nothing departed
+// yet — and no front end: build makes its pass. Between the two,
 // recovery folds the logged mutations into it (see replay).
 func (p *Pipeline) newSession() (*Session, error) {
 	if p.cfg.FilterRatio > 1 {
@@ -994,13 +988,14 @@ func (p *Pipeline) newSession() (*Session, error) {
 	return s, nil
 }
 
-// build runs the session's front-end pass over the pipeline's
-// collection and builds the matcher and a fresh resolver over its
-// output — Start's preparation, and the one pass a recovery makes once
-// the log is folded. Stages 3–5 are deferred to Resume.
+// build compacts the session's collection, runs the front-end pass
+// over it, and builds the matcher and a fresh resolver over its output
+// — Start's preparation, and the one pass a recovery makes once the log
+// is folded. Stages 3–5 are deferred to Resume.
 func (s *Session) build() error {
 	p := s.p
 	t0 := time.Now()
+	s.compact()
 	fstate, err := pipeline.Start(s.eng, s.col, p.pipelineOptions())
 	if err != nil {
 		return fmt.Errorf("minoaner: %w", err)
@@ -1383,54 +1378,20 @@ func (s *Session) evict(ev walEvict) error {
 	return s.wave(nil, ids)
 }
 
-// ingestWire runs one streaming ingest of a parsed wire batch: the
-// batch is appended to the write-ahead log, then the wave folds it in —
-// the batch counter advances (the TTL clock) and anything that slid
-// out of the TTL window expires — and makes its pass. An empty batch —
-// an empty document — is not logged and does not advance the clock:
-// only arriving data slides the TTL window. Recovery folds each logged
-// batch the same way, without the pass.
+// ingestWire runs a streaming ingest of a parsed wire batch on the
+// session, which must be its pipeline's current one; see
+// Pipeline.dispatchIngest.
 func (s *Session) ingestWire(batch []Description) error {
 	if err := s.ingestable(); err != nil {
 		return err
 	}
-	if s.desynced != nil {
-		return s.desynced
-	}
-	if len(batch) == 0 {
-		return nil
-	}
-	chunks, err := splitBatch(batch, s.p.payloadCap())
-	if err != nil {
-		return err // refused whole before anything was logged or applied
-	}
-	if len(chunks) > 1 {
-		// The batch cannot be logged as one frame: split it and run each
-		// chunk as its own logged ingest — append, apply, sync — so the
-		// log records exactly what happened and its replay (which sees
-		// one record per chunk) folds the identical batches, TTL
-		// generation stamping included. An oversized batch therefore
-		// counts as several batches against a TTL window; the
-		// alternative — one wider-than-the-log batch — could never be
-		// recovered faithfully.
-		for _, chunk := range chunks {
-			if err := s.ingestWire(chunk); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := s.p.walAppend(TypeIngest, batch); err != nil {
-		return err
-	}
-	return s.wave(batch, nil)
+	return s.p.dispatchIngest(batch)
 }
 
 // delta is what folding one mutation changed: descriptions arrived
 // (new ids or merges into existing ones), descriptions departed (by
-// hand or by TTL expiry), and whether a compaction epoch re-based the
-// collection.
-type delta struct{ arrived, departed, compacted bool }
+// hand or by TTL expiry).
+type delta struct{ arrived, departed bool }
 
 // wave runs one logged mutation on the live session: fold it in, then
 // make the wave's one front-end pass.
@@ -1445,14 +1406,13 @@ func (s *Session) wave(batch []Description, gone []int) error {
 // wave and by recovery, which folds every logged record this way and
 // makes one pass at the end (see Pipeline.replay). The TTL clock
 // advances when the batch brought data, whatever slid out of the window
-// expires, and a wave that tombstoned anything drops the departed
-// matches from the merges and opens a compaction epoch when the tombstone
-// density crossed the threshold (see maybeCompact).
+// expires, and the ids that departed are counted toward the next log
+// rotation. The tombstones stay until the next pass compacts them.
 //
 // Arrivals are judged by the input: every description of a non-empty
 // batch either opens an id or merges into one, and no empty batch is
-// ever folded (ingestWire returns before logging one, so replay never
-// sees one). Departures are judged by the tombstone count, since
+// ever folded (dispatchIngest returns before logging one, so replay
+// never sees one). Departures are judged by the tombstone count, since
 // evicting a dead id is a no-op.
 func (s *Session) fold(batch []Description, gone []int) delta {
 	col := s.col
@@ -1466,25 +1426,21 @@ func (s *Session) fold(batch []Description, gone []int) delta {
 		s.curGen++
 	}
 	s.expireTTL()
-	if col.Tombstones() > beforeDead {
-		d.departed = true
-		s.merges = slices.DeleteFunc(s.merges, func(st core.Step) bool {
-			return !col.Alive(st.A) || !col.Alive(st.B)
-		})
-		d.compacted = s.maybeCompact()
-	}
+	n := col.Tombstones() - beforeDead
+	s.departed += n
+	d.departed = n > 0
 	return d
 }
 
 // syncFront brings the live session up to date with a folded wave in
-// one front-end pass: the engine re-derives the front-end over the live
-// collection (see pipeline.Engine.Ingest) — over the compacted one when
-// the fold opened an epoch. The engine keeps no record of what
-// changed, so skipping a fold that neither added nor removed anything
-// is this function's job. The matcher is rebuilt whenever anything
-// changed (IDF weights are global — linear work), and the resolver by
-// one rule, Retract over the live merges; a departure only picks the
-// engine method and the Timings counter the wave is charged to.
+// one front-end pass: the departed ids are compacted away, then the
+// engine re-derives the front-end over the live collection (see
+// pipeline.Engine.Ingest). The engine keeps no record of what changed,
+// so skipping a fold that neither added nor removed anything is this
+// function's job. The matcher is rebuilt whenever anything changed (IDF
+// weights are global — linear work), and the resolver by one rule,
+// Retract over the live merges; a departure only picks the engine
+// method and the Timings counter the wave is charged to.
 //
 // A failure mid-pass — the engine refused the front — leaves the
 // collection ahead of what the session serves, with the mutation
@@ -1498,9 +1454,7 @@ func (s *Session) syncFront(d delta, t0 time.Time) error {
 	if !d.arrived && !d.departed {
 		return nil // nothing new arrived or departed
 	}
-	if d.compacted {
-		s.fstate.Rebase(s.col)
-	}
+	s.compact()
 	pass, kind, spent := s.eng.Ingest, "ingest", &s.tim.Ingest
 	if d.departed {
 		pass, kind, spent = s.eng.Evict, "evict", &s.tim.Evict
@@ -1514,14 +1468,19 @@ func (s *Session) syncFront(d delta, t0 time.Time) error {
 	s.resolver.Retract(s.matcher, s.fstate.Front.Edges, s.merges)
 	*spent += time.Since(t0)
 	s.refreshStats()
-	if d.compacted {
-		// A compaction epoch bounds the log: rotate it down to one
-		// checkpoint of the live corpus. Failure here does NOT poison —
-		// the in-memory state is fully consistent and the pre-rotation
-		// log still replays to it; the caller just learns, through
-		// ErrCheckpoint, that the log kept its old length.
-		return s.walCheckpoint()
+	if s.departed < s.col.NumAlive() || s.p.testNoRotate {
+		return nil
 	}
+	// As many ids left since the last rotation as are live: the log
+	// holds at least as much history as corpus, so rotate it down to
+	// one checkpoint of the live corpus. Failure here does NOT poison —
+	// the in-memory state is fully consistent and the pre-rotation log
+	// still replays to it; the caller learns, through ErrCheckpoint,
+	// that the log kept its old length, and the next wave retries.
+	if err := s.walCheckpoint(); err != nil {
+		return err
+	}
+	s.departed = 0
 	return nil
 }
 
@@ -1535,22 +1494,14 @@ func (s *Session) poison(cause error) error {
 	return s.desynced
 }
 
-// Compactions reports how many id-space compaction epochs the session
-// has been through. Like every Session method it must not race with a
-// concurrent mutation.
-func (s *Session) Compactions() int { return s.compactions }
-
 // Gauges reports the memory-relevant size gauges of a session's
 // front-end state — the numbers an operator watches to see whether a
 // long-lived streaming session is holding its footprint: the blocking
-// graph (edges and approximate bytes), the tombstone count the next
-// compaction epoch will reclaim, and the epochs already passed. Exposed
+// graph (edges and approximate bytes) and the write-ahead log. Exposed
 // on the server's /status endpoint via Snapshot.
 type Gauges struct {
-	GraphEdges  int `json:"graphEdges"`
-	GraphBytes  int `json:"graphBytes"`
-	Tombstones  int `json:"tombstones"`
-	Compactions int `json:"compactions"`
+	GraphEdges int `json:"graphEdges"`
+	GraphBytes int `json:"graphBytes"`
 	// Write-ahead-log gauges, zero (and omitted from JSON) without a
 	// log: current log size, records in the current file (a fresh
 	// checkpoint resets this to 1 — the records accumulated since the
@@ -1572,10 +1523,8 @@ type Gauges struct {
 // server captures it into each Snapshot from its writer goroutine.
 func (s *Session) Gauges() Gauges {
 	g := Gauges{
-		GraphEdges:  s.fstate.Front.Graph.NumEdges(),
-		GraphBytes:  s.fstate.Front.Graph.Footprint(),
-		Tombstones:  s.col.Tombstones(),
-		Compactions: s.compactions,
+		GraphEdges: s.fstate.Front.Graph.NumEdges(),
+		GraphBytes: s.fstate.Front.Graph.Footprint(),
 	}
 	if w := s.p.wal; w != nil {
 		st := w.Stats()
@@ -1585,79 +1534,73 @@ func (s *Session) Gauges() Gauges {
 	return g
 }
 
-// maybeCompact opens a new compaction epoch when the tombstone density
-// of the shared collection has reached the configured threshold: the
-// live descriptions move into a fresh collection under dense ids, the
-// surviving merges and the TTL generations are remapped onto
-// the new ids. It runs
-// no front-end pass: the epoch is decided before the wave's pass, and
-// that one pass (syncFront, over the re-based front-end state) is the
-// rebuild — its Retract replay then rebuilds the resolver exactly as a
-// from-scratch session over the surviving corpus would. During
-// recovery the fold opens the same epochs at the same records, and
-// the session's one pass covers them all. References (KB + URI) never
-// change; only internal ids move.
+// compact renumbers the session's collection densely when it holds any
+// tombstone: the live descriptions move into a fresh collection under
+// dense ids (kb.Collection.Compact), the merges are remapped onto them
+// — a merge with a departed side is dropped — and so are the TTL
+// generations, and the front-end state, if any, is re-based onto the
+// new collection. It runs no pass: it opens every pass (build,
+// syncFront), so that pass runs over live ids only and its Retract
+// replay rebuilds the resolver exactly as a from-scratch session over
+// the surviving corpus would. Recovery folds the whole log first and
+// compacts once, in build.
 //
-// Runs inside fold, after the departed merges are dropped (so every
-// merge id is live and has a new id) and after expireTTL (so no
-// surviving generation is at or past the cutoff, and the TTL cursor
-// can rewind to 0 over the compacted, tombstone-free generation
-// array). It reports whether a compaction epoch happened, so a live
-// wave can checkpoint the write-ahead log after its pass completes.
+// The merges are remapped after expireTTL has run, so no surviving
+// generation is at or past the cutoff, and the TTL cursor rewinds to 0
+// over the tombstone-free generation array.
 //
 // Superseded sessions hold merge ids of the old id space, so they keep
 // reading the collection they were built over (Session.col) and go on
 // resolving their frozen view; only this session and the pipeline move
 // to the compacted one.
-func (s *Session) maybeCompact() bool {
-	thr := s.p.compactionThreshold()
-	col := s.col
-	if thr <= 0 || col.Len() == 0 {
-		return false
+func (s *Session) compact() {
+	if s.col.Tombstones() == 0 {
+		return
 	}
-	if float64(col.Tombstones()) < thr*float64(col.Len()) {
-		return false
-	}
-	newCol, oldToNew := col.Compact()
+	newCol, oldToNew := s.col.Compact()
 	s.p.col, s.col = newCol, newCol
-	for i := range s.merges {
-		s.merges[i].A = oldToNew[s.merges[i].A]
-		s.merges[i].B = oldToNew[s.merges[i].B]
+	kept := s.merges[:0]
+	for _, st := range s.merges {
+		if a, b := oldToNew[st.A], oldToNew[st.B]; a >= 0 && b >= 0 {
+			st.A, st.B = a, b
+			kept = append(kept, st)
+		}
 	}
+	s.merges = kept
 	if s.gens != nil {
-		kept := s.gens[:0]
+		gens := s.gens[:0]
 		for id, g := range s.gens {
 			if oldToNew[id] >= 0 {
-				kept = append(kept, g)
+				gens = append(gens, g)
 			}
 		}
-		s.gens = kept
+		s.gens = gens
 		s.expired = 0
 	}
-	s.compactions++
-	return true
+	if s.fstate != nil {
+		s.fstate.Rebase(newCol)
+	}
 }
 
 // walCheckpoint rotates the write-ahead log down to a single
 // checkpoint record holding the live corpus (and, for TTL sessions,
-// each description's age in batches) — called after a compaction epoch,
-// the natural moment the corpus is dense and tombstone-free. Replay of
-// a checkpointed log restores the corpus, re-bases the TTL clock from
-// the recorded ages, and continues with the records that follow.
+// each description's age in batches) — called after a wave once as
+// many ids have departed since the last rotation as are live, the
+// point where a collection that kept its tombstones would be half dead.
+// Replay of a checkpointed log restores the corpus, re-bases the TTL
+// clock from the recorded ages, and continues with the records that
+// follow.
 func (s *Session) walCheckpoint() error {
 	w := s.p.wal
 	if w == nil {
 		return nil
 	}
-	col := s.col
-	chk := walCheckpoint{Descs: make([]Description, 0, col.NumAlive())}
+	col := s.col // compacted by the wave's pass: every id is live
+	chk := walCheckpoint{Descs: make([]Description, 0, col.Len())}
 	if s.gens != nil {
-		chk.Ages = make([]int, 0, col.NumAlive())
+		chk.Ages = make([]int, 0, col.Len())
 	}
 	for id := 0; id < col.Len(); id++ {
-		if !col.Alive(id) {
-			continue
-		}
 		d := col.Desc(id)
 		chk.Descs = append(chk.Descs, Description{
 			KB: d.KB, URI: d.URI, Types: d.Types, Attrs: d.Attrs, Links: d.Links,

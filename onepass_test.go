@@ -38,12 +38,11 @@ func (c *passCounter) Evict(st *pipeline.State) error {
 
 // TestOnePassPerWave: every commit wave — arrivals only, departures
 // only, a TTL ingest whose batch pushes an older one out of the window,
-// an eviction that opens a compaction epoch, or a batch that only
-// merges into a description the session holds — costs exactly one
-// front-end pass, attributed to Evict when anything departed; a wave
-// that changes nothing costs none. A compaction epoch is decided before
-// the pass, so the pass runs over the compacted collection and nothing
-// rebuilds on top of it.
+// or a batch that only merges into a description the session holds —
+// costs exactly one front-end pass, attributed to Evict when anything
+// departed; a wave that changes nothing costs none. A departure wave
+// compacts before its pass, so the pass runs over the compacted
+// collection, nothing rebuilds on top of it, and no tombstone is left.
 func TestOnePassPerWave(t *testing.T) {
 	named := func(kb, uri, name string) minoaner.Description {
 		return minoaner.Description{KB: kb, URI: uri,
@@ -51,7 +50,7 @@ func TestOnePassPerWave(t *testing.T) {
 	}
 	cfg := minoaner.Defaults()
 	cfg.Workers = 1
-	cfg.TTL = 2 // and with it the default compaction threshold, ½
+	cfg.TTL = 2
 	p := minoaner.New(cfg)
 	if err := p.Add([]minoaner.Description{
 		named("a", "u1", "alpha one"), named("a", "u2", "beta two"),
@@ -70,34 +69,32 @@ func TestOnePassPerWave(t *testing.T) {
 	})
 
 	waves := []struct {
-		name                         string
-		run                          func() error
-		ingests, evicts, compactions int
+		name            string
+		run             func() error
+		ingests, evicts int
 	}{
 		{"ingest", func() error {
 			return s.Ingest([]minoaner.Description{named("a", "u3", "gamma three"), named("b", "v3", "gamma three")})
-		}, 1, 0, 0},
-		{"evict", func() error { return s.Evict([]minoaner.Ref{{KB: "a", URI: "u3"}}) }, 0, 1, 0},
-		{"empty ingest", func() error { return s.Ingest(nil) }, 0, 0, 0},
+		}, 1, 0},
+		{"evict", func() error { return s.Evict([]minoaner.Ref{{KB: "a", URI: "u3"}}) }, 0, 1},
+		{"empty ingest", func() error { return s.Ingest(nil) }, 0, 0},
 		// The second batch since Start: batch 0 — Start's corpus —
-		// slides out of the two-batch window in the same wave, leaving 5
-		// of 8 ids tombstoned, over the threshold.
-		{"ingest with TTL expiry and compaction", func() error {
+		// slides out of the two-batch window in the same wave.
+		{"ingest with TTL expiry", func() error {
 			return s.Ingest([]minoaner.Description{named("a", "u4", "delta four"), named("b", "v4", "delta four")})
-		}, 0, 1, 1},
-		// 2 of the 3 compacted ids go by hand: over the threshold again.
-		{"evict with compaction", func() error {
+		}, 0, 1},
+		{"evict two", func() error {
 			return s.Evict([]minoaner.Ref{{KB: "b", URI: "v3"}, {KB: "a", URI: "u4"}})
-		}, 0, 1, 1},
+		}, 0, 1},
 		// Every description merges into v4, the survivor: no id opens,
 		// yet the batch arrived — the fold judges that by its input.
 		{"merge-only ingest", func() error {
 			return s.Ingest([]minoaner.Description{named("b", "v4", "late note")})
-		}, 1, 0, 0},
+		}, 1, 0},
 	}
 	for _, wv := range waves {
 		c.starts, c.ingests, c.evicts = 0, 0, 0
-		before, epochs := s.Timings(), s.Compactions()
+		before := s.Timings()
 		if err := wv.run(); err != nil {
 			t.Fatalf("%s: %v", wv.name, err)
 		}
@@ -105,8 +102,8 @@ func TestOnePassPerWave(t *testing.T) {
 			t.Fatalf("%s wave made %d Ingest, %d Evict and %d rebuild passes, want %d, %d and 0",
 				wv.name, c.ingests, c.evicts, c.starts, wv.ingests, wv.evicts)
 		}
-		if got := s.Compactions() - epochs; got != wv.compactions {
-			t.Fatalf("%s wave opened %d compaction epochs, want %d", wv.name, got, wv.compactions)
+		if n := s.Tombstones(); n != 0 {
+			t.Fatalf("%s wave left %d tombstones", wv.name, n)
 		}
 		after := s.Timings()
 		if (after.Ingest > before.Ingest) != (wv.ingests > 0) || (after.Evict > before.Evict) != (wv.evicts > 0) {
@@ -121,12 +118,11 @@ func TestOnePassPerWave(t *testing.T) {
 
 // TestOpenMakesOnePass: recovery folds the log into the collection and
 // builds the session once, so a log of many streaming records —
-// arrivals, evictions, and compaction epochs re-fired while folding —
-// costs one front-end pass, all of it Timings.FrontEnd.
+// arrivals and evictions — costs one compaction and one front-end
+// pass, all of it Timings.FrontEnd.
 func TestOpenMakesOnePass(t *testing.T) {
 	cfg := minoaner.Defaults()
 	cfg.Workers = 1
-	cfg.CompactionThreshold = -1 // one record per op while recording
 	late := func(uri string) walOp {
 		return walOp{ingest: []minoaner.Description{{KB: "alpha", URI: uri,
 			Attrs: []minoaner.Attribute{{Predicate: "name", Value: "late " + uri}}}}}
@@ -140,6 +136,7 @@ func TestOpenMakesOnePass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec.SuppressRotation() // one record per op
 	for _, op := range ops {
 		applyOp(t, rec, op)
 	}
@@ -147,7 +144,6 @@ func TestOpenMakesOnePass(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg.CompactionThreshold = 0.2 // the fold opens the epochs the recording never did
 	var c passCounter
 	p, err := minoaner.OpenWrapped(dir, cfg, func(e pipeline.Engine) pipeline.Engine {
 		c.Engine = e
@@ -162,8 +158,8 @@ func TestOpenMakesOnePass(t *testing.T) {
 		t.Fatalf("recovery made %d Start, %d Ingest and %d Evict passes, want exactly one Start",
 			c.starts, c.ingests, c.evicts)
 	}
-	if s.Compactions() == 0 {
-		t.Fatal("the fold never opened a compaction epoch — raise the eviction traffic")
+	if n := s.Tombstones(); n != 0 {
+		t.Fatalf("the recovered session's collection holds %d tombstones", n)
 	}
 	if tim := s.Timings(); tim.FrontEnd <= 0 || tim.Ingest != 0 || tim.Evict != 0 {
 		t.Fatalf("recovered Timings %+v, want the one pass in FrontEnd and no wave time", tim)

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/wal"
@@ -85,7 +86,6 @@ func TestIngestChunkingReplays(t *testing.T) {
 			cfg := Defaults()
 			cfg.Workers = 1
 			cfg.TTL = ttl
-			cfg.CompactionThreshold = -1
 			pre, live := splitWorld(12), splitWorld(24)[12:]
 
 			dir := t.TempDir()
@@ -94,6 +94,7 @@ func TestIngestChunkingReplays(t *testing.T) {
 				t.Fatal(err)
 			}
 			p.testPayloadCap = 400
+			p.testNoRotate = true // one record per chunk
 			if err := p.Add(pre); err != nil {
 				t.Fatal(err)
 			}
@@ -195,14 +196,14 @@ func TestFrameTooLargeTyped(t *testing.T) {
 
 // TestCheckpointOverCapTyped shrinks the frame cap so that every
 // description and batch still fits but a checkpoint of the live corpus
-// does not: the compacting wave must fail with ErrCheckpoint and not
-// with wal.ErrFrameTooLarge (the client sent nothing too large), and
-// the session must stay live — the wave was applied, only the log
-// rotation was refused.
+// does not: the wave that reaches the rotation rule must fail with
+// ErrCheckpoint and not with wal.ErrFrameTooLarge (the client sent
+// nothing too large), and the session must stay live — the wave was
+// applied, only the log rotation was refused. The next wave tries the
+// rotation again, and once the cap allows it, the log rotates.
 func TestCheckpointOverCapTyped(t *testing.T) {
 	cfg := Defaults()
 	cfg.Workers = 1
-	cfg.CompactionThreshold = 0.2
 	p, err := Open(t.TempDir(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -223,11 +224,8 @@ func TestCheckpointOverCapTyped(t *testing.T) {
 			break
 		}
 	}
-	if s.Compactions() == 0 {
-		t.Fatal("eviction never crossed the compaction threshold")
-	}
 	if !errors.Is(waveErr, ErrCheckpoint) || errors.Is(waveErr, wal.ErrFrameTooLarge) {
-		t.Fatalf("compacting wave returned %v, want ErrCheckpoint without wal.ErrFrameTooLarge", waveErr)
+		t.Fatalf("rotating wave returned %v, want ErrCheckpoint without wal.ErrFrameTooLarge", waveErr)
 	}
 	if errors.Is(waveErr, ErrDesynced) {
 		t.Fatalf("a refused checkpoint poisoned the session: %v", waveErr)
@@ -237,5 +235,39 @@ func TestCheckpointOverCapTyped(t *testing.T) {
 	}
 	if _, err := s.Resume(0); err != nil {
 		t.Fatalf("session unusable after a refused checkpoint: %v", err)
+	}
+	last := all[len(all)-1]
+	if err := s.Evict([]Ref{{KB: last.KB, URI: last.URI}}); !errors.Is(err, ErrCheckpoint) {
+		t.Fatalf("the wave after a refused checkpoint returned %v, want the retry's ErrCheckpoint", err)
+	}
+	// A batch over the frame cap runs as one wave per chunk; the first
+	// chunk's wave retries the rotation and is refused, and the rest of
+	// the batch must still be applied.
+	var late []Description
+	for i := range 4 {
+		late = append(late, dsc("a", fmt.Sprintf("http://x/late%d", i), strings.Repeat("late arrival ", 12)))
+	}
+	if chunks, err := splitBatch(late, p.testPayloadCap); err != nil || len(chunks) < 2 {
+		t.Fatalf("late batch splits into %d chunks (%v), want several", len(chunks), err)
+	}
+	before := p.NumDescriptions()
+	if err := s.Ingest(late); !errors.Is(err, ErrCheckpoint) {
+		t.Fatalf("chunked ingest under a refused rotation returned %v, want ErrCheckpoint", err)
+	}
+	if got := p.NumDescriptions(); got != before+len(late) {
+		t.Fatalf("chunked ingest applied %d of %d descriptions", got-before, len(late))
+	}
+	p.testPayloadCap = 0
+	for g := s.Gauges(); g.WALCheckpoints == 0; g = s.Gauges() {
+		if p.NumDescriptions() == 0 {
+			t.Fatal("evicted everything without a rotation under the real cap")
+		}
+		d := s.col.Desc(0)
+		if err := s.Evict([]Ref{{KB: d.KB, URI: d.URI}}); err != nil {
+			t.Fatalf("a wave under the real cap: %v", err)
+		}
+	}
+	if g := s.Gauges(); g.WALCheckpoints != 1 || g.WALRecords != 1 {
+		t.Fatalf("after the rotation the log holds %d records over %d checkpoints, want one checkpoint", g.WALRecords, g.WALCheckpoints)
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // TestStoreIsInert drives a write-ahead-logged pipeline configured with
-// Store "disk" through ingest and evict waves, a compaction epoch, Close
+// Store "disk" through ingest and evict waves, a log rotation, Close
 // and recovery by Open. The recovered session must digest like a
 // storeless pipeline that never restarted, and StoreDir must stay
 // empty.
@@ -21,7 +21,6 @@ func TestStoreIsInert(t *testing.T) {
 	cfg := minoaner.Defaults()
 	cfg.Workers = 1
 	cfg.TTL = 2
-	cfg.CompactionThreshold = 0.2
 	ops := recoveryOps(t, 8)
 
 	fresh := minoaner.New(cfg)
@@ -42,8 +41,8 @@ func TestStoreIsInert(t *testing.T) {
 	for _, op := range ops {
 		applyOp(t, p, op)
 	}
-	if p.Current().Compactions() == 0 {
-		t.Fatal("workload never compacted: the epoch path went unexercised")
+	if p.Current().Gauges().WALCheckpoints == 0 {
+		t.Fatal("workload never rotated the log: the checkpoint path went unexercised")
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)

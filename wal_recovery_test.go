@@ -4,7 +4,7 @@
 // what a from-scratch, never-crashed pipeline over the surviving
 // mutation prefix resolves to — the repo's golden-digest notion of
 // "recovered correctly", swept across fsync policies, engines, TTL
-// windows, and compaction checkpoints.
+// windows, and checkpoint rotations.
 package minoaner_test
 
 import (
@@ -104,13 +104,17 @@ func finishDigest(t *testing.T, p *minoaner.Pipeline) string {
 }
 
 // recordWorkload runs the ops through a write-ahead-logged pipeline and
-// returns the raw log bytes.
-func recordWorkload(t *testing.T, cfg minoaner.Config, ops []walOp) []byte {
+// returns the raw log bytes. Unless rotate is set the log never rotates
+// to a checkpoint, so it holds one frame per op.
+func recordWorkload(t *testing.T, cfg minoaner.Config, ops []walOp, rotate bool) []byte {
 	t.Helper()
 	dir := t.TempDir()
 	p, err := minoaner.Open(dir, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !rotate {
+		p.SuppressRotation()
 	}
 	for _, op := range ops {
 		applyOp(t, p, op)
@@ -176,11 +180,11 @@ func expectedDigests(t *testing.T, cfg minoaner.Config, ops []walOp) func(k int)
 func TestWALRecoveryTruncationSweep(t *testing.T) {
 	cfg := minoaner.Defaults()
 	cfg.Workers = 1
-	cfg.CompactionThreshold = -1 // keep one frame per op: no checkpoint rotation
 	ops := recoveryOps(t, 8)
-	raw := recordWorkload(t, cfg, ops)
+	raw := recordWorkload(t, cfg, ops, true)
 
-	// One frame per op — the log is the mutation sequence.
+	// Too few departures to rotate: one frame per op — the log is the
+	// mutation sequence.
 	k, full := surviveAndRecover(t, cfg, raw)
 	if k != len(ops) {
 		t.Fatalf("full log holds %d records, want %d", k, len(ops))
@@ -218,9 +222,8 @@ func TestWALRecoveryTruncationSweep(t *testing.T) {
 func TestWALRecoveryCorruption(t *testing.T) {
 	cfg := minoaner.Defaults()
 	cfg.Workers = 1
-	cfg.CompactionThreshold = -1 // keep one frame per op: no checkpoint rotation
 	ops := recoveryOps(t, 8)
-	raw := recordWorkload(t, cfg, ops)
+	raw := recordWorkload(t, cfg, ops, true)
 	expect := expectedDigests(t, cfg, ops)
 
 	stride := 31
@@ -267,13 +270,12 @@ func TestWALRecoveryGrid(t *testing.T) {
 					cfg.Workers = eng.workers
 					cfg.TTL = ttl
 					cfg.WALFsync = pol.p
-					// Checkpoint rotation (TTL's default compaction
-					// threshold would trigger it) has its own test;
-					// here the log must stay one frame per op.
-					cfg.CompactionThreshold = -1
 					ops := recoveryOps(t, 8)
 
-					raw := recordWorkload(t, cfg, ops)
+					// Checkpoint rotation (the TTL window's expiries
+					// would trigger it) has its own test; here the log
+					// must stay one frame per op.
+					raw := recordWorkload(t, cfg, ops, false)
 					k, p := surviveAndRecover(t, cfg, raw)
 					if k != len(ops) {
 						t.Fatalf("full log holds %d records, want %d", k, len(ops))
@@ -300,7 +302,6 @@ func TestWALRecoveryGrid(t *testing.T) {
 func TestWALRecoveryContinues(t *testing.T) {
 	cfg := minoaner.Defaults()
 	cfg.Workers = 1
-	cfg.CompactionThreshold = -1
 	ops := recoveryOps(t, 8)
 
 	dir := t.TempDir()
@@ -343,12 +344,21 @@ func TestWALRecoveryContinues(t *testing.T) {
 	}
 }
 
-// TestWALCheckpointOnCompaction drives eviction traffic over the
-// compaction threshold: the epoch must rotate the log down to a
-// checkpoint (bounding its growth), and recovery through the
-// checkpoint — corpus restore plus the records appended after it —
-// must still equal the from-scratch session. The TTL variant also
-// keeps ingesting after recovery, proving the checkpoint's age vector
+// rotatingOps is the standard workload plus an eviction of all of
+// alpha, enough departures for the log to rotate with or without a TTL
+// window (under one, alpha has expired by then and the eviction is a
+// no-op).
+func rotatingOps(t *testing.T) []walOp {
+	return append(recoveryOps(t, 8), walOp{evictKB: "alpha"})
+}
+
+// TestWALCheckpointOnCompaction pins the rotation rule: a wave after
+// which as many ids have departed since the last rotation as are live
+// rotates the log down to a checkpoint (bounding its growth), and no
+// other wave does — with or without a TTL window. Recovery through the
+// checkpoint — corpus restore plus the records appended after it — must
+// still equal the from-scratch session. The TTL variant also keeps
+// ingesting after recovery, proving the checkpoint's age vector
 // re-bases the sliding window correctly: expiry after the restart
 // matches a pipeline that never restarted.
 func TestWALCheckpointOnCompaction(t *testing.T) {
@@ -357,24 +367,36 @@ func TestWALCheckpointOnCompaction(t *testing.T) {
 			cfg := minoaner.Defaults()
 			cfg.Workers = 1
 			cfg.TTL = ttl
-			cfg.CompactionThreshold = 0.2
-			ops := recoveryOps(t, 8)
+			ops := rotatingOps(t)
 
 			dir := t.TempDir()
 			p, err := minoaner.Open(dir, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, op := range ops {
+			departed, rotations := 0, int64(0)
+			for i, op := range ops {
+				live := p.NumDescriptions()
 				applyOp(t, p, op)
+				if p.Current() == nil || op.start {
+					continue // no wave before the session exists
+				}
+				// Every batch of this workload brings descriptions the
+				// pipeline never held, so what the live count fell short
+				// of is what departed.
+				n := live + len(op.ingest) - p.NumDescriptions()
+				if len(op.ingest) == 0 && n == 0 {
+					continue // an eviction of nothing live is no wave
+				}
+				if departed += n; departed >= p.NumDescriptions() {
+					rotations, departed = rotations+1, 0
+				}
+				if got := p.Current().Gauges().WALCheckpoints; got != rotations {
+					t.Fatalf("after op %d the log rotated %d times, want %d", i, got, rotations)
+				}
 			}
-			sess := p.Current()
-			if sess.Compactions() == 0 {
-				t.Fatal("workload never crossed the compaction threshold — raise the eviction traffic")
-			}
-			g := sess.Gauges()
-			if g.WALCheckpoints == 0 {
-				t.Fatalf("compaction did not checkpoint the log: %+v", g)
+			if rotations == 0 {
+				t.Fatal("workload never reached the rotation rule — raise the eviction traffic")
 			}
 			if err := p.Close(); err != nil {
 				t.Fatal(err)
@@ -413,7 +435,7 @@ func TestWALCheckpointOnCompaction(t *testing.T) {
 // each must equal the from-scratch pipeline over the surviving prefix.
 func recoverVariant(t *testing.T, cfg minoaner.Config, ops []walOp) {
 	t.Helper()
-	raw := recordWorkload(t, cfg, ops)
+	raw := recordWorkload(t, cfg, ops, false)
 	expect := expectedDigests(t, cfg, ops)
 	stride := 53
 	if testing.Short() || raceEnabled {
@@ -432,44 +454,42 @@ func recoverVariant(t *testing.T, cfg minoaner.Config, ops []walOp) {
 	}
 }
 
-// TestWALRecoveryCompactionRefired opens a log recorded with compaction
-// off under a configuration that compacts: the epochs fire for the
-// first time while the log is folded. The records are
-// configuration-independent wire batches, so this is exactly the log a
-// crash between a compaction wave's append and its checkpoint rotation
-// leaves behind — and the recovered session must match a never-crashed
-// pipeline that compacted all along, digest and epoch count both.
+// TestWALRecoveryCompactionRefired recovers one workload from two
+// logs: one that rotated to a checkpoint whenever the rule fired, and
+// one recorded with rotation suppressed — the longer log a crash
+// between a rotating wave's append and its rotation leaves behind. The
+// records are configuration-independent wire batches, so folding the
+// long log re-fires, in the one compaction recovery makes, every
+// departure the checkpoint had baked in. Both must recover to the
+// never-crashed pipeline's digest, with no tombstone left.
 func TestWALRecoveryCompactionRefired(t *testing.T) {
 	for _, ttl := range []int{0, 2} {
 		t.Run(fmt.Sprintf("ttl=%d", ttl), func(t *testing.T) {
 			cfg := minoaner.Defaults()
 			cfg.Workers = 1
 			cfg.TTL = ttl
-			cfg.CompactionThreshold = -1
-			ops := recoveryOps(t, 8)
-			raw := recordWorkload(t, cfg, ops)
-
-			cfg.CompactionThreshold = 0.2
-			k, p := surviveAndRecover(t, cfg, raw)
-			if k != len(ops) {
-				t.Fatalf("full log holds %d records, want %d", k, len(ops))
-			}
-			gotEpochs := p.Current().Compactions()
-			got := finishDigest(t, p)
-			p.Close()
-
+			ops := rotatingOps(t)
 			fresh := minoaner.New(cfg)
 			for _, op := range ops {
 				applyOp(t, fresh, op)
 			}
-			wantEpochs := fresh.Current().Compactions()
 			want := finishDigest(t, fresh)
-			fresh.Close()
-			if wantEpochs == 0 {
-				t.Fatal("workload never crossed the compaction threshold — raise the eviction traffic")
+
+			var records []int
+			for _, rotate := range []bool{true, false} {
+				k, p := surviveAndRecover(t, cfg, recordWorkload(t, cfg, ops, rotate))
+				records = append(records, k)
+				if n := p.Current().Tombstones(); n != 0 {
+					t.Fatalf("rotate=%v: the recovered collection holds %d tombstones", rotate, n)
+				}
+				got := finishDigest(t, p)
+				p.Close()
+				if got != want {
+					t.Fatalf("rotate=%v: recovered digest %s, want %s", rotate, got, want)
+				}
 			}
-			if got != want || gotEpochs != wantEpochs {
-				t.Fatalf("recovered digest %s after %d epochs, want %s after %d", got, gotEpochs, want, wantEpochs)
+			if records[0] >= records[1] {
+				t.Fatalf("the rotated log holds %d records, the unrotated %d — the workload never rotated", records[0], records[1])
 			}
 		})
 	}
@@ -477,7 +497,7 @@ func TestWALRecoveryCompactionRefired(t *testing.T) {
 
 // TestWALRecoveryTwoStarts: a second Start record opens a fresh session
 // over the collection as it stands — every description batch 0 again,
-// no compaction epochs — and the records after it stream into that
+// nothing departed yet — and the records after it stream into that
 // session, not the first.
 func TestWALRecoveryTwoStarts(t *testing.T) {
 	for _, ttl := range []int{0, 2} {
@@ -485,7 +505,6 @@ func TestWALRecoveryTwoStarts(t *testing.T) {
 			cfg := minoaner.Defaults()
 			cfg.Workers = 1
 			cfg.TTL = ttl
-			cfg.CompactionThreshold = -1
 			std := recoveryOps(t, 8)
 			ops := append(append(append([]walOp(nil), std[:5]...), walOp{start: true}), std[5:]...)
 			recoverVariant(t, cfg, ops)
@@ -506,21 +525,22 @@ func evictToEmptyOps(t *testing.T) []walOp {
 func TestWALRecoveryEvictToEmpty(t *testing.T) {
 	cfg := minoaner.Defaults()
 	cfg.Workers = 1
-	cfg.CompactionThreshold = -1
 	recoverVariant(t, cfg, evictToEmptyOps(t))
 }
 
-// TestWALRecoveryEmptyCheckpoint: a compaction epoch over a collection
-// with nothing live rotates the log to an empty checkpoint, and that
-// log recovers — to an empty session that keeps streaming.
+// TestWALRecoveryEmptyCheckpoint: a wave that leaves nothing live
+// rotates the log to an empty checkpoint, and that log recovers — to an
+// empty session that keeps streaming.
 func TestWALRecoveryEmptyCheckpoint(t *testing.T) {
 	cfg := minoaner.Defaults()
 	cfg.Workers = 1
-	cfg.CompactionThreshold = 0.2
 	ops := evictToEmptyOps(t)
-	raw := recordWorkload(t, cfg, ops)
-	_, p := surviveAndRecover(t, cfg, raw)
+	raw := recordWorkload(t, cfg, ops, true)
+	k, p := surviveAndRecover(t, cfg, raw)
 	defer p.Close()
+	if k != 1 {
+		t.Fatalf("the log holds %d records, want the lone checkpoint", k)
+	}
 	if n := p.NumDescriptions(); n != 0 {
 		t.Fatalf("recovered %d live descriptions, want none", n)
 	}
@@ -554,6 +574,5 @@ func TestWALRecoveryMerges(t *testing.T) {
 	cfg := minoaner.Defaults()
 	cfg.Workers = 1
 	cfg.TTL = 2
-	cfg.CompactionThreshold = -1
 	recoverVariant(t, cfg, ops)
 }
