@@ -1,11 +1,11 @@
-// In-package regression tests for the failure semantics of syncFront:
-// a wave whose front-end pass dies leaves the collection — and the
-// log — ahead of what the session serves, so the session must poison
-// itself with ErrDesynced instead of silently serving the
-// desynchronized view. The faults are injected through an engine stub
-// wrapping the real one — the only way to make eng.Ingest/eng.Evict
-// fail on demand. A wave makes one pass: Evict if anything departed,
-// Ingest otherwise.
+// In-package regression tests for the failure semantics of a wave: a
+// wave whose front-end pass dies leaves the collection — and the log —
+// ahead of what the session serves, so the session must poison itself
+// with ErrDesynced instead of silently serving the desynchronized view.
+// The faults are injected through an engine stub wrapping the real one,
+// at its last stage, Prune — the only way to make a pass fail on
+// demand. A wave makes one pass, charged as an eviction if anything
+// departed and as an ingest otherwise; the poison names which.
 package minoaner
 
 import (
@@ -13,30 +13,23 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/metablocking"
 	"repro/internal/pipeline"
 )
 
 // faultyEngine delegates to a real engine until a fault is armed.
 type faultyEngine struct {
 	pipeline.Engine
-	failIngest bool
-	failEvict  bool
+	fail bool
 }
 
 var errInjected = errors.New("injected engine fault")
 
-func (f *faultyEngine) Ingest(st *pipeline.State) error {
-	if f.failIngest {
-		return errInjected
+func (f *faultyEngine) Prune(g *metablocking.Graph, alg metablocking.Pruning, opts metablocking.PruneOptions) ([]metablocking.Edge, error) {
+	if f.fail {
+		return nil, errInjected
 	}
-	return f.Engine.Ingest(st)
-}
-
-func (f *faultyEngine) Evict(st *pipeline.State) error {
-	if f.failEvict {
-		return errInjected
-	}
-	return f.Engine.Evict(st)
+	return f.Engine.Prune(g, alg, opts)
 }
 
 func dsc(kbName, uri, name string) Description {
@@ -66,7 +59,16 @@ func wantDesynced(t *testing.T, what string, err error) {
 	}
 }
 
-// TestDesyncEvictFault poisons via a failing engine Evict: the
+// wantKind fails unless the poison charges the failed pass to the given
+// kind of wave ("ingest" or "evict").
+func wantKind(t *testing.T, err error, kind string) {
+	t.Helper()
+	if !strings.Contains(err.Error(), "minoaner: "+kind+": ") {
+		t.Fatalf("poison does not charge the pass to %s: %v", kind, err)
+	}
+}
+
+// TestDesyncEvictFault poisons via an eviction wave's failing pass: the
 // tombstones already landed in the collection and the record in the
 // log, so the session must refuse everything afterwards — even after
 // the fault clears.
@@ -74,7 +76,7 @@ func TestDesyncEvictFault(t *testing.T) {
 	cfg := Defaults()
 	cfg.Workers = 1
 	s := desyncSession(t, cfg)
-	fe := &faultyEngine{Engine: s.eng, failEvict: true}
+	fe := &faultyEngine{Engine: s.eng, fail: true}
 	s.eng = fe
 
 	err := s.Evict([]Ref{{KB: "a", URI: "u1"}})
@@ -82,8 +84,9 @@ func TestDesyncEvictFault(t *testing.T) {
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("poison lost its cause: %v", err)
 	}
+	wantKind(t, err, "evict")
 
-	fe.failEvict = false // healing the engine must not unpoison
+	fe.fail = false // healing the engine must not unpoison
 	wantDesynced(t, "Ingest after poison", s.Ingest([]Description{dsc("a", "u9", "gamma")}))
 	wantDesynced(t, "Evict after poison", s.Evict([]Ref{{KB: "a", URI: "u2"}}))
 	wantDesynced(t, "EvictKB after poison", s.EvictKB("a"))
@@ -101,35 +104,38 @@ func TestDesyncEvictFault(t *testing.T) {
 	}
 }
 
-// TestDesyncIngestFault poisons via a failing engine Ingest — the batch
-// is already in the collection, the front never advanced.
+// TestDesyncIngestFault poisons via an ingest wave's failing pass — the
+// batch is already in the collection, the resolver never saw it.
 func TestDesyncIngestFault(t *testing.T) {
 	cfg := Defaults()
 	cfg.Workers = 1
 	s := desyncSession(t, cfg)
-	s.eng = &faultyEngine{Engine: s.eng, failIngest: true}
+	s.eng = &faultyEngine{Engine: s.eng, fail: true}
 
-	wantDesynced(t, "Ingest", s.Ingest([]Description{dsc("a", "u3", "gamma three")}))
-	_, err := s.Resume(0)
+	err := s.Ingest([]Description{dsc("a", "u3", "gamma three")})
+	wantDesynced(t, "Ingest", err)
+	wantKind(t, err, "ingest")
+	_, err = s.Resume(0)
 	wantDesynced(t, "Resume after poison", err)
 }
 
 // TestDesyncMidPass fails the single pass of a TTL wave: the new batch
 // is already in the collection and the batch it pushed out of the
-// window already tombstoned when the pass — an Evict, since something
-// departed — dies.
+// window already tombstoned when the pass — charged as an eviction,
+// since something departed — dies.
 func TestDesyncMidPass(t *testing.T) {
 	cfg := Defaults()
 	cfg.Workers = 1
 	cfg.TTL = 1
 	s := desyncSession(t, cfg)
-	s.eng = &faultyEngine{Engine: s.eng, failEvict: true}
+	s.eng = &faultyEngine{Engine: s.eng, fail: true}
 
 	err := s.Ingest([]Description{dsc("a", "u3", "gamma three"), dsc("b", "v3", "gamma three")})
 	wantDesynced(t, "Ingest with TTL expiry", err)
 	if !strings.Contains(err.Error(), errInjected.Error()) {
 		t.Fatalf("poison does not name the cause: %v", err)
 	}
+	wantKind(t, err, "evict")
 	// Sticky: the same error again, not a new pass.
 	again := s.Ingest([]Description{dsc("a", "u4", "delta four")})
 	if !errors.Is(again, ErrDesynced) {

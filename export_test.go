@@ -1,7 +1,7 @@
 package minoaner
 
 import (
-	"repro/internal/metablocking"
+	"repro/internal/kb"
 	"repro/internal/pipeline"
 )
 
@@ -9,18 +9,28 @@ import (
 // so a test can count the passes a wave makes.
 func (s *Session) WrapEngine(wrap func(pipeline.Engine) pipeline.Engine) { s.eng = wrap(s.eng) }
 
+// NewWrapped is New with the engine of every session the pipeline opens
+// replaced by wrap(engine), so a test can watch Start's pass too.
+func NewWrapped(cfg Config, wrap func(pipeline.Engine) pipeline.Engine) *Pipeline {
+	p := New(cfg)
+	p.testWrapEngine = wrap
+	return p
+}
+
 // OpenWrapped is Open with the engine of every session the pipeline
 // opens replaced by wrap(engine), so a test can count the passes
 // recovery makes.
 func OpenWrapped(dir string, cfg Config, wrap func(pipeline.Engine) pipeline.Engine) (*Pipeline, error) {
-	p := New(cfg)
-	p.testWrapEngine = wrap
-	return p.open(dir)
+	return NewWrapped(cfg, wrap).open(dir)
 }
 
-// FrontGraph returns the blocking graph of the session's latest
-// front-end pass, so a test can see whether its arrays are resident.
-func (s *Session) FrontGraph() *metablocking.Graph { return s.fstate.Front.Graph }
+// Collection returns the collection the session's ids index, so a test
+// can run its own front end over it.
+func (s *Session) Collection() *kb.Collection { return s.col }
+
+// PipelineOptions returns the front-end options every session pass of
+// the pipeline runs with.
+func (p *Pipeline) PipelineOptions() pipeline.Options { return p.pipelineOptions() }
 
 // Tombstones returns how many tombstoned ids the session's collection
 // holds: none, after any pass.

@@ -86,11 +86,6 @@ type Graph struct {
 	degree []int32   // distinct neighbors per node
 	nBlock int       // total number of blocks
 	nLive  int       // live (non-tombstoned) source descriptions
-
-	// Set by Release: the arrays are gone, the two gauges are cached.
-	released bool
-	relEdges int
-	relFoot  int
 }
 
 // LiveNodes returns how many of the graph's nodes are live source
@@ -180,14 +175,8 @@ func safeLog(x float64) float64 {
 	return math.Log(x)
 }
 
-// NumEdges returns the number of distinct candidate comparisons,
-// served from the cached count once the graph is released.
-func (g *Graph) NumEdges() int {
-	if g.released {
-		return g.relEdges
-	}
-	return len(g.Edges)
-}
+// NumEdges returns the number of distinct candidate comparisons.
+func (g *Graph) NumEdges() int { return len(g.Edges) }
 
 // Footprint returns the graph's approximate heap footprint in bytes:
 // the edge records plus the per-edge and per-node weighting evidence
@@ -195,26 +184,9 @@ func (g *Graph) NumEdges() int {
 // memory panel), not an accounting truth — it counts the backing arrays
 // the graph owns, not allocator overhead.
 func (g *Graph) Footprint() int {
-	if g.released {
-		return g.relFoot
-	}
 	const edgeSize = int(unsafe.Sizeof(Edge{}))
 	return len(g.Edges)*edgeSize + len(g.common)*8 + len(g.arcs)*8 +
 		len(g.blocks)*4 + len(g.degree)*4
-}
-
-// Release drops the graph's arrays once its pass is over — matching and
-// serving read the retained edges, never the graph, and the next pass
-// builds its own — keeping NumEdges and Footprint answerable from
-// cached values. A released graph must not be reweighed or pruned.
-// Idempotent.
-func (g *Graph) Release() {
-	if g.released {
-		return
-	}
-	g.relEdges, g.relFoot = len(g.Edges), g.Footprint()
-	g.released = true
-	g.Edges, g.common, g.arcs, g.blocks, g.degree = nil, nil, nil, nil, nil
 }
 
 // Pruning selects the pruning algorithm.

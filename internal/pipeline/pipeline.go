@@ -17,11 +17,13 @@
 //
 // There is one front-end plan: Run calls the engine's own stage
 // methods in order, each handing the next a materialized
-// blocking.Collection. A streaming session (State) keeps no inverted
-// index, graph diff, pruning memo or record of what changed between
-// waves: Engine.Ingest and Engine.Evict run the same pass Run does over
-// the live source and swap the result in. On every workload of record
-// that pass is cheaper than maintaining the previous result was.
+// blocking.Collection. A session calls Run once per pass and keeps no
+// front end between passes: no inverted index, graph diff, pruning memo
+// or record of what changed. On every workload of record that pass is
+// cheaper than maintaining the previous result was. State, Start and
+// Engine.Ingest/Evict — the same pass, over a source a State holds —
+// are kept only because the frozen benchmark's layer probe reads them
+// (ROADMAP item 1); no session calls them.
 package pipeline
 
 import (
@@ -61,10 +63,10 @@ type Engine interface {
 	// source — one pass per call, whatever changed — and, on success,
 	// replaces st.Front; on failure the state is left as it was.
 	// st.Front afterwards is what Run over the same source returns.
+	// Only the frozen benchmark's layer probe calls it (ROADMAP item 1).
 	Ingest(st *State) error
-	// Evict is the same operation as Ingest. Both names stay because
-	// callers attribute a wave's cost by what it carried — arrivals or
-	// departures — and fault-injecting tests aim at one or the other.
+	// Evict is the same operation as Ingest, kept under its own name
+	// for the same frozen read.
 	Evict(st *State) error
 }
 
@@ -97,20 +99,12 @@ type Options struct {
 	// Reciprocal requires both endpoints to retain an edge in
 	// node-centric pruning.
 	Reciprocal bool
-	// KPerNode pins CNP's per-node budget (0 = the paper's default,
-	// ⌈assignments/|V|⌉, which moves as a streaming session's corpus
-	// does).
-	KPerNode int
 }
 
 // pruneOptions assembles the engine-facing pruning options of a pass
 // over a cleaned collection with the given Σ|b|.
 func (opt Options) pruneOptions(assignments int) metablocking.PruneOptions {
-	return metablocking.PruneOptions{
-		KPerNode:    opt.KPerNode,
-		Reciprocal:  opt.Reciprocal,
-		Assignments: assignments,
-	}
+	return metablocking.PruneOptions{Reciprocal: opt.Reciprocal, Assignments: assignments}
 }
 
 // FrontEnd is the output of a full front-end pass: the cleaned block

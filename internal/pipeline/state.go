@@ -2,11 +2,13 @@ package pipeline
 
 import "repro/internal/kb"
 
-// State is the front-end of a streaming resolution session: the latest
-// front-end result over a source collection that keeps changing. Start
-// builds it; Engine.Ingest and Engine.Evict re-run the whole front-end
-// over the live source, whatever changed. Front is therefore, by
-// construction, what Run over the same source returns.
+// State is the latest front-end result over a source collection that
+// keeps changing. Start builds it; Engine.Ingest and Engine.Evict re-run
+// the whole front-end over the live source, whatever changed. Front is
+// therefore, by construction, what Run over the same source returns.
+// No session keeps one — a session pass calls Run and drops the front
+// end — so State, Start and Engine.Ingest/Evict are kept only for the
+// frozen benchmark's layer probe (ROADMAP item 1).
 type State struct {
 	// Front is the latest front-end result: the cleaned blocks, the
 	// blocking graph, and the pruned comparisons in scheduling order.
@@ -47,12 +49,6 @@ func Start(e Engine, src *kb.Collection, opt Options) (*State, error) {
 	}
 	return st, nil
 }
-
-// Rebase points the state at a new source — the compacted collection a
-// session moves to before a pass, whose ids Front does not speak. Front
-// stays as it was until the next Engine.Ingest or Engine.Evict commits
-// a pass over the new source.
-func (st *State) Rebase(src *kb.Collection) { st.src = src }
 
 // pass is Engine.Ingest and Engine.Evict for every engine: it runs the
 // front-end over the live source and commits the result only once

@@ -485,9 +485,10 @@ func (p *Pipeline) walAppend(typ byte, payload any) error {
 // session, its TTL clock, expiry and count of departed ids advance
 // exactly as they did in the original timeline — all of them
 // deterministic in the mutation sequence. No record runs a pass or a
-// compaction. Once the log is consumed the recovered session is built
-// once: one compaction of every tombstone the fold left, one front-end
-// pass over the compacted collection, one matcher, one fresh resolver.
+// compaction. Once the log is consumed the recovered session makes its
+// one Session.pass: one compaction of every tombstone the fold left,
+// one front-end pass over the compacted collection, one matcher, one
+// fresh resolver.
 //
 // That one pass is the whole session, not an approximation of it: the
 // front end is a pure function of the live collection, and the log
@@ -559,7 +560,7 @@ func (p *Pipeline) replay(recs []Record) error {
 	if s == nil {
 		return nil
 	}
-	if err := s.build(); err != nil {
+	if err := s.pass(time.Now(), &s.tim.FrontEnd); err != nil {
 		return fmt.Errorf("minoaner: wal: rebuild session: %w", err)
 	}
 	p.current = s
@@ -695,14 +696,16 @@ func (p *Pipeline) Add(batch []Description) error {
 // records are exactly the batches the collection absorbed, replayable
 // without re-parsing any RDF. An empty batch — an empty document — is
 // not logged and, after Start, does not advance the TTL clock: only
-// arriving data slides the window.
+// arriving data slides the window. Without a log the batch is applied
+// whole, as one batch, and never encoded.
 //
-// One WAL frame caps at wal.MaxPayload bytes; a larger batch splits
-// into halves recursively, and each chunk is logged and applied as its
-// own ingest — append, then addRaw or a wave — so the log records
-// exactly what happened and replay, which sees one record per chunk,
-// folds the identical batches, TTL generation stamping included. An
-// oversized batch therefore counts as several batches against a TTL
+// With a log, one frame caps at wal.MaxPayload bytes; a larger batch
+// splits into halves recursively, and each chunk is logged — its
+// encoding from the split, appended as is — and applied as its own
+// ingest — append, then addRaw or a wave — so the log records exactly
+// what happened and replay, which sees one record per chunk, folds the
+// identical batches, TTL generation stamping included. An oversized
+// logged batch therefore counts as several batches against a TTL
 // window; the alternative — one wider-than-the-log batch — could never
 // be recovered faithfully. A chunk's wave whose log rotation fails
 // (ErrCheckpoint) was applied and leaves the session consistent, so the
@@ -718,24 +721,35 @@ func (p *Pipeline) dispatchIngest(batch []Description) error {
 	if len(batch) == 0 {
 		return nil
 	}
+	if p.wal == nil {
+		return p.applyIngest(s, batch)
+	}
 	chunks, err := splitBatch(batch, p.payloadCap())
 	if err != nil {
 		return err // refused whole before anything was logged or applied
 	}
 	var rotation error
-	for _, chunk := range chunks {
-		if err := p.walAppend(TypeIngest, chunk); err != nil {
-			return err
+	for _, c := range chunks {
+		if err := p.wal.Append(TypeIngest, c.data); err != nil {
+			return fmt.Errorf("minoaner: %w", err)
 		}
-		if s == nil {
-			p.addRaw(chunk)
-		} else if err := s.wave(chunk, nil); errors.Is(err, ErrCheckpoint) {
+		if err := p.applyIngest(s, c.descs); errors.Is(err, ErrCheckpoint) {
 			rotation = err
 		} else if err != nil {
 			return err
 		}
 	}
 	return rotation
+}
+
+// applyIngest applies one ingest: into the shared collection before
+// Start (s nil), as a wave of the live session after it.
+func (p *Pipeline) applyIngest(s *Session, batch []Description) error {
+	if s == nil {
+		p.addRaw(batch)
+		return nil
+	}
+	return s.wave(batch, nil)
 }
 
 // payloadCap is the WAL frame budget a single ingest record must fit;
@@ -748,23 +762,32 @@ func (p *Pipeline) payloadCap() int {
 	return wal.MaxPayload()
 }
 
+// walChunk is one logged ingest: a slice of the batch and its JSON
+// encoding, the record's payload.
+type walChunk struct {
+	descs []Description
+	data  []byte
+}
+
 // splitBatch cuts a wire batch into chunks whose JSON encoding fits the
-// frame cap, halving recursively; order is preserved. A single
-// description too large for any frame is refused with the typed
+// frame cap, halving recursively; order is preserved, and each chunk
+// carries the encoding the split measured, so it is marshalled once. A
+// single description too large for any frame is refused with the typed
 // wal.ErrFrameTooLarge before anything is logged or applied — the log
 // layer holds the same guard as defense in depth, where an unchecked
 // length would otherwise be narrowed to the frame's 32-bit field and
 // corrupt the log.
-func splitBatch(batch []Description, cap int) ([][]Description, error) {
-	if len(batch) == 1 {
-		if data, err := json.Marshal(batch); err == nil && len(data) > cap {
-			return nil, fmt.Errorf("minoaner: description %s %s encodes to %d bytes over the %d-byte frame cap: %w",
-				batch[0].KB, batch[0].URI, len(data), cap, wal.ErrFrameTooLarge)
-		}
-		return [][]Description{batch}, nil
+func splitBatch(batch []Description, cap int) ([]walChunk, error) {
+	data, err := json.Marshal(batch)
+	if err != nil {
+		return nil, fmt.Errorf("minoaner: wal: %w", err)
 	}
-	if data, err := json.Marshal(batch); err == nil && len(data) <= cap {
-		return [][]Description{batch}, nil
+	if len(data) <= cap {
+		return []walChunk{{batch, data}}, nil
+	}
+	if len(batch) == 1 {
+		return nil, fmt.Errorf("minoaner: description %s %s encodes to %d bytes over the %d-byte frame cap: %w",
+			batch[0].KB, batch[0].URI, len(data), cap, wal.ErrFrameTooLarge)
 	}
 	mid := len(batch) / 2
 	head, err := splitBatch(batch[:mid], cap)
@@ -854,11 +877,14 @@ func (p *Pipeline) ResolveContext(ctx context.Context, budget int) (*Result, err
 // carries only its merges: every wave rebuilds the resolver as a fresh
 // one with the live matched steps replayed (core.Resolver.Retract).
 //
-// The collection a session serves holds no tombstone: every pass —
-// Start's, a recovery's, each wave's — begins by compacting away the
-// ids that departed, so the pass runs over dense ids that name live
-// descriptions only. References (KB + URI) never change; only internal
-// ids move.
+// A pass is a function of two inputs, the live collection and the
+// merges: Start, recovery and every wave make the same one (see pass),
+// and nothing of the front end outlives it but the retained comparisons
+// the resolver queues and the numbers Stats and Gauges report. The
+// collection a session serves holds no tombstone: every pass begins by
+// compacting away the ids that departed, so it runs over dense ids that
+// name live descriptions only. References (KB + URI) never change; only
+// internal ids move.
 type Session struct {
 	p *Pipeline
 	// col is the collection the session's ids index: the pipeline's at
@@ -867,10 +893,12 @@ type Session struct {
 	// successor from the successor's first departure wave on.
 	col      *kb.Collection
 	eng      pipeline.Engine
-	fstate   *pipeline.State
 	resolver *core.Resolver
-	matcher  *match.Matcher
-	base     Stats
+	// base holds the Stats of the latest pass's front end (the cleaned
+	// blocks, the graph's edges — its block candidates — and the pruned
+	// edges); graphBytes is that graph's footprint, for Gauges.
+	base       Stats
+	graphBytes int
 	// merges holds the matched steps over live ids in execution order;
 	// failed ones are only counted, with the discovered ones, in
 	// comparisons and discovered, which never fall.
@@ -889,26 +917,26 @@ type Session struct {
 	curGen int
 	// departed counts the ids that left since the log last rotated to a
 	// checkpoint; a wave after which it reaches the live count rotates
-	// the log (see syncFront).
+	// the log (see wave).
 	departed int
 	// tim accumulates the session-level wall-clock counters (front end,
 	// streaming maintenance, resolve legs); the matching-stage split
 	// lives in the resolver and is merged in by Timings().
 	tim Timings
-	// desynced, once set, is the sticky poison of a failed mid-pass
-	// synchronization (see syncFront): every later mutation and Resume
-	// returns it. It wraps ErrDesynced and the first cause.
+	// desynced, once set, is the sticky poison of a wave whose pass
+	// failed (see wave): every later mutation and Resume returns it. It
+	// wraps ErrDesynced and the first cause.
 	desynced error
 }
 
 // Timings reports cumulative wall-clock time per pipeline stage of one
 // session, in nanoseconds on the wire (the JSON field names end in Ns).
-// FrontEnd is Start's preparation pass (blocking→pruning plus matcher
-// and queue construction) — for a session Open recovered, the one pass
+// Every pass (Session.pass: compaction, blocking→pruning, matcher and
+// resolver rebuild) is charged to exactly one of the first three:
+// FrontEnd is Start's pass — for a session Open recovered, the one pass
 // over the folded log, which leaves Ingest and Evict at zero; Ingest
-// and Evict cover streaming waves (the fold, the front-end pass over
-// the changed corpus, matcher and resolver rebuild — a wave that
-// carried any departure counts as Evict);
+// and Evict cover streaming waves (the fold plus the wave's pass — a
+// wave that carried any departure counts as Evict);
 // Resolve is the matching loop end to end, and
 // Schedule/Match/Update partition it (see internal/core.Timings — the
 // parallel value-similarity pre-pass of a draining Resume counts as
@@ -952,8 +980,8 @@ func (p *Pipeline) Start() (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.build(); err != nil {
-		return nil, err
+	if err := s.pass(time.Now(), &s.tim.FrontEnd); err != nil {
+		return nil, fmt.Errorf("minoaner: %w", err)
 	}
 	p.current = s
 	// The log's Start marker: records before it replay as pre-Start
@@ -968,7 +996,7 @@ func (p *Pipeline) Start() (*Session, error) {
 
 // newSession opens a session over the pipeline's collection with fresh
 // bookkeeping — everything loaded so far is batch 0, nothing departed
-// yet — and no front end: build makes its pass. Between the two,
+// yet — and no resolver: its first pass builds one. Between the two,
 // recovery folds the logged mutations into it (see replay).
 func (p *Pipeline) newSession() (*Session, error) {
 	if p.cfg.FilterRatio > 1 {
@@ -988,41 +1016,24 @@ func (p *Pipeline) newSession() (*Session, error) {
 	return s, nil
 }
 
-// build compacts the session's collection, runs the front-end pass
-// over it, and builds the matcher and a fresh resolver over its output
-// — Start's preparation, and the one pass a recovery makes once the log
-// is folded. Stages 3–5 are deferred to Resume.
-func (s *Session) build() error {
+// pass is the one front-end pass of Start, recovery and every wave: it
+// compacts the session's collection, runs the front end over it, and
+// records what Stats and Gauges report of it — BlockCandidates is the
+// graph's edge count, since its edges are exactly the distinct
+// comparable pairs of the cleaned blocks. The cleaned blocks and the
+// graph are dropped there, before the matcher is rebuilt (IDF weights
+// are global — linear work) and the resolver with it, by one rule:
+// NewResolver on the session's first pass, Retract over the live merges
+// after that. On success the time since t0 is charged to spent. A
+// failure leaves the collection compacted and nothing else changed;
+// callers decide whether that poisons the session.
+func (s *Session) pass(t0 time.Time, spent *time.Duration) error {
 	p := s.p
-	t0 := time.Now()
 	s.compact()
-	fstate, err := pipeline.Start(s.eng, s.col, p.pipelineOptions())
+	fe, err := pipeline.Run(s.eng, s.col, p.pipelineOptions())
 	if err != nil {
-		return fmt.Errorf("minoaner: %w", err)
+		return err
 	}
-	s.fstate = fstate
-	// Nothing after the pass reads the blocking graph: drop its arrays
-	// before the matcher and resolver allocate. refreshStats and Gauges
-	// read the cached edge count and footprint.
-	fstate.Front.Graph.Release()
-	s.matcher = match.NewMatcher(s.col, p.cfg.Match)
-	s.resolver = core.NewResolver(s.matcher, fstate.Front.Edges, core.Config{
-		Benefit:          p.cfg.Benefit,
-		DisableDiscovery: p.cfg.DisableDiscovery,
-		Workers:          parmeta.Workers(p.cfg.Workers),
-	})
-	s.tim.FrontEnd = time.Since(t0)
-	s.refreshStats()
-	return nil
-}
-
-// refreshStats recomputes the front-end statistics from the current
-// state — called at Start and after every streaming wave.
-// BlockCandidates is read off the blocking graph (its edges are exactly
-// the distinct comparable pairs of the cleaned blocks), not
-// re-enumerated.
-func (s *Session) refreshStats() {
-	fe := s.fstate.Front
 	s.base = Stats{
 		Descriptions:    s.col.NumAlive(),
 		KBs:             s.col.NumLiveKBs(),
@@ -1031,6 +1042,20 @@ func (s *Session) refreshStats() {
 		BlockCandidates: fe.Graph.NumEdges(),
 		PrunedEdges:     len(fe.Edges),
 	}
+	s.graphBytes = fe.Graph.Footprint()
+	edges := fe.Edges // fe is not read again: the blocks and the graph are garbage from here
+	m := match.NewMatcher(s.col, p.cfg.Match)
+	if s.resolver == nil {
+		s.resolver = core.NewResolver(m, edges, core.Config{
+			Benefit:          p.cfg.Benefit,
+			DisableDiscovery: p.cfg.DisableDiscovery,
+			Workers:          parmeta.Workers(p.cfg.Workers),
+		})
+	} else {
+		s.resolver.Retract(m, edges, s.merges)
+	}
+	*spent += time.Since(t0)
+	return nil
 }
 
 // Resume executes up to budget further comparisons (0 = run to
@@ -1394,10 +1419,45 @@ func (s *Session) ingestWire(batch []Description) error {
 type delta struct{ arrived, departed bool }
 
 // wave runs one logged mutation on the live session: fold it in, then
-// make the wave's one front-end pass.
+// make the wave's one pass, charged to Timings.Evict if anything
+// departed and to Timings.Ingest otherwise. A fold that neither added
+// nor removed anything costs no pass; the engine keeps no record of
+// what changed, so skipping it is this function's job.
+//
+// A failed pass — the engine refused the front — leaves the collection
+// ahead of what the session serves, with the mutation already
+// acknowledged to the log. Rather than serve the desynchronized state
+// the session poisons itself (see ErrDesynced): the first such error is
+// returned, remembered, and every later mutation or Resume returns it
+// again. Recovery is a restart — with a write-ahead log, Open folds
+// every acknowledged mutation into a fresh session.
 func (s *Session) wave(batch []Description, gone []int) error {
 	t0 := time.Now()
-	return s.syncFront(s.fold(batch, gone), t0)
+	d := s.fold(batch, gone)
+	if !d.arrived && !d.departed {
+		return nil
+	}
+	kind, spent := "ingest", &s.tim.Ingest
+	if d.departed {
+		kind, spent = "evict", &s.tim.Evict
+	}
+	if err := s.pass(t0, spent); err != nil {
+		return s.poison(fmt.Errorf("minoaner: %s: %w", kind, err))
+	}
+	if s.departed < s.col.NumAlive() || s.p.testNoRotate {
+		return nil
+	}
+	// As many ids left since the last rotation as are live: the log
+	// holds at least as much history as corpus, so rotate it down to
+	// one checkpoint of the live corpus. Failure here does NOT poison —
+	// the in-memory state is fully consistent and the pre-rotation log
+	// still replays to it; the caller learns, through ErrCheckpoint,
+	// that the log kept its old length, and the next wave retries.
+	if err := s.walCheckpoint(); err != nil {
+		return err
+	}
+	s.departed = 0
+	return nil
 }
 
 // fold applies one mutation — a batch of arrivals or a set of ids to
@@ -1432,60 +1492,8 @@ func (s *Session) fold(batch []Description, gone []int) delta {
 	return d
 }
 
-// syncFront brings the live session up to date with a folded wave in
-// one front-end pass: the departed ids are compacted away, then the
-// engine re-derives the front-end over the live collection (see
-// pipeline.Engine.Ingest). The engine keeps no record of what changed,
-// so skipping a fold that neither added nor removed anything is this
-// function's job. The matcher is rebuilt whenever anything changed (IDF
-// weights are global — linear work), and the resolver by one rule,
-// Retract over the live merges; a departure only picks the engine
-// method and the Timings counter the wave is charged to.
-//
-// A failure mid-pass — the engine refused the front — leaves the
-// collection ahead of what the session serves, with the mutation
-// already acknowledged to the log. Rather than serve the
-// desynchronized state the session poisons itself (see
-// ErrDesynced): the first such error is returned, remembered, and every
-// later mutation or Resume returns it again. Recovery is a restart —
-// with a write-ahead log, Open folds every acknowledged mutation into
-// a fresh session.
-func (s *Session) syncFront(d delta, t0 time.Time) error {
-	if !d.arrived && !d.departed {
-		return nil // nothing new arrived or departed
-	}
-	s.compact()
-	pass, kind, spent := s.eng.Ingest, "ingest", &s.tim.Ingest
-	if d.departed {
-		pass, kind, spent = s.eng.Evict, "evict", &s.tim.Evict
-	}
-	if err := pass(s.fstate); err != nil {
-		return s.poison(fmt.Errorf("minoaner: %s: %w", kind, err))
-	}
-	// As in build: the graph's arrays go before the matcher is rebuilt.
-	s.fstate.Front.Graph.Release()
-	s.matcher = match.NewMatcher(s.col, s.p.cfg.Match)
-	s.resolver.Retract(s.matcher, s.fstate.Front.Edges, s.merges)
-	*spent += time.Since(t0)
-	s.refreshStats()
-	if s.departed < s.col.NumAlive() || s.p.testNoRotate {
-		return nil
-	}
-	// As many ids left since the last rotation as are live: the log
-	// holds at least as much history as corpus, so rotate it down to
-	// one checkpoint of the live corpus. Failure here does NOT poison —
-	// the in-memory state is fully consistent and the pre-rotation log
-	// still replays to it; the caller learns, through ErrCheckpoint,
-	// that the log kept its old length, and the next wave retries.
-	if err := s.walCheckpoint(); err != nil {
-		return err
-	}
-	s.departed = 0
-	return nil
-}
-
 // poison marks the session desynchronized, remembering the first cause;
-// see syncFront. The sticky error wraps ErrDesynced (test with
+// see wave. The sticky error wraps ErrDesynced (test with
 // errors.Is) and the original failure.
 func (s *Session) poison(cause error) error {
 	if s.desynced == nil {
@@ -1494,11 +1502,12 @@ func (s *Session) poison(cause error) error {
 	return s.desynced
 }
 
-// Gauges reports the memory-relevant size gauges of a session's
-// front-end state — the numbers an operator watches to see whether a
-// long-lived streaming session is holding its footprint: the blocking
-// graph (edges and approximate bytes) and the write-ahead log. Exposed
-// on the server's /status endpoint via Snapshot.
+// Gauges reports the memory-relevant size gauges of a session — the
+// numbers an operator watches to see whether a long-lived streaming
+// session is holding its footprint: the blocking graph of the latest
+// pass (edges and approximate bytes, recorded by the pass that built
+// and dropped it — its peak, not a resident size) and the write-ahead
+// log. Exposed on the server's /status endpoint via Snapshot.
 type Gauges struct {
 	GraphEdges int `json:"graphEdges"`
 	GraphBytes int `json:"graphBytes"`
@@ -1522,10 +1531,7 @@ type Gauges struct {
 // Session method it must not race with a concurrent mutation — the
 // server captures it into each Snapshot from its writer goroutine.
 func (s *Session) Gauges() Gauges {
-	g := Gauges{
-		GraphEdges: s.fstate.Front.Graph.NumEdges(),
-		GraphBytes: s.fstate.Front.Graph.Footprint(),
-	}
+	g := Gauges{GraphEdges: s.base.BlockCandidates, GraphBytes: s.graphBytes}
 	if w := s.p.wal; w != nil {
 		st := w.Stats()
 		g.WALBytes, g.WALRecords = st.Bytes, st.Records
@@ -1538,12 +1544,11 @@ func (s *Session) Gauges() Gauges {
 // tombstone: the live descriptions move into a fresh collection under
 // dense ids (kb.Collection.Compact), the merges are remapped onto them
 // — a merge with a departed side is dropped — and so are the TTL
-// generations, and the front-end state, if any, is re-based onto the
-// new collection. It runs no pass: it opens every pass (build,
-// syncFront), so that pass runs over live ids only and its Retract
-// replay rebuilds the resolver exactly as a from-scratch session over
-// the surviving corpus would. Recovery folds the whole log first and
-// compacts once, in build.
+// generations. It runs no pass: it opens every pass (see pass), so
+// that pass runs over live ids only and its Retract replay rebuilds the
+// resolver exactly as a from-scratch session over the surviving corpus
+// would. Recovery folds the whole log first and compacts once, in its
+// one pass.
 //
 // The merges are remapped after expireTTL has run, so no surviving
 // generation is at or past the cutoff, and the TTL cursor rewinds to 0
@@ -1576,9 +1581,6 @@ func (s *Session) compact() {
 		}
 		s.gens = gens
 		s.expired = 0
-	}
-	if s.fstate != nil {
-		s.fstate.Rebase(newCol)
 	}
 }
 

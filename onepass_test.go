@@ -10,39 +10,28 @@ import (
 	"repro/internal/tokenize"
 )
 
-// passCounter counts the engine passes a session asks for. One Ingest
-// or Evict call is one TokenBlocking → Purge → Filter → Build → Prune
-// pass (pinned by TestOnePassPerCall in internal/pipeline), and so is
-// every pipeline.Start over the wrapped engine — Start's pass is the
-// only one that calls TokenBlocking on the wrapper itself — so the sum
-// is the number of front-end passes a wave, or a recovery, cost.
+// passCounter counts the front-end passes a session makes: every pass
+// is one pipeline.Run — TokenBlocking → Purge → Filter → Build → Prune
+// — and calls TokenBlocking once. Which Timings counter grew tells what
+// a wave's pass was charged to.
 type passCounter struct {
 	pipeline.Engine
-	starts, ingests, evicts int
+	passes int
 }
 
 func (c *passCounter) TokenBlocking(src *kb.Collection, opts tokenize.Options) (*blocking.Collection, error) {
-	c.starts++
+	c.passes++
 	return c.Engine.TokenBlocking(src, opts)
-}
-
-func (c *passCounter) Ingest(st *pipeline.State) error {
-	c.ingests++
-	return c.Engine.Ingest(st)
-}
-
-func (c *passCounter) Evict(st *pipeline.State) error {
-	c.evicts++
-	return c.Engine.Evict(st)
 }
 
 // TestOnePassPerWave: every commit wave — arrivals only, departures
 // only, a TTL ingest whose batch pushes an older one out of the window,
 // or a batch that only merges into a description the session holds —
-// costs exactly one front-end pass, attributed to Evict when anything
-// departed; a wave that changes nothing costs none. A departure wave
-// compacts before its pass, so the pass runs over the compacted
-// collection, nothing rebuilds on top of it, and no tombstone is left.
+// costs exactly one front-end pass, charged to Timings.Evict when
+// anything departed and to Timings.Ingest otherwise; a wave that
+// changes nothing costs none. A departure wave compacts before its
+// pass, so the pass runs over the compacted collection, nothing
+// rebuilds on top of it, and no tombstone is left.
 func TestOnePassPerWave(t *testing.T) {
 	named := func(kb, uri, name string) minoaner.Description {
 		return minoaner.Description{KB: kb, URI: uri,
@@ -93,14 +82,13 @@ func TestOnePassPerWave(t *testing.T) {
 		}, 1, 0},
 	}
 	for _, wv := range waves {
-		c.starts, c.ingests, c.evicts = 0, 0, 0
+		c.passes = 0
 		before := s.Timings()
 		if err := wv.run(); err != nil {
 			t.Fatalf("%s: %v", wv.name, err)
 		}
-		if c.starts != 0 || c.ingests != wv.ingests || c.evicts != wv.evicts {
-			t.Fatalf("%s wave made %d Ingest, %d Evict and %d rebuild passes, want %d, %d and 0",
-				wv.name, c.ingests, c.evicts, c.starts, wv.ingests, wv.evicts)
+		if want := wv.ingests + wv.evicts; c.passes != want {
+			t.Fatalf("%s wave made %d passes, want %d", wv.name, c.passes, want)
 		}
 		if n := s.Tombstones(); n != 0 {
 			t.Fatalf("%s wave left %d tombstones", wv.name, n)
@@ -154,9 +142,8 @@ func TestOpenMakesOnePass(t *testing.T) {
 	}
 	defer p.Close()
 	s := p.Current()
-	if c.starts != 1 || c.ingests != 0 || c.evicts != 0 {
-		t.Fatalf("recovery made %d Start, %d Ingest and %d Evict passes, want exactly one Start",
-			c.starts, c.ingests, c.evicts)
+	if c.passes != 1 {
+		t.Fatalf("recovery made %d passes, want exactly one", c.passes)
 	}
 	if n := s.Tombstones(); n != 0 {
 		t.Fatalf("the recovered session's collection holds %d tombstones", n)

@@ -88,22 +88,22 @@ func (h *history) live() []core.Step {
 
 // retractFresh is the right-hand side of the rebuild rule: a fresh
 // front end over the session's live collection, a fresh matcher, and
-// NewResolver (configured as Session.build configures it) followed by
+// NewResolver (configured as Session.pass configures it) followed by
 // Retract over the steps.
 func retractFresh(t *testing.T, s *Session, steps []core.Step) *core.Resolver {
 	t.Helper()
 	p := s.p
-	st, err := pipeline.Start(pipeline.Select(p.cfg.Workers, false), s.col, p.pipelineOptions())
+	fe, err := pipeline.Run(pipeline.Select(p.cfg.Workers, false), s.col, p.pipelineOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := match.NewMatcher(s.col, p.cfg.Match)
-	r := core.NewResolver(m, st.Front.Edges, core.Config{
+	r := core.NewResolver(m, fe.Edges, core.Config{
 		Benefit:          p.cfg.Benefit,
 		DisableDiscovery: p.cfg.DisableDiscovery,
 		Workers:          parmeta.Workers(p.cfg.Workers),
 	})
-	r.Retract(m, st.Front.Edges, steps)
+	r.Retract(m, fe.Edges, steps)
 	return r
 }
 

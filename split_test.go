@@ -48,13 +48,17 @@ func TestSplitBatchShape(t *testing.T) {
 	}
 	var flat []Description
 	for i, c := range chunks {
-		if len(c) == 0 {
+		if len(c.descs) == 0 {
 			t.Fatalf("chunk %d is empty", i)
 		}
-		if data, _ := json.Marshal(c); len(c) > 1 && len(data) > cap {
-			t.Fatalf("chunk %d (%d descriptions) marshals to %d bytes over cap %d", i, len(c), len(data), cap)
+		data, _ := json.Marshal(c.descs)
+		if len(data) > cap {
+			t.Fatalf("chunk %d (%d descriptions) marshals to %d bytes over cap %d", i, len(c.descs), len(data), cap)
 		}
-		flat = append(flat, c...)
+		if string(c.data) != string(data) {
+			t.Fatalf("chunk %d carries %d bytes, not its descriptions' encoding", i, len(c.data))
+		}
+		flat = append(flat, c.descs...)
 	}
 	if len(flat) != len(batch) {
 		t.Fatalf("chunks carry %d descriptions, want %d", len(flat), len(batch))
@@ -188,6 +192,47 @@ func TestFrameTooLargeTyped(t *testing.T) {
 	// Refused before anything moved: no poison, the session keeps working.
 	if err := s.Ingest([]Description{dsc("a", "http://x/ok", "small late arrival")}); err != nil {
 		t.Fatalf("ingest after refused oversized batch: %v", err)
+	}
+	if _, err := s.Resume(0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNoLogAcceptsOverCapDescription: the frame cap bounds a log
+// record, so a pipeline without a log takes a description no frame
+// could carry — before Start and into a live session — and applies an
+// over-cap batch whole, as one TTL batch.
+func TestNoLogAcceptsOverCapDescription(t *testing.T) {
+	cfg := Defaults()
+	cfg.Workers = 1
+	cfg.TTL = 2
+	p := New(cfg)
+	p.testPayloadCap = 200
+
+	huge := []Description{dsc("a", "http://x/huge", string(make([]byte, 4096)))}
+	if err := p.Add(huge); err != nil {
+		t.Fatalf("pre-Start Add of an over-cap description without a log: %v", err)
+	}
+	if err := p.Add(splitWorld(4)); err != nil {
+		t.Fatal(err)
+	}
+	s, err := p.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := p.NumDescriptions()
+	late := []Description{
+		dsc("b", "http://x/huge", string(make([]byte, 4096))),
+		dsc("a", "http://x/late", "small late arrival"),
+	}
+	if err := s.Ingest(late); err != nil {
+		t.Fatalf("session Ingest of an over-cap batch without a log: %v", err)
+	}
+	if got := p.NumDescriptions(); got != before+len(late) {
+		t.Fatalf("over-cap ingest applied %d of %d descriptions", got-before, len(late))
+	}
+	if s.curGen != 1 {
+		t.Fatalf("TTL clock at %d after one over-cap batch, want 1", s.curGen)
 	}
 	if _, err := s.Resume(0); err != nil {
 		t.Fatal(err)
