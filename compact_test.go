@@ -7,9 +7,10 @@ import (
 	minoaner "repro"
 )
 
-// evictEach evicts every listed description not yet gone, one wave
-// each, and records it in gone. Every wave compacts before its pass, so
-// after each one the session's collection must hold no tombstone.
+// evictEach evicts every listed description not yet gone, each
+// followed by a read, and records it in gone. Every read's pass compacts
+// first, so after each one the session's collection must hold no
+// tombstone.
 func evictEach(t *testing.T, s *minoaner.Session, descs []minoaner.Description, gone map[string]bool) {
 	t.Helper()
 	for _, d := range descs {
@@ -21,6 +22,7 @@ func evictEach(t *testing.T, s *minoaner.Session, descs []minoaner.Description, 
 			t.Fatal(err)
 		}
 		gone[refKey(r)] = true
+		s.Pending() // the read that makes the pass
 		if n := s.Tombstones(); n != 0 {
 			t.Fatalf("evicting %v left %d tombstones in the session's collection", r, n)
 		}
@@ -29,7 +31,7 @@ func evictEach(t *testing.T, s *minoaner.Session, descs []minoaner.Description, 
 
 // TestCompactionEquivalentToFromScratch is the compaction headline
 // guarantee at the public API: a session whose internal ids were
-// re-based onto a fresh dense space by one eviction wave after another
+// re-based onto a fresh dense space by one eviction and read after another
 // resolves to exactly what a from-scratch session over the surviving
 // corpus produces, for any worker count. Ingesting afterwards must also
 // work: the rebuilt front-end state keeps streaming.
@@ -129,7 +131,7 @@ func TestCompactionPreservesSpentMatches(t *testing.T) {
 	// Every reported reference must resolve in the compacted snapshot:
 	// lookups go KB + URI → current internal id, so a stale mapping
 	// would surface here.
-	snap := s.Snapshot()
+	snap := snapshot(t, s)
 	for _, c := range final.Clusters {
 		for _, r := range c {
 			if _, ok := snap.Cluster(r.KB, r.URI); !ok {
@@ -140,10 +142,10 @@ func TestCompactionPreservesSpentMatches(t *testing.T) {
 }
 
 // TestCompactionTTLDefaultOn pins compaction under a sliding window: a
-// TTL session needs no configuration to drop what expired — every wave
-// that slides the window compacts before its pass, so the session's
-// collection holds the window and nothing else. The window equivalence
-// oracle of TestEvictTTL already ran above.
+// TTL session needs no configuration to drop what expired — the pass
+// the read after a window slide makes compacts first, so the session's
+// collection then holds the window and nothing else. The window
+// equivalence oracle of TestEvictTTL already ran above.
 func TestCompactionTTLDefaultOn(t *testing.T) {
 	w := hardSessionWorld(t, 683, 120)
 	all := streamDescriptions(w)
@@ -161,6 +163,7 @@ func TestCompactionTTLDefaultOn(t *testing.T) {
 		if err := s.Ingest(batch); err != nil {
 			t.Fatal(err)
 		}
+		s.Pending() // the read that makes the pass
 		if n := s.Tombstones(); n != 0 {
 			t.Fatalf("a window slide left %d tombstones in the session's collection", n)
 		}
@@ -175,8 +178,9 @@ func TestCompactionTTLDefaultOn(t *testing.T) {
 
 // TestSupersededSessionSurvivesCompaction pins ErrSessionClosed's
 // promise across compaction: a session superseded by a newer Start
-// keeps resolving its frozen view. The successor's first departure
-// wave re-bases the pipeline onto a compacted collection; the
+// keeps resolving its frozen view. The pass of the successor's first
+// read after a departure re-bases the pipeline onto a compacted
+// collection; the
 // superseded session's trace ids belong to the collection it was built
 // over, so it keeps reading that one, and from then on nothing the
 // successor does — more evictions, ingests (merges into descriptions
@@ -203,7 +207,7 @@ func TestSupersededSessionSurvivesCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		evictEach(t, b, all[:1], map[string]bool{}) // the first departure wave
+		evictEach(t, b, all[:1], map[string]bool{}) // the first departure, and a read
 		if more {
 			evictEach(t, b, all[1:half/4], map[string]bool{})
 			if err := b.Ingest(all[half:]); err != nil {
@@ -222,7 +226,7 @@ func TestSupersededSessionSurvivesCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, a.Snapshot()
+		return res, snapshot(t, a)
 	}
 	got, gotSn := run(true)
 	want, wantSn := run(false)

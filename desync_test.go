@@ -1,11 +1,11 @@
-// In-package regression tests for the failure semantics of a wave: a
-// wave whose front-end pass dies leaves the collection — and the log —
-// ahead of what the session serves, so the session must poison itself
-// with ErrDesynced instead of silently serving the desynchronized view.
-// The faults are injected through an engine stub wrapping the real one,
-// at its last stage, Prune — the only way to make a pass fail on
-// demand. A wave makes one pass, charged as an eviction if anything
-// departed and as an ingest otherwise; the poison names which.
+// In-package regression tests for the failure semantics of a pass: a
+// mutation only logs and folds, and the next read makes the pass. A
+// pass that dies leaves the collection — and the log — ahead of what
+// the session serves, so the session must poison itself with
+// ErrDesynced at that read instead of silently serving the
+// desynchronized view. The faults are injected through an engine stub
+// wrapping the real one, at its last stage, Prune — the only way to
+// make a pass fail on demand.
 package minoaner
 
 import (
@@ -59,32 +59,34 @@ func wantDesynced(t *testing.T, what string, err error) {
 	}
 }
 
-// wantKind fails unless the poison charges the failed pass to the given
-// kind of wave ("ingest" or "evict").
-func wantKind(t *testing.T, err error, kind string) {
-	t.Helper()
-	if !strings.Contains(err.Error(), "minoaner: "+kind+": ") {
-		t.Fatalf("poison does not charge the pass to %s: %v", kind, err)
-	}
-}
-
-// TestDesyncEvictFault poisons via an eviction wave's failing pass: the
-// tombstones already landed in the collection and the record in the
-// log, so the session must refuse everything afterwards — even after
-// the fault clears.
+// TestDesyncEvictFault poisons via the pass the read after an eviction
+// makes: the eviction itself was logged and folded — the tombstones
+// landed in the collection — and returned nil, so the read that makes
+// the failing pass reports the poison, and the session must refuse
+// everything afterwards — even after the fault clears — while Pending
+// and Gauges keep the last good pass's numbers.
 func TestDesyncEvictFault(t *testing.T) {
 	cfg := Defaults()
 	cfg.Workers = 1
 	s := desyncSession(t, cfg)
 	fe := &faultyEngine{Engine: s.eng, fail: true}
 	s.eng = fe
+	pending, gauges := s.Pending(), s.Gauges()
 
-	err := s.Evict([]Ref{{KB: "a", URI: "u1"}})
-	wantDesynced(t, "Evict", err)
+	if err := s.Evict([]Ref{{KB: "a", URI: "u1"}}); err != nil {
+		t.Fatalf("Evict = %v; a mutation makes no pass, so it cannot fail there", err)
+	}
+	_, err := s.Resume(0)
+	wantDesynced(t, "Resume after the eviction", err)
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("poison lost its cause: %v", err)
 	}
-	wantKind(t, err, "evict")
+	if got := s.Pending(); got != pending {
+		t.Fatalf("Pending after poison = %d, the last good pass's %d", got, pending)
+	}
+	if got := s.Gauges(); got != gauges {
+		t.Fatalf("Gauges after poison = %+v, the last good pass's %+v", got, gauges)
+	}
 
 	fe.fail = false // healing the engine must not unpoison
 	wantDesynced(t, "Ingest after poison", s.Ingest([]Description{dsc("a", "u9", "gamma")}))
@@ -92,6 +94,11 @@ func TestDesyncEvictFault(t *testing.T) {
 	wantDesynced(t, "EvictKB after poison", s.EvictKB("a"))
 	_, err = s.Resume(0)
 	wantDesynced(t, "Resume after poison", err)
+	sn, err := s.Snapshot()
+	wantDesynced(t, "Snapshot after poison", err)
+	if sn != nil {
+		t.Fatal("a poisoned session returned a snapshot")
+	}
 
 	// The documented recovery: a fresh Start over the shared collection
 	// rebuilds everything from scratch and resolves normally.
@@ -104,25 +111,32 @@ func TestDesyncEvictFault(t *testing.T) {
 	}
 }
 
-// TestDesyncIngestFault poisons via an ingest wave's failing pass — the
-// batch is already in the collection, the resolver never saw it.
+// TestDesyncIngestFault poisons via the pass the read after an ingest
+// makes — the batch is already in the collection, the resolver never
+// saw it.
 func TestDesyncIngestFault(t *testing.T) {
 	cfg := Defaults()
 	cfg.Workers = 1
 	s := desyncSession(t, cfg)
 	s.eng = &faultyEngine{Engine: s.eng, fail: true}
 
-	err := s.Ingest([]Description{dsc("a", "u3", "gamma three")})
-	wantDesynced(t, "Ingest", err)
-	wantKind(t, err, "ingest")
+	if err := s.Ingest([]Description{dsc("a", "u3", "gamma three")}); err != nil {
+		t.Fatalf("Ingest = %v; a mutation makes no pass, so it cannot fail there", err)
+	}
+	_, err := s.Snapshot()
+	wantDesynced(t, "Snapshot after the ingest", err)
+	if !errors.Is(err, errInjected) {
+		t.Fatalf("poison lost its cause: %v", err)
+	}
 	_, err = s.Resume(0)
 	wantDesynced(t, "Resume after poison", err)
 }
 
-// TestDesyncMidPass fails the single pass of a TTL wave: the new batch
-// is already in the collection and the batch it pushed out of the
-// window already tombstoned when the pass — charged as an eviction,
-// since something departed — dies.
+// TestDesyncMidPass fails the single pass the read after a TTL ingest
+// makes: the new batch is already in the collection and the batch it
+// pushed out of the window already tombstoned when the pass — made by
+// Pending, which reports no error of its own — dies. The next mutation
+// reports the poison, and so does every one after it.
 func TestDesyncMidPass(t *testing.T) {
 	cfg := Defaults()
 	cfg.Workers = 1
@@ -130,15 +144,17 @@ func TestDesyncMidPass(t *testing.T) {
 	s := desyncSession(t, cfg)
 	s.eng = &faultyEngine{Engine: s.eng, fail: true}
 
-	err := s.Ingest([]Description{dsc("a", "u3", "gamma three"), dsc("b", "v3", "gamma three")})
-	wantDesynced(t, "Ingest with TTL expiry", err)
+	if err := s.Ingest([]Description{dsc("a", "u3", "gamma three"), dsc("b", "v3", "gamma three")}); err != nil {
+		t.Fatalf("Ingest with TTL expiry = %v; a mutation makes no pass, so it cannot fail there", err)
+	}
+	s.Pending()
+	err := s.Ingest([]Description{dsc("a", "u4", "delta four")})
+	wantDesynced(t, "Ingest after the failed pass", err)
 	if !strings.Contains(err.Error(), errInjected.Error()) {
 		t.Fatalf("poison does not name the cause: %v", err)
 	}
-	wantKind(t, err, "evict")
 	// Sticky: the same error again, not a new pass.
-	again := s.Ingest([]Description{dsc("a", "u4", "delta four")})
-	if !errors.Is(again, ErrDesynced) {
-		t.Fatalf("second Ingest = %v, want ErrDesynced", again)
+	if again := s.Ingest([]Description{dsc("a", "u5", "epsilon five")}); again != err {
+		t.Fatalf("second Ingest = %v, want the same poison %v", again, err)
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // FuzzSessionLifecycle drives a pipeline through an op sequence decoded
 // from the input and checks the session guarantees the README states
-// after every op. The input's first byte picks the configuration
+// at every read. The input's first byte picks the configuration
 // (TTL, worker count), the second the size of the corpus loaded before
 // Start; every later pair of bytes is one op:
 //
@@ -21,16 +21,25 @@ import (
 //	3 evict a whole KB (or one no description ever carried)
 //	4 Resume(b), b ∈ {0, 1, 40}, on any session
 //	5 a cancelled Resume on any session
-//	6 Snapshot any session and hold it
+//	6 read Pending and Gauges of any session (which first is the
+//	  argument's low bit), then Snapshot it and hold it
 //	7 Start a new session, superseding the current one
 //
 // Ops 0–3 target a superseded session instead when the argument's top
-// bit is set and one exists. The oracles: no panic; every error is a
-// documented sentinel, or Start's refusal of an empty corpus; on every
-// session Stats.Matches == len(Matches) and Stats.Comparisons never
-// falls; the current session's collection holds no tombstone, its
-// clusters partition its live set and every live description resolves;
-// a held snapshot never changes.
+// bit is set and one exists. Mutations make no pass; reads (ops 4–6)
+// make the one their mutations left pending. So the fuzzer drives an
+// eager twin through the same ops, with a Snapshot after every op —
+// the pass after every mutation — and every read of the fuzzed
+// pipeline must answer what the twin answers.
+//
+// The oracles: no panic; every error is a documented sentinel, or
+// Start's refusal of an empty corpus, and the twin returns the same
+// one. At every read op and once at the end, on every session: the
+// read's answer and snapshotDigest equal the twin's,
+// Stats.Matches == len(Matches), and Stats.Comparisons never falls;
+// the current session's collection holds no tombstone, its clusters
+// partition its live set and every live description resolves. A held
+// snapshot never changes.
 //
 // Seeds live in testdata/fuzz/FuzzSessionLifecycle; a plain test run
 // replays them. CI fuzzes for 30 seconds:
@@ -47,34 +56,50 @@ func FuzzSessionLifecycle(f *testing.F) {
 		// Bits 0–1 and 2–3 add up to the TTL window (0 = none).
 		cfg.TTL = int(data[0]&3) + []int{0, 0, 2, 3}[data[0]>>2&3]
 		cfg.Workers = 1 + int(data[0]>>4&1)
-		p := New(cfg)
-		defer p.Close()
+		p, twin := New(cfg), New(cfg)
 		pos := 1 + int(data[1])%len(stream)
 		if err := p.Add(stream[:pos]); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.Add(stream[:pos]); err != nil {
 			t.Fatal(err)
 		}
 		s, err := p.Start()
 		if err != nil {
 			t.Fatal(err)
 		}
-		sessions := []*Session{s}
+		ts, err := twin.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// twins[i] is sessions[i]'s eager twin.
+		sessions, twins := []*Session{s}, []*Session{ts}
 		spent := map[*Session]int{}
 		type held struct {
 			sn     *Snapshot
 			digest string
 		}
 		var snaps []held
+		checkAll := func(what string) {
+			for i, s := range sessions {
+				checkSession(t, what, s, twins[i], s == sessions[len(sessions)-1], spent)
+			}
+		}
 
 		ops := data[2:]
 		for i := 0; i+1 < len(ops) && i < 64; i += 2 {
 			op, arg := ops[i]%8, ops[i+1]
-			cur := sessions[len(sessions)-1]
-			target := cur
+			what := fmt.Sprintf("op %d (%d, %d)", i/2, op, arg)
+			ti := len(sessions) - 1
 			if op <= 3 && arg&0x80 != 0 && len(sessions) > 1 {
-				target = sessions[int(arg)%(len(sessions)-1)]
+				ti = int(arg) % (len(sessions) - 1)
 			}
-			pick := sessions[int(arg)%len(sessions)]
-			var err error
+			target, twinTarget := sessions[ti], twins[ti]
+			pi := int(arg) % len(sessions)
+			pick, twinPick := sessions[pi], twins[pi]
+			// The refs an eviction names are read off the fuzzed
+			// session, tombstones included, and handed to both.
+			var err, twinErr error
 			switch op {
 			case 0:
 				batch := make([]Description, 1+int(arg)%24)
@@ -82,7 +107,7 @@ func FuzzSessionLifecycle(f *testing.F) {
 					batch[j] = stream[pos%len(stream)]
 					pos++
 				}
-				err = target.Ingest(batch)
+				err, twinErr = target.Ingest(batch), twinTarget.Ingest(batch)
 			case 1:
 				var refs []Ref
 				for id := 0; id < target.col.Len() && len(refs) < 1+int(arg)%24; id++ {
@@ -90,7 +115,7 @@ func FuzzSessionLifecycle(f *testing.F) {
 						refs = append(refs, target.ref(id))
 					}
 				}
-				err = target.Evict(refs)
+				err, twinErr = target.Evict(refs), twinTarget.Evict(refs)
 			case 2:
 				if target.col.Len() == 0 {
 					break
@@ -100,42 +125,79 @@ func FuzzSessionLifecycle(f *testing.F) {
 				for j := range refs {
 					refs[j] = target.ref(rng.Intn(target.col.Len()))
 				}
-				err = target.Evict(refs)
+				err, twinErr = target.Evict(refs), twinTarget.Evict(refs)
 			case 3:
-				err = target.EvictKB(kbs[int(arg)%len(kbs)])
+				name := kbs[int(arg)%len(kbs)]
+				err, twinErr = target.EvictKB(name), twinTarget.EvictKB(name)
 			case 4:
-				_, err = pick.Resume([]int{0, 1, 40}[int(arg)%3])
+				budget := []int{0, 1, 40}[int(arg)%3]
+				res, rerr := pick.Resume(budget)
+				want, werr := twinPick.Resume(budget)
+				if rerr != nil || werr != nil {
+					t.Fatalf("%s: Resume = %v, twin %v", what, rerr, werr)
+				}
+				if got, want := fmt.Sprintf("%+v", *res), fmt.Sprintf("%+v", *want); got != want {
+					t.Fatalf("%s: Resume answered\n%s\nthe eager twin\n%s", what, got, want)
+				}
 			case 5:
 				ctx, cancel := context.WithCancel(context.Background())
 				cancel()
-				var res *Result
-				res, err = pick.ResumeContext(ctx, 0)
-				if !errors.Is(err, context.Canceled) || res == nil {
-					t.Fatalf("op %d: cancelled Resume = %v, %v; want a result and context.Canceled", i/2, res != nil, err)
+				res, rerr := pick.ResumeContext(ctx, 0)
+				if !errors.Is(rerr, context.Canceled) || res == nil {
+					t.Fatalf("%s: cancelled Resume = %v, %v; want a result and context.Canceled", what, res != nil, rerr)
 				}
-				err = nil
+				want, _ := twinPick.ResumeContext(ctx, 0)
+				if got, want := fmt.Sprintf("%+v", *res), fmt.Sprintf("%+v", *want); got != want {
+					t.Fatalf("%s: cancelled Resume answered\n%s\nthe eager twin\n%s", what, got, want)
+				}
 			case 6:
-				sn := pick.Snapshot()
+				var pending int
+				var gauges Gauges
+				if arg&1 == 0 {
+					pending, gauges = pick.Pending(), pick.Gauges()
+				} else {
+					gauges, pending = pick.Gauges(), pick.Pending()
+				}
+				if want := twinPick.Pending(); pending != want {
+					t.Fatalf("%s: Pending %d, the eager twin %d", what, pending, want)
+				}
+				if want := twinPick.Gauges(); gauges != want {
+					t.Fatalf("%s: Gauges %+v, the eager twin %+v", what, gauges, want)
+				}
+				sn, serr := pick.Snapshot()
+				if serr != nil {
+					t.Fatalf("%s: Snapshot: %v", what, serr)
+				}
 				snaps = append(snaps, held{sn, snapshotDigest(sn)})
 			case 7:
-				var ns *Session
-				if ns, err = p.Start(); err == nil {
-					sessions = append(sessions, ns)
-				} else if p.NumDescriptions() == 0 {
-					err = nil // Start refuses an empty corpus
+				var ns, nt *Session
+				ns, err = p.Start()
+				nt, twinErr = twin.Start()
+				if err == nil && twinErr == nil {
+					sessions, twins = append(sessions, ns), append(twins, nt)
+				} else if p.NumDescriptions() == 0 && twin.NumDescriptions() == 0 {
+					err, twinErr = nil, nil // Start refuses an empty corpus
 				}
+			}
+			if fmt.Sprint(err) != fmt.Sprint(twinErr) {
+				t.Fatalf("%s: returned %v, the eager twin %v", what, err, twinErr)
 			}
 			if err != nil && !errors.Is(err, ErrUnknownDescription) && !errors.Is(err, ErrUnknownKB) &&
 				!errors.Is(err, ErrSessionClosed) && !errors.Is(err, ErrBadBatch) {
-				t.Fatalf("op %d (%d, %d): undocumented error %v", i/2, op, arg, err)
+				t.Fatalf("%s: undocumented error %v", what, err)
 			}
-			if target != cur && op <= 3 && !errors.Is(err, ErrSessionClosed) {
-				t.Fatalf("op %d (%d, %d): streaming on a superseded session returned %v, want ErrSessionClosed", i/2, op, arg, err)
+			if ti != len(sessions)-1 && op <= 3 && !errors.Is(err, ErrSessionClosed) {
+				t.Fatalf("%s: streaming on a superseded session returned %v, want ErrSessionClosed", what, err)
 			}
-			for _, s := range sessions {
-				checkSession(t, s, s == sessions[len(sessions)-1], spent)
+			// The twin is eager: every op ends with its pass.
+			if _, err := twins[len(twins)-1].Snapshot(); err != nil {
+				t.Fatalf("%s: the eager twin's Snapshot: %v", what, err)
+			}
+			if op >= 4 && op <= 6 {
+				checkAll(what)
 			}
 		}
+		checkAll("at the end")
 		for _, h := range snaps {
 			if got := snapshotDigest(h.sn); got != h.digest {
 				t.Fatalf("a held snapshot changed:\n%s\nwas\n%s", got, h.digest)
@@ -144,12 +206,22 @@ func FuzzSessionLifecycle(f *testing.F) {
 	})
 }
 
-// checkSession snapshots s and checks the per-op oracles of
-// FuzzSessionLifecycle; live marks the pipeline's current session,
-// whose collection is the live set.
-func checkSession(t *testing.T, s *Session, live bool, spent map[*Session]int) {
+// checkSession snapshots s and its eager twin and checks the per-read
+// oracles of FuzzSessionLifecycle; live marks the pipeline's current
+// session, whose collection is the live set.
+func checkSession(t *testing.T, what string, s, twin *Session, live bool, spent map[*Session]int) {
 	t.Helper()
-	sn := s.Snapshot()
+	sn, err := s.Snapshot()
+	if err != nil {
+		t.Fatalf("%s: Snapshot: %v", what, err)
+	}
+	want, err := twin.Snapshot()
+	if err != nil {
+		t.Fatalf("%s: the eager twin's Snapshot: %v", what, err)
+	}
+	if got, want := snapshotDigest(sn), snapshotDigest(want); got != want {
+		t.Fatalf("%s: the session reads\n%s\nthe eager twin\n%s", what, got, want)
+	}
 	st := sn.Stats()
 	if st.Matches != len(sn.Result().Matches) {
 		t.Fatalf("Stats.Matches %d, %d matches listed", st.Matches, len(sn.Result().Matches))

@@ -110,8 +110,8 @@ func NewCollection() *Collection {
 //
 // The token cache survives an Add: a fresh id gets an empty slot
 // (tokenized lazily), and a merged id has only its own slot
-// invalidated — so the front-end pass after a streaming wave
-// re-tokenizes only what the wave brought.
+// invalidated — so the front-end pass after streaming mutations
+// re-tokenizes only what they brought.
 func (c *Collection) Add(d *Description) int {
 	if id, ok := c.byURI[key(d.KB, d.URI)]; ok {
 		ex := c.descs[id]

@@ -9,9 +9,11 @@
 // any number of concurrent readers proceed at memory speed while a
 // mutation is in flight. Writes (POST /ingest, /evict, /resume) are
 // validated in the handler, then enqueued to a single writer goroutine
-// that owns the Session outright; it applies queued mutations in waves
-// (amortizing the snapshot rebuild across a burst), captures a fresh
-// Snapshot, and swaps the pointer, bumping the epoch. A response's
+// that owns the Session outright; it applies queued mutations in commit
+// waves, captures a fresh Snapshot, and swaps the pointer, bumping the
+// epoch. A mutation only logs and folds, and the Snapshot is the read
+// that makes the front-end pass, so a wave amortizes the pass as well
+// as the snapshot: k folds, one log sync, one pass. A response's
 // epoch therefore names exactly one committed state: two reads
 // reporting the same epoch saw byte-identical data, and no read ever
 // observes a half-applied wave.
@@ -21,7 +23,10 @@
 // parse errors → 400, an oversized body or a description too large for
 // one log frame → 413, ErrUnknownDescription/
 // ErrUnknownKB → 404, ErrSessionClosed → 409, a closed server or
-// cancelled request → 503, a desynced session → 500).
+// cancelled request → 503, a desynced session → 500). A pass that
+// fails poisons the session at the wave's snapshot, so every op of that
+// wave without an error of its own answers 500 with ErrDesynced, and
+// readers keep the last snapshot published.
 package server
 
 import (
@@ -102,7 +107,10 @@ type opResult struct {
 // New wraps a started Session in a Server and launches the writer
 // goroutine. The caller must not touch the Session (or its Pipeline)
 // afterwards: the writer goroutine is its single owner — that
-// exclusivity is what lets readers go lock-free.
+// exclusivity is what lets readers go lock-free. New publishes the
+// session's Snapshot as epoch 1 and panics if it cannot be taken: a
+// session fresh from Start or Open always can, a poisoned one (see
+// minoaner.ErrDesynced) has no state to serve.
 func New(sess *minoaner.Session) *Server { return NewWith(sess, Config{}) }
 
 // NewWith is New with explicit server configuration.
@@ -117,7 +125,11 @@ func NewWith(sess *minoaner.Session, cfg Config) *Server {
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	s.snap.Store(&epochView{epoch: 1, view: sess.Snapshot()})
+	view, err := sess.Snapshot()
+	if err != nil {
+		panic(fmt.Sprintf("server: the session has no snapshot to serve: %v", err))
+	}
+	s.snap.Store(&epochView{epoch: 1, view: view})
 	go s.writer()
 	return s
 }
@@ -154,20 +166,29 @@ func (s *Server) writer() {
 			}
 			// One commit wave = one durable unit: under fsync=wave the
 			// whole burst reaches stable storage in a single sync before
-			// anyone is acknowledged. If the sync fails, no op in the
-			// wave may claim success — its record might not survive a
-			// crash.
-			if err := s.sess.SyncWAL(); err != nil {
+			// anyone is acknowledged. The snapshot makes the wave's one
+			// pass; if that fails the session is poisoned and nothing is
+			// published. On either failure no op in the wave may claim
+			// success.
+			failed := s.sess.SyncWAL()
+			ev := s.snap.Load()
+			if view, err := s.sess.Snapshot(); err != nil {
+				if failed == nil {
+					failed = err
+				}
+			} else {
+				ev = &epochView{epoch: ev.epoch + 1, view: view}
+				s.snap.Store(ev)
+			}
+			if failed != nil {
 				for i := range errs {
 					if errs[i] == nil {
-						errs[i] = err
+						errs[i] = failed
 					}
 				}
 			}
-			next := &epochView{epoch: s.snap.Load().epoch + 1, view: s.sess.Snapshot()}
-			s.snap.Store(next)
 			for i, o := range wave {
-				o.reply <- opResult{epoch: next.epoch, err: errs[i]}
+				o.reply <- opResult{epoch: ev.epoch, err: errs[i]}
 			}
 		}
 	}
@@ -508,9 +529,9 @@ func errStatus(err error) int {
 	case errors.Is(err, minoaner.ErrBadBatch), errors.As(err, &parseErr):
 		return http.StatusBadRequest
 	case errors.Is(err, minoaner.ErrCheckpoint):
-		// The wave was applied; only the log's rotation to a
-		// checkpoint failed, and the next wave retries it. Nothing the
-		// client sent was wrong.
+		// The mutation was folded; only the log's rotation to a
+		// checkpoint failed, and it is retried once another live count
+		// of ids has departed. Nothing the client sent was wrong.
 		return http.StatusInternalServerError
 	case errors.Is(err, wal.ErrFrameTooLarge):
 		// One description encodes past the log's frame cap: the

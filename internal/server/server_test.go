@@ -153,7 +153,10 @@ func decode[T any](t *testing.T, data []byte) T {
 // from-scratch is proven by the streaming suites).
 func checkDifferential(t *testing.T, label string, srv *Server, ts *httptest.Server, uris map[string]string) {
 	t.Helper()
-	sn := srv.sess.Snapshot()
+	sn, err := srv.sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := sn.Result()
 
 	// /clusters ≡ Snapshot.Result().Clusters.
@@ -526,7 +529,10 @@ func TestSameAsNegotiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, ts, _ := startServed(t, 0, map[string]string{"alpha": doc, "betaKB": doc2})
-	sn := srv.sess.Snapshot()
+	sn, err := srv.sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(sn.Result().Matches) == 0 {
 		t.Fatal("workload produced no matches; negotiation test needs some")
 	}
@@ -596,7 +602,10 @@ func TestWaveBatching(t *testing.T) {
 	}
 	// Every reply names a real committed epoch, and all 30 descriptions
 	// made it in regardless of how the waves fell.
-	sn := srv.sess.Snapshot()
+	sn, err := srv.sess.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < writers; i++ {
 		uri := fmt.Sprintf("http://batch/%d", i)
 		if len(sn.Refs(uri)) != 1 {

@@ -82,7 +82,7 @@ func TestWireFormatGolden(t *testing.T) {
 		KB: "dbp", URI: "http://dbpedia.org/resource/Heraklion",
 	})
 	checkGolden(t, "timings.json", minoaner.Timings{
-		FrontEnd: 7_000, Ingest: 6_000, Evict: 5_000, Resolve: 40_000,
+		FrontEnd: 7_000, Resolve: 40_000,
 		Schedule: 10_000, Match: 20_000, Update: 3_000,
 	})
 }

@@ -63,26 +63,24 @@ var ErrSessionClosed = errors.New("session closed")
 // error describes the offending item.
 var ErrBadBatch = errors.New("bad batch")
 
-// ErrDesynced reports a session whose streaming maintenance pass
-// failed mid-way: the front-end advanced (or retreated) but the
-// matcher and resolver were never rebuilt over the new state, so reads
-// would silently disagree with the corpus. The session is poisoned —
-// every later mutation and Resume refuses with this error rather than
-// serve the desynchronized state. Recovery is a restart: a
-// write-ahead-logged session (see Open) replays its log into a fresh,
-// consistent session; the already-committed reads of this one remain
-// servable via Snapshot. Test with errors.Is; the first failure's
-// error joins ErrDesynced with the underlying cause.
+// ErrDesynced reports a session whose front-end pass failed. A
+// mutation only folds and leaves the session stale; the next read makes
+// the pass, and when it fails the collection is ahead of what the
+// matcher and resolver were built over. The session is poisoned: every
+// later mutation, Resume and Snapshot refuses with this error rather
+// than serve the desynchronized state, and Pending and Gauges keep the
+// last good pass's numbers. Recovery is a restart: a write-ahead-logged
+// session (see Open) replays every acknowledged mutation into a fresh,
+// consistent session. Test with errors.Is; the first failure's error
+// joins ErrDesynced with the underlying cause.
 var ErrDesynced = errors.New("session desynced")
 
-// ErrCheckpoint reports a wave whose write-ahead-log rotation to a
-// checkpoint failed: the wave itself was applied and the session stays
-// consistent (not desynced); only the log kept its pre-rotation length,
-// it still replays to the same state, and the next wave tries the
-// rotation again. Test with errors.Is. The
-// cause is described in the message but kept out of the chain, so a
-// checkpoint over the frame cap never reads as wal.ErrFrameTooLarge —
-// the client's payload was not the problem.
+// ErrCheckpoint reports a mutation whose write-ahead-log rotation to a
+// checkpoint failed: the mutation itself was logged and folded and the
+// session stays consistent (not desynced); only the log kept its
+// pre-rotation length, and it still replays to the same state. The
+// rotation is tried again once another live count of ids has departed
+// (see Pipeline.rotate). Test with errors.Is. The
 var ErrCheckpoint = errors.New("wal checkpoint failed")
 
 // Scheme selects the meta-blocking edge-weighting scheme.
@@ -190,8 +188,8 @@ type Config struct {
 	// not refresh its age, and nothing expires while no new batch
 	// arrives — an ingest call that brings no data (an empty batch or
 	// document) is not a batch and leaves the window untouched.
-	// Expired descriptions leave like evicted ones: the wave's pass runs
-	// over a collection renumbered without them (see Session).
+	// Expired descriptions leave like evicted ones: the next read's pass
+	// runs over a collection renumbered without them (see Session).
 	// 0 (the default) disables the window.
 	TTL int
 	// MRRunner must be empty: Start fails with an error naming it
@@ -209,7 +207,7 @@ type Config struct {
 	WALFsync FsyncPolicy
 	// Store is inert: description bodies always live in RAM, because
 	// paging them to disk saved under 10 % of the heap at rest and
-	// nothing at the peak (every wave's matcher rebuild reads every
+	// nothing at the peak (every pass's matcher rebuild reads every
 	// live body). It is kept, validated, for the frozen benchmark's
 	// read (ROADMAP item 1): "", "disk" and "disk-temp" are accepted;
 	// any other value fails the first Open, Add or load.
@@ -479,25 +477,24 @@ func (p *Pipeline) walAppend(typ byte, payload any) error {
 }
 
 // replay recovers a record sequence by folding it, not by re-running
-// it. Every record goes through the same fold a live wave runs before
-// its front-end pass (Session.fold): arrivals, merges and tombstones
-// land in the collection, and once a Start record has opened a
-// session, its TTL clock, expiry and count of departed ids advance
-// exactly as they did in the original timeline — all of them
-// deterministic in the mutation sequence. No record runs a pass or a
-// compaction. Once the log is consumed the recovered session makes its
-// one Session.pass: one compaction of every tombstone the fold left,
-// one front-end pass over the compacted collection, one matcher, one
-// fresh resolver.
+// it. Every record goes through the one fold live mutations use
+// (Pipeline.fold): arrivals, merges and tombstones land in the
+// collection, and once a Start record has opened a session, its TTL
+// clock, expiry and count of departed ids advance exactly as they did
+// in the original timeline — all of them deterministic in the mutation
+// sequence. No record runs a pass or a compaction, just as no live
+// mutation does. Once the log is consumed the recovered session makes
+// its one Session.pass: one compaction of every tombstone the fold
+// left, one front-end pass over the compacted collection, one matcher,
+// one fresh resolver.
 //
 // That one pass is the whole session, not an approximation of it: the
 // front end is a pure function of the live collection, and the log
 // carries no resolution progress, so the session holds no merges
-// throughout — and with no merges a wave's Retract equals a fresh
+// throughout — and with no merges a pass's Retract equals a fresh
 // resolver. The pipeline's log is still detached, so nothing
-// re-appends.
+// re-appends and nothing rotates.
 func (p *Pipeline) replay(recs []Record) error {
-	var s *Session // the session the latest Start or checkpoint opened
 	for i, rec := range recs {
 		switch rec.Type {
 		case TypeCheckpoint:
@@ -508,9 +505,9 @@ func (p *Pipeline) replay(recs []Record) error {
 			if err := json.Unmarshal(rec.Payload, &chk); err != nil {
 				return fmt.Errorf("minoaner: wal: decode checkpoint: %w", err)
 			}
-			p.addRaw(chk.Descs)
-			var err error
-			if s, err = p.newSession(); err != nil {
+			p.fold(chk.Descs, nil)
+			s, err := p.newSession()
+			if err != nil {
 				return fmt.Errorf("minoaner: wal: restore checkpoint: %w", err)
 			}
 			if len(chk.Ages) > 0 && p.cfg.TTL > 0 {
@@ -525,45 +522,41 @@ func (p *Pipeline) replay(recs []Record) error {
 					s.gens[i] = -age
 				}
 			}
+			p.current = s
 		case TypeStart:
-			var err error
-			if s, err = p.newSession(); err != nil {
+			s, err := p.newSession()
+			if err != nil {
 				return fmt.Errorf("minoaner: wal: replay start: %w", err)
 			}
+			p.current = s
 		case TypeIngest:
 			var batch []Description
 			if err := json.Unmarshal(rec.Payload, &batch); err != nil {
 				return fmt.Errorf("minoaner: wal: decode ingest record %d: %w", i, err)
 			}
-			if s == nil {
-				p.addRaw(batch)
-			} else {
-				s.fold(batch, nil)
-			}
+			p.fold(batch, nil)
 		case TypeEvict:
 			var ev walEvict
 			if err := json.Unmarshal(rec.Payload, &ev); err != nil {
 				return fmt.Errorf("minoaner: wal: decode evict record %d: %w", i, err)
 			}
-			if s == nil {
+			if p.current == nil {
 				return fmt.Errorf("minoaner: wal: evict record %d precedes any start", i)
 			}
 			ids, err := p.evictIDs(ev)
 			if err != nil {
 				return fmt.Errorf("minoaner: wal: replay evict record %d: %w", i, err)
 			}
-			s.fold(nil, ids)
+			p.fold(nil, ids)
 		default:
 			return fmt.Errorf("minoaner: wal: unknown record type %d at record %d", rec.Type, i)
 		}
 	}
-	if s == nil {
-		return nil
+	if s := p.current; s != nil {
+		if err := s.pass(); err != nil {
+			return fmt.Errorf("minoaner: wal: rebuild session: %w", err)
+		}
 	}
-	if err := s.pass(time.Now(), &s.tim.FrontEnd); err != nil {
-		return fmt.Errorf("minoaner: wal: rebuild session: %w", err)
-	}
-	p.current = s
 	return nil
 }
 
@@ -689,67 +682,57 @@ func (p *Pipeline) Add(batch []Description) error {
 	return p.dispatchIngest(batch)
 }
 
-// dispatchIngest routes a validated wire batch to wherever mutations
-// currently go — the live session's streaming wave after Start, the
-// shared collection before it. Every load, add and ingest funnels
-// through here (parse first, then log, then apply), so the log's ingest
-// records are exactly the batches the collection absorbed, replayable
-// without re-parsing any RDF. An empty batch — an empty document — is
-// not logged and, after Start, does not advance the TTL clock: only
-// arriving data slides the window. Without a log the batch is applied
-// whole, as one batch, and never encoded.
+// dispatchIngest routes a validated wire batch through the one fold
+// (Pipeline.fold): into the shared collection before Start, as a
+// streaming mutation of the live session after it. Every load, add and
+// ingest funnels through here (parse first, then log, then fold), so
+// the log's ingest records are exactly the batches the collection
+// absorbed, replayable without re-parsing any RDF. No pass runs here;
+// after Start the session's next read makes it. An empty batch — an
+// empty document — is not logged and, after Start, does not advance the
+// TTL clock: only arriving data slides the window. Without a log the
+// batch is folded whole, as one batch, and never encoded.
 //
 // With a log, one frame caps at wal.MaxPayload bytes; a larger batch
 // splits into halves recursively, and each chunk is logged — its
-// encoding from the split, appended as is — and applied as its own
-// ingest — append, then addRaw or a wave — so the log records exactly
-// what happened and replay, which sees one record per chunk, folds the
-// identical batches, TTL generation stamping included. An oversized
-// logged batch therefore counts as several batches against a TTL
-// window; the alternative — one wider-than-the-log batch — could never
-// be recovered faithfully. A chunk's wave whose log rotation fails
-// (ErrCheckpoint) was applied and leaves the session consistent, so the
-// rest of the batch is applied too and the error is returned last.
+// encoding from the split, appended as is — and folded as its own
+// ingest, so the log records exactly what happened and replay, which
+// sees one record per chunk, folds the identical batches, TTL
+// generation stamping included. An oversized logged batch therefore
+// counts as several batches against a TTL window; the alternative — one
+// wider-than-the-log batch — could never be recovered faithfully. A
+// chunk whose log rotation fails (ErrCheckpoint) was folded and leaves
+// the session consistent, so the rest of the batch is folded too and
+// the error is returned last.
 func (p *Pipeline) dispatchIngest(batch []Description) error {
 	if err := p.checkStore(); err != nil {
 		return err
 	}
-	s := p.current
-	if s != nil && s.desynced != nil {
+	if s := p.current; s != nil && s.desynced != nil {
 		return s.desynced
 	}
 	if len(batch) == 0 {
 		return nil
 	}
 	if p.wal == nil {
-		return p.applyIngest(s, batch)
+		p.fold(batch, nil)
+		return nil
 	}
 	chunks, err := splitBatch(batch, p.payloadCap())
 	if err != nil {
-		return err // refused whole before anything was logged or applied
+		return err // refused whole before anything was logged or folded
 	}
 	var rotation error
 	for _, c := range chunks {
 		if err := p.wal.Append(TypeIngest, c.data); err != nil {
 			return fmt.Errorf("minoaner: %w", err)
 		}
-		if err := p.applyIngest(s, c.descs); errors.Is(err, ErrCheckpoint) {
+		p.fold(c.descs, nil)
+		if err := p.rotate(); err != nil {
 			rotation = err
-		} else if err != nil {
-			return err
 		}
 	}
 	return rotation
-}
-
-// applyIngest applies one ingest: into the shared collection before
-// Start (s nil), as a wave of the live session after it.
-func (p *Pipeline) applyIngest(s *Session, batch []Description) error {
-	if s == nil {
-		p.addRaw(batch)
-		return nil
-	}
-	return s.wave(batch, nil)
 }
 
 // payloadCap is the WAL frame budget a single ingest record must fit;
@@ -820,14 +803,54 @@ func validateBatch(batch []Description) error {
 	return nil
 }
 
-// addRaw inserts a validated batch into the shared collection without
-// touching any session — callers route session synchronization.
-func (p *Pipeline) addRaw(batch []Description) {
+// fold applies one mutation — a batch of arrivals or a set of ids to
+// tombstone — to the pipeline's collection and the current session's
+// bookkeeping, and runs no pass: it is the one fold of pre-Start loads,
+// streaming mutations and every replayed record (see replay). Before
+// Start everything loaded is batch 0. After it the TTL clock advances
+// when the batch brought data, whatever slid out of the window expires,
+// the ids that departed are counted toward the next log rotation, and
+// the session is stale until its next read makes the pass. Every fold
+// after Start changes the collection: no empty batch is ever logged or
+// folded, and an eviction that names nothing live is neither.
+func (p *Pipeline) fold(batch []Description, gone []int) {
+	col := p.col
+	dead := col.Tombstones()
 	for _, d := range batch {
-		p.col.Add(&kb.Description{
+		col.Add(&kb.Description{
 			URI: d.URI, KB: d.KB, Types: d.Types, Attrs: d.Attrs, Links: d.Links,
 		})
 	}
+	s := p.current
+	if s == nil {
+		return
+	}
+	for _, id := range gone {
+		col.Evict(id)
+	}
+	if len(batch) > 0 {
+		s.curGen++
+	}
+	s.expireTTL()
+	s.departed += col.Tombstones() - dead
+	s.stale = true
+}
+
+// rotate applies the log-rotation rule after a live mutation's fold:
+// once as many ids have departed since the last attempt as are live,
+// the log holds at least as much history as corpus, and it is rewritten
+// as one checkpoint of the live corpus. A failure does not poison — the
+// pre-rotation log still replays to the session — and restarts the
+// count like a success, so a checkpoint over the frame cap is not
+// re-marshalled on every mutation. Replay never rotates: the log is
+// attached after it.
+func (p *Pipeline) rotate() error {
+	s := p.current
+	if s == nil || p.wal == nil || p.testNoRotate || s.departed < p.col.NumAlive() {
+		return nil
+	}
+	s.departed = 0
+	return s.walCheckpoint()
 }
 
 // NumDescriptions returns how many live descriptions are loaded.
@@ -865,32 +888,36 @@ func (p *Pipeline) ResolveContext(ctx context.Context, budget int) (*Result, err
 // evidence across legs.
 //
 // A Session is also the unit of streaming resolution: Ingest and
-// IngestKB fold new descriptions into the live session — the front-end
-// is re-derived over the grown corpus — with the guarantee that
-// ingesting a corpus in any number of batches and then resolving
-// produces exactly the state a from-scratch session over the whole
-// corpus would. Evict and EvictKB are the deletion mirror:
+// IngestKB fold new descriptions into the live session with the
+// guarantee that ingesting a corpus in any number of batches and then
+// resolving produces exactly the state a from-scratch session over the
+// whole corpus would. Evict and EvictKB are the deletion mirror:
 // descriptions leave the live session with the guarantee that the
 // surviving state is exactly that of a from-scratch session over a
 // corpus that never held them. Config.TTL drives Evict automatically
-// as a sliding window over ingest batches. Across waves a session
-// carries only its merges: every wave rebuilds the resolver as a fresh
-// one with the live matched steps replayed (core.Resolver.Retract).
+// as a sliding window over ingest batches. Between passes a session
+// carries only its merges: every pass after the first rebuilds the
+// resolver as a fresh one with the live matched steps replayed
+// (core.Resolver.Retract).
 //
 // A pass is a function of two inputs, the live collection and the
-// merges: Start, recovery and every wave make the same one (see pass),
-// and nothing of the front end outlives it but the retained comparisons
-// the resolver queues and the numbers Stats and Gauges report. The
-// collection a session serves holds no tombstone: every pass begins by
-// compacting away the ids that departed, so it runs over dense ids that
-// name live descriptions only. References (KB + URI) never change; only
-// internal ids move.
+// merges, and only Resume changes the merges. So a mutation makes no
+// pass: it validates, logs, folds (see Pipeline.fold) and leaves the
+// session stale, and the next read — Resume, Snapshot, Pending or
+// Gauges — makes one pass for every mutation since the last, answering
+// what a pass after each of them would have. Start and recovery make
+// theirs at once. Nothing of the front end outlives a pass but the
+// retained comparisons the resolver queues and the numbers Stats and
+// Gauges report. Every pass begins by compacting away the ids that
+// departed (until then they are tombstones), so it runs over dense ids
+// that name live descriptions only. References (KB + URI) never change;
+// only internal ids move.
 type Session struct {
 	p *Pipeline
 	// col is the collection the session's ids index: the pipeline's at
 	// Start, replaced by each compaction (see compact). A superseded
 	// session keeps reading the one it last held, so it stops seeing its
-	// successor from the successor's first departure wave on.
+	// successor from the successor's first compacting pass on.
 	col      *kb.Collection
 	eng      pipeline.Engine
 	resolver *core.Resolver
@@ -915,36 +942,34 @@ type Session struct {
 	expired int
 	// curGen counts ingest batches, TTL or not.
 	curGen int
-	// departed counts the ids that left since the log last rotated to a
-	// checkpoint; a wave after which it reaches the live count rotates
-	// the log (see wave).
+	// departed counts the ids that left since the log last tried to
+	// rotate to a checkpoint; a mutation after which it reaches the live
+	// count rotates the log (see Pipeline.rotate).
 	departed int
-	// tim accumulates the session-level wall-clock counters (front end,
-	// streaming maintenance, resolve legs); the matching-stage split
-	// lives in the resolver and is merged in by Timings().
+	// stale is set by every fold and cleared by the pass the next read
+	// makes (see Pipeline.fold, settle).
+	stale bool
+	// tim accumulates the session-level wall-clock counters (passes,
+	// resolve legs); the matching-stage split lives in the resolver and
+	// is merged in by Timings().
 	tim Timings
-	// desynced, once set, is the sticky poison of a wave whose pass
-	// failed (see wave): every later mutation and Resume returns it. It
-	// wraps ErrDesynced and the first cause.
+	// desynced, once set, is the sticky poison of a read whose pass
+	// failed (see settle): every later mutation, Resume and Snapshot
+	// returns it. It wraps ErrDesynced and the first cause.
 	desynced error
 }
 
 // Timings reports cumulative wall-clock time per pipeline stage of one
 // session, in nanoseconds on the wire (the JSON field names end in Ns).
-// Every pass (Session.pass: compaction, blocking→pruning, matcher and
-// resolver rebuild) is charged to exactly one of the first three:
-// FrontEnd is Start's pass — for a session Open recovered, the one pass
-// over the folded log, which leaves Ingest and Evict at zero; Ingest
-// and Evict cover streaming waves (the fold plus the wave's pass — a
-// wave that carried any departure counts as Evict);
-// Resolve is the matching loop end to end, and
+// FrontEnd is every pass (Session.pass: compaction, blocking→pruning,
+// matcher and resolver rebuild) — Start's, recovery's, and the one each
+// read makes after mutations; a fold is not timed. Resolve is the
+// matching loop end to end, and
 // Schedule/Match/Update partition it (see internal/core.Timings — the
 // parallel value-similarity pre-pass of a draining Resume counts as
 // Match).
 type Timings struct {
 	FrontEnd time.Duration `json:"frontendNs"`
-	Ingest   time.Duration `json:"ingestNs"`
-	Evict    time.Duration `json:"evictNs"`
 	Resolve  time.Duration `json:"resolveNs"`
 	Schedule time.Duration `json:"scheduleNs"`
 	Match    time.Duration `json:"matchNs"`
@@ -972,7 +997,15 @@ func (s *Session) Timings() Timings {
 // queued pairs' value similarities on that many goroutines, then runs
 // the exact sequential schedule over them. The results are
 // bit-identical whatever the worker count.
+//
+// A session this Start supersedes first makes its pending pass, while
+// the collection is still its own, so it goes on serving the view of
+// its last mutation and is never stale; a failure there poisons it, not
+// this Start.
 func (p *Pipeline) Start() (*Session, error) {
+	if old := p.current; old != nil {
+		_ = old.settle() // a failure poisons old, which this Start replaces
+	}
 	if p.col.NumAlive() == 0 {
 		return nil, fmt.Errorf("minoaner: no descriptions loaded")
 	}
@@ -980,7 +1013,7 @@ func (p *Pipeline) Start() (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.pass(time.Now(), &s.tim.FrontEnd); err != nil {
+	if err := s.pass(); err != nil {
 		return nil, fmt.Errorf("minoaner: %w", err)
 	}
 	p.current = s
@@ -1016,7 +1049,8 @@ func (p *Pipeline) newSession() (*Session, error) {
 	return s, nil
 }
 
-// pass is the one front-end pass of Start, recovery and every wave: it
+// pass is the one front-end pass of Start, recovery and every read
+// after a mutation: it
 // compacts the session's collection, runs the front end over it, and
 // records what Stats and Gauges report of it — BlockCandidates is the
 // graph's edge count, since its edges are exactly the distinct
@@ -1024,10 +1058,12 @@ func (p *Pipeline) newSession() (*Session, error) {
 // graph are dropped there, before the matcher is rebuilt (IDF weights
 // are global — linear work) and the resolver with it, by one rule:
 // NewResolver on the session's first pass, Retract over the live merges
-// after that. On success the time since t0 is charged to spent. A
-// failure leaves the collection compacted and nothing else changed;
-// callers decide whether that poisons the session.
-func (s *Session) pass(t0 time.Time, spent *time.Duration) error {
+// after that. On success the session is no longer stale and the pass's
+// time is charged to Timings.FrontEnd. A failure leaves the collection
+// compacted and nothing else changed; callers decide whether that
+// poisons the session.
+func (s *Session) pass() error {
+	t0 := time.Now()
 	p := s.p
 	s.compact()
 	fe, err := pipeline.Run(s.eng, s.col, p.pipelineOptions())
@@ -1054,7 +1090,25 @@ func (s *Session) pass(t0 time.Time, spent *time.Duration) error {
 	} else {
 		s.resolver.Retract(m, edges, s.merges)
 	}
-	*spent += time.Since(t0)
+	s.stale = false
+	s.tim.FrontEnd += time.Since(t0)
+	return nil
+}
+
+// settle makes the pass the folds since the last pass left pending, if
+// any; every read calls it first. A failed pass poisons the session
+// (see ErrDesynced and poison): the mutations it was to serve were
+// already logged and folded.
+func (s *Session) settle() error {
+	if s.desynced != nil {
+		return s.desynced
+	}
+	if !s.stale {
+		return nil
+	}
+	if err := s.pass(); err != nil {
+		return s.poison(fmt.Errorf("minoaner: pass: %w", err))
+	}
 	return nil
 }
 
@@ -1073,8 +1127,8 @@ func (s *Session) Resume(budget int) (*Result, error) {
 // together with ctx.Err(), so a caller (the server's writer goroutine)
 // can give up on a wedged request without losing or corrupting work.
 func (s *Session) ResumeContext(ctx context.Context, budget int) (*Result, error) {
-	if s.desynced != nil {
-		return nil, s.desynced // a poisoned session serves no reads
+	if err := s.settle(); err != nil {
+		return nil, err // a poisoned session serves no reads
 	}
 	t0 := time.Now()
 	res := s.resolver.RunBudgetContext(ctx, budget)
@@ -1127,14 +1181,20 @@ func (s *Session) buildResult() (*Result, [][]int) {
 	return out, members
 }
 
-// Pending returns an upper bound on the comparisons still queued.
-func (s *Session) Pending() int { return s.resolver.Pending() }
+// Pending returns an upper bound on the comparisons still queued,
+// making the pass pending mutations left first. A poisoned session
+// reports its last good pass's count.
+func (s *Session) Pending() int {
+	_ = s.settle() // a failure poisons the session; the resolver is the last good one
+	return s.resolver.Pending()
+}
 
 // Snapshot is an immutable point-in-time view of a Session's
 // resolution state: the cumulative Result, a cluster index for URI
 // lookups, the pending count, and the timing counters — everything a
 // read path needs, detached from the live session. Building one costs
-// a pass over the merges and the live descriptions; reading one costs
+// the front-end pass pending mutations left, if any, and a walk over
+// the merges and the live descriptions; reading one costs
 // no locks, no session access, and never observes a later mutation.
 // internal/server swaps a Snapshot behind an atomic pointer after each
 // commit wave, so any number of concurrent readers share it safely.
@@ -1153,10 +1213,15 @@ type Snapshot struct {
 	byURI map[string][]Ref
 }
 
-// Snapshot captures the session's current state. Like every Session
-// method it must not race with a concurrent mutation; the returned
-// value, once built, is safe to share among any number of goroutines.
-func (s *Session) Snapshot() *Snapshot {
+// Snapshot captures the session's current state, making the pass
+// pending mutations left first; a poisoned session returns its
+// ErrDesynced error and no snapshot. Like every Session method it must
+// not race with a concurrent mutation; the returned value, once built,
+// is safe to share among any number of goroutines.
+func (s *Session) Snapshot() (*Snapshot, error) {
+	if err := s.settle(); err != nil {
+		return nil, err
+	}
 	res, members := s.buildResult()
 	sn := &Snapshot{
 		res:     res,
@@ -1184,7 +1249,7 @@ func (s *Session) Snapshot() *Snapshot {
 	for _, refs := range sn.byURI {
 		sort.Slice(refs, func(i, j int) bool { return refs[i].KB < refs[j].KB })
 	}
-	return sn
+	return sn, nil
 }
 
 // Result returns the snapshot's cumulative result. Callers must treat
@@ -1250,12 +1315,15 @@ type Description struct {
 
 // Ingest streams a batch of new descriptions into the live session.
 //
-// The front-end is re-derived over the grown corpus — only the batch is
-// tokenized anew; blocking, cleaning, the blocking graph and pruning
-// run again in full, which on every measured workload costs less than
-// maintaining them did — and the resolver is rebuilt with the
-// session's merges replayed, so new comparisons interleave with open
-// ones in the benefit order a from-scratch session would schedule.
+// Ingest validates, logs and folds the batch, and makes no pass. The
+// next read's pass re-derives the front end over the grown corpus —
+// only new or extended descriptions are tokenized anew; blocking,
+// cleaning, the blocking graph and pruning run again in full, which on
+// every measured workload costs less than maintaining them did — and
+// rebuilds the resolver with the session's merges replayed, so new
+// comparisons interleave with open ones in the benefit order a
+// from-scratch session would schedule. If that pass fails, the read
+// reports ErrDesynced.
 //
 // Equivalence guarantee: splitting a corpus into any number of Ingest
 // batches and then resolving yields exactly the from-scratch result —
@@ -1311,12 +1379,13 @@ func (s *Session) IngestKB(name string, r io.Reader) error {
 // error wraps ErrUnknownDescription. Duplicate references within one
 // call collapse to one eviction.
 //
-// The front-end is re-derived over the surviving corpus (the same pass
-// an ingest runs), the matcher re-learns its global IDF weights over
-// the survivors (linear work), and the resolver is rebuilt as after an
-// ingest: matches touching evicted descriptions leave the merges,
-// clusters containing them split, and matches among survivors stay
-// resolved.
+// Like Ingest, Evict logs and folds — the descriptions are tombstoned —
+// and makes no pass. The next read's pass compacts the tombstones away,
+// re-derives the front end over the surviving corpus, has the matcher
+// re-learn its global IDF weights over the survivors (linear work), and
+// rebuilds the resolver as after an ingest: matches touching evicted
+// descriptions leave the merges, clusters containing them split, and
+// matches among survivors stay resolved.
 //
 // Equivalence guarantee, mirroring Ingest's: for any interleaving of
 // Ingest and Evict calls before comparisons are spent, a subsequent
@@ -1386,21 +1455,23 @@ func (p *Pipeline) evictIDs(ev walEvict) ([]int, error) {
 }
 
 // evict runs one streaming eviction: the ids are resolved against the
-// live corpus, the record is appended to the write-ahead log, and the
-// wave folds the tombstones in and makes its pass. An eviction that
-// names nothing live — a KB already evicted down to empty — is not
+// live corpus, the record is appended to the write-ahead log, the
+// tombstones are folded in and the rotation rule is judged. An eviction
+// that names nothing live — a KB already evicted down to empty — is not
 // logged.
 func (s *Session) evict(ev walEvict) error {
-	ids, err := s.p.evictIDs(ev)
+	p := s.p
+	ids, err := p.evictIDs(ev)
 	if err != nil || len(ids) == 0 {
 		return err
 	}
 	// Every ref resolved against the live corpus, so the record will
 	// replay cleanly; append it before the first tombstone lands.
-	if err := s.p.walAppend(TypeEvict, ev); err != nil {
+	if err := p.walAppend(TypeEvict, ev); err != nil {
 		return err
 	}
-	return s.wave(nil, ids)
+	p.fold(nil, ids)
+	return p.rotate()
 }
 
 // ingestWire runs a streaming ingest of a parsed wire batch on the
@@ -1413,87 +1484,8 @@ func (s *Session) ingestWire(batch []Description) error {
 	return s.p.dispatchIngest(batch)
 }
 
-// delta is what folding one mutation changed: descriptions arrived
-// (new ids or merges into existing ones), descriptions departed (by
-// hand or by TTL expiry).
-type delta struct{ arrived, departed bool }
-
-// wave runs one logged mutation on the live session: fold it in, then
-// make the wave's one pass, charged to Timings.Evict if anything
-// departed and to Timings.Ingest otherwise. A fold that neither added
-// nor removed anything costs no pass; the engine keeps no record of
-// what changed, so skipping it is this function's job.
-//
-// A failed pass — the engine refused the front — leaves the collection
-// ahead of what the session serves, with the mutation already
-// acknowledged to the log. Rather than serve the desynchronized state
-// the session poisons itself (see ErrDesynced): the first such error is
-// returned, remembered, and every later mutation or Resume returns it
-// again. Recovery is a restart — with a write-ahead log, Open folds
-// every acknowledged mutation into a fresh session.
-func (s *Session) wave(batch []Description, gone []int) error {
-	t0 := time.Now()
-	d := s.fold(batch, gone)
-	if !d.arrived && !d.departed {
-		return nil
-	}
-	kind, spent := "ingest", &s.tim.Ingest
-	if d.departed {
-		kind, spent = "evict", &s.tim.Evict
-	}
-	if err := s.pass(t0, spent); err != nil {
-		return s.poison(fmt.Errorf("minoaner: %s: %w", kind, err))
-	}
-	if s.departed < s.col.NumAlive() || s.p.testNoRotate {
-		return nil
-	}
-	// As many ids left since the last rotation as are live: the log
-	// holds at least as much history as corpus, so rotate it down to
-	// one checkpoint of the live corpus. Failure here does NOT poison —
-	// the in-memory state is fully consistent and the pre-rotation log
-	// still replays to it; the caller learns, through ErrCheckpoint,
-	// that the log kept its old length, and the next wave retries.
-	if err := s.walCheckpoint(); err != nil {
-		return err
-	}
-	s.departed = 0
-	return nil
-}
-
-// fold applies one mutation — a batch of arrivals or a set of ids to
-// tombstone — to the collection and the session's bookkeeping: it is
-// everything a wave does before its front-end pass, shared by the live
-// wave and by recovery, which folds every logged record this way and
-// makes one pass at the end (see Pipeline.replay). The TTL clock
-// advances when the batch brought data, whatever slid out of the window
-// expires, and the ids that departed are counted toward the next log
-// rotation. The tombstones stay until the next pass compacts them.
-//
-// Arrivals are judged by the input: every description of a non-empty
-// batch either opens an id or merges into one, and no empty batch is
-// ever folded (dispatchIngest returns before logging one, so replay
-// never sees one). Departures are judged by the tombstone count, since
-// evicting a dead id is a no-op.
-func (s *Session) fold(batch []Description, gone []int) delta {
-	col := s.col
-	beforeDead := col.Tombstones()
-	s.p.addRaw(batch)
-	for _, id := range gone {
-		col.Evict(id)
-	}
-	d := delta{arrived: len(batch) > 0}
-	if d.arrived {
-		s.curGen++
-	}
-	s.expireTTL()
-	n := col.Tombstones() - beforeDead
-	s.departed += n
-	d.departed = n > 0
-	return d
-}
-
 // poison marks the session desynchronized, remembering the first cause;
-// see wave. The sticky error wraps ErrDesynced (test with
+// see settle. The sticky error wraps ErrDesynced (test with
 // errors.Is) and the original failure.
 func (s *Session) poison(cause error) error {
 	if s.desynced == nil {
@@ -1527,10 +1519,13 @@ type Gauges struct {
 	StoreCacheMisses int64 `json:"storeCacheMisses,omitempty"`
 }
 
-// Gauges returns the session's current memory gauges. Like every
-// Session method it must not race with a concurrent mutation — the
-// server captures it into each Snapshot from its writer goroutine.
+// Gauges returns the session's current memory gauges, making the pass
+// pending mutations left first; a poisoned session reports its last
+// good pass's graph. Like every Session method it must not race with a
+// concurrent mutation — the server captures it into each Snapshot from
+// its writer goroutine.
 func (s *Session) Gauges() Gauges {
+	_ = s.settle() // a failure poisons the session; the numbers are the last good pass's
 	g := Gauges{GraphEdges: s.base.BlockCandidates, GraphBytes: s.graphBytes}
 	if w := s.p.wal; w != nil {
 		st := w.Stats()
@@ -1547,8 +1542,8 @@ func (s *Session) Gauges() Gauges {
 // generations. It runs no pass: it opens every pass (see pass), so
 // that pass runs over live ids only and its Retract replay rebuilds the
 // resolver exactly as a from-scratch session over the surviving corpus
-// would. Recovery folds the whole log first and compacts once, in its
-// one pass.
+// would. However many mutations were folded since the last pass —
+// recovery folds the whole log — it compacts once.
 //
 // The merges are remapped after expireTTL has run, so no surviving
 // generation is at or past the cutoff, and the TTL cursor rewinds to 0
@@ -1585,24 +1580,26 @@ func (s *Session) compact() {
 }
 
 // walCheckpoint rotates the write-ahead log down to a single
-// checkpoint record holding the live corpus (and, for TTL sessions,
-// each description's age in batches) — called after a wave once as
-// many ids have departed since the last rotation as are live, the
-// point where a collection that kept its tombstones would be half dead.
-// Replay of a checkpointed log restores the corpus, re-bases the TTL
-// clock from the recorded ages, and continues with the records that
-// follow.
+// checkpoint record holding the live corpus in id order (and, for TTL
+// sessions, each description's age in batches) — called by
+// Pipeline.rotate once as many ids have departed since the last
+// rotation as are live, the point where a collection that kept its
+// tombstones would be half dead. The fold has not been compacted, so
+// tombstones are skipped; the live ids keep their relative order, which
+// is the order a compaction would give them. Replay of a checkpointed
+// log restores the corpus, re-bases the TTL clock from the recorded
+// ages, and continues with the records that follow.
 func (s *Session) walCheckpoint() error {
 	w := s.p.wal
-	if w == nil {
-		return nil
-	}
-	col := s.col // compacted by the wave's pass: every id is live
-	chk := walCheckpoint{Descs: make([]Description, 0, col.Len())}
+	col := s.col
+	chk := walCheckpoint{Descs: make([]Description, 0, col.NumAlive())}
 	if s.gens != nil {
-		chk.Ages = make([]int, 0, col.Len())
+		chk.Ages = make([]int, 0, col.NumAlive())
 	}
 	for id := 0; id < col.Len(); id++ {
+		if !col.Alive(id) {
+			continue
+		}
 		d := col.Desc(id)
 		chk.Descs = append(chk.Descs, Description{
 			KB: d.KB, URI: d.URI, Types: d.Types, Attrs: d.Attrs, Links: d.Links,
@@ -1654,7 +1651,7 @@ func (s *Session) expireTTL() {
 	if ttl <= 0 {
 		return
 	}
-	// Stamp ids that arrived since the last pass with the current batch.
+	// Stamp ids that arrived since the last fold with the current batch.
 	for id := len(s.gens); id < s.col.Len(); id++ {
 		s.gens = append(s.gens, s.curGen)
 	}

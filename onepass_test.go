@@ -12,8 +12,7 @@ import (
 
 // passCounter counts the front-end passes a session makes: every pass
 // is one pipeline.Run — TokenBlocking → Purge → Filter → Build → Prune
-// — and calls TokenBlocking once. Which Timings counter grew tells what
-// a wave's pass was charged to.
+// — and calls TokenBlocking once.
 type passCounter struct {
 	pipeline.Engine
 	passes int
@@ -24,14 +23,14 @@ func (c *passCounter) TokenBlocking(src *kb.Collection, opts tokenize.Options) (
 	return c.Engine.TokenBlocking(src, opts)
 }
 
-// TestOnePassPerWave: every commit wave — arrivals only, departures
-// only, a TTL ingest whose batch pushes an older one out of the window,
-// or a batch that only merges into a description the session holds —
-// costs exactly one front-end pass, charged to Timings.Evict when
-// anything departed and to Timings.Ingest otherwise; a wave that
-// changes nothing costs none. A departure wave compacts before its
-// pass, so the pass runs over the compacted collection, nothing
-// rebuilds on top of it, and no tombstone is left.
+// TestOnePassPerWave: a mutation — arrivals, departures, a TTL ingest
+// whose batch pushes an older one out of the window, a batch that only
+// merges into a description the session holds, a post-Start Add —
+// makes no pass and leaves Timings.FrontEnd alone. The next read —
+// Pending, Gauges, Snapshot or Resume — makes exactly one pass, however
+// many mutations came before it, charged to Timings.FrontEnd; a read
+// with nothing folded since the last pass makes none. The pass compacts
+// first, so after the read no tombstone is left.
 func TestOnePassPerWave(t *testing.T) {
 	named := func(kb, uri, name string) minoaner.Description {
 		return minoaner.Description{KB: kb, URI: uri,
@@ -57,57 +56,85 @@ func TestOnePassPerWave(t *testing.T) {
 		return c
 	})
 
+	type mutation struct {
+		name string
+		run  func() error
+	}
+	reads := map[string]func() error{
+		"Pending":  func() error { s.Pending(); return nil },
+		"Gauges":   func() error { s.Gauges(); return nil },
+		"Snapshot": func() error { _, err := s.Snapshot(); return err },
+		"Resume":   func() error { _, err := s.Resume(0); return err },
+	}
 	waves := []struct {
-		name            string
-		run             func() error
-		ingests, evicts int
+		muts   []mutation
+		read   string
+		passes int
 	}{
-		{"ingest", func() error {
+		{[]mutation{{"ingest", func() error {
 			return s.Ingest([]minoaner.Description{named("a", "u3", "gamma three"), named("b", "v3", "gamma three")})
-		}, 1, 0},
-		{"evict", func() error { return s.Evict([]minoaner.Ref{{KB: "a", URI: "u3"}}) }, 0, 1},
-		{"empty ingest", func() error { return s.Ingest(nil) }, 0, 0},
-		// The second batch since Start: batch 0 — Start's corpus —
-		// slides out of the two-batch window in the same wave.
-		{"ingest with TTL expiry", func() error {
-			return s.Ingest([]minoaner.Description{named("a", "u4", "delta four"), named("b", "v4", "delta four")})
-		}, 0, 1},
-		{"evict two", func() error {
-			return s.Evict([]minoaner.Ref{{KB: "b", URI: "v3"}, {KB: "a", URI: "u4"}})
-		}, 0, 1},
-		// Every description merges into v4, the survivor: no id opens,
-		// yet the batch arrived — the fold judges that by its input.
-		{"merge-only ingest", func() error {
-			return s.Ingest([]minoaner.Description{named("b", "v4", "late note")})
-		}, 1, 0},
+		}}}, "Pending", 1},
+		{[]mutation{{"evict", func() error { return s.Evict([]minoaner.Ref{{KB: "a", URI: "u3"}}) }}}, "Gauges", 1},
+		{[]mutation{{"empty ingest", func() error { return s.Ingest(nil) }}}, "Snapshot", 0},
+		{nil, "Resume", 0},
+		{[]mutation{
+			// The second batch since Start: batch 0 — Start's corpus —
+			// slides out of the two-batch window in the same fold.
+			{"ingest with TTL expiry", func() error {
+				return s.Ingest([]minoaner.Description{named("a", "u4", "delta four"), named("b", "v4", "delta four")})
+			}},
+			{"evict two", func() error {
+				return s.Evict([]minoaner.Ref{{KB: "b", URI: "v3"}, {KB: "a", URI: "u4"}})
+			}},
+			// Every description merges into v4, the survivor: no id
+			// opens, yet the batch arrived — the fold judges that by its
+			// input.
+			{"merge-only ingest", func() error {
+				return s.Ingest([]minoaner.Description{named("b", "v4", "late note")})
+			}},
+		}, "Resume", 1},
+		// A fourth batch: v4, of batch 2, slides out of the window.
+		{[]mutation{{"post-Start Add", func() error {
+			return p.Add([]minoaner.Description{named("a", "u5", "epsilon five")})
+		}}}, "Pending", 1},
 	}
 	for _, wv := range waves {
-		c.passes = 0
-		before := s.Timings()
-		if err := wv.run(); err != nil {
-			t.Fatalf("%s: %v", wv.name, err)
+		for _, m := range wv.muts {
+			c.passes = 0
+			before := s.Timings().FrontEnd
+			if err := m.run(); err != nil {
+				t.Fatalf("%s: %v", m.name, err)
+			}
+			if c.passes != 0 || s.Timings().FrontEnd != before {
+				t.Fatalf("%s made %d passes and moved Timings.FrontEnd by %v, want none",
+					m.name, c.passes, s.Timings().FrontEnd-before)
+			}
 		}
-		if want := wv.ingests + wv.evicts; c.passes != want {
-			t.Fatalf("%s wave made %d passes, want %d", wv.name, c.passes, want)
+		c.passes = 0
+		before := s.Timings().FrontEnd
+		if err := reads[wv.read](); err != nil {
+			t.Fatalf("%s after %d mutations: %v", wv.read, len(wv.muts), err)
+		}
+		if c.passes != wv.passes {
+			t.Fatalf("%s after %d mutations made %d passes, want %d", wv.read, len(wv.muts), c.passes, wv.passes)
+		}
+		if grew := s.Timings().FrontEnd > before; grew != (wv.passes > 0) {
+			t.Fatalf("%s after %d mutations moved Timings.FrontEnd by %v", wv.read, len(wv.muts), s.Timings().FrontEnd-before)
 		}
 		if n := s.Tombstones(); n != 0 {
-			t.Fatalf("%s wave left %d tombstones", wv.name, n)
-		}
-		after := s.Timings()
-		if (after.Ingest > before.Ingest) != (wv.ingests > 0) || (after.Evict > before.Evict) != (wv.evicts > 0) {
-			t.Fatalf("%s wave moved Timings.Ingest by %v and Timings.Evict by %v",
-				wv.name, after.Ingest-before.Ingest, after.Evict-before.Evict)
+			t.Fatalf("%s after %d mutations left %d tombstones", wv.read, len(wv.muts), n)
 		}
 	}
-	if got := s.Snapshot().Stats().Descriptions; got != 1 {
-		t.Fatalf("session holds %d descriptions, want v4, the one survivor", got)
+	sn := snapshot(t, s)
+	if _, ok := sn.Cluster("a", "u5"); !ok || sn.Stats().Descriptions != 1 {
+		t.Fatalf("session holds %d descriptions, want u5, the one survivor", sn.Stats().Descriptions)
 	}
 }
 
 // TestOpenMakesOnePass: recovery folds the log into the collection and
 // builds the session once, so a log of many streaming records —
 // arrivals and evictions — costs one compaction and one front-end
-// pass, all of it Timings.FrontEnd.
+// pass, charged to Timings.FrontEnd.
 func TestOpenMakesOnePass(t *testing.T) {
 	cfg := minoaner.Defaults()
 	cfg.Workers = 1
@@ -148,7 +175,7 @@ func TestOpenMakesOnePass(t *testing.T) {
 	if n := s.Tombstones(); n != 0 {
 		t.Fatalf("the recovered session's collection holds %d tombstones", n)
 	}
-	if tim := s.Timings(); tim.FrontEnd <= 0 || tim.Ingest != 0 || tim.Evict != 0 {
-		t.Fatalf("recovered Timings %+v, want the one pass in FrontEnd and no wave time", tim)
+	if tim := s.Timings(); tim.FrontEnd <= 0 {
+		t.Fatalf("recovered Timings %+v, want the one pass in FrontEnd", tim)
 	}
 }

@@ -60,13 +60,13 @@ func (w *graphWatch) collected() bool {
 }
 
 // TestGraphReleasedAfterPass checks that the blocking graph does not
-// outlive its front-end pass: after Start and after every streaming
-// wave — ingest and evict alike, with no Resume in between as well as
-// after one — every graph any pass built is unreachable, so the
-// session keeps no front end between waves; the graph gauges equal the
-// latest pass's graph's edge count and footprint and stay put through
-// Resume; and under the inert Store "disk" nothing is written to
-// StoreDir.
+// outlive its front-end pass: after Start and after the read that
+// follows every streaming mutation — ingest and evict alike, with no
+// Resume in between as well as after one — every graph any pass built
+// is unreachable, so the session keeps no front end between passes; the
+// graph gauges equal the latest pass's graph's edge count and footprint
+// and stay put through Resume; and under the inert Store "disk" nothing
+// is written to StoreDir.
 func TestGraphReleasedAfterPass(t *testing.T) {
 	ops := recoveryOps(t, 12)
 	if !ops[1].start {
@@ -91,13 +91,13 @@ func TestGraphReleasedAfterPass(t *testing.T) {
 			s := p.Current()
 			check := func(label string, passes int) minoaner.Gauges {
 				t.Helper()
+				g := s.Gauges() // the read makes the pending pass
 				if w.built != passes {
 					t.Fatalf("%s: %d graphs built, want %d (one per pass)", label, w.built, passes)
 				}
 				if !w.collected() {
 					t.Fatalf("%s: %d of %d graphs still reachable", label, w.built-int(w.freed.Load()), w.built)
 				}
-				g := s.Gauges()
 				if g.GraphEdges == 0 || g.GraphEdges != w.edges || g.GraphBytes == 0 || g.GraphBytes != w.bytes {
 					t.Fatalf("%s: gauges %d edges %d B, the pass's graph %d/%d",
 						label, g.GraphEdges, g.GraphBytes, w.edges, w.bytes)
@@ -146,8 +146,8 @@ func TestGraphReleasedAfterPass(t *testing.T) {
 // TestPassStatsMatchFreshRun: the numbers a pass records — Stats'
 // Blocks, BlockCandidates and PrunedEdges, Gauges' GraphEdges and
 // GraphBytes — equal those of a fresh pipeline.Run over the session's
-// collection, after Start, after every op of the recovery workload, and
-// in the session Open recovers from its log.
+// collection, after Start, after the read that follows every op of the
+// recovery workload, and in the session Open recovers from its log.
 func TestPassStatsMatchFreshRun(t *testing.T) {
 	ops := recoveryOps(t, 12)
 	cfg := minoaner.Defaults()
@@ -155,11 +155,11 @@ func TestPassStatsMatchFreshRun(t *testing.T) {
 	check := func(label string, p *minoaner.Pipeline) {
 		t.Helper()
 		s := p.Current()
+		st, g := snapshot(t, s).Stats(), s.Gauges() // the read makes the pending pass
 		fe, err := pipeline.Run(pipeline.Select(1, false), s.Collection(), p.PipelineOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, g := s.Snapshot().Stats(), s.Gauges()
 		got := [5]int{st.Blocks, st.BlockCandidates, st.PrunedEdges, g.GraphEdges, g.GraphBytes}
 		want := [5]int{fe.Blocks.NumBlocks(), fe.Graph.NumEdges(), len(fe.Edges), fe.Graph.NumEdges(), fe.Graph.Footprint()}
 		if got != want {

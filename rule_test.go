@@ -149,8 +149,11 @@ func randomLife(rng *rand.Rand, waves int, evictions bool) []ruleOp {
 }
 
 // playLife runs ops on a fresh pipeline over a half-loaded stream
-// (Start, then one Resume(40) leg) and returns the session with the
-// test's record of every step it executed.
+// (Start, then one Resume(40) leg), ends the life with a read, and
+// returns the session with the test's record of every step it
+// executed. Mutations make no pass; after every read — each Resume op
+// and the closing Pending — the session's collection holds no
+// tombstone.
 func playLife(t *testing.T, cfg Config, stream []Description, ops []ruleOp, seed int64) (*Session, *history) {
 	t.Helper()
 	p := New(cfg)
@@ -158,16 +161,18 @@ func playLife(t *testing.T, cfg Config, stream []Description, ops []ruleOp, seed
 	if err := p.Add(stream[:next]); err != nil {
 		t.Fatal(err)
 	}
-	h := &history{}
-	p.testLeg = func(_ *Session, trace []core.Step) {
-		h.steps = append(h.steps, trace...)
-		h.executed += len(trace)
-	}
 	s, err := p.Start()
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.col = s.col
+	h := &history{col: s.col}
+	p.testLeg = func(s *Session, trace []core.Step) {
+		// The leg's read made the pass, so its steps are in the id space
+		// of the collection that pass compacted into.
+		h.remap(s.col)
+		h.steps = append(h.steps, trace...)
+		h.executed += len(trace)
+	}
 	if _, err := s.Resume(40); err != nil {
 		t.Fatal(err)
 	}
@@ -193,12 +198,23 @@ func playLife(t *testing.T, cfg Config, stream []Description, ops []ruleOp, seed
 		if err != nil {
 			t.Fatalf("op %c%d: %v", op.kind, op.n, err)
 		}
-		if n := s.col.Tombstones(); n != 0 {
-			t.Fatalf("op %c%d: the session's collection holds %d tombstones", op.kind, op.n, n)
+		if op.kind == 'r' {
+			compacted(t, s, h, fmt.Sprintf("op %c%d", op.kind, op.n))
 		}
-		h.remap(s.col)
 	}
+	s.Pending() // the read that makes the pass the last mutations left
+	compacted(t, s, h, "the closing read")
 	return s, h
+}
+
+// compacted checks, after a read, that the session's collection holds
+// no tombstone, and moves the record into its id space.
+func compacted(t *testing.T, s *Session, h *history, what string) {
+	t.Helper()
+	if n := s.col.Tombstones(); n != 0 {
+		t.Fatalf("%s: the session's collection holds %d tombstones", what, n)
+	}
+	h.remap(s.col)
 }
 
 // TestRebuildRuleEquation states the session's one rebuild rule as an
@@ -209,11 +225,11 @@ func playLife(t *testing.T, cfg Config, stream []Description, ops []ruleOp, seed
 // every executed step (failed ones included, filtered to live ids);
 // and the session's clusters equal that resolver's. The session keeps
 // only its merges and never sees that record, so the equation also
-// checks that the merges are all the history a wave needs. After every
-// op the session's collection holds no tombstone. The equation holds
+// checks that the merges are all the history a pass needs. After every
+// read the session's collection holds no tombstone. The equation holds
 // for lives that only ingest, where the session never compacts, and
-// for lives that also evict, where every eviction wave compacts, under
-// budgeted legs between the waves.
+// for lives that also evict, where the read after an eviction compacts,
+// under budgeted legs between the waves.
 func TestRebuildRuleEquation(t *testing.T) {
 	stream := lodStream(t, 11, 100)
 	compacted := 0

@@ -48,7 +48,7 @@ func TestSameAsRoundTrip(t *testing.T) {
 	}
 
 	// The session snapshot serves the same bytes.
-	if sn := s.Snapshot(); sn.SameAs() != doc {
+	if sn := snapshot(t, s); sn.SameAs() != doc {
 		t.Fatal("Snapshot.SameAs differs from Result.SameAs")
 	}
 }

@@ -49,6 +49,16 @@ func loadSession(t *testing.T, w *datagen.World, cfg minoaner.Config) *minoaner.
 	return s
 }
 
+// snapshot is Session.Snapshot for a session the test expects to read.
+func snapshot(t *testing.T, s *minoaner.Session) *minoaner.Snapshot {
+	t.Helper()
+	sn, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sn
+}
+
 func sameResult(t *testing.T, label string, want, got *minoaner.Result) {
 	t.Helper()
 	if want.Stats != got.Stats {

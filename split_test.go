@@ -241,11 +241,14 @@ func TestNoLogAcceptsOverCapDescription(t *testing.T) {
 
 // TestCheckpointOverCapTyped shrinks the frame cap so that every
 // description and batch still fits but a checkpoint of the live corpus
-// does not: the wave that reaches the rotation rule must fail with
+// does not: the mutation that reaches the rotation rule must fail with
 // ErrCheckpoint and not with wal.ErrFrameTooLarge (the client sent
-// nothing too large), and the session must stay live — the wave was
-// applied, only the log rotation was refused. The next wave tries the
-// rotation again, and once the cap allows it, the log rotates.
+// nothing too large), and the session must stay live — the mutation
+// was folded, only the log rotation was refused. A refused rotation
+// restarts the departure count, so the next mutations do not marshal
+// the corpus again: the rotation is retried only once another live
+// count of ids has departed, and once the cap allows it, the log
+// rotates.
 func TestCheckpointOverCapTyped(t *testing.T) {
 	cfg := Defaults()
 	cfg.Workers = 1
@@ -263,53 +266,76 @@ func TestCheckpointOverCapTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var waveErr error
-	for _, d := range all {
-		if waveErr = s.Evict([]Ref{{KB: d.KB, URI: d.URI}}); waveErr != nil {
-			break
+	evictFirst := func() error {
+		s.Pending() // a read: the collection is compacted, id 0 is live
+		d := s.col.Desc(0)
+		return s.Evict([]Ref{{KB: d.KB, URI: d.URI}})
+	}
+	// evictUntilRetry evicts one description at a time; every eviction
+	// before the one where the departures since the last attempt reach
+	// the live count must not try the rotation, and that one must be
+	// refused again.
+	evictUntilRetry := func(what string) {
+		t.Helper()
+		for departed := 1; ; departed++ {
+			err := evictFirst()
+			if departed < p.NumDescriptions() {
+				if err != nil {
+					t.Fatalf("%s: eviction %d of a live count returned %v, want no rotation attempt", what, departed, err)
+				}
+				continue
+			}
+			if !errors.Is(err, ErrCheckpoint) || errors.Is(err, wal.ErrFrameTooLarge) {
+				t.Fatalf("%s: rotating mutation returned %v, want ErrCheckpoint without wal.ErrFrameTooLarge", what, err)
+			}
+			if errors.Is(err, ErrDesynced) {
+				t.Fatalf("%s: a refused checkpoint poisoned the session: %v", what, err)
+			}
+			return
 		}
 	}
-	if !errors.Is(waveErr, ErrCheckpoint) || errors.Is(waveErr, wal.ErrFrameTooLarge) {
-		t.Fatalf("rotating wave returned %v, want ErrCheckpoint without wal.ErrFrameTooLarge", waveErr)
-	}
-	if errors.Is(waveErr, ErrDesynced) {
-		t.Fatalf("a refused checkpoint poisoned the session: %v", waveErr)
-	}
+	evictUntilRetry("first rotation")
 	if g := s.Gauges(); g.WALCheckpoints != 0 {
 		t.Fatalf("%d checkpoints written past the cap", g.WALCheckpoints)
 	}
 	if _, err := s.Resume(0); err != nil {
 		t.Fatalf("session unusable after a refused checkpoint: %v", err)
 	}
-	last := all[len(all)-1]
-	if err := s.Evict([]Ref{{KB: last.KB, URI: last.URI}}); !errors.Is(err, ErrCheckpoint) {
-		t.Fatalf("the wave after a refused checkpoint returned %v, want the retry's ErrCheckpoint", err)
+	evictUntilRetry("the retry")
+
+	// A batch over the frame cap folds as one ingest per chunk; the
+	// first chunk's rotation is refused, and the rest of the batch must
+	// still be folded. Departures are run up without rotation, then the
+	// cap is cut so that each late description is a chunk of its own.
+	p.testNoRotate = true
+	for p.NumDescriptions() > 2 {
+		if err := evictFirst(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// A batch over the frame cap runs as one wave per chunk; the first
-	// chunk's wave retries the rotation and is refused, and the rest of
-	// the batch must still be applied.
+	p.testNoRotate = false
+	p.testPayloadCap = 300
 	var late []Description
 	for i := range 4 {
 		late = append(late, dsc("a", fmt.Sprintf("http://x/late%d", i), strings.Repeat("late arrival ", 12)))
 	}
-	if chunks, err := splitBatch(late, p.testPayloadCap); err != nil || len(chunks) < 2 {
-		t.Fatalf("late batch splits into %d chunks (%v), want several", len(chunks), err)
+	if chunks, err := splitBatch(late, p.testPayloadCap); err != nil || len(chunks) != len(late) {
+		t.Fatalf("late batch splits into %d chunks (%v), want one per description", len(chunks), err)
 	}
 	before := p.NumDescriptions()
 	if err := s.Ingest(late); !errors.Is(err, ErrCheckpoint) {
 		t.Fatalf("chunked ingest under a refused rotation returned %v, want ErrCheckpoint", err)
 	}
 	if got := p.NumDescriptions(); got != before+len(late) {
-		t.Fatalf("chunked ingest applied %d of %d descriptions", got-before, len(late))
+		t.Fatalf("chunked ingest folded %d of %d descriptions", got-before, len(late))
 	}
 	p.testPayloadCap = 0
 	for g := s.Gauges(); g.WALCheckpoints == 0; g = s.Gauges() {
 		if p.NumDescriptions() == 0 {
 			t.Fatal("evicted everything without a rotation under the real cap")
 		}
-		d := s.col.Desc(0)
-		if err := s.Evict([]Ref{{KB: d.KB, URI: d.URI}}); err != nil {
-			t.Fatalf("a wave under the real cap: %v", err)
+		if err := evictFirst(); err != nil {
+			t.Fatalf("an eviction under the real cap: %v", err)
 		}
 	}
 	if g := s.Gauges(); g.WALCheckpoints != 1 || g.WALRecords != 1 {
