@@ -11,8 +11,11 @@ package minoaner_test
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	minoaner "repro"
@@ -24,6 +27,7 @@ import (
 	"repro/internal/metablocking"
 	"repro/internal/pipeline"
 	"repro/internal/rdf"
+	"repro/internal/server"
 	"repro/internal/tokenize"
 	"repro/internal/wal"
 )
@@ -457,6 +461,67 @@ func BenchmarkWALReplay(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(n), "descs")
+}
+
+// BenchmarkServerConcurrentIngest measures write throughput through the
+// server's handler: the second half of a corpus arrives as
+// 4-description /ingest posts from several concurrent writers. A
+// mutation only folds and each commit wave's snapshot makes the one
+// pass, so with more writers than one a wave commits several ingests
+// for one pass; ops/wave reports how many.
+func BenchmarkServerConcurrentIngest(b *testing.B) {
+	all := streamDescriptions(benchWorld(b, 200))
+	seed := len(all) / 2
+	var bodies []string
+	for lo := seed; lo < len(all); lo += 4 {
+		data, err := json.Marshal(all[lo:min(lo+4, len(all))])
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, string(data))
+	}
+	for _, writers := range []int{1, 8} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			waves := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cfg := minoaner.Defaults()
+				cfg.Workers = 1
+				p := minoaner.New(cfg)
+				if err := p.Add(all[:seed]); err != nil {
+					b.Fatal(err)
+				}
+				sess, err := p.Start()
+				if err != nil {
+					b.Fatal(err)
+				}
+				srv := server.New(sess)
+				h := srv.Handler()
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				b.StartTimer()
+				for range writers {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for j := next.Add(1) - 1; j < int64(len(bodies)); j = next.Add(1) - 1 {
+							if rec := serve(h, http.MethodPost, "/ingest", bodies[j]); rec.Code != http.StatusOK {
+								b.Errorf("ingest answered %d %s", rec.Code, rec.Body)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				b.StopTimer()
+				waves += int(srv.Epoch()) - 1 // epoch 1 is the initial snapshot
+				srv.Close()
+			}
+			ops := float64(len(bodies) * b.N)
+			b.ReportMetric(ops/float64(waves), "ops/wave")
+			b.ReportMetric(ops/b.Elapsed().Seconds(), "ingests/s")
+		})
+	}
 }
 
 // BenchmarkSessionIngest measures whole streaming waves at the public

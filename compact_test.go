@@ -240,3 +240,49 @@ func TestSupersededSessionSurvivesCompaction(t *testing.T) {
 		}
 	}
 }
+
+// TestSupersededSessionIsFrozen: Start hands the session it supersedes
+// a copy of the collection, so nothing its successor folds — arrivals,
+// an extension of a description both hold, a departure — shows in the
+// superseded session's reads, even before the successor's first read
+// makes a pass.
+func TestSupersededSessionIsFrozen(t *testing.T) {
+	all := streamDescriptions(hardSessionWorld(t, 681, 120))
+	half := len(all) / 2
+	p := minoaner.New(minoaner.Defaults())
+	if err := p.Add(all[:half]); err != nil {
+		t.Fatal(err)
+	}
+	a, err := p.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Resume(50); err != nil {
+		t.Fatal(err)
+	}
+	want := snapshot(t, a)
+	b, err := p.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext := minoaner.Description{KB: all[0].KB, URI: all[0].URI,
+		Attrs: []minoaner.Attribute{{Predicate: "note", Value: "late merge"}}}
+	if err := b.Ingest(append([]minoaner.Description{ext}, all[half:]...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Evict([]minoaner.Ref{{KB: all[1].KB, URI: all[1].URI}}); err != nil {
+		t.Fatal(err)
+	}
+	got := snapshot(t, a)
+	sameResult(t, "superseded Snapshot", want.Result(), got.Result())
+	for _, d := range all {
+		wc, wok := want.Cluster(d.KB, d.URI)
+		gc, gok := got.Cluster(d.KB, d.URI)
+		if wok != gok || fmt.Sprint(wc) != fmt.Sprint(gc) {
+			t.Fatalf("Cluster(%s, %s) = %v, %v; want %v, %v", d.KB, d.URI, gc, gok, wc, wok)
+		}
+		if wr, gr := want.Refs(d.URI), got.Refs(d.URI); fmt.Sprint(wr) != fmt.Sprint(gr) {
+			t.Fatalf("Refs(%s) = %v, want %v", d.URI, gr, wr)
+		}
+	}
+}

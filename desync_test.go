@@ -125,8 +125,8 @@ func TestDesyncIngestFault(t *testing.T) {
 	}
 	_, err := s.Snapshot()
 	wantDesynced(t, "Snapshot after the ingest", err)
-	if !errors.Is(err, errInjected) {
-		t.Fatalf("poison lost its cause: %v", err)
+	if !errors.Is(err, errInjected) || !strings.Contains(err.Error(), "Snapshot: pass") {
+		t.Fatalf("poison lost its cause or the read that failed: %v", err)
 	}
 	_, err = s.Resume(0)
 	wantDesynced(t, "Resume after poison", err)
@@ -136,7 +136,8 @@ func TestDesyncIngestFault(t *testing.T) {
 // makes: the new batch is already in the collection and the batch it
 // pushed out of the window already tombstoned when the pass — made by
 // Pending, which reports no error of its own — dies. The next mutation
-// reports the poison, and so does every one after it.
+// reports the poison, naming Pending as the read whose pass failed, and
+// so does every one after it.
 func TestDesyncMidPass(t *testing.T) {
 	cfg := Defaults()
 	cfg.Workers = 1
@@ -150,8 +151,8 @@ func TestDesyncMidPass(t *testing.T) {
 	s.Pending()
 	err := s.Ingest([]Description{dsc("a", "u4", "delta four")})
 	wantDesynced(t, "Ingest after the failed pass", err)
-	if !strings.Contains(err.Error(), errInjected.Error()) {
-		t.Fatalf("poison does not name the cause: %v", err)
+	if !strings.Contains(err.Error(), errInjected.Error()) || !strings.Contains(err.Error(), "Pending: pass") {
+		t.Fatalf("poison does not name the cause and the read that failed: %v", err)
 	}
 	// Sticky: the same error again, not a new pass.
 	if again := s.Ingest([]Description{dsc("a", "u5", "epsilon five")}); again != err {

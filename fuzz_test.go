@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -82,7 +83,7 @@ func FuzzSessionLifecycle(f *testing.F) {
 		var snaps []held
 		checkAll := func(what string) {
 			for i, s := range sessions {
-				checkSession(t, what, s, twins[i], s == sessions[len(sessions)-1], spent)
+				checkSession(t, what, s, twins[i], s == sessions[len(sessions)-1], spent, stream)
 			}
 		}
 
@@ -168,7 +169,7 @@ func FuzzSessionLifecycle(f *testing.F) {
 				if serr != nil {
 					t.Fatalf("%s: Snapshot: %v", what, serr)
 				}
-				snaps = append(snaps, held{sn, snapshotDigest(sn)})
+				snaps = append(snaps, held{sn, snapshotDigest(sn, stream)})
 			case 7:
 				var ns, nt *Session
 				ns, err = p.Start()
@@ -199,7 +200,7 @@ func FuzzSessionLifecycle(f *testing.F) {
 		}
 		checkAll("at the end")
 		for _, h := range snaps {
-			if got := snapshotDigest(h.sn); got != h.digest {
+			if got := snapshotDigest(h.sn, stream); got != h.digest {
 				t.Fatalf("a held snapshot changed:\n%s\nwas\n%s", got, h.digest)
 			}
 		}
@@ -209,7 +210,7 @@ func FuzzSessionLifecycle(f *testing.F) {
 // checkSession snapshots s and its eager twin and checks the per-read
 // oracles of FuzzSessionLifecycle; live marks the pipeline's current
 // session, whose collection is the live set.
-func checkSession(t *testing.T, what string, s, twin *Session, live bool, spent map[*Session]int) {
+func checkSession(t *testing.T, what string, s, twin *Session, live bool, spent map[*Session]int, stream []Description) {
 	t.Helper()
 	sn, err := s.Snapshot()
 	if err != nil {
@@ -219,7 +220,7 @@ func checkSession(t *testing.T, what string, s, twin *Session, live bool, spent 
 	if err != nil {
 		t.Fatalf("%s: the eager twin's Snapshot: %v", what, err)
 	}
-	if got, want := snapshotDigest(sn), snapshotDigest(want); got != want {
+	if got, want := snapshotDigest(sn, stream), snapshotDigest(want, stream); got != want {
 		t.Fatalf("%s: the session reads\n%s\nthe eager twin\n%s", what, got, want)
 	}
 	st := sn.Stats()
@@ -266,7 +267,15 @@ func checkSession(t *testing.T, what string, s, twin *Session, live bool, spent 
 	}
 }
 
-// snapshotDigest renders everything a snapshot serves.
-func snapshotDigest(sn *Snapshot) string {
-	return fmt.Sprintf("%+v|%d|%+v", *sn.Result(), sn.Pending(), sn.Stats())
+// snapshotDigest renders everything a snapshot serves: the result,
+// the pending count, the stats, and the lookups of every stream
+// description — its Refs and its Cluster.
+func snapshotDigest(sn *Snapshot, stream []Description) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%+v|%d|%+v", *sn.Result(), sn.Pending(), sn.Stats())
+	for _, d := range stream {
+		c, ok := sn.Cluster(d.KB, d.URI)
+		fmt.Fprintf(&b, "|%v %v %v", sn.Refs(d.URI), c, ok)
+	}
+	return b.String()
 }

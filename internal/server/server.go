@@ -11,25 +11,24 @@
 // validated in the handler, then enqueued to a single writer goroutine
 // that owns the Session outright; it applies queued mutations in commit
 // waves, captures a fresh Snapshot, and swaps the pointer, bumping the
-// epoch. A mutation only logs and folds, and the Snapshot is the read
-// that makes the front-end pass, so a wave amortizes the pass as well
-// as the snapshot: k folds, one log sync, one pass. A response's
-// epoch therefore names exactly one committed state: two reads
-// reporting the same epoch saw byte-identical data, and no read ever
-// observes a half-applied wave.
+// epoch. A mutation only folds and the Snapshot makes the front-end
+// pass, so a wave amortizes the pass as well as the snapshot. A
+// response's epoch therefore names exactly one committed state: two
+// reads reporting the same epoch saw byte-identical data, and no read
+// ever observes a half-applied wave.
 //
 // Errors cross the wire by type, not by string: the sentinel errors of
 // the public minoaner API map onto status codes (ErrBadBatch and RDF
 // parse errors → 400, an oversized body or a description too large for
 // one log frame → 413, ErrUnknownDescription/
 // ErrUnknownKB → 404, ErrSessionClosed → 409, a closed server or
-// cancelled request → 503, a desynced session → 500). A pass that
-// fails poisons the session at the wave's snapshot, so every op of that
-// wave without an error of its own answers 500 with ErrDesynced, and
-// readers keep the last snapshot published.
+// cancelled request → 503, a desynced session → 500; a wave whose pass
+// fails publishes nothing and answers 500 to each op that has no error
+// of its own).
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -107,10 +106,8 @@ type opResult struct {
 // New wraps a started Session in a Server and launches the writer
 // goroutine. The caller must not touch the Session (or its Pipeline)
 // afterwards: the writer goroutine is its single owner — that
-// exclusivity is what lets readers go lock-free. New publishes the
-// session's Snapshot as epoch 1 and panics if it cannot be taken: a
-// session fresh from Start or Open always can, a poisoned one (see
-// minoaner.ErrDesynced) has no state to serve.
+// exclusivity is what lets readers go lock-free. New panics if the
+// session's Snapshot fails: a poisoned session has none to serve.
 func New(sess *minoaner.Session) *Server { return NewWith(sess, Config{}) }
 
 // NewWith is New with explicit server configuration.
@@ -166,29 +163,19 @@ func (s *Server) writer() {
 			}
 			// One commit wave = one durable unit: under fsync=wave the
 			// whole burst reaches stable storage in a single sync before
-			// anyone is acknowledged. The snapshot makes the wave's one
-			// pass; if that fails the session is poisoned and nothing is
-			// published. On either failure no op in the wave may claim
-			// success.
+			// anyone is acknowledged, and the snapshot makes the wave's
+			// one pass. If either fails, no op in the wave may claim
+			// success; a failed pass publishes nothing.
 			failed := s.sess.SyncWAL()
 			ev := s.snap.Load()
 			if view, err := s.sess.Snapshot(); err != nil {
-				if failed == nil {
-					failed = err
-				}
+				failed = cmp.Or(failed, err)
 			} else {
 				ev = &epochView{epoch: ev.epoch + 1, view: view}
 				s.snap.Store(ev)
 			}
-			if failed != nil {
-				for i := range errs {
-					if errs[i] == nil {
-						errs[i] = failed
-					}
-				}
-			}
 			for i, o := range wave {
-				o.reply <- opResult{epoch: ev.epoch, err: errs[i]}
+				o.reply <- opResult{epoch: ev.epoch, err: cmp.Or(errs[i], failed)}
 			}
 		}
 	}

@@ -68,11 +68,12 @@ var ErrBadBatch = errors.New("bad batch")
 // the pass, and when it fails the collection is ahead of what the
 // matcher and resolver were built over. The session is poisoned: every
 // later mutation, Resume and Snapshot refuses with this error rather
-// than serve the desynchronized state, and Pending and Gauges keep the
-// last good pass's numbers. Recovery is a restart: a write-ahead-logged
-// session (see Open) replays every acknowledged mutation into a fresh,
-// consistent session. Test with errors.Is; the first failure's error
-// joins ErrDesynced with the underlying cause.
+// than serve the desynchronized state, and Pending and Gauges, which
+// return no error, keep the last good pass's numbers. Recovery is a
+// restart: a write-ahead-logged session (see Open) replays every
+// acknowledged mutation into a fresh, consistent session. Test with
+// errors.Is; the error joins ErrDesynced with the first failure, which
+// names the read whose pass failed.
 var ErrDesynced = errors.New("session desynced")
 
 // ErrCheckpoint reports a mutation whose write-ahead-log rotation to a
@@ -484,9 +485,7 @@ func (p *Pipeline) walAppend(typ byte, payload any) error {
 // in the original timeline — all of them deterministic in the mutation
 // sequence. No record runs a pass or a compaction, just as no live
 // mutation does. Once the log is consumed the recovered session makes
-// its one Session.pass: one compaction of every tombstone the fold
-// left, one front-end pass over the compacted collection, one matcher,
-// one fresh resolver.
+// its one Session.pass, as a read after live mutations does.
 //
 // That one pass is the whole session, not an approximation of it: the
 // front end is a pure function of the live collection, and the log
@@ -914,10 +913,9 @@ func (p *Pipeline) ResolveContext(ctx context.Context, budget int) (*Result, err
 // only internal ids move.
 type Session struct {
 	p *Pipeline
-	// col is the collection the session's ids index: the pipeline's at
-	// Start, replaced by each compaction (see compact). A superseded
-	// session keeps reading the one it last held, so it stops seeing its
-	// successor from the successor's first compacting pass on.
+	// col is the collection the session's ids index: the pipeline's
+	// while the session is current, replaced by each compaction (see
+	// compact); Start hands the session it supersedes a copy.
 	col      *kb.Collection
 	eng      pipeline.Engine
 	resolver *core.Resolver
@@ -998,13 +996,14 @@ func (s *Session) Timings() Timings {
 // the exact sequential schedule over them. The results are
 // bit-identical whatever the worker count.
 //
-// A session this Start supersedes first makes its pending pass, while
-// the collection is still its own, so it goes on serving the view of
-// its last mutation and is never stale; a failure there poisons it, not
-// this Start.
+// A session this Start supersedes first makes its pending pass, so it
+// is never stale, and then keeps a copy of the collection that nothing
+// mutates: it goes on serving the view of its last mutation. A failure
+// of its pass poisons it, not this Start.
 func (p *Pipeline) Start() (*Session, error) {
-	if old := p.current; old != nil {
-		_ = old.settle() // a failure poisons old, which this Start replaces
+	old := p.current
+	if old != nil {
+		_ = old.settle("Start") // a failure poisons old, which this Start replaces
 	}
 	if p.col.NumAlive() == 0 {
 		return nil, fmt.Errorf("minoaner: no descriptions loaded")
@@ -1017,6 +1016,9 @@ func (p *Pipeline) Start() (*Session, error) {
 		return nil, fmt.Errorf("minoaner: %w", err)
 	}
 	p.current = s
+	if old != nil {
+		old.col, _ = old.col.Compact() // the same ids; only the new session mutates p.col
+	}
 	// The log's Start marker: records before it replay as pre-Start
 	// loads, records after it as streaming mutations of the session it
 	// (re)creates. Appended only once Start has fully succeeded, so a
@@ -1050,15 +1052,14 @@ func (p *Pipeline) newSession() (*Session, error) {
 }
 
 // pass is the one front-end pass of Start, recovery and every read
-// after a mutation: it
-// compacts the session's collection, runs the front end over it, and
-// records what Stats and Gauges report of it — BlockCandidates is the
-// graph's edge count, since its edges are exactly the distinct
-// comparable pairs of the cleaned blocks. The cleaned blocks and the
-// graph are dropped there, before the matcher is rebuilt (IDF weights
-// are global — linear work) and the resolver with it, by one rule:
-// NewResolver on the session's first pass, Retract over the live merges
-// after that. On success the session is no longer stale and the pass's
+// after a mutation: it compacts the session's collection, runs the
+// front end over it, and records what Stats and Gauges report of it —
+// BlockCandidates is the graph's edge count, since its edges are
+// exactly the distinct comparable pairs of the cleaned blocks. The
+// cleaned blocks and the graph are dropped there, before the matcher is
+// rebuilt (IDF weights are global — linear work) and the resolver with
+// it, by one rule: NewResolver on the session's first pass, Retract
+// over the live merges after that. On success the session is no longer stale and the pass's
 // time is charged to Timings.FrontEnd. A failure leaves the collection
 // compacted and nothing else changed; callers decide whether that
 // poisons the session.
@@ -1099,7 +1100,7 @@ func (s *Session) pass() error {
 // any; every read calls it first. A failed pass poisons the session
 // (see ErrDesynced and poison): the mutations it was to serve were
 // already logged and folded.
-func (s *Session) settle() error {
+func (s *Session) settle(read string) error {
 	if s.desynced != nil {
 		return s.desynced
 	}
@@ -1107,7 +1108,7 @@ func (s *Session) settle() error {
 		return nil
 	}
 	if err := s.pass(); err != nil {
-		return s.poison(fmt.Errorf("minoaner: pass: %w", err))
+		return s.poison(fmt.Errorf("minoaner: %s: pass: %w", read, err))
 	}
 	return nil
 }
@@ -1127,7 +1128,7 @@ func (s *Session) Resume(budget int) (*Result, error) {
 // together with ctx.Err(), so a caller (the server's writer goroutine)
 // can give up on a wedged request without losing or corrupting work.
 func (s *Session) ResumeContext(ctx context.Context, budget int) (*Result, error) {
-	if err := s.settle(); err != nil {
+	if err := s.settle("Resume"); err != nil {
 		return nil, err // a poisoned session serves no reads
 	}
 	t0 := time.Now()
@@ -1182,10 +1183,12 @@ func (s *Session) buildResult() (*Result, [][]int) {
 }
 
 // Pending returns an upper bound on the comparisons still queued,
-// making the pass pending mutations left first. A poisoned session
-// reports its last good pass's count.
+// making the pass pending mutations left first. It returns no error: a
+// pass that fails here poisons the session, the next call that returns
+// one reports it under Pending's name, and the count is the last good
+// pass's.
 func (s *Session) Pending() int {
-	_ = s.settle() // a failure poisons the session; the resolver is the last good one
+	_ = s.settle("Pending") // a failure poisons the session; the resolver is the last good one
 	return s.resolver.Pending()
 }
 
@@ -1219,7 +1222,7 @@ type Snapshot struct {
 // not race with a concurrent mutation; the returned value, once built,
 // is safe to share among any number of goroutines.
 func (s *Session) Snapshot() (*Snapshot, error) {
-	if err := s.settle(); err != nil {
+	if err := s.settle("Snapshot"); err != nil {
 		return nil, err
 	}
 	res, members := s.buildResult()
@@ -1334,10 +1337,8 @@ type Description struct {
 // pair, and new evidence interleaves by benefit from then on.
 //
 // Ingestion requires the Session to be its Pipeline's current (most
-// recent) one: sessions share the pipeline's collection, so mutating
-// it under a newer session would silently desynchronize that
-// session's state. A superseded session keeps resolving its frozen
-// view; only Ingest/IngestKB refuse.
+// recent) one; a superseded session keeps resolving its frozen view,
+// and only its mutations refuse.
 func (s *Session) Ingest(batch []Description) error {
 	if err := validateBatch(batch); err != nil {
 		return err
@@ -1346,17 +1347,14 @@ func (s *Session) Ingest(batch []Description) error {
 }
 
 // ingestable refuses streaming — ingestion and eviction alike — for
-// any session but the pipeline's current (most recent) one, before
-// anything mutates the shared collection. Sessions share that
-// collection, and its merge and tombstone tracking is single-consumer:
-// an older session mutating would silently desynchronize the newer
-// ones. The current session always may; superseded sessions keep
-// resolving their frozen view.
+// any session but the pipeline's current one, whose collection and log
+// are the pipeline's (a superseded session keeps a copy of its own; see
+// Start), and for a poisoned one.
 func (s *Session) ingestable() error {
 	if s.p.current != s {
 		return fmt.Errorf("minoaner: streaming requires the pipeline's current session (a newer Start superseded this one): %w", ErrSessionClosed)
 	}
-	return nil
+	return s.desynced
 }
 
 // IngestKB streams an N-Triples document into the live session as
@@ -1403,9 +1401,6 @@ func (s *Session) Evict(refs []Ref) error {
 	if err := s.ingestable(); err != nil {
 		return err
 	}
-	if s.desynced != nil {
-		return s.desynced
-	}
 	if len(refs) == 0 {
 		return nil
 	}
@@ -1423,9 +1418,6 @@ func (s *Session) EvictKB(name string) error {
 	}
 	if name == "" {
 		return fmt.Errorf("minoaner: KB name must not be empty: %w", ErrBadBatch)
-	}
-	if s.desynced != nil {
-		return s.desynced
 	}
 	return s.evict(walEvict{KB: name})
 }
@@ -1520,12 +1512,12 @@ type Gauges struct {
 }
 
 // Gauges returns the session's current memory gauges, making the pass
-// pending mutations left first; a poisoned session reports its last
-// good pass's graph. Like every Session method it must not race with a
-// concurrent mutation — the server captures it into each Snapshot from
-// its writer goroutine.
+// pending mutations left first; a pass that fails here is reported as
+// Pending's is, and the graph is the last good pass's. Like every
+// Session method it must not race with a concurrent mutation — the
+// server captures it into each Snapshot from its writer goroutine.
 func (s *Session) Gauges() Gauges {
-	_ = s.settle() // a failure poisons the session; the numbers are the last good pass's
+	_ = s.settle("Gauges") // a failure poisons the session; the numbers are the last good pass's
 	g := Gauges{GraphEdges: s.base.BlockCandidates, GraphBytes: s.graphBytes}
 	if w := s.p.wal; w != nil {
 		st := w.Stats()
@@ -1549,10 +1541,8 @@ func (s *Session) Gauges() Gauges {
 // generation is at or past the cutoff, and the TTL cursor rewinds to 0
 // over the tombstone-free generation array.
 //
-// Superseded sessions hold merge ids of the old id space, so they keep
-// reading the collection they were built over (Session.col) and go on
-// resolving their frozen view; only this session and the pipeline move
-// to the compacted one.
+// Only the current session compacts — Start leaves the one it
+// supersedes settled — so the pipeline's collection moves with it.
 func (s *Session) compact() {
 	if s.col.Tombstones() == 0 {
 		return
