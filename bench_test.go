@@ -1,11 +1,14 @@
-// Benchmarks regenerating every table and figure of the reconstructed
-// evaluation (DESIGN.md §3). Each BenchmarkXx runs the corresponding
-// experiment at laptop scale; run
+// Component benchmarks: the worker sweeps of the two parallel
+// front-end kernels and of the matching pre-pass, the scheduler's index
+// build at batch_lod size, and the streaming write path (whole waves,
+// and the server's group commit). Run
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
-// and compare the reported rows with EXPERIMENTS.md. Component
-// micro-benchmarks for the hot paths follow the experiment benches.
+// The paper's tables and figures are `go run ./cmd/bench` (README
+// "## Benchmarks"); internal/experiments' Shape tests pin what each
+// must show. Stage timings, WAL append/replay and end-to-end runs are
+// rows of the benchmark of record (benchmark/).
 package minoaner_test
 
 import (
@@ -13,7 +16,6 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,104 +24,14 @@ import (
 	"repro/internal/blocking"
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/experiments"
 	"repro/internal/match"
 	"repro/internal/metablocking"
 	"repro/internal/pipeline"
-	"repro/internal/rdf"
 	"repro/internal/server"
 	"repro/internal/tokenize"
-	"repro/internal/wal"
 )
 
-const benchSeed = 2016 // EDBT year; fixed so every run regenerates identical tables
-
-// report runs an experiment once, prints its table under -v, and
-// exposes rows/op-style metrics for regressions.
-func report(b *testing.B, run func() *experiments.Table) {
-	b.Helper()
-	var tab *experiments.Table
-	for i := 0; i < b.N; i++ {
-		tab = run()
-	}
-	b.StopTimer()
-	var sb strings.Builder
-	tab.Fprint(&sb)
-	b.Log("\n" + sb.String())
-	b.ReportMetric(float64(len(tab.Rows)), "rows")
-}
-
-func BenchmarkF1Pipeline(b *testing.B) {
-	report(b, func() *experiments.Table { return experiments.F1Pipeline(benchSeed, 300) })
-}
-
-func BenchmarkT1Blocking(b *testing.B) {
-	report(b, func() *experiments.Table { return experiments.T1Blocking(benchSeed, []int{200, 400}) })
-}
-
-func BenchmarkT2BlockCleaning(b *testing.B) {
-	report(b, func() *experiments.Table { return experiments.T2BlockCleaning(benchSeed, 400) })
-}
-
-func BenchmarkT3MetaBlocking(b *testing.B) {
-	report(b, func() *experiments.Table { return experiments.T3MetaBlocking(benchSeed, 300) })
-}
-
-func BenchmarkF2Progressive(b *testing.B) {
-	report(b, func() *experiments.Table { return experiments.F2Progressive(benchSeed, 300) })
-}
-
-func BenchmarkF3Benefits(b *testing.B) {
-	report(b, func() *experiments.Table { return experiments.F3Benefits(benchSeed, 300) })
-}
-
-func BenchmarkT4NeighborEvidence(b *testing.B) {
-	report(b, func() *experiments.Table { return experiments.T4NeighborEvidence(benchSeed, 300) })
-}
-
-func BenchmarkT5Parallel(b *testing.B) {
-	report(b, func() *experiments.Table {
-		return experiments.T5Parallel(benchSeed, 400, []int{1, 2, 4, 8})
-	})
-}
-
-func BenchmarkF4Scalability(b *testing.B) {
-	report(b, func() *experiments.Table {
-		return experiments.F4Scalability(benchSeed, []int{100, 200, 400, 800})
-	})
-}
-
-func BenchmarkT6DirtyER(b *testing.B) {
-	report(b, func() *experiments.Table { return experiments.T6DirtyER(benchSeed, 300) })
-}
-
-// --- ablation benches (design choices called out in DESIGN.md) -----
-
-func BenchmarkA1BlockingMethods(b *testing.B) {
-	report(b, func() *experiments.Table { return experiments.A1BlockingMethods(benchSeed, 300) })
-}
-
-func BenchmarkA2NeighborWeight(b *testing.B) {
-	report(b, func() *experiments.Table { return experiments.A2NeighborWeight(benchSeed, 300) })
-}
-
-func BenchmarkA3SchedulerComponents(b *testing.B) {
-	report(b, func() *experiments.Table { return experiments.A3SchedulerComponents(benchSeed, 300) })
-}
-
-func BenchmarkA4SchemeProgressive(b *testing.B) {
-	report(b, func() *experiments.Table { return experiments.A4SchemeProgressive(benchSeed, 300) })
-}
-
-func BenchmarkA5PruningReciprocal(b *testing.B) {
-	report(b, func() *experiments.Table { return experiments.A5PruningReciprocal(benchSeed, 300) })
-}
-
-func BenchmarkA6Clustering(b *testing.B) {
-	report(b, func() *experiments.Table { return experiments.A6Clustering(benchSeed, 300) })
-}
-
-// --- component micro-benchmarks -----------------------------------
+const benchSeed = 2016 // EDBT year; fixed so every run builds identical worlds
 
 func benchWorld(b *testing.B, n int) *datagen.World {
 	b.Helper()
@@ -128,35 +40,6 @@ func benchWorld(b *testing.B, n int) *datagen.World {
 		b.Fatal(err)
 	}
 	return w
-}
-
-func BenchmarkTokenBlocking(b *testing.B) {
-	w := benchWorld(b, 1000)
-	opts := tokenize.Default()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blocking.TokenBlocking(w.Collection, opts)
-	}
-}
-
-func BenchmarkMetaBlockingBuild(b *testing.B) {
-	w := benchWorld(b, 600)
-	col := blocking.TokenBlocking(w.Collection, tokenize.Default()).Purge(0).Filter(0.8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		metablocking.Build(col, metablocking.ECBS)
-	}
-}
-
-func BenchmarkPruneWNP(b *testing.B) {
-	w := benchWorld(b, 600)
-	col := blocking.TokenBlocking(w.Collection, tokenize.Default()).Purge(0).Filter(0.8)
-	g := metablocking.Build(col, metablocking.ECBS)
-	opts := metablocking.PruneOptions{Assignments: col.Assignments()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Prune(metablocking.WNP, opts)
-	}
 }
 
 // BenchmarkGraphBuild sweeps the graph kernel's worker count on one
@@ -310,158 +193,6 @@ func BenchmarkNewResolver(b *testing.B) {
 
 // resolverSink keeps BenchmarkNewResolver's result live.
 var resolverSink *core.Resolver
-
-func BenchmarkMatcherValueSim(b *testing.B) {
-	w := benchWorld(b, 400)
-	m := match.NewMatcher(w.Collection, match.DefaultOptions())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ValueSim(i%w.Collection.Len(), (i*7+1)%w.Collection.Len())
-	}
-}
-
-func BenchmarkNTriplesDecode(b *testing.B) {
-	w := benchWorld(b, 300)
-	doc, err := rdf.WriteString(w.Triples("alpha"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(doc)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rdf.ParseString(doc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPipelineEndToEnd(b *testing.B) {
-	w := benchWorld(b, 300)
-	docA, _ := rdf.WriteString(w.Triples("alpha"))
-	docB, _ := rdf.WriteString(w.Triples("betaKB"))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := minoaner.New(minoaner.Defaults())
-		if err := p.LoadKB("alpha", strings.NewReader(docA)); err != nil {
-			b.Fatal(err)
-		}
-		if err := p.LoadKB("betaKB", strings.NewReader(docB)); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := p.Resolve(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- PR 8 WAL benchmarks -------------------------------------------
-
-// walBenchPayload is a realistic ingest-batch payload: ten wire
-// descriptions JSON-encoded exactly as Session.Ingest logs them.
-func walBenchPayload(b *testing.B) []byte {
-	b.Helper()
-	batch := streamDescriptions(benchWorld(b, 200))[:10]
-	data, err := json.Marshal(batch)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return data
-}
-
-// BenchmarkWALAppend measures the raw log append path per fsync
-// policy. SyncWave commits every 64 appends — the server's wave
-// cadence — so its row is the durability cost an operator actually
-// pays; the amplification metric is log bytes per payload byte (the
-// 9-byte frame header over JSON batches).
-func BenchmarkWALAppend(b *testing.B) {
-	payload := walBenchPayload(b)
-	for _, pol := range []wal.Policy{wal.SyncOff, wal.SyncWave, wal.SyncAlways} {
-		b.Run("fsync="+pol.String(), func(b *testing.B) {
-			l, recs, err := wal.Open(b.TempDir(), pol)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(recs) != 0 {
-				b.Fatal("fresh log dir not empty")
-			}
-			defer l.Close()
-			b.SetBytes(int64(len(payload)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := l.Append(wal.TypeIngest, payload); err != nil {
-					b.Fatal(err)
-				}
-				if pol == wal.SyncWave && (i+1)%64 == 0 {
-					if err := l.Commit(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			if err := l.Commit(); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			st := l.Stats()
-			b.ReportMetric(float64(st.Bytes)/float64(int64(b.N)*int64(len(payload))), "amplification")
-		})
-	}
-}
-
-// walBenchLog seeds dir with a streamed session's log — half the
-// corpus loaded before Start, the rest ingested in batches of ten —
-// and returns the description count a replay must recover.
-func walBenchLog(b *testing.B, dir string) int {
-	b.Helper()
-	p, err := minoaner.Open(dir, minoaner.Defaults())
-	if err != nil {
-		b.Fatal(err)
-	}
-	all := streamDescriptions(benchWorld(b, 400))
-	seed := len(all) / 2
-	if err := p.Add(all[:seed]); err != nil {
-		b.Fatal(err)
-	}
-	sess, err := p.Start()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for lo := seed; lo < len(all); lo += 10 {
-		hi := lo + 10
-		if hi > len(all) {
-			hi = len(all)
-		}
-		if err := sess.Ingest(all[lo:hi]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := p.Close(); err != nil {
-		b.Fatal(err)
-	}
-	return len(all)
-}
-
-// BenchmarkWALReplay is recovery cost: Open folds every record into
-// the collection and the session's bookkeeping, then builds the session
-// with one front-end pass over the folded corpus, so ns/op here is the
-// restart latency the log buys instead of a from-source rebuild.
-func BenchmarkWALReplay(b *testing.B) {
-	dir := filepath.Join(b.TempDir(), "wal")
-	n := walBenchLog(b, dir)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := minoaner.Open(dir, minoaner.Defaults())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if p.NumDescriptions() != n {
-			b.Fatalf("replay recovered %d descriptions, want %d", p.NumDescriptions(), n)
-		}
-		if err := p.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(n), "descs")
-}
 
 // BenchmarkServerConcurrentIngest measures write throughput through the
 // server's handler: the second half of a corpus arrives as

@@ -1,6 +1,6 @@
 // Command bench regenerates the reconstructed evaluation: every table
-// and figure from DESIGN.md §3, printed as aligned text. Compare its
-// output against EXPERIMENTS.md.
+// and figure README "## Benchmarks" lists, printed as aligned text.
+// internal/experiments' Shape tests pin what each table must show.
 //
 // Usage:
 //

@@ -78,6 +78,9 @@ func run(args []string) error {
 		fs.Usage()
 		return fmt.Errorf("at least one -kb required")
 	}
+	if *budget < 0 {
+		return fmt.Errorf("-budget %d is negative (0 = unlimited)", *budget)
+	}
 
 	cfg := minoaner.Defaults()
 	cfg.Workers = *workers
@@ -166,6 +169,9 @@ func runServe(args []string, ready chan<- net.Addr, quit <-chan struct{}) error 
 	maxBody := fs.Int64("max-body", server.DefaultMaxBody, "cap on a mutation request body in bytes (oversized requests answer 413)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *budget < 0 {
+		return fmt.Errorf("-budget %d is negative (0 = resolve fully)", *budget)
 	}
 
 	cfg := minoaner.Defaults()

@@ -82,6 +82,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-kb", "a=" + a, "-kb", "b=" + b, "-truth", "/nonexistent"}); err == nil {
 		t.Error("missing truth file accepted")
 	}
+	if err := run([]string{"-kb", "a=" + a, "-kb", "b=" + b, "-budget", "-5"}); err == nil {
+		t.Error("negative -budget accepted")
+	}
 }
 
 func TestRunClusteringFlag(t *testing.T) {
@@ -225,6 +228,9 @@ func TestServeErrors(t *testing.T) {
 	_, a, _ := writeFiles(t)
 	if err := runServe([]string{"-kb", "a=" + a, "-clustering", "bogus"}, nil, nil); err == nil {
 		t.Error("serve with unknown clustering accepted")
+	}
+	if err := runServe([]string{"-kb", "a=" + a, "-budget", "-5"}, nil, nil); err == nil {
+		t.Error("serve with a negative -budget accepted")
 	}
 	if err := runServe([]string{"-kb", "a=" + a, "-addr", "256.0.0.1:bad"}, nil, nil); err == nil {
 		t.Error("serve with bad address accepted")

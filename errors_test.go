@@ -119,35 +119,11 @@ func TestFilterRatioAboveOne(t *testing.T) {
 	}
 }
 
-// TestMRRunnerRejected: Config.MRRunner named a task runner of an
-// engine that no longer exists. Any value but "" fails Start with an
-// error naming the field, and no session is created.
-func TestMRRunnerRejected(t *testing.T) {
-	doc := mustDoc(t, hardSessionWorld(t, 53, 30), "alpha")
-	for _, runner := range []string{"local", "proc"} {
-		t.Run(runner, func(t *testing.T) {
-			cfg := minoaner.Defaults()
-			cfg.MRRunner = runner
-			p := minoaner.New(cfg)
-			defer p.Close()
-			if err := p.LoadKB("alpha", strings.NewReader(doc)); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := p.Start(); err == nil || !strings.Contains(err.Error(), "MRRunner") {
-				t.Fatalf("MRRunner %q: err=%v, want an error naming the field", runner, err)
-			}
-			if p.Current() != nil {
-				t.Fatal("rejected Start left a session behind")
-			}
-		})
-	}
-}
-
 // TestMRRunnerConfig pins the knob's surface now that it has no engine
 // to select: Defaults does not set it, the empty value starts on the
-// sequential and the shared engine alike, and any other
-// spelling — a typo included — fails Start with an error naming the
-// field and the value, leaving no session behind.
+// sequential and the shared engine alike, and any other value — the
+// retired runners' names and a typo alike — fails Start with an error
+// naming the field and the value, leaving no session behind.
 func TestMRRunnerConfig(t *testing.T) {
 	if got := minoaner.Defaults().MRRunner; got != "" {
 		t.Errorf("Defaults().MRRunner=%q, want empty", got)
@@ -170,12 +146,14 @@ func TestMRRunnerConfig(t *testing.T) {
 			t.Fatalf("workers=%d, empty runner: %v", workers, err)
 		}
 	}
-	p, err := start(4, "bogus")
-	if err == nil || !strings.Contains(err.Error(), "MRRunner") || !strings.Contains(err.Error(), "bogus") {
-		t.Fatalf("unknown runner: err=%v, want the field and the value named", err)
-	}
-	if p.Current() != nil {
-		t.Fatal("rejected Start left a session behind")
+	for _, runner := range []string{"local", "proc", "bogus"} {
+		p, err := start(4, runner)
+		if err == nil || !strings.Contains(err.Error(), "MRRunner") || !strings.Contains(err.Error(), runner) {
+			t.Fatalf("runner %q: err=%v, want the field and the value named", runner, err)
+		}
+		if p.Current() != nil {
+			t.Fatalf("runner %q: the rejected Start left a session behind", runner)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package minoaner_test
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -13,139 +12,6 @@ import (
 
 // key identifies a description by reference in the tests' bookkeeping.
 func refKey(r minoaner.Ref) string { return r.KB + "\x00" + r.URI }
-
-// survivors filters a description stream by an evicted-reference set,
-// preserving order — the corpus a from-scratch oracle loads.
-func survivors(all []minoaner.Description, gone map[string]bool) []minoaner.Description {
-	var out []minoaner.Description
-	for _, d := range all {
-		if !gone[refKey(minoaner.Ref{KB: d.KB, URI: d.URI})] {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// TestEvictEquivalentToFromScratch is the deletion headline guarantee,
-// end to end at the public API: for any interleaving of Ingest and
-// Evict before comparisons are spent, any worker count, and any
-// budget, resolving the session produces exactly what a from-scratch
-// session over the surviving corpus produces — the same matches in the
-// same order with the same scores and flags, the same statistics, and
-// the same clusters.
-func TestEvictEquivalentToFromScratch(t *testing.T) {
-	w := hardSessionWorld(t, 671, 140)
-	all := streamDescriptions(w)
-	seedN := len(all) / 3
-	for _, workers := range []int{1, 4} {
-		for _, budget := range []int{7, 0} {
-			t.Run(fmt.Sprintf("workers=%d/budget=%d", workers, budget), func(t *testing.T) {
-				cfg := minoaner.Defaults()
-				cfg.Workers = workers
-
-				p := minoaner.New(cfg)
-				if err := p.Add(all[:seedN]); err != nil {
-					t.Fatal(err)
-				}
-				s, err := p.Start()
-				if err != nil {
-					t.Fatal(err)
-				}
-				gone := make(map[string]bool)
-				evict := func(refs []minoaner.Ref) {
-					t.Helper()
-					if err := s.Evict(refs); err != nil {
-						t.Fatal(err)
-					}
-					for _, r := range refs {
-						gone[refKey(r)] = true
-					}
-				}
-				ref := func(d minoaner.Description) minoaner.Ref {
-					return minoaner.Ref{KB: d.KB, URI: d.URI}
-				}
-
-				// Interleave: evict from the seed, ingest, evict across
-				// both generations, ingest the rest, evict again.
-				evict([]minoaner.Ref{ref(all[2]), ref(all[9]), ref(all[10])})
-				if err := s.Ingest(all[seedN : 2*seedN]); err != nil {
-					t.Fatal(err)
-				}
-				evict([]minoaner.Ref{ref(all[0]), ref(all[seedN+3]), ref(all[seedN+8])})
-				if err := s.Ingest(all[2*seedN:]); err != nil {
-					t.Fatal(err)
-				}
-				evict([]minoaner.Ref{ref(all[2*seedN+5]), ref(all[17])})
-				got, err := s.Resume(budget)
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				// From-scratch oracle over a corpus that never held the
-				// evicted descriptions.
-				p2 := minoaner.New(cfg)
-				if err := p2.Add(survivors(all, gone)); err != nil {
-					t.Fatal(err)
-				}
-				s2, err := p2.Start()
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := s2.Resume(budget)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResult(t, "evict-vs-scratch", want, got)
-			})
-		}
-	}
-}
-
-// TestEvictKBEquivalent evicts an entire knowledge base — the stale
-// dump case — which flips the surviving corpus from clean–clean to
-// dirty ER. The session must end up exactly where a from-scratch
-// session over the single remaining KB does.
-func TestEvictKBEquivalent(t *testing.T) {
-	w := hardSessionWorld(t, 672, 100)
-	all := streamDescriptions(w)
-	cfg := minoaner.Defaults()
-	cfg.Workers = 4
-
-	p := minoaner.New(cfg)
-	if err := p.Add(all); err != nil {
-		t.Fatal(err)
-	}
-	s, err := p.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.EvictKB("betaKB"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Resume(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var alphaOnly []minoaner.Description
-	for _, d := range all {
-		if d.KB == "alpha" {
-			alphaOnly = append(alphaOnly, d)
-		}
-	}
-	p2 := minoaner.New(cfg)
-	if err := p2.Add(alphaOnly); err != nil {
-		t.Fatal(err)
-	}
-	want, err := p2.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "evict-kb", want, got)
-	if got.Stats.KBs != 1 {
-		t.Fatalf("stats report %d KBs after evicting one of two", got.Stats.KBs)
-	}
-}
 
 // TestEvictEdgeCases pins the degenerate eviction paths: unknown
 // references, double evictions, duplicate references in one call,
@@ -452,156 +318,18 @@ func TestEvictTTL(t *testing.T) {
 	sameResult(t, "ttl-window", want, got)
 }
 
-// TestInterleavedIngestEvictResume is the mid-session property suite:
-// across Resume legs separated by evictions and ingests, matches among
-// surviving descriptions are monotonic, a drained session stays
-// drained, and a zero Pending means a zero next leg.
-func TestInterleavedIngestEvictResume(t *testing.T) {
-	w := hardSessionWorld(t, 676, 140)
-	all := streamDescriptions(w)
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := minoaner.Defaults()
-			cfg.Workers = workers
-			p := minoaner.New(cfg)
-			if err := p.Add(all[:len(all)/2]); err != nil {
-				t.Fatal(err)
-			}
-			s, err := p.Start()
-			if err != nil {
-				t.Fatal(err)
-			}
-			mid, err := s.Resume(60)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			gone := map[string]bool{}
-			var evictRefs []minoaner.Ref
-			for _, d := range []minoaner.Description{all[1], all[4], all[11], all[22]} {
-				r := minoaner.Ref{KB: d.KB, URI: d.URI}
-				evictRefs = append(evictRefs, r)
-				gone[refKey(r)] = true
-			}
-			if err := s.Evict(evictRefs); err != nil {
-				t.Fatal(err)
-			}
-			leg2, err := s.Resume(40)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Monotonic: every pre-evict match among survivors is still
-			// reported after the evict leg.
-			surviving := 0
-			for _, m := range mid.Matches {
-				if gone[refKey(m.A)] || gone[refKey(m.B)] {
-					continue
-				}
-				surviving++
-				found := false
-				for _, m2 := range leg2.Matches {
-					if m2.A == m.A && m2.B == m.B {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("surviving match %v == %v lost after eviction", m.A, m.B)
-				}
-			}
-			if surviving == 0 {
-				t.Fatal("eviction destroyed every early match — workload too easy")
-			}
-
-			if err := s.Ingest(all[len(all)/2:]); err != nil {
-				t.Fatal(err)
-			}
-			final, err := s.Resume(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, m := range leg2.Matches {
-				found := false
-				for _, m2 := range final.Matches {
-					if m2.A == m.A && m2.B == m.B {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("match %v == %v lost across an ingest", m.A, m.B)
-				}
-			}
-			// Drained: a zero-pending session spends nothing more.
-			if s.Pending() == 0 {
-				again, err := s.Resume(0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if again.Stats.Comparisons != final.Stats.Comparisons {
-					t.Fatal("zero Pending but Resume executed comparisons")
-				}
-			}
-			again, err := s.Resume(7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if again.Stats.Comparisons != final.Stats.Comparisons {
-				t.Fatal("drained session executed more comparisons")
-			}
-		})
-	}
-}
-
 // TestPostStartMutationStaysInSync is the regression for the silent
-// desynchronization bug: mutating the pipeline after Start — Add,
+// desynchronization bug: mutating the pipeline after Start —
 // AddDescription, LoadKB — must route through the live session (the
-// equivalent of Ingest), so the session's statistics, matcher, and
-// queue reflect the mutation; on a superseded session the direct
-// streaming calls refuse instead.
+// equivalent of Ingest), so the session's statistics reflect the
+// mutation; on a superseded session the direct streaming calls refuse
+// instead, and the pipeline routes to the current one.
+// TestRebuildRuleEquation's ingest rows hold a post-Start Add to the
+// same result as Ingest.
 func TestPostStartMutationStaysInSync(t *testing.T) {
 	w := hardSessionWorld(t, 677, 100)
-	all := streamDescriptions(w)
-	half := len(all) / 2
 
-	// Path A: Pipeline.Add after Start ≡ Session.Ingest.
-	p := minoaner.New(minoaner.Defaults())
-	if err := p.Add(all[:half]); err != nil {
-		t.Fatal(err)
-	}
-	s, err := p.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Add(all[half:]); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Resume(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Stats.Descriptions != len(all) {
-		t.Fatalf("post-Start Add left the session at %d descriptions, want %d",
-			got.Stats.Descriptions, len(all))
-	}
-	pi := minoaner.New(minoaner.Defaults())
-	if err := pi.Add(all[:half]); err != nil {
-		t.Fatal(err)
-	}
-	si, err := pi.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := si.Ingest(all[half:]); err != nil {
-		t.Fatal(err)
-	}
-	want, err := si.Resume(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameResult(t, "post-start-add", want, got)
-
-	// Path B: LoadKB after Start ≡ IngestKB, and AddDescription syncs.
+	// LoadKB and AddDescription after Start reach the session.
 	doc, err := rdf.WriteString(w.Triples("betaKB"))
 	if err != nil {
 		t.Fatal(err)

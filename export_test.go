@@ -39,3 +39,11 @@ func (s *Session) Tombstones() int { return s.col.Tombstones() }
 // SuppressRotation keeps the pipeline's write-ahead log from rotating to
 // a checkpoint, so a test can read it as one frame per mutation.
 func (p *Pipeline) SuppressRotation() { p.testNoRotate = true }
+
+// The test helpers the package's own tests define, for the external
+// test package.
+var (
+	HardSessionWorld   = hardSessionWorld
+	StreamDescriptions = streamOf
+	SameResult         = sameResult
+)

@@ -13,7 +13,8 @@ import (
 
 // Ablations isolate the contribution of each design choice the
 // pipeline makes. They are not part of the paper's evaluation but
-// ground the defaults recorded in DESIGN.md.
+// ground the defaults README "## Benchmarks" cites; the Shape tests
+// pin what each must show.
 
 // A1BlockingMethods swaps the blocking layer (token / attribute
 // clustering / sorted neighborhood) and measures the end-to-end

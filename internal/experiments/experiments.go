@@ -1,5 +1,6 @@
 // Package experiments regenerates the reconstructed evaluation of the
-// paper (see DESIGN.md §3): one function per table/figure, each
+// paper (README "## Benchmarks" lists them; the Shape tests pin what
+// each must show): one function per table/figure, each
 // returning a printable Table whose rows the benchmarks and the bench
 // CLI reproduce. Experiments are deterministic in their seed.
 package experiments

@@ -3,7 +3,6 @@ package parmeta_test
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/blocking"
@@ -89,7 +88,9 @@ func sameEdges(t *testing.T, label string, want, got []metablocking.Edge) {
 // TestBuildMatchesSequential asserts bit-identical graphs — edges,
 // order, and float weights — for every scheme and worker count, on the
 // differential worlds, on a collection where most ids sit in no block,
-// and on a two-block collection with more workers than chunks.
+// on a two-block collection with more workers than chunks, and on one
+// with no block at all. Shared.Build is the chunked kernel then the
+// weighting, so every scheme's row also re-weighs a chunk-built graph.
 func TestBuildMatchesSequential(t *testing.T) {
 	cols := worlds(t)
 	cc := cols["cleanclean"]
@@ -110,6 +111,7 @@ func TestBuildMatchesSequential(t *testing.T) {
 	cols["isolated"] = sparse
 	workerSets := map[string][]int{"tiny": {16, 64}}
 	cols["tiny"] = &blocking.Collection{Blocks: cc.Blocks[:2], Source: cc.Source, CleanClean: cc.CleanClean}
+	cols["empty"] = &blocking.Collection{Source: cc.Source, CleanClean: cc.CleanClean}
 	for name, col := range cols {
 		workers := workerSets[name]
 		if workers == nil {
@@ -153,100 +155,6 @@ func TestPruneMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPruneOptionOverrides checks the explicit K / KPerNode budgets
-// flow through the shared engine identically.
-func TestPruneOptionOverrides(t *testing.T) {
-	col := worlds(t)["cleanclean"]
-	g := build(t, col, metablocking.ECBS, 4)
-	seq := metablocking.Build(col, metablocking.ECBS)
-	for _, opts := range []metablocking.PruneOptions{
-		{K: 50},
-		{K: 1},
-		{KPerNode: 2},
-		{KPerNode: 1, Reciprocal: true},
-	} {
-		for alg, o := range map[metablocking.Pruning]metablocking.PruneOptions{
-			metablocking.CEP: opts,
-			metablocking.CNP: opts,
-		} {
-			want := seq.Prune(alg, o)
-			got := prune(t, g, alg, o, 4)
-			sameEdges(t, fmt.Sprintf("%v/%+v", alg, o), want, got)
-		}
-	}
-}
-
-// TestReweighMatchesSequential re-weighs a chunk-built graph through
-// every scheme in place, comparing against a sequentially built twin
-// re-weighed the same way.
-func TestReweighMatchesSequential(t *testing.T) {
-	col := worlds(t)["cleanclean"]
-	seq := metablocking.Build(col, metablocking.CBS)
-	par := build(t, col, metablocking.CBS, 4)
-	for _, scheme := range []metablocking.Scheme{
-		metablocking.ARCS, metablocking.EJS, metablocking.JS,
-		metablocking.ECBS, metablocking.CBS,
-	} {
-		seq.Reweigh(scheme)
-		par.Reweigh(scheme)
-		sameGraph(t, seq, par)
-	}
-}
-
-// TestConcurrentPrunes runs several pruning algorithms on the same
-// graph at once: Prune only reads the graph, so concurrent calls must
-// be race-free and each still sequential-identical.
-func TestConcurrentPrunes(t *testing.T) {
-	col := worlds(t)["cleanclean"]
-	g := build(t, col, metablocking.ECBS, 4)
-	seq := metablocking.Build(col, metablocking.ECBS)
-	opts := metablocking.PruneOptions{Assignments: col.Assignments()}
-	var wg sync.WaitGroup
-	for _, alg := range metablocking.Prunings() {
-		for rep := 0; rep < 3; rep++ {
-			wg.Add(1)
-			go func(alg metablocking.Pruning) {
-				defer wg.Done()
-				want := seq.Prune(alg, opts)
-				got, err := pipeline.Shared{Workers: 4}.Prune(g, alg, opts)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if len(got) != len(want) {
-					t.Errorf("%v: %d edges, want %d", alg, len(got), len(want))
-					return
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("%v: edge %d = %+v, want %+v", alg, i, got[i], want[i])
-						return
-					}
-				}
-			}(alg)
-		}
-	}
-	wg.Wait()
-}
-
-// TestStressDeterminism hammers the shared engine's graph stages
-// repeatedly with an oversubscribed worker count; under -race this is
-// the concurrency stress test, and every repetition must reproduce the
-// same result.
-func TestStressDeterminism(t *testing.T) {
-	col := worlds(t)["dirty"]
-	opts := metablocking.PruneOptions{Assignments: col.Assignments()}
-	ref := prune(t, build(t, col, metablocking.EJS, 6), metablocking.CNP, opts, 6)
-	reps := 8
-	if testing.Short() {
-		reps = 2
-	}
-	for rep := 0; rep < reps; rep++ {
-		got := prune(t, build(t, col, metablocking.EJS, 6), metablocking.CNP, opts, 6)
-		sameEdges(t, fmt.Sprintf("rep %d", rep), ref, got)
-	}
-}
-
 func TestWorkersOption(t *testing.T) {
 	if got := parmeta.Workers(0); got != runtime.GOMAXPROCS(0) {
 		t.Errorf("Workers(0)=%d, want GOMAXPROCS=%d", got, runtime.GOMAXPROCS(0))
@@ -257,26 +165,4 @@ func TestWorkersOption(t *testing.T) {
 	if got := parmeta.Workers(5); got != 5 {
 		t.Errorf("Workers(5)=%d, want 5", got)
 	}
-}
-
-// TestEmptyAndTiny covers degenerate inputs: no blocks, and fewer
-// blocks than workers.
-func TestEmptyAndTiny(t *testing.T) {
-	empty := &blocking.Collection{Source: worlds(t)["cleanclean"].Source}
-	g := build(t, empty, metablocking.ECBS, 4)
-	if g.NumEdges() != 0 {
-		t.Errorf("empty collection produced %d edges", g.NumEdges())
-	}
-	if kept := prune(t, g, metablocking.WEP, metablocking.PruneOptions{}, 4); len(kept) != 0 {
-		t.Errorf("empty graph pruned to %d edges", len(kept))
-	}
-
-	col := worlds(t)["cleanclean"]
-	tiny := &blocking.Collection{
-		Blocks:     col.Blocks[:2],
-		Source:     col.Source,
-		CleanClean: col.CleanClean,
-	}
-	want := metablocking.Build(tiny, metablocking.JS)
-	sameGraph(t, want, build(t, tiny, metablocking.JS, 16))
 }

@@ -125,45 +125,6 @@ func TestTokenBlockingMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestCleaningMatchesSequential runs block purging (automatic and
-// explicit caps) and block filtering (several ratios) through the
-// engine and compares against the blocking package's own, for every
-// worker count.
-func TestCleaningMatchesSequential(t *testing.T) {
-	for world, src := range worlds(t) {
-		raw := blocking.TokenBlocking(src, tokenize.Default())
-		for _, maxSize := range []int{0, 3, 25} {
-			want := raw.Purge(maxSize)
-			for _, workers := range workerCounts {
-				eng := Shared{Workers: workers}
-				label := fmt.Sprintf("%s/purge=%d/%s/workers=%d", world, maxSize, mode(workers), workers)
-				t.Run(label, func(t *testing.T) {
-					got, err := eng.Purge(raw, maxSize)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameCollection(t, label, want, got)
-				})
-			}
-		}
-		purged := raw.Purge(0)
-		for _, ratio := range []float64{0.5, 0.8, 1.0} {
-			want := purged.Filter(ratio)
-			for _, workers := range workerCounts {
-				eng := Shared{Workers: workers}
-				label := fmt.Sprintf("%s/filter=%.1f/%s/workers=%d", world, ratio, mode(workers), workers)
-				t.Run(label, func(t *testing.T) {
-					got, err := eng.Filter(purged, ratio)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameCollection(t, label, want, got)
-				})
-			}
-		}
-	}
-}
-
 // TestRunMatchesSequential drives the full front-end — blocking,
 // cleaning, graph build, pruning — at every worker count and asserts
 // outputs bit-identical to the blocking and metablocking packages' own

@@ -28,6 +28,7 @@
 package server
 
 import (
+	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -400,7 +401,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		epoch, err := s.do(r.Context(), func(context.Context) error {
-			return s.sess.IngestKB(kbName, strings.NewReader(string(doc)))
+			return s.sess.IngestKB(kbName, bytes.NewReader(doc))
 		})
 		if err != nil {
 			writeError(w, epoch, errStatus(err), err)

@@ -10,25 +10,13 @@ import (
 	"repro/internal/rdf"
 )
 
-// hardSessionWorld is the center+periphery workload with links, where
-// neighbor-evidence discovery and rechecks actually fire — the step
-// kinds whose leg-boundary behavior this file pins down.
-func hardSessionWorld(t *testing.T, seed int64, n int) *datagen.World {
-	t.Helper()
-	w, err := datagen.Generate(datagen.Config{
-		Seed:        seed,
-		NumEntities: n,
-		KBs: []datagen.KBConfig{
-			{Name: "alpha", Coverage: 1, Profile: datagen.Center()},
-			{Name: "betaKB", Coverage: 1, Profile: datagen.Periphery()},
-		},
-		LinksPerEntity: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w
-}
+// The shared test helpers live in the package's own tests
+// (rule_test.go).
+var (
+	hardSessionWorld   = minoaner.HardSessionWorld
+	streamDescriptions = minoaner.StreamDescriptions
+	sameResult         = minoaner.SameResult
+)
 
 func loadSession(t *testing.T, w *datagen.World, cfg minoaner.Config) *minoaner.Session {
 	t.Helper()
@@ -57,24 +45,6 @@ func snapshot(t *testing.T, s *minoaner.Session) *minoaner.Snapshot {
 		t.Fatal(err)
 	}
 	return sn
-}
-
-func sameResult(t *testing.T, label string, want, got *minoaner.Result) {
-	t.Helper()
-	if want.Stats != got.Stats {
-		t.Fatalf("%s: stats differ:\n  want %+v\n  got  %+v", label, want.Stats, got.Stats)
-	}
-	if len(want.Matches) != len(got.Matches) {
-		t.Fatalf("%s: %d matches, want %d", label, len(got.Matches), len(want.Matches))
-	}
-	for i := range want.Matches {
-		if want.Matches[i] != got.Matches[i] {
-			t.Fatalf("%s: match %d = %+v, want %+v", label, i, got.Matches[i], want.Matches[i])
-		}
-	}
-	if len(want.Clusters) != len(got.Clusters) {
-		t.Fatalf("%s: %d clusters, want %d", label, len(got.Clusters), len(want.Clusters))
-	}
 }
 
 // TestSessionLegsConcatenate pins the documented Session property:

@@ -1,19 +1,25 @@
 // Crash-recovery differential suite for the write-ahead log: a
-// recorded mutation run is truncated at every byte (and corrupted at
-// sampled bytes), and the recovered pipeline must resolve to exactly
-// what a from-scratch, never-crashed pipeline over the surviving
-// mutation prefix resolves to — the repo's golden-digest notion of
-// "recovered correctly", swept across fsync policies, engines, TTL
-// windows, and checkpoint rotations.
+// recorded mutation run is cut at every byte and corrupted at every
+// byte, and the recovered pipeline must resolve to exactly what a
+// from-scratch, never-crashed pipeline over the surviving mutation
+// prefix resolves to — the repo's golden-digest notion of "recovered
+// correctly", swept across fsync policies, engines, TTL windows, and
+// checkpoint rotations.
 package minoaner_test
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	minoaner "repro"
+	"repro/internal/frame"
 	"repro/internal/wal"
 )
 
@@ -129,12 +135,11 @@ func recordWorkload(t *testing.T, cfg minoaner.Config, ops []walOp, rotate bool)
 	return raw
 }
 
-// surviveAndRecover writes a damaged log image into a fresh dir,
-// counts the records that survive framing, and recovers a pipeline
-// from it. The count step uses the wal reader directly — the same
-// reader recovery uses — so the test can look up the matching
-// mutation prefix.
-func surviveAndRecover(t *testing.T, cfg minoaner.Config, image []byte) (int, *minoaner.Pipeline) {
+// surviveAndRecover writes a damaged log image into a fresh dir, reads
+// the records that survive framing, and recovers a pipeline from it.
+// The read uses wal.Open directly — the reader recovery uses — so the
+// test can look up the matching mutation prefix.
+func surviveAndRecover(t *testing.T, cfg minoaner.Config, image []byte) ([]wal.Record, *minoaner.Pipeline) {
 	t.Helper()
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "wal.log"), image, 0o644); err != nil {
@@ -149,7 +154,7 @@ func surviveAndRecover(t *testing.T, cfg minoaner.Config, image []byte) (int, *m
 	if err != nil {
 		t.Fatalf("recover with %d surviving records: %v", len(recs), err)
 	}
-	return len(recs), p
+	return recs, p
 }
 
 // expectedDigests resolves, for every mutation-prefix length, what a
@@ -171,76 +176,103 @@ func expectedDigests(t *testing.T, cfg minoaner.Config, ops []walOp) func(k int)
 	}
 }
 
-// TestWALRecoveryTruncationSweep is the kill-point sweep of the issue:
-// the recorded log is cut at EVERY byte offset — mid-header, mid-
-// payload, and on each frame boundary — and each cut must recover to
-// the golden digest of a from-scratch session over the mutations whose
-// frames survive in full. This is exactly the state a SIGKILL (or a
-// power cut under fsync=always) at that write offset leaves behind.
-func TestWALRecoveryTruncationSweep(t *testing.T) {
-	cfg := minoaner.Defaults()
-	cfg.Workers = 1
-	ops := recoveryOps(t, 8)
-	raw := recordWorkload(t, cfg, ops, true)
+// readRecords decodes image the way wal.Open reads its log file:
+// frames from the start, under the log's payload cap, until the first
+// torn, truncated or corrupt one.
+func readRecords(t *testing.T, image []byte) []wal.Record {
+	t.Helper()
+	br := bufio.NewReader(bytes.NewReader(image))
+	var recs []wal.Record
+	for {
+		typ, payload, err := frame.Read(br, wal.MaxPayload())
+		if err == io.EOF || err == io.ErrUnexpectedEOF || errors.Is(err, frame.ErrCorrupt) {
+			return recs
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, wal.Record{Type: typ, Payload: payload})
+	}
+}
 
-	// Too few departures to rotate: one frame per op — the log is the
-	// mutation sequence.
-	k, full := surviveAndRecover(t, cfg, raw)
-	if k != len(ops) {
-		t.Fatalf("full log holds %d records, want %d", k, len(ops))
+// sameRecord compares two records by type and payload bytes.
+func sameRecord(a, b wal.Record) bool { return a.Type == b.Type && bytes.Equal(a.Payload, b.Payload) }
+
+// sweepLog damages the recorded log of ops (one frame per op) at every
+// byte: it cuts the log there, and, separately, flips that byte. At
+// every offset the log's reader must return exactly the first k
+// recorded records, by type and payload bytes: the frames that end at
+// or before the offset. Recovery is a function of those records, so
+// wal.Open and then Open plus finishDigest run once per distinct
+// (damage, k, where the offset falls: on a frame boundary, inside a
+// header, inside a payload), at its first offset, and must equal the
+// from-scratch pipeline over ops[:k]. Every byte is checked, under
+// -race too. The per-byte check decodes in memory, as wal.Open decodes
+// its file: each wal.Open ends with an fsync, a device flush per byte.
+func sweepLog(t *testing.T, cfg minoaner.Config, ops []walOp, raw []byte) {
+	t.Helper()
+	want := readRecords(t, raw)
+	var ends []int // ends[j] is where frame j ends
+	end := 0
+	for _, r := range want {
+		end += frame.HeaderSize + len(r.Payload)
+		ends = append(ends, end)
+	}
+	if len(want) != len(ops) || end != len(raw) {
+		t.Fatalf("the log holds %d records over %d of its %d bytes, want %d", len(want), end, len(raw), len(ops))
 	}
 	expect := expectedDigests(t, cfg, ops)
-	if got := finishDigest(t, full); got != expect(len(ops)) {
-		t.Fatalf("full-log recovery diverged from from-scratch")
-	}
-	full.Close()
 	if expect(len(ops)) == "empty" {
 		t.Fatal("workload resolves to nothing — the sweep would prove nothing")
 	}
-
-	stride := 1
-	if testing.Short() || raceEnabled {
-		stride = 17 // still hits every header/payload phase across frames
-	}
-	t.Logf("sweeping %d byte offsets (stride %d)", len(raw)+1, stride)
-	for cut := 0; cut <= len(raw); cut += stride {
-		k, p := surviveAndRecover(t, cfg, raw[:cut])
-		got := finishDigest(t, p)
-		p.Close()
-		if want := expect(k); got != want {
-			t.Fatalf("cut at byte %d (%d records survive): digest %s, want %s",
-				cut, k, got, want)
+	recovered := make(map[string]bool)
+	for _, flip := range []bool{false, true} {
+		for off := 0; off < len(raw) || off == len(raw) && !flip; off++ {
+			img := raw[:off]
+			if flip {
+				img = slices.Clone(raw)
+				img[off] ^= 0x5a
+			}
+			k, _ := slices.BinarySearch(ends, off+1) // the frames that end at or before off
+			what := fmt.Sprintf("flip=%v at byte %d", flip, off)
+			if got := readRecords(t, img); len(got) != k || !slices.EqualFunc(got, want[:k], sameRecord) {
+				t.Fatalf("%s: read %d records, want the first %d recorded", what, len(got), k)
+			}
+			start := 0
+			if k > 0 {
+				start = ends[k-1]
+			}
+			class := fmt.Sprint(flip, k, off == start, off-start < frame.HeaderSize)
+			if recovered[class] {
+				continue
+			}
+			recovered[class] = true
+			recs, p := surviveAndRecover(t, cfg, img)
+			got := finishDigest(t, p)
+			p.Close()
+			if len(recs) != k || !slices.EqualFunc(recs, want[:k], sameRecord) {
+				t.Fatalf("%s: wal.Open read %d records, want the first %d recorded", what, len(recs), k)
+			}
+			if want := expect(k); got != want {
+				t.Fatalf("%s (%d records survive): digest %s, want %s", what, k, got, want)
+			}
 		}
 	}
 }
 
-// TestWALRecoveryCorruption flips bytes at sampled offsets (headers and
-// payloads both land in the sample): recovery must stop at the last
-// intact frame prefix and still equal the from-scratch session over
-// those mutations — a checksum failure is a clean cut, never an error
+// TestWALRecoveryTruncationSweep is the kill-point sweep over the
+// standard workload: every cut — mid-header, mid-payload, and on each
+// frame boundary — is the state a SIGKILL (or a power cut under
+// fsync=always) at that write offset leaves behind, and every flipped
+// byte is a checksum failure that must be a clean cut, never an error
 // or a garbled state.
-func TestWALRecoveryCorruption(t *testing.T) {
+func TestWALRecoveryTruncationSweep(t *testing.T) {
 	cfg := minoaner.Defaults()
 	cfg.Workers = 1
 	ops := recoveryOps(t, 8)
-	raw := recordWorkload(t, cfg, ops, true)
-	expect := expectedDigests(t, cfg, ops)
-
-	stride := 31
-	if testing.Short() || raceEnabled {
-		stride = 211
-	}
-	for pos := 0; pos < len(raw); pos += stride {
-		mut := append([]byte(nil), raw...)
-		mut[pos] ^= 0x5a
-		k, p := surviveAndRecover(t, cfg, mut)
-		got := finishDigest(t, p)
-		p.Close()
-		if want := expect(k); got != want {
-			t.Fatalf("flip at byte %d (%d records survive): digest %s, want %s",
-				pos, k, got, want)
-		}
-	}
+	// Too few departures to rotate: one frame per op — the log is the
+	// mutation sequence.
+	sweepLog(t, cfg, ops, recordWorkload(t, cfg, ops, true))
 }
 
 // TestWALRecoveryGrid crosses fsync policy × engine × TTL: whatever
@@ -276,9 +308,9 @@ func TestWALRecoveryGrid(t *testing.T) {
 					// would trigger it) has its own test; here the log
 					// must stay one frame per op.
 					raw := recordWorkload(t, cfg, ops, false)
-					k, p := surviveAndRecover(t, cfg, raw)
-					if k != len(ops) {
-						t.Fatalf("full log holds %d records, want %d", k, len(ops))
+					recs, p := surviveAndRecover(t, cfg, raw)
+					if len(recs) != len(ops) {
+						t.Fatalf("full log holds %d records, want %d", len(recs), len(ops))
 					}
 					got := finishDigest(t, p)
 					p.Close()
@@ -431,27 +463,10 @@ func TestWALCheckpointOnCompaction(t *testing.T) {
 }
 
 // recoverVariant records a variant of the standard workload with one
-// frame per op, then recovers the full log and cuts of it at a stride:
-// each must equal the from-scratch pipeline over the surviving prefix.
+// frame per op and sweeps it (sweepLog).
 func recoverVariant(t *testing.T, cfg minoaner.Config, ops []walOp) {
 	t.Helper()
-	raw := recordWorkload(t, cfg, ops, false)
-	expect := expectedDigests(t, cfg, ops)
-	stride := 53
-	if testing.Short() || raceEnabled {
-		stride = 211
-	}
-	for cut := len(raw); cut >= 0; cut -= stride {
-		k, p := surviveAndRecover(t, cfg, raw[:cut])
-		if cut == len(raw) && k != len(ops) {
-			t.Fatalf("full log holds %d records, want %d", k, len(ops))
-		}
-		got := finishDigest(t, p)
-		p.Close()
-		if want := expect(k); got != want {
-			t.Fatalf("cut at byte %d (%d records survive): digest %s, want %s", cut, k, got, want)
-		}
-	}
+	sweepLog(t, cfg, ops, recordWorkload(t, cfg, ops, false))
 }
 
 // TestWALRecoveryCompactionRefired recovers one workload from two
@@ -477,8 +492,8 @@ func TestWALRecoveryCompactionRefired(t *testing.T) {
 
 			var records []int
 			for _, rotate := range []bool{true, false} {
-				k, p := surviveAndRecover(t, cfg, recordWorkload(t, cfg, ops, rotate))
-				records = append(records, k)
+				recs, p := surviveAndRecover(t, cfg, recordWorkload(t, cfg, ops, rotate))
+				records = append(records, len(recs))
 				if n := p.Current().Tombstones(); n != 0 {
 					t.Fatalf("rotate=%v: the recovered collection holds %d tombstones", rotate, n)
 				}
@@ -536,10 +551,10 @@ func TestWALRecoveryEmptyCheckpoint(t *testing.T) {
 	cfg.Workers = 1
 	ops := evictToEmptyOps(t)
 	raw := recordWorkload(t, cfg, ops, true)
-	k, p := surviveAndRecover(t, cfg, raw)
+	recs, p := surviveAndRecover(t, cfg, raw)
 	defer p.Close()
-	if k != 1 {
-		t.Fatalf("the log holds %d records, want the lone checkpoint", k)
+	if len(recs) != 1 {
+		t.Fatalf("the log holds %d records, want the lone checkpoint", len(recs))
 	}
 	if n := p.NumDescriptions(); n != 0 {
 		t.Fatalf("recovered %d live descriptions, want none", n)
