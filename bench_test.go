@@ -157,7 +157,7 @@ func BenchmarkMatching(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.NewResolver(m, edges, core.Config{Workers: workers}).Run()
+				core.NewResolver(m, edges, core.Config{Workers: workers}).RunBudget(0)
 			}
 		})
 	}

@@ -44,13 +44,13 @@ func main() {
 	fmt.Printf("%-10s  %-14s  %-14s\n", "budget", "minoan recall", "random recall")
 	for _, frac := range []int{20, 10, 4, 2, 1} {
 		budget := len(edges) / frac
-		minoan := core.NewResolver(matcher, edges, core.Config{Budget: budget}).Run()
+		minoan := core.NewResolver(matcher, edges, core.Config{}).RunBudget(budget)
 		random := baseline.Execute(matcher,
 			baseline.RandomOrder(col.DistinctPairs(), 99), false, budget)
 		fmt.Printf("%-10d  %-14.3f  %-14.3f\n", budget, recallOf(minoan), recallOf(random))
 	}
 
-	full := core.NewResolver(matcher, edges, core.Config{}).Run()
+	full := core.NewResolver(matcher, edges, core.Config{}).RunBudget(0)
 	fmt.Printf("\nfull run: %d comparisons (%d discovered by the update phase), recall %.3f\n",
 		full.Comparisons, full.Discovered, recallOf(full))
 	_ = total

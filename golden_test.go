@@ -71,7 +71,7 @@ func TestGoldenResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := match.NewMatcher(w.Collection, match.DefaultOptions())
-	res := core.NewResolver(m, fe.Edges, core.DefaultConfig()).Run()
+	res := core.NewResolver(m, fe.Edges, core.Config{}).RunBudget(0)
 	var tb strings.Builder
 	for _, s := range res.Trace {
 		fmt.Fprintf(&tb, "%d %d %016x %v %v %v %v\n",

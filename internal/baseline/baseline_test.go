@@ -132,7 +132,7 @@ func TestSchedulerBeatsBaselinesEarly(t *testing.T) {
 	}
 	total := f.w.Truth.CrossKBMatchingPairs(f.w.Collection)
 
-	minoan := core.NewResolver(f.m, f.edges, core.Config{Budget: budget}).Run()
+	minoan := core.NewResolver(f.m, f.edges, core.Config{}).RunBudget(budget)
 	random := Execute(f.m, RandomOrder(f.col.DistinctPairs(), 99), false, budget)
 	blockO := Execute(f.m, BlockOrder(f.col), false, budget)
 

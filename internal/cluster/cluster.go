@@ -57,11 +57,6 @@ func (a Algorithm) String() string {
 	}
 }
 
-// Algorithms lists all clustering strategies, for sweeps.
-func Algorithms() []Algorithm {
-	return []Algorithm{TransitiveClosure, Center, UniqueMapping}
-}
-
 // Cluster groups the matches with the chosen algorithm over a
 // collection of n descriptions. col may be nil except for
 // UniqueMapping, which needs KB identities; with nil col UniqueMapping

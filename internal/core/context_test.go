@@ -21,7 +21,7 @@ func TestRunBudgetContextCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, edges := pipeline(t, w)
-	whole := NewResolver(m, edges, Config{}).Run()
+	whole := NewResolver(m, edges, Config{}).RunBudget(0)
 
 	for _, workers := range []int{0, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {

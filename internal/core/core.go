@@ -13,67 +13,31 @@ import (
 
 // Config tunes the progressive resolver.
 type Config struct {
-	// Budget is the maximum number of comparisons to execute
-	// (0 = unlimited: run until the queue drains).
-	Budget int
 	// Benefit selects the targeted benefit model
 	// (nil = AttributeCompleteness, the paper's headline model).
 	Benefit BenefitModel
-	// NeighborBoost is the priority added to a queued or discovered
-	// pair each time a pair of its neighbors is resolved (default 0.4).
-	NeighborBoost float64
-	// BiasWeight scales the benefit model's scheduling bias relative
-	// to the evidence weight (default 0.25).
-	BiasWeight float64
 	// DisableDiscovery stops the update phase from enqueuing
 	// comparisons that blocking never proposed (between neighbors of a
 	// confirmed match). Discovery is on by default; it is what recovers
 	// somehow-similar periphery matches.
 	DisableDiscovery bool
 	// Workers sets the width of a draining run's value-similarity
-	// pre-pass (see prescore): with n > 1, an unbudgeted Run first
+	// pre-pass (see prescore): with n > 1, a draining RunBudget first
 	// scores every queued pair on n goroutines, then runs the serial
 	// loop over the memoized scores. 0 or 1 — and every budgeted leg —
 	// runs the serial loop alone, scoring each pair as it executes.
 	// Every setting produces a bit-identical trace.
 	Workers int
-	// Normalized marks the config as fully specified: zero numeric
-	// fields are taken literally instead of being replaced by the
-	// documented defaults. DefaultConfig returns a normalized config,
-	// so the idiomatic way to request a true zero — say BiasWeight 0
-	// for pure evidence-order scheduling — is to start from
-	// DefaultConfig and zero the field. A nil Benefit always means
-	// AttributeCompleteness.
-	Normalized bool
 }
 
-// DefaultConfig returns the documented defaults, normalized: zero a
-// field of the result to get a literal zero instead of the default.
-func DefaultConfig() Config {
-	return Config{
-		Benefit:       AttributeCompleteness{},
-		NeighborBoost: 0.4,
-		BiasWeight:    0.25,
-		Normalized:    true,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	if c.Benefit == nil {
-		c.Benefit = AttributeCompleteness{}
-	}
-	if c.Normalized {
-		return c
-	}
-	if c.NeighborBoost == 0 {
-		c.NeighborBoost = 0.4
-	}
-	if c.BiasWeight == 0 {
-		c.BiasWeight = 0.25
-	}
-	c.Normalized = true
-	return c
-}
+const (
+	// neighborBoost is the priority added to a queued or discovered
+	// pair each time a pair of its neighbors is resolved.
+	neighborBoost = 0.4
+	// biasWeight scales the benefit model's scheduling bias relative
+	// to the evidence weight.
+	biasWeight = 0.25
+)
 
 // Step records one executed comparison.
 type Step struct {
@@ -134,7 +98,7 @@ func (r *Result) MatchedPairs(m *match.Matcher) []blocking.Pair {
 }
 
 // Timings reports the cumulative wall-clock time the resolver has
-// spent in each stage of the progressive loop, summed over every Run
+// spent in each stage of the progressive loop, summed over every run
 // since construction (Retract and Reseed do not reset it). The three
 // stages partition each RunBudgetContext call from entry to return:
 // the clock is read once per stage boundary and every interval is
@@ -211,7 +175,10 @@ type pairState struct {
 // (any order; the scheduler orders them). It is a resolver with no
 // history: Retract(m, edges, nil) on an empty one.
 func NewResolver(m *match.Matcher, edges []metablocking.Edge, cfg Config) *Resolver {
-	r := &Resolver{cfg: cfg.withDefaults()}
+	if cfg.Benefit == nil {
+		cfg.Benefit = AttributeCompleteness{}
+	}
+	r := &Resolver{cfg: cfg}
 	r.Retract(m, edges, nil)
 	return r
 }
@@ -241,26 +208,23 @@ func (r *Resolver) index(edges []metablocking.Edge) []entry {
 
 // priority computes a pair's current scheduling priority.
 func (r *Resolver) priority(p blocking.Pair, st *pairState) float64 {
-	return st.base + st.boost + r.cfg.BiasWeight*r.cfg.Benefit.Bias(p.A, p.B, r.cl, r.matcher)
+	return st.base + st.boost + biasWeight*r.cfg.Benefit.Bias(p.A, p.B, r.cl, r.matcher)
 }
 
-// Clusters exposes the current resolution state (live during Run).
+// Clusters exposes the current resolution state (live during RunBudget).
 func (r *Resolver) Clusters() *match.Clusters { return r.cl }
 
 // Pending returns the number of queued (not yet executed) comparisons.
 // Stale heap entries may inflate the count; it is an upper bound.
 func (r *Resolver) Pending() int { return r.queue.Len() }
 
-// Run executes the progressive loop until the budget is exhausted or
-// the queue drains, returning the trace of this call. The resolver
-// keeps its state: calling Run again continues the same pay-as-you-go
-// session with a fresh budget, exactly as the paper's "until the cost
-// budget is consumed" loop resumes when more budget arrives. Traces of
-// successive calls concatenate to the trace of one larger-budget run.
-func (r *Resolver) Run() *Result { return r.RunBudget(r.cfg.Budget) }
-
-// RunBudget is Run with a per-call budget override (0 = unlimited),
-// for resumable sessions whose legs have different budgets.
+// RunBudget executes the progressive loop until budget comparisons
+// have run (0 = unlimited) or the queue drains, returning the trace of
+// this call. The resolver keeps its state: calling RunBudget again
+// continues the same pay-as-you-go session with a fresh budget, exactly
+// as the paper's "until the cost budget is consumed" loop resumes when
+// more budget arrives. Traces of successive calls concatenate to the
+// trace of one larger-budget run.
 func (r *Resolver) RunBudget(budget int) *Result {
 	return r.RunBudgetContext(context.Background(), budget)
 }
@@ -269,7 +233,7 @@ func (r *Resolver) RunBudget(budget int) *Result {
 // before each comparison is popped and stops early when the context is
 // done, returning the trace executed so far.
 // Cancellation never corrupts the resolver: every completed comparison
-// is fully committed, so a later Run continues exactly where the
+// is fully committed, so a later RunBudget continues exactly where the
 // cancelled one stopped, and the concatenated traces still equal one
 // uninterrupted run's. The caller learns about the interruption from
 // ctx.Err(); the partial Result itself carries no error.
@@ -315,7 +279,7 @@ func (r *Resolver) RunBudgetContext(ctx context.Context, budget int) *Result {
 }
 
 // Timings returns the cumulative per-stage wall-clock counters. Call
-// it from the goroutine that runs the resolver, between Runs.
+// it from the goroutine that runs the resolver, between runs.
 func (r *Resolver) Timings() Timings { return r.tim }
 
 // prescore is the parallel half of a draining run, the decomposition
@@ -465,7 +429,7 @@ func (r *Resolver) boost(p blocking.Pair) {
 		st.done = false
 		st.recheck = true
 	}
-	st.boost += r.cfg.NeighborBoost
+	st.boost += neighborBoost
 	r.queue.Push(entry{rank: rank, prio: r.priority(p, st)})
 }
 

@@ -27,7 +27,7 @@ func TestResolverBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, edges := pipeline(t, w)
-	res := NewResolver(m, edges, Config{Budget: 50}).Run()
+	res := NewResolver(m, edges, Config{}).RunBudget(50)
 	if res.Comparisons != 50 {
 		t.Errorf("comparisons=%d, want exactly 50", res.Comparisons)
 	}
@@ -35,7 +35,7 @@ func TestResolverBudget(t *testing.T) {
 		t.Errorf("trace length %d != comparisons %d", len(res.Trace), res.Comparisons)
 	}
 	// Unlimited budget drains the queue and resolves most of the world.
-	full := NewResolver(m, edges, Config{}).Run()
+	full := NewResolver(m, edges, Config{}).RunBudget(0)
 	q := eval.EvaluateMatches(w.Collection, w.Truth, full.MatchedPairs(m))
 	if q.Recall < 0.8 {
 		t.Errorf("full-run recall %.3f too low (%+v)", q.Recall, q)
@@ -51,7 +51,7 @@ func TestSchedulerFrontLoadsMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, edges := pipeline(t, w)
-	res := NewResolver(m, edges, Config{}).Run()
+	res := NewResolver(m, edges, Config{}).RunBudget(0)
 	// Progressive property: the first half of the trace must contain
 	// clearly more matches than the second half.
 	half := len(res.Trace) / 2
@@ -88,8 +88,8 @@ func TestNeighborDiscoveryRecoversPeriphery(t *testing.T) {
 	}
 	m, edges := pipeline(t, w)
 
-	with := NewResolver(m, edges, Config{}).Run()
-	without := NewResolver(m, edges, Config{DisableDiscovery: true}).Run()
+	with := NewResolver(m, edges, Config{}).RunBudget(0)
+	without := NewResolver(m, edges, Config{DisableDiscovery: true}).RunBudget(0)
 
 	qWith := eval.EvaluateMatches(w.Collection, w.Truth, with.MatchedPairs(m))
 	qWithout := eval.EvaluateMatches(w.Collection, w.Truth, without.MatchedPairs(m))
@@ -205,8 +205,8 @@ func TestResolverDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, edges := pipeline(t, w)
-	r1 := NewResolver(m, edges, Config{Budget: 200}).Run()
-	r2 := NewResolver(m, edges, Config{Budget: 200}).Run()
+	r1 := NewResolver(m, edges, Config{}).RunBudget(200)
+	r2 := NewResolver(m, edges, Config{}).RunBudget(200)
 	if len(r1.Trace) != len(r2.Trace) {
 		t.Fatalf("trace lengths differ: %d vs %d", len(r1.Trace), len(r2.Trace))
 	}
@@ -223,7 +223,7 @@ func TestNoRepeatedComparisons(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, edges := pipeline(t, w)
-	res := NewResolver(m, edges, Config{}).Run()
+	res := NewResolver(m, edges, Config{}).RunBudget(0)
 	seen := map[blocking.Pair]bool{}
 	for _, s := range res.Trace {
 		p := blocking.MakePair(s.A, s.B)
@@ -243,7 +243,7 @@ func TestGainAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, edges := pipeline(t, w)
-	res := NewResolver(m, edges, Config{Benefit: AttributeCompleteness{}}).Run()
+	res := NewResolver(m, edges, Config{Benefit: AttributeCompleteness{}}).RunBudget(0)
 	sum := 0.0
 	for _, s := range res.Trace {
 		sum += s.Gain
@@ -267,7 +267,7 @@ func TestEmptyEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := match.NewMatcher(w.Collection, match.DefaultOptions())
-	res := NewResolver(m, nil, Config{}).Run()
+	res := NewResolver(m, nil, Config{}).RunBudget(0)
 	if res.Comparisons != 0 || res.Matches != 0 {
 		t.Errorf("empty edge list produced work: %+v", res)
 	}
@@ -281,12 +281,12 @@ func TestRunResumesSession(t *testing.T) {
 	m, edges := pipeline(t, w)
 
 	// One run with budget 2k.
-	whole := NewResolver(m, edges, Config{Budget: 2000}).Run()
+	whole := NewResolver(m, edges, Config{}).RunBudget(2000)
 
 	// Two runs of 1k on the same resolver.
-	r := NewResolver(m, edges, Config{Budget: 1000})
-	first := r.Run()
-	second := r.Run()
+	r := NewResolver(m, edges, Config{})
+	first := r.RunBudget(1000)
+	second := r.RunBudget(1000)
 	if first.Comparisons != 1000 {
 		t.Fatalf("first leg executed %d", first.Comparisons)
 	}

@@ -63,8 +63,8 @@ func TestParallelTraceBitIdentical(t *testing.T) {
 	for _, model := range Models() {
 		for _, noDisc := range []bool{false, true} {
 			for _, budget := range []int{1, 7, 0} {
-				base := Config{Benefit: model, DisableDiscovery: noDisc, Budget: budget}
-				seq := NewResolver(m, edges, base).Run()
+				base := Config{Benefit: model, DisableDiscovery: noDisc}
+				seq := NewResolver(m, edges, base).RunBudget(budget)
 				for _, s := range seq.Trace {
 					sawDiscovered = sawDiscovered || s.Discovered
 					sawRecheck = sawRecheck || s.Recheck
@@ -72,7 +72,7 @@ func TestParallelTraceBitIdentical(t *testing.T) {
 				for _, workers := range []int{1, 2, 4, 8} {
 					cfg := base
 					cfg.Workers = workers
-					par := NewResolver(m, edges, cfg).Run()
+					par := NewResolver(m, edges, cfg).RunBudget(budget)
 					label := sprintfCase(model.Name(), noDisc, budget, workers)
 					sameTrace(t, label, seq, par)
 				}
@@ -111,7 +111,7 @@ func itoa(n int) string {
 // summed budget.
 func TestParallelResumeLegs(t *testing.T) {
 	m, edges := hardWorld(t, 100, 120)
-	seq := NewResolver(m, edges, Config{}).Run()
+	seq := NewResolver(m, edges, Config{}).RunBudget(0)
 
 	r := NewResolver(m, edges, Config{Workers: 4})
 	var combined []Step
@@ -164,43 +164,6 @@ func TestPendingNeverUndercounts(t *testing.T) {
 				t.Fatalf("seed=%d noDisc=%v: drained resolver left %d executable pairs", seed, noDisc, e)
 			}
 		}
-	}
-}
-
-// TestConfigExplicitZero is the regression suite for the zero-value
-// config trap: zeroing a field of DefaultConfig must stick, while the
-// zero Config keeps getting the documented defaults.
-func TestConfigExplicitZero(t *testing.T) {
-	if d := (Config{}).withDefaults(); d.NeighborBoost != 0.4 || d.BiasWeight != 0.25 {
-		t.Fatalf("zero Config no longer defaults: %+v", d)
-	}
-	cfg := DefaultConfig()
-	cfg.BiasWeight = 0
-	cfg.NeighborBoost = 0
-	if d := cfg.withDefaults(); d.BiasWeight != 0 || d.NeighborBoost != 0 {
-		t.Fatalf("explicit zeros overwritten: %+v", d)
-	}
-	if d := (Config{}).withDefaults(); d.Benefit == nil {
-		t.Fatal("nil Benefit not defaulted")
-	}
-
-	// Semantics: DefaultConfig ≡ zero Config, and a true-zero bias
-	// actually changes the schedule relative to the default (the old
-	// ε-hack in the ablations existed precisely because 0 could not).
-	m, edges := hardWorld(t, 11, 100)
-	def := NewResolver(m, edges, Config{}).Run()
-	norm := NewResolver(m, edges, DefaultConfig()).Run()
-	sameTrace(t, "DefaultConfig vs zero Config", def, norm)
-
-	zeroed := DefaultConfig()
-	zeroed.BiasWeight = 0
-	zeroBias := NewResolver(m, edges, zeroed).Run()
-	differs := len(zeroBias.Trace) != len(def.Trace)
-	for i := 0; !differs && i < len(def.Trace); i++ {
-		differs = zeroBias.Trace[i] != def.Trace[i]
-	}
-	if !differs {
-		t.Error("BiasWeight=0 produced the default-bias trace; explicit zero had no effect")
 	}
 }
 

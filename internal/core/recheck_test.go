@@ -54,7 +54,7 @@ func TestRecheckRescuesHardPair(t *testing.T) {
 		{A: hard.A, B: hard.B, Weight: 10}, // forced to the front
 		{A: ni, B: nw, Weight: 5},
 	}
-	res := NewResolver(m, edges, Config{}).Run()
+	res := NewResolver(m, edges, Config{}).RunBudget(0)
 
 	if len(res.Trace) < 3 {
 		t.Fatalf("trace too short: %+v", res.Trace)
@@ -87,7 +87,7 @@ func TestDisableDiscoveryAlsoDisablesRechecks(t *testing.T) {
 	// happens to order the director pair earlier — neighbor evidence in
 	// the score itself is not part of discovery.)
 	m, edges, _ := filmWorld(t)
-	res := NewResolver(m, edges, Config{DisableDiscovery: true}).Run()
+	res := NewResolver(m, edges, Config{DisableDiscovery: true}).RunBudget(0)
 	for _, s := range res.Trace {
 		if s.Recheck {
 			t.Fatalf("recheck executed with discovery disabled: %+v", s)
@@ -102,7 +102,7 @@ func TestRecheckTerminates(t *testing.T) {
 	// Re-checks must not loop: the run drains even though failed pairs
 	// keep receiving boosts from adjacent merges.
 	m, edges, _ := filmWorld(t)
-	res := NewResolver(m, edges, Config{}).Run()
+	res := NewResolver(m, edges, Config{}).RunBudget(0)
 	if res.Comparisons > 10*len(edges)+100 {
 		t.Errorf("suspiciously many comparisons (%d for %d edges) — recheck loop?",
 			res.Comparisons, len(edges))

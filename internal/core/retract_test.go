@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/blocking"
 	"repro/internal/datagen"
+	"repro/internal/kb"
 	"repro/internal/match"
 	"repro/internal/metablocking"
 	"repro/internal/tokenize"
@@ -54,8 +55,7 @@ func TestRetractFreshEqualsNewResolver(t *testing.T) {
 		for _, budget := range []int{7, 0} {
 			t.Run(fmt.Sprintf("workers=%d/budget=%d", workers, budget), func(t *testing.T) {
 				_, post, preEdges, postEdges := retractWorld(t, 551, 130, 7)
-				cfg := DefaultConfig()
-				cfg.Workers = workers
+				cfg := Config{Workers: workers}
 
 				r := NewResolver(post, preEdges, cfg) // seeded pre-eviction
 				r.Retract(post, postEdges, nil)
@@ -87,8 +87,7 @@ func TestRetractAfterRun(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			pre, post, preEdges, postEdges := retractWorld(t, 552, 140, 6)
 			col := post.Collection()
-			cfg := DefaultConfig()
-			cfg.Workers = workers
+			cfg := Config{Workers: workers}
 
 			r := NewResolver(pre, preEdges, cfg)
 			mid := r.RunBudget(60)
@@ -169,7 +168,7 @@ func TestRetractIgnoresFailedSteps(t *testing.T) {
 		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
 			pre, post, preEdges, postEdges := retractWorld(t, 560+trial, 120, 5+int(trial))
 			col := post.Collection()
-			cfg := DefaultConfig()
+			cfg := Config{}
 			mid := NewResolver(pre, preEdges, cfg).RunBudget(30 + 40*int(trial))
 			var full, merges []Step
 			for _, s := range mid.Trace {
@@ -193,5 +192,60 @@ func TestRetractIgnoresFailedSteps(t *testing.T) {
 			}
 			sameTrace(t, "full-vs-merges", a.RunBudget(0), b.RunBudget(0))
 		})
+	}
+}
+
+// TestDirtyMergesStayInTheirKB drives the one path on which the update
+// phase meets a same-KB pair in clean–clean ER: a single KB is
+// resolved as dirty ER, a second KB arrives, and Retract replays the
+// same-KB merges through propagate. The two Nolan duplicates merge in
+// the dirty run, which discovers their neighbors (Inception, Memento);
+// those fail on value similarity. Once KB b is live the collection is
+// clean–clean, so the replayed merge must neither re-discover that
+// same-KB pair nor boost one: every executed step and every tracked
+// discovered pair is cross-KB.
+func TestDirtyMergesStayInTheirKB(t *testing.T) {
+	c := kb.NewCollection()
+	add := func(kbn, uri, name, value string, links ...string) {
+		c.Add(&kb.Description{URI: uri, KB: kbn, Links: links,
+			Attrs: []kb.Attribute{{Predicate: "name", Value: name}, {Predicate: "note", Value: value}}})
+	}
+	add("a", "nolan", "Christopher Nolan", "director born London 1970")
+	add("a", "nolan2", "Christopher Nolan", "director born London 1970")
+	add("a", "inception", "Inception", "dream heist thriller", "nolan")
+	add("a", "memento", "Memento", "amnesia revenge noir", "nolan2")
+	prune := func() []metablocking.Edge {
+		col := blocking.TokenBlocking(c, tokenize.Default())
+		g := metablocking.Build(col, metablocking.ECBS)
+		return g.Prune(metablocking.WNP, metablocking.PruneOptions{Assignments: col.Assignments()})
+	}
+
+	r := NewResolver(match.NewMatcher(c, match.DefaultOptions()), prune(), Config{})
+	dirty := r.RunBudget(0)
+	merged, discovered := false, false
+	for _, s := range dirty.Trace {
+		merged = merged || s.Merged
+		discovered = discovered || (s.Discovered && !s.Matched)
+	}
+	if !merged || !discovered {
+		t.Fatalf("the dirty run must merge the duplicates and fail a discovered pair: %+v", dirty.Trace)
+	}
+
+	add("b", "cn", "Christopher Nolan", "director London")
+	add("b", "inc", "Inception", "heist dream thriller", "cn")
+	r.Retract(match.NewMatcher(c, match.DefaultOptions()), prune(), dirty.Trace)
+	for st := range r.states.all() {
+		if st.discovered && !c.CrossKB(st.pair.A, st.pair.B) {
+			t.Errorf("replay discovered same-KB pair %v", st.pair)
+		}
+	}
+	clean := r.RunBudget(0)
+	if clean.Matches == 0 {
+		t.Fatal("the clean–clean leg matched nothing")
+	}
+	for _, s := range clean.Trace {
+		if !c.CrossKB(s.A, s.B) {
+			t.Errorf("clean–clean leg executed same-KB pair %+v", s)
+		}
 	}
 }

@@ -236,7 +236,7 @@ func replayMerges(r *Resolver, edges []metablocking.Edge, trace []Step) map[uint
 				if h.done {
 					continue // a replayed match: resolved, never re-opened
 				}
-				h.boost += r.cfg.NeighborBoost
+				h.boost += neighborBoost
 				want[pairKey(p)] = h
 			}
 		}

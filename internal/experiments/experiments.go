@@ -10,7 +10,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/blocking"
@@ -19,7 +18,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/match"
 	"repro/internal/metablocking"
-	"repro/internal/pipeline"
 	"repro/internal/tokenize"
 )
 
@@ -73,9 +71,6 @@ func pad(s string, w int) string {
 func f3(x float64) string { return strconv.FormatFloat(x, 'f', 3, 64) }
 func f4(x float64) string { return strconv.FormatFloat(x, 'f', 4, 64) }
 func itoa(x int) string   { return strconv.Itoa(x) }
-func ms(d time.Duration) string {
-	return strconv.FormatFloat(float64(d.Microseconds())/1000, 'f', 1, 64)
-}
 
 // stack bundles the shared pipeline stages for one workload.
 type stack struct {
@@ -142,7 +137,7 @@ func F1Pipeline(seed int64, n int) *Table {
 	t.Rows = append(t.Rows, []string{"meta-blocking", fmt.Sprintf("%d edges", len(edges)), itoa(qPruned.Candidates), f3(qPruned.PC), f3(qPruned.PQ)})
 
 	m := match.NewMatcher(w.Collection, match.DefaultOptions())
-	res := core.NewResolver(m, edges, core.Config{}).Run()
+	res := core.NewResolver(m, edges, core.Config{}).RunBudget(0)
 	q := eval.EvaluateMatches(w.Collection, w.Truth, res.MatchedPairs(m))
 	t.Rows = append(t.Rows, []string{"schedule+match+update", fmt.Sprintf("%d matches (%d discovered cmps)", res.Matches, res.Discovered), itoa(res.Comparisons), f3(q.Recall), f3(q.Precision)})
 	t.Notes = "final row: PC column = recall, PQ column = precision of resolved pairs"
@@ -233,7 +228,7 @@ func F2Progressive(seed int64, n int) *Table {
 	total := w.Truth.CrossKBMatchingPairs(w.Collection)
 	horizon := len(s.edges)
 
-	minoan := core.NewResolver(s.m, s.edges, core.Config{}).Run()
+	minoan := core.NewResolver(s.m, s.edges, core.Config{}).RunBudget(0)
 	curves := []struct {
 		name  string
 		curve eval.Curve
@@ -274,7 +269,7 @@ func F3Benefits(seed int64, n int) *Table {
 		Header: []string{"model", "2%", "5%", "10%", "25%", "final(abs)"},
 	}
 	for _, model := range core.Models() {
-		res := core.NewResolver(s.m, s.edges, core.Config{Benefit: model}).Run()
+		res := core.NewResolver(s.m, s.edges, core.Config{Benefit: model}).RunBudget(0)
 		var curve eval.Curve
 		cum := 0.0
 		for i, step := range res.Trace {
@@ -320,7 +315,7 @@ func T4NeighborEvidence(seed int64, n int) *Table {
 		name    string
 		disable bool
 	}{{"with update phase", false}, {"without update phase", true}} {
-		res := core.NewResolver(s.m, s.edges, core.Config{DisableDiscovery: v.disable}).Run()
+		res := core.NewResolver(s.m, s.edges, core.Config{DisableDiscovery: v.disable}).RunBudget(0)
 		q := eval.EvaluateMatches(w.Collection, w.Truth, res.MatchedPairs(s.m))
 		t.Rows = append(t.Rows, []string{
 			v.name, itoa(res.Comparisons), itoa(res.Discovered), itoa(res.Matches),
@@ -331,70 +326,23 @@ func T4NeighborEvidence(seed int64, n int) *Table {
 	return t
 }
 
-// T5Parallel measures blocking + meta-blocking wall time as workers
-// increase (the parallelism claim of [4], laptop scale), through the
-// engine pipeline.Select resolves for each count: at 1 worker its
-// tokenizer and graph kernel run inline, above it they fan out.
-func T5Parallel(seed int64, n int, workers []int) *Table {
-	t := &Table{
-		ID:     "T5",
-		Title:  "Parallel blocking + meta-blocking (shared memory)",
-		Header: []string{"workers", "block(ms)", "graph(ms)", "prune(ms)", "total(ms)", "speedup"},
-	}
-	var baselineMs float64
-	for _, wk := range workers {
-		// A fresh world per row: the collection caches its tokens, so a
-		// shared one would hand every later row the first row's work.
-		w := mustGenerate(datagen.TwoKBs(seed, n, datagen.Center(), datagen.Center()))
-		e := pipeline.Select(wk, false)
-		t0 := time.Now()
-		col, err := e.TokenBlocking(w.Collection, tokenize.Default())
-		if err != nil {
-			panic(err)
-		}
-		t1 := time.Now()
-		g, err := e.Build(col, metablocking.ECBS)
-		if err != nil {
-			panic(err)
-		}
-		t2 := time.Now()
-		if _, err = e.Prune(g, metablocking.WNP, metablocking.PruneOptions{}); err != nil {
-			panic(err)
-		}
-		t3 := time.Now()
-		total := t3.Sub(t0)
-		if baselineMs == 0 {
-			baselineMs = float64(total.Microseconds())
-		}
-		t.Rows = append(t.Rows, []string{
-			itoa(wk), ms(t1.Sub(t0)), ms(t2.Sub(t1)), ms(t3.Sub(t2)), ms(total),
-			f3(baselineMs / float64(total.Microseconds())),
-		})
-	}
-	t.Notes = "expected shape: block and graph time fall as workers grow, up to the core count (1 worker runs both kernels inline); prune is single-threaded on every row"
-	return t
-}
-
-// F4Scalability sweeps entity count: comparisons after each stage and
-// end-to-end wall time must grow near-linearly, against the quadratic
-// brute force.
+// F4Scalability sweeps entity count: comparisons after each stage must
+// grow near-linearly, against the quadratic brute force.
 func F4Scalability(seed int64, sizes []int) *Table {
 	t := &Table{
 		ID:     "F4",
 		Title:  "Scalability with entity count",
-		Header: []string{"entities", "brute", "blocked", "pruned", "recall", "wall(ms)"},
+		Header: []string{"entities", "brute", "blocked", "pruned", "recall"},
 	}
 	for _, n := range sizes {
 		w := mustGenerate(datagen.TwoKBs(seed, n, datagen.Center(), datagen.Center()))
-		t0 := time.Now()
 		s := buildStack(w)
-		res := core.NewResolver(s.m, s.edges, core.Config{}).Run()
-		wall := time.Since(t0)
+		res := core.NewResolver(s.m, s.edges, core.Config{}).RunBudget(0)
 		q := eval.EvaluateMatches(w.Collection, w.Truth, res.MatchedPairs(s.m))
 		t.Rows = append(t.Rows, []string{
 			itoa(n), itoa(eval.BruteForceComparisons(w.Collection)),
 			itoa(s.raw.TotalComparisons()), itoa(len(s.edges)),
-			f3(q.Recall), ms(wall),
+			f3(q.Recall),
 		})
 	}
 	t.Notes = "expected shape: pruned comparisons grow ~linearly while brute force grows quadratically"
@@ -406,7 +354,7 @@ func F4Scalability(seed int64, sizes []int) *Table {
 func T6DirtyER(seed int64, n int) *Table {
 	w := mustGenerate(datagen.DirtyKB(seed, n, 2))
 	s := buildStack(w)
-	res := core.NewResolver(s.m, s.edges, core.Config{}).Run()
+	res := core.NewResolver(s.m, s.edges, core.Config{}).RunBudget(0)
 	q := eval.EvaluateMatches(w.Collection, w.Truth, res.MatchedPairs(s.m))
 	blockQ := eval.EvaluateBlocks(s.col, w.Truth)
 	t := &Table{

@@ -143,20 +143,6 @@ func TestT4Shape(t *testing.T) {
 	}
 }
 
-func TestT5Shape(t *testing.T) {
-	tab := T5Parallel(8, 150, []int{1, 4})
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows=%d", len(tab.Rows))
-	}
-	// Timing is environment-dependent; assert structure only.
-	if num(t, cell(tab, 0, "speedup")) != 1.0 {
-		t.Errorf("first speedup row should be 1.0")
-	}
-	if num(t, cell(tab, 1, "total(ms)")) <= 0 {
-		t.Error("non-positive wall time")
-	}
-}
-
 func TestF4Shape(t *testing.T) {
 	tab := F4Scalability(9, []int{100, 200})
 	if len(tab.Rows) != 2 {

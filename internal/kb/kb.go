@@ -37,7 +37,7 @@ type Description struct {
 	KB    string      // name of the source knowledge base
 	Types []string    // rdf:type objects
 	Attrs []Attribute // literal-valued predicates
-	Links []string    // URIs of linked (neighbor) descriptions
+	Links []string    // URIs of linked (neighbor) descriptions in the same KB
 }
 
 // Label returns the best human-readable name: the first rdfs:label
@@ -354,9 +354,10 @@ func (c *Collection) WarmTokens(opts tokenize.Options, workers int) [][]string {
 	return c.tokens
 }
 
-// Neighbors returns the ids of descriptions linked from id. Links whose
-// target URI is not present in the collection are skipped. Targets are
-// resolved in the same KB first, then in any KB.
+// Neighbors returns the ids of descriptions linked from id. Targets are
+// resolved only within id's own KB: a link whose target URI has no
+// description in that KB is skipped, even when another KB holds the
+// URI.
 func (c *Collection) Neighbors(id int) []int {
 	d := c.Desc(id)
 	if len(d.Links) == 0 {

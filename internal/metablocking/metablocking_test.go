@@ -127,38 +127,42 @@ func TestCEP(t *testing.T) {
 	}
 }
 
+// samePairs checks that got retains exactly the pairs want.
+func samePairs(t *testing.T, label string, got []Edge, want ...[2]int) {
+	t.Helper()
+	em := edgeMap(got)
+	ok := len(got) == len(want)
+	for _, p := range want {
+		_, in := em[p]
+		ok = ok && in
+	}
+	if !ok {
+		t.Errorf("%s kept %v, want %v", label, got, want)
+	}
+}
+
 func TestWNPAndReciprocal(t *testing.T) {
+	// CBS weights (0,2)=2, (1,2)=1, (1,3)=1. Neighborhood means: node 0
+	// 2, node 1 1, node 2 1.5, node 3 1. Edge (1,2) clears node 1's
+	// mean but not node 2's: the redefined variant keeps it, the
+	// reciprocal one drops it. The other two clear both endpoints.
 	g := Build(fixture(t), CBS)
-	either := g.Prune(WNP, PruneOptions{})
-	both := g.Prune(WNP, PruneOptions{Reciprocal: true})
-	if len(both) > len(either) {
-		t.Errorf("reciprocal WNP kept more (%d) than redefined (%d)", len(both), len(either))
-	}
-	// Node 3's only edge is (1,3): locally retained. Node 1 has edges
-	// (1,2) and (1,3) with equal weight 1 → both ≥ mean → retained.
-	// So (1,3) survives reciprocal WNP.
-	found := false
-	for _, e := range both {
-		if e.A == 1 && e.B == 3 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("reciprocal WNP lost (1,3): %v", both)
-	}
+	samePairs(t, "WNP", g.Prune(WNP, PruneOptions{}), [2]int{0, 2}, [2]int{1, 2}, [2]int{1, 3})
+	samePairs(t, "reciprocal WNP", g.Prune(WNP, PruneOptions{Reciprocal: true}), [2]int{0, 2}, [2]int{1, 3})
 }
 
 func TestCNP(t *testing.T) {
 	g := Build(fixture(t), CBS)
+	// With k = 1 every node keeps its single heaviest edge, the lower
+	// edge index winning a tie: node 0 and node 2 keep (0,2), node 1
+	// keeps (1,2) over the equal-weight (1,3), node 3 keeps (1,3). So
+	// (1,2) and (1,3) are each kept by one endpoint only.
 	kept := g.Prune(CNP, PruneOptions{KPerNode: 1})
-	// Every node keeps its single heaviest edge; union of those.
-	if len(kept) == 0 {
-		t.Fatal("CNP kept nothing")
-	}
-	top := kept[0]
-	if top.A != 0 || top.B != 2 {
+	samePairs(t, "CNP", kept, [2]int{0, 2}, [2]int{1, 2}, [2]int{1, 3})
+	if top := kept[0]; top.A != 0 || top.B != 2 {
 		t.Errorf("CNP top edge %v", top)
 	}
+	samePairs(t, "reciprocal CNP", g.Prune(CNP, PruneOptions{KPerNode: 1, Reciprocal: true}), [2]int{0, 2})
 	// KPerNode large → everything survives.
 	all := g.Prune(CNP, PruneOptions{KPerNode: 100})
 	if len(all) != g.NumEdges() {

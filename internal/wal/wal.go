@@ -164,7 +164,7 @@ type Log struct {
 	records     int64
 	checkpoints int64
 	lastSync    time.Time
-	dirty       bool // bytes appended since the last fsync
+	dirty       bool // bytes appended, or a torn tail truncated, since the last fsync
 }
 
 // Open opens (creating if needed) the log in dir, replay-reads the
@@ -186,11 +186,13 @@ func Open(dir string, policy Policy) (*Log, []Record, error) {
 		return nil, nil, fmt.Errorf("wal: read %s: %w", path, err)
 	}
 	// Drop the torn tail so new frames start on a valid boundary.
+	truncated := false
 	if fi, err := f.Stat(); err == nil && fi.Size() > valid {
 		if err := f.Truncate(valid); err != nil {
 			f.Close()
 			return nil, nil, fmt.Errorf("wal: truncate torn tail of %s: %w", path, err)
 		}
+		truncated = true
 	}
 	if _, err := f.Seek(valid, io.SeekStart); err != nil {
 		f.Close()
@@ -202,6 +204,7 @@ func Open(dir string, policy Policy) (*Log, []Record, error) {
 		policy:  policy,
 		size:    valid,
 		records: int64(len(recs)),
+		dirty:   truncated,
 	}
 	return l, recs, nil
 }
@@ -363,19 +366,22 @@ func unixNano(t time.Time) int64 {
 	return t.UnixNano()
 }
 
-// Close fsyncs (whatever the policy — closing is a durability
-// point), and closes the log. A closed log refuses further appends.
+// Close fsyncs what this handle changed since its last fsync — the
+// appends, or Open's truncation of a torn tail — whatever the policy
+// (closing is a durability point), and closes the log. A log this
+// handle left untouched closes without a flush. A closed log refuses
+// further appends.
 func (l *Log) Close() error {
 	if l.f == nil {
 		return nil
 	}
-	err := l.f.Sync()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
+	var err error
+	if l.dirty {
+		err = l.sync()
+	}
+	if cerr := l.f.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("wal: close: %w", cerr)
 	}
 	l.f = nil
-	if err != nil {
-		return fmt.Errorf("wal: close: %w", err)
-	}
-	return nil
+	return err
 }

@@ -146,6 +146,52 @@ func TestTornTailEveryByte(t *testing.T) {
 	}
 }
 
+// TestCloseSyncsOnlyWhatChanged pins when Close flushes, read from
+// Stats().LastSyncUnixNano after the close: a log opened and closed
+// untouched never syncs; a close after an append under SyncOff (which
+// never syncs on its own) does; so does a close after Open truncated a
+// torn tail, though nothing was appended.
+func TestCloseSyncsOnlyWhatChanged(t *testing.T) {
+	lastSyncAfterClose := func(t *testing.T, dir string, appendOne bool) int64 {
+		t.Helper()
+		l, _, err := Open(dir, SyncOff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if appendOne {
+			appendAll(t, l, testRecords()[:1])
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return l.Stats().LastSyncUnixNano
+	}
+
+	dir := t.TempDir()
+	if got := lastSyncAfterClose(t, dir, false); got != 0 {
+		t.Errorf("clean open and close synced (LastSyncUnixNano %d)", got)
+	}
+	if got := lastSyncAfterClose(t, dir, true); got == 0 {
+		t.Error("close after an append under SyncOff did not sync")
+	}
+	if got := lastSyncAfterClose(t, dir, false); got != 0 {
+		t.Errorf("reopening a whole log and closing it synced (LastSyncUnixNano %d)", got)
+	}
+
+	// A torn tail: a whole frame, then half of a second one.
+	path := filepath.Join(dir, logName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(raw, raw[:len(raw)/2]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := lastSyncAfterClose(t, dir, false); got == 0 {
+		t.Error("close after Open truncated a torn tail did not sync")
+	}
+}
+
 // TestCorruptByte flips each byte of the log in turn: recovery must
 // stop cleanly at (or before) the frame holding the flip and never
 // error, allocate wildly, or return a record that fails its checksum.

@@ -116,7 +116,8 @@ const (
 	// the paper's implicit choice).
 	TransitiveClosure = cluster.TransitiveClosure
 	// CenterClustering builds star clusters, refusing to chain weak
-	// matches — much higher precision on dirty data (see ablation A6).
+	// matches — much higher precision on dirty data (see internal/cluster's
+	// TestClusteringImprovesDirtyPrecision).
 	CenterClustering = cluster.Center
 	// UniqueMappingClustering greedily enforces one partner per other
 	// KB, by descending score.
