@@ -326,15 +326,13 @@ func evaluate(res *minoaner.Result, kbs kbFlags, truthPath string) error {
 		if err != nil {
 			return err
 		}
-		var lerr error
-		if strings.HasSuffix(path, ".ttl") || strings.HasSuffix(path, ".turtle") {
-			lerr = c.LoadTurtle(name, f)
-		} else {
-			lerr = c.Load(name, f)
-		}
+		descs, err := kb.Read(kb.SyntaxOf(path), name, f)
 		f.Close()
-		if lerr != nil {
-			return lerr
+		if err != nil {
+			return fmt.Errorf("load %s: %w", name, err)
+		}
+		for i := range descs {
+			c.Add(&descs[i])
 		}
 	}
 	tf, err := os.Open(truthPath)

@@ -39,6 +39,16 @@ func TestErrBadBatch(t *testing.T) {
 		{"Add empty uri in batch", func() error {
 			return p.Add([]minoaner.Description{{KB: "kb", URI: ""}})
 		}},
+		// A subject <> with no @base is a description with an empty URI.
+		{"LoadKB empty subject IRI", func() error {
+			return p.LoadKB("kb", strings.NewReader(`<> <http://p/name> "x y" .`))
+		}},
+		{"LoadKBTurtle empty subject IRI", func() error {
+			return p.LoadKBTurtle("kb", strings.NewReader(`<> <http://p/name> "x y" .`))
+		}},
+		{"LoadQuads empty subject IRI", func() error {
+			return p.LoadQuads("kb", strings.NewReader(`<> <http://p/name> "x y" <http://g> .`))
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -58,6 +68,9 @@ func TestErrBadBatchSession(t *testing.T) {
 	}
 	if err := s.IngestKB("", strings.NewReader("")); !errors.Is(err, minoaner.ErrBadBatch) {
 		t.Errorf("IngestKB empty name: got %v, want ErrBadBatch", err)
+	}
+	if err := s.IngestKB("alpha", strings.NewReader(`<> <http://p/name> "x y" .`)); !errors.Is(err, minoaner.ErrBadBatch) {
+		t.Errorf("IngestKB empty subject IRI: got %v, want ErrBadBatch", err)
 	}
 	if err := s.EvictKB(""); !errors.Is(err, minoaner.ErrBadBatch) {
 		t.Errorf("EvictKB empty name: got %v, want ErrBadBatch", err)

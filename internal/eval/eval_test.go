@@ -183,43 +183,3 @@ func TestCurveProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestEvaluateClustersPerfect(t *testing.T) {
-	g := kb.NewGroundTruth()
-	g.AddClass(0, 1)
-	g.AddClass(2, 3, 4)
-	q := EvaluateClusters(g, [][]int{{0, 1}, {2, 3, 4}})
-	if !approx(q.Purity, 1) || !approx(q.InversePurity, 1) || !approx(q.F, 1) {
-		t.Errorf("perfect clustering scored %+v", q)
-	}
-	if q.ExactMatch != 2 || q.TruthClasses != 2 {
-		t.Errorf("exact=%d/%d", q.ExactMatch, q.TruthClasses)
-	}
-}
-
-func TestEvaluateClustersMixedAndSplit(t *testing.T) {
-	g := kb.NewGroundTruth()
-	g.AddClass(0, 1)
-	g.AddClass(2, 3)
-	// One big mixed cluster: purity 0.5, inverse purity 1.
-	q := EvaluateClusters(g, [][]int{{0, 1, 2, 3}})
-	if !approx(q.Purity, 0.5) || !approx(q.InversePurity, 1) {
-		t.Errorf("mixed cluster %+v", q)
-	}
-	if q.ExactMatch != 0 {
-		t.Errorf("exact=%d", q.ExactMatch)
-	}
-	// Fully split: purity 1, inverse purity 0.5.
-	q = EvaluateClusters(g, [][]int{{0}, {1}, {2}, {3}})
-	if !approx(q.Purity, 1) || !approx(q.InversePurity, 0.5) {
-		t.Errorf("split clusters %+v", q)
-	}
-	// Empty truth.
-	empty := EvaluateClusters(kb.NewGroundTruth(), [][]int{{0, 1}})
-	if empty.Purity != 0 || empty.F != 0 {
-		t.Errorf("empty truth %+v", empty)
-	}
-	if q.String() == "" {
-		t.Error("empty String")
-	}
-}

@@ -15,6 +15,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/parmeta"
 	"repro/internal/rdf"
@@ -31,13 +32,20 @@ type Attribute struct {
 }
 
 // Description is one entity description: the RDF resource rooted at URI
-// within a single knowledge base.
+// within a single knowledge base. The JSON tags are part of the public
+// wire format (minoaner.Description aliases this type) that the server
+// streams and the write-ahead log frames; golden fixtures pin them.
 type Description struct {
-	URI   string
-	KB    string      // name of the source knowledge base
-	Types []string    // rdf:type objects
-	Attrs []Attribute // literal-valued predicates
-	Links []string    // URIs of linked (neighbor) descriptions in the same KB
+	// KB names the source knowledge base.
+	KB string `json:"kb"`
+	// URI identifies the description within its KB.
+	URI string `json:"uri"`
+	// Types lists rdf:type objects.
+	Types []string `json:"types,omitempty"`
+	// Attrs lists the literal-valued predicates.
+	Attrs []Attribute `json:"attrs,omitempty"`
+	// Links lists URIs of linked (neighbor) descriptions in the same KB.
+	Links []string `json:"links,omitempty"`
 }
 
 // Label returns the best human-readable name: the first rdfs:label
@@ -386,24 +394,31 @@ func (c *Collection) Neighbors(id int) []int {
 // named KB, one per subject in first-appearance order, without adding
 // them anywhere. Literal objects become attributes, rdf:type objects
 // become types, owl:sameAs triples are skipped (they are ground truth,
-// not evidence), and other resource objects become links. LoadTriples
-// adds the result to a collection; the write-ahead-logged ingest path
-// serializes it first, so what the log replays is exactly what the
-// collection absorbed.
+// not evidence), and other resource objects become links.
 func DescriptionsFromTriples(kbName string, triples []rdf.Triple) []*Description {
-	pending := make(map[string]*Description)
-	order := make([]string, 0, len(triples))
+	descs := describe(kbName, triples)
+	out := make([]*Description, len(descs))
+	for i := range descs {
+		out[i] = &descs[i]
+	}
+	return out
+}
+
+func describe(kbName string, triples []rdf.Triple) []Description {
+	index := make(map[string]int)
+	var out []Description
 	for _, t := range triples {
 		if !t.Subject.IsResource() || t.Predicate.Value == rdf.OWLSameAs {
 			continue
 		}
 		subj := subjectKey(t.Subject)
-		d, ok := pending[subj]
+		i, ok := index[subj]
 		if !ok {
-			d = &Description{URI: subj, KB: kbName}
-			pending[subj] = d
-			order = append(order, subj)
+			i = len(out)
+			index[subj] = i
+			out = append(out, Description{KB: kbName, URI: subj})
 		}
+		d := &out[i]
 		switch {
 		case t.Predicate.Value == rdf.RDFType && t.Object.IsIRI():
 			d.Types = append(d.Types, t.Object.Value)
@@ -412,35 +427,6 @@ func DescriptionsFromTriples(kbName string, triples []rdf.Triple) []*Description
 		case t.Object.IsResource():
 			d.Links = append(d.Links, subjectKey(t.Object))
 		}
-	}
-	out := make([]*Description, len(order))
-	for i, subj := range order {
-		out[i] = pending[subj]
-	}
-	return out
-}
-
-// DescriptionsFromQuads folds N-Quads statements into descriptions,
-// mapping each named graph to its own KB (default-graph statements to
-// defaultKB), preserving statement order within each graph and graph
-// first-appearance order across them — the same grouping LoadQuads
-// applies.
-func DescriptionsFromQuads(defaultKB string, quads []rdf.Quad) []*Description {
-	perGraph := make(map[string][]rdf.Triple)
-	var order []string
-	for _, q := range quads {
-		name := defaultKB
-		if q.Graph != (rdf.Term{}) {
-			name = q.Graph.Value
-		}
-		if _, seen := perGraph[name]; !seen {
-			order = append(order, name)
-		}
-		perGraph[name] = append(perGraph[name], q.Triple)
-	}
-	var out []*Description
-	for _, name := range order {
-		out = append(out, DescriptionsFromTriples(name, perGraph[name])...)
 	}
 	return out
 }
@@ -460,39 +446,70 @@ func subjectKey(t rdf.Term) string {
 	return t.Value
 }
 
-// Load reads an N-Triples stream into the collection as KB kbName.
-func (c *Collection) Load(kbName string, r io.Reader) error {
-	triples, err := rdf.NewDecoder(r).DecodeAll()
-	if err != nil {
-		return fmt.Errorf("kb: load %s: %w", kbName, err)
+// Syntax names the RDF syntax of a document.
+type Syntax int
+
+const (
+	NTriples Syntax = iota // one statement per line
+	NQuads                 // N-Triples plus an optional graph label per statement
+	Turtle                 // prefixes, predicate and object lists, blank-node property lists
+)
+
+// SyntaxOf names the syntax of an RDF file by its name: files ending in
+// .ttl or .turtle are Turtle, everything else N-Triples.
+func SyntaxOf(path string) Syntax {
+	if strings.HasSuffix(path, ".ttl") || strings.HasSuffix(path, ".turtle") {
+		return Turtle
 	}
-	c.LoadTriples(kbName, triples)
-	return nil
+	return NTriples
 }
 
-// LoadQuads reads an N-Quads stream, mapping each named graph to its
-// own knowledge base (named by the graph IRI) — the natural reading of
-// Web-crawl corpora like BTC, where the graph label records the
-// publishing dataset. Default-graph statements go to defaultKB.
-func (c *Collection) LoadQuads(defaultKB string, r io.Reader) error {
+// Read decodes a document of the given syntax into the descriptions of
+// knowledge base kbName (see DescriptionsFromTriples for the folding
+// rules). In N-Quads each named graph is a knowledge base of its own,
+// named by the graph label — the natural reading of Web-crawl corpora
+// like BTC, where the label records the publishing dataset — and
+// default-graph statements go to kbName; graphs follow in order of
+// first appearance, each in statement order.
+func Read(syn Syntax, kbName string, r io.Reader) ([]Description, error) {
+	var triples []rdf.Triple
+	var err error
+	switch syn {
+	case NQuads:
+		return readQuads(kbName, r)
+	case Turtle:
+		triples, err = rdf.NewTurtleDecoder(r).DecodeAll()
+	default:
+		triples, err = rdf.NewDecoder(r).DecodeAll()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return describe(kbName, triples), nil
+}
+
+func readQuads(defaultKB string, r io.Reader) ([]Description, error) {
 	quads, err := rdf.NewQuadDecoder(r).DecodeAll()
 	if err != nil {
-		return fmt.Errorf("kb: load quads: %w", err)
+		return nil, err
 	}
-	for _, d := range DescriptionsFromQuads(defaultKB, quads) {
-		c.Add(d)
+	perGraph := make(map[string][]rdf.Triple)
+	var order []string
+	for _, q := range quads {
+		name := defaultKB
+		if q.Graph != (rdf.Term{}) {
+			name = q.Graph.Value
+		}
+		if _, seen := perGraph[name]; !seen {
+			order = append(order, name)
+		}
+		perGraph[name] = append(perGraph[name], q.Triple)
 	}
-	return nil
-}
-
-// LoadTurtle reads a Turtle stream into the collection as KB kbName.
-func (c *Collection) LoadTurtle(kbName string, r io.Reader) error {
-	triples, err := rdf.NewTurtleDecoder(r).DecodeAll()
-	if err != nil {
-		return fmt.Errorf("kb: load %s: %w", kbName, err)
+	var out []Description
+	for _, name := range order {
+		out = append(out, describe(name, perGraph[name])...)
 	}
-	c.LoadTriples(kbName, triples)
-	return nil
+	return out, nil
 }
 
 // Stats summarizes a collection for reporting.

@@ -19,11 +19,20 @@ const sampleNT = `
 <http://kb1.org/Paris> <http://www.w3.org/2002/07/owl#sameAs> <http://kb2.org/paris_fr> .
 `
 
+// readInto adds the descriptions of an RDF document to c.
+func readInto(c *Collection, syn Syntax, kbName, doc string) error {
+	descs, err := Read(syn, kbName, strings.NewReader(doc))
+	for i := range descs {
+		c.Add(&descs[i])
+	}
+	return err
+}
+
 func loadSample(t *testing.T) *Collection {
 	t.Helper()
 	c := NewCollection()
-	if err := c.Load("kb1", strings.NewReader(sampleNT)); err != nil {
-		t.Fatalf("Load: %v", err)
+	if err := readInto(c, NTriples, "kb1", sampleNT); err != nil {
+		t.Fatalf("Read: %v", err)
 	}
 	return c
 }
@@ -357,14 +366,19 @@ func TestParseSameAs(t *testing.T) {
 
 func TestLoadErrors(t *testing.T) {
 	c := NewCollection()
-	if err := c.Load("bad", strings.NewReader("not ntriples")); err == nil {
-		t.Error("Load accepted garbage")
+	for _, syn := range []Syntax{NTriples, NQuads, Turtle} {
+		if err := readInto(c, syn, "bad", "not ntriples"); err == nil {
+			t.Errorf("syntax %d accepted garbage", syn)
+		}
+	}
+	if c.Len() != 0 {
+		t.Errorf("a failed read added %d descriptions", c.Len())
 	}
 }
 
 func TestBlankNodeSubjects(t *testing.T) {
 	c := NewCollection()
-	err := c.Load("k", strings.NewReader(`_:b1 <http://p/label> "anon" .`))
+	err := readInto(c, NTriples, "k", `_:b1 <http://p/label> "anon" .`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +425,7 @@ func TestLoadQuads(t *testing.T) {
 <http://geo/2988> <http://geo/label> "Paris" <http://graphs/geo> .
 <http://x/extra> <http://x/p> "default graph" .
 `
-	if err := c.LoadQuads("crawl", strings.NewReader(doc)); err != nil {
+	if err := readInto(c, NQuads, "crawl", doc); err != nil {
 		t.Fatal(err)
 	}
 	if c.NumKBs() != 3 {
@@ -428,8 +442,35 @@ func TestLoadQuads(t *testing.T) {
 	if _, ok := c.IDOf("crawl", "http://x/extra"); !ok {
 		t.Error("default-graph statement lost")
 	}
-	if err := c.LoadQuads("crawl", strings.NewReader("garbage")); err == nil {
+	if err := readInto(c, NQuads, "crawl", "garbage"); err == nil {
 		t.Error("malformed quads accepted")
+	}
+}
+
+// TestReadSyntaxes reads one KB from each syntax: N-Triples, the same
+// statements as N-Quads in the default graph, and Turtle must yield
+// the same descriptions; SyntaxOf picks Turtle by file suffix only.
+func TestReadSyntaxes(t *testing.T) {
+	ttl := `@prefix kb1: <http://kb1.org/> .
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+kb1:Paris a kb1:City ; rdfs:label "Paris" ; kb1:country kb1:France ; kb1:population "2161000" ;
+  <http://www.w3.org/2002/07/owl#sameAs> <http://kb2.org/paris_fr> .
+kb1:France rdfs:label "France" .
+`
+	want, err := Read(NTriples, "kb1", strings.NewReader(sampleNT))
+	if err != nil || len(want) != 2 {
+		t.Fatalf("N-Triples: %v, %d descriptions", err, len(want))
+	}
+	for syn, doc := range map[Syntax]string{NQuads: sampleNT, Turtle: ttl} {
+		got, err := Read(syn, "kb1", strings.NewReader(doc))
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("syntax %d: %v\ngot  %+v\nwant %+v", syn, err, got, want)
+		}
+	}
+	for path, want := range map[string]Syntax{"a.ttl": Turtle, "a.turtle": Turtle, "a.nt": NTriples, "a.nq": NTriples, "ttl": NTriples} {
+		if got := SyntaxOf(path); got != want {
+			t.Errorf("SyntaxOf(%q) = %d, want %d", path, got, want)
+		}
 	}
 }
 

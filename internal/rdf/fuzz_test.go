@@ -55,10 +55,11 @@ func FuzzNTriplesRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzQuadAndTurtleDecoders drives the N-Quads and Turtle decoders
-// with the same arbitrary input: they must never panic, and the quad
-// decoder's triples must round-trip through the N-Triples writer like
-// plain triples do.
+// FuzzQuadAndTurtleDecoders drives the N-Quads, N-Triples and Turtle
+// decoders with the same arbitrary input: they must never panic, the
+// quad decoder's triples must round-trip through the N-Triples writer
+// like plain triples do, and a document that both the N-Triples and the
+// Turtle decoder accept must decode to the same triples under both.
 func FuzzQuadAndTurtleDecoders(f *testing.F) {
 	seeds := []string{
 		"",
@@ -68,6 +69,8 @@ func FuzzQuadAndTurtleDecoders(f *testing.F) {
 		"@base <http://base/> .\n<a> <p> \"v\" ; <q> \"w\" .",
 		"ex:a ex:p [ ex:q \"nested\" ] .",
 		"<http://a> <http://p> ( \"lists\" \"too\" ) .",
+		"<http://a> <http://p> \"a\\u0000b\" .",
+		"<http://a> <http://p> \"a\\u0001b\" .",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -83,6 +86,18 @@ func FuzzQuadAndTurtleDecoders(f *testing.F) {
 				t.Fatalf("accepted quads failed to serialize: %v", err)
 			}
 		}
-		_, _ = NewTurtleDecoder(strings.NewReader(doc)).DecodeAll()
+		fromTTL, terr := NewTurtleDecoder(strings.NewReader(doc)).DecodeAll()
+		fromNT, nerr := NewDecoder(strings.NewReader(doc)).DecodeAll()
+		if terr != nil || nerr != nil {
+			return
+		}
+		if len(fromNT) != len(fromTTL) {
+			t.Fatalf("N-Triples decoded %d triples, Turtle %d\ndoc: %q", len(fromNT), len(fromTTL), doc)
+		}
+		for i := range fromNT {
+			if fromNT[i] != fromTTL[i] {
+				t.Fatalf("triple %d: N-Triples %v, Turtle %v\ndoc: %q", i, fromNT[i], fromTTL[i], doc)
+			}
+		}
 	})
 }

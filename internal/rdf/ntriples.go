@@ -9,8 +9,8 @@ import (
 	"unicode/utf8"
 )
 
-// ParseError describes a syntax error at a specific line of an N-Triples
-// stream.
+// ParseError describes a syntax error at a specific line of an RDF
+// document.
 type ParseError struct {
 	Line int    // 1-based line number
 	Msg  string // human-readable description
@@ -20,345 +20,205 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("rdf: line %d: %s", e.Line, e.Msg)
 }
 
-// Decoder reads triples from an N-Triples stream, one statement per line.
-// Comment lines (starting with '#') and blank lines are skipped.
-type Decoder struct {
-	r    *bufio.Reader
-	line int
-	// Strict causes Decode to reject relative IRIs and malformed language
-	// tags. When false (the default) the decoder is lenient, matching the
-	// messy reality of published LOD dumps.
-	Strict bool
-}
+// Decoder reads triples from an N-Triples stream, one statement per
+// line. Comment lines (starting with '#') and blank lines are skipped.
+// The decoder is lenient, matching the messy reality of published LOD
+// dumps: relative IRIs pass, and a language tag or blank node label is
+// whatever runs up to the next space or tab ('.' also ends a label).
+type Decoder struct{ lineDecoder }
 
 // NewDecoder returns a Decoder reading from r.
-func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: bufio.NewReaderSize(r, 64<<10)}
-}
+func NewDecoder(r io.Reader) *Decoder { return &Decoder{newLineDecoder(r)} }
 
 // Decode returns the next triple, or io.EOF when the stream ends.
 func (d *Decoder) Decode() (Triple, error) {
-	for {
-		d.line++
-		raw, err := d.r.ReadString('\n')
-		if err != nil && err != io.EOF {
-			return Triple{}, fmt.Errorf("rdf: read: %w", err)
-		}
-		atEOF := err == io.EOF
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			if atEOF {
-				return Triple{}, io.EOF
-			}
-			continue
-		}
-		t, perr := d.parseLine(line)
-		if perr != nil {
-			return Triple{}, perr
-		}
-		return t, nil
-	}
+	q, err := d.next(false)
+	return q.Triple, err
 }
 
 // DecodeAll reads the remaining stream and returns all triples.
-func (d *Decoder) DecodeAll() ([]Triple, error) {
-	var out []Triple
+func (d *Decoder) DecodeAll() ([]Triple, error) { return decodeAll(d.Decode) }
+
+// Quad is a triple with the graph label of its source — the shape of
+// Web-crawl corpora such as the Billion Triple Challenge datasets,
+// where the fourth term records which dataset published the statement.
+type Quad struct {
+	Triple
+	// Graph is the graph label IRI, or the zero Term for statements in
+	// the default graph.
+	Graph Term
+}
+
+// String renders the quad in N-Quads syntax.
+func (q Quad) String() string {
+	if q.Graph == (Term{}) {
+		return q.Triple.String()
+	}
+	return q.Subject.String() + " " + q.Predicate.String() + " " +
+		q.Object.String() + " " + q.Graph.String() + " ."
+}
+
+// QuadDecoder reads N-Quads: N-Triples statements with an optional
+// graph term before the final '.'. Lines without a graph term parse as
+// default-graph statements, so any N-Triples document is also a valid
+// N-Quads document.
+type QuadDecoder struct{ lineDecoder }
+
+// NewQuadDecoder returns a QuadDecoder reading from r.
+func NewQuadDecoder(r io.Reader) *QuadDecoder { return &QuadDecoder{newLineDecoder(r)} }
+
+// Decode returns the next quad, or io.EOF at end of stream.
+func (d *QuadDecoder) Decode() (Quad, error) { return d.next(true) }
+
+// DecodeAll reads the remaining stream.
+func (d *QuadDecoder) DecodeAll() ([]Quad, error) { return decodeAll(d.Decode) }
+
+func decodeAll[T any](decode func() (T, error)) ([]T, error) {
+	var out []T
 	for {
-		t, err := d.Decode()
+		v, err := decode()
 		if errors.Is(err, io.EOF) {
 			return out, nil
 		}
 		if err != nil {
 			return out, err
 		}
-		out = append(out, t)
+		out = append(out, v)
 	}
 }
 
-func (d *Decoder) errf(format string, args ...any) *ParseError {
-	return &ParseError{Line: d.line, Msg: fmt.Sprintf(format, args...)}
+// lineDecoder is the statement loop under Decoder and QuadDecoder.
+type lineDecoder struct {
+	r    *bufio.Reader
+	line int
 }
 
-// parseLine parses one N-Triples statement (without trailing newline).
-func (d *Decoder) parseLine(line string) (Triple, error) {
+func newLineDecoder(r io.Reader) lineDecoder {
+	return lineDecoder{r: bufio.NewReaderSize(r, 64<<10)}
+}
+
+// next parses the next statement; graph admits an N-Quads graph term.
+func (d *lineDecoder) next(graph bool) (Quad, error) {
+	for {
+		d.line++
+		raw, err := d.r.ReadString('\n')
+		if err != nil && err != io.EOF {
+			return Quad{}, fmt.Errorf("rdf: read: %w", err)
+		}
+		if line := strings.TrimSpace(raw); line != "" && line[0] != '#' {
+			q, perr := statement(line, graph)
+			if perr != nil {
+				return Quad{}, &ParseError{Line: d.line, Msg: perr.Error()}
+			}
+			return q, nil
+		}
+		if err == io.EOF {
+			return Quad{}, io.EOF
+		}
+	}
+}
+
+// statement parses one statement (without its newline).
+func statement(line string, graph bool) (Quad, error) {
 	// N-Triples documents are UTF-8 by definition; raw invalid bytes
 	// would silently turn into U+FFFD on re-serialization, breaking
 	// the parse → serialize round trip.
 	if !utf8.ValidString(line) {
-		return Triple{}, d.errf("invalid UTF-8 in statement")
+		return Quad{}, errors.New("invalid UTF-8 in statement")
 	}
-	p := &lineParser{s: line}
-	subj, err := p.term()
-	if err != nil {
-		return Triple{}, d.errf("subject: %v", err)
+	c := &cursor{s: line}
+	var q Quad
+	var err error
+	if q.Subject, err = term(c); err != nil {
+		return Quad{}, fmt.Errorf("subject: %w", err)
 	}
-	if !subj.IsResource() {
-		return Triple{}, d.errf("subject must be IRI or blank node")
+	if !q.Subject.IsResource() {
+		return Quad{}, errors.New("subject must be IRI or blank node")
 	}
-	p.skipWS()
-	pred, err := p.term()
-	if err != nil {
-		return Triple{}, d.errf("predicate: %v", err)
+	skipWS(c)
+	if q.Predicate, err = term(c); err != nil {
+		return Quad{}, fmt.Errorf("predicate: %w", err)
 	}
-	if !pred.IsIRI() {
-		return Triple{}, d.errf("predicate must be IRI")
+	if !q.Predicate.IsIRI() {
+		return Quad{}, errors.New("predicate must be IRI")
 	}
-	p.skipWS()
-	obj, err := p.term()
-	if err != nil {
-		return Triple{}, d.errf("object: %v", err)
+	skipWS(c)
+	if q.Object, err = term(c); err != nil {
+		return Quad{}, fmt.Errorf("object: %w", err)
 	}
-	p.skipWS()
-	if !p.consume('.') {
-		return Triple{}, d.errf("expected terminating '.', got %q", p.rest())
-	}
-	p.skipWS()
-	if !p.done() {
-		return Triple{}, d.errf("trailing content after '.': %q", p.rest())
-	}
-	if d.Strict {
-		if subj.IsIRI() && !strings.Contains(subj.Value, ":") {
-			return Triple{}, d.errf("relative IRI %q", subj.Value)
+	skipWS(c)
+	if graph && !c.done() && !c.at('.') {
+		if q.Graph, err = term(c); err != nil {
+			return Quad{}, fmt.Errorf("graph label: %w", err)
 		}
-		if obj.IsLiteral() && obj.Lang != "" && !validLangTag(obj.Lang) {
-			return Triple{}, d.errf("malformed language tag %q", obj.Lang)
+		if !q.Graph.IsResource() {
+			return Quad{}, errors.New("graph label must be IRI or blank node")
 		}
+		skipWS(c)
 	}
-	return Triple{Subject: subj, Predicate: pred, Object: obj}, nil
-}
-
-// lineParser is a cursor over one statement.
-type lineParser struct {
-	s string
-	i int
-}
-
-func (p *lineParser) done() bool   { return p.i >= len(p.s) }
-func (p *lineParser) rest() string { return p.s[p.i:] }
-func (p *lineParser) peek() byte   { return p.s[p.i] }
-func (p *lineParser) advance()     { p.i++ }
-func (p *lineParser) skipWS()      { p.skip(" \t") }
-func (p *lineParser) skip(cs string) {
-	for p.i < len(p.s) && strings.IndexByte(cs, p.s[p.i]) >= 0 {
-		p.i++
+	if !c.at('.') {
+		return Quad{}, fmt.Errorf("expected terminating '.', got %q", c.s[c.i:])
 	}
-}
-
-func (p *lineParser) consume(c byte) bool {
-	if p.i < len(p.s) && p.s[p.i] == c {
-		p.i++
-		return true
+	c.i++
+	skipWS(c)
+	if !c.done() {
+		return Quad{}, fmt.Errorf("trailing content after '.': %q", c.s[c.i:])
 	}
-	return false
+	return q, nil
 }
 
-func (p *lineParser) term() (Term, error) {
-	if p.done() {
+// term reads one N-Triples term.
+func term(c *cursor) (Term, error) {
+	if c.done() {
 		return Term{}, errors.New("unexpected end of statement")
 	}
-	switch p.peek() {
+	switch c.s[c.i] {
 	case '<':
-		return p.iri()
+		v, err := c.iri()
+		return NewIRI(v), err
 	case '_':
-		return p.blank()
+		if !strings.HasPrefix(c.s[c.i:], "_:") {
+			return Term{}, errors.New("blank node must start with _:")
+		}
+		c.i += 2
+		label := c.span(func(b byte) bool { return !isWS(b) && b != '.' })
+		if label == "" {
+			return Term{}, errors.New("empty blank node label")
+		}
+		return NewBlank(label), nil
 	case '"':
-		return p.literal()
-	default:
-		return Term{}, fmt.Errorf("unexpected character %q", p.peek())
-	}
-}
-
-func (p *lineParser) iri() (Term, error) {
-	p.advance() // '<'
-	start := p.i
-	for p.i < len(p.s) && p.s[p.i] != '>' {
-		p.i++
-	}
-	if p.done() {
-		return Term{}, errors.New("unterminated IRI")
-	}
-	v, err := unescape(p.s[start:p.i])
-	if err != nil {
-		return Term{}, fmt.Errorf("IRI: %w", err)
-	}
-	p.advance() // '>'
-	return NewIRI(v), nil
-}
-
-func (p *lineParser) blank() (Term, error) {
-	if p.i+1 >= len(p.s) || p.s[p.i+1] != ':' {
-		return Term{}, errors.New("blank node must start with _:")
-	}
-	p.i += 2
-	start := p.i
-	for p.i < len(p.s) && !isWS(p.s[p.i]) && p.s[p.i] != '.' {
-		p.i++
-	}
-	if p.i == start {
-		return Term{}, errors.New("empty blank node label")
-	}
-	return NewBlank(p.s[start:p.i]), nil
-}
-
-func (p *lineParser) literal() (Term, error) {
-	p.advance() // opening '"'
-	var b strings.Builder
-	for {
-		if p.done() {
+		c.i++
+		lex, err := c.text(`"`)
+		if err != nil {
+			return Term{}, err
+		}
+		if c.done() {
 			return Term{}, errors.New("unterminated literal")
 		}
-		c := p.peek()
-		if c == '"' {
-			p.advance()
-			break
-		}
-		if c == '\\' {
-			p.advance()
-			if p.done() {
-				return Term{}, errors.New("dangling escape in literal")
-			}
-			r, err := decodeEscape(p)
-			if err != nil {
-				return Term{}, err
-			}
-			b.WriteRune(r)
-			continue
-		}
-		b.WriteByte(c)
-		p.advance()
-	}
-	lex := b.String()
-	// Optional language tag or datatype.
-	if !p.done() && p.peek() == '@' {
-		p.advance()
-		start := p.i
-		for p.i < len(p.s) && !isWS(p.s[p.i]) {
-			p.i++
-		}
-		if p.i == start {
-			return Term{}, errors.New("empty language tag")
-		}
-		return NewLangLiteral(lex, p.s[start:p.i]), nil
-	}
-	if strings.HasPrefix(p.rest(), "^^") {
-		p.i += 2
-		if p.done() || p.peek() != '<' {
-			return Term{}, errors.New("datatype must be an IRI")
-		}
-		dt, err := p.iri()
-		if err != nil {
-			return Term{}, fmt.Errorf("datatype: %w", err)
-		}
-		return NewTypedLiteral(lex, dt.Value), nil
-	}
-	return NewLiteral(lex), nil
-}
-
-// decodeEscape consumes the character(s) after a backslash.
-func decodeEscape(p *lineParser) (rune, error) {
-	c := p.peek()
-	p.advance()
-	switch c {
-	case 't':
-		return '\t', nil
-	case 'n':
-		return '\n', nil
-	case 'r':
-		return '\r', nil
-	case 'b':
-		return '\b', nil
-	case 'f':
-		return '\f', nil
-	case '"':
-		return '"', nil
-	case '\'':
-		return '\'', nil
-	case '\\':
-		return '\\', nil
-	case 'u':
-		return hexEscape(p, 4)
-	case 'U':
-		return hexEscape(p, 8)
-	default:
-		return 0, fmt.Errorf("invalid escape \\%c", c)
-	}
-}
-
-func hexEscape(p *lineParser, n int) (rune, error) {
-	if p.i+n > len(p.s) {
-		return 0, errors.New("truncated unicode escape")
-	}
-	var v rune
-	for k := 0; k < n; k++ {
-		c := p.s[p.i]
-		p.advance()
-		var d rune
+		c.i++
 		switch {
-		case c >= '0' && c <= '9':
-			d = rune(c - '0')
-		case c >= 'a' && c <= 'f':
-			d = rune(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			d = rune(c-'A') + 10
-		default:
-			return 0, fmt.Errorf("invalid hex digit %q in unicode escape", c)
+		case c.at('@'):
+			lang, err := c.langTag(func(b byte) bool { return !isWS(b) })
+			return NewLangLiteral(lex, lang), err
+		case c.at('^'):
+			dt, ok, err := c.datatype()
+			if err == nil && !ok {
+				err = errors.New("datatype must be an IRI")
+			}
+			return NewTypedLiteral(lex, dt), err
 		}
-		v = v<<4 | d
+		return NewLiteral(lex), nil
 	}
-	if !utf8.ValidRune(v) {
-		return utf8.RuneError, nil
-	}
-	return v, nil
+	return Term{}, fmt.Errorf("unexpected character %q", c.s[c.i])
 }
 
-// unescape decodes \uXXXX and \UXXXXXXXX escapes inside IRIs.
-func unescape(s string) (string, error) {
-	if !strings.Contains(s, "\\") {
-		return s, nil
+func skipWS(c *cursor) {
+	for c.i < len(c.s) && isWS(c.s[c.i]) {
+		c.i++
 	}
-	p := &lineParser{s: s}
-	var b strings.Builder
-	for !p.done() {
-		c := p.peek()
-		if c != '\\' {
-			b.WriteByte(c)
-			p.advance()
-			continue
-		}
-		p.advance()
-		if p.done() {
-			return "", errors.New("dangling escape")
-		}
-		r, err := decodeEscape(p)
-		if err != nil {
-			return "", err
-		}
-		b.WriteRune(r)
-	}
-	return b.String(), nil
 }
 
 func isWS(c byte) bool { return c == ' ' || c == '\t' }
-
-func validLangTag(tag string) bool {
-	parts := strings.Split(tag, "-")
-	for i, part := range parts {
-		if part == "" {
-			return false
-		}
-		for _, r := range part {
-			alpha := (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z')
-			digit := r >= '0' && r <= '9'
-			if i == 0 && !alpha {
-				return false
-			}
-			if !alpha && !digit {
-				return false
-			}
-		}
-	}
-	return true
-}
 
 // Encoder writes triples in N-Triples syntax, one per line.
 type Encoder struct {
@@ -404,6 +264,11 @@ func (e *Encoder) Flush() error {
 // ParseString parses a complete N-Triples document held in a string.
 func ParseString(doc string) ([]Triple, error) {
 	return NewDecoder(strings.NewReader(doc)).DecodeAll()
+}
+
+// ParseQuadsString parses a complete N-Quads document from a string.
+func ParseQuadsString(doc string) ([]Quad, error) {
+	return NewQuadDecoder(strings.NewReader(doc)).DecodeAll()
 }
 
 // WriteString serializes triples to an N-Triples document string.

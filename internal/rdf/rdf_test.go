@@ -174,24 +174,6 @@ func TestParseErrorLineNumbers(t *testing.T) {
 	}
 }
 
-func TestStrictMode(t *testing.T) {
-	d := NewDecoder(strings.NewReader(`<rel> <http://p> <http://b> .`))
-	d.Strict = true
-	if _, err := d.Decode(); err == nil {
-		t.Error("strict mode accepted relative IRI")
-	}
-	d = NewDecoder(strings.NewReader(`<http://a> <http://p> "x"@bad_tag! .`))
-	d.Strict = true
-	if _, err := d.Decode(); err == nil {
-		t.Error("strict mode accepted malformed language tag")
-	}
-	// Lenient mode accepts both.
-	ts, err := ParseString(`<rel> <http://p> "x"@bad_tag! .`)
-	if err != nil || len(ts) != 1 {
-		t.Errorf("lenient mode rejected: %v", err)
-	}
-}
-
 func TestDecodeNoTrailingNewline(t *testing.T) {
 	d := NewDecoder(strings.NewReader(`<http://a> <http://p> "v" .`))
 	tr, err := d.Decode()

@@ -1,7 +1,6 @@
 package rdf
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -18,57 +17,84 @@ import (
 // entity dumps).
 //
 // Published LOD datasets are overwhelmingly Turtle or N-Triples; this
-// decoder lets the pipeline ingest both.
+// decoder lets the pipeline ingest both. It reads the whole document
+// and runs the term readers it shares with the N-Triples decoder
+// (cursor) over it.
 type TurtleDecoder struct {
-	r        *bufio.Reader
+	r        io.Reader
+	c        cursor
 	prefixes map[string]string
 	base     string
-	line     int
 
-	// tokenizer state
-	tok     string
-	tokKind ttKind
-	peeked  bool
+	// one token of lookahead
+	tok    token
+	peeked bool
 
 	// pending triples emitted by blank-node property lists
 	pending []Triple
 	anonSeq int
+
+	// newlines counted before byte lineAt, so that positioning an error
+	// scans only the text since the last one
+	lineAt, lines int
 }
+
+// token is one lexical unit of Turtle.
+type token struct {
+	kind ttKind
+	// text is the IRI of a tkIRI token and the source text of any
+	// other.
+	text string
+	// lit is the term of a tkLiteral token; dtName, when set, is its
+	// prefixed-name datatype, expanded where the literal is used.
+	lit    Term
+	dtName string
+}
+
+func (t token) is(kind ttKind, text string) bool { return t.kind == kind && t.text == text }
 
 type ttKind int
 
 const (
 	tkEOF       ttKind = iota
 	tkIRI              // <...>
-	tkPName            // prefix:local or prefix: or :local
-	tkLiteral          // "..." with optional @lang or ^^type (already decoded)
+	tkPName            // prefix:local, prefix:, :local, or a blank node _:label
+	tkLiteral          // quoted, numeric or boolean literal
 	tkPunct            // . ; , [ ] ( )
 	tkA                // the keyword 'a'
-	tkNumber           // numeric shorthand
-	tkBool             // true/false
 	tkDirective        // @prefix / @base / PREFIX / BASE
 )
 
 // NewTurtleDecoder returns a decoder reading Turtle from r.
 func NewTurtleDecoder(r io.Reader) *TurtleDecoder {
 	return &TurtleDecoder{
-		r: bufio.NewReaderSize(r, 64<<10),
+		r: r,
 		prefixes: map[string]string{
 			"rdf": "http://www.w3.org/1999/02/22-rdf-syntax-ns#",
 		},
 	}
 }
 
-// errf builds a positioned parse error.
+// errf builds a parse error positioned where the cursor stopped.
 func (d *TurtleDecoder) errf(format string, args ...any) error {
-	return &ParseError{Line: d.line + 1, Msg: "turtle: " + fmt.Sprintf(format, args...)}
+	if d.c.i < d.lineAt {
+		d.lineAt, d.lines = 0, 0
+	}
+	d.lines += strings.Count(d.c.s[d.lineAt:d.c.i], "\n")
+	d.lineAt = d.c.i
+	return &ParseError{Line: 1 + d.lines, Msg: "turtle: " + fmt.Sprintf(format, args...)}
 }
 
-// DecodeAll parses the whole stream.
+// DecodeAll reads the whole document and returns its triples.
 func (d *TurtleDecoder) DecodeAll() ([]Triple, error) {
+	doc, err := io.ReadAll(d.r)
+	if err != nil {
+		return nil, fmt.Errorf("rdf: read: %w", err)
+	}
+	d.c = cursor{s: string(doc)}
 	var out []Triple
 	for {
-		ts, err := d.Decode()
+		ts, err := d.statement()
 		if errors.Is(err, io.EOF) {
 			return out, nil
 		}
@@ -79,28 +105,25 @@ func (d *TurtleDecoder) DecodeAll() ([]Triple, error) {
 	}
 }
 
-// Decode parses the next statement, returning the triples it yields
-// (a statement with predicate/object lists yields several). io.EOF
-// signals the end of the stream.
-func (d *TurtleDecoder) Decode() ([]Triple, error) {
-	if len(d.pending) > 0 {
-		out := d.pending
-		d.pending = nil
-		return out, nil
-	}
-	kind, tok, err := d.peek()
-	if err != nil {
-		return nil, err
-	}
-	if kind == tkEOF {
-		return nil, io.EOF
-	}
-	if kind == tkDirective {
-		d.next()
-		if err := d.directive(tok); err != nil {
+// statement parses the next statement after any directives, returning
+// the triples it yields (a statement with predicate/object lists yields
+// several). io.EOF signals the end of the document.
+func (d *TurtleDecoder) statement() ([]Triple, error) {
+	for {
+		tok, err := d.peek()
+		if err != nil {
 			return nil, err
 		}
-		return d.Decode()
+		if tok.kind == tkEOF {
+			return nil, io.EOF
+		}
+		if tok.kind != tkDirective {
+			break
+		}
+		d.next()
+		if err := d.directive(tok.text); err != nil {
+			return nil, err
+		}
 	}
 	subj, err := d.subject()
 	if err != nil {
@@ -108,14 +131,13 @@ func (d *TurtleDecoder) Decode() ([]Triple, error) {
 	}
 	// "[ ... ] ." — a blank-node property list may stand alone as a
 	// statement, with no further predicate list.
-	var triples []Triple
-	if k, t, err := d.peek(); err == nil && subj.IsBlank() && k == tkPunct && t == "." {
+	if tok, err := d.peek(); err == nil && subj.IsBlank() && tok.is(tkPunct, ".") {
 		d.next()
 		out := d.pending
 		d.pending = nil
 		return out, nil
 	}
-	triples, err = d.predicateObjectList(subj)
+	triples, err := d.predicateObjectList(subj)
 	if err != nil {
 		return nil, err
 	}
@@ -128,33 +150,32 @@ func (d *TurtleDecoder) Decode() ([]Triple, error) {
 }
 
 func (d *TurtleDecoder) directive(tok string) error {
-	lower := strings.ToLower(strings.TrimPrefix(tok, "@"))
-	switch lower {
+	switch strings.ToLower(strings.TrimPrefix(tok, "@")) {
 	case "prefix":
-		kind, name, err := d.next()
+		name, err := d.next()
 		if err != nil {
 			return err
 		}
-		if kind != tkPName || !strings.HasSuffix(name, ":") {
-			return d.errf("@prefix wants 'name:', got %q", name)
+		if name.kind != tkPName || !strings.HasSuffix(name.text, ":") {
+			return d.errf("@prefix wants 'name:', got %q", name.text)
 		}
-		kind, iri, err := d.next()
+		iri, err := d.next()
 		if err != nil {
 			return err
 		}
-		if kind != tkIRI {
-			return d.errf("@prefix wants an IRI, got %q", iri)
+		if iri.kind != tkIRI {
+			return d.errf("@prefix wants an IRI, got %q", iri.text)
 		}
-		d.prefixes[strings.TrimSuffix(name, ":")] = d.resolve(iri)
+		d.prefixes[strings.TrimSuffix(name.text, ":")] = d.resolve(iri.text)
 	case "base":
-		kind, iri, err := d.next()
+		iri, err := d.next()
 		if err != nil {
 			return err
 		}
-		if kind != tkIRI {
-			return d.errf("@base wants an IRI, got %q", iri)
+		if iri.kind != tkIRI {
+			return d.errf("@base wants an IRI, got %q", iri.text)
 		}
-		d.base = d.resolve(iri)
+		d.base = d.resolve(iri.text)
 	default:
 		return d.errf("unknown directive %q", tok)
 	}
@@ -165,53 +186,52 @@ func (d *TurtleDecoder) directive(tok string) error {
 	return nil
 }
 
+// resource turns an IRI or prefixed-name token into its term: an IRI,
+// or a blank node for "_:label".
+func (d *TurtleDecoder) resource(tok token) (Term, error) {
+	if tok.kind == tkIRI {
+		return NewIRI(d.resolve(tok.text)), nil
+	}
+	if strings.HasPrefix(tok.text, "_:") {
+		return NewBlank(tok.text[2:]), nil
+	}
+	iri, err := d.expand(tok.text)
+	return NewIRI(iri), err
+}
+
 func (d *TurtleDecoder) subject() (Term, error) {
-	kind, tok, err := d.next()
+	tok, err := d.next()
 	if err != nil {
 		return Term{}, err
 	}
-	switch kind {
-	case tkIRI:
-		return NewIRI(d.resolve(tok)), nil
-	case tkPName:
-		if strings.HasPrefix(tok, "_:") {
-			return NewBlank(tok[2:]), nil
-		}
-		iri, err := d.expand(tok)
-		if err != nil {
-			return Term{}, err
-		}
-		return NewIRI(iri), nil
-	case tkPunct:
-		if tok == "[" {
-			return d.anonSubject()
-		}
+	switch {
+	case tok.kind == tkIRI || tok.kind == tkPName:
+		return d.resource(tok)
+	case tok.is(tkPunct, "["):
+		bn, ts, err := d.blankPropertyList()
+		d.pending = append(d.pending, ts...)
+		return bn, err
 	}
-	return Term{}, d.errf("bad subject token %q", tok)
+	return Term{}, d.errf("bad subject token %q", tok.text)
 }
 
-// anonSubject handles "[ p o ; ... ] ." — an anonymous blank node with
-// its own property list.
-func (d *TurtleDecoder) anonSubject() (Term, error) {
-	bn := d.freshBlank()
-	if k, t, err := d.peek(); err == nil && k == tkPunct && t == "]" {
+// blankPropertyList reads "[ p o ; ... ]" after its '[': a fresh blank
+// node and the triples of its property list.
+func (d *TurtleDecoder) blankPropertyList() (Term, []Triple, error) {
+	d.anonSeq++
+	bn := NewBlank(fmt.Sprintf("anon%d", d.anonSeq))
+	if tok, err := d.peek(); err == nil && tok.is(tkPunct, "]") {
 		d.next()
-		return bn, nil
+		return bn, nil, nil
 	}
 	ts, err := d.predicateObjectList(bn)
 	if err != nil {
-		return Term{}, err
+		return Term{}, nil, err
 	}
 	if err := d.expectPunct("]"); err != nil {
-		return Term{}, err
+		return Term{}, nil, err
 	}
-	d.pending = append(d.pending, ts...)
-	return bn, nil
-}
-
-func (d *TurtleDecoder) freshBlank() Term {
-	d.anonSeq++
-	return NewBlank(fmt.Sprintf("anon%d", d.anonSeq))
+	return bn, ts, nil
 }
 
 func (d *TurtleDecoder) predicateObjectList(subj Term) ([]Triple, error) {
@@ -228,126 +248,66 @@ func (d *TurtleDecoder) predicateObjectList(subj Term) ([]Triple, error) {
 			}
 			out = append(out, Triple{Subject: subj, Predicate: pred, Object: obj})
 			out = append(out, extra...)
-			k, t, err := d.peek()
+			tok, err := d.peek()
 			if err != nil {
 				return nil, err
 			}
-			if k == tkPunct && t == "," {
-				d.next()
-				continue
+			if !tok.is(tkPunct, ",") {
+				break
 			}
-			break
+			d.next()
 		}
-		k, t, err := d.peek()
+		tok, err := d.peek()
 		if err != nil {
 			return nil, err
 		}
-		if k == tkPunct && t == ";" {
-			d.next()
-			// A trailing ';' before '.' or ']' is legal Turtle.
-			if k2, t2, err := d.peek(); err == nil && k2 == tkPunct && (t2 == "." || t2 == "]") {
-				break
-			}
-			continue
+		if !tok.is(tkPunct, ";") {
+			return out, nil
 		}
-		break
+		d.next()
+		// A trailing ';' before '.' or ']' is legal Turtle.
+		if tok, err := d.peek(); err == nil && (tok.is(tkPunct, ".") || tok.is(tkPunct, "]")) {
+			return out, nil
+		}
 	}
-	return out, nil
 }
 
 func (d *TurtleDecoder) predicate() (Term, error) {
-	kind, tok, err := d.next()
+	tok, err := d.next()
 	if err != nil {
 		return Term{}, err
 	}
-	switch kind {
-	case tkA:
+	switch {
+	case tok.kind == tkA:
 		return NewIRI(RDFType), nil
-	case tkIRI:
-		return NewIRI(d.resolve(tok)), nil
-	case tkPName:
-		if strings.HasPrefix(tok, "_:") {
-			return Term{}, d.errf("blank node cannot be a predicate")
-		}
-		iri, err := d.expand(tok)
-		if err != nil {
-			return Term{}, err
-		}
-		return NewIRI(iri), nil
+	case tok.kind == tkPName && strings.HasPrefix(tok.text, "_:"):
+		return Term{}, d.errf("blank node cannot be a predicate")
+	case tok.kind == tkIRI || tok.kind == tkPName:
+		return d.resource(tok)
 	}
-	return Term{}, d.errf("bad predicate token %q", tok)
+	return Term{}, d.errf("bad predicate token %q", tok.text)
 }
 
 // object returns the object term plus any triples produced by a nested
 // anonymous blank node.
 func (d *TurtleDecoder) object() (Term, []Triple, error) {
-	kind, tok, err := d.next()
+	tok, err := d.next()
 	if err != nil {
 		return Term{}, nil, err
 	}
-	switch kind {
-	case tkIRI:
-		return NewIRI(d.resolve(tok)), nil, nil
-	case tkPName:
-		if strings.HasPrefix(tok, "_:") {
-			return NewBlank(tok[2:]), nil, nil
-		}
-		iri, err := d.expand(tok)
-		if err != nil {
-			return Term{}, nil, err
-		}
-		return NewIRI(iri), nil, nil
-	case tkLiteral:
-		return d.literalFromToken(tok)
-	case tkNumber:
-		dt := "http://www.w3.org/2001/XMLSchema#integer"
-		if strings.ContainsAny(tok, ".eE") {
-			dt = "http://www.w3.org/2001/XMLSchema#decimal"
-		}
-		return NewTypedLiteral(tok, dt), nil, nil
-	case tkBool:
-		return NewTypedLiteral(tok, "http://www.w3.org/2001/XMLSchema#boolean"), nil, nil
-	case tkPunct:
-		if tok == "[" {
-			bn := d.freshBlank()
-			if k, t, err := d.peek(); err == nil && k == tkPunct && t == "]" {
-				d.next()
-				return bn, nil, nil
-			}
-			ts, err := d.predicateObjectList(bn)
-			if err != nil {
-				return Term{}, nil, err
-			}
-			if err := d.expectPunct("]"); err != nil {
-				return Term{}, nil, err
-			}
-			return bn, ts, nil
-		}
+	switch {
+	case tok.kind == tkIRI || tok.kind == tkPName:
+		t, err := d.resource(tok)
+		return t, nil, err
+	case tok.kind == tkLiteral && tok.dtName != "":
+		dt, err := d.expand(tok.dtName)
+		return NewTypedLiteral(tok.lit.Value, dt), nil, err
+	case tok.kind == tkLiteral:
+		return tok.lit, nil, nil
+	case tok.is(tkPunct, "["):
+		return d.blankPropertyList()
 	}
-	return Term{}, nil, d.errf("bad object token %q", tok)
-}
-
-// literalFromToken decodes the raw literal token captured by the
-// lexer: lexical\x00lang or lexical\x01datatypeToken.
-func (d *TurtleDecoder) literalFromToken(tok string) (Term, []Triple, error) {
-	if i := strings.IndexByte(tok, 0); i >= 0 {
-		return NewLangLiteral(tok[:i], tok[i+1:]), nil, nil
-	}
-	if i := strings.IndexByte(tok, 1); i >= 0 {
-		dtTok := tok[i+1:]
-		var dt string
-		if strings.HasPrefix(dtTok, "<") {
-			dt = d.resolve(strings.Trim(dtTok, "<>"))
-		} else {
-			var err error
-			dt, err = d.expand(dtTok)
-			if err != nil {
-				return Term{}, nil, err
-			}
-		}
-		return NewTypedLiteral(tok[:i], dt), nil, nil
-	}
-	return NewLiteral(tok), nil, nil
+	return Term{}, nil, d.errf("bad object token %q", tok.text)
 }
 
 func (d *TurtleDecoder) expand(pname string) (string, error) {
@@ -375,304 +335,203 @@ func (d *TurtleDecoder) resolve(iri string) string {
 }
 
 func (d *TurtleDecoder) expectPunct(p string) error {
-	kind, tok, err := d.next()
+	tok, err := d.next()
 	if err != nil {
 		return err
 	}
-	if kind != tkPunct || tok != p {
-		return d.errf("expected %q, got %q", p, tok)
+	if !tok.is(tkPunct, p) {
+		return d.errf("expected %q, got %q", p, tok.text)
 	}
 	return nil
 }
 
 // --- lexer ---------------------------------------------------------
 
-func (d *TurtleDecoder) peek() (ttKind, string, error) {
+func (d *TurtleDecoder) peek() (token, error) {
 	if !d.peeked {
-		k, t, err := d.lex()
+		tok, err := d.lex()
 		if err != nil {
-			return 0, "", err
+			return token{}, err
 		}
-		d.tokKind, d.tok, d.peeked = k, t, true
+		d.tok, d.peeked = tok, true
 	}
-	return d.tokKind, d.tok, nil
+	return d.tok, nil
 }
 
-func (d *TurtleDecoder) next() (ttKind, string, error) {
-	k, t, err := d.peek()
+func (d *TurtleDecoder) next() (token, error) {
+	tok, err := d.peek()
 	d.peeked = false
-	return k, t, err
+	return tok, err
 }
 
-func (d *TurtleDecoder) readByte() (byte, bool) {
-	b, err := d.r.ReadByte()
-	if err != nil {
-		return 0, false
-	}
-	if b == '\n' {
-		d.line++
-	}
-	return b, true
-}
-
-func (d *TurtleDecoder) unread(b byte) {
-	if b == '\n' {
-		d.line--
-	}
-	d.r.UnreadByte()
-}
-
-func (d *TurtleDecoder) lex() (ttKind, string, error) {
-	// Skip whitespace and comments.
-	for {
-		b, ok := d.readByte()
-		if !ok {
-			return tkEOF, "", nil
-		}
-		if b == '#' {
-			for {
-				c, ok := d.readByte()
-				if !ok {
-					return tkEOF, "", nil
-				}
-				if c == '\n' {
-					break
-				}
+func (d *TurtleDecoder) lex() (token, error) {
+	c := &d.c
+	for !c.done() {
+		start := c.i
+		switch b := c.s[c.i]; {
+		case b == '#':
+			if nl := strings.IndexByte(c.s[c.i:], '\n'); nl >= 0 {
+				c.i += nl + 1
+			} else {
+				c.i = len(c.s)
 			}
-			continue
-		}
-		if b == ' ' || b == '\t' || b == '\n' || b == '\r' {
-			continue
-		}
-		switch b {
-		case '<':
-			return d.lexIRI()
-		case '"', '\'':
-			return d.lexLiteral(b)
-		case '.', ';', ',', '[', ']', '(', ')':
+		case b == ' ' || b == '\t' || b == '\n' || b == '\r':
+			c.i++
+		case b == '<':
+			iri, err := c.iri()
+			if err != nil {
+				return token{}, d.errf("%v", err)
+			}
+			return token{kind: tkIRI, text: iri}, nil
+		case b == '"' || b == '\'':
+			tok, err := d.literal(b)
+			tok.text = c.s[start:c.i]
+			return tok, err
+		case strings.IndexByte(".;,[]()", b) >= 0:
 			// '.' may start a decimal number (rare); treat as punct —
 			// Turtle numbers in LOD start with a digit or sign.
-			return tkPunct, string(b), nil
-		case '@':
-			word := d.lexWord()
-			if word == "prefix" || word == "base" {
-				return tkDirective, "@" + word, nil
+			c.i++
+			return token{kind: tkPunct, text: c.s[start:c.i]}, nil
+		case b == '@':
+			c.i++
+			if word := c.span(isWordByte); word == "prefix" || word == "base" {
+				return token{kind: tkDirective, text: c.s[start:c.i]}, nil
 			}
-			return 0, "", d.errf("unexpected @%s", word)
+			return token{}, d.errf("unexpected %s", c.s[start:c.i])
+		case b == '+' || b == '-' || (b >= '0' && b <= '9'):
+			return d.number()
+		default:
+			return d.name()
 		}
-		if b == '+' || b == '-' || (b >= '0' && b <= '9') {
-			d.unread(b)
-			return d.lexNumber()
-		}
-		// Bare word: 'a', true/false, PREFIX/BASE, or a prefixed name.
-		d.unread(b)
-		return d.lexName()
 	}
+	return token{kind: tkEOF}, nil
 }
 
-func (d *TurtleDecoder) lexIRI() (ttKind, string, error) {
-	var sb strings.Builder
-	for {
-		b, ok := d.readByte()
-		if !ok {
-			return 0, "", d.errf("unterminated IRI")
-		}
-		if b == '>' {
-			v, err := unescape(sb.String())
-			if err != nil {
-				return 0, "", d.errf("IRI: %v", err)
-			}
-			return tkIRI, v, nil
-		}
-		sb.WriteByte(b)
+// literal reads a quoted literal — short or long, with either quote
+// character — and its optional @lang or ^^datatype.
+func (d *TurtleDecoder) literal(q byte) (token, error) {
+	c := &d.c
+	stop := "\"\n\r"
+	if q == '\'' {
+		stop = "'\n\r"
 	}
-}
-
-// lexLiteral handles short and long forms with either quote character.
-func (d *TurtleDecoder) lexLiteral(q byte) (ttKind, string, error) {
-	long := false
-	b1, ok1 := d.readByte()
-	if ok1 && b1 == q {
-		b2, ok2 := d.readByte()
-		if ok2 && b2 == q {
-			long = true
-		} else {
-			if ok2 {
-				d.unread(b2)
-			}
-			// empty short literal
-			return d.lexLiteralSuffix("")
+	quote := stop[:1]
+	c.i++
+	var lex string
+	switch {
+	case strings.HasPrefix(c.s[c.i:], quote+quote):
+		c.i += 2
+		var err error
+		if lex, err = d.longText(quote); err != nil {
+			return token{}, err
 		}
-	} else if ok1 {
-		d.unread(b1)
-	}
-
-	var sb strings.Builder
-	quoteRun := 0
-	for {
-		b, ok := d.readByte()
-		if !ok {
-			return 0, "", d.errf("unterminated literal")
-		}
-		if b == '\\' {
-			quoteRun = 0
-			esc, ok := d.readByte()
-			if !ok {
-				return 0, "", d.errf("dangling escape")
-			}
-			r, err := decodeStreamEscape(d, esc)
-			if err != nil {
-				return 0, "", err
-			}
-			sb.WriteRune(r)
-			continue
-		}
-		if b == q {
-			if !long {
-				return d.lexLiteralSuffix(sb.String())
-			}
-			quoteRun++
-			if quoteRun == 3 {
-				s := sb.String()
-				return d.lexLiteralSuffix(s[:len(s)-2])
-			}
-			sb.WriteByte(b)
-			continue
-		}
-		quoteRun = 0
-		if !long && (b == '\n' || b == '\r') {
-			return 0, "", d.errf("newline in short literal")
-		}
-		sb.WriteByte(b)
-	}
-}
-
-// lexLiteralSuffix captures an optional @lang or ^^datatype after a
-// literal, encoding them into the token (see literalFromToken).
-func (d *TurtleDecoder) lexLiteralSuffix(lex string) (ttKind, string, error) {
-	b, ok := d.readByte()
-	if !ok {
-		return tkLiteral, lex, nil
-	}
-	switch b {
-	case '@':
-		lang := d.lexWordExt("-")
-		if lang == "" {
-			return 0, "", d.errf("empty language tag")
-		}
-		return tkLiteral, lex + "\x00" + lang, nil
-	case '^':
-		b2, ok := d.readByte()
-		if !ok || b2 != '^' {
-			return 0, "", d.errf("expected ^^ before datatype")
-		}
-		b3, ok := d.readByte()
-		if !ok {
-			return 0, "", d.errf("missing datatype")
-		}
-		if b3 == '<' {
-			_, iri, err := d.lexIRI()
-			if err != nil {
-				return 0, "", err
-			}
-			return tkLiteral, lex + "\x01<" + iri + ">", nil
-		}
-		d.unread(b3)
-		name := d.lexWordExt(":._-")
-		if name == "" {
-			return 0, "", d.errf("missing datatype")
-		}
-		return tkLiteral, lex + "\x01" + name, nil
+	case c.at(q):
+		c.i++ // empty short literal
 	default:
-		d.unread(b)
-		return tkLiteral, lex, nil
+		var err error
+		if lex, err = c.text(stop); err != nil {
+			return token{}, d.errf("%v", err)
+		}
+		if c.done() {
+			return token{}, d.errf("unterminated literal")
+		}
+		c.i++
+		if c.s[c.i-1] != q {
+			return token{}, d.errf("newline in short literal")
+		}
+	}
+	switch {
+	case c.at('@'):
+		lang, err := c.langTag(func(b byte) bool { return isWordByte(b) || b == '-' })
+		if err != nil {
+			return token{}, d.errf("%v", err)
+		}
+		return token{kind: tkLiteral, lit: NewLangLiteral(lex, lang)}, nil
+	case c.at('^'):
+		dt, ok, err := c.datatype()
+		if err != nil {
+			return token{}, d.errf("%v", err)
+		}
+		if ok {
+			return token{kind: tkLiteral, lit: NewTypedLiteral(lex, d.resolve(dt))}, nil
+		}
+		name := c.span(func(b byte) bool { return isWordByte(b) || strings.IndexByte(":._-", b) >= 0 })
+		if name == "" {
+			return token{}, d.errf("missing datatype")
+		}
+		return token{kind: tkLiteral, lit: NewLiteral(lex), dtName: name}, nil
+	}
+	return token{kind: tkLiteral, lit: NewLiteral(lex)}, nil
+}
+
+// longText reads the text of a long literal, after its opening three
+// quotes, through the closing three.
+func (d *TurtleDecoder) longText(quote string) (string, error) {
+	c := &d.c
+	var sb strings.Builder
+	for {
+		s, err := c.text(quote)
+		if err != nil {
+			return "", d.errf("%v", err)
+		}
+		sb.WriteString(s)
+		if c.done() {
+			return "", d.errf("unterminated literal")
+		}
+		if strings.HasPrefix(c.s[c.i:], quote+quote+quote) {
+			c.i += 3
+			return sb.String(), nil
+		}
+		sb.WriteString(quote)
+		c.i++
 	}
 }
 
-func (d *TurtleDecoder) lexNumber() (ttKind, string, error) {
-	var sb strings.Builder
-	for {
-		b, ok := d.readByte()
-		if !ok {
-			break
-		}
-		if (b >= '0' && b <= '9') || b == '+' || b == '-' || b == '.' || b == 'e' || b == 'E' {
-			sb.WriteByte(b)
-			continue
-		}
-		d.unread(b)
-		break
-	}
-	s := sb.String()
+func (d *TurtleDecoder) number() (token, error) {
+	c := &d.c
+	start := c.i
+	s := c.span(func(b byte) bool {
+		return (b >= '0' && b <= '9') || b == '+' || b == '-' || b == '.' || b == 'e' || b == 'E'
+	})
 	// A trailing '.' is the statement terminator, not part of the number.
 	if strings.HasSuffix(s, ".") {
 		s = s[:len(s)-1]
-		d.r.UnreadByte() // put the '.' back (never a newline)
+		c.i--
 	}
 	if s == "" || s == "+" || s == "-" {
-		return 0, "", d.errf("malformed number")
+		return token{}, d.errf("malformed number")
 	}
-	return tkNumber, s, nil
+	dt := "http://www.w3.org/2001/XMLSchema#integer"
+	if strings.ContainsAny(s, ".eE") {
+		dt = "http://www.w3.org/2001/XMLSchema#decimal"
+	}
+	return token{kind: tkLiteral, text: c.s[start:c.i], lit: NewTypedLiteral(s, dt)}, nil
 }
 
-// lexWord reads [A-Za-z]+.
-func (d *TurtleDecoder) lexWord() string { return d.lexWordExt("") }
-
-func (d *TurtleDecoder) lexWordExt(extra string) string {
-	var sb strings.Builder
-	for {
-		b, ok := d.readByte()
-		if !ok {
-			break
-		}
-		r := rune(b)
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || strings.IndexByte(extra, b) >= 0 {
-			sb.WriteByte(b)
-			continue
-		}
-		d.unread(b)
-		break
-	}
-	return sb.String()
-}
-
-// lexName reads a bare name: 'a', booleans, SPARQL directives, blank
+// name reads a bare name: 'a', booleans, SPARQL directives, blank
 // nodes (_:x) and prefixed names (p:local, :local, p:).
-func (d *TurtleDecoder) lexName() (ttKind, string, error) {
-	var sb strings.Builder
-	for {
-		b, ok := d.readByte()
-		if !ok {
-			break
-		}
-		if isNameByte(b) {
-			sb.WriteByte(b)
-			continue
-		}
-		d.unread(b)
-		break
-	}
-	s := sb.String()
+func (d *TurtleDecoder) name() (token, error) {
+	c := &d.c
+	s := c.span(isNameByte)
 	switch {
 	case s == "":
-		b, _ := d.readByte()
-		return 0, "", d.errf("unexpected character %q", b)
+		c.i++
+		return token{}, d.errf("unexpected character %q", c.s[c.i-1])
 	case s == "a":
-		return tkA, s, nil
+		return token{kind: tkA, text: s}, nil
 	case s == "true" || s == "false":
-		return tkBool, s, nil
-	case strings.EqualFold(s, "prefix") && !strings.Contains(s, ":"):
-		return tkDirective, s, nil
-	case strings.EqualFold(s, "base") && !strings.Contains(s, ":"):
-		return tkDirective, s, nil
-	case strings.HasPrefix(s, "_:"):
-		return tkPName, s, nil
+		return token{kind: tkLiteral, text: s, lit: NewTypedLiteral(s, "http://www.w3.org/2001/XMLSchema#boolean")}, nil
+	case strings.EqualFold(s, "prefix") || strings.EqualFold(s, "base"):
+		return token{kind: tkDirective, text: s}, nil
 	case strings.Contains(s, ":"):
-		return tkPName, s, nil
-	default:
-		return 0, "", d.errf("unexpected token %q", s)
+		return token{kind: tkPName, text: s}, nil
 	}
+	return token{}, d.errf("unexpected token %q", s)
 }
+
+// isWordByte reports the bytes of directive keywords, language tags and
+// prefixed datatype names, read one byte as one rune.
+func isWordByte(b byte) bool { return unicode.IsLetter(rune(b)) || unicode.IsDigit(rune(b)) }
 
 // isNameByte reports bytes legal inside a bare name. '.' is excluded:
 // it terminates the statement (dotted local names need IRI syntax).
@@ -680,55 +539,6 @@ func isNameByte(b byte) bool {
 	return b == ':' || b == '_' || b == '-' ||
 		(b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || (b >= '0' && b <= '9') ||
 		b >= 0x80 // UTF-8 continuation/lead bytes in local names
-}
-
-// decodeStreamEscape mirrors decodeEscape for the streaming lexer.
-func decodeStreamEscape(d *TurtleDecoder, c byte) (rune, error) {
-	switch c {
-	case 't':
-		return '\t', nil
-	case 'n':
-		return '\n', nil
-	case 'r':
-		return '\r', nil
-	case 'b':
-		return '\b', nil
-	case 'f':
-		return '\f', nil
-	case '"':
-		return '"', nil
-	case '\'':
-		return '\'', nil
-	case '\\':
-		return '\\', nil
-	case 'u', 'U':
-		n := 4
-		if c == 'U' {
-			n = 8
-		}
-		var v rune
-		for i := 0; i < n; i++ {
-			hb, ok := d.readByte()
-			if !ok {
-				return 0, d.errf("truncated unicode escape")
-			}
-			var digit rune
-			switch {
-			case hb >= '0' && hb <= '9':
-				digit = rune(hb - '0')
-			case hb >= 'a' && hb <= 'f':
-				digit = rune(hb-'a') + 10
-			case hb >= 'A' && hb <= 'F':
-				digit = rune(hb-'A') + 10
-			default:
-				return 0, d.errf("invalid hex digit %q", hb)
-			}
-			v = v<<4 | digit
-		}
-		return v, nil
-	default:
-		return 0, d.errf("invalid escape \\%c", c)
-	}
 }
 
 // ParseTurtleString parses a complete Turtle document from a string.

@@ -74,8 +74,11 @@ ex:a ex:p "iri-typed"^^<http://ex.org/dt> .
 ex:a ex:p 3.14 .
 ex:a ex:p true .
 ex:a ex:p "esc\t\"x\"" .
+ex:a ex:p "a\u0000b" .
+ex:a ex:p "a\u0001b" .
+ex:a ex:p 7.
 `)
-	if len(ts) != 8 {
+	if len(ts) != 11 {
 		t.Fatalf("got %d triples", len(ts))
 	}
 	if ts[0].Object != NewLiteral("plain") || ts[1].Object != NewLiteral("single") {
@@ -98,6 +101,14 @@ ex:a ex:p "esc\t\"x\"" .
 	}
 	if ts[7].Object.Value != "esc\t\"x\"" {
 		t.Errorf("escapes: %q", ts[7].Object.Value)
+	}
+	// U+0000 and U+0001 are plain text, not a language tag or datatype.
+	if ts[8].Object != NewLiteral("a\x00b") || ts[9].Object != NewLiteral("a\x01b") {
+		t.Errorf("control escapes: %#v %#v", ts[8].Object, ts[9].Object)
+	}
+	// The '.' right after an integer ends the statement.
+	if ts[10].Object != NewTypedLiteral("7", "http://www.w3.org/2001/XMLSchema#integer") {
+		t.Errorf("integer before '.': %#v", ts[10].Object)
 	}
 }
 

@@ -28,7 +28,6 @@
 package server
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -42,6 +41,7 @@ import (
 	"sync/atomic"
 
 	minoaner "repro"
+	"repro/internal/kb"
 	"repro/internal/rdf"
 	"repro/internal/wal"
 )
@@ -384,9 +384,11 @@ type mutationResponse struct {
 // handleIngest answers POST /ingest. Two representations, selected by
 // Content-Type: a JSON array of descriptions (the default), or an
 // N-Triples document (application/n-triples or text/plain) ingested
-// into the KB named by the required ?kb= parameter.
+// into the KB named by the required ?kb= parameter. Either is parsed
+// here, so a malformed body is refused before it reaches the writer.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	var batch []minoaner.Description
 	ctype := r.Header.Get("Content-Type")
 	if strings.Contains(ctype, "application/n-triples") || strings.Contains(ctype, "text/plain") {
 		kbName := r.URL.Query().Get("kb")
@@ -395,23 +397,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 				errors.New("N-Triples ingest needs a kb parameter"))
 			return
 		}
-		doc, err := io.ReadAll(body)
-		if err != nil {
-			writeError(w, s.Epoch(), bodyStatus(err), err)
+		var err error
+		if batch, err = kb.Read(kb.NTriples, kbName, body); err != nil {
+			writeError(w, s.Epoch(), bodyStatus(err), fmt.Errorf("parse %s: %w", kbName, err))
 			return
 		}
-		epoch, err := s.do(r.Context(), func(context.Context) error {
-			return s.sess.IngestKB(kbName, bytes.NewReader(doc))
-		})
-		if err != nil {
-			writeError(w, epoch, errStatus(err), err)
-			return
-		}
-		writeJSON(w, epoch, http.StatusOK, mutationResponse{Epoch: epoch})
-		return
-	}
-	var batch []minoaner.Description
-	if err := json.NewDecoder(body).Decode(&batch); err != nil {
+	} else if err := json.NewDecoder(body).Decode(&batch); err != nil {
 		writeError(w, s.Epoch(), bodyStatus(err), fmt.Errorf("decode batch: %w", err))
 		return
 	}

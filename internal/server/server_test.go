@@ -463,26 +463,29 @@ func TestErrorMapping(t *testing.T) {
 		path, ctype string
 		body        string
 		status      int
+		// refused in the handler: no commit wave, the epoch stays
+		noWave bool
 	}{
-		{"bad json batch", "POST", "/ingest", "application/json", `{"not":"an array"}`, 400},
-		{"empty kb in batch", "POST", "/ingest", "application/json", `[{"kb":"","uri":"x"}]`, 400},
-		{"nt without kb", "POST", "/ingest?x=1", "application/n-triples", "<a> <b> <c> .", 400},
-		{"nt parse error", "POST", "/ingest?kb=alpha", "application/n-triples", "not ntriples", 400},
-		{"evict neither", "POST", "/evict", "application/json", `{}`, 400},
-		{"evict both", "POST", "/evict", "application/json", `{"refs":[{"kb":"a","uri":"u"}],"kb":"alpha"}`, 400},
-		{"evict unknown ref", "POST", "/evict", "application/json", `{"refs":[{"kb":"alpha","uri":"http://nope"}]}`, 404},
-		{"evict unknown kb", "POST", "/evict", "application/json", `{"kb":"ghost"}`, 404},
-		{"bad budget", "POST", "/resume?budget=minus", "", "", 400},
-		{"negative budget", "POST", "/resume?budget=-3", "", "", 400},
-		{"resolve without uri", "GET", "/resolve", "", "", 400},
-		{"resolve unknown", "GET", "/resolve?uri=http://nope", "", "", 404},
-		{"sameas bad format", "GET", "/sameas?format=xml", "", "", 400},
-		{"wrong method", "GET", "/ingest", "", "", 405},
+		{"bad json batch", "POST", "/ingest", "application/json", `{"not":"an array"}`, 400, true},
+		{"empty kb in batch", "POST", "/ingest", "application/json", `[{"kb":"","uri":"x"}]`, 400, false},
+		{"nt without kb", "POST", "/ingest?x=1", "application/n-triples", "<a> <b> <c> .", 400, true},
+		{"nt parse error", "POST", "/ingest?kb=alpha", "application/n-triples", "not ntriples", 400, true},
+		{"evict neither", "POST", "/evict", "application/json", `{}`, 400, false},
+		{"evict both", "POST", "/evict", "application/json", `{"refs":[{"kb":"a","uri":"u"}],"kb":"alpha"}`, 400, false},
+		{"evict unknown ref", "POST", "/evict", "application/json", `{"refs":[{"kb":"alpha","uri":"http://nope"}]}`, 404, false},
+		{"evict unknown kb", "POST", "/evict", "application/json", `{"kb":"ghost"}`, 404, false},
+		{"bad budget", "POST", "/resume?budget=minus", "", "", 400, false},
+		{"negative budget", "POST", "/resume?budget=-3", "", "", 400, false},
+		{"resolve without uri", "GET", "/resolve", "", "", 400, false},
+		{"resolve unknown", "GET", "/resolve?uri=http://nope", "", "", 404, false},
+		{"sameas bad format", "GET", "/sameas?format=xml", "", "", 400, false},
+		{"wrong method", "GET", "/ingest", "", "", 405, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var resp *http.Response
 			var body []byte
+			before := srv.Epoch()
 			if tc.method == "GET" {
 				resp, body = get(t, ts, tc.path, "")
 			} else {
@@ -490,6 +493,9 @@ func TestErrorMapping(t *testing.T) {
 			}
 			if resp.StatusCode != tc.status {
 				t.Errorf("status %d, want %d\n%s", resp.StatusCode, tc.status, body)
+			}
+			if after := srv.Epoch(); tc.noWave && after != before {
+				t.Errorf("epoch moved %d → %d for a request the handler refuses", before, after)
 			}
 		})
 	}

@@ -137,9 +137,12 @@ func TestTornTailEveryByte(t *testing.T) {
 		if err := tl.Close(); err != nil {
 			t.Fatal(err)
 		}
-		_, again, err := Open(tdir, SyncOff)
+		relog, again, err := Open(tdir, SyncOff)
 		if err != nil {
 			t.Fatalf("cut %d: reopen after append: %v", cut, err)
+		}
+		if err := relog.Close(); err != nil {
+			t.Fatal(err)
 		}
 		sameRecords(t, fmt.Sprintf("cut %d + append", cut),
 			append(append([]Record(nil), want[:survivors]...), Record{Type: TypeStart, Payload: []byte("post-crash")}), again)

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -595,29 +596,11 @@ func (p *Pipeline) pipelineOptions() pipeline.Options {
 // path (the equivalent of Session.IngestKB), so the live session never
 // silently desynchronizes from the shared collection; once a newer
 // Start supersedes that session, loading refuses instead.
-func (p *Pipeline) LoadKB(name string, r io.Reader) error {
-	if name == "" {
-		return fmt.Errorf("minoaner: KB name must not be empty: %w", ErrBadBatch)
-	}
-	triples, err := rdf.NewDecoder(r).DecodeAll()
-	if err != nil {
-		return fmt.Errorf("minoaner: load %s: %w", name, err)
-	}
-	return p.dispatchIngest(wireDescs(kb.DescriptionsFromTriples(name, triples)))
-}
+func (p *Pipeline) LoadKB(name string, r io.Reader) error { return p.load(kb.NTriples, name, r) }
 
 // LoadKBTurtle reads a Turtle stream as one knowledge base. After
 // Start it streams into the current session, like LoadKB.
-func (p *Pipeline) LoadKBTurtle(name string, r io.Reader) error {
-	if name == "" {
-		return fmt.Errorf("minoaner: KB name must not be empty: %w", ErrBadBatch)
-	}
-	triples, err := rdf.NewTurtleDecoder(r).DecodeAll()
-	if err != nil {
-		return fmt.Errorf("minoaner: load %s: %w", name, err)
-	}
-	return p.dispatchIngest(wireDescs(kb.DescriptionsFromTriples(name, triples)))
-}
+func (p *Pipeline) LoadKBTurtle(name string, r io.Reader) error { return p.load(kb.Turtle, name, r) }
 
 // LoadQuads reads an N-Quads stream, mapping each named graph to its
 // own knowledge base — the layout of Web-crawl corpora (BTC), where
@@ -625,14 +608,7 @@ func (p *Pipeline) LoadKBTurtle(name string, r io.Reader) error {
 // default graph land in defaultKB. After Start it streams into the
 // current session, like LoadKB.
 func (p *Pipeline) LoadQuads(defaultKB string, r io.Reader) error {
-	if defaultKB == "" {
-		return fmt.Errorf("minoaner: default KB name must not be empty: %w", ErrBadBatch)
-	}
-	quads, err := rdf.NewQuadDecoder(r).DecodeAll()
-	if err != nil {
-		return fmt.Errorf("minoaner: load quads: %w", err)
-	}
-	return p.dispatchIngest(wireDescs(kb.DescriptionsFromQuads(defaultKB, quads)))
+	return p.load(kb.NQuads, defaultKB, r)
 }
 
 // LoadKBFile reads an RDF file as one knowledge base. Files ending in
@@ -643,10 +619,29 @@ func (p *Pipeline) LoadKBFile(name, path string) error {
 		return fmt.Errorf("minoaner: %w", err)
 	}
 	defer f.Close()
-	if strings.HasSuffix(path, ".ttl") || strings.HasSuffix(path, ".turtle") {
-		return p.LoadKBTurtle(name, f)
+	return p.load(kb.SyntaxOf(path), name, f)
+}
+
+func (p *Pipeline) load(syn kb.Syntax, name string, r io.Reader) error {
+	batch, err := readKB(syn, name, r)
+	if err != nil {
+		return err
 	}
-	return p.LoadKB(name, f)
+	return p.dispatchIngest(batch)
+}
+
+// readKB parses a document of the given syntax into the descriptions
+// of KB name (for N-Quads, the default graph's KB) — the one way RDF
+// enters a pipeline or session.
+func readKB(syn kb.Syntax, name string, r io.Reader) ([]Description, error) {
+	if name == "" {
+		return nil, fmt.Errorf("minoaner: KB name must not be empty: %w", ErrBadBatch)
+	}
+	batch, err := kb.Read(syn, name, r)
+	if err != nil {
+		return nil, fmt.Errorf("minoaner: load %s: %w", name, err)
+	}
+	return batch, nil
 }
 
 // AddDescription inserts one description directly (for programmatic
@@ -654,9 +649,6 @@ func (p *Pipeline) LoadKBFile(name, path string) error {
 // links name other descriptions' URIs in the same KB. After Start it
 // streams into the current session, like Add.
 func (p *Pipeline) AddDescription(kbName, uri string, attrs map[string]string, links []string) error {
-	if kbName == "" || uri == "" {
-		return fmt.Errorf("minoaner: KB name and URI must not be empty: %w", ErrBadBatch)
-	}
 	d := Description{URI: uri, KB: kbName, Links: links}
 	keys := make([]string, 0, len(attrs))
 	for k := range attrs {
@@ -675,14 +667,9 @@ func (p *Pipeline) AddDescription(kbName, uri string, attrs map[string]string, l
 // batch streams into the current session exactly as Session.Ingest
 // would take it, so the live session stays in sync; once a newer Start
 // supersedes that session, Add refuses instead.
-func (p *Pipeline) Add(batch []Description) error {
-	if err := validateBatch(batch); err != nil {
-		return err
-	}
-	return p.dispatchIngest(batch)
-}
+func (p *Pipeline) Add(batch []Description) error { return p.dispatchIngest(batch) }
 
-// dispatchIngest routes a validated wire batch through the one fold
+// dispatchIngest validates a wire batch and routes it through the one fold
 // (Pipeline.fold): into the shared collection before Start, as a
 // streaming mutation of the live session after it. Every load, add and
 // ingest funnels through here (parse first, then log, then fold), so
@@ -705,6 +692,9 @@ func (p *Pipeline) Add(batch []Description) error {
 // the session consistent, so the rest of the batch is folded too and
 // the error is returned last.
 func (p *Pipeline) dispatchIngest(batch []Description) error {
+	if err := validateBatch(batch); err != nil {
+		return err
+	}
 	if err := p.checkStore(); err != nil {
 		return err
 	}
@@ -784,16 +774,6 @@ func splitBatch(batch []Description, cap int) ([]walChunk, error) {
 	return append(head, tail...), nil
 }
 
-// wireDescs converts parsed descriptions to their wire form — the
-// JSON-stable shape the server streams and the write-ahead log frames.
-func wireDescs(descs []*kb.Description) []Description {
-	out := make([]Description, len(descs))
-	for i, d := range descs {
-		out[i] = Description{KB: d.KB, URI: d.URI, Types: d.Types, Attrs: d.Attrs, Links: d.Links}
-	}
-	return out
-}
-
 func validateBatch(batch []Description) error {
 	for _, d := range batch {
 		if d.KB == "" || d.URI == "" {
@@ -816,10 +796,9 @@ func validateBatch(batch []Description) error {
 func (p *Pipeline) fold(batch []Description, gone []int) {
 	col := p.col
 	dead := col.Tombstones()
-	for _, d := range batch {
-		col.Add(&kb.Description{
-			URI: d.URI, KB: d.KB, Types: d.Types, Attrs: d.Attrs, Links: d.Links,
-		})
+	bodies := slices.Clone(batch) // the collection owns its descriptions
+	for i := range bodies {
+		col.Add(&bodies[i])
 	}
 	s := p.current
 	if s == nil {
@@ -1304,18 +1283,7 @@ type Attribute = kb.Attribute
 // with Ingest. Attrs carry token evidence; Links name other
 // descriptions' URIs in the same KB. Ingesting a KB+URI that already
 // exists extends the existing description.
-type Description struct {
-	// KB names the source knowledge base (new names open new KBs).
-	KB string `json:"kb"`
-	// URI identifies the description within its KB.
-	URI string `json:"uri"`
-	// Types lists rdf:type objects.
-	Types []string `json:"types,omitempty"`
-	// Attrs lists the literal-valued predicates.
-	Attrs []Attribute `json:"attrs,omitempty"`
-	// Links lists URIs of linked descriptions.
-	Links []string `json:"links,omitempty"`
-}
+type Description = kb.Description
 
 // Ingest streams a batch of new descriptions into the live session.
 //
@@ -1341,10 +1309,10 @@ type Description struct {
 // recent) one; a superseded session keeps resolving its frozen view,
 // and only its mutations refuse.
 func (s *Session) Ingest(batch []Description) error {
-	if err := validateBatch(batch); err != nil {
+	if err := s.ingestable(); err != nil {
 		return err
 	}
-	return s.ingestWire(batch)
+	return s.p.dispatchIngest(batch)
 }
 
 // ingestable refuses streaming — ingestion and eviction alike — for
@@ -1362,14 +1330,11 @@ func (s *Session) ingestable() error {
 // knowledge base name — LoadKB's streaming counterpart. Statements
 // about subjects the session already knows extend their descriptions.
 func (s *Session) IngestKB(name string, r io.Reader) error {
-	if name == "" {
-		return fmt.Errorf("minoaner: KB name must not be empty: %w", ErrBadBatch)
-	}
-	triples, err := rdf.NewDecoder(r).DecodeAll()
+	batch, err := readKB(kb.NTriples, name, r)
 	if err != nil {
-		return fmt.Errorf("minoaner: load %s: %w", name, err)
+		return err
 	}
-	return s.ingestWire(wireDescs(kb.DescriptionsFromTriples(name, triples)))
+	return s.Ingest(batch)
 }
 
 // Evict removes descriptions from the live session. Every reference
@@ -1465,16 +1430,6 @@ func (s *Session) evict(ev walEvict) error {
 	}
 	p.fold(nil, ids)
 	return p.rotate()
-}
-
-// ingestWire runs a streaming ingest of a parsed wire batch on the
-// session, which must be its pipeline's current one; see
-// Pipeline.dispatchIngest.
-func (s *Session) ingestWire(batch []Description) error {
-	if err := s.ingestable(); err != nil {
-		return err
-	}
-	return s.p.dispatchIngest(batch)
 }
 
 // poison marks the session desynchronized, remembering the first cause;
@@ -1591,10 +1546,7 @@ func (s *Session) walCheckpoint() error {
 		if !col.Alive(id) {
 			continue
 		}
-		d := col.Desc(id)
-		chk.Descs = append(chk.Descs, Description{
-			KB: d.KB, URI: d.URI, Types: d.Types, Attrs: d.Attrs, Links: d.Links,
-		})
+		chk.Descs = append(chk.Descs, *col.Desc(id))
 		if s.gens != nil {
 			chk.Ages = append(chk.Ages, s.curGen-s.gens[id])
 		}
