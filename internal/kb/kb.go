@@ -214,22 +214,49 @@ func (c *Collection) Evict(id int) bool {
 // cache, per-node graph arrays, cluster state — pays for a description
 // that left.
 func (c *Collection) Compact() (*Collection, []int) {
-	nc := NewCollection()
-	nc.kbNames = slices.Clone(c.kbNames)
-	nc.kbIndex = maps.Clone(c.kbIndex)
-	nc.kbLive = make([]int, len(c.kbLive))
+	live := c.NumAlive()
+	nc := &Collection{
+		descs:   make([]*Description, live),
+		byURI:   make(map[string]int, len(c.byURI)),
+		anyURI:  make(map[string][]int, len(c.anyURI)),
+		kbOf:    make([]int, live),
+		kbNames: slices.Clone(c.kbNames),
+		kbIndex: maps.Clone(c.kbIndex),
+		kbLive:  slices.Clone(c.kbLive),
+		liveKBs: c.liveKBs,
+	}
 	oldToNew := make([]int, len(c.descs))
-	bodies := make([]Description, 0, c.NumAlive())
+	bodies := make([]Description, live)
+	nid := 0
 	for id, d := range c.descs {
 		if !c.Alive(id) {
 			oldToNew[id] = -1
 			continue
 		}
-		bodies = append(bodies, *d)
-		oldToNew[id] = nc.Add(&bodies[len(bodies)-1])
+		bodies[nid] = *d
+		nc.descs[nid] = &bodies[nid]
+		nc.kbOf[nid] = c.kbOf[id]
+		oldToNew[id] = nid
+		nid++
+	}
+	// Evict unmaps a tombstone from both URI indexes, so every id they
+	// hold is live, and each anyURI list stays ascending under the
+	// order-preserving renumbering. The lists share one array; each is
+	// capped at its length so an Add to one reallocates instead of
+	// writing into the next.
+	for k, id := range c.byURI {
+		nc.byURI[k] = oldToNew[id]
+	}
+	ids := make([]int, 0, live)
+	for uri, old := range c.anyURI {
+		lo := len(ids)
+		for _, id := range old {
+			ids = append(ids, oldToNew[id])
+		}
+		nc.anyURI[uri] = ids[lo:len(ids):len(ids)]
 	}
 	if c.hasToken {
-		nc.tokens = make([][]string, len(nc.descs))
+		nc.tokens = make([][]string, live)
 		nc.tokOpts = c.tokOpts
 		nc.hasToken = true
 		for id, nid := range oldToNew {

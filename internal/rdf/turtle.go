@@ -131,7 +131,11 @@ func (d *TurtleDecoder) statement() ([]Triple, error) {
 	}
 	// "[ ... ] ." — a blank-node property list may stand alone as a
 	// statement, with no further predicate list.
-	if tok, err := d.peek(); err == nil && subj.IsBlank() && tok.is(tkPunct, ".") {
+	tok, err := d.peek()
+	if err != nil {
+		return nil, err
+	}
+	if subj.IsBlank() && tok.is(tkPunct, ".") {
 		d.next()
 		out := d.pending
 		d.pending = nil
@@ -220,7 +224,11 @@ func (d *TurtleDecoder) subject() (Term, error) {
 func (d *TurtleDecoder) blankPropertyList() (Term, []Triple, error) {
 	d.anonSeq++
 	bn := NewBlank(fmt.Sprintf("anon%d", d.anonSeq))
-	if tok, err := d.peek(); err == nil && tok.is(tkPunct, "]") {
+	tok, err := d.peek()
+	if err != nil {
+		return Term{}, nil, err
+	}
+	if tok.is(tkPunct, "]") {
 		d.next()
 		return bn, nil, nil
 	}
@@ -266,7 +274,10 @@ func (d *TurtleDecoder) predicateObjectList(subj Term) ([]Triple, error) {
 		}
 		d.next()
 		// A trailing ';' before '.' or ']' is legal Turtle.
-		if tok, err := d.peek(); err == nil && (tok.is(tkPunct, ".") || tok.is(tkPunct, "]")) {
+		if tok, err = d.peek(); err != nil {
+			return nil, err
+		}
+		if tok.is(tkPunct, ".") || tok.is(tkPunct, "]") {
 			return out, nil
 		}
 	}

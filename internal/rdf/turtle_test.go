@@ -154,12 +154,16 @@ func TestTurtleErrors(t *testing.T) {
 		`ex:a ex:p ex:b .`,                          // undefined prefix
 		`@prefix ex: <http://x/> . ex:a _:b ex:c .`, // blank predicate
 		`@prefix ex: <http://x/> . ex:a ex:p "unterminated .`,
-		`@prefix ex: <http://x/> . ex:a ex:p ex:b`,      // missing dot
-		`@unknown <http://x/> .`,                        // bad directive
-		`@prefix ex <http://x/> .`,                      // prefix without colon
-		`@prefix ex: "notaniri" .`,                      // prefix non-IRI
-		`@prefix ex: <http://x/> . ex:a ex:p "x"^^ 4 .`, // bad datatype
-		`@prefix ex: <http://x/> . ex:a ex:p "x"@ .`,    // empty lang
+		`@prefix ex: <http://x/> . ex:a ex:p ex:b`,       // missing dot
+		`@unknown <http://x/> .`,                         // bad directive
+		`@prefix ex <http://x/> .`,                       // prefix without colon
+		`@prefix ex: "notaniri" .`,                       // prefix non-IRI
+		`@prefix ex: <http://x/> . ex:a ex:p "x"^^ 4 .`,  // bad datatype
+		`@prefix ex: <http://x/> . ex:a ex:p "x"@ .`,     // empty lang
+		`<http://s> ! <http://p> <http://o> .`,           // lexing error after a subject
+		`_:x @foo <p> <o> .`,                             // stray '@' after a subject
+		`[ ! <http://p> <http://o> ] .`,                  // lexing error after '['
+		`<http://s> <http://p> <http://o> ; ! <p> <o> .`, // lexing error after ';'
 	}
 	for _, doc := range bad {
 		if _, err := ParseTurtleString(doc); err == nil {

@@ -385,7 +385,8 @@ type mutationResponse struct {
 // Content-Type: a JSON array of descriptions (the default), or an
 // N-Triples document (application/n-triples or text/plain) ingested
 // into the KB named by the required ?kb= parameter. Either is parsed
-// here, so a malformed body is refused before it reaches the writer.
+// and validated here, so a malformed body or a batch Ingest would refuse
+// is answered 400 at the current epoch, before it reaches the writer.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.maxBody)
 	var batch []minoaner.Description
@@ -404,6 +405,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	} else if err := json.NewDecoder(body).Decode(&batch); err != nil {
 		writeError(w, s.Epoch(), bodyStatus(err), fmt.Errorf("decode batch: %w", err))
+		return
+	}
+	if err := minoaner.ValidateBatch(batch); err != nil {
+		writeError(w, s.Epoch(), errStatus(err), err)
 		return
 	}
 	epoch, err := s.do(r.Context(), func(context.Context) error {

@@ -467,7 +467,9 @@ func TestErrorMapping(t *testing.T) {
 		noWave bool
 	}{
 		{"bad json batch", "POST", "/ingest", "application/json", `{"not":"an array"}`, 400, true},
-		{"empty kb in batch", "POST", "/ingest", "application/json", `[{"kb":"","uri":"x"}]`, 400, false},
+		{"empty kb in batch", "POST", "/ingest", "application/json", `[{"kb":"","uri":"x"}]`, 400, true},
+		{"empty uri in batch", "POST", "/ingest", "application/json", `[{"kb":"alpha","uri":""}]`, 400, true},
+		{"nt subject <>", "POST", "/ingest?kb=alpha", "application/n-triples", "<> <http://p> \"v\" .", 400, true},
 		{"nt without kb", "POST", "/ingest?x=1", "application/n-triples", "<a> <b> <c> .", 400, true},
 		{"nt parse error", "POST", "/ingest?kb=alpha", "application/n-triples", "not ntriples", 400, true},
 		{"evict neither", "POST", "/evict", "application/json", `{}`, 400, false},

@@ -692,7 +692,7 @@ func (p *Pipeline) Add(batch []Description) error { return p.dispatchIngest(batc
 // the session consistent, so the rest of the batch is folded too and
 // the error is returned last.
 func (p *Pipeline) dispatchIngest(batch []Description) error {
-	if err := validateBatch(batch); err != nil {
+	if err := ValidateBatch(batch); err != nil {
 		return err
 	}
 	if err := p.checkStore(); err != nil {
@@ -774,7 +774,11 @@ func splitBatch(batch []Description, cap int) ([]walChunk, error) {
 	return append(head, tail...), nil
 }
 
-func validateBatch(batch []Description) error {
+// ValidateBatch returns the ErrBadBatch that Ingest would refuse batch
+// with — a description with an empty KB name or URI — and touches no
+// session, so a caller that queues batches for a writer can refuse a
+// bad one before it costs a wave.
+func ValidateBatch(batch []Description) error {
 	for _, d := range batch {
 		if d.KB == "" || d.URI == "" {
 			return fmt.Errorf("minoaner: KB name and URI must not be empty: %w", ErrBadBatch)
