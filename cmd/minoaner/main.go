@@ -9,7 +9,8 @@
 // Each -kb flag names one knowledge base and its N-Triples file.
 // With a single KB the run is dirty ER (duplicates within the KB);
 // with several it is clean–clean ER across them. -budget caps the
-// number of comparisons (pay-as-you-go); 0 means run to completion.
+// number of comparisons (pay-as-you-go); 0 means run until the schedule
+// stops paying, at the benefit model's priority floor.
 //
 // The serve subcommand keeps the resolved session alive behind an HTTP
 // API (see internal/server): snapshot reads on GET /resolve, /clusters,
@@ -65,7 +66,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("minoaner", flag.ContinueOnError)
 	var kbs kbFlags
 	fs.Var(&kbs, "kb", "knowledge base as name=path.nt (repeatable)")
-	budget := fs.Int("budget", 0, "comparison budget (0 = unlimited)")
+	budget := fs.Int("budget", 0, "comparison budget (0 = until the schedule stops paying)")
 	out := fs.String("out", "", "write owl:sameAs links to this file (default stdout)")
 	workers := fs.Int("workers", 0, "meta-blocking workers (0 = one per CPU, 1 = sequential)")
 	verbose := fs.Bool("v", false, "print per-match lines to stderr")
@@ -79,7 +80,7 @@ func run(args []string) error {
 		return fmt.Errorf("at least one -kb required")
 	}
 	if *budget < 0 {
-		return fmt.Errorf("-budget %d is negative (0 = unlimited)", *budget)
+		return fmt.Errorf("-budget %d is negative (0 = until the schedule stops paying)", *budget)
 	}
 
 	cfg := minoaner.Defaults()

@@ -28,8 +28,8 @@ import (
 // If a change is *supposed* to alter resolution semantics, run the
 // test and paste the printed digests here.
 const (
-	goldenTraceDigest   = "aff4fcab029fa2f5f0aded81047ed431bfe0a81a719018e9e855e4702298f113"
-	goldenClusterDigest = "1d7d5b0fe805767776c401d0dc43b5e77a748b79a3d86e4fe8704725c40e4646"
+	goldenTraceDigest   = "dd2db794bbdd0d7f73750f6d0de0cfc2ac152009f5481aea372ba270dd23dfa2"
+	goldenClusterDigest = "1f36b261d9b418c056f34f59536b10ab0be69902940339cebaeeb3e73f37b748"
 )
 
 // goldenWorld is the pinned corpus: the cmd/datagen-style two-KB world

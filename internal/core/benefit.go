@@ -8,9 +8,17 @@
 // along the three data-quality axes the paper introduces (attribute
 // completeness, entity coverage, relationship completeness) in
 // contrast to the pair-quantity benefit of progressive relational ER.
+//
+// A budget of 0 does not drain the queue: it runs until the schedule
+// stops paying, once the best queued comparison's priority is below a
+// floor read off the benefit model's own priority scale (stopFloor).
+// The tail stays queued for a positive budget, which runs past the
+// floor.
 package core
 
 import (
+	"math"
+
 	"repro/internal/match"
 )
 
@@ -147,6 +155,33 @@ func (RelationshipCompleteness) Bias(a, b int, cl *match.Clusters, m *match.Matc
 		return float64(hit) / float64(len(ns))
 	}
 	return (resolvedNeighbors(a) + resolvedNeighbors(b)) / 2
+}
+
+// floorBase is the share of the top retained weight below which the
+// schedule stops paying: a fresh pair weaker than 5 % of the strongest
+// edge, with no bias and no neighbor evidence, is not worth comparing.
+const floorBase = 0.05
+
+// stopFloor is the priority at which a draining run stops under model
+// m, read off the model's own priority scale: floorBase plus biasWeight
+// times the bias the model gives two unresolved descriptions, the
+// priority of a fresh pair at floorBase of the top weight. Quantity and
+// RelationshipCompleteness give such a pair no bias, so their floor is
+// floorBase itself. EntityCoverage's bias is all or nothing (1 for two
+// singletons, 0 once either side is resolved), so its full floor would
+// cut every cluster extension weaker than 30 % of the top weight; it
+// stops at floorBase plus 0.6·biasWeight instead. A model this package
+// does not define drains: its floor is -Inf.
+func stopFloor(m BenefitModel) float64 {
+	switch m.(type) {
+	case Quantity, RelationshipCompleteness:
+		return floorBase
+	case AttributeCompleteness:
+		return floorBase + biasWeight
+	case EntityCoverage:
+		return floorBase + 0.6*biasWeight
+	}
+	return math.Inf(-1)
 }
 
 // Models lists the four benefit models, quantity first (the baseline

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/blocking"
@@ -23,10 +24,11 @@ type Config struct {
 	DisableDiscovery bool
 	// Workers sets the width of a draining run's value-similarity
 	// pre-pass (see prescore): with n > 1, a draining RunBudget first
-	// scores every queued pair on n goroutines, then runs the serial
-	// loop over the memoized scores. 0 or 1 — and every budgeted leg —
-	// runs the serial loop alone, scoring each pair as it executes.
-	// Every setting produces a bit-identical trace.
+	// scores every queued pair whose priority is not already below the
+	// benefit model's floor on n goroutines, then runs the serial loop
+	// over the memoized scores. 0 or 1 — and every budgeted leg — runs
+	// the serial loop alone, scoring each pair as it executes. Every
+	// setting produces a bit-identical trace.
 	Workers int
 }
 
@@ -131,7 +133,11 @@ type Resolver struct {
 	states pairStates
 	cl     *match.Clusters
 	maxW   float64
-	tim    Timings
+	// floor is the priority at which a draining run stops: the benefit
+	// model's stopFloor, or -Inf (drain) over a graph with no positive
+	// weight, where every retained pair's base is 0.
+	floor float64
+	tim   Timings
 	// clk is the last stage boundary of the running loop (see lap).
 	clk time.Time
 }
@@ -184,9 +190,10 @@ func NewResolver(m *match.Matcher, edges []metablocking.Edge, cfg Config) *Resol
 }
 
 // index is the one queue-indexing step of NewResolver, Retract and
-// Reseed: it sets maxW from the edges, gives each distinct retained
-// pair one fresh state in edge order (indexEdges), and returns one
-// queue entry per state, in that order, for newQueue to heapify.
+// Reseed: it sets maxW and the stop floor from the edges, gives each
+// distinct retained pair one fresh state in edge order (indexEdges),
+// and returns one queue entry per state, in that order, for newQueue to
+// heapify.
 func (r *Resolver) index(edges []metablocking.Edge) []entry {
 	r.maxW = 0
 	for _, e := range edges {
@@ -194,8 +201,10 @@ func (r *Resolver) index(edges []metablocking.Edge) []entry {
 			r.maxW = e.Weight
 		}
 	}
+	r.floor = stopFloor(r.cfg.Benefit)
 	if r.maxW == 0 {
 		r.maxW = 1
+		r.floor = math.Inf(-1)
 	}
 	r.states = indexEdges(edges, r.maxW)
 	slab := r.states.slab
@@ -215,16 +224,25 @@ func (r *Resolver) priority(p blocking.Pair, st *pairState) float64 {
 func (r *Resolver) Clusters() *match.Clusters { return r.cl }
 
 // Pending returns the number of queued (not yet executed) comparisons.
-// Stale heap entries may inflate the count; it is an upper bound.
+// Stale heap entries may inflate the count; it is an upper bound. A
+// draining run that stopped at the floor leaves its tail queued, so
+// Pending stays positive after it: the comparisons a budgeted run
+// could still spend.
 func (r *Resolver) Pending() int { return r.queue.Len() }
 
 // RunBudget executes the progressive loop until budget comparisons
-// have run (0 = unlimited) or the queue drains, returning the trace of
-// this call. The resolver keeps its state: calling RunBudget again
-// continues the same pay-as-you-go session with a fresh budget, exactly
-// as the paper's "until the cost budget is consumed" loop resumes when
-// more budget arrives. Traces of successive calls concatenate to the
-// trace of one larger-budget run.
+// have run or the queue drains, returning the trace of this call. A
+// budget of 0 runs until the schedule stops paying: it returns once
+// the head of the queue, revalidated to its current priority, is below
+// the benefit model's floor (stopFloor), and leaves that tail queued.
+// A positive budget runs past the floor. The resolver keeps its state:
+// calling RunBudget again continues the same pay-as-you-go session with
+// a fresh budget, exactly as the paper's "until the cost budget is
+// consumed" loop resumes when more budget arrives. Traces of successive
+// calls concatenate to the trace of one larger-budget run: a stop
+// leaves the queue exactly as it found the head, so RunBudget(0) then
+// RunBudget(k) is the trace of one RunBudget of their total, and a
+// second RunBudget(0) right after a stop executes nothing.
 func (r *Resolver) RunBudget(budget int) *Result {
 	return r.RunBudgetContext(context.Background(), budget)
 }
@@ -244,9 +262,13 @@ func (r *Resolver) RunBudget(budget int) *Result {
 func (r *Resolver) RunBudgetContext(ctx context.Context, budget int) *Result {
 	r.clk = time.Now()
 	defer r.lap(&r.tim.Schedule)
-	if budget == 0 && r.cfg.Workers > 1 && ctx.Err() == nil {
-		r.prescore()
-		r.lap(&r.tim.Match)
+	floor := math.Inf(-1)
+	if budget == 0 {
+		floor = r.floor
+		if r.cfg.Workers > 1 && ctx.Err() == nil {
+			r.prescore()
+			r.lap(&r.tim.Match)
+		}
 	}
 	done := ctx.Done() // nil for Background: the check below vanishes
 	res := &Result{Clusters: r.cl}
@@ -258,7 +280,7 @@ func (r *Resolver) RunBudgetContext(ctx context.Context, budget int) *Result {
 			default:
 			}
 		}
-		step, ok := r.next()
+		step, ok := r.next(floor)
 		if !ok {
 			break
 		}
@@ -290,8 +312,14 @@ func (r *Resolver) Timings() Timings { return r.tim }
 // the run may execute is scored up front across Config.Workers
 // goroutines, and the serial loop then reads the memo. One serial walk
 // over the queue claims each state that is neither executed nor
-// memoized; the claim sets hasVsim at once, so a state's stale
-// duplicate heap entries share it. The workers each
+// memoized and whose current priority is not below the floor; the claim
+// sets hasVsim at once, so a state's stale duplicate heap entries share
+// it. The floor skip scores nothing the run would execute: the run
+// stops at the first head below the floor, and a priority only falls
+// between boosts, while a boost pushes a fresh entry that is scored
+// inline if it executes. (Under RelationshipCompleteness a bias can
+// also rise, and such a pair is scored inline too; the trace is the
+// same either way.) The workers each
 // write only the vsim of the states in their chunks and read only the
 // immutable matcher, and the call returns after the last of them, so
 // no state is ever marked scored without its score and no goroutine
@@ -301,7 +329,7 @@ func (r *Resolver) prescore() {
 	var todo []*pairState
 	for _, e := range r.queue.items {
 		st := r.states.at(e.rank)
-		if st.done || st.hasVsim {
+		if st.done || st.hasVsim || r.priority(st.pair, st) < r.floor {
 			continue
 		}
 		st.hasVsim = true
@@ -324,25 +352,34 @@ func (r *Resolver) lap(stage *time.Duration) {
 	r.clk = now
 }
 
-// next pops, validates, executes, and propagates one comparison.
-func (r *Resolver) next() (Step, bool) {
+// next validates, executes, and propagates the head comparison. It
+// reports false when the queue is empty or when the head's current
+// priority is below floor; the head then stays where it is, so the
+// next run finds the queue as this one left it.
+func (r *Resolver) next(floor float64) (Step, bool) {
 	for {
-		e, ok := r.queue.Pop()
+		e, ok := r.queue.Peek()
 		if !ok {
 			return Step{}, false
 		}
 		st := r.states.at(e.rank)
 		if st.done {
-			continue // stale entry
+			r.queue.Pop() // stale entry
+			continue
 		}
 		p := st.pair
 		// Lazy revalidation: priorities drift as the state evolves; if
 		// this entry is stale-high, reinsert at its current priority.
 		cur := r.priority(p, st)
 		if cur < e.prio-1e-9 {
+			r.queue.Pop()
 			r.queue.Push(entry{rank: e.rank, prio: cur})
 			continue
 		}
+		if cur < floor {
+			return Step{}, false
+		}
+		r.queue.Pop()
 		// Skip pairs already resolved transitively — their comparison
 		// spends budget without any possible benefit. A pre-pass score
 		// it may have received is dead weight in its state, never

@@ -55,26 +55,34 @@ func sameTrace(t *testing.T, label string, seq, par *Result) {
 // value-similarity pre-pass: for every benefit model, discovery
 // setting, and budget, the trace with the pre-pass width set must
 // equal the sequential resolver's step for step in every field, for
-// every worker count. CI runs it under -race, which also exercises the
+// every worker count, and a draining run must stop at the same step
+// and leave the same queue behind, though the pre-pass skips what is
+// below the floor. CI runs it under -race, which also exercises the
 // pre-pass's hand-off to the serial loop.
 func TestParallelTraceBitIdentical(t *testing.T) {
 	m, edges := hardWorld(t, 99, 130)
-	sawDiscovered, sawRecheck := false, false
+	sawDiscovered, sawRecheck, sawStop := false, false, false
 	for _, model := range Models() {
 		for _, noDisc := range []bool{false, true} {
 			for _, budget := range []int{1, 7, 0} {
 				base := Config{Benefit: model, DisableDiscovery: noDisc}
-				seq := NewResolver(m, edges, base).RunBudget(budget)
+				sr := NewResolver(m, edges, base)
+				seq := sr.RunBudget(budget)
 				for _, s := range seq.Trace {
 					sawDiscovered = sawDiscovered || s.Discovered
 					sawRecheck = sawRecheck || s.Recheck
 				}
+				sawStop = sawStop || budget == 0 && executable(sr) > 0
 				for _, workers := range []int{1, 2, 4, 8} {
 					cfg := base
 					cfg.Workers = workers
-					par := NewResolver(m, edges, cfg).RunBudget(budget)
+					pr := NewResolver(m, edges, cfg)
+					par := pr.RunBudget(budget)
 					label := sprintfCase(model.Name(), noDisc, budget, workers)
 					sameTrace(t, label, seq, par)
+					if pr.Pending() != sr.Pending() {
+						t.Fatalf("%s: %d pending after the run, sequential %d", label, pr.Pending(), sr.Pending())
+					}
 				}
 			}
 		}
@@ -86,6 +94,9 @@ func TestParallelTraceBitIdentical(t *testing.T) {
 	}
 	if !sawRecheck {
 		t.Error("no sequential trace contained a recheck")
+	}
+	if !sawStop {
+		t.Error("no draining run stopped before the queue was empty")
 	}
 }
 
@@ -136,6 +147,20 @@ func executable(r *Resolver) int {
 	n := 0
 	for st := range r.states.all() {
 		if p := st.pair; !st.done && !r.cl.Same(p.A, p.B) {
+			n++
+		}
+	}
+	return n
+}
+
+// aboveFloor counts the executable pairs whose current priority is at
+// or above the stop floor. Under a model whose priorities only fall
+// between boosts, a draining run leaves none: it stops only once the
+// head, and so every queued entry, is below the floor.
+func aboveFloor(r *Resolver) int {
+	n := 0
+	for st := range r.states.all() {
+		if p := st.pair; !st.done && !r.cl.Same(p.A, p.B) && r.priority(p, st) >= r.floor {
 			n++
 		}
 	}
@@ -257,7 +282,8 @@ func TestParallelTraceAcrossWaves(t *testing.T) {
 
 // TestPrescore pins what the pre-pass computes and when it runs. A
 // budgeted leg scores only what it executes. A direct pre-pass leaves
-// every queued pair not yet executed holding exactly ValueSim's float.
+// every queued pair not yet executed and not below the stop floor
+// holding exactly ValueSim's float, and scores none below the floor.
 // And a draining run at width 4 runs it: the pairs
 // its loop skips as transitively resolved were scored anyway, which
 // never happens on the serial loop.
@@ -268,16 +294,31 @@ func TestPrescore(t *testing.T) {
 	if n := scored(r); n > leg.Comparisons {
 		t.Fatalf("a %d-comparison budgeted leg scored %d pairs", leg.Comparisons, n)
 	}
+	unscored := make(map[*pairState]bool)
+	for st := range r.states.all() {
+		unscored[st] = !st.hasVsim
+	}
 	r.prescore()
+	below := 0
 	for _, e := range r.queue.items {
 		st := r.states.at(e.rank)
 		if st.done {
+			continue
+		}
+		if r.priority(st.pair, st) < r.floor {
+			below++
+			if unscored[st] && st.hasVsim {
+				t.Fatalf("pair %v below the floor was scored by the pre-pass", st.pair)
+			}
 			continue
 		}
 		if !st.hasVsim || st.vsim != m.ValueSim(st.pair.A, st.pair.B) {
 			t.Fatalf("pair %v after the pre-pass: hasVsim=%v vsim=%v, want %v",
 				st.pair, st.hasVsim, st.vsim, m.ValueSim(st.pair.A, st.pair.B))
 		}
+	}
+	if below == 0 {
+		t.Fatal("no queued pair is below the floor; the skip went unchecked")
 	}
 
 	// Three KBs, so matches chain and some queued pairs resolve

@@ -44,6 +44,15 @@ func (q *queue) Push(e entry) {
 	items[i] = e
 }
 
+// Peek returns the highest-priority entry without removing it. It
+// reports false if the queue is empty.
+func (q *queue) Peek() (entry, bool) {
+	if len(q.items) == 0 {
+		return entry{}, false
+	}
+	return q.items[0], true
+}
+
 // Pop removes and returns the highest-priority entry. It reports false
 // if the queue is empty.
 func (q *queue) Pop() (entry, bool) {

@@ -152,8 +152,8 @@ func TestRetractAfterRun(t *testing.T) {
 			if respent == 0 {
 				t.Fatal("no surviving failed pair was re-spent — the world is too easy")
 			}
-			if e := executable(r); e != 0 {
-				t.Fatalf("drained resolver left %d executable pairs", e)
+			if e := aboveFloor(r); e != 0 {
+				t.Fatalf("stopped resolver left %d executable pairs at or above the floor", e)
 			}
 		})
 	}

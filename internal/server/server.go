@@ -460,8 +460,9 @@ type resumeResponse struct {
 	Pending     int    `json:"pending"`
 }
 
-// handleResume answers POST /resume?budget=N (0 or absent = run to
-// completion): it spends further comparison budget on the session,
+// handleResume answers POST /resume?budget=N (0 or absent = until the
+// schedule stops paying, leaving the tail below the priority floor
+// counted in pending): it spends further comparison budget on the session,
 // honoring request cancellation between comparisons so a disconnected
 // client cannot wedge the writer.
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {

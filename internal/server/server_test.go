@@ -338,8 +338,15 @@ func TestServedEqualsSession(t *testing.T) {
 		t.Fatalf("drain: status %d\n%s", resp.StatusCode, body)
 	}
 	rr := decode[resumeResponse](t, body)
-	if rr.Pending != 0 {
-		t.Errorf("drained resume still pending %d", rr.Pending)
+	resp, body = post(t, ts, "/resume", "", nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("second drain: status %d\n%s", resp.StatusCode, body)
+	}
+	// A draining resume ends at the priority floor and leaves the tail
+	// queued, so a second one executes nothing and reports the same tail.
+	if again := decode[resumeResponse](t, body); again.BudgetSpent != rr.BudgetSpent || again.Pending != rr.Pending {
+		t.Errorf("a second drain spent %d → %d and left %d → %d pending",
+			rr.BudgetSpent, again.BudgetSpent, rr.Pending, again.Pending)
 	}
 	checkDifferential(t, "drained", srv, ts, uris)
 

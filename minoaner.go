@@ -839,13 +839,15 @@ func (p *Pipeline) rotate() error {
 // NumDescriptions returns how many live descriptions are loaded.
 func (p *Pipeline) NumDescriptions() int { return p.col.NumAlive() }
 
-// Resolve runs the full pipeline with an unlimited comparison budget.
+// Resolve runs the full pipeline with budget 0: matching runs until
+// the schedule stops paying, at the benefit model's priority floor (see
+// Session.Resume).
 func (p *Pipeline) Resolve() (*Result, error) { return p.ResolveBudget(0) }
 
 // ResolveBudget runs the pipeline, executing at most budget
-// comparisons (0 = unlimited) — the paper's pay-as-you-go mode: the
-// scheduler spends the budget on the most beneficial comparisons
-// first.
+// comparisons (0 = until the schedule stops paying, as Resolve) — the
+// paper's pay-as-you-go mode: the scheduler spends the budget on the
+// most beneficial comparisons first.
 func (p *Pipeline) ResolveBudget(budget int) (*Result, error) {
 	return p.ResolveContext(context.Background(), budget)
 }
@@ -1097,8 +1099,13 @@ func (s *Session) settle(read string) error {
 	return nil
 }
 
-// Resume executes up to budget further comparisons (0 = run to
-// completion) and returns the cumulative result of the session.
+// Resume executes up to budget further comparisons and returns the
+// cumulative result of the session. Budget 0 runs until the schedule
+// stops paying: it returns once the best queued comparison's priority
+// is below the benefit model's floor, and leaves that tail queued, so
+// Pending stays positive and a second Resume(0) executes nothing. A
+// positive budget runs past the floor; a caller that wants the queue
+// emptied passes a budget of at least Pending().
 func (s *Session) Resume(budget int) (*Result, error) {
 	return s.ResumeContext(context.Background(), budget)
 }
@@ -1166,11 +1173,12 @@ func (s *Session) buildResult() (*Result, [][]int) {
 	return out, members
 }
 
-// Pending returns an upper bound on the comparisons still queued,
-// making the pass pending mutations left first. It returns no error: a
-// pass that fails here poisons the session, the next call that returns
-// one reports it under Pending's name, and the count is the last good
-// pass's.
+// Pending returns an upper bound on the comparisons still queued (after
+// a Resume(0), the tail below the priority floor that only a positive
+// budget spends), making the pass pending mutations left first. It
+// returns no error: a pass that fails here poisons the session, the
+// next call that returns one reports it under Pending's name, and the
+// count is the last good pass's.
 func (s *Session) Pending() int {
 	_ = s.settle("Pending") // a failure poisons the session; the resolver is the last good one
 	return s.resolver.Pending()

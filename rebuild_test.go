@@ -20,9 +20,9 @@ import (
 // (boosts, failed pairs, rechecks) or fewer. A change that is meant to
 // move the rule updates them with the reason.
 var rebuildRuleDigests = map[int64]string{
-	1: "f6ccf672ab17206f028f69d77801cd211041d09c7b5fe099328438d79ea067b2",
-	2: "dc19c039b1938a2240b32976075783c42c5418444014e00278323f6fab6b6d9c",
-	3: "264ea6ff47bd7fde091ae64a1d7723b67887f4fc2dffd82aae44082af8030680",
+	1: "93f06b7f87682989e26a810dac33b49885acd64551b0fdb96aa8910c11651650",
+	2: "4812cca9bbc5e122ea08951654c455c6ca09556c521f2834f75fbe138f756332",
+	3: "6d2f75d5c8d6725b250e63212a90491c577459aac8ef5b643b55d012d5d314aa",
 }
 
 // TestIngestWaveRebuildRule drives the stream shape of a live service:

@@ -450,9 +450,10 @@ func ruleRows(t *testing.T) []ruleRow {
 // the merges are all the history a pass needs. After every read the
 // session's collection holds no tombstone, and a life that has not
 // evicted has not compacted. Waves that only add keep every match at
-// its place: the last leg's matches open the drained result. A drained
-// session stays drained: Pending is 0 and a further leg executes
-// nothing.
+// its place: the last leg's matches open the drained result. A
+// draining leg stops where the fresh Retract's does (Resume(0) ends at
+// the benefit model's priority floor): Pending reports the tail both
+// leave queued, and a further Resume(0) executes nothing and leaves it.
 //
 // At empty history the right-hand side is also the public API's own: a
 // fresh pipeline over the live corpus, read off the row rather than
@@ -501,9 +502,11 @@ func TestRebuildRuleEquation(t *testing.T) {
 				if l.last != nil && !slices.Equal(out.Matches[:min(len(l.last.Matches), len(out.Matches))], l.last.Matches) {
 					t.Fatalf("after op %d: the matches of the leg before the waves moved", i)
 				}
-				if again := resume(t, s, 7); s.Pending() != 0 || again.Stats.Comparisons != out.Stats.Comparisons {
-					t.Fatalf("after op %d: a drained session has %d pending and ran %d more comparisons",
-						i, s.Pending(), again.Stats.Comparisons-out.Stats.Comparisons)
+				pending := s.Pending()
+				if again := resume(t, s, 0); pending != want.Pending() || s.Pending() != pending ||
+					again.Stats.Comparisons != out.Stats.Comparisons {
+					t.Fatalf("after op %d: a stopped session has %d pending (the fresh Retract %d), then %d after a further Resume(0), which ran %d more comparisons",
+						i, pending, want.Pending(), s.Pending(), again.Stats.Comparisons-out.Stats.Comparisons)
 				}
 				if len(l.gone) == 0 && h.compactions != 0 {
 					t.Fatalf("after op %d: a life that has not evicted compacted %d times", i, h.compactions)
