@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -19,13 +20,14 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run parses args and prints the selected tables to w.
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	id := fs.String("id", "", "run one experiment (F1, T1–T4, T6, F2–F4); empty = all")
 	seed := fs.Int64("seed", 2016, "workload seed")
@@ -58,7 +60,7 @@ func run(args []string) error {
 
 	if *id == "" {
 		for _, e := range tables {
-			e.run().Fprint(os.Stdout)
+			e.run().Fprint(w)
 		}
 		return nil
 	}
@@ -66,7 +68,7 @@ func run(args []string) error {
 	var ids []string
 	for _, e := range tables {
 		if e.id == key {
-			e.run().Fprint(os.Stdout)
+			e.run().Fprint(w)
 			return nil
 		}
 		ids = append(ids, e.id)

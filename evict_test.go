@@ -248,6 +248,9 @@ func TestEvictThenReingestGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if digest := resolvedDigest(out); digest != goldenResolvedDigest {
+		t.Errorf("evict-then-reingest matches and clusters %s, want golden %s", digest, goldenResolvedDigest)
+	}
 	if digest := resultDigest(out); digest != goldenClusterDigest {
 		t.Errorf("evict-then-reingest digest %s, want golden %s", digest, goldenClusterDigest)
 	}

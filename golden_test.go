@@ -30,6 +30,10 @@ import (
 const (
 	goldenTraceDigest   = "dd2db794bbdd0d7f73750f6d0de0cfc2ac152009f5481aea372ba270dd23dfa2"
 	goldenClusterDigest = "1f36b261d9b418c056f34f59536b10ab0be69902940339cebaeeb3e73f37b748"
+	// goldenResolvedDigest is resolvedDigest of the same Result: its
+	// matches and clusters without the Stats line. A change that moves
+	// only what the resolver counts keeps it.
+	goldenResolvedDigest = "41df8fe6d1f947e04a9710b087476d08815a37c030fac7b98fa4d84af05f0a7a"
 )
 
 // goldenWorld is the pinned corpus: the cmd/datagen-style two-KB world
@@ -100,11 +104,12 @@ func TestGoldenResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	clusterDigest := resultDigest(out)
+	resolved := resolvedDigest(out)
 
-	if traceDigest != goldenTraceDigest || clusterDigest != goldenClusterDigest {
-		t.Errorf("golden digests changed:\n  trace   %s\n  want    %s\n  cluster %s\n  want    %s\n"+
+	if traceDigest != goldenTraceDigest || clusterDigest != goldenClusterDigest || resolved != goldenResolvedDigest {
+		t.Errorf("golden digests changed:\n  trace    %s\n  want     %s\n  cluster  %s\n  want     %s\n  resolved %s\n  want     %s\n"+
 			"resolution semantics moved — if intended, update the constants",
-			traceDigest, goldenTraceDigest, clusterDigest, goldenClusterDigest)
+			traceDigest, goldenTraceDigest, clusterDigest, goldenClusterDigest, resolved, goldenResolvedDigest)
 	}
 	// Keep the pinned workload meaningful: it must exercise discovery
 	// and produce a real clustering.
@@ -124,6 +129,20 @@ func sha256digest(s string) string {
 // session whose resolution semantics equal the golden run reproduces
 // it, however its ids came to be assigned.
 func resultDigest(out *minoaner.Result) string {
+	return sha256digest(resolutionText(out) + fmt.Sprintf("S %+v\n", out.Stats))
+}
+
+// resolvedDigest is resultDigest without the Stats line: the matches
+// and the clusters alone. It pins what a resolution decided, apart from
+// what it counted, so a change to the accounting (what a comparison or
+// a budget unit is) can be shown to move no decision.
+func resolvedDigest(out *minoaner.Result) string {
+	return sha256digest(resolutionText(out))
+}
+
+// resolutionText renders a Result's matches, with exact score bits,
+// and its clusters, one line each.
+func resolutionText(out *minoaner.Result) string {
 	var cb strings.Builder
 	for _, mt := range out.Matches {
 		fmt.Fprintf(&cb, "M %s/%s %s/%s %016x %v %v\n",
@@ -136,6 +155,5 @@ func resultDigest(out *minoaner.Result) string {
 		}
 		cb.WriteString("\n")
 	}
-	fmt.Fprintf(&cb, "S %+v\n", out.Stats)
-	return sha256digest(cb.String())
+	return cb.String()
 }
