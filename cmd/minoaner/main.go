@@ -9,8 +9,10 @@
 // Each -kb flag names one knowledge base and its N-Triples file.
 // With a single KB the run is dirty ER (duplicates within the KB);
 // with several it is clean–clean ER across them. -budget caps the
-// number of comparisons (pay-as-you-go); 0 means run until the schedule
-// stops paying, at the benefit model's priority floor.
+// number of decided comparisons (pay-as-you-go); a pair dropped
+// undecided because its value similarity can never match spends none
+// and is counted as gated. 0 means run until the schedule stops paying,
+// at the benefit model's priority floor.
 //
 // The serve subcommand keeps the resolved session alive behind an HTTP
 // API (see internal/server): snapshot reads on GET /resolve, /clusters,
@@ -105,9 +107,9 @@ func run(args []string) error {
 	}
 	s := res.Stats
 	fmt.Fprintf(os.Stderr,
-		"descriptions=%d kbs=%d brute=%d blocks=%d candidates=%d pruned=%d comparisons=%d discovered=%d matches=%d clusters=%d\n",
+		"descriptions=%d kbs=%d brute=%d blocks=%d candidates=%d pruned=%d comparisons=%d discovered=%d gated=%d matches=%d clusters=%d\n",
 		s.Descriptions, s.KBs, s.BruteForce, s.Blocks, s.BlockCandidates,
-		s.PrunedEdges, s.Comparisons, s.DiscoveredCmps, s.Matches, len(res.Clusters))
+		s.PrunedEdges, s.Comparisons, s.DiscoveredCmps, s.Gated, s.Matches, len(res.Clusters))
 	if *verbose {
 		for _, m := range res.Matches {
 			tag := ""
@@ -232,8 +234,8 @@ func runServe(args []string, ready chan<- net.Addr, quit <-chan struct{}) error 
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "resolved: comparisons=%d matches=%d clusters=%d pending=%d\n",
-		res.Stats.Comparisons, res.Stats.Matches, len(res.Clusters), sess.Pending())
+	fmt.Fprintf(os.Stderr, "resolved: comparisons=%d gated=%d matches=%d clusters=%d pending=%d\n",
+		res.Stats.Comparisons, res.Stats.Gated, res.Stats.Matches, len(res.Clusters), sess.Pending())
 
 	srv := server.NewWith(sess, server.Config{MaxBody: *maxBody})
 	defer srv.Close()

@@ -37,7 +37,8 @@ import (
 // Start's refusal of an empty corpus, and the twin returns the same
 // one. At every read op and once at the end, on every session: the
 // read's answer and snapshotDigest equal the twin's,
-// Stats.Matches == len(Matches), and Stats.Comparisons never falls;
+// Stats.Matches == len(Matches), and neither Stats.Comparisons nor
+// Stats.Gated ever falls;
 // the current session's collection holds no tombstone, its clusters
 // partition its live set and every live description resolves. A held
 // snapshot never changes.
@@ -75,7 +76,7 @@ func FuzzSessionLifecycle(f *testing.F) {
 		}
 		// twins[i] is sessions[i]'s eager twin.
 		sessions, twins := []*Session{s}, []*Session{ts}
-		spent := map[*Session]int{}
+		spent := map[*Session]Stats{}
 		type held struct {
 			sn     *Snapshot
 			digest string
@@ -210,7 +211,7 @@ func FuzzSessionLifecycle(f *testing.F) {
 // checkSession snapshots s and its eager twin and checks the per-read
 // oracles of FuzzSessionLifecycle; live marks the pipeline's current
 // session, whose collection is the live set.
-func checkSession(t *testing.T, what string, s, twin *Session, live bool, spent map[*Session]int, stream []Description) {
+func checkSession(t *testing.T, what string, s, twin *Session, live bool, spent map[*Session]Stats, stream []Description) {
 	t.Helper()
 	sn, err := s.Snapshot()
 	if err != nil {
@@ -227,10 +228,11 @@ func checkSession(t *testing.T, what string, s, twin *Session, live bool, spent 
 	if st.Matches != len(sn.Result().Matches) {
 		t.Fatalf("Stats.Matches %d, %d matches listed", st.Matches, len(sn.Result().Matches))
 	}
-	if st.Comparisons < spent[s] {
-		t.Fatalf("Stats.Comparisons fell from %d to %d", spent[s], st.Comparisons)
+	if st.Comparisons < spent[s].Comparisons || st.Gated < spent[s].Gated {
+		t.Fatalf("Stats.Comparisons went from %d to %d and Stats.Gated from %d to %d",
+			spent[s].Comparisons, st.Comparisons, spent[s].Gated, st.Gated)
 	}
-	spent[s] = st.Comparisons
+	spent[s] = st
 	if !live {
 		return
 	}

@@ -28,8 +28,8 @@ import (
 // If a change is *supposed* to alter resolution semantics, run the
 // test and paste the printed digests here.
 const (
-	goldenTraceDigest   = "dd2db794bbdd0d7f73750f6d0de0cfc2ac152009f5481aea372ba270dd23dfa2"
-	goldenClusterDigest = "1f36b261d9b418c056f34f59536b10ab0be69902940339cebaeeb3e73f37b748"
+	goldenTraceDigest   = "85e6bca3ee5889f0ffcc49635690330e3424dc0d8bfcce71396b6099beac8c48"
+	goldenClusterDigest = "045efcade90fe89135fd3e389811e5d2a1a8633bad05576f7101ec1d0722a944"
 	// goldenResolvedDigest is resolvedDigest of the same Result: its
 	// matches and clusters without the Stats line. A change that moves
 	// only what the resolver counts keeps it.

@@ -13,9 +13,10 @@
 //     weight), maximizing the *quantity* of resolved pairs early; no
 //     neighbor evidence, no discovery.
 //
-// Every baseline runs through Execute, which applies the same matcher
-// under the same budget but performs no update phase — isolating the
-// contribution of Minoan ER's scheduling and propagation.
+// Every baseline runs through Execute, which applies the same matcher,
+// the same gate and the same budget unit (decided pairs) but performs
+// no update phase — isolating the contribution of Minoan ER's
+// scheduling and propagation.
 package baseline
 
 import (
@@ -122,7 +123,11 @@ func DensityOrder(col *blocking.Collection, g *metablocking.Graph) []blocking.Pa
 // without any update phase: no priority boosts, no discovery. When
 // useNeighborEvidence is true the matcher still *sees* the evolving
 // clusters when scoring (a fair middle ground); when false each pair
-// is judged on value similarity alone.
+// is judged on value similarity alone. Like the progressive resolver,
+// it drops a pair whose value similarity can never match
+// (match.Matcher.CanMatch) undecided: the pair has no Step, spends no
+// budget and is counted in Result.Gated, so every method's budget and
+// recall curve count decided pairs.
 func Execute(m *match.Matcher, order []blocking.Pair, useNeighborEvidence bool, budget int) *core.Result {
 	cl := match.NewClustersFor(m.Collection())
 	res := &core.Result{Clusters: cl}
@@ -133,12 +138,17 @@ func Execute(m *match.Matcher, order []blocking.Pair, useNeighborEvidence bool, 
 		if cl.Same(p.A, p.B) {
 			continue // transitively resolved; skip like the scheduler does
 		}
+		v := m.ValueSim(p.A, p.B)
+		if !m.CanMatch(v) {
+			res.Gated++ // can never match; gated like the scheduler does
+			continue
+		}
 		res.Comparisons++
 		state := cl
 		if !useNeighborEvidence {
 			state = nil
 		}
-		score, matched := m.Decide(p.A, p.B, state)
+		score, matched := m.DecideValue(p.A, p.B, v, state)
 		step := core.Step{A: p.A, B: p.B, Score: score, Matched: matched}
 		if matched {
 			res.Matches++

@@ -41,7 +41,7 @@ const (
 	biasWeight = 0.25
 )
 
-// Step records one executed comparison.
+// Step records one decided comparison.
 type Step struct {
 	A, B int
 	// Score is the combined match score at execution time.
@@ -66,17 +66,25 @@ func (s Step) StepInfo() (int, int, float64, bool) {
 	return s.A, s.B, s.Score, s.Matched
 }
 
-// Result summarizes a progressive run.
+// Result summarizes a progressive run. Its unit is the decided pair: a
+// popped pair the matcher decided, matched or not. A popped pair whose
+// value similarity can never match (match.Matcher.CanMatch) is gated:
+// dropped undecided, counted in Gated and nowhere else, with no Step —
+// deciding it could change no cluster and propagate nothing.
 type Result struct {
-	// Trace lists every executed comparison in order.
+	// Trace lists every decided comparison in order.
 	Trace []Step
 	// Clusters is the final resolution state.
 	Clusters *match.Clusters
-	// Comparisons executed (== len(Trace)).
+	// Comparisons decided (== len(Trace)); a positive budget counts
+	// these.
 	Comparisons int
+	// Gated counts the pairs popped and dropped undecided because
+	// their value similarity can never match. They spend no budget.
+	Gated int
 	// Matches confirmed (cluster-merging or not).
 	Matches int
-	// Discovered counts executed comparisons that blocking missed.
+	// Discovered counts decided comparisons that blocking missed.
 	Discovered int
 	// Rechecks counts re-examinations triggered by new neighbor
 	// evidence on previously failed pairs.
@@ -105,10 +113,14 @@ func (r *Result) MatchedPairs(m *match.Matcher) []blocking.Pair {
 // stages partition each RunBudgetContext call from entry to return:
 // the clock is read once per stage boundary and every interval is
 // charged to the stage it closes, so Schedule + Match + Update is the
-// loop's wall time. Schedule is everything between comparisons — pops,
-// lazy revalidation, reinsertion and the per-step result bookkeeping;
-// Match is similarity evaluation and the match decision, including the
-// whole value-similarity pre-pass of a parallel draining run; Update is
+// loop's wall time. Schedule is everything between decided comparisons —
+// pops, lazy revalidation, reinsertion, gated pairs and the per-step
+// result bookkeeping. A gated pop reads no clock, so its time, including
+// the ValueSim it computes when no pre-pass scored the pair, falls in
+// the Schedule interval that the next decided pair (or the return)
+// closes. Match is similarity evaluation and the match decision of the
+// decided pairs, including the whole value-similarity pre-pass of a
+// parallel draining run; Update is
 // benefit accounting, cluster merging, and neighbor-evidence
 // propagation.
 // Timings is read on the goroutine that runs the resolver — it is not
@@ -231,7 +243,8 @@ func (r *Resolver) Clusters() *match.Clusters { return r.cl }
 func (r *Resolver) Pending() int { return r.queue.Len() }
 
 // RunBudget executes the progressive loop until budget comparisons
-// have run or the queue drains, returning the trace of this call. A
+// have been decided or the queue drains, returning the trace of this
+// call. Pairs the gate drops undecided (Result.Gated) spend no budget. A
 // budget of 0 runs until the schedule stops paying: it returns once
 // the head of the queue, revalidated to its current priority, is below
 // the benefit model's floor (stopFloor), and leaves that tail queued.
@@ -280,7 +293,7 @@ func (r *Resolver) RunBudgetContext(ctx context.Context, budget int) *Result {
 			default:
 			}
 		}
-		step, ok := r.next(floor)
+		step, ok := r.next(floor, res)
 		if !ok {
 			break
 		}
@@ -352,11 +365,12 @@ func (r *Resolver) lap(stage *time.Duration) {
 	r.clk = now
 }
 
-// next validates, executes, and propagates the head comparison. It
-// reports false when the queue is empty or when the head's current
-// priority is below floor; the head then stays where it is, so the
-// next run finds the queue as this one left it.
-func (r *Resolver) next(floor float64) (Step, bool) {
+// next validates, executes, and propagates the head comparison, after
+// dropping the heads that are resolved already or gated (counted in
+// res.Gated). It reports false when the queue is empty or when the
+// head's current priority is below floor; the head then stays where it
+// is, so the next run finds the queue as this one left it.
+func (r *Resolver) next(floor float64, res *Result) (Step, bool) {
 	for {
 		e, ok := r.queue.Peek()
 		if !ok {
@@ -386,6 +400,16 @@ func (r *Resolver) next(floor float64) (Step, bool) {
 		// consulted again.
 		if r.cl.Same(p.A, p.B) {
 			st.done = true
+			continue
+		}
+		// Gate: a pair whose value similarity can never match would
+		// fail whatever its neighbor evidence, change no cluster and
+		// propagate nothing. It is done without a decision, a Step, a
+		// budget unit or a clock read. A boost re-opens it as it would
+		// a failed pair, and it is gated again when it pops.
+		if !r.matcher.CanMatch(r.valueSim(p, st)) {
+			st.done = true
+			res.Gated++
 			continue
 		}
 		r.lap(&r.tim.Schedule)

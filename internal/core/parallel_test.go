@@ -44,7 +44,7 @@ func sameTrace(t *testing.T, label string, seq, par *Result) {
 				label, i, seq.Trace[i], par.Trace[i])
 		}
 	}
-	if seq.Comparisons != par.Comparisons || seq.Matches != par.Matches ||
+	if seq.Comparisons != par.Comparisons || seq.Gated != par.Gated || seq.Matches != par.Matches ||
 		seq.Discovered != par.Discovered || seq.Rechecks != par.Rechecks ||
 		seq.TotalGain != par.TotalGain {
 		t.Fatalf("%s: summaries differ:\n  sequential %+v\n  parallel   %+v", label, seq, par)
@@ -281,18 +281,18 @@ func TestParallelTraceAcrossWaves(t *testing.T) {
 }
 
 // TestPrescore pins what the pre-pass computes and when it runs. A
-// budgeted leg scores only what it executes. A direct pre-pass leaves
-// every queued pair not yet executed and not below the stop floor
-// holding exactly ValueSim's float, and scores none below the floor.
-// And a draining run at width 4 runs it: the pairs
-// its loop skips as transitively resolved were scored anyway, which
-// never happens on the serial loop.
+// budgeted leg scores only what it decides plus what it gates. A direct
+// pre-pass leaves every queued pair not yet executed and not below the
+// stop floor holding exactly ValueSim's float, and scores none below the
+// floor. And a draining run at width 4 runs it: it scores pairs its loop
+// neither decides nor gates (those it skips as transitively resolved or
+// never reaches), which never happens on the serial loop.
 func TestPrescore(t *testing.T) {
 	m, edges := hardWorld(t, 102, 120)
 	r := NewResolver(m, edges, Config{Workers: 4})
 	leg := r.RunBudget(30)
-	if n := scored(r); n > leg.Comparisons {
-		t.Fatalf("a %d-comparison budgeted leg scored %d pairs", leg.Comparisons, n)
+	if n := scored(r); n > leg.Comparisons+leg.Gated || leg.Gated == 0 {
+		t.Fatalf("a %d-comparison budgeted leg that gated %d pairs scored %d pairs", leg.Comparisons, leg.Gated, n)
 	}
 	unscored := make(map[*pairState]bool)
 	for st := range r.states.all() {
@@ -337,22 +337,32 @@ func TestPrescore(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, edges = pipeline(t, w)
+	// wasted counts the pairs scored but neither decided nor gated: a
+	// gated pair is popped and scored, and its score is below the gate.
 	wasted := func(workers int) int {
 		r := NewResolver(m, edges, Config{Workers: workers})
-		executed := make(map[uint64]bool)
-		for _, s := range r.RunBudget(0).Trace {
-			executed[pairKey(blocking.MakePair(s.A, s.B))] = true
+		res := r.RunBudget(0)
+		decided := make(map[uint64]bool)
+		for _, s := range res.Trace {
+			decided[pairKey(blocking.MakePair(s.A, s.B))] = true
 		}
-		n := 0
+		n, gated := 0, 0
 		for st := range r.states.all() {
-			if st.hasVsim && !executed[pairKey(st.pair)] {
+			switch {
+			case !st.hasVsim || decided[pairKey(st.pair)]:
+			case st.done && !m.CanMatch(st.vsim):
+				gated++
+			default:
 				n++
 			}
+		}
+		if gated == 0 || gated > res.Gated {
+			t.Fatalf("width %d: %d scored pairs were gated, the run reports %d", workers, gated, res.Gated)
 		}
 		return n
 	}
 	if n := wasted(0); n != 0 {
-		t.Fatalf("the serial loop scored %d pairs it never executed", n)
+		t.Fatalf("the serial loop scored %d pairs it neither decided nor gated", n)
 	}
 	if wasted(4) == 0 {
 		t.Fatal("a draining run at width 4 scored nothing beyond what it executed; the pre-pass did not run")

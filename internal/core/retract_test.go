@@ -200,10 +200,11 @@ func TestRetractIgnoresFailedSteps(t *testing.T) {
 // resolved as dirty ER, a second KB arrives, and Retract replays the
 // same-KB merges through propagate. The two Nolan duplicates merge in
 // the dirty run, which discovers their neighbors (Inception, Memento);
-// those fail on value similarity. Once KB b is live the collection is
-// clean–clean, so the replayed merge must neither re-discover that
-// same-KB pair nor boost one: every executed step and every tracked
-// discovered pair is cross-KB.
+// those fail on value similarity, so the gate drops them undecided and
+// the dirty run reads them from the pair states, not from its trace.
+// Once KB b is live the collection is clean–clean, so the replayed merge
+// must neither re-discover that same-KB pair nor boost one: every
+// decided step and every tracked discovered pair is cross-KB.
 func TestDirtyMergesStayInTheirKB(t *testing.T) {
 	c := kb.NewCollection()
 	add := func(kbn, uri, name, value string, links ...string) {
@@ -225,10 +226,12 @@ func TestDirtyMergesStayInTheirKB(t *testing.T) {
 	merged, discovered := false, false
 	for _, s := range dirty.Trace {
 		merged = merged || s.Merged
-		discovered = discovered || (s.Discovered && !s.Matched)
 	}
-	if !merged || !discovered {
-		t.Fatalf("the dirty run must merge the duplicates and fail a discovered pair: %+v", dirty.Trace)
+	for st := range r.states.all() {
+		discovered = discovered || (st.discovered && st.done && !r.cl.Same(st.pair.A, st.pair.B))
+	}
+	if !merged || !discovered || dirty.Gated == 0 {
+		t.Fatalf("the dirty run must merge the duplicates and fail a discovered pair (gated %d): %+v", dirty.Gated, dirty.Trace)
 	}
 
 	add("b", "cn", "Christopher Nolan", "director London")
@@ -245,7 +248,7 @@ func TestDirtyMergesStayInTheirKB(t *testing.T) {
 	}
 	for _, s := range clean.Trace {
 		if !c.CrossKB(s.A, s.B) {
-			t.Errorf("clean–clean leg executed same-KB pair %+v", s)
+			t.Errorf("clean–clean leg decided same-KB pair %+v", s)
 		}
 	}
 }

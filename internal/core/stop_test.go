@@ -15,34 +15,42 @@ import (
 const drainAll = 1 << 30
 
 // TestStopRule pins where a draining run stops on a fixed linked world
-// and what the stop leaves behind. RunBudget(0) ends at the floor; the
-// same resolver then runs nothing at budget 0 again, exactly k
-// comparisons at budget k, and the legs concatenate to one budgeted
-// run of their total. A positive budget runs past the floor to the
-// empty queue.
+// and what the stop leaves behind, in decided pairs (the budget's unit).
+// RunBudget(0) ends at the floor; the same resolver then decides nothing
+// at budget 0 again, exactly k pairs at budget k, and the legs
+// concatenate to one budgeted run of their total. A positive budget
+// runs past the floor to the empty queue. The gate moves no pop: the
+// decided and the gated pairs of each run add up to the pairs it would
+// decide without the gate (3 033 and 3 079 on this world).
 func TestStopRule(t *testing.T) {
 	const (
-		stopAt = 3033 // comparisons of the draining run
-		drains = 3079 // comparisons of a run that empties the queue
+		stopAt = 932 // decided pairs of the draining run
+		drains = 955 // decided pairs of a run that empties the queue
+		// Popped pairs (decided + gated) of each run.
+		stopPops  = 3033
+		drainPops = 3079
 	)
 	m, edges := hardWorld(t, 99, 130)
 	r := NewResolver(m, edges, Config{})
 	stopped := r.RunBudget(0)
 	full := NewResolver(m, edges, Config{}).RunBudget(drainAll)
 	if stopped.Comparisons != stopAt || full.Comparisons != drains {
-		t.Fatalf("the draining run stopped at %d of %d comparisons, want %d of %d",
+		t.Fatalf("the draining run stopped at %d of %d decided pairs, want %d of %d",
 			stopped.Comparisons, full.Comparisons, stopAt, drains)
+	}
+	if p, f := stopped.Comparisons+stopped.Gated, full.Comparisons+full.Gated; p != stopPops || f != drainPops {
+		t.Fatalf("the draining run popped %d of %d pairs, want %d of %d", p, f, stopPops, drainPops)
 	}
 	if e := aboveFloor(r); e != 0 {
 		t.Fatalf("the stopped run left %d executable pairs at or above the floor", e)
 	}
-	if again := r.RunBudget(0); again.Comparisons != 0 {
-		t.Fatalf("RunBudget(0) right after a stop ran %d comparisons", again.Comparisons)
+	if again := r.RunBudget(0); again.Comparisons != 0 || again.Gated != 0 {
+		t.Fatalf("RunBudget(0) right after a stop decided %d pairs and gated %d", again.Comparisons, again.Gated)
 	}
-	const k = 25
+	const k = 20 // of the 23 decided pairs past the stop
 	leg := r.RunBudget(k)
 	if leg.Comparisons != k {
-		t.Fatalf("RunBudget(%d) after a stop ran %d comparisons", k, leg.Comparisons)
+		t.Fatalf("RunBudget(%d) after a stop decided %d pairs", k, leg.Comparisons)
 	}
 	one := NewResolver(m, edges, Config{}).RunBudget(stopAt + k)
 	if !slices.Equal(append(stopped.Trace, leg.Trace...), one.Trace) {
@@ -50,14 +58,15 @@ func TestStopRule(t *testing.T) {
 	}
 
 	if stopped.Discovered == 0 {
-		t.Fatal("the stopped run executed no discovered pair; the world is too easy")
+		t.Fatal("the stopped run decided no discovered pair; the world is too easy")
 	}
 }
 
 // TestStopRuleBoostedAboveFloor checks that the floor cuts only what
 // no evidence lifts: after a stop, a queued pair below the floor that
 // a match's update phase boosts, and a cross-KB pair blocking never
-// proposed that it discovers, both execute in the next draining run.
+// proposed that it discovers, both execute in the next draining run —
+// decided or gated, so the test reads it from their pair states.
 func TestStopRuleBoostedAboveFloor(t *testing.T) {
 	m, edges := hardWorld(t, 99, 130)
 	r := NewResolver(m, edges, Config{})
@@ -88,15 +97,14 @@ func TestStopRuleBoostedAboveFloor(t *testing.T) {
 	}
 	r.boost(queued)
 	r.boost(fresh)
-	ran := make(map[blocking.Pair]Step)
-	for _, s := range r.RunBudget(0).Trace {
-		ran[blocking.MakePair(s.A, s.B)] = s
+	if res := r.RunBudget(0); res.Comparisons+res.Gated < 2 {
+		t.Fatalf("the next draining run decided %d pairs and gated %d", res.Comparisons, res.Gated)
 	}
-	if _, ok := ran[queued]; !ok {
+	if _, st := r.states.find(queued); !st.done {
 		t.Errorf("boosted pair %v did not execute", queued)
 	}
-	if s, ok := ran[fresh]; !ok || !s.Discovered {
-		t.Errorf("discovered pair %v: executed %v, step %+v", fresh, ok, s)
+	if _, st := r.states.find(fresh); st == nil || !st.done || !st.discovered {
+		t.Errorf("discovered pair %v: state %+v", fresh, st)
 	}
 }
 

@@ -236,7 +236,7 @@ func (m *Matcher) DecideValue(a, b int, v float64, cl *Clusters) (score float64,
 	if score > 1 {
 		score = 1
 	}
-	if score < m.opts.Threshold || v < m.opts.MinValueSim {
+	if score < m.opts.Threshold || !m.CanMatch(v) {
 		return score, false
 	}
 	if v < m.opts.Threshold && cl != nil && m.col.NumLiveKBs() > 1 {
@@ -245,6 +245,16 @@ func (m *Matcher) DecideValue(a, b int, v float64, cl *Clusters) (score float64,
 		}
 	}
 	return score, true
+}
+
+// CanMatch reports whether a pair of value similarity v can match under
+// any neighbor evidence: v must clear MinValueSim, and v plus the most
+// neighbor evidence can add (NeighborWeight × a NeighborSim of 1) must
+// clear Threshold. It is the one gate rule: DecideValue rejects every
+// pair it refuses, and the resolver and the baselines drop such a pair
+// without deciding it.
+func (m *Matcher) CanMatch(v float64) bool {
+	return v >= m.opts.MinValueSim && min(v+max(m.opts.NeighborWeight, 0), 1) >= m.opts.Threshold
 }
 
 // Clusters groups descriptions resolved to the same real-world entity.

@@ -352,6 +352,7 @@ type statusResponse struct {
 	Epoch       uint64           `json:"epoch"`
 	Pending     int              `json:"pending"`
 	BudgetSpent int              `json:"budgetSpent"`
+	Gated       int              `json:"gated"`
 	Clusters    int              `json:"clusters"`
 	Stats       minoaner.Stats   `json:"stats"`
 	Timings     minoaner.Timings `json:"timings"`
@@ -359,7 +360,8 @@ type statusResponse struct {
 }
 
 // handleStatus answers GET /status: progress, queue depth, budget
-// spent, per-stage timings, the memory gauges (blocking-graph
+// spent (decided comparisons), the pairs gated undecided, per-stage
+// timings, the memory gauges (blocking-graph
 // footprint, write-ahead-log size and rotations), and the snapshot
 // epoch.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -369,6 +371,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Epoch:       ev.epoch,
 		Pending:     ev.view.Pending(),
 		BudgetSpent: st.Comparisons,
+		Gated:       st.Gated,
 		Clusters:    len(ev.view.Result().Clusters),
 		Stats:       st,
 		Timings:     ev.view.Timings(),
@@ -463,6 +466,7 @@ type resumeResponse struct {
 // handleResume answers POST /resume?budget=N (0 or absent = until the
 // schedule stops paying, leaving the tail below the priority floor
 // counted in pending): it spends further comparison budget on the session,
+// one unit per decided pair (gated pairs spend none),
 // honoring request cancellation between comparisons so a disconnected
 // client cannot wedge the writer.
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {

@@ -205,8 +205,9 @@ func checkDifferential(t *testing.T, label string, srv *Server, ts *httptest.Ser
 	if st.Pending != sn.Pending() {
 		t.Errorf("%s: served pending %d, session %d", label, st.Pending, sn.Pending())
 	}
-	if st.BudgetSpent != sn.Stats().Comparisons {
-		t.Errorf("%s: budgetSpent %d, comparisons %d", label, st.BudgetSpent, sn.Stats().Comparisons)
+	if st.BudgetSpent != sn.Stats().Comparisons || st.Gated != sn.Stats().Gated {
+		t.Errorf("%s: budgetSpent %d, gated %d; comparisons %d, gated %d", label,
+			st.BudgetSpent, st.Gated, sn.Stats().Comparisons, sn.Stats().Gated)
 	}
 
 	// /resolve, kb-qualified and kb-less, for every URI the corpus ever

@@ -61,7 +61,7 @@ func TestWireFormatGolden(t *testing.T) {
 	checkGolden(t, "cluster.json", minoaner.Cluster{refA, refB})
 	checkGolden(t, "stats.json", minoaner.Stats{
 		Descriptions: 7, KBs: 2, BruteForce: 1, Blocks: 5, BlockCandidates: 9,
-		PrunedEdges: 6, Comparisons: 4, DiscoveredCmps: 2, Matches: 3,
+		PrunedEdges: 6, Comparisons: 4, DiscoveredCmps: 2, Gated: 8, Matches: 3,
 	})
 	checkGolden(t, "result.json", minoaner.Result{
 		Matches:  []minoaner.Match{{A: refA, B: refB, Score: 0.75}},

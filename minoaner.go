@@ -286,7 +286,12 @@ type Match struct {
 // Cluster is one resolved real-world entity: all its descriptions.
 type Cluster []Ref
 
-// Stats reports per-stage pipeline measurements.
+// Stats reports per-stage pipeline measurements. The matching loop's
+// unit is the decided pair: Comparisons counts the pairs the matcher
+// decided, and a positive budget spends them. A pair the loop pops
+// whose value similarity can never match (below Match.MinValueSim) is
+// dropped undecided; Gated counts those, so no popped pair goes
+// uncounted.
 type Stats struct {
 	Descriptions    int `json:"descriptions"`
 	KBs             int `json:"kbs"`
@@ -294,8 +299,9 @@ type Stats struct {
 	Blocks          int `json:"blocks"`          // after cleaning
 	BlockCandidates int `json:"blockCandidates"` // distinct pairs after cleaning
 	PrunedEdges     int `json:"prunedEdges"`     // comparisons retained by meta-blocking
-	Comparisons     int `json:"comparisons"`     // comparisons this session executed; never falls
+	Comparisons     int `json:"comparisons"`     // pairs this session decided (the budget's unit); never falls
 	DiscoveredCmps  int `json:"discoveredCmps"`  // of those, the ones found by the update phase
+	Gated           int `json:"gated"`           // pairs popped and dropped undecided: their value similarity can never match; never falls
 	Matches         int `json:"matches"`
 }
 
@@ -844,7 +850,7 @@ func (p *Pipeline) NumDescriptions() int { return p.col.NumAlive() }
 // Session.Resume).
 func (p *Pipeline) Resolve() (*Result, error) { return p.ResolveBudget(0) }
 
-// ResolveBudget runs the pipeline, executing at most budget
+// ResolveBudget runs the pipeline, deciding at most budget
 // comparisons (0 = until the schedule stops paying, as Resolve) — the
 // paper's pay-as-you-go mode: the scheduler spends the budget on the
 // most beneficial comparisons first.
@@ -912,10 +918,12 @@ type Session struct {
 	graphBytes int
 	// merges holds the matched steps over live ids in execution order;
 	// failed ones are only counted, with the discovered ones, in
-	// comparisons and discovered, which never fall.
+	// comparisons and discovered, and the gated pairs in gated; none of
+	// the three ever falls.
 	merges      []core.Step
 	comparisons int
 	discovered  int
+	gated       int
 	// gens records, per description id, the index of the ingest batch
 	// that first brought it (Start's corpus is batch 0) — the age TTL
 	// expires on. Ids are stamped in batch order, so the array is
@@ -1099,8 +1107,9 @@ func (s *Session) settle(read string) error {
 	return nil
 }
 
-// Resume executes up to budget further comparisons and returns the
-// cumulative result of the session. Budget 0 runs until the schedule
+// Resume decides up to budget further comparisons and returns the
+// cumulative result of the session. Pairs dropped undecided because
+// their value similarity can never match spend no budget (Stats.Gated). Budget 0 runs until the schedule
 // stops paying: it returns once the best queued comparison's priority
 // is below the benefit model's floor, and leaves that tail queued, so
 // Pending stays positive and a second Resume(0) executes nothing. A
@@ -1130,6 +1139,7 @@ func (s *Session) ResumeContext(ctx context.Context, budget int) (*Result, error
 	}
 	s.comparisons += res.Comparisons
 	s.discovered += res.Discovered
+	s.gated += res.Gated
 	for _, step := range res.Trace {
 		if step.Matched {
 			s.merges = append(s.merges, step)
@@ -1151,6 +1161,7 @@ func (s *Session) buildResult() (*Result, [][]int) {
 	out := &Result{Stats: s.base}
 	out.Stats.Comparisons = s.comparisons
 	out.Stats.DiscoveredCmps = s.discovered
+	out.Stats.Gated = s.gated
 	out.Stats.Matches = len(s.merges)
 	for _, step := range s.merges {
 		out.Matches = append(out.Matches, Match{

@@ -20,9 +20,9 @@ import (
 // (boosts, failed pairs, rechecks) or fewer. A change that is meant to
 // move the rule updates them with the reason.
 var rebuildRuleDigests = map[int64]string{
-	1: "93f06b7f87682989e26a810dac33b49885acd64551b0fdb96aa8910c11651650",
-	2: "4812cca9bbc5e122ea08951654c455c6ca09556c521f2834f75fbe138f756332",
-	3: "6d2f75d5c8d6725b250e63212a90491c577459aac8ef5b643b55d012d5d314aa",
+	1: "2880fdd3d2b3721c0f1be2b95c22e3d693fab017d9652569beb0176debd25bc9",
+	2: "c3ab35c054ba85410435e194939bfd70a3905b556e6e9b455b165283e4e3156d",
+	3: "f213d77f12ea884934229d8b9f38f60ceb7c4db29a635dbb6615f1b10a782763",
 }
 
 // TestIngestWaveRebuildRule drives the stream shape of a live service:
