@@ -90,9 +90,10 @@ type Matcher struct {
 	col   *kb.Collection
 	opts  Options
 	tfidf *similarity.TFIDF
-	// vecs caches each description's sparse TF-IDF vector so ValueSim
-	// is a merge join over presorted weights instead of re-walking raw
-	// tokens and rebuilding weight maps per comparison.
+	// vecs caches each description's sparse TF-IDF vector, its tokens
+	// numbered by lexicographic rank over the live vocabulary, so
+	// ValueSim is a merge join over presorted integer ids instead of
+	// re-walking raw tokens and rebuilding weight maps per comparison.
 	vecs []similarity.Vector
 	// neighbors caches each description's combined neighborhood: its
 	// out-links (Collection.Neighbors) plus its in-links (descriptions
@@ -102,8 +103,8 @@ type Matcher struct {
 }
 
 // NewMatcher builds a matcher: learns IDF weights over the whole
-// collection and caches token evidence, sparse TF-IDF vectors, and
-// neighbor lists. Evicted descriptions are invisible: they contribute
+// collection, numbers the live vocabulary by lexicographic rank, and
+// caches sparse TF-IDF vectors over those ids and neighbor lists. Evicted descriptions are invisible: they contribute
 // no documents to the IDF statistics, no vectors, and no neighbors, so
 // the matcher is identical to one built over a collection that never
 // held them.
@@ -111,21 +112,17 @@ func NewMatcher(col *kb.Collection, opts Options) *Matcher {
 	opts = opts.WithDefaults()
 	m := &Matcher{col: col, opts: opts, tfidf: similarity.NewTFIDF()}
 	out := make([][]int, col.Len())
+	docs := make([][]string, col.Len())
 	for id := 0; id < col.Len(); id++ {
 		if !col.Alive(id) {
 			continue
 		}
-		m.tfidf.AddDoc(col.Tokens(id, opts.Tokenize))
+		docs[id] = col.Tokens(id, opts.Tokenize)
+		m.tfidf.AddDoc(docs[id])
 		out[id] = col.Neighbors(id)
 	}
 	// Vectorize after the IDF pass: weights need the whole corpus.
-	m.vecs = make([]similarity.Vector, col.Len())
-	for id := 0; id < col.Len(); id++ {
-		if !col.Alive(id) {
-			continue
-		}
-		m.vecs[id] = m.tfidf.Vectorize(col.Tokens(id, opts.Tokenize))
-	}
+	m.vecs = m.tfidf.VectorizeAll(docs)
 	// Combine out- and in-neighbors, deduplicated, out-links first.
 	m.neighbors = make([][]int, col.Len())
 	inbound := make([][]int, col.Len())

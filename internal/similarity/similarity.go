@@ -119,57 +119,122 @@ func (m *TFIDF) Cosine(a, b []string) float64 {
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
 
-// Vector is a sparse TF-IDF document vector: the document's distinct
-// tokens in ascending order with their TF-IDF weights, plus the
-// precomputed squared norm. Vectorizing a document once and scoring
-// with CosineVectors avoids re-walking raw tokens and rebuilding
-// weight maps on every comparison — the dominant cost of the matching
-// stage — and the result is bit-identical to calling Cosine on the
-// raw token multisets, because both accumulate norms and dot products
-// in ascending token order. A Vector is immutable after construction
-// and safe for concurrent reads.
+// Vector is a sparse TF-IDF document vector: the ids of the document's
+// distinct tokens in ascending order with their TF-IDF weights, plus
+// the precomputed squared norm. An id is the token's rank in the
+// lexicographic order of the vocabulary the vector was built over
+// (VectorizeAll), so ascending ids are ascending tokens. Vectorizing a
+// corpus once and scoring with CosineVectors avoids re-walking raw
+// tokens and rebuilding weight maps on every comparison — the dominant
+// cost of the matching stage — and its merge join compares integers,
+// not strings. The result is bit-identical to calling Cosine on the raw
+// token multisets, because both accumulate norms and dot products in
+// ascending token order. A Vector is immutable after construction and
+// safe for concurrent reads.
 type Vector struct {
-	Tokens  []string
+	IDs     []uint32
 	Weights []float64
 	// Norm is Σ weight², accumulated in ascending token order — the
 	// exact float sum Cosine computes internally.
 	Norm float64
 }
 
-// Vectorize builds the sparse TF-IDF vector of one token multiset
-// under the model's current IDF weights.
-func (m *TFIDF) Vectorize(tokens []string) Vector {
-	ws := m.weights(tokens)
-	v := Vector{
-		Tokens:  make([]string, len(ws)),
-		Weights: make([]float64, len(ws)),
+// VectorizeAll builds the sparse TF-IDF vectors of a corpus of token
+// multisets under the model's current IDF weights, one per document (a
+// nil or empty document gets the zero Vector). It numbers the corpus's
+// vocabulary once, by lexicographic rank, and the ids and weights of
+// all the vectors share one pair of flat arrays. Only vectors built by
+// one call share a numbering: CosineVectors must not mix calls.
+func (m *TFIDF) VectorizeAll(docs [][]string) []Vector {
+	// Number each distinct token in first-seen order, keeping every
+	// occurrence's number in one flat array.
+	first := make(map[string]uint32)
+	var vocab []string
+	total := 0
+	for _, doc := range docs {
+		total += len(doc)
 	}
-	for i, w := range ws {
-		v.Tokens[i] = w.token
-		v.Weights[i] = w.weight
-		v.Norm += w.weight * w.weight
+	flat := make([]uint32, 0, total)
+	for _, doc := range docs {
+		for _, t := range doc {
+			id, ok := first[t]
+			if !ok {
+				id = uint32(len(vocab))
+				first[t] = id
+				vocab = append(vocab, t)
+			}
+			flat = append(flat, id)
+		}
 	}
-	return v
+	// Renumber by lexicographic rank; weigh each token once.
+	byRank := make([]uint32, len(vocab))
+	for i := range byRank {
+		byRank[i] = uint32(i)
+	}
+	slices.SortFunc(byRank, func(a, b uint32) int { return strings.Compare(vocab[a], vocab[b]) })
+	rank := make([]uint32, len(vocab))
+	idf := make([]float64, len(vocab))
+	for r, id := range byRank {
+		rank[id] = uint32(r)
+		idf[r] = m.IDF(vocab[id])
+	}
+	// Each document's occurrences, sorted by rank, run-length encode to
+	// its distinct ids and term frequencies.
+	ids := make([]uint32, 0, total)
+	weights := make([]float64, 0, total)
+	ends := make([]int, len(docs))
+	norms := make([]float64, len(docs))
+	off := 0
+	for d, doc := range docs {
+		occ := flat[off : off+len(doc)]
+		off += len(doc)
+		for i, id := range occ {
+			occ[i] = rank[id]
+		}
+		slices.Sort(occ)
+		for i := 0; i < len(occ); {
+			j := i + 1
+			for j < len(occ) && occ[j] == occ[i] {
+				j++
+			}
+			w := (1 + math.Log(float64(j-i))) * idf[occ[i]]
+			ids = append(ids, occ[i])
+			weights = append(weights, w)
+			norms[d] += w * w
+			i = j
+		}
+		ends[d] = len(ids)
+	}
+	out := make([]Vector, len(docs))
+	lo := 0
+	for d, hi := range ends {
+		if hi > lo {
+			out[d] = Vector{IDs: ids[lo:hi:hi], Weights: weights[lo:hi:hi], Norm: norms[d]}
+		}
+		lo = hi
+	}
+	return out
 }
 
-// CosineVectors returns the cosine similarity of two vectorized
-// documents, bit-identical to Cosine over the raw token multisets the
-// vectors were built from (under the same model): the sorted-order
-// merge join visits common tokens in exactly the order Cosine's
-// sorted-token accumulation does.
+// CosineVectors returns the cosine similarity of two vectors built by
+// one VectorizeAll call, bit-identical to Cosine over the raw token
+// multisets the vectors were built from (under the same model): the
+// merge join over ascending ids visits common tokens in exactly the
+// order Cosine's sorted-token accumulation does.
 func CosineVectors(a, b Vector) float64 {
 	if a.Norm == 0 || b.Norm == 0 {
 		return 0
 	}
 	var dot float64
 	i, j := 0, 0
-	for i < len(a.Tokens) && j < len(b.Tokens) {
+	for i < len(a.IDs) && j < len(b.IDs) {
+		x, y := a.IDs[i], b.IDs[j]
 		switch {
-		case a.Tokens[i] == b.Tokens[j]:
+		case x == y:
 			dot += a.Weights[i] * b.Weights[j]
 			i++
 			j++
-		case a.Tokens[i] < b.Tokens[j]:
+		case x < y:
 			i++
 		default:
 			j++

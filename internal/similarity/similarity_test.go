@@ -3,9 +3,11 @@ package similarity
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func set(xs ...string) map[string]struct{} {
@@ -96,66 +98,85 @@ func TestMeasureProperties(t *testing.T) {
 }
 
 // TestCosineVectorsBitIdentical pins the contract the cached-vector
-// fast path of the matcher relies on: CosineVectors over Vectorize'd
+// fast path of the matcher relies on: CosineVectors over VectorizeAll's
 // documents returns the exact float Cosine returns over the raw token
-// multisets — not approximately, bit for bit.
+// multisets — not approximately, bit for bit. Each trial draws a fresh
+// random vocabulary: tokens of 0–6 bytes, ASCII and multi-byte runes,
+// many sharing prefixes, so byte order, rune order and length order
+// disagree and the id ranks must follow the strings' own order.
 func TestCosineVectorsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	vocab := make([]string, 60)
-	for i := range vocab {
-		vocab[i] = string(rune('a'+i%26)) + string(rune('a'+i/26))
-	}
-	doc := func(n int) []string {
-		out := make([]string, n)
-		for i := range out {
-			out[i] = vocab[rng.Intn(len(vocab))]
+	alphabet := []string{"a", "b", "z", "A", "0", "-", "é", "ß", "中", "\u00ff", "\x7f"}
+	for trial := 0; trial < 40; trial++ {
+		vocab := make([]string, 1+rng.Intn(80))
+		for i := range vocab {
+			var b strings.Builder
+			for n := rng.Intn(7); n > 0; n-- {
+				b.WriteString(alphabet[rng.Intn(len(alphabet))])
+			}
+			vocab[i] = b.String()
 		}
-		return out
-	}
-	m := NewTFIDF()
-	docs := make([][]string, 200)
-	for i := range docs {
-		docs[i] = doc(rng.Intn(30)) // includes empty docs
-		m.AddDoc(docs[i])
-	}
-	vecs := make([]Vector, len(docs))
-	for i, d := range docs {
-		vecs[i] = m.Vectorize(d)
-	}
-	for trial := 0; trial < 2000; trial++ {
-		i, j := rng.Intn(len(docs)), rng.Intn(len(docs))
-		want := m.Cosine(docs[i], docs[j])
-		got := CosineVectors(vecs[i], vecs[j])
-		if want != got {
-			t.Fatalf("docs %d,%d: CosineVectors=%v Cosine=%v (diff %g)", i, j, got, want, got-want)
+		m := NewTFIDF()
+		docs := make([][]string, 1+rng.Intn(60))
+		for i := range docs {
+			docs[i] = make([]string, rng.Intn(30)) // includes empty docs
+			for j := range docs[i] {
+				docs[i][j] = vocab[rng.Intn(len(vocab))]
+			}
+			m.AddDoc(docs[i])
+		}
+		vecs := m.VectorizeAll(docs)
+		for i := range docs {
+			for j := range docs {
+				want := m.Cosine(docs[i], docs[j])
+				got := CosineVectors(vecs[i], vecs[j])
+				if math.Float64bits(want) != math.Float64bits(got) {
+					t.Fatalf("trial %d docs %q, %q: CosineVectors=%v Cosine=%v (diff %g)",
+						trial, docs[i], docs[j], got, want, got-want)
+				}
+			}
 		}
 	}
-	// Self-similarity of a non-empty doc is 1 up to round-off, and the
-	// vectors of the empty model score 0.
-	empty := NewTFIDF()
-	if got := CosineVectors(empty.Vectorize([]string{"x"}), empty.Vectorize([]string{"x"})); got != 0 {
+	// The vectors of the empty model score 0.
+	empty := NewTFIDF().VectorizeAll([][]string{{"x"}, {"x"}})
+	if got := CosineVectors(empty[0], empty[1]); got != 0 {
 		t.Errorf("empty-model cosine = %v, want 0", got)
 	}
 }
 
-// TestVectorizeNorm checks the Norm field against the sum of squared
-// weights in sorted-token order.
-func TestVectorizeNorm(t *testing.T) {
+// TestVectorizeAll checks the numbering and the arena: ids are the
+// tokens' lexicographic ranks over the corpus's vocabulary, each
+// vector's ids ascend without repeats, its weights are TF-IDF's, Norm is
+// the sum of squared weights in that order, and all vectors share one
+// pair of arrays.
+func TestVectorizeAll(t *testing.T) {
 	m := NewTFIDF()
-	m.AddDoc([]string{"a", "b"})
-	m.AddDoc([]string{"b", "c"})
-	v := m.Vectorize([]string{"b", "a", "b"})
-	if len(v.Tokens) != 2 || v.Tokens[0] != "a" || v.Tokens[1] != "b" {
-		t.Fatalf("tokens not sorted/deduped: %v", v.Tokens)
+	docs := [][]string{{"b", "a", "b"}, nil, {"c", "ab", "b"}, {}}
+	for _, d := range docs {
+		m.AddDoc(d)
 	}
-	if !sort.StringsAreSorted(v.Tokens) {
-		t.Error("tokens unsorted")
+	vecs := m.VectorizeAll(docs)
+	// Vocabulary in lexicographic order: a, ab, b, c.
+	if want := []uint32{0, 2}; !slices.Equal(vecs[0].IDs, want) {
+		t.Fatalf("ids of %q = %v, want %v", docs[0], vecs[0].IDs, want)
 	}
-	want := v.Weights[0]*v.Weights[0] + v.Weights[1]*v.Weights[1]
-	if v.Norm != want {
+	if want := []uint32{1, 2, 3}; !slices.Equal(vecs[2].IDs, want) {
+		t.Fatalf("ids of %q = %v, want %v", docs[2], vecs[2].IDs, want)
+	}
+	if w := vecs[0].Weights; w[0] != m.IDF("a") || w[1] != (1+math.Log(2))*m.IDF("b") {
+		t.Errorf("weights %v: want tf-idf of a (tf 1) and b (tf 2)", w)
+	}
+	v := vecs[0]
+	if want := v.Weights[0]*v.Weights[0] + v.Weights[1]*v.Weights[1]; v.Norm != want {
 		t.Errorf("Norm=%v, want %v", v.Norm, want)
 	}
-	if empty := m.Vectorize(nil); empty.Norm != 0 || len(empty.Tokens) != 0 {
-		t.Errorf("empty vectorize = %+v", empty)
+	for _, i := range []int{1, 3} {
+		if vecs[i].Norm != 0 || len(vecs[i].IDs) != 0 {
+			t.Errorf("empty document %d vectorized to %+v", i, vecs[i])
+		}
+	}
+	base := uintptr(unsafe.Pointer(&vecs[0].IDs[0]))
+	if uintptr(unsafe.Pointer(&vecs[2].IDs[0]))-base != 2*unsafe.Sizeof(uint32(0)) {
+		t.Error("the vectors' ids do not share one array")
 	}
 }
