@@ -333,16 +333,134 @@ func (d *TurtleDecoder) expand(pname string) (string, error) {
 	return ns + pname[i+1:], nil
 }
 
-// resolve applies @base to relative IRIs (best-effort: absolute IRIs
-// pass through).
+// resolve applies @base to a relative IRI reference (RFC 3986 §5.2).
+// Without a base, and for an IRI with a scheme, it returns iri as
+// written.
 func (d *TurtleDecoder) resolve(iri string) string {
-	if d.base == "" || strings.Contains(iri, "://") || strings.HasPrefix(iri, "urn:") {
+	if d.base == "" {
 		return iri
 	}
-	if strings.HasPrefix(iri, "#") || !strings.Contains(iri, ":") {
-		return d.base + iri
+	return resolveIRI(d.base, iri)
+}
+
+// iriParts is an IRI reference split into the five components of RFC
+// 3986 Appendix B. The has flags tell an absent component from an
+// empty one ("http://a/b?" has an empty query, "http://a/b" none).
+type iriParts struct {
+	scheme, authority, path, query, fragment       string
+	hasScheme, hasAuthority, hasQuery, hasFragment bool
+}
+
+// splitIRI splits ref as Appendix B's regular expression does:
+// ^(([^:/?#]+):)?(//([^/?#]*))?([^?#]*)(\?([^#]*))?(#(.*))?
+func splitIRI(ref string) iriParts {
+	var p iriParts
+	if i := strings.IndexAny(ref, ":/?#"); i > 0 && ref[i] == ':' {
+		p.scheme, p.hasScheme, ref = ref[:i], true, ref[i+1:]
 	}
-	return iri
+	if i := strings.IndexByte(ref, '#'); i >= 0 {
+		p.fragment, p.hasFragment, ref = ref[i+1:], true, ref[:i]
+	}
+	if i := strings.IndexByte(ref, '?'); i >= 0 {
+		p.query, p.hasQuery, ref = ref[i+1:], true, ref[:i]
+	}
+	if rest, ok := strings.CutPrefix(ref, "//"); ok {
+		i := strings.IndexByte(rest, '/')
+		if i < 0 {
+			i = len(rest)
+		}
+		p.authority, p.hasAuthority, ref = rest[:i], true, rest[i:]
+	}
+	p.path = ref
+	return p
+}
+
+// resolveIRI resolves the reference ref against base by RFC 3986
+// §5.2.2, merging paths by §5.2.3 and removing dot segments by §5.2.4.
+// It works on the strings as written and escapes nothing, so an IRI's
+// non-ASCII characters survive. A reference with a scheme is returned
+// unchanged, dot segments included, so an absolute IRI reads the same
+// with or without @base.
+func resolveIRI(base, ref string) string {
+	r := splitIRI(ref)
+	if r.hasScheme {
+		return ref
+	}
+	b := splitIRI(base)
+	t := iriParts{scheme: b.scheme, hasScheme: b.hasScheme, fragment: r.fragment, hasFragment: r.hasFragment}
+	switch {
+	case r.hasAuthority:
+		t.authority, t.hasAuthority = r.authority, true
+		t.path = removeDotSegments(r.path)
+		t.query, t.hasQuery = r.query, r.hasQuery
+	case r.path == "":
+		t.authority, t.hasAuthority = b.authority, b.hasAuthority
+		t.path = b.path
+		t.query, t.hasQuery = b.query, b.hasQuery
+		if r.hasQuery {
+			t.query, t.hasQuery = r.query, true
+		}
+	default:
+		t.authority, t.hasAuthority = b.authority, b.hasAuthority
+		switch {
+		case strings.HasPrefix(r.path, "/"):
+			t.path = removeDotSegments(r.path)
+		case b.hasAuthority && b.path == "":
+			t.path = removeDotSegments("/" + r.path)
+		default:
+			t.path = removeDotSegments(b.path[:strings.LastIndexByte(b.path, '/')+1] + r.path)
+		}
+		t.query, t.hasQuery = r.query, r.hasQuery
+	}
+	var sb strings.Builder
+	if t.hasScheme {
+		sb.WriteString(t.scheme + ":")
+	}
+	if t.hasAuthority {
+		sb.WriteString("//" + t.authority)
+	}
+	sb.WriteString(t.path)
+	if t.hasQuery {
+		sb.WriteString("?" + t.query)
+	}
+	if t.hasFragment {
+		sb.WriteString("#" + t.fragment)
+	}
+	return sb.String()
+}
+
+// removeDotSegments is RFC 3986 §5.2.4: it interprets the "." and ".."
+// segments of a path, moving segments from the input to the output.
+func removeDotSegments(in string) string {
+	var out []string // output segments, each with its leading "/" if any
+	for in != "" {
+		switch {
+		case strings.HasPrefix(in, "../"):
+			in = in[3:]
+		case strings.HasPrefix(in, "./"):
+			in = in[2:]
+		case strings.HasPrefix(in, "/./"):
+			in = in[2:]
+		case in == "/.":
+			in = "/"
+		case strings.HasPrefix(in, "/../"):
+			in = in[3:]
+			out = out[:max(len(out)-1, 0)]
+		case in == "/..":
+			in = "/"
+			out = out[:max(len(out)-1, 0)]
+		case in == "." || in == "..":
+			in = ""
+		default:
+			i := strings.IndexByte(in[1:], '/') + 1
+			if i == 0 {
+				i = len(in)
+			}
+			out = append(out, in[:i])
+			in = in[i:]
+		}
+	}
+	return strings.Join(out, "")
 }
 
 func (d *TurtleDecoder) expectPunct(p string) error {

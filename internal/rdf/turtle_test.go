@@ -61,6 +61,63 @@ ex:a ex:p <rel> .
 	}
 }
 
+// TestTurtleBaseResolution resolves relative IRIs against @base by RFC
+// 3986 §5.2, through the decoder: a reference replaces the base's last
+// segment, dot segments climb, an absolute path keeps only the
+// authority, and a prefix declared relative resolves once, at its
+// declaration.
+func TestTurtleBaseResolution(t *testing.T) {
+	for _, row := range []struct {
+		base, directive, object, want string
+	}{
+		{base: "http://ex.org/dir/file", object: "<x>", want: "http://ex.org/dir/x"},
+		{base: "http://ex.org/dir/", object: "<../y>", want: "http://ex.org/y"},
+		{base: "http://ex.org/dir/", object: "</abs>", want: "http://ex.org/abs"},
+		{base: "http://ex.org/dir/", directive: "@prefix e: <sub/> .", object: "e:x", want: "http://ex.org/dir/sub/x"},
+		{base: "http://ex.org/dir/", object: "<#frag>", want: "http://ex.org/dir/#frag"},
+		{base: "http://ex.org/dir/", object: "<café/ü>", want: "http://ex.org/dir/café/ü"},
+		{base: "http://ex.org/dir/", object: "<urn:isbn:1>", want: "urn:isbn:1"},
+	} {
+		doc := "@base <" + row.base + "> .\n" + row.directive + "\n<http://s> <http://p> " + row.object + " .\n"
+		ts := parseTTL(t, doc)
+		if len(ts) != 1 || ts[0].Object != NewIRI(row.want) {
+			t.Errorf("base <%s>, object %s: got %v, want <%s>", row.base, row.object, ts, row.want)
+		}
+	}
+}
+
+// TestResolveIRIRFC3986 checks resolveIRI against the reference
+// resolution examples of RFC 3986 §5.4, normal and abnormal, with the
+// one deliberate exception: a reference with a scheme is kept as
+// written ("g:h" and "http:g" both pass through).
+func TestResolveIRIRFC3986(t *testing.T) {
+	const base = "http://a/b/c/d;p?q"
+	for ref, want := range map[string]string{
+		"g:h": "g:h", "g": "http://a/b/c/g", "./g": "http://a/b/c/g", "g/": "http://a/b/c/g/",
+		"/g": "http://a/g", "//g": "http://g", "?y": "http://a/b/c/d;p?y", "g?y": "http://a/b/c/g?y",
+		"#s": "http://a/b/c/d;p?q#s", "g#s": "http://a/b/c/g#s", "g?y#s": "http://a/b/c/g?y#s",
+		";x": "http://a/b/c/;x", "g;x": "http://a/b/c/g;x", "g;x?y#s": "http://a/b/c/g;x?y#s",
+		"": "http://a/b/c/d;p?q", ".": "http://a/b/c/", "./": "http://a/b/c/", "..": "http://a/b/",
+		"../": "http://a/b/", "../g": "http://a/b/g", "../..": "http://a/", "../../": "http://a/",
+		"../../g": "http://a/g",
+		// §5.4.2, abnormal examples.
+		"../../../g": "http://a/g", "../../../../g": "http://a/g", "/./g": "http://a/g",
+		"/../g": "http://a/g", "g.": "http://a/b/c/g.", ".g": "http://a/b/c/.g", "g..": "http://a/b/c/g..",
+		"..g": "http://a/b/c/..g", "./../g": "http://a/b/g", "./g/.": "http://a/b/c/g/",
+		"g/./h": "http://a/b/c/g/h", "g/../h": "http://a/b/c/h", "g;x=1/./y": "http://a/b/c/g;x=1/y",
+		"g;x=1/../y": "http://a/b/c/y", "g?y/./x": "http://a/b/c/g?y/./x", "g?y/../x": "http://a/b/c/g?y/../x",
+		"g#s/./x": "http://a/b/c/g#s/./x", "g#s/../x": "http://a/b/c/g#s/../x", "http:g": "http:g",
+	} {
+		if got := resolveIRI(base, ref); got != want {
+			t.Errorf("resolve %q against %q = %q, want %q", ref, base, got, want)
+		}
+	}
+	// A base with an authority and an empty path merges under "/".
+	if got := resolveIRI("http://a", "g"); got != "http://a/g" {
+		t.Errorf("resolve g against http://a = %q", got)
+	}
+}
+
 func TestTurtleLiterals(t *testing.T) {
 	ts := parseTTL(t, `
 @prefix ex: <http://ex.org/> .
