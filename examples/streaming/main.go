@@ -96,10 +96,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nstreamed session: %d matches in %d clusters (%d comparisons)\n",
-		res.Stats.Matches, len(res.Clusters), res.Stats.Comparisons)
-	fmt.Printf("from scratch:     %d matches in %d clusters (%d comparisons)\n",
-		whole.Stats.Matches, len(whole.Clusters), whole.Stats.Comparisons)
+	fmt.Printf("\nstreamed session: %d matches in %d clusters (%d comparisons, %d gated)\n",
+		res.Stats.Matches, len(res.Clusters), res.Stats.Comparisons, res.Stats.Gated)
+	fmt.Printf("from scratch:     %d matches in %d clusters (%d comparisons, %d gated)\n",
+		whole.Stats.Matches, len(whole.Clusters), whole.Stats.Comparisons, whole.Stats.Gated)
 
 	// The evict leg: the first batch goes stale and leaves the live
 	// session — the blocking graph shrinks along the departed blocks,

@@ -106,7 +106,9 @@ func TestExecuteBudgetAndSkip(t *testing.T) {
 	if res.Comparisons > 30 {
 		t.Errorf("budget exceeded: %d", res.Comparisons)
 	}
-	// Unlimited run: no pair compared twice, transitive skips respected.
+	// Unlimited run: no pair compared twice, transitive skips respected,
+	// and a pair whose value similarity is below MinValueSim is gated,
+	// not decided: it has no step and spends no budget.
 	full := Execute(f.m, order, false, 0)
 	seen := map[blocking.Pair]bool{}
 	for _, s := range full.Trace {
@@ -115,6 +117,12 @@ func TestExecuteBudgetAndSkip(t *testing.T) {
 			t.Fatalf("pair %v compared twice", p)
 		}
 		seen[p] = true
+		if v := f.m.ValueSim(s.A, s.B); v < f.m.Options().MinValueSim {
+			t.Fatalf("pair %v of value similarity %v was decided", p, v)
+		}
+	}
+	if full.Gated == 0 || full.Comparisons != len(full.Trace) {
+		t.Fatalf("gated %d, comparisons %d, trace %d", full.Gated, full.Comparisons, len(full.Trace))
 	}
 }
 

@@ -45,9 +45,11 @@ func ungatedDrain(r *Resolver) []Step {
 // TestGateMatchesUngatedLoop holds the gate to exactness. On a linked
 // center–periphery world and on LOD clouds, the gated draining run's
 // trace is the ungated loop's trace with the steps whose value
-// similarity cannot match taken out, one per gated pop; so its matched
-// steps, score bits and flags included, and its clusters are the
-// ungated loop's, and the steps taken out all failed.
+// similarity is below MinValueSim taken out, one per gated pop; so its
+// matched steps, score bits and flags included, and its clusters are
+// the ungated loop's, and the steps taken out all failed. The reference
+// reads the documented rule itself, not CanMatch, so a gate that drops
+// more or less than that rule fails here.
 func TestGateMatchesUngatedLoop(t *testing.T) {
 	type world struct {
 		name  string
@@ -65,12 +67,13 @@ func TestGateMatchesUngatedLoop(t *testing.T) {
 		worlds = append(worlds, world{"lod", m, edges})
 	}
 	for _, wd := range worlds {
+		minV := wd.m.Options().MinValueSim
 		gated := NewResolver(wd.m, wd.edges, Config{})
 		got := gated.RunBudget(0)
 		ref := NewResolver(wd.m, wd.edges, Config{})
 		want := &Result{}
 		for _, s := range ungatedDrain(ref) {
-			if !wd.m.CanMatch(wd.m.ValueSim(s.A, s.B)) {
+			if wd.m.ValueSim(s.A, s.B) < minV {
 				if s.Matched {
 					t.Fatalf("%s: the ungated loop matched %+v below the gate", wd.name, s)
 				}

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -199,6 +200,42 @@ func TestDecideValueMatchesDecide(t *testing.T) {
 			gs, gm := m.DecideValue(a, b, m.ValueSim(a, b), cl)
 			if ws != gs || wm != gm {
 				t.Fatalf("DecideValue(%d,%d)=(%v,%v), Decide=(%v,%v)", a, b, gs, gm, ws, wm)
+			}
+		}
+	}
+}
+
+// TestCanMatch pins the gate rule at its edges and against DecideValue:
+// a v the gate refuses never matches, even with full neighbor evidence,
+// and a v it admits does match there. With NeighborWeight 0 the
+// threshold itself is the gate.
+func TestCanMatch(t *testing.T) {
+	c := linkedWorld(t)
+	valueOnly := DefaultOptions()
+	valueOnly.NeighborWeight = 0
+	for _, opts := range []Options{DefaultOptions(), valueOnly} {
+		m := NewMatcher(c, opts)
+		cl := NewClustersFor(c)
+		cl.Merge(1, 3) // the two Paris descriptions' only neighbors resolve
+		if s := m.NeighborSim(0, 2, cl.UF()); s != 1 {
+			t.Fatalf("NeighborSim(paris, paris) = %v, want full evidence", s)
+		}
+		gate := max(opts.MinValueSim, opts.Threshold-opts.NeighborWeight)
+		for _, row := range []struct {
+			v    float64
+			want bool
+		}{
+			{0, false}, {math.Nextafter(gate, 0), false}, {gate, true}, {0.5, true}, {1, true},
+		} {
+			if got := m.CanMatch(row.v); got != row.want {
+				t.Errorf("NeighborWeight %v: CanMatch(%v) = %v, want %v", opts.NeighborWeight, row.v, got, row.want)
+			}
+		}
+		for i := 0; i <= 1000; i++ {
+			v := float64(i) / 1000
+			if _, matched := m.DecideValue(0, 2, v, cl); matched != m.CanMatch(v) {
+				t.Fatalf("NeighborWeight %v, v %v: DecideValue matched %v at full neighbor evidence, CanMatch %v",
+					opts.NeighborWeight, v, matched, m.CanMatch(v))
 			}
 		}
 	}

@@ -112,9 +112,17 @@ func TestResolveIRIRFC3986(t *testing.T) {
 			t.Errorf("resolve %q against %q = %q, want %q", ref, base, got, want)
 		}
 	}
-	// A base with an authority and an empty path merges under "/".
-	if got := resolveIRI("http://a", "g"); got != "http://a/g" {
-		t.Errorf("resolve g against http://a = %q", got)
+	// A base with an authority and an empty path merges under "/", and
+	// a relative base (a document with no outer base) resolves by the
+	// same rules, so a merged path can begin with a dot segment.
+	for _, row := range [][3]string{
+		{"http://a", "g", "http://a/g"},
+		{"x", "../y", "y"},
+		{"p/q", "./r", "p/r"},
+	} {
+		if got := resolveIRI(row[0], row[1]); got != row[2] {
+			t.Errorf("resolve %q against %q = %q, want %q", row[1], row[0], got, row[2])
+		}
 	}
 }
 
