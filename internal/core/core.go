@@ -120,9 +120,8 @@ func (r *Result) MatchedPairs(m *match.Matcher) []blocking.Pair {
 // the Schedule interval that the next decided pair (or the return)
 // closes. Match is similarity evaluation and the match decision of the
 // decided pairs, including the whole value-similarity pre-pass of a
-// parallel draining run; Update is
-// benefit accounting, cluster merging, and neighbor-evidence
-// propagation.
+// parallel draining run; Update is benefit accounting, cluster merging,
+// and neighbor-evidence propagation.
 // Timings is read on the goroutine that runs the resolver — it is not
 // synchronized for concurrent readers.
 type Timings struct {

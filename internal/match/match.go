@@ -104,10 +104,10 @@ type Matcher struct {
 
 // NewMatcher builds a matcher: learns IDF weights over the whole
 // collection, numbers the live vocabulary by lexicographic rank, and
-// caches sparse TF-IDF vectors over those ids and neighbor lists. Evicted descriptions are invisible: they contribute
-// no documents to the IDF statistics, no vectors, and no neighbors, so
-// the matcher is identical to one built over a collection that never
-// held them.
+// caches sparse TF-IDF vectors over those ids and neighbor lists.
+// Evicted descriptions are invisible: they contribute no documents to
+// the IDF statistics, no vectors, and no neighbors, so the matcher is
+// identical to one built over a collection that never held them.
 func NewMatcher(col *kb.Collection, opts Options) *Matcher {
 	opts = opts.WithDefaults()
 	m := &Matcher{col: col, opts: opts, tfidf: similarity.NewTFIDF()}

@@ -179,11 +179,11 @@ func (m *TFIDF) VectorizeAll(docs [][]string) []Vector {
 		idf[r] = m.IDF(vocab[id])
 	}
 	// Each document's occurrences, sorted by rank, run-length encode to
-	// its distinct ids and term frequencies.
+	// its distinct ids and term frequencies. The arena holds at most one
+	// entry per occurrence, so appending never moves it.
 	ids := make([]uint32, 0, total)
 	weights := make([]float64, 0, total)
-	ends := make([]int, len(docs))
-	norms := make([]float64, len(docs))
+	out := make([]Vector, len(docs))
 	off := 0
 	for d, doc := range docs {
 		occ := flat[off : off+len(doc)]
@@ -192,6 +192,8 @@ func (m *TFIDF) VectorizeAll(docs [][]string) []Vector {
 			occ[i] = rank[id]
 		}
 		slices.Sort(occ)
+		lo := len(ids)
+		var norm float64
 		for i := 0; i < len(occ); {
 			j := i + 1
 			for j < len(occ) && occ[j] == occ[i] {
@@ -200,18 +202,12 @@ func (m *TFIDF) VectorizeAll(docs [][]string) []Vector {
 			w := (1 + math.Log(float64(j-i))) * idf[occ[i]]
 			ids = append(ids, occ[i])
 			weights = append(weights, w)
-			norms[d] += w * w
+			norm += w * w
 			i = j
 		}
-		ends[d] = len(ids)
-	}
-	out := make([]Vector, len(docs))
-	lo := 0
-	for d, hi := range ends {
-		if hi > lo {
-			out[d] = Vector{IDs: ids[lo:hi:hi], Weights: weights[lo:hi:hi], Norm: norms[d]}
+		if hi := len(ids); hi > lo {
+			out[d] = Vector{IDs: ids[lo:hi:hi], Weights: weights[lo:hi:hi], Norm: norm}
 		}
-		lo = hi
 	}
 	return out
 }
