@@ -28,12 +28,12 @@ import (
 // If a change is *supposed* to alter resolution semantics, run the
 // test and paste the printed digests here.
 const (
-	goldenTraceDigest   = "85e6bca3ee5889f0ffcc49635690330e3424dc0d8bfcce71396b6099beac8c48"
-	goldenClusterDigest = "045efcade90fe89135fd3e389811e5d2a1a8633bad05576f7101ec1d0722a944"
+	goldenTraceDigest   = "58d0db37176543ba75bb735285742c787ea0c0a30dc033792815654ff5224054"
+	goldenClusterDigest = "fcfc42e379efd03c0522a33529030dbe49cedf656d5ac3d4c0455803ac44f0fa"
 	// goldenResolvedDigest is resolvedDigest of the same Result: its
 	// matches and clusters without the Stats line. A change that moves
 	// only what the resolver counts keeps it.
-	goldenResolvedDigest = "41df8fe6d1f947e04a9710b087476d08815a37c030fac7b98fa4d84af05f0a7a"
+	goldenResolvedDigest = "84bc0c2ba8b2ebab0a0a4e1c4095d7096090d54aa6ba0310fad45073d4b68d0a"
 )
 
 // goldenWorld is the pinned corpus: the cmd/datagen-style two-KB world

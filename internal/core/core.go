@@ -245,8 +245,8 @@ func (r *Resolver) Pending() int { return r.queue.Len() }
 // have been decided or the queue drains, returning the trace of this
 // call. Pairs the gate drops undecided (Result.Gated) spend no budget. A
 // budget of 0 runs until the schedule stops paying: it returns once
-// the head of the queue, revalidated to its current priority, is below
-// the benefit model's floor (stopFloor), and leaves that tail queued.
+// the head entry's priority is below the benefit model's floor
+// (stopFloor), and leaves that tail queued.
 // A positive budget runs past the floor. The resolver keeps its state:
 // calling RunBudget again continues the same pay-as-you-go session with
 // a fresh budget, exactly as the paper's "until the cost budget is
@@ -367,7 +367,7 @@ func (r *Resolver) lap(stage *time.Duration) {
 // next validates, executes, and propagates the head comparison, after
 // dropping the heads that are resolved already or gated (counted in
 // res.Gated). It reports false when the queue is empty or when the
-// head's current priority is below floor; the head then stays where it
+// head entry's priority is below floor; the head then stays where it
 // is, so the next run finds the queue as this one left it.
 func (r *Resolver) next(floor float64, res *Result) (Step, bool) {
 	for {
@@ -380,17 +380,19 @@ func (r *Resolver) next(floor float64, res *Result) (Step, bool) {
 			r.queue.Pop() // stale entry
 			continue
 		}
+		// The floor reads the head entry's priority, not the
+		// recomputed one: revalidation only ever lowers an entry, so
+		// where a run stops depends only on the live entries.
+		if e.prio < floor {
+			return Step{}, false
+		}
 		p := st.pair
 		// Lazy revalidation: priorities drift as the state evolves; if
 		// this entry is stale-high, reinsert at its current priority.
-		cur := r.priority(p, st)
-		if cur < e.prio-1e-9 {
+		if cur := r.priority(p, st); cur < e.prio-1e-9 {
 			r.queue.Pop()
 			r.queue.Push(entry{rank: e.rank, prio: cur})
 			continue
-		}
-		if cur < floor {
-			return Step{}, false
 		}
 		r.queue.Pop()
 		// Skip pairs already resolved transitively — their comparison

@@ -25,13 +25,14 @@ func ungatedDrain(r *Resolver) []Step {
 			r.queue.Pop()
 			continue
 		}
+		if e.prio < r.floor {
+			return trace
+		}
 		p := st.pair
 		if cur := r.priority(p, st); cur < e.prio-1e-9 {
 			r.queue.Pop()
 			r.queue.Push(entry{rank: e.rank, prio: cur})
 			continue
-		} else if cur < r.floor {
-			return trace
 		}
 		r.queue.Pop()
 		if r.cl.Same(p.A, p.B) {

@@ -1,22 +1,28 @@
 package core
 
-// queue is the scheduler's max-heap of entries ordered by prio. It is
-// the textbook binary heap specialised to entry: the comparison is an
-// inline a.prio > b.prio rather than a call through a func value, and
-// sift-up and sift-down carry the moving entry in a register and shift
-// the hole instead of swapping slots. Both sifts make exactly the
-// moves a swap-based heap with the same strict comparison makes, so
-// Floyd heapify, Push and Pop give the same layout and the same pop
-// sequence, ties included, as container.Heap under a.prio > b.prio.
-// Tie order decides which of two equal-priority pairs runs first, so
-// it is part of the trace.
+// queue is the scheduler's binary heap of entries under one total
+// order: descending prio, then ascending rank (before). Two entries that
+// tie on both are the same entry, so the pop sequence is a function of
+// the set of entries — not of the heap's layout, the order they were
+// pushed in, or its history of pops. A queue rebuilt from the same
+// entries pops the same sequence. Sift-up and sift-down carry the
+// moving entry in a register and shift the hole instead of swapping
+// slots.
 type queue struct {
 	items []entry
 }
 
+// before reports whether a pops ahead of b: a higher priority, or an
+// equal one and a lower rank. Ranks are edge order (Prune emits weight
+// descending, then (A, B)), then pairs outside the edge list in the
+// order they were first tracked.
+func before(a, b entry) bool {
+	return a.prio > b.prio || a.prio == b.prio && a.rank < b.rank
+}
+
 // newQueue takes ownership of items and heapifies them in place with
-// Floyd's sift-down, O(n) instead of n pushes. Input already in
-// descending priority order is left untouched.
+// Floyd's sift-down, O(n) instead of n pushes. Input already in the
+// queue's order is left untouched.
 func newQueue(items []entry) queue {
 	q := queue{items: items}
 	for i := len(items)/2 - 1; i >= 0; i-- {
@@ -35,7 +41,7 @@ func (q *queue) Push(e entry) {
 	i := len(items) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !(e.prio > items[p].prio) {
+		if !before(e, items[p]) {
 			break
 		}
 		items[i] = items[p]
@@ -44,8 +50,8 @@ func (q *queue) Push(e entry) {
 	items[i] = e
 }
 
-// Peek returns the highest-priority entry without removing it. It
-// reports false if the queue is empty.
+// Peek returns the first entry in the queue's order without removing
+// it. It reports false if the queue is empty.
 func (q *queue) Peek() (entry, bool) {
 	if len(q.items) == 0 {
 		return entry{}, false
@@ -53,8 +59,8 @@ func (q *queue) Peek() (entry, bool) {
 	return q.items[0], true
 }
 
-// Pop removes and returns the highest-priority entry. It reports false
-// if the queue is empty.
+// Pop removes and returns the first entry in the queue's order. It
+// reports false if the queue is empty.
 func (q *queue) Pop() (entry, bool) {
 	last := len(q.items) - 1
 	if last < 0 {
@@ -70,7 +76,7 @@ func (q *queue) Pop() (entry, bool) {
 }
 
 // down sifts e from the hole at i toward the leaves, moving the
-// larger child up while it outranks e.
+// earlier child up while it pops ahead of e.
 func (q *queue) down(i int, e entry) {
 	items := q.items
 	n := len(items)
@@ -79,10 +85,10 @@ func (q *queue) down(i int, e entry) {
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && items[r].prio > items[c].prio {
+		if r := c + 1; r < n && before(items[r], items[c]) {
 			c = r
 		}
-		if !(items[c].prio > e.prio) {
+		if !before(items[c], e) {
 			break
 		}
 		items[i] = items[c]

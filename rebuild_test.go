@@ -20,9 +20,9 @@ import (
 // (boosts, failed pairs, rechecks) or fewer. A change that is meant to
 // move the rule updates them with the reason.
 var rebuildRuleDigests = map[int64]string{
-	1: "2880fdd3d2b3721c0f1be2b95c22e3d693fab017d9652569beb0176debd25bc9",
-	2: "c3ab35c054ba85410435e194939bfd70a3905b556e6e9b455b165283e4e3156d",
-	3: "f213d77f12ea884934229d8b9f38f60ceb7c4db29a635dbb6615f1b10a782763",
+	1: "009727b108b4127b8b249da8b834fdbc131198a0f539291b260c138f8c666686",
+	2: "ea2826a2933129d3fd92dd5f57cdd3bfe375d4275308fb1da6249145cce1a4fc",
+	3: "e939334f1aca5052663f6f922faf15f6afbc914e4661643567cfd5f423357037",
 }
 
 // TestIngestWaveRebuildRule drives the stream shape of a live service:
