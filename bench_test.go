@@ -1,6 +1,6 @@
 // Component benchmarks: the worker sweeps of the two parallel
-// front-end kernels and of the matching pre-pass, the scheduler's index
-// build at batch_lod size, and the streaming write path (whole waves,
+// front-end kernels and of the matching stage's scoring, the
+// scheduler's index build at batch_lod size, and the streaming write path (whole waves,
 // and the server's group commit). Run
 //
 //	go test -run '^$' -bench . -benchmem
@@ -124,9 +124,10 @@ func BenchmarkFrontEndRun(b *testing.B) {
 }
 
 // BenchmarkMatching drives the progressive matching stage — the
-// schedule → match → update loop over the pruned comparison list —
-// sequentially (workers=1) and with a parallel value-similarity
-// pre-pass ahead of the serial loop (workers > 1). Every worker count
+// schedule → match → update loop over the pruned comparison list,
+// with the retained edges' value similarities scored when the schedule
+// is built — sequentially (workers=1) and on n goroutines
+// (workers > 1) ahead of the serial loop. Every worker count
 // produces a bit-identical trace (differentially tested in
 // internal/core); the sub-benchmark ratio is the matching-stage
 // speedup. The workload uses
@@ -164,8 +165,9 @@ func BenchmarkMatching(b *testing.B) {
 }
 
 // BenchmarkNewResolver isolates the scheduler's index build —
-// core.NewResolver's pair-state store and heapified queue — over the
-// retained edges of a LOD-cloud world the size of the benchmark of
+// core.NewResolver's pair-state store, the value-similarity scoring of
+// every retained edge (one worker), the gate and the heapified queue —
+// over the retained edges of a LOD-cloud world the size of the benchmark of
 // record's batch_lod corpus (2 000 entities, ECBS + WNP, filter 0.8:
 // about 300 k edges). The front end and the matcher are built once,
 // outside the timer.

@@ -10,9 +10,9 @@ import (
 
 // TestCloseAfterBudgetStopLeavesNoGoroutines: a parallel session whose
 // last Resume stopped on its budget, across an ingest wave, leaves no
-// goroutine behind once the pipeline is closed. Budgeted legs run no
-// scoring pre-pass, and a draining leg's pre-pass workers exit before
-// Resume returns, so nothing of the matching stage may outlive it.
+// goroutine behind once the pipeline is closed. The scoring workers
+// that build each pass's schedule exit before the pass returns, so
+// nothing of the matching stage may outlive it.
 func TestCloseAfterBudgetStopLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	all := streamDescriptions(hardSessionWorld(t, 281, 140))

@@ -9,9 +9,10 @@
 // Each -kb flag names one knowledge base and its N-Triples file.
 // With a single KB the run is dirty ER (duplicates within the KB);
 // with several it is clean–clean ER across them. -budget caps the
-// number of decided comparisons (pay-as-you-go); a pair dropped
-// undecided because its value similarity can never match spends none
-// and is counted as gated. 0 means run until the schedule stops paying,
+// number of decided comparisons (pay-as-you-go); a pair whose value
+// similarity can never match is never queued, so it spends none, and
+// the summary counts those in the final schedule as gated. 0 means run
+// until the schedule stops paying,
 // at the benefit model's priority floor.
 //
 // The serve subcommand keeps the resolved session alive behind an HTTP

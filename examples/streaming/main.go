@@ -1,8 +1,11 @@
 // Streaming: resolve a corpus that arrives in batches. The session
 // starts on the first slice of the data and every later batch is
-// folded in with Session.Ingest — the blocking graph is updated in its
-// affected neighborhood, never rebuilt — with per-batch match counts
-// printed as answers accumulate. At the end, the streamed session is
+// folded in with Session.Ingest, with per-batch match counts printed as
+// answers accumulate. A mutation only folds the batch into the
+// collection; the next read (here each Resume) makes one from-scratch
+// pass over the live corpus: compaction, the front end (blocking →
+// pruning), a new matcher, and the resolver rebuilt by Retract, which
+// replays the session's merges. At the end, the streamed session is
 // compared against a from-scratch run over the whole corpus: when no
 // budget is spent before the last batch the two are bit-identical, and
 // in the pay-as-you-go mode used here they reach the same corpus
@@ -96,15 +99,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nstreamed session: %d matches in %d clusters (%d comparisons, %d gated)\n",
+	// Gated reads the final schedule: the pairs that can never match,
+	// kept out of its queue. The two schedules are built over the same
+	// corpus, so only their merges tell them apart.
+	fmt.Printf("\nstreamed session: %d matches in %d clusters (%d comparisons; %d pairs gated out of the final schedule)\n",
 		res.Stats.Matches, len(res.Clusters), res.Stats.Comparisons, res.Stats.Gated)
-	fmt.Printf("from scratch:     %d matches in %d clusters (%d comparisons, %d gated)\n",
+	fmt.Printf("from scratch:     %d matches in %d clusters (%d comparisons; %d pairs gated out of the final schedule)\n",
 		whole.Stats.Matches, len(whole.Clusters), whole.Stats.Comparisons, whole.Stats.Gated)
 
 	// The evict leg: the first batch goes stale and leaves the live
-	// session — the blocking graph shrinks along the departed blocks,
-	// matches touching the departed descriptions are retracted, and
-	// matches among the survivors stay resolved. A from-scratch run
+	// session. The next read's pass rebuilds the graph over the
+	// survivors alone; Retract drops the matches touching the departed
+	// descriptions, and matches among the survivors stay resolved. A from-scratch run
 	// over a corpus that never held the first batch lands on the same
 	// resolution.
 	var gone []minoaner.Ref

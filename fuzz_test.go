@@ -37,8 +37,9 @@ import (
 // Start's refusal of an empty corpus, and the twin returns the same
 // one. At every read op and once at the end, on every session: the
 // read's answer and snapshotDigest equal the twin's,
-// Stats.Matches == len(Matches), and neither Stats.Comparisons nor
-// Stats.Gated ever falls;
+// Stats.Matches == len(Matches), and Stats.Comparisons never falls
+// (Stats.Gated reads the current schedule and may fall; the twin's
+// digest covers it);
 // the current session's collection holds no tombstone, its clusters
 // partition its live set and every live description resolves. A held
 // snapshot never changes.
@@ -228,9 +229,8 @@ func checkSession(t *testing.T, what string, s, twin *Session, live bool, spent 
 	if st.Matches != len(sn.Result().Matches) {
 		t.Fatalf("Stats.Matches %d, %d matches listed", st.Matches, len(sn.Result().Matches))
 	}
-	if st.Comparisons < spent[s].Comparisons || st.Gated < spent[s].Gated {
-		t.Fatalf("Stats.Comparisons went from %d to %d and Stats.Gated from %d to %d",
-			spent[s].Comparisons, st.Comparisons, spent[s].Gated, st.Gated)
+	if st.Comparisons < spent[s].Comparisons {
+		t.Fatalf("Stats.Comparisons went from %d to %d", spent[s].Comparisons, st.Comparisons)
 	}
 	spent[s] = st
 	if !live {

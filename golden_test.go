@@ -29,7 +29,7 @@ import (
 // test and paste the printed digests here.
 const (
 	goldenTraceDigest   = "58d0db37176543ba75bb735285742c787ea0c0a30dc033792815654ff5224054"
-	goldenClusterDigest = "fcfc42e379efd03c0522a33529030dbe49cedf656d5ac3d4c0455803ac44f0fa"
+	goldenClusterDigest = "3047ea23cdcc82f0d40307b310ebe0b77f319022a91d51a2f29664d842531393"
 	// goldenResolvedDigest is resolvedDigest of the same Result: its
 	// matches and clusters without the Stats line. A change that moves
 	// only what the resolver counts keeps it.

@@ -124,10 +124,10 @@ func DensityOrder(col *blocking.Collection, g *metablocking.Graph) []blocking.Pa
 // useNeighborEvidence is true the matcher still *sees* the evolving
 // clusters when scoring (a fair middle ground); when false each pair
 // is judged on value similarity alone. Like the progressive resolver,
-// it drops a pair whose value similarity can never match
-// (match.Matcher.CanMatch) undecided: the pair has no Step, spends no
-// budget and is counted in Result.Gated, so every method's budget and
-// recall curve count decided pairs.
+// it skips a pair whose value similarity can never match
+// (match.Matcher.CanMatch) undecided: the pair has no Step and spends
+// no budget, so every method's budget and recall curve count decided
+// pairs.
 func Execute(m *match.Matcher, order []blocking.Pair, useNeighborEvidence bool, budget int) *core.Result {
 	cl := match.NewClustersFor(m.Collection())
 	res := &core.Result{Clusters: cl}
@@ -140,8 +140,7 @@ func Execute(m *match.Matcher, order []blocking.Pair, useNeighborEvidence bool, 
 		}
 		v := m.ValueSim(p.A, p.B)
 		if !m.CanMatch(v) {
-			res.Gated++ // can never match; gated like the scheduler does
-			continue
+			continue // can never match; the scheduler never queues it
 		}
 		res.Comparisons++
 		state := cl

@@ -2,7 +2,6 @@ package container
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -124,121 +123,6 @@ func TestUnionFindMatchesReference(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHeapOrdering(t *testing.T) {
-	h := NewHeap(func(a, b int) bool { return a < b })
-	if _, ok := h.Pop(); ok {
-		t.Error("Pop on empty heap reported ok")
-	}
-	if _, ok := h.Peek(); ok {
-		t.Error("Peek on empty heap reported ok")
-	}
-	for _, v := range []int{5, 1, 4, 1, 5, 9, 2, 6} {
-		h.Push(v)
-	}
-	if top, _ := h.Peek(); top != 1 {
-		t.Errorf("Peek=%d, want 1", top)
-	}
-	want := []int{1, 1, 2, 4, 5, 5, 6, 9}
-	for i, w := range want {
-		v, ok := h.Pop()
-		if !ok || v != w {
-			t.Fatalf("Pop %d = %d,%v, want %d", i, v, ok, w)
-		}
-	}
-	if h.Len() != 0 {
-		t.Errorf("Len=%d after draining", h.Len())
-	}
-}
-
-// Property: heap drains any random input in sorted order.
-func TestHeapSortsProperty(t *testing.T) {
-	f := func(xs []int) bool {
-		h := NewHeap(func(a, b int) bool { return a < b })
-		for _, x := range xs {
-			h.Push(x)
-		}
-		var got []int
-		for {
-			v, ok := h.Pop()
-			if !ok {
-				break
-			}
-			got = append(got, v)
-		}
-		if len(got) != len(xs) {
-			return false
-		}
-		return sort.IntsAreSorted(got)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// popAll empties the collector's heap, returning the retained items in
-// ascending order — the top-k set, read without widening the API.
-func popAll[T any](b *BoundedTopK[T]) []T {
-	var out []T
-	for {
-		v, ok := b.heap.Pop()
-		if !ok {
-			return out
-		}
-		out = append(out, v)
-	}
-}
-
-func TestBoundedTopK(t *testing.T) {
-	tk := NewBoundedTopK(3, func(a, b float64) bool { return a < b })
-	for _, v := range []float64{0.1, 0.9, 0.5, 0.7, 0.3, 0.8} {
-		tk.Offer(v)
-	}
-	if tk.Len() != 3 {
-		t.Fatalf("Len=%d, want 3", tk.Len())
-	}
-	if thr, _ := tk.Threshold(); thr != 0.7 {
-		t.Errorf("Threshold=%v, want 0.7", thr)
-	}
-	got := popAll(tk)
-	want := []float64{0.7, 0.8, 0.9}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("retained %v, want %v", got, want)
-		}
-	}
-}
-
-func TestBoundedTopKZeroK(t *testing.T) {
-	tk := NewBoundedTopK(0, func(a, b int) bool { return a < b })
-	tk.Offer(1)
-	if tk.Len() != 0 {
-		t.Errorf("k=0 retained %d items", tk.Len())
-	}
-}
-
-// Property: BoundedTopK retains exactly the k largest values.
-func TestBoundedTopKProperty(t *testing.T) {
-	f := func(xs []int, k8 uint8) bool {
-		k := int(k8%10) + 1
-		tk := NewBoundedTopK(k, func(a, b int) bool { return a < b })
-		for _, x := range xs {
-			tk.Offer(x)
-		}
-		got := popAll(tk)
-		sorted := append([]int(nil), xs...)
-		sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
-		if k > len(sorted) {
-			k = len(sorted)
-		}
-		want := append([]int(nil), sorted[:k]...)
-		sort.Ints(want)
-		return equalInts(got, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,7 +1,5 @@
-// Package container provides the small data structures the resolution
-// pipeline is built on: a disjoint-set forest for match clustering and
-// a generic binary heap for meta-blocking's top-k edge selection. Both
-// are plain single-goroutine structures; neither is safe for
+// Package container provides the disjoint-set forest match clustering
+// is built on. It is a plain single-goroutine structure, not safe for
 // concurrent use.
 package container
 

@@ -22,13 +22,11 @@ type Config struct {
 	// confirmed match). Discovery is on by default; it is what recovers
 	// somehow-similar periphery matches.
 	DisableDiscovery bool
-	// Workers sets the width of a draining run's value-similarity
-	// pre-pass (see prescore): with n > 1, a draining RunBudget first
-	// scores every queued pair whose priority is not already below the
-	// benefit model's floor on n goroutines, then runs the serial loop
-	// over the memoized scores. 0 or 1 — and every budgeted leg — runs
-	// the serial loop alone, scoring each pair as it executes. Every
-	// setting produces a bit-identical trace.
+	// Workers sets how many goroutines score the retained edges' value
+	// similarities when the schedule is built (index, in NewResolver,
+	// Retract and Reseed); 0 or 1 scores them on the calling goroutine.
+	// The loop itself is serial. Every setting produces a bit-identical
+	// trace.
 	Workers int
 }
 
@@ -67,10 +65,9 @@ func (s Step) StepInfo() (int, int, float64, bool) {
 }
 
 // Result summarizes a progressive run. Its unit is the decided pair: a
-// popped pair the matcher decided, matched or not. A popped pair whose
-// value similarity can never match (match.Matcher.CanMatch) is gated:
-// dropped undecided, counted in Gated and nowhere else, with no Step —
-// deciding it could change no cluster and propagate nothing.
+// popped pair the matcher decided, matched or not. A pair whose value
+// similarity can never match (match.Matcher.CanMatch) is never queued
+// (see Resolver.Gated), so it is never popped and has no Step.
 type Result struct {
 	// Trace lists every decided comparison in order.
 	Trace []Step
@@ -79,9 +76,6 @@ type Result struct {
 	// Comparisons decided (== len(Trace)); a positive budget counts
 	// these.
 	Comparisons int
-	// Gated counts the pairs popped and dropped undecided because
-	// their value similarity can never match. They spend no budget.
-	Gated int
 	// Matches confirmed (cluster-merging or not).
 	Matches int
 	// Discovered counts decided comparisons that blocking missed.
@@ -114,14 +108,13 @@ func (r *Result) MatchedPairs(m *match.Matcher) []blocking.Pair {
 // the clock is read once per stage boundary and every interval is
 // charged to the stage it closes, so Schedule + Match + Update is the
 // loop's wall time. Schedule is everything between decided comparisons —
-// pops, lazy revalidation, reinsertion, gated pairs and the per-step
-// result bookkeeping. A gated pop reads no clock, so its time, including
-// the ValueSim it computes when no pre-pass scored the pair, falls in
-// the Schedule interval that the next decided pair (or the return)
-// closes. Match is similarity evaluation and the match decision of the
-// decided pairs, including the whole value-similarity pre-pass of a
-// parallel draining run; Update is benefit accounting, cluster merging,
-// and neighbor-evidence propagation.
+// pops, lazy revalidation, reinsertion and the per-step result
+// bookkeeping. Match is the match decision of the decided pairs, whose
+// value similarities were scored when the schedule was built (index, in
+// NewResolver, Retract and Reseed — outside RunBudget, so outside these
+// counters); Update is benefit accounting, cluster merging, and
+// neighbor-evidence propagation, including the ValueSim of each pair it
+// discovers.
 // Timings is read on the goroutine that runs the resolver — it is not
 // synchronized for concurrent readers.
 type Timings struct {
@@ -131,11 +124,12 @@ type Timings struct {
 }
 
 // Resolver runs the progressive schedule → match → update loop. The
-// loop itself is serial; with Config.Workers > 1 a draining run first
-// computes the queued pairs' value similarities in parallel (prescore).
-// Pair states live in a rank-addressed store (pairStates): a slab over
-// the retained edges found through a per-entity CSR, plus a small map
-// for the pairs outside the edge list — there is no map of every pair.
+// loop itself is serial; building the schedule scores every retained
+// edge on Config.Workers goroutines (index), and only pairs that can
+// match are queued. Pair states live in a rank-addressed store
+// (pairStates): a slab over the retained edges found through a
+// per-entity CSR, plus a small map for the pairs outside the edge list
+// — there is no map of every pair.
 type Resolver struct {
 	matcher *match.Matcher
 	cfg     Config
@@ -148,6 +142,9 @@ type Resolver struct {
 	// model's stopFloor, or -Inf (drain) over a graph with no positive
 	// weight, where every retained pair's base is 0.
 	floor float64
+	// gated counts the pairs the gate kept out of the queue since the
+	// resolver was last built (see Gated).
+	gated int
 	tim   Timings
 	// clk is the last stage boundary of the running loop (see lap).
 	clk time.Time
@@ -157,8 +154,8 @@ type Resolver struct {
 // indexes the state store directly — no lookup on the hot path) and its
 // priority at push time. The slot stays at 16 bytes and holds no
 // pointer, which matters — pops sift a slot down the whole heap, the
-// heap holds every pruned edge plus every boost reinsertion, and the
-// garbage collector never scans it.
+// heap holds every retained pair that can match plus every boost
+// reinsertion, and the garbage collector never scans it.
 type entry struct {
 	rank int32
 	prio float64
@@ -176,12 +173,13 @@ type pairState struct {
 	pair  blocking.Pair // immutable after construction
 	base  float64       // normalized meta-blocking weight
 	boost float64       // accumulated neighbor-evidence priority
-	// vsim memoizes the pair's value similarity once it has been
-	// computed — by the pre-pass or at execution — so a recheck is
-	// free. Value similarity is cluster-independent: the memo can
-	// never go stale.
-	vsim       float64
-	hasVsim    bool
+	// vsim is the pair's value similarity, scored when the state is
+	// created (index, or the discovery in boost), so neither the gate
+	// nor an execution or recheck scores it again. Value similarity is
+	// cluster-independent: it can never go stale under one matcher.
+	vsim float64
+	// done marks a pair executed, resolved transitively, or gated:
+	// its value similarity can never match, so it is never queued.
 	done       bool
 	discovered bool // true when blocking never proposed this pair
 	recheck    bool // re-opened by neighbor evidence after failing
@@ -200,12 +198,17 @@ func NewResolver(m *match.Matcher, edges []metablocking.Edge, cfg Config) *Resol
 	return r
 }
 
-// index is the one queue-indexing step of NewResolver, Retract and
+// index is the one state-indexing step of NewResolver, Retract and
 // Reseed: it sets maxW and the stop floor from the edges, gives each
 // distinct retained pair one fresh state in edge order (indexEdges),
-// and returns one queue entry per state, in that order, for newQueue to
-// heapify.
-func (r *Resolver) index(edges []metablocking.Edge) []entry {
+// scores every state's value similarity on Config.Workers goroutines,
+// and gates the states that can never match. This is the decomposition
+// Theoretically-Efficient Parallel DBSCAN applies to clustering
+// (arXiv:1912.06255): the state-independent distance work in parallel,
+// once, then the state mutation in order. Each worker writes only the
+// vsim of the states in its chunks and reads only the immutable
+// matcher, and the scoring returns after the last of them.
+func (r *Resolver) index(edges []metablocking.Edge) {
 	r.maxW = 0
 	for _, e := range edges {
 		if e.Weight > r.maxW {
@@ -218,12 +221,49 @@ func (r *Resolver) index(edges []metablocking.Edge) []entry {
 		r.floor = math.Inf(-1)
 	}
 	r.states = indexEdges(edges, r.maxW)
-	slab := r.states.slab
-	entries := make([]entry, len(slab))
+	slab, m, workers := r.states.slab, r.matcher, max(r.cfg.Workers, 1)
+	chunks := parmeta.Ranges(len(slab), 8*workers)
+	parmeta.ForEach(len(chunks), workers, func(i int) {
+		for j := chunks[i].Lo; j < chunks[i].Hi; j++ {
+			slab[j].vsim = m.ValueSim(slab[j].pair.A, slab[j].pair.B)
+		}
+	})
+	r.gated = 0
 	for i := range slab {
-		entries[i] = entry{rank: int32(i), prio: r.priority(slab[i].pair, &slab[i])}
+		r.gate(&slab[i])
 	}
-	return entries
+}
+
+// gate marks a scored state whose value similarity can never match
+// (match.Matcher.CanMatch) done, counting it in Gated unless it was done
+// already, and reports whether the state is such a dead pair. A dead
+// pair would fail whatever its neighbor evidence, change no cluster and
+// propagate nothing, so it is never queued; its state is kept, so the
+// pair is never scored again.
+func (r *Resolver) gate(st *pairState) bool {
+	if r.matcher.CanMatch(st.vsim) {
+		return false
+	}
+	if !st.done {
+		st.done = true
+		r.gated++
+	}
+	return true
+}
+
+// schedule rebuilds the queue from the pair states: one entry per open
+// state, at its current priority. The queue's order is total, so the
+// queue pops the same sequence whatever order the entries arrive in.
+func (r *Resolver) schedule() {
+	var entries []entry
+	rank := int32(0)
+	for st := range r.states.all() {
+		if !st.done {
+			entries = append(entries, entry{rank: rank, prio: r.priority(st.pair, st)})
+		}
+		rank++
+	}
+	r.queue = newQueue(entries)
 }
 
 // priority computes a pair's current scheduling priority.
@@ -241,9 +281,19 @@ func (r *Resolver) Clusters() *match.Clusters { return r.cl }
 // could still spend.
 func (r *Resolver) Pending() int { return r.queue.Len() }
 
+// Gated returns the number of pairs the gate kept out of the queue
+// since the resolver was last built (NewResolver, Retract or Reseed):
+// the retained edges and the discovered pairs whose value similarity
+// can never match. Like Pending, it reads the current schedule, so a
+// rebuild over another corpus can lower it.
+func (r *Resolver) Gated() int { return r.gated }
+
 // RunBudget executes the progressive loop until budget comparisons
 // have been decided or the queue drains, returning the trace of this
-// call. Pairs the gate drops undecided (Result.Gated) spend no budget. A
+// call. Pairs that can never match are not queued (Gated), so they
+// spend no budget. Building the schedule (NewResolver, Retract,
+// Reseed) scores the whole retained edge list, even when only a small
+// positive budget follows; a session drains after every pass anyway. A
 // budget of 0 runs until the schedule stops paying: it returns once
 // the head entry's priority is below the benefit model's floor
 // (stopFloor), and leaves that tail queued.
@@ -267,20 +317,12 @@ func (r *Resolver) RunBudget(budget int) *Result {
 // cancelled one stopped, and the concatenated traces still equal one
 // uninterrupted run's. The caller learns about the interruption from
 // ctx.Err(); the partial Result itself carries no error.
-//
-// A draining call (budget 0) with Config.Workers > 1 and a live
-// context first runs the parallel pre-pass (prescore) to completion;
-// the loop after it is the same serial loop either way.
 func (r *Resolver) RunBudgetContext(ctx context.Context, budget int) *Result {
 	r.clk = time.Now()
 	defer r.lap(&r.tim.Schedule)
 	floor := math.Inf(-1)
 	if budget == 0 {
 		floor = r.floor
-		if r.cfg.Workers > 1 && ctx.Err() == nil {
-			r.prescore()
-			r.lap(&r.tim.Match)
-		}
 	}
 	done := ctx.Done() // nil for Background: the check below vanishes
 	res := &Result{Clusters: r.cl}
@@ -292,7 +334,7 @@ func (r *Resolver) RunBudgetContext(ctx context.Context, budget int) *Result {
 			default:
 			}
 		}
-		step, ok := r.next(floor, res)
+		step, ok := r.next(floor)
 		if !ok {
 			break
 		}
@@ -316,46 +358,6 @@ func (r *Resolver) RunBudgetContext(ctx context.Context, budget int) *Result {
 // it from the goroutine that runs the resolver, between runs.
 func (r *Resolver) Timings() Timings { return r.tim }
 
-// prescore is the parallel half of a draining run, the decomposition
-// Theoretically-Efficient Parallel DBSCAN applies to clustering
-// (arXiv:1912.06255): do the state-independent distance work in
-// parallel, then the state mutation in order. Value similarity depends
-// on neither the cluster state nor the schedule, so every queued pair
-// the run may execute is scored up front across Config.Workers
-// goroutines, and the serial loop then reads the memo. One serial walk
-// over the queue claims each state that is neither executed nor
-// memoized and whose current priority is not below the floor; the claim
-// sets hasVsim at once, so a state's stale duplicate heap entries share
-// it. The floor skip scores nothing the run would execute: the run
-// stops at the first head below the floor, and a priority only falls
-// between boosts, while a boost pushes a fresh entry that is scored
-// inline if it executes. (Under RelationshipCompleteness a bias can
-// also rise, and such a pair is scored inline too; the trace is the
-// same either way.) The workers each
-// write only the vsim of the states in their chunks and read only the
-// immutable matcher, and the call returns after the last of them, so
-// no state is ever marked scored without its score and no goroutine
-// outlives it. Pairs the update phase boosts or discovers later are
-// scored inline when they execute.
-func (r *Resolver) prescore() {
-	var todo []*pairState
-	for _, e := range r.queue.items {
-		st := r.states.at(e.rank)
-		if st.done || st.hasVsim || r.priority(st.pair, st) < r.floor {
-			continue
-		}
-		st.hasVsim = true
-		todo = append(todo, st)
-	}
-	m := r.matcher
-	chunks := parmeta.Ranges(len(todo), 8*r.cfg.Workers)
-	parmeta.ForEach(len(chunks), r.cfg.Workers, func(i int) {
-		for _, st := range todo[chunks[i].Lo:chunks[i].Hi] {
-			st.vsim = m.ValueSim(st.pair.A, st.pair.B)
-		}
-	})
-}
-
 // lap is a stage boundary: one clock read charges the interval since
 // the previous boundary to the stage that just ended.
 func (r *Resolver) lap(stage *time.Duration) {
@@ -365,11 +367,11 @@ func (r *Resolver) lap(stage *time.Duration) {
 }
 
 // next validates, executes, and propagates the head comparison, after
-// dropping the heads that are resolved already or gated (counted in
-// res.Gated). It reports false when the queue is empty or when the
-// head entry's priority is below floor; the head then stays where it
-// is, so the next run finds the queue as this one left it.
-func (r *Resolver) next(floor float64, res *Result) (Step, bool) {
+// dropping the heads that are resolved already. It reports false when
+// the queue is empty or when the head entry's priority is below floor;
+// the head then stays where it is, so the next run finds the queue as
+// this one left it.
+func (r *Resolver) next(floor float64) (Step, bool) {
 	for {
 		e, ok := r.queue.Peek()
 		if !ok {
@@ -396,21 +398,9 @@ func (r *Resolver) next(floor float64, res *Result) (Step, bool) {
 		}
 		r.queue.Pop()
 		// Skip pairs already resolved transitively — their comparison
-		// spends budget without any possible benefit. A pre-pass score
-		// it may have received is dead weight in its state, never
-		// consulted again.
+		// spends budget without any possible benefit.
 		if r.cl.Same(p.A, p.B) {
 			st.done = true
-			continue
-		}
-		// Gate: a pair whose value similarity can never match would
-		// fail whatever its neighbor evidence, change no cluster and
-		// propagate nothing. It is done without a decision, a Step, a
-		// budget unit or a clock read. A boost re-opens it as it would
-		// a failed pair, and it is gated again when it pops.
-		if !r.matcher.CanMatch(r.valueSim(p, st)) {
-			st.done = true
-			res.Gated++
 			continue
 		}
 		r.lap(&r.tim.Schedule)
@@ -420,7 +410,7 @@ func (r *Resolver) next(floor float64, res *Result) (Step, bool) {
 
 func (r *Resolver) execute(p blocking.Pair, st *pairState) Step {
 	st.done = true
-	score, matched := r.matcher.DecideValue(p.A, p.B, r.valueSim(p, st), r.cl)
+	score, matched := r.matcher.DecideValue(p.A, p.B, st.vsim, r.cl)
 	r.lap(&r.tim.Match)
 	step := Step{A: p.A, B: p.B, Score: score, Matched: matched,
 		Discovered: st.discovered, Recheck: st.recheck}
@@ -436,25 +426,12 @@ func (r *Resolver) execute(p blocking.Pair, st *pairState) Step {
 	return step
 }
 
-// valueSim returns the pair's value similarity: memoized by the
-// pre-pass or an earlier execution (a recheck re-decides the pair, but
-// its value evidence cannot have changed), or computed inline.
-// ValueSim is deterministic and cluster-independent, so either source
-// yields the same float.
-func (r *Resolver) valueSim(p blocking.Pair, st *pairState) float64 {
-	if st.hasVsim {
-		return st.vsim
-	}
-	v := r.matcher.ValueSim(p.A, p.B)
-	st.vsim, st.hasVsim = v, true
-	return v
-}
-
 // propagate is the update phase: a confirmed match (a, b) is evidence
 // for every pair formed from a-side and b-side neighbors (the matcher's
 // neighborhoods already combine both link directions). Queued pairs get
-// a priority boost; unseen cross-KB pairs are discovered and enqueued
-// with the boost as their whole priority.
+// a priority boost; unseen cross-KB pairs are discovered, scored, and
+// enqueued with the boost as their whole priority unless they are dead
+// (gate).
 func (r *Resolver) propagate(a, b int) {
 	for _, x := range r.matcher.Neighbors(a) {
 		for _, y := range r.matcher.Neighbors(b) {
@@ -476,12 +453,16 @@ func (r *Resolver) boost(p blocking.Pair) {
 		if r.cfg.DisableDiscovery {
 			return
 		}
-		rank, st = r.states.add(pairState{pair: p, discovered: true}) // no blocking evidence
+		// No blocking evidence: scored at discovery, and never queued if
+		// dead.
+		rank, st = r.states.add(pairState{pair: p, vsim: r.matcher.ValueSim(p.A, p.B), discovered: true})
+	}
+	if r.gate(st) {
+		return
 	}
 	if st.done {
-		// The pair was already compared and failed (matched pairs are
-		// resolved and filtered above). New neighbor evidence re-opens
-		// it: the paper's update phase promotes re-comparison of pairs
+		// The pair was decided and failed, or is resolved (skipped
+		// here). New neighbor evidence re-opens a failed pair: the paper's update phase promotes re-comparison of pairs
 		// influenced by fresh matches. Re-executions spend budget like
 		// any comparison and terminate because boosts only arise from
 		// cluster merges, which are finite.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strconv"
 	"testing"
 
@@ -44,7 +45,7 @@ func sameTrace(t *testing.T, label string, seq, par *Result) {
 				label, i, seq.Trace[i], par.Trace[i])
 		}
 	}
-	if seq.Comparisons != par.Comparisons || seq.Gated != par.Gated || seq.Matches != par.Matches ||
+	if seq.Comparisons != par.Comparisons || seq.Matches != par.Matches ||
 		seq.Discovered != par.Discovered || seq.Rechecks != par.Rechecks ||
 		seq.TotalGain != par.TotalGain {
 		t.Fatalf("%s: summaries differ:\n  sequential %+v\n  parallel   %+v", label, seq, par)
@@ -52,13 +53,13 @@ func sameTrace(t *testing.T, label string, seq, par *Result) {
 }
 
 // TestParallelTraceBitIdentical is the differential suite of the
-// value-similarity pre-pass: for every benefit model, discovery
-// setting, and budget, the trace with the pre-pass width set must
-// equal the sequential resolver's step for step in every field, for
-// every worker count, and a draining run must stop at the same step
-// and leave the same queue behind, though the pre-pass skips what is
-// below the floor. CI runs it under -race, which also exercises the
-// pre-pass's hand-off to the serial loop.
+// scoring width: for every benefit model, discovery setting, and
+// budget, the trace of a resolver whose states index scored on n
+// goroutines must equal the sequential resolver's step for step in
+// every field, for every worker count, and a draining run must stop at
+// the same step and leave the same queue behind. CI runs it under
+// -race, which also exercises the scoring workers' hand-off to the
+// serial loop.
 func TestParallelTraceBitIdentical(t *testing.T) {
 	m, edges := hardWorld(t, 99, 130)
 	sawDiscovered, sawRecheck, sawStop := false, false, false
@@ -115,11 +116,10 @@ func itoa(n int) string {
 	return strconv.Itoa(n)
 }
 
-// TestParallelResumeLegs drives a resolver with the pre-pass width set
-// through uneven budget legs — scored inline — and a draining leg,
-// whose pre-pass finds part of the queue already executed, and
-// requires the concatenated trace to equal one sequential run with the
-// summed budget.
+// TestParallelResumeLegs drives a resolver with the scoring width set
+// through uneven budget legs and a draining leg, and requires the
+// concatenated trace to equal one sequential run with the summed
+// budget.
 func TestParallelResumeLegs(t *testing.T) {
 	m, edges := hardWorld(t, 100, 120)
 	seq := NewResolver(m, edges, Config{}).RunBudget(0)
@@ -255,11 +255,10 @@ func waveLegs(t *testing.T, workers int) []*Result {
 }
 
 // TestParallelTraceAcrossWaves extends the differential suite past a
-// fresh resolver: a Reseed invalidates every memoized score and
+// fresh resolver: a Reseed rescores every pair under a new matcher and
 // re-opens failed pairs, and a Retract rebuilds the queue from a
-// replay, so the draining leg's pre-pass runs over a queue in no
-// particular order. Every leg of every worker count must equal the
-// sequential trace in every Step field.
+// replay whose discoveries are scored inline. Every leg of every
+// worker count must equal the sequential trace in every Step field.
 func TestParallelTraceAcrossWaves(t *testing.T) {
 	seq := waveLegs(t, 0)
 	recheck := false
@@ -280,91 +279,86 @@ func TestParallelTraceAcrossWaves(t *testing.T) {
 	}
 }
 
-// TestPrescore pins what the pre-pass computes and when it runs. A
-// budgeted leg scores only what it decides plus what it gates. A direct
-// pre-pass leaves every queued pair not yet executed and not below the
-// stop floor holding exactly ValueSim's float, and scores none below the
-// floor. And a draining run at width 4 runs it: it scores pairs its loop
-// neither decides nor gates (those it skips as transitively resolved or
-// never reaches), which never happens on the serial loop.
-func TestPrescore(t *testing.T) {
+// TestIndexScores pins what building the schedule computes, at widths
+// 1, 2, 4 and 8; CI runs it under -race, which checks the scoring
+// workers' hand-off. After NewResolver, and after a Retract over the
+// drain's merges, every tracked state holds exactly ValueSim's float,
+// every state that can never match is done and counted in Gated, and no
+// queued entry names one. Boosting a dead pair queues nothing: a
+// tracked one stays as it is, and an untracked one is tracked, done and
+// gated.
+func TestIndexScores(t *testing.T) {
 	m, edges := hardWorld(t, 102, 120)
-	r := NewResolver(m, edges, Config{Workers: 4})
-	leg := r.RunBudget(30)
-	if n := scored(r); n > leg.Comparisons+leg.Gated || leg.Gated == 0 {
-		t.Fatalf("a %d-comparison budgeted leg that gated %d pairs scored %d pairs", leg.Comparisons, leg.Gated, n)
-	}
-	unscored := make(map[*pairState]bool)
-	for st := range r.states.all() {
-		unscored[st] = !st.hasVsim
-	}
-	r.prescore()
-	below := 0
-	for _, e := range r.queue.items {
-		st := r.states.at(e.rank)
-		if st.done {
-			continue
-		}
-		if r.priority(st.pair, st) < r.floor {
-			below++
-			if unscored[st] && st.hasVsim {
-				t.Fatalf("pair %v below the floor was scored by the pre-pass", st.pair)
-			}
-			continue
-		}
-		if !st.hasVsim || st.vsim != m.ValueSim(st.pair.A, st.pair.B) {
-			t.Fatalf("pair %v after the pre-pass: hasVsim=%v vsim=%v, want %v",
-				st.pair, st.hasVsim, st.vsim, m.ValueSim(st.pair.A, st.pair.B))
-		}
-	}
-	if below == 0 {
-		t.Fatal("no queued pair is below the floor; the skip went unchecked")
-	}
-
-	// Three KBs, so matches chain and some queued pairs resolve
-	// transitively before they pop.
-	w, err := datagen.Generate(datagen.Config{
-		Seed:        103,
-		NumEntities: 120,
-		KBs: []datagen.KBConfig{
-			{Name: "centerA", Coverage: 1, Profile: datagen.Center()},
-			{Name: "centerB", Coverage: 1, Profile: datagen.Center()},
-			{Name: "periphX", Coverage: 1, Profile: datagen.Periphery()},
-		},
-		LinksPerEntity: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, edges = pipeline(t, w)
-	// wasted counts the pairs scored but neither decided nor gated: a
-	// gated pair is popped and scored, and its score is below the gate.
-	wasted := func(workers int) int {
-		r := NewResolver(m, edges, Config{Workers: workers})
-		res := r.RunBudget(0)
-		decided := make(map[uint64]bool)
-		for _, s := range res.Trace {
-			decided[pairKey(blocking.MakePair(s.A, s.B))] = true
-		}
-		n, gated := 0, 0
+	check := func(label string, r *Resolver) {
+		t.Helper()
+		dead := 0
 		for st := range r.states.all() {
-			switch {
-			case !st.hasVsim || decided[pairKey(st.pair)]:
-			case st.done && !m.CanMatch(st.vsim):
-				gated++
-			default:
-				n++
+			p := st.pair
+			if want := m.ValueSim(p.A, p.B); math.Float64bits(st.vsim) != math.Float64bits(want) {
+				t.Fatalf("%s: pair %v holds value similarity %v, want %v", label, p, st.vsim, want)
+			}
+			if !m.CanMatch(st.vsim) {
+				if !st.done {
+					t.Fatalf("%s: dead pair %v is open", label, p)
+				}
+				dead++
 			}
 		}
-		if gated == 0 || gated > res.Gated {
-			t.Fatalf("width %d: %d scored pairs were gated, the run reports %d", workers, gated, res.Gated)
+		// No match in the history is dead under the same matcher, so
+		// every dead state was gated.
+		if dead == 0 || dead != r.Gated() {
+			t.Fatalf("%s: %d dead states, Gated %d", label, dead, r.Gated())
 		}
-		return n
+		for _, e := range r.queue.items {
+			if st := r.states.at(e.rank); !m.CanMatch(st.vsim) {
+				t.Fatalf("%s: dead pair %v is queued", label, st.pair)
+			}
+		}
 	}
-	if n := wasted(0); n != 0 {
-		t.Fatalf("the serial loop scored %d pairs it neither decided nor gated", n)
-	}
-	if wasted(4) == 0 {
-		t.Fatal("a draining run at width 4 scored nothing beyond what it executed; the pre-pass did not run")
+	col := m.Collection()
+	for _, workers := range []int{1, 2, 4, 8} {
+		label := "workers=" + strconv.Itoa(workers)
+		r := NewResolver(m, edges, Config{Workers: workers})
+		check(label+"/new", r)
+		res := r.RunBudget(0)
+		if res.Matches == 0 {
+			t.Fatal("the drain matched nothing")
+		}
+		r.Retract(m, edges, res.Trace)
+		check(label+"/retract", r)
+
+		var tracked, fresh blocking.Pair
+		for st := range r.states.all() {
+			if p := st.pair; !m.CanMatch(st.vsim) && col.CrossKB(p.A, p.B) {
+				tracked = p
+				break
+			}
+		}
+		for a := 0; a < col.Len() && fresh == (blocking.Pair{}); a++ {
+			for b := a + 1; b < col.Len(); b++ {
+				p := blocking.MakePair(a, b)
+				if _, st := r.states.find(p); st == nil && col.CrossKB(a, b) && !m.CanMatch(m.ValueSim(a, b)) {
+					fresh = p
+					break
+				}
+			}
+		}
+		if tracked == (blocking.Pair{}) || fresh == (blocking.Pair{}) {
+			t.Fatal("no tracked or untracked dead cross-KB pair to boost")
+		}
+		_, st := r.states.find(tracked)
+		before, queued, gated := *st, r.Pending(), r.Gated()
+		r.boost(tracked)
+		r.boost(fresh)
+		if *st != before {
+			t.Fatalf("%s: boosting dead pair %v changed its state from %+v to %+v", label, tracked, before, *st)
+		}
+		_, fst := r.states.find(fresh)
+		if fst == nil || !fst.done || !fst.discovered || r.Gated() != gated+1 {
+			t.Fatalf("%s: discovered dead pair %v: state %+v, Gated %d → %d", label, fresh, fst, gated, r.Gated())
+		}
+		if r.Pending() != queued {
+			t.Fatalf("%s: boosting two dead pairs queued %d entries", label, r.Pending()-queued)
+		}
 	}
 }

@@ -40,26 +40,31 @@ import (
 // CSR first, then the map of pairs outside the edge list — and adds
 // one the new pruning no longer retains to that map.
 //
+// Every tracked pair is scored under m (index, and the replay's
+// discoveries), and one that can never match is never queued (Gated).
+//
 // When steps holds no match, the retracted resolver is
 // indistinguishable from NewResolver(m, edges, cfg): the same states,
-// the same heap layout, the same priorities. That is what makes
+// the same priorities, the same pop sequence. That is what makes
 // mutate-then-resolve bit-identical to a from-scratch session over the
 // live corpus.
 func (r *Resolver) Retract(m *match.Matcher, edges []metablocking.Edge, steps []Step) {
 	r.matcher = m
 	r.cl = match.NewClustersFor(m.Collection())
 
-	// Fresh states for the retained comparisons, heapified in edge
-	// order — with no history, this is all NewResolver does.
-	r.queue = newQueue(r.index(edges))
+	// Fresh, scored states for the retained comparisons, and a queue of
+	// those that can match — with no history, this is all NewResolver
+	// does.
+	r.index(edges)
+	r.schedule()
 
 	// Replay the merges through the live machinery: done flags mark the
 	// matched pairs, merges rebuild the clusters, and each merge re-runs
 	// propagate — the same boosts and discoveries the update phase
 	// produced originally, minus everything that flowed through a
-	// departed description. Extra heap entries pushed for already-queued
-	// pairs are harmless: the heap is lazy, and stale or duplicate slots
-	// are skipped on pop.
+	// departed description. Extra entries pushed for already-queued
+	// pairs are harmless: the queue is lazy, and stale or duplicate
+	// entries are skipped on pop.
 	for _, s := range steps {
 		if !s.Matched {
 			continue
@@ -70,7 +75,7 @@ func (r *Resolver) Retract(m *match.Matcher, edges []metablocking.Edge, steps []
 			// Matched but no longer retained by pruning (or never proposed
 			// by blocking): keep it tracked and executed, so neighbor
 			// evidence does not re-discover it.
-			_, st = r.states.add(pairState{pair: p, discovered: s.Discovered})
+			_, st = r.states.add(pairState{pair: p, vsim: m.ValueSim(p.A, p.B), discovered: s.Discovered})
 		}
 		st.done = true
 		if r.cl.Merge(p.A, p.B) {

@@ -117,8 +117,10 @@ func checkStates(t *testing.T, label string, r *Resolver, edges []metablocking.E
 // the store replaced: the tracked pairs are exactly the old map's keys —
 // the new edges, plus Reseed's executed or discovered survivors, plus
 // the pairs a replay of the history's merges tracks — each found at its
-// one state, with the history Reseed carries over intact and the
-// history Retract derives equal to that replay's (replayMerges).
+// one state, scored under the matcher, with the history Reseed carries
+// over intact (a pair that can never match is done, and only a pair
+// that can match re-opens) and the history Retract derives equal to
+// that replay's (replayMerges).
 func TestPairStatesMatchMap(t *testing.T) {
 	m, pool := hardWorld(t, 36, 80)
 	ids := m.Collection().Len()
@@ -152,10 +154,11 @@ func TestPairStatesMatchMap(t *testing.T) {
 			if st == nil {
 				continue
 			}
-			reopened := newEdge[k] && h.done && !r.cl.Same(st.pair.A, st.pair.B)
-			want := history{h.boost, h.done && !reopened, h.discovered, h.recheck || reopened}
-			if got := (history{st.boost, st.done, st.discovered, st.recheck}); got != want || st.hasVsim {
-				t.Fatalf("%s/reseed: pair %v history %+v (memo %v), want %+v", label, st.pair, got, st.hasVsim, want)
+			dead := !m.CanMatch(st.vsim)
+			reopened := newEdge[k] && h.done && !dead && !r.cl.Same(st.pair.A, st.pair.B)
+			want := history{h.boost, h.done && !reopened || dead, h.discovered, h.recheck || reopened}
+			if got := (history{st.boost, st.done, st.discovered, st.recheck}); got != want || st.vsim != m.ValueSim(st.pair.A, st.pair.B) {
+				t.Fatalf("%s/reseed: pair %v history %+v (score %v), want %+v", label, st.pair, got, st.vsim, want)
 			}
 		}
 		for k := range after {
@@ -178,8 +181,8 @@ func TestPairStatesMatchMap(t *testing.T) {
 			if st == nil {
 				t.Fatalf("%s/retract: pair %v missing from the store", label, keyOf(k))
 			}
-			if got := (history{st.boost, st.done, st.discovered, st.recheck}); got != w || st.hasVsim {
-				t.Fatalf("%s/retract: pair %v history %+v (memo %v), want %+v", label, st.pair, got, st.hasVsim, w)
+			if got := (history{st.boost, st.done, st.discovered, st.recheck}); got != w || st.vsim != m.ValueSim(st.pair.A, st.pair.B) {
+				t.Fatalf("%s/retract: pair %v history %+v (score %v), want %+v", label, st.pair, got, st.vsim, w)
 			}
 		}
 	}
@@ -196,18 +199,22 @@ type history struct {
 }
 
 // replayMerges is the map Retract's store must equal: every retained
-// edge fresh, then, for each matched step in order, the pair marked
-// executed (tracked as in the step when no edge retains it) and, when
-// it unites two clusters, one boost to every cross pair of the two
-// sides' neighbors, discovering the untracked ones. Failed steps
-// contribute nothing. It reads the resolver's rebuilt matcher and
+// edge fresh, done if it can never match, then, for each matched step
+// in order, the pair marked executed (tracked as in the step when no
+// edge retains it) and, when it unites two clusters, one boost to every
+// open cross pair of the two sides' neighbors, discovering the
+// untracked ones (done, and never boosted, if they can never match).
+// Failed steps contribute nothing. It reads the resolver's rebuilt matcher and
 // config only.
 func replayMerges(r *Resolver, edges []metablocking.Edge, trace []Step) map[uint64]history {
+	m := r.matcher
+	dead := func(p blocking.Pair) bool { return !m.CanMatch(m.ValueSim(p.A, p.B)) }
 	want := make(map[uint64]history)
 	for _, e := range edges {
-		want[pairKey(blocking.MakePair(e.A, e.B))] = history{}
+		p := blocking.MakePair(e.A, e.B)
+		want[pairKey(p)] = history{done: dead(p)}
 	}
-	col := r.matcher.Collection()
+	col := m.Collection()
 	cl := match.NewClustersFor(col)
 	for _, s := range trace {
 		if !s.Matched {
@@ -231,10 +238,11 @@ func replayMerges(r *Resolver, edges []metablocking.Edge, trace []Step) map[uint
 				}
 				h, ok := want[pairKey(p)]
 				if !ok {
-					h.discovered = true
+					h = history{done: dead(p), discovered: true}
+					want[pairKey(p)] = h
 				}
 				if h.done {
-					continue // a replayed match: resolved, never re-opened
+					continue // a replayed match, resolved, or a dead pair: never re-opened
 				}
 				h.boost += neighborBoost
 				want[pairKey(p)] = h

@@ -19,14 +19,15 @@ const drainAll = 1 << 30
 // RunBudget(0) ends at the floor; the same resolver then decides nothing
 // at budget 0 again, exactly k pairs at budget k, and the legs
 // concatenate to one budgeted run of their total. A positive budget
-// runs past the floor to the empty queue. The gate moves no pop: the
-// decided and the gated pairs of each run add up to the pairs it would
-// decide without the gate (3 033 and 3 079 on this world).
+// runs past the floor to the empty queue. The gate moves no stop: the
+// same runs without the gate (the ungated reference) decide 3 033 and
+// 3 079 pairs on this world, and exactly the gated runs' pairs of those
+// can match.
 func TestStopRule(t *testing.T) {
 	const (
 		stopAt = 932 // decided pairs of the draining run
 		drains = 955 // decided pairs of a run that empties the queue
-		// Popped pairs (decided + gated) of each run.
+		// Decided pairs of each run without the gate.
 		stopPops  = 3033
 		drainPops = 3079
 	)
@@ -38,14 +39,27 @@ func TestStopRule(t *testing.T) {
 		t.Fatalf("the draining run stopped at %d of %d decided pairs, want %d of %d",
 			stopped.Comparisons, full.Comparisons, stopAt, drains)
 	}
-	if p, f := stopped.Comparisons+stopped.Gated, full.Comparisons+full.Gated; p != stopPops || f != drainPops {
-		t.Fatalf("the draining run popped %d of %d pairs, want %d of %d", p, f, stopPops, drainPops)
+	minV := m.Options().MinValueSim
+	for _, c := range []struct{ budget, decided, live int }{{0, stopPops, stopAt}, {drainAll, drainPops, drains}} {
+		trace := newUngated(m, edges, Config{}, nil).run(c.budget)
+		live := 0
+		for _, s := range trace {
+			if m.ValueSim(s.A, s.B) >= minV {
+				live++
+			}
+		}
+		if len(trace) != c.decided || live != c.live {
+			t.Fatalf("budget %d without the gate decided %d pairs, %d of them live; want %d, %d",
+				c.budget, len(trace), live, c.decided, c.live)
+		}
 	}
 	if e := aboveFloor(r); e != 0 {
 		t.Fatalf("the stopped run left %d executable pairs at or above the floor", e)
 	}
-	if again := r.RunBudget(0); again.Comparisons != 0 || again.Gated != 0 {
-		t.Fatalf("RunBudget(0) right after a stop decided %d pairs and gated %d", again.Comparisons, again.Gated)
+	pending, gated := r.Pending(), r.Gated()
+	if again := r.RunBudget(0); again.Comparisons != 0 || r.Pending() != pending || r.Gated() != gated {
+		t.Fatalf("RunBudget(0) right after a stop decided %d pairs; Pending %d → %d, Gated %d → %d",
+			again.Comparisons, pending, r.Pending(), gated, r.Gated())
 	}
 	const k = 20 // of the 23 decided pairs past the stop
 	leg := r.RunBudget(k)
@@ -65,8 +79,8 @@ func TestStopRule(t *testing.T) {
 // TestStopRuleBoostedAboveFloor checks that the floor cuts only what
 // no evidence lifts: after a stop, a queued pair below the floor that
 // a match's update phase boosts, and a cross-KB pair blocking never
-// proposed that it discovers, both execute in the next draining run —
-// decided or gated, so the test reads it from their pair states.
+// proposed that it discovers, both execute in the next draining run.
+// Both can match: a pair that cannot is never queued (TestIndexScores).
 func TestStopRuleBoostedAboveFloor(t *testing.T) {
 	m, edges := hardWorld(t, 99, 130)
 	r := NewResolver(m, edges, Config{})
@@ -82,7 +96,7 @@ func TestStopRuleBoostedAboveFloor(t *testing.T) {
 	for a := 0; a < col.Len() && fresh == (blocking.Pair{}); a++ {
 		for b := a + 1; b < col.Len(); b++ {
 			p := blocking.MakePair(a, b)
-			if _, st := r.states.find(p); st == nil && col.CrossKB(a, b) && !r.cl.Same(a, b) {
+			if _, st := r.states.find(p); st == nil && col.CrossKB(a, b) && !r.cl.Same(a, b) && m.CanMatch(m.ValueSim(a, b)) {
 				fresh = p
 				break
 			}
@@ -97,14 +111,15 @@ func TestStopRuleBoostedAboveFloor(t *testing.T) {
 	}
 	r.boost(queued)
 	r.boost(fresh)
-	if res := r.RunBudget(0); res.Comparisons+res.Gated < 2 {
-		t.Fatalf("the next draining run decided %d pairs and gated %d", res.Comparisons, res.Gated)
+	decided := make(map[blocking.Pair]Step)
+	for _, s := range r.RunBudget(0).Trace {
+		decided[blocking.MakePair(s.A, s.B)] = s
 	}
-	if _, st := r.states.find(queued); !st.done {
+	if _, ok := decided[queued]; !ok {
 		t.Errorf("boosted pair %v did not execute", queued)
 	}
-	if _, st := r.states.find(fresh); st == nil || !st.done || !st.discovered {
-		t.Errorf("discovered pair %v: state %+v", fresh, st)
+	if s, ok := decided[fresh]; !ok || !s.Discovered {
+		t.Errorf("discovered pair %v: decided %v as %+v", fresh, ok, s)
 	}
 }
 

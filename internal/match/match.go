@@ -85,7 +85,7 @@ func (o Options) WithDefaults() Options {
 // It is read-only after construction: NewMatcher pre-warms the token
 // cache and vectorizes every description, so concurrent ValueSim
 // calls are race-free — the property the resolver's parallel
-// value-similarity pre-pass relies on.
+// value-similarity scoring relies on.
 type Matcher struct {
 	col   *kb.Collection
 	opts  Options
@@ -221,8 +221,8 @@ func (m *Matcher) Decide(a, b int, cl *Clusters) (score float64, matched bool) {
 }
 
 // DecideValue is Decide with the pair's value similarity supplied by
-// the caller — the resolver's hook for scores memoized by its pre-pass
-// or an earlier execution. v must equal ValueSim(a, b); then
+// the caller — the resolver's hook for the score each pair state took
+// when it was created. v must equal ValueSim(a, b); then
 // DecideValue(a, b, v, cl) is bit-identical to Decide(a, b, cl).
 func (m *Matcher) DecideValue(a, b int, v float64, cl *Clusters) (score float64, matched bool) {
 	var resolved *container.UnionFind

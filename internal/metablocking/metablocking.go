@@ -24,7 +24,6 @@ import (
 	"unsafe"
 
 	"repro/internal/blocking"
-	"repro/internal/container"
 )
 
 // Scheme selects the edge-weighting function.
@@ -355,10 +354,10 @@ func (g *Graph) pruneWEP() []Edge {
 	return kept
 }
 
-// pruneCEP keeps the K heaviest edges. A bounded top-K pass finds the
-// K-th edge under (weight, then earlier (A, B) first) — a strict total
-// order over distinct pairs — and a second pass keeps every edge that
-// ranks at or above it, in the graph's (A, B) order.
+// pruneCEP keeps the K heaviest edges. Sorting a copy of the graph
+// under (weight, then earlier (A, B) first) — a strict total order over
+// distinct pairs — finds the K-th edge, and a second pass keeps every
+// edge that ranks at or above it, in the graph's (A, B) order.
 func (g *Graph) pruneCEP(opts PruneOptions) []Edge {
 	k := opts.K
 	if k <= 0 {
@@ -377,11 +376,17 @@ func (g *Graph) pruneCEP(opts PruneOptions) []Edge {
 		}
 		return a.B > b.B
 	}
-	top := container.NewBoundedTopK(k, less)
-	for _, e := range g.Edges {
-		top.Offer(e)
-	}
-	cut, _ := top.Threshold()
+	ranked := slices.Clone(g.Edges)
+	slices.SortFunc(ranked, func(a, b Edge) int {
+		switch {
+		case less(b, a):
+			return -1
+		case less(a, b):
+			return 1
+		}
+		return 0
+	})
+	cut := ranked[k-1]
 	kept := make([]Edge, 0, k)
 	for _, e := range g.Edges {
 		if !less(e, cut) {

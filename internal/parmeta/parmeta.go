@@ -4,8 +4,8 @@
 // Ranges, ForEach). The front-end engine itself lives in
 // internal/pipeline, its tokenizer in kb.Collection.WarmTokens, its
 // graph kernel in metablocking.BuildUnweighted and its entity index in
-// blocking.Collection.EntityCSR; the matching pre-pass in internal/core
-// shards with it too. This package imports only the standard library
+// blocking.Collection.EntityCSR; the resolver's value-similarity scoring
+// in internal/core shards with it too. This package imports only the standard library
 // so that all of them can use it.
 package parmeta
 
@@ -75,7 +75,7 @@ func ForEach(n, workers int, fn func(i int)) {
 // replays the sequential iteration order. The tokenizer
 // (kb.Collection.WarmTokens), the entity index
 // (blocking.Collection.EntityCSR), the blocking-graph kernel and the
-// matching pre-pass shard with it.
+// resolver's value-similarity scoring shard with it.
 func Ranges(n, parts int) []Range {
 	if n <= 0 {
 		return nil

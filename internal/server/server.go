@@ -360,7 +360,8 @@ type statusResponse struct {
 }
 
 // handleStatus answers GET /status: progress, queue depth, budget
-// spent (decided comparisons), the pairs gated undecided, per-stage
+// spent (decided comparisons), the pairs the gate keeps out of the
+// current schedule (like pending, a reading that can fall), per-stage
 // timings, the memory gauges (blocking-graph
 // footprint, write-ahead-log size and rotations), and the snapshot
 // epoch.
@@ -466,7 +467,8 @@ type resumeResponse struct {
 // handleResume answers POST /resume?budget=N (0 or absent = until the
 // schedule stops paying, leaving the tail below the priority floor
 // counted in pending): it spends further comparison budget on the session,
-// one unit per decided pair (gated pairs spend none),
+// one unit per decided pair (gated pairs are never queued and spend
+// none),
 // honoring request cancellation between comparisons so a disconnected
 // client cannot wedge the writer.
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {

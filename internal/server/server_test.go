@@ -196,7 +196,8 @@ func checkDifferential(t *testing.T, label string, srv *Server, ts *httptest.Ser
 		t.Errorf("%s: served matches differ from session matches", label)
 	}
 
-	// /status ≡ Snapshot stats/pending.
+	// /status ≡ Snapshot stats/pending; pending and gated are both
+	// readings of the schedule the snapshot was taken from.
 	_, body = get(t, ts, "/status", "")
 	st := decode[statusResponse](t, body)
 	if st.Stats != sn.Stats() {

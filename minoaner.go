@@ -172,10 +172,11 @@ type Config struct {
 	// front-end stages — token blocking, block cleaning, graph build,
 	// weighting, and pruning — dispatch through one engine
 	// (internal/pipeline), and the matching stage (internal/core) uses
-	// the same worker count as the width of the value-similarity
-	// pre-pass a draining Resume runs before its serial loop: 1 runs
-	// everything on the calling goroutine, n > 1 fans tokenization, the
-	// graph kernel and the pre-pass out over n workers, and 0 — the
+	// the same worker count to score every retained edge's value
+	// similarity when each pass builds the schedule, ahead of the serial
+	// loop: 1 runs everything on the calling goroutine, n > 1 fans
+	// tokenization, the graph kernel and that scoring out over n
+	// workers, and 0 — the
 	// default — uses one worker per available CPU (GOMAXPROCS), so
 	// Resolve is automatically parallel on multicore hosts. Every
 	// setting produces identical results, including a bit-identical
@@ -288,10 +289,9 @@ type Cluster []Ref
 
 // Stats reports per-stage pipeline measurements. The matching loop's
 // unit is the decided pair: Comparisons counts the pairs the matcher
-// decided, and a positive budget spends them. A pair the loop pops
-// whose value similarity can never match (below Match.MinValueSim) is
-// dropped undecided; Gated counts those, so no popped pair goes
-// uncounted.
+// decided, and a positive budget spends them. A pair whose value
+// similarity can never match (below Match.MinValueSim) is never
+// queued; Gated counts those in the current schedule.
 type Stats struct {
 	Descriptions    int `json:"descriptions"`
 	KBs             int `json:"kbs"`
@@ -301,7 +301,7 @@ type Stats struct {
 	PrunedEdges     int `json:"prunedEdges"`     // comparisons retained by meta-blocking
 	Comparisons     int `json:"comparisons"`     // pairs this session decided (the budget's unit); never falls
 	DiscoveredCmps  int `json:"discoveredCmps"`  // of those, the ones found by the update phase
-	Gated           int `json:"gated"`           // pairs popped and dropped undecided: their value similarity can never match; never falls
+	Gated           int `json:"gated"`           // retained and discovered pairs kept out of the current schedule: their value similarity can never match; a reading like Pending, it can fall after a pass
 	Matches         int `json:"matches"`
 }
 
@@ -918,12 +918,10 @@ type Session struct {
 	graphBytes int
 	// merges holds the matched steps over live ids in execution order;
 	// failed ones are only counted, with the discovered ones, in
-	// comparisons and discovered, and the gated pairs in gated; none of
-	// the three ever falls.
+	// comparisons and discovered; neither ever falls.
 	merges      []core.Step
 	comparisons int
 	discovered  int
-	gated       int
 	// gens records, per description id, the index of the ingest batch
 	// that first brought it (Start's corpus is batch 0) — the age TTL
 	// expires on. Ids are stamped in batch order, so the array is
@@ -954,12 +952,11 @@ type Session struct {
 // Timings reports cumulative wall-clock time per pipeline stage of one
 // session, in nanoseconds on the wire (the JSON field names end in Ns).
 // FrontEnd is every pass (Session.pass: compaction, blocking→pruning,
-// matcher and resolver rebuild) — Start's, recovery's, and the one each
-// read makes after mutations; a fold is not timed. Resolve is the
-// matching loop end to end, and
-// Schedule/Match/Update partition it (see internal/core.Timings — the
-// parallel value-similarity pre-pass of a draining Resume counts as
-// Match).
+// matcher and resolver rebuild, including the value-similarity scoring
+// of every retained edge) — Start's, recovery's, and the one each read
+// makes after mutations; a fold is not timed. Resolve is the matching
+// loop end to end, and Schedule/Match/Update partition it (see
+// internal/core.Timings).
 type Timings struct {
 	FrontEnd time.Duration `json:"frontendNs"`
 	Resolve  time.Duration `json:"resolveNs"`
@@ -1053,8 +1050,9 @@ func (p *Pipeline) newSession() (*Session, error) {
 // cleaned blocks and the graph are dropped there, before the matcher is
 // rebuilt (IDF weights are global — linear work) and the resolver with
 // it, by one rule: NewResolver on the session's first pass, Retract
-// over the live merges after that. On success the session is no longer stale and the pass's
-// time is charged to Timings.FrontEnd. A failure leaves the collection
+// over the live merges after that; either scores every retained edge
+// and queues only the pairs that can match. On success the session is
+// no longer stale and the pass's time is charged to Timings.FrontEnd. A failure leaves the collection
 // compacted and nothing else changed; callers decide whether that
 // poisons the session.
 func (s *Session) pass() error {
@@ -1108,9 +1106,9 @@ func (s *Session) settle(read string) error {
 }
 
 // Resume decides up to budget further comparisons and returns the
-// cumulative result of the session. Pairs dropped undecided because
-// their value similarity can never match spend no budget (Stats.Gated). Budget 0 runs until the schedule
-// stops paying: it returns once the best queued comparison's priority
+// cumulative result of the session. Pairs whose value similarity can
+// never match are never queued, so they spend no budget (Stats.Gated).
+// Budget 0 runs until the schedule stops paying: it returns once the best queued comparison's priority
 // is below the benefit model's floor, and leaves that tail queued, so
 // Pending stays positive and a second Resume(0) executes nothing. A
 // positive budget runs past the floor; a caller that wants the queue
@@ -1139,7 +1137,6 @@ func (s *Session) ResumeContext(ctx context.Context, budget int) (*Result, error
 	}
 	s.comparisons += res.Comparisons
 	s.discovered += res.Discovered
-	s.gated += res.Gated
 	for _, step := range res.Trace {
 		if step.Matched {
 			s.merges = append(s.merges, step)
@@ -1161,7 +1158,7 @@ func (s *Session) buildResult() (*Result, [][]int) {
 	out := &Result{Stats: s.base}
 	out.Stats.Comparisons = s.comparisons
 	out.Stats.DiscoveredCmps = s.discovered
-	out.Stats.Gated = s.gated
+	out.Stats.Gated = s.resolver.Gated()
 	out.Stats.Matches = len(s.merges)
 	for _, step := range s.merges {
 		out.Matches = append(out.Matches, Match{

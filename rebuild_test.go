@@ -20,9 +20,9 @@ import (
 // (boosts, failed pairs, rechecks) or fewer. A change that is meant to
 // move the rule updates them with the reason.
 var rebuildRuleDigests = map[int64]string{
-	1: "009727b108b4127b8b249da8b834fdbc131198a0f539291b260c138f8c666686",
-	2: "ea2826a2933129d3fd92dd5f57cdd3bfe375d4275308fb1da6249145cce1a4fc",
-	3: "e939334f1aca5052663f6f922faf15f6afbc914e4661643567cfd5f423357037",
+	1: "d2ac190debc1161b1ee785d2e648f232e34158c1833f71461ee3daeaa1c53d4b",
+	2: "55a17e4800b2d7a15154364841811298e1090da30ed6d07c829971f2a479ed71",
+	3: "197c4e485bb91981affb23df8595744007d7307d7238fd1db71f8104ebd29b7e",
 }
 
 // TestIngestWaveRebuildRule drives the stream shape of a live service:
