@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -18,15 +19,16 @@ func tiedEntries(rng *rand.Rand, first, n int) []entry {
 }
 
 // sortedQueue is the queue's oracle: a slice kept sorted by the total
-// order (descending prio, then ascending rank), written without a heap.
+// order (descending prio, then ascending rank), written without a heap
+// and without the queue's own comparison.
 type sortedQueue []entry
 
 func (s *sortedQueue) push(e entry) {
 	i, _ := slices.BinarySearchFunc(*s, e, func(x, e entry) int {
-		if before(x, e) {
-			return -1
+		if c := cmp.Compare(e.prio, x.prio); c != 0 {
+			return c
 		}
-		return 1
+		return cmp.Compare(x.rank, e.rank)
 	})
 	*s = slices.Insert(*s, i, e)
 }
