@@ -43,17 +43,24 @@ func benchWorld(b *testing.B, n int) *datagen.World {
 }
 
 // BenchmarkGraphBuild sweeps the graph kernel's worker count on one
-// workload, ECBS weighting included; compare ns/op across
-// sub-benchmarks for the speedup curve (workers=1 is
-// metablocking.Build).
+// workload: the ECBS-weighted build plus the WNP prune that reads it,
+// the graph's whole life in a pass. Compare ns/op across
+// sub-benchmarks for the speedup curve; B/op and allocs/op count the
+// build's and the prune's scratch, and B/edge is the built graph's
+// Footprint per edge.
 func BenchmarkGraphBuild(b *testing.B) {
 	w := benchWorld(b, 600)
 	col := blocking.TokenBlocking(w.Collection, tokenize.Default()).Purge(0).Filter(0.8)
+	opts := metablocking.PruneOptions{Assignments: col.Assignments()}
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			var g *metablocking.Graph
 			for i := 0; i < b.N; i++ {
-				metablocking.BuildUnweighted(col, workers).Reweigh(metablocking.ECBS)
+				g = metablocking.Build(col, metablocking.ECBS, workers)
+				g.Prune(metablocking.WNP, opts)
 			}
+			b.ReportMetric(float64(g.Footprint())/float64(max(g.NumEdges(), 1)), "B/edge")
 		})
 	}
 }
@@ -152,7 +159,7 @@ func BenchmarkMatching(b *testing.B) {
 		b.Fatal(err)
 	}
 	col := blocking.TokenBlocking(w.Collection, tokenize.Default()).Purge(0).Filter(0.8)
-	g := metablocking.Build(col, metablocking.ECBS)
+	g := metablocking.Build(col, metablocking.ECBS, 1)
 	edges := g.Prune(metablocking.WNP, metablocking.PruneOptions{Assignments: col.Assignments()})
 	m := match.NewMatcher(w.Collection, match.DefaultOptions())
 	for _, workers := range []int{1, 2, 4} {

@@ -31,7 +31,7 @@ func main() {
 		world.Truth.CrossKBMatchingPairs(world.Collection))
 
 	col := blocking.TokenBlocking(world.Collection, tokenize.Default()).Purge(0).Filter(0.8)
-	graph := metablocking.Build(col, metablocking.ECBS)
+	graph := metablocking.Build(col, metablocking.ECBS, 1)
 	edges := graph.Prune(metablocking.WNP, metablocking.PruneOptions{Assignments: col.Assignments()})
 	matcher := match.NewMatcher(world.Collection, match.DefaultOptions())
 	total := world.Truth.CrossKBMatchingPairs(world.Collection)

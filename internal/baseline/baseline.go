@@ -55,32 +55,33 @@ func WeightOrder(edges []metablocking.Edge) []blocking.Pair {
 // DensityOrder schedules whole blocks by expected duplicates per
 // comparison — the quantity-benefit strategy of progressive relational
 // ER adapted to schema-agnostic blocks. Within a collection, blocks
-// are ranked by mean pair weight (taken from the graph's edges);
-// each block's pairs are then emitted in weight order, skipping pairs
-// already emitted by an earlier block.
+// are ranked by mean pair weight (each pair's weight looked up in the
+// graph); each block's pairs are then emitted in weight order, skipping
+// pairs already emitted by an earlier block.
 func DensityOrder(col *blocking.Collection, g *metablocking.Graph) []blocking.Pair {
-	weight := make(map[blocking.Pair]float64, len(g.Edges))
-	for _, e := range g.Edges {
-		weight[blocking.Pair{A: e.A, B: e.B}] = e.Weight
+	type weighed struct {
+		p    blocking.Pair
+		w    float64
+		edge int // the pair's index in the graph
 	}
 	type scored struct {
 		idx     int
 		density float64
 	}
 	blocksByDensity := make([]scored, 0, len(col.Blocks))
-	pairsOf := make([][]blocking.Pair, len(col.Blocks))
+	pairsOf := make([][]weighed, len(col.Blocks))
 	for bi := range col.Blocks {
 		b := &col.Blocks[bi]
-		var ps []blocking.Pair
+		var ps []weighed
 		total := 0.0
 		for x := 0; x < len(b.Entities); x++ {
 			for y := x + 1; y < len(b.Entities); y++ {
 				p := blocking.MakePair(b.Entities[x], b.Entities[y])
-				w, ok := weight[p]
+				edge, w, ok := g.Lookup(p.A, p.B)
 				if !ok {
 					continue
 				}
-				ps = append(ps, p)
+				ps = append(ps, weighed{p: p, w: w, edge: edge})
 				total += w
 			}
 		}
@@ -88,13 +89,13 @@ func DensityOrder(col *blocking.Collection, g *metablocking.Graph) []blocking.Pa
 			continue
 		}
 		sort.Slice(ps, func(i, j int) bool {
-			if weight[ps[i]] != weight[ps[j]] {
-				return weight[ps[i]] > weight[ps[j]]
+			if ps[i].w != ps[j].w {
+				return ps[i].w > ps[j].w
 			}
-			if ps[i].A != ps[j].A {
-				return ps[i].A < ps[j].A
+			if ps[i].p.A != ps[j].p.A {
+				return ps[i].p.A < ps[j].p.A
 			}
-			return ps[i].B < ps[j].B
+			return ps[i].p.B < ps[j].p.B
 		})
 		pairsOf[bi] = ps
 		blocksByDensity = append(blocksByDensity, scored{idx: bi, density: total / float64(len(ps))})
@@ -105,15 +106,15 @@ func DensityOrder(col *blocking.Collection, g *metablocking.Graph) []blocking.Pa
 		}
 		return blocksByDensity[i].idx < blocksByDensity[j].idx
 	})
-	seen := make(map[blocking.Pair]struct{}, len(weight))
+	seen := make([]bool, g.NumEdges())
 	var out []blocking.Pair
 	for _, s := range blocksByDensity {
-		for _, p := range pairsOf[s.idx] {
-			if _, dup := seen[p]; dup {
+		for _, e := range pairsOf[s.idx] {
+			if seen[e.edge] {
 				continue
 			}
-			seen[p] = struct{}{}
-			out = append(out, p)
+			seen[e.edge] = true
+			out = append(out, e.p)
 		}
 	}
 	return out

@@ -28,7 +28,7 @@ func setup(t *testing.T, seed int64, n int) *fixture {
 		t.Fatal(err)
 	}
 	col := blocking.TokenBlocking(w.Collection, tokenize.Default()).Purge(0).Filter(0.8)
-	g := metablocking.Build(col, metablocking.ECBS)
+	g := metablocking.Build(col, metablocking.ECBS, 1)
 	edges := g.Prune(metablocking.WNP, metablocking.PruneOptions{Assignments: col.Assignments()})
 	return &fixture{w: w, col: col, graph: g, edges: edges,
 		m: match.NewMatcher(w.Collection, match.DefaultOptions())}

@@ -101,7 +101,7 @@ func TestClusteringImprovesDirtyPrecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := blocking.TokenBlocking(w.Collection, tokenize.Default()).Purge(0).Filter(0.8)
-	g := metablocking.Build(col, metablocking.ECBS)
+	g := metablocking.Build(col, metablocking.ECBS, 1)
 	edges := g.Prune(metablocking.WNP, metablocking.PruneOptions{Assignments: col.Assignments()})
 	m := match.NewMatcher(w.Collection, match.DefaultOptions())
 	res := core.NewResolver(m, edges, core.Config{}).RunBudget(0)

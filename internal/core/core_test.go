@@ -16,7 +16,7 @@ import (
 func pipeline(t *testing.T, w *datagen.World) (*match.Matcher, []metablocking.Edge) {
 	t.Helper()
 	col := blocking.TokenBlocking(w.Collection, tokenize.Default()).Purge(0).Filter(0.8)
-	g := metablocking.Build(col, metablocking.ECBS)
+	g := metablocking.Build(col, metablocking.ECBS, 1)
 	edges := g.Prune(metablocking.WNP, metablocking.PruneOptions{Assignments: col.Assignments()})
 	return match.NewMatcher(w.Collection, match.DefaultOptions()), edges
 }

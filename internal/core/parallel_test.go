@@ -223,7 +223,7 @@ func waveLegs(t *testing.T, workers int) []*Result {
 	}
 	frontEnd := func() (*match.Matcher, []metablocking.Edge) {
 		bl := blocking.TokenBlocking(col, tokenize.Default()).Purge(0).Filter(0.8)
-		g := metablocking.Build(bl, metablocking.ECBS)
+		g := metablocking.Build(bl, metablocking.ECBS, 1)
 		edges := g.Prune(metablocking.WNP, metablocking.PruneOptions{Assignments: bl.Assignments()})
 		return match.NewMatcher(col, match.DefaultOptions()), edges
 	}

@@ -33,7 +33,7 @@ func filmWorld(t *testing.T) (*match.Matcher, []metablocking.Edge, blocking.Pair
 	add("wiki", "http://w/Interstellar", map[string]string{"label": "Interstellar", "year": "2014", "style": "epic"}, "http://w/Christopher_Nolan")
 
 	col := blocking.TokenBlocking(c, tokenize.Default())
-	g := metablocking.Build(col, metablocking.ECBS)
+	g := metablocking.Build(col, metablocking.ECBS, 1)
 	edges := g.Prune(metablocking.WNP, metablocking.PruneOptions{Assignments: col.Assignments()})
 	m := match.NewMatcher(c, match.DefaultOptions())
 	hi, _ := c.IDOf("imdb", "http://i/tt0816692")

@@ -25,7 +25,7 @@ func TestReseedFreshEqualsNewResolver(t *testing.T) {
 	full := w.Collection
 	frontEnd := func(col *kb.Collection) (*match.Matcher, []metablocking.Edge) {
 		bl := blocking.TokenBlocking(col, tokenize.Default()).Purge(0).Filter(0.8)
-		g := metablocking.Build(bl, metablocking.ECBS)
+		g := metablocking.Build(bl, metablocking.ECBS, 1)
 		edges := g.Prune(metablocking.WNP, metablocking.PruneOptions{Assignments: bl.Assignments()})
 		return match.NewMatcher(col, match.DefaultOptions()), edges
 	}

@@ -32,7 +32,7 @@ func retractWorld(t *testing.T, seed int64, n, evictEvery int) (pre, post *match
 	col := w.Collection
 	frontEdges := func() []metablocking.Edge {
 		bl := blocking.TokenBlocking(col, tokenize.Default()).Purge(0).Filter(0.8)
-		g := metablocking.Build(bl, metablocking.ECBS)
+		g := metablocking.Build(bl, metablocking.ECBS, 1)
 		return g.Prune(metablocking.WNP, metablocking.PruneOptions{Assignments: bl.Assignments()})
 	}
 	pre = match.NewMatcher(col, match.DefaultOptions())
@@ -218,7 +218,7 @@ func TestDirtyMergesStayInTheirKB(t *testing.T) {
 	add("a", "memento", "Memento", "amnesia revenge noir", "nolan2")
 	prune := func() []metablocking.Edge {
 		col := blocking.TokenBlocking(c, tokenize.Default())
-		g := metablocking.Build(col, metablocking.ECBS)
+		g := metablocking.Build(col, metablocking.ECBS, 1)
 		return g.Prune(metablocking.WNP, metablocking.PruneOptions{Assignments: col.Assignments()})
 	}
 

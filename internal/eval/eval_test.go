@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -65,8 +66,8 @@ func TestEvaluateBlocksAndEdges(t *testing.T) {
 	if !approx(q.PC, 1) {
 		t.Errorf("PC=%v, want 1", q.PC)
 	}
-	graph := metablocking.Build(col, metablocking.CBS)
-	qe := EvaluateEdges(c, g, graph.Edges)
+	graph := metablocking.Build(col, metablocking.CBS, 1)
+	qe := EvaluateEdges(c, g, slices.Collect(graph.Edges()))
 	if qe.Candidates != q.Candidates || qe.Matches != q.Matches {
 		t.Errorf("edges quality %+v != blocks quality %+v", qe, q)
 	}

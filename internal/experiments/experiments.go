@@ -85,7 +85,7 @@ type stack struct {
 func buildStack(w *datagen.World) *stack {
 	raw := blocking.TokenBlocking(w.Collection, tokenize.Default())
 	col := raw.Purge(0).Filter(0.8)
-	g := metablocking.Build(col, metablocking.ECBS)
+	g := metablocking.Build(col, metablocking.ECBS, 1)
 	edges := g.Prune(metablocking.WNP, metablocking.PruneOptions{Assignments: col.Assignments()})
 	return &stack{
 		world: w, raw: raw, col: col, graph: g, edges: edges,
@@ -131,7 +131,7 @@ func F1Pipeline(seed int64, n int) *Table {
 	qCleaned := eval.EvaluateBlocks(col, w.Truth)
 	t.Rows = append(t.Rows, []string{"block cleaning", fmt.Sprintf("%d blocks", col.NumBlocks()), itoa(qCleaned.Candidates), f3(qCleaned.PC), f3(qCleaned.PQ)})
 
-	g := metablocking.Build(col, metablocking.ECBS)
+	g := metablocking.Build(col, metablocking.ECBS, 1)
 	edges := g.Prune(metablocking.WNP, metablocking.PruneOptions{Assignments: col.Assignments()})
 	qPruned := eval.EvaluateEdges(w.Collection, w.Truth, edges)
 	t.Rows = append(t.Rows, []string{"meta-blocking", fmt.Sprintf("%d edges", len(edges)), itoa(qPruned.Candidates), f3(qPruned.PC), f3(qPruned.PQ)})
@@ -206,7 +206,7 @@ func T3MetaBlocking(seed int64, n int) *Table {
 	}
 	opts := metablocking.PruneOptions{Assignments: col.Assignments()}
 	for _, scheme := range metablocking.Schemes() {
-		g := metablocking.Build(col, scheme)
+		g := metablocking.Build(col, scheme, 1)
 		for _, alg := range metablocking.Prunings() {
 			kept := g.Prune(alg, opts)
 			q := eval.EvaluateEdges(w.Collection, w.Truth, kept)

@@ -15,61 +15,74 @@ import (
 // clean graphs file every edge under an id of the first KB).
 const chunksPerWorker = 8
 
-// BuildUnweighted constructs the blocking graph's edges and evidence
-// over col with the given number of workers (≤ 1 runs on the calling
-// goroutine), leaving every weight zero: call Reweigh afterwards. The
-// graph is identical for any worker count.
+// Build constructs the blocking graph of col weighed under scheme with
+// the given number of workers (≤ 1 runs on the calling goroutine); the
+// graph is identical, weights by bits, for any worker count.
 //
 // The graph is the self-join of the (description, block) posting
 // relation, grouped by pair; the kernel evaluates that join one smaller
-// endpoint at a time (see kernel). With more than one worker the id
-// space is cut into contiguous chunks of about equal kernel work
-// (chunkIDs); workers claim chunks dynamically, each with its own
-// accumulator, and the chunks' records are written once into
-// exact-size graph arrays.
-func BuildUnweighted(col *blocking.Collection, workers int) *Graph {
-	return buildUnweighted(col, workers, 0)
+// endpoint at a time and weighs each edge as it emits it. With more
+// than one worker the id space is cut into contiguous chunks of about
+// equal kernel work (chunkIDs), claimed dynamically by workers with an
+// accumulator each, and each chunk's rows become a segment of the graph
+// as they are, without a copy. EJS's degree factors need every degree
+// and |E|: one pass over the rows multiplies them in at the end.
+func Build(col *blocking.Collection, scheme Scheme, workers int) *Graph {
+	return build(col, scheme, workers, 0)
 }
 
-// buildUnweighted is BuildUnweighted with an explicit chunk budget
-// (kernel work per chunk; ≤ 0 derives it from the total work and the
-// worker count).
-func buildUnweighted(col *blocking.Collection, workers, budget int) *Graph {
+// build is Build with an explicit chunk budget (kernel work per chunk;
+// ≤ 0 derives it from the total work and the worker count).
+func build(col *blocking.Collection, scheme Scheme, workers, budget int) *Graph {
 	workers = max(workers, 1)
-	k := newKernel(col, workers)
+	k := newKernel(col, scheme, workers)
 	n := col.Source.Len()
+	g := &Graph{NumNodes: n, nLive: col.Source.NumAlive()}
 	if workers == 1 {
-		return k.graph([]chunk{k.run(k.newAccumulator(), 0, n)}, 1)
-	}
-	work := make([]int, n)
-	total := 0
-	for id := range work {
-		work[id] = k.work(id)
-		total += work[id]
-	}
-	if budget <= 0 {
-		budget = total/(workers*chunksPerWorker) + 1
-	}
-	ranges := chunkIDs(work, budget)
-	chunks := make([]chunk, len(ranges))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(workers, len(ranges)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			acc := k.newAccumulator()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ranges) {
-					return
+		g.segs = []segment{k.run(k.newAccumulator(), 0, n)}
+	} else {
+		work := make([]int, n)
+		total := 0
+		for id := range work {
+			work[id] = k.work(id)
+			total += work[id]
+		}
+		if budget <= 0 {
+			budget = total/(workers*chunksPerWorker) + 1
+		}
+		ranges := chunkIDs(work, budget)
+		g.segs = make([]segment, len(ranges))
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for range min(workers, len(ranges)) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				acc := k.newAccumulator()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(ranges) {
+						return
+					}
+					g.segs[i] = k.run(acc, ranges[i].Lo, ranges[i].Hi)
 				}
-				chunks[i] = k.run(acc, ranges[i].Lo, ranges[i].Hi)
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	return k.graph(chunks, workers)
+	for i := range g.segs {
+		g.segs[i].base = g.nEdge
+		g.nEdge += len(g.segs[i].nbr)
+	}
+	if scheme == EJS {
+		f := logFactors(float64(g.nEdge), g.degrees())
+		for r := range g.rows() {
+			for j, b := range r.nbr {
+				r.w[j] = r.w[j] * f[r.a] * f[b]
+			}
+		}
+	}
+	return g
 }
 
 // chunkIDs cuts [0, len(work)) into contiguous id ranges each carrying
@@ -95,9 +108,9 @@ func chunkIDs(work []int, budget int) []parmeta.Range {
 // kernel builds the blocking graph one description at a time. For
 // description a it walks a's blocks in ascending block index, adds
 // every co-member c > a (cross-KB only in clean–clean ER) into a dense
-// per-worker accumulator, then emits a's edges in ascending c and
-// resets only the slots it touched. Two consequences make the build
-// exact for any chunking:
+// per-worker accumulator, then emits a's edges in ascending c, each
+// weighed from its evidence, and resets only the slots it touched. Two
+// consequences make the build exact for any chunking:
 //
 //   - each edge's ARCS sum adds its blocks in ascending block order,
 //     the block-order fold of the reference definition, so float
@@ -109,14 +122,16 @@ func chunkIDs(work []int, budget int) []parmeta.Range {
 // ranges concurrently, each with its own accumulator.
 type kernel struct {
 	col        *blocking.Collection
+	scheme     Scheme
 	start, csr []int32   // id → its block indices, ascending (Collection.EntityCSR)
 	inv        []float64 // block → 1/||b||; 0 for a block inducing no comparison
+	f          []float64 // ECBS's per-node log factor
 }
 
 // newKernel indexes col for the kernel, sharding the entity→block
 // index and the per-block comparison counts over workers.
-func newKernel(col *blocking.Collection, workers int) *kernel {
-	k := &kernel{col: col, inv: make([]float64, len(col.Blocks))}
+func newKernel(col *blocking.Collection, scheme Scheme, workers int) *kernel {
+	k := &kernel{col: col, scheme: scheme, inv: make([]float64, len(col.Blocks))}
 	k.start, k.csr = col.EntityCSR(workers)
 	shards := parmeta.Ranges(len(col.Blocks), workers)
 	parmeta.ForEach(len(shards), workers, func(s int) {
@@ -126,6 +141,13 @@ func newKernel(col *blocking.Collection, workers int) *kernel {
 			}
 		}
 	})
+	if scheme == ECBS {
+		blocks := make([]int32, col.Source.Len())
+		for id := range blocks {
+			blocks[id] = k.start[id+1] - k.start[id]
+		}
+		k.f = logFactors(float64(len(col.Blocks)), blocks)
+	}
 	return k
 }
 
@@ -140,7 +162,8 @@ func (k *kernel) work(id int) int {
 }
 
 // accumulator is one worker's dense scratch: per-node common-block
-// counts and ARCS sums, plus the nodes touched since the last emit.
+// counts, ARCS sums (ARCS only) and the nodes touched since the last
+// emit.
 type accumulator struct {
 	common  []int32
 	arcs    []float64
@@ -149,30 +172,17 @@ type accumulator struct {
 
 // newAccumulator returns zeroed scratch sized to the kernel's nodes.
 func (k *kernel) newAccumulator() *accumulator {
-	n := k.col.Source.Len()
-	return &accumulator{common: make([]int32, n), arcs: make([]float64, n)}
+	acc := &accumulator{common: make([]int32, k.col.Source.Len())}
+	if k.scheme == ARCS {
+		acc.arcs = make([]float64, len(acc.common))
+	}
+	return acc
 }
 
-// edgeRec is one edge's evidence, filed under its smaller endpoint.
-type edgeRec struct {
-	b      int32
-	common int32
-	arcs   float64
-}
-
-// chunk holds the edges of one id range [lo, lo+len(counts)): counts[i]
-// is how many edges id lo+i owns as the smaller endpoint, and recs
-// lists them id by id, each id's in ascending B.
-type chunk struct {
-	lo     int
-	counts []int32
-	recs   []edgeRec
-}
-
-// run folds the edges owned by ids [lo, hi) into a chunk. acc must be
-// zeroed, and is left zeroed.
-func (k *kernel) run(acc *accumulator, lo, hi int) chunk {
-	ch := chunk{lo: lo, counts: make([]int32, hi-lo)}
+// run folds the edges owned by ids [lo, hi) into a segment. acc must
+// be zeroed, and is left zeroed.
+func (k *kernel) run(acc *accumulator, lo, hi int) segment {
+	s := segment{lo: lo, start: make([]int32, hi-lo+1)}
 	src, cleanClean := k.col.Source, k.col.CleanClean
 	for a := lo; a < hi; a++ {
 		for _, bi := range k.csr[k.start[a]:k.start[a+1]] {
@@ -189,55 +199,38 @@ func (k *kernel) run(acc *accumulator, lo, hi int) chunk {
 					acc.touched = append(acc.touched, int32(c))
 				}
 				acc.common[c]++
-				acc.arcs[c] += w
+				if acc.arcs != nil {
+					acc.arcs[c] += w
+				}
 			}
 		}
 		slices.Sort(acc.touched)
 		for _, c := range acc.touched {
-			ch.recs = append(ch.recs, edgeRec{b: c, common: acc.common[c], arcs: acc.arcs[c]})
-			acc.common[c], acc.arcs[c] = 0, 0
+			k.emit(&s, acc, a, c)
 		}
-		ch.counts[a-lo] = int32(len(acc.touched))
+		s.start[a-lo+1] = int32(len(s.nbr))
 		acc.touched = acc.touched[:0]
 	}
-	return ch
+	return s
 }
 
-// graph assembles chunks that tile [0, NumNodes) in ascending id order
-// into an unweighted graph: each chunk's records are written once, in
-// parallel over chunks, into exact-size edge and evidence arrays.
-func (k *kernel) graph(chunks []chunk, workers int) *Graph {
-	n := k.col.Source.Len()
-	g := &Graph{NumNodes: n, nBlock: len(k.col.Blocks), nLive: k.col.Source.NumAlive()}
-	g.blocks = make([]int32, n)
-	for id := range g.blocks {
-		g.blocks[id] = k.start[id+1] - k.start[id]
+// emit appends edge (a, c) to s, weighed from acc's slots for c, and
+// zeroes those slots. The weight is the scheme's formula on the same
+// operands, in the same order, as its definition; EJS's is only the
+// Jaccard coefficient, to which Build multiplies in the degree factors.
+func (k *kernel) emit(s *segment, acc *accumulator, a int, c int32) {
+	cbs := float64(acc.common[c])
+	acc.common[c] = 0
+	w := cbs
+	switch k.scheme {
+	case ECBS:
+		w = cbs * k.f[a] * k.f[c]
+	case JS, EJS:
+		ba, bb := float64(k.start[a+1]-k.start[a]), float64(k.start[c+1]-k.start[c])
+		w = cbs / (ba + bb - cbs)
+	case ARCS:
+		w, acc.arcs[c] = acc.arcs[c], 0
 	}
-	offsets := make([]int, len(chunks))
-	total := 0
-	for c := range chunks {
-		offsets[c] = total
-		total += len(chunks[c].recs)
-	}
-	g.Edges = make([]Edge, total)
-	g.common = make([]int, total)
-	g.arcs = make([]float64, total)
-	parmeta.ForEach(len(chunks), workers, func(c int) {
-		ch := &chunks[c]
-		i, o := 0, offsets[c]
-		for off, cnt := range ch.counts {
-			for end := i + int(cnt); i < end; i++ {
-				r := ch.recs[i]
-				g.Edges[o+i] = Edge{A: ch.lo + off, B: int(r.b)}
-				g.common[o+i] = int(r.common)
-				g.arcs[o+i] = r.arcs
-			}
-		}
-	})
-	g.degree = make([]int32, n)
-	for _, e := range g.Edges {
-		g.degree[e.A]++
-		g.degree[e.B]++
-	}
-	return g
+	s.nbr = append(s.nbr, c)
+	s.weight = append(s.weight, w)
 }

@@ -2,6 +2,8 @@ package metablocking
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/blocking"
@@ -51,10 +53,10 @@ func chunkWorlds(t *testing.T) map[string]*blocking.Collection {
 
 // TestChunkedBuildMatchesSequential shrinks the chunk budget so the
 // build cuts the id space into many small chunks — down to one id per
-// chunk — and asserts the graph is still bit-identical to the
-// one-worker build for every scheme and worker count: edges, weights,
-// and each edge's evidence. "tiny" runs on 16 and 64 workers, more
-// than it has chunks.
+// chunk, one graph segment each — and asserts the graph is still
+// bit-identical to the one-worker build for every scheme and worker
+// count: edges, their order and weights, and what Lookup finds for
+// each pair. "tiny" runs on 16 and 64 workers, more than it has chunks.
 func TestChunkedBuildMatchesSequential(t *testing.T) {
 	workerSets := map[string][]int{"tiny": {16, 64}}
 	for _, budget := range []int{1, 7, 64, 1024} {
@@ -63,29 +65,64 @@ func TestChunkedBuildMatchesSequential(t *testing.T) {
 			if counts == nil {
 				counts = []int{2, 5}
 			}
-			for _, scheme := range []Scheme{ARCS, ECBS} {
-				want := Build(col, scheme)
-				if (name == "empty") != (len(want.Edges) == 0) {
-					t.Fatalf("%s: %d edges", name, len(want.Edges))
+			for _, scheme := range []Scheme{ARCS, ECBS, EJS} {
+				want := edgesOf(Build(col, scheme, 1))
+				if (name == "empty") != (len(want) == 0) {
+					t.Fatalf("%s: %d edges", name, len(want))
 				}
 				for _, workers := range counts {
 					t.Run(fmt.Sprintf("budget=%d/%s/%v/workers=%d", budget, name, scheme, workers), func(t *testing.T) {
-						got := buildUnweighted(col, workers, budget)
-						got.Reweigh(scheme)
-						if got.NumNodes != want.NumNodes || len(got.Edges) != len(want.Edges) {
+						got := build(col, scheme, workers, budget)
+						if got.NumNodes != col.Source.Len() || got.NumEdges() != len(want) {
 							t.Fatalf("%d nodes, %d edges; want %d, %d",
-								got.NumNodes, len(got.Edges), want.NumNodes, len(want.Edges))
+								got.NumNodes, got.NumEdges(), col.Source.Len(), len(want))
 						}
-						for i := range want.Edges {
-							if got.Edges[i] != want.Edges[i] || got.common[i] != want.common[i] || got.arcs[i] != want.arcs[i] {
-								t.Fatalf("edge %d = %+v (%d, %v), want %+v (%d, %v)", i,
-									got.Edges[i], got.common[i], got.arcs[i], want.Edges[i], want.common[i], want.arcs[i])
+						sameEdges(t, "chunked", edgesOf(got), want)
+						for i, e := range want {
+							idx, w, ok := got.Lookup(e.A, e.B)
+							if !ok || idx != i || math.Float64bits(w) != math.Float64bits(e.Weight) {
+								t.Fatalf("Lookup(%d, %d) = %d, %v, %v; want %d, %v", e.A, e.B, idx, w, ok, i, e.Weight)
+							}
+							if _, _, ok := got.Lookup(e.B, e.A); ok {
+								t.Fatalf("Lookup(%d, %d) found an edge filed under its larger endpoint", e.B, e.A)
 							}
 						}
 					})
 				}
 			}
 		}
+	}
+}
+
+// TestGraphBytesPerEdge bounds what a built graph holds on to. After a
+// GC with the graph kept alive, the heap's growth over the build and
+// Footprint must each stay within 16 bytes per edge plus 32 per node:
+// the 12-byte edge with room for append slack, well below a graph that
+// keeps per-edge evidence beside its weights.
+func TestGraphBytesPerEdge(t *testing.T) {
+	w, err := datagen.Generate(datagen.LODCloud(5, 800))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := blocking.TokenBlocking(w.Collection, tokenize.Default()).Purge(0).Filter(0.8)
+	for _, workers := range []int{1, 4} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		g := Build(col, ECBS, workers)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		limit := int64(16*g.NumEdges() + 32*g.NumNodes)
+		t.Logf("workers=%d: %d edges, %d nodes: heap +%d B, footprint %d B, limit %d B",
+			workers, g.NumEdges(), g.NumNodes, grown, g.Footprint(), limit)
+		if g.NumEdges() < 50000 {
+			t.Fatalf("%d edges: the world is too small to measure", g.NumEdges())
+		}
+		if grown > limit || int64(g.Footprint()) > limit {
+			t.Errorf("workers=%d: heap grew %d B and footprint is %d B, limit %d B", workers, grown, g.Footprint(), limit)
+		}
+		runtime.KeepAlive(g)
 	}
 }
 

@@ -19,11 +19,10 @@ package metablocking
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"slices"
-	"unsafe"
-
-	"repro/internal/blocking"
+	"sort"
 )
 
 // Scheme selects the edge-weighting function.
@@ -72,19 +71,84 @@ type Edge struct {
 	Weight float64
 }
 
-// Graph is the blocking graph of a block collection.
+// Graph is the blocking graph of a block collection, weighed once by
+// Build. Every edge is filed in the row of its smaller endpoint A: a
+// row lists its neighbours B in ascending order beside the edges'
+// weights, and rows come in ascending A, so edges are in canonical
+// (A, B) order. The rows are the graph kernel's chunks as emitted, one
+// segment per id range: 12 bytes per edge (an int32 neighbour and a
+// float64 weight) plus an int32 offset per node. No co-occurrence
+// evidence is kept, so a graph cannot be re-weighed.
 type Graph struct {
-	// Edges holds every distinct candidate pair, sorted by (A, B).
-	Edges []Edge
 	// NumNodes is the size of the underlying description collection.
 	NumNodes int
 
-	common []int     // common-block count per edge
-	arcs   []float64 // Σ 1/||b|| per edge
-	blocks []int32   // blocks-per-node |Bv|
-	degree []int32   // distinct neighbors per node
-	nBlock int       // total number of blocks
-	nLive  int       // live (non-tombstoned) source descriptions
+	segs  []segment
+	nEdge int // edges over all segments
+	nLive int // live (non-tombstoned) source descriptions
+}
+
+// segment holds the rows of ids [lo, lo+len(start)-1): row a is
+// nbr[start[a-lo]:start[a-lo+1]], with the edges' weights at the same
+// positions of weight. base is the (A, B)-order index of the segment's
+// first edge.
+type segment struct {
+	lo, base   int
+	start, nbr []int32
+	weight     []float64
+}
+
+// row is one node's row: the edges (a, nbr[j]) of weight w[j], whose
+// (A, B)-order indexes run from first.
+type row struct {
+	a, first int
+	nbr      []int32
+	w        []float64
+}
+
+// rows yields every node's row in ascending a, empty rows included.
+func (g *Graph) rows() iter.Seq[row] {
+	return func(yield func(row) bool) {
+		for si := range g.segs {
+			s := &g.segs[si]
+			for x := range len(s.start) - 1 {
+				lo, hi := s.start[x], s.start[x+1]
+				if !yield(row{a: s.lo + x, first: s.base + int(lo), nbr: s.nbr[lo:hi], w: s.weight[lo:hi]}) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// Edges yields every edge of the graph in (A, B) order.
+func (g *Graph) Edges() iter.Seq[Edge] {
+	return func(yield func(Edge) bool) {
+		for r := range g.rows() {
+			for j, b := range r.nbr {
+				if !yield(Edge{A: r.a, B: int(b), Weight: r.w[j]}) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// Lookup returns the (A, B)-order index and the weight of the edge
+// between a and b (a < b), found by a binary search of a's row, or
+// ok = false when the graph has no such edge.
+func (g *Graph) Lookup(a, b int) (index int, weight float64, ok bool) {
+	si := sort.Search(len(g.segs), func(i int) bool { return g.segs[i].lo > a }) - 1
+	if si < 0 || a >= g.segs[si].lo+len(g.segs[si].start)-1 {
+		return 0, 0, false
+	}
+	s := &g.segs[si]
+	lo, hi := s.start[a-s.lo], s.start[a-s.lo+1]
+	j, found := slices.BinarySearch(s.nbr[lo:hi], int32(b))
+	if !found {
+		return 0, 0, false
+	}
+	return s.base + int(lo) + j, s.weight[int(lo)+j], true
 }
 
 // LiveNodes returns how many of the graph's nodes are live source
@@ -100,62 +164,25 @@ func (g *Graph) LiveNodes() int {
 	return g.NumNodes
 }
 
-// Build constructs the blocking graph and computes edge weights under
-// the given scheme: BuildUnweighted on one worker, then Reweigh. Each
-// edge's evidence is summed over its blocks in ascending block order,
-// so the weights equal the block-order fold of the definition bit for
-// bit; the shared engine (internal/pipeline) runs the same build on
-// more workers.
-func Build(col *blocking.Collection, scheme Scheme) *Graph {
-	g := BuildUnweighted(col, 1)
-	g.reweigh(scheme)
-	return g
-}
-
-// Reweigh recomputes edge weights under a different scheme without
-// rebuilding the graph.
-func (g *Graph) Reweigh(scheme Scheme) { g.reweigh(scheme) }
-
-func (g *Graph) reweigh(scheme Scheme) {
-	f := g.nodeFactors(scheme)
-	for i := range g.Edges {
-		e := &g.Edges[i]
-		cbs := float64(g.common[i])
-		ba, bb := float64(g.blocks[e.A]), float64(g.blocks[e.B])
-		switch scheme {
-		case CBS:
-			e.Weight = cbs
-		case ECBS:
-			e.Weight = cbs * f[e.A] * f[e.B]
-		case JS:
-			e.Weight = cbs / (ba + bb - cbs)
-		case EJS:
-			js := cbs / (ba + bb - cbs)
-			e.Weight = js * f[e.A] * f[e.B]
-		case ARCS:
-			e.Weight = g.arcs[i]
+// degrees returns every node's number of distinct neighbours.
+func (g *Graph) degrees() []int32 {
+	deg := make([]int32, g.NumNodes)
+	for r := range g.rows() {
+		deg[r.a] += int32(len(r.nbr))
+		for _, b := range r.nbr {
+			deg[b]++
 		}
 	}
+	return deg
 }
 
-// nodeFactors returns the per-node log factor of scheme — ECBS's
-// safeLog(|B|/|Bv|), EJS's safeLog(|E|/deg v) — or nil for a scheme
-// without one. An edge multiplies in both endpoints' factors; reading
-// them from this table evaluates the same expression on the same
-// operands as computing them per edge, so the weights do not change by
-// a bit, at one logarithm per node instead of two per edge. Nodes
-// without blocks (ECBS) or edges (EJS) keep 0: no edge reads them.
-func (g *Graph) nodeFactors(scheme Scheme) []float64 {
-	var num float64
-	var den []int32
-	switch scheme {
-	case ECBS:
-		num, den = float64(g.nBlock), g.blocks
-	case EJS:
-		num, den = float64(len(g.Edges)), g.degree
-	default:
-		return nil
-	}
+// logFactors returns the per-node log factor safeLog(num/den[v]) of
+// ECBS (num = |B|, den = |Bv|) or EJS (num = |E|, den = deg v). An edge
+// multiplies in both endpoints' factors; reading them from this table
+// evaluates the same expression on the same operands as computing them
+// per edge, at one logarithm per node instead of two per edge. Nodes
+// with den 0 keep 0: no edge reads them.
+func logFactors(num float64, den []int32) []float64 {
 	f := make([]float64, len(den))
 	for v, d := range den {
 		if d > 0 {
@@ -175,17 +202,19 @@ func safeLog(x float64) float64 {
 }
 
 // NumEdges returns the number of distinct candidate comparisons.
-func (g *Graph) NumEdges() int { return len(g.Edges) }
+func (g *Graph) NumEdges() int { return g.nEdge }
 
-// Footprint returns the graph's approximate heap footprint in bytes:
-// the edge records plus the per-edge and per-node weighting evidence
-// it retains for Reweigh. An observability gauge (the server's /status
-// memory panel), not an accounting truth — it counts the backing arrays
-// the graph owns, not allocator overhead.
+// Footprint returns the graph's heap footprint in bytes: 12 per edge
+// (neighbour and weight) plus the row offsets, 4 per node. An
+// observability gauge (the server's /status memory panel), not an
+// accounting truth — it counts the lengths of the arrays the graph
+// owns, not their append slack or allocator overhead.
 func (g *Graph) Footprint() int {
-	const edgeSize = int(unsafe.Sizeof(Edge{}))
-	return len(g.Edges)*edgeSize + len(g.common)*8 + len(g.arcs)*8 +
-		len(g.blocks)*4 + len(g.degree)*4
+	b := 0
+	for _, s := range g.segs {
+		b += len(s.start)*4 + len(s.nbr)*4 + len(s.weight)*8
+	}
+	return b
 }
 
 // Pruning selects the pruning algorithm.
@@ -240,20 +269,22 @@ type PruneOptions struct {
 
 // Prune returns the retained edges under the chosen algorithm, sorted
 // by descending weight (ties by (A,B) ascending) — the order a
-// budget-driven matcher would consume them in. Every algorithm collects
-// its kept set in the graph's (A, B) order, and sortEdges places it by
-// weight in linear time, stably, which yields exactly that order.
+// budget-driven matcher would consume them in. WEP, WNP and CNP judge
+// every edge walking the rows in (A, B) order and collect their kept
+// set in that order, and sortEdges places it by weight in linear time,
+// stably, which yields exactly that order; CEP's top K is the prefix of
+// that order over the whole graph.
 func (g *Graph) Prune(alg Pruning, opts PruneOptions) []Edge {
 	var kept []Edge
 	switch alg {
 	case WEP:
-		kept = g.pruneWEP()
+		kept = g.collect(g.wepFlags(), false)
 	case CEP:
-		kept = g.pruneCEP(opts)
+		return g.pruneCEP(opts)
 	case WNP:
-		kept = g.pruneWNP(opts.Reciprocal)
+		kept = g.collect(g.wnpFlags(), opts.Reciprocal)
 	case CNP:
-		kept = g.pruneCNP(opts)
+		kept = g.collect(g.cnpFlags(g.resolveK(opts)), opts.Reciprocal)
 	}
 	sortEdges(kept)
 	return kept
@@ -336,107 +367,86 @@ func descKey(w float64) uint64 {
 	return ^b
 }
 
-func (g *Graph) pruneWEP() []Edge {
-	if len(g.Edges) == 0 {
-		return nil
-	}
-	sum := 0.0
-	for _, e := range g.Edges {
-		sum += e.Weight
-	}
-	mean := sum / float64(len(g.Edges))
-	var kept []Edge
-	for _, e := range g.Edges {
-		if e.Weight >= mean {
-			kept = append(kept, e)
-		}
-	}
-	return kept
-}
-
-// pruneCEP keeps the K heaviest edges. Sorting a copy of the graph
-// under (weight, then earlier (A, B) first) — a strict total order over
-// distinct pairs — finds the K-th edge, and a second pass keeps every
-// edge that ranks at or above it, in the graph's (A, B) order.
-func (g *Graph) pruneCEP(opts PruneOptions) []Edge {
-	k := opts.K
-	if k <= 0 {
-		k = opts.Assignments / 2
-	}
-	if k <= 0 || k >= len(g.Edges) {
-		return slices.Clone(g.Edges)
-	}
-	less := func(a, b Edge) bool {
-		if a.Weight != b.Weight {
-			return a.Weight < b.Weight
-		}
-		// Deterministic tie-break: later (A,B) ranks lower.
-		if a.A != b.A {
-			return a.A > b.A
-		}
-		return a.B > b.B
-	}
-	ranked := slices.Clone(g.Edges)
-	slices.SortFunc(ranked, func(a, b Edge) int {
-		switch {
-		case less(b, a):
-			return -1
-		case less(a, b):
-			return 1
-		}
-		return 0
-	})
-	cut := ranked[k-1]
-	kept := make([]Edge, 0, k)
-	for _, e := range g.Edges {
-		if !less(e, cut) {
-			kept = append(kept, e)
-		}
-	}
-	return kept
-}
-
-// Per-endpoint retention verdicts of the node-centric algorithms, one
-// bit per endpoint of each edge.
+// Per-endpoint retention verdicts of the pruning algorithms, one bit
+// per endpoint of each edge; an edge-centric verdict sets both.
 const (
 	keptByA uint8 = 1 << iota
 	keptByB
 )
 
-func (g *Graph) pruneWNP(reciprocal bool) []Edge {
-	flags := make([]uint8, len(g.Edges))
-	g.wnpFlags(flags)
-	return g.collect(flags, reciprocal)
+// wepFlags marks the edges whose weight is at least the mean weight,
+// summed in (A, B) order.
+func (g *Graph) wepFlags() []uint8 {
+	flags := make([]uint8, g.nEdge)
+	sum := 0.0
+	for r := range g.rows() {
+		for _, w := range r.w {
+			sum += w
+		}
+	}
+	mean := sum / float64(g.nEdge)
+	for r := range g.rows() {
+		for j, w := range r.w {
+			if w >= mean {
+				flags[r.first+j] = keptByA | keptByB
+			}
+		}
+	}
+	return flags
+}
+
+// pruneCEP keeps the K heaviest edges: the first K of the whole graph
+// in the total order "weight descending, then (A, B) ascending", which
+// sortEdges produces.
+func (g *Graph) pruneCEP(opts PruneOptions) []Edge {
+	k := opts.K
+	if k <= 0 {
+		k = opts.Assignments / 2
+	}
+	all := slices.AppendSeq(make([]Edge, 0, g.nEdge), g.Edges())
+	sortEdges(all)
+	if k <= 0 || k >= len(all) {
+		return all
+	}
+	return slices.Clone(all[:k])
 }
 
 // wnpFlags fills per-endpoint retention bits for weight node pruning
-// without materializing any adjacency. Each node's incident weights are
-// accumulated in ascending edge-index order — exactly the order the
-// materialized neighborhood walk summed them in — so the means, and
-// therefore every verdict, are bit-identical to the reference.
-func (g *Graph) wnpFlags(flags []uint8) {
+// without materializing any adjacency. Walking the rows in (A, B)
+// order adds each node's incident weights in ascending neighbour order,
+// so every node's mean, and therefore every verdict, is that of its
+// neighbourhood summed in that order.
+func (g *Graph) wnpFlags() []uint8 {
 	sum := make([]float64, g.NumNodes)
 	cnt := make([]int32, g.NumNodes)
-	for _, e := range g.Edges {
-		sum[e.A] += e.Weight
-		cnt[e.A]++
-		sum[e.B] += e.Weight
-		cnt[e.B]++
+	for r := range g.rows() {
+		for j, b := range r.nbr {
+			w := r.w[j]
+			sum[r.a] += w
+			cnt[r.a]++
+			sum[b] += w
+			cnt[b]++
+		}
 	}
 	for v := range sum {
 		if cnt[v] > 0 {
-			sum[v] /= float64(cnt[v]) // now the neighborhood mean
+			sum[v] /= float64(cnt[v]) // now the neighbourhood mean
 		}
 	}
-	for i := range g.Edges {
-		e := &g.Edges[i]
-		if e.Weight >= sum[e.A] {
-			flags[i] |= keptByA
-		}
-		if e.Weight >= sum[e.B] {
-			flags[i] |= keptByB
+	flags := make([]uint8, g.nEdge)
+	for r := range g.rows() {
+		for j, b := range r.nbr {
+			w, f := r.w[j], uint8(0)
+			if w >= sum[r.a] {
+				f |= keptByA
+			}
+			if w >= sum[b] {
+				f |= keptByB
+			}
+			flags[r.first+j] = f
 		}
 	}
+	return flags
 }
 
 // resolveK returns CNP's effective per-node budget under opts —
@@ -453,47 +463,41 @@ func (g *Graph) resolveK(opts PruneOptions) int {
 	return k
 }
 
-func (g *Graph) pruneCNP(opts PruneOptions) []Edge {
-	flags := make([]uint8, len(g.Edges))
-	g.cnpFlags(g.resolveK(opts), flags)
-	return g.collect(flags, opts.Reciprocal)
+// slot is one entry of cnpFlags' heaps: an edge's weight, its (A, B)
+// order index and the bit of the endpoint whose heap holds it.
+type slot struct {
+	w    float64
+	i    int32
+	side uint8
 }
 
 // cnpFlags fills per-endpoint retention bits for cardinality node
 // pruning using a slab of bounded min-heaps — one row per node, sized
-// min(k, deg(v)) — instead of materialized neighborhoods plus a heap
-// allocation per node. The comparator (weight, then higher edge index
-// loses ties) is a strict total order, so the per-node top-k *set* is
-// unique and the verdicts match the reference bit for bit.
-func (g *Graph) cnpFlags(k int, flags []uint8) {
+// min(k, deg(v)) — fed in (A, B) order. The comparator (weight, then
+// the higher edge index loses ties) is a strict total order, so each
+// node's top-k set is unique.
+func (g *Graph) cnpFlags(k int) []uint8 {
+	deg := g.degrees()
 	start := make([]int32, g.NumNodes+1)
-	pos := int32(0)
-	for v := 0; v < g.NumNodes; v++ {
-		start[v] = pos
-		c := int32(g.degree[v])
-		if c > int32(k) {
-			c = int32(k)
-		}
-		pos += c
+	for v, d := range deg {
+		start[v+1] = start[v] + min(d, int32(k))
 	}
-	start[g.NumNodes] = pos
-	heap := make([]int32, pos)
+	heap := make([]slot, start[g.NumNodes])
 	hlen := make([]int32, g.NumNodes)
 
-	// less reports a's edge ranking strictly below b's.
-	less := func(a, b int32) bool {
-		ea, eb := &g.Edges[a], &g.Edges[b]
-		if ea.Weight != eb.Weight {
-			return ea.Weight < eb.Weight
+	// less reports x ranking strictly below y.
+	less := func(x, y slot) bool {
+		if x.w != y.w {
+			return x.w < y.w
 		}
-		return a > b
+		return x.i > y.i
 	}
-	offer := func(v int, ei int32) {
+	offer := func(v int, e slot) {
 		h := heap[start[v]:start[v+1]]
 		n := hlen[v]
 		if int(n) < len(h) {
 			// Push and sift up.
-			h[n] = ei
+			h[n] = e
 			i := n
 			for i > 0 {
 				p := (i - 1) / 2
@@ -506,11 +510,11 @@ func (g *Graph) cnpFlags(k int, flags []uint8) {
 			hlen[v] = n + 1
 			return
 		}
-		if n == 0 || !less(h[0], ei) {
+		if n == 0 || !less(h[0], e) {
 			return // not better than the current minimum
 		}
 		// Replace the root and sift down.
-		h[0] = ei
+		h[0] = e
 		i := int32(0)
 		for {
 			l := 2*i + 1
@@ -528,23 +532,23 @@ func (g *Graph) cnpFlags(k int, flags []uint8) {
 			i = m
 		}
 	}
-	for i := range g.Edges {
-		e := &g.Edges[i]
-		offer(e.A, int32(i))
-		offer(e.B, int32(i))
-	}
-	for v := 0; v < g.NumNodes; v++ {
-		h := heap[start[v] : start[v]+hlen[v]]
-		for _, ei := range h {
-			if g.Edges[ei].A == v {
-				flags[ei] |= keptByA
-			} else {
-				flags[ei] |= keptByB
-			}
+	for r := range g.rows() {
+		for j, b := range r.nbr {
+			i := int32(r.first + j)
+			offer(r.a, slot{w: r.w[j], i: i, side: keptByA})
+			offer(int(b), slot{w: r.w[j], i: i, side: keptByB})
 		}
 	}
+	flags := make([]uint8, g.nEdge)
+	for _, e := range heap {
+		flags[e.i] |= e.side
+	}
+	return flags
 }
 
+// collect materializes the edges flags keep — both endpoints' bits
+// when reciprocal, either otherwise — in (A, B) order, into an
+// exact-size slice.
 func (g *Graph) collect(flags []uint8, reciprocal bool) []Edge {
 	both := keptByA | keptByB
 	keep := func(f uint8) bool {
@@ -560,9 +564,11 @@ func (g *Graph) collect(flags []uint8, reciprocal bool) []Edge {
 		}
 	}
 	kept := make([]Edge, 0, n)
-	for i, f := range flags {
-		if keep(f) {
-			kept = append(kept, g.Edges[i])
+	for r := range g.rows() {
+		for j, b := range r.nbr {
+			if keep(flags[r.first+j]) {
+				kept = append(kept, Edge{A: r.a, B: int(b), Weight: r.w[j]})
+			}
 		}
 	}
 	return kept

@@ -25,16 +25,34 @@ func comparatorSort(es []Edge) {
 	})
 }
 
-// referencePrune is Prune by comparison sorting: CEP sorts the whole
-// graph and keeps its first K edges, the other algorithms sort the set
-// their retention verdicts keep.
-func referencePrune(g *Graph, alg Pruning, opts PruneOptions) []Edge {
+// referencePrune is Prune by definition over the reference's own edge
+// list, sharing no code with Graph: WEP keeps the edges at or above the
+// mean weight; CEP sorts the whole graph and keeps its first K edges;
+// WNP and CNP judge every node's neighbourhood, listed in ascending
+// neighbour order — WNP keeps the edges at or above the neighbourhood's
+// mean weight, summed in that order, CNP the first k of the
+// neighbourhood sorted by the scheduling order — and keep an edge if
+// either endpoint does, or both under Reciprocal. The kept set is then
+// sorted by comparison.
+func referencePrune(ref *refGraph, alg Pruning, opts PruneOptions) []Edge {
 	var kept []Edge
 	switch alg {
 	case WEP:
-		kept = g.pruneWEP()
+		if len(ref.edges) == 0 {
+			return nil
+		}
+		sum := 0.0
+		for _, e := range ref.edges {
+			sum += e.Weight
+		}
+		mean := sum / float64(len(ref.edges))
+		for _, e := range ref.edges {
+			if e.Weight >= mean {
+				kept = append(kept, e)
+			}
+		}
 	case CEP:
-		kept = slices.Clone(g.Edges)
+		kept = slices.Clone(ref.edges)
 		comparatorSort(kept)
 		k := opts.K
 		if k <= 0 {
@@ -43,10 +61,56 @@ func referencePrune(g *Graph, alg Pruning, opts PruneOptions) []Edge {
 		if k > 0 && k < len(kept) {
 			kept = kept[:k]
 		}
-	case WNP:
-		kept = g.pruneWNP(opts.Reciprocal)
-	case CNP:
-		kept = g.pruneCNP(opts)
+		return kept
+	case WNP, CNP:
+		live := ref.live
+		if live == 0 {
+			live = ref.n
+		}
+		k := opts.KPerNode
+		if k <= 0 && live > 0 {
+			k = (opts.Assignments + live - 1) / live
+		}
+		k = max(k, 1)
+		nbhd := make([][]Edge, ref.n)
+		for _, e := range ref.edges {
+			nbhd[e.A] = append(nbhd[e.A], e)
+			nbhd[e.B] = append(nbhd[e.B], e)
+		}
+		votes := make(map[[2]int]int)
+		for v, es := range nbhd {
+			other := func(e Edge) int { return e.A + e.B - v }
+			slices.SortFunc(es, func(x, y Edge) int { return cmp.Compare(other(x), other(y)) })
+			var chosen []Edge
+			if alg == WNP {
+				sum := 0.0
+				for _, e := range es {
+					sum += e.Weight
+				}
+				mean := sum / float64(len(es))
+				for _, e := range es {
+					if e.Weight >= mean {
+						chosen = append(chosen, e)
+					}
+				}
+			} else {
+				chosen = slices.Clone(es)
+				comparatorSort(chosen)
+				chosen = chosen[:min(k, len(chosen))]
+			}
+			for _, e := range chosen {
+				votes[[2]int{e.A, e.B}]++
+			}
+		}
+		need := 1
+		if opts.Reciprocal {
+			need = 2
+		}
+		for _, e := range ref.edges {
+			if votes[[2]int{e.A, e.B}] >= need {
+				kept = append(kept, e)
+			}
+		}
 	}
 	comparatorSort(kept)
 	return kept
@@ -66,27 +130,32 @@ func sameEdges(t *testing.T, label string, got, want []Edge) {
 	}
 }
 
-// TestPruneOrderMatchesComparatorSort pins Prune's linear-time
-// placement (and CEP's boundary pass) to the comparison-sort reference, by
-// bits, for every scheme × pruning × reciprocal on the worlds of
-// TestBuildMatchesBlockOrderReference, at the default budgets and at a
-// CEP budget that lands inside a run of equal weights.
+// TestPruneOrderMatchesComparatorSort pins Prune — its verdicts, its
+// linear-time placement and CEP's prefix — to the by-definition
+// reference over the reference graph's own edges, by bits, for every
+// scheme × pruning × reciprocal on the worlds of
+// TestBuildMatchesBlockOrderReference, on graphs built on 1, 2 and 4
+// workers, at the default budgets and at a CEP budget that lands
+// inside a run of equal weights.
 func TestPruneOrderMatchesComparatorSort(t *testing.T) {
 	for _, tc := range buildWorlds(t) {
 		for _, scheme := range Schemes() {
-			g := Build(tc.col, scheme)
-			opts := PruneOptions{Assignments: tc.col.Assignments()}
-			for _, alg := range Prunings() {
-				for _, reciprocal := range []bool{false, true} {
-					opts.Reciprocal = reciprocal
-					label := fmt.Sprintf("%s/%v/%v/reciprocal=%v", tc.name, scheme, alg, reciprocal)
-					sameEdges(t, label, g.Prune(alg, opts), referencePrune(g, alg, opts))
+			ref := referenceGraph(tc.col, scheme)
+			for _, workers := range []int{1, 2, 4} {
+				g := Build(tc.col, scheme, workers)
+				opts := PruneOptions{Assignments: tc.col.Assignments()}
+				for _, alg := range Prunings() {
+					for _, reciprocal := range []bool{false, true} {
+						opts.Reciprocal = reciprocal
+						label := fmt.Sprintf("%s/%v/workers=%d/%v/reciprocal=%v", tc.name, scheme, workers, alg, reciprocal)
+						sameEdges(t, label, g.Prune(alg, opts), referencePrune(ref, alg, opts))
+					}
 				}
-			}
-			if k, ok := tieCut(g.Edges); ok {
-				opts := PruneOptions{K: k}
-				label := fmt.Sprintf("%s/%v/CEP/K=%d", tc.name, scheme, k)
-				sameEdges(t, label, g.Prune(CEP, opts), referencePrune(g, CEP, opts))
+				if k, ok := tieCut(ref.edges); ok {
+					opts := PruneOptions{K: k}
+					label := fmt.Sprintf("%s/%v/workers=%d/CEP/K=%d", tc.name, scheme, workers, k)
+					sameEdges(t, label, g.Prune(CEP, opts), referencePrune(ref, CEP, opts))
+				}
 			}
 		}
 	}
@@ -118,20 +187,33 @@ func tieCut(es []Edge) (int, bool) {
 	return k, true
 }
 
+// graphOf stores edges, given in (A, B) order, as a one-segment Graph
+// over n nodes.
+func graphOf(n int, es []Edge) *Graph {
+	s := segment{start: make([]int32, n+1)}
+	for _, e := range es {
+		s.nbr = append(s.nbr, int32(e.B))
+		s.weight = append(s.weight, e.Weight)
+		s.start[e.A+1]++
+	}
+	for v := range n {
+		s.start[v+1] += s.start[v]
+	}
+	return &Graph{NumNodes: n, segs: []segment{s}, nEdge: len(es)}
+}
+
 // syntheticGraph is a tie-heavy graph over n nodes: every pair with
 // probability p, weights drawn from a handful of values that include
 // both −0.0 and +0.0, in the canonical (A, B) order.
-func syntheticGraph(rng *rand.Rand, n int, p float64) *Graph {
+func syntheticGraph(rng *rand.Rand, n int, p float64) *refGraph {
 	weights := []float64{math.Copysign(0, -1), 0, 0.5, 1, 1, 2}
-	g := &Graph{NumNodes: n, degree: make([]int32, n)}
+	g := &refGraph{n: n, live: n}
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
 			if rng.Float64() >= p {
 				continue
 			}
-			g.Edges = append(g.Edges, Edge{A: a, B: b, Weight: weights[rng.Intn(len(weights))]})
-			g.degree[a]++
-			g.degree[b]++
+			g.edges = append(g.edges, Edge{A: a, B: b, Weight: weights[rng.Intn(len(weights))]})
 		}
 	}
 	return g
@@ -144,17 +226,18 @@ func syntheticGraph(rng *rand.Rand, n int, p float64) *Graph {
 func TestPruneOrderSyntheticTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	for trial := 0; trial < 20; trial++ {
-		g := syntheticGraph(rng, 5+rng.Intn(40), 0.3)
+		ref := syntheticGraph(rng, 5+rng.Intn(40), 0.3)
+		g := graphOf(ref.n, ref.edges)
 		for _, alg := range Prunings() {
 			for _, reciprocal := range []bool{false, true} {
-				opts := PruneOptions{Reciprocal: reciprocal, Assignments: 3 * len(g.Edges), KPerNode: 1 + rng.Intn(4)}
+				opts := PruneOptions{Reciprocal: reciprocal, Assignments: 3 * len(ref.edges), KPerNode: 1 + rng.Intn(4)}
 				label := fmt.Sprintf("trial %d/%v/reciprocal=%v", trial, alg, reciprocal)
-				sameEdges(t, label, g.Prune(alg, opts), referencePrune(g, alg, opts))
+				sameEdges(t, label, g.Prune(alg, opts), referencePrune(ref, alg, opts))
 			}
 		}
-		for k := 1; k <= len(g.Edges)+1; k++ {
+		for k := 1; k <= len(ref.edges)+1; k++ {
 			opts := PruneOptions{K: k}
-			sameEdges(t, fmt.Sprintf("trial %d/CEP/K=%d", trial, k), g.Prune(CEP, opts), referencePrune(g, CEP, opts))
+			sameEdges(t, fmt.Sprintf("trial %d/CEP/K=%d", trial, k), g.Prune(CEP, opts), referencePrune(ref, CEP, opts))
 		}
 	}
 }

@@ -3,7 +3,7 @@
 // partitioning the parallel kernels shard their work with (Range,
 // Ranges, ForEach). The front-end engine itself lives in
 // internal/pipeline, its tokenizer in kb.Collection.WarmTokens, its
-// graph kernel in metablocking.BuildUnweighted and its entity index in
+// graph kernel in metablocking.Build and its entity index in
 // blocking.Collection.EntityCSR; the resolver's value-similarity scoring
 // in internal/core shards with it too. This package imports only the standard library
 // so that all of them can use it.

@@ -3,6 +3,7 @@ package parmeta_test
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/blocking"
@@ -66,11 +67,7 @@ func sameGraph(t *testing.T, want, got *metablocking.Graph) {
 	if got.NumEdges() != want.NumEdges() {
 		t.Fatalf("NumEdges=%d, want %d", got.NumEdges(), want.NumEdges())
 	}
-	for i := range want.Edges {
-		if got.Edges[i] != want.Edges[i] {
-			t.Fatalf("edge %d = %+v, want %+v", i, got.Edges[i], want.Edges[i])
-		}
-	}
+	sameEdges(t, "graph", slices.Collect(want.Edges()), slices.Collect(got.Edges()))
 }
 
 func sameEdges(t *testing.T, label string, want, got []metablocking.Edge) {
@@ -89,8 +86,9 @@ func sameEdges(t *testing.T, label string, want, got []metablocking.Edge) {
 // order, and float weights — for every scheme and worker count, on the
 // differential worlds, on a collection where most ids sit in no block,
 // on a two-block collection with more workers than chunks, and on one
-// with no block at all. Shared.Build is the chunked kernel then the
-// weighting, so every scheme's row also re-weighs a chunk-built graph.
+// with no block at all. Shared.Build is the chunked kernel, which
+// weighs each edge as it emits it, so every scheme's row checks the
+// weights of a chunk-built graph.
 func TestBuildMatchesSequential(t *testing.T) {
 	cols := worlds(t)
 	cc := cols["cleanclean"]
@@ -118,7 +116,7 @@ func TestBuildMatchesSequential(t *testing.T) {
 			workers = []int{2, 3, 4, 8}
 		}
 		for _, scheme := range metablocking.Schemes() {
-			want := metablocking.Build(col, scheme)
+			want := metablocking.Build(col, scheme, 1)
 			for _, w := range workers {
 				t.Run(fmt.Sprintf("%s/%v/workers=%d", name, scheme, w), func(t *testing.T) {
 					sameGraph(t, want, build(t, col, scheme, w))
@@ -135,7 +133,7 @@ func TestPruneMatchesSequential(t *testing.T) {
 	for name, col := range worlds(t) {
 		opts := metablocking.PruneOptions{Assignments: col.Assignments()}
 		for _, scheme := range metablocking.Schemes() {
-			seq := metablocking.Build(col, scheme)
+			seq := metablocking.Build(col, scheme, 1)
 			par := build(t, col, scheme, 4)
 			for _, alg := range metablocking.Prunings() {
 				for _, reciprocal := range []bool{false, true} {

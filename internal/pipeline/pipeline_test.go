@@ -148,7 +148,7 @@ func TestRunMatchesSequential(t *testing.T) {
 				Pruning:     cse.pruning,
 			}
 			cleaned := blocking.TokenBlocking(src, opt.Tokenize).Purge(0).Filter(opt.FilterRatio)
-			wantEdges := metablocking.Build(cleaned, cse.scheme).Prune(cse.pruning, opt.pruneOptions(cleaned.Assignments()))
+			wantEdges := metablocking.Build(cleaned, cse.scheme, 1).Prune(cse.pruning, opt.pruneOptions(cleaned.Assignments()))
 			for _, workers := range workerCounts {
 				label := fmt.Sprintf("%s/%v/%v/%s-%d", world, cse.scheme, cse.pruning, mode(workers), workers)
 				t.Run(label, func(t *testing.T) {

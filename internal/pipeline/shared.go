@@ -12,8 +12,8 @@ import (
 // kernels that measurably beat them. Token blocking tokenizes the
 // collection on Workers goroutines (kb.Collection.WarmTokens) before
 // the reference index build reads the warmed cache, and the graph
-// build runs the entity-centric kernel over Workers id chunks
-// (metablocking.BuildUnweighted) before the reference weighting.
+// build runs the entity-centric kernel, which weighs each edge as it
+// emits it, over Workers id chunks (metablocking.Build).
 // Purging, filtering and pruning are the reference itself: sharded
 // copies of them saved nothing measurable on two cores.
 //
@@ -52,12 +52,9 @@ func (Shared) Filter(col *blocking.Collection, ratio float64) (*blocking.Collect
 	return col.Filter(ratio), nil
 }
 
-// Build implements Engine: the graph kernel over Workers id chunks,
-// then the reference weighting.
+// Build implements Engine: the graph kernel over Workers id chunks.
 func (e Shared) Build(col *blocking.Collection, scheme metablocking.Scheme) (*metablocking.Graph, error) {
-	g := metablocking.BuildUnweighted(col, e.Workers)
-	g.Reweigh(scheme)
-	return g, nil
+	return metablocking.Build(col, scheme, e.Workers), nil
 }
 
 // Prune implements Engine.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/blocking"
@@ -117,9 +118,9 @@ func checkAgainstCompacted(t *testing.T, label string, e Engine, st *State, src 
 		got.Blocks = append(got.Blocks, nb)
 	}
 	sameCollection(t, label, want.Blocks, got)
-	sameEdges(t, want.Graph.Edges, mapEdges(st.Front.Graph.Edges))
+	sameEdges(t, slices.Collect(want.Graph.Edges()), mapEdges(slices.Collect(st.Front.Graph.Edges())))
 	sameEdges(t, want.Edges, mapEdges(st.Front.Edges))
-	if st.LastUpdate.EdgesTouched != len(st.Front.Graph.Edges) || !st.LastUpdate.Rebuilt || !st.LastReprune.Full {
+	if st.LastUpdate.EdgesTouched != st.Front.Graph.NumEdges() || !st.LastUpdate.Rebuilt || !st.LastReprune.Full {
 		t.Fatalf("%s: pass reported %+v %+v, want every edge, rebuilt, full", label, st.LastUpdate, st.LastReprune)
 	}
 }

@@ -1465,9 +1465,10 @@ func (s *Session) poison(cause error) error {
 // Gauges reports the memory-relevant size gauges of a session — the
 // numbers an operator watches to see whether a long-lived streaming
 // session is holding its footprint: the blocking graph of the latest
-// pass (edges and approximate bytes, recorded by the pass that built
-// and dropped it — its peak, not a resident size) and the write-ahead
-// log. Exposed on the server's /status endpoint via Snapshot.
+// pass (edges and bytes — Graph.Footprint, 12 per edge plus 4 per
+// node — recorded by the pass that built and dropped it: its peak, not
+// a resident size) and the write-ahead log. Exposed on the server's
+// /status endpoint via Snapshot.
 type Gauges struct {
 	GraphEdges int `json:"graphEdges"`
 	GraphBytes int `json:"graphBytes"`
