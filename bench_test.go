@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -44,23 +45,32 @@ func benchWorld(b *testing.B, n int) *datagen.World {
 
 // BenchmarkGraphBuild sweeps the graph kernel's worker count on one
 // workload: the ECBS-weighted build plus the WNP prune that reads it,
-// the graph's whole life in a pass. Compare ns/op across
-// sub-benchmarks for the speedup curve; B/op and allocs/op count the
-// build's and the prune's scratch, and B/edge is the built graph's
-// Footprint per edge.
+// the graph's whole life in a pass, and runs the CEP prune's path once
+// beside it. Compare ns/op across the WNP sub-benchmarks for the
+// speedup curve; B/op and allocs/op count the build's and the prune's
+// allocations, B/edge is the built graph's Footprint per edge, and
+// alloc-B/edge is what build and prune allocate per graph edge.
 func BenchmarkGraphBuild(b *testing.B) {
 	w := benchWorld(b, 600)
 	col := blocking.TokenBlocking(w.Collection, tokenize.Default()).Purge(0).Filter(0.8)
 	opts := metablocking.PruneOptions{Assignments: col.Assignments()}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	for _, tc := range []struct {
+		alg     metablocking.Pruning
+		workers int
+	}{{metablocking.WNP, 1}, {metablocking.WNP, 2}, {metablocking.WNP, 4}, {metablocking.CEP, 2}} {
+		b.Run(fmt.Sprintf("%v/workers=%d", tc.alg, tc.workers), func(b *testing.B) {
 			b.ReportAllocs()
 			var g *metablocking.Graph
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
-				g = metablocking.Build(col, metablocking.ECBS, workers)
-				g.Prune(metablocking.WNP, opts)
+				g = metablocking.Build(col, metablocking.ECBS, tc.workers)
+				g.Prune(tc.alg, opts)
 			}
-			b.ReportMetric(float64(g.Footprint())/float64(max(g.NumEdges(), 1)), "B/edge")
+			runtime.ReadMemStats(&after)
+			edges := float64(max(g.NumEdges(), 1))
+			b.ReportMetric(float64(g.Footprint())/edges, "B/edge")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/edges, "alloc-B/edge")
 		})
 	}
 }

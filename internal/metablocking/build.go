@@ -1,10 +1,9 @@
 package metablocking
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/blocking"
 	"repro/internal/parmeta"
@@ -12,8 +11,9 @@ import (
 
 // chunksPerWorker oversubscribes id chunks relative to workers so the
 // dynamic schedule stays balanced when per-id work is skewed (clean–
-// clean graphs file every edge under an id of the first KB).
-const chunksPerWorker = 8
+// clean graphs file every edge under an id of the first KB) and a
+// worker's scratch, one chunk's rows, stays a small share of the graph.
+const chunksPerWorker = 16
 
 // Build constructs the blocking graph of col weighed under scheme with
 // the given number of workers (≤ 1 runs on the calling goroutine); the
@@ -21,12 +21,13 @@ const chunksPerWorker = 8
 //
 // The graph is the self-join of the (description, block) posting
 // relation, grouped by pair; the kernel evaluates that join one smaller
-// endpoint at a time and weighs each edge as it emits it. With more
-// than one worker the id space is cut into contiguous chunks of about
-// equal kernel work (chunkIDs), claimed dynamically by workers with an
-// accumulator each, and each chunk's rows become a segment of the graph
-// as they are, without a copy. EJS's degree factors need every degree
-// and |E|: one pass over the rows multiplies them in at the end.
+// endpoint at a time and weighs each edge as it emits it. The id space
+// is cut into contiguous chunks of about equal kernel work (chunkIDs),
+// claimed dynamically by workers with an accumulator each; a chunk's
+// rows are copied out exact-size from its worker's scratch as one
+// segment of the graph, so the build allocates the graph once plus
+// about a chunk per worker. EJS's degree factors need every degree and
+// |E|: one pass over the rows multiplies them in at the end.
 func Build(col *blocking.Collection, scheme Scheme, workers int) *Graph {
 	return build(col, scheme, workers, 0)
 }
@@ -37,39 +38,26 @@ func build(col *blocking.Collection, scheme Scheme, workers, budget int) *Graph 
 	workers = max(workers, 1)
 	k := newKernel(col, scheme, workers)
 	n := col.Source.Len()
-	g := &Graph{NumNodes: n, nLive: col.Source.NumAlive()}
-	if workers == 1 {
-		g.segs = []segment{k.run(k.newAccumulator(), 0, n)}
-	} else {
-		work := make([]int, n)
-		total := 0
-		for id := range work {
-			work[id] = k.work(id)
-			total += work[id]
-		}
-		if budget <= 0 {
-			budget = total/(workers*chunksPerWorker) + 1
-		}
-		ranges := chunkIDs(work, budget)
-		g.segs = make([]segment, len(ranges))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for range min(workers, len(ranges)) {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				acc := k.newAccumulator()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(ranges) {
-						return
-					}
-					g.segs[i] = k.run(acc, ranges[i].Lo, ranges[i].Hi)
-				}
-			}()
-		}
-		wg.Wait()
+	work := make([]int, n)
+	total := 0
+	for id := range work {
+		work[id] = k.work(id)
+		total += work[id]
 	}
+	if budget <= 0 {
+		budget = total/(workers*chunksPerWorker) + 1
+	}
+	ranges := chunkIDs(work, budget)
+	g := &Graph{NumNodes: n, nLive: col.Source.NumAlive(), segs: make([]segment, len(ranges))}
+	free := make(chan *accumulator, workers)
+	for range min(workers, len(ranges)) {
+		free <- k.newAccumulator()
+	}
+	parmeta.ForEach(len(ranges), workers, func(i int) {
+		acc := <-free
+		g.segs[i] = k.run(acc, ranges[i].Lo, ranges[i].Hi)
+		free <- acc
+	})
 	for i := range g.segs {
 		g.segs[i].base = g.nEdge
 		g.nEdge += len(g.segs[i].nbr)
@@ -108,9 +96,11 @@ func chunkIDs(work []int, budget int) []parmeta.Range {
 // kernel builds the blocking graph one description at a time. For
 // description a it walks a's blocks in ascending block index, adds
 // every co-member c > a (cross-KB only in clean–clean ER) into a dense
-// per-worker accumulator, then emits a's edges in ascending c, each
-// weighed from its evidence, and resets only the slots it touched. Two
-// consequences make the build exact for any chunking:
+// per-worker accumulator and a bitset of touched ids, then emits a's
+// edges in ascending c, each weighed from its evidence, walking the
+// bitset's touched 64-id words (only those are sorted), and resets only
+// the slots it touched. Two consequences make the build exact for any
+// chunking:
 //
 //   - each edge's ARCS sum adds its blocks in ascending block order,
 //     the block-order fold of the reference definition, so float
@@ -161,29 +151,44 @@ func (k *kernel) work(id int) int {
 	return w
 }
 
+// pageSize is the number of edges a page of kernel scratch holds.
+const pageSize = 1 << 12
+
+// page is 48 KiB of a worker's row scratch.
+type page struct {
+	nbr [pageSize]int32
+	w   [pageSize]float64
+}
+
 // accumulator is one worker's dense scratch: per-node common-block
-// counts, ARCS sums (ARCS only) and the nodes touched since the last
-// emit.
+// counts, ARCS sums (ARCS only), the bitset of nodes touched since the
+// last emit with the indexes of its non-zero words, and the n edges of
+// the chunk being run, in pages the worker's next chunk reuses.
 type accumulator struct {
-	common  []int32
-	arcs    []float64
-	touched []int32
+	common []int32
+	arcs   []float64
+	mark   []uint64
+	words  []int32
+	pages  []*page
+	n      int
 }
 
 // newAccumulator returns zeroed scratch sized to the kernel's nodes.
 func (k *kernel) newAccumulator() *accumulator {
-	acc := &accumulator{common: make([]int32, k.col.Source.Len())}
+	n := k.col.Source.Len()
+	acc := &accumulator{common: make([]int32, n), mark: make([]uint64, (n+63)/64)}
 	if k.scheme == ARCS {
-		acc.arcs = make([]float64, len(acc.common))
+		acc.arcs = make([]float64, n)
 	}
 	return acc
 }
 
-// run folds the edges owned by ids [lo, hi) into a segment. acc must
-// be zeroed, and is left zeroed.
+// run folds the edges owned by ids [lo, hi) into a segment, copied
+// exact-size from acc's pages. acc must be zeroed, and is left zeroed.
 func (k *kernel) run(acc *accumulator, lo, hi int) segment {
 	s := segment{lo: lo, start: make([]int32, hi-lo+1)}
 	src, cleanClean := k.col.Source, k.col.CleanClean
+	acc.n = 0
 	for a := lo; a < hi; a++ {
 		for _, bi := range k.csr[k.start[a]:k.start[a+1]] {
 			w := k.inv[bi]
@@ -196,7 +201,10 @@ func (k *kernel) run(acc *accumulator, lo, hi int) segment {
 					continue
 				}
 				if acc.common[c] == 0 {
-					acc.touched = append(acc.touched, int32(c))
+					if acc.mark[c>>6] == 0 {
+						acc.words = append(acc.words, int32(c>>6))
+					}
+					acc.mark[c>>6] |= 1 << (c & 63)
 				}
 				acc.common[c]++
 				if acc.arcs != nil {
@@ -204,21 +212,31 @@ func (k *kernel) run(acc *accumulator, lo, hi int) segment {
 				}
 			}
 		}
-		slices.Sort(acc.touched)
-		for _, c := range acc.touched {
-			k.emit(&s, acc, a, c)
+		slices.Sort(acc.words)
+		for _, x := range acc.words {
+			m := acc.mark[x]
+			acc.mark[x] = 0
+			for ; m != 0; m &= m - 1 {
+				k.emit(acc, a, x<<6|int32(bits.TrailingZeros64(m)))
+			}
 		}
-		s.start[a-lo+1] = int32(len(s.nbr))
-		acc.touched = acc.touched[:0]
+		s.start[a-lo+1] = int32(acc.n)
+		acc.words = acc.words[:0]
+	}
+	s.nbr, s.weight = make([]int32, acc.n), make([]float64, acc.n)
+	for i := 0; i < acc.n; i += pageSize {
+		p := acc.pages[i/pageSize]
+		copy(s.nbr[i:], p.nbr[:])
+		copy(s.weight[i:], p.w[:])
 	}
 	return s
 }
 
-// emit appends edge (a, c) to s, weighed from acc's slots for c, and
-// zeroes those slots. The weight is the scheme's formula on the same
-// operands, in the same order, as its definition; EJS's is only the
+// emit appends edge (a, c) to acc's pages, weighed from acc's slots for
+// c, and zeroes those slots. The weight is the scheme's formula on the
+// same operands, in the same order, as its definition; EJS's is only the
 // Jaccard coefficient, to which Build multiplies in the degree factors.
-func (k *kernel) emit(s *segment, acc *accumulator, a int, c int32) {
+func (k *kernel) emit(acc *accumulator, a int, c int32) {
 	cbs := float64(acc.common[c])
 	acc.common[c] = 0
 	w := cbs
@@ -231,6 +249,10 @@ func (k *kernel) emit(s *segment, acc *accumulator, a int, c int32) {
 	case ARCS:
 		w, acc.arcs[c] = acc.arcs[c], 0
 	}
-	s.nbr = append(s.nbr, c)
-	s.weight = append(s.weight, w)
+	p := acc.n / pageSize
+	if p == len(acc.pages) {
+		acc.pages = append(acc.pages, new(page))
+	}
+	acc.pages[p].nbr[acc.n%pageSize], acc.pages[p].w[acc.n%pageSize] = c, w
+	acc.n++
 }

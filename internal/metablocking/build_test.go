@@ -155,3 +155,44 @@ func TestChunkIDsByWork(t *testing.T) {
 		t.Fatalf("chunking no ids returned %+v", chunks)
 	}
 }
+
+// TestFrontEndAllocations bounds what the build and the prunes allocate,
+// read from runtime.MemStats.TotalAlloc, which no timing or scheduling
+// moves: the build at most 1.5 times the graph it keeps, a WNP prune at
+// most 60 bytes per edge it returns (the 24-byte Edge and the
+// placement's scratch), and a CEP prune the same plus one byte per
+// graph edge for its verdicts.
+func TestFrontEndAllocations(t *testing.T) {
+	w, err := datagen.Generate(datagen.LODCloud(5, 800))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := blocking.TokenBlocking(w.Collection, tokenize.Default()).Purge(0).Filter(0.8)
+	opts := PruneOptions{Assignments: col.Assignments()}
+	allocated := func(f func()) int64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		var g *Graph
+		built := allocated(func() { g = Build(col, ECBS, workers) })
+		var wnp, cep []Edge
+		wnpBytes := allocated(func() { wnp = g.Prune(WNP, opts) })
+		cepBytes := allocated(func() { cep = g.Prune(CEP, opts) })
+		t.Logf("workers=%d: %d edges, footprint %d B; Build %d B (%.2f×); WNP %d B for %d kept (%.1f B/kept); CEP %d B for %d kept",
+			workers, g.NumEdges(), g.Footprint(), built, float64(built)/float64(g.Footprint()),
+			wnpBytes, len(wnp), float64(wnpBytes)/float64(len(wnp)), cepBytes, len(cep))
+		if limit := int64(g.Footprint()) * 3 / 2; built > limit {
+			t.Errorf("workers=%d: Build allocated %d B, limit %d B (1.5 × footprint)", workers, built, limit)
+		}
+		if limit := int64(60 * len(wnp)); wnpBytes > limit {
+			t.Errorf("workers=%d: WNP allocated %d B for %d kept edges, limit %d B", workers, wnpBytes, len(wnp), limit)
+		}
+		if limit := int64(g.NumEdges() + 60*len(cep)); cepBytes > limit {
+			t.Errorf("workers=%d: CEP allocated %d B for %d kept of %d edges, limit %d B", workers, cepBytes, len(cep), g.NumEdges(), limit)
+		}
+	}
+}

@@ -269,61 +269,72 @@ type PruneOptions struct {
 
 // Prune returns the retained edges under the chosen algorithm, sorted
 // by descending weight (ties by (A,B) ascending) — the order a
-// budget-driven matcher would consume them in. WEP, WNP and CNP judge
-// every edge walking the rows in (A, B) order and collect their kept
-// set in that order, and sortEdges places it by weight in linear time,
-// stably, which yields exactly that order; CEP's top K is the prefix of
-// that order over the whole graph.
+// budget-driven matcher would consume them in. Each algorithm writes a
+// verdict byte per edge, walking the rows in (A, B) order (CEP after a
+// radix select of its K-th edge), and place writes the kept edges
+// straight into that order.
 func (g *Graph) Prune(alg Pruning, opts PruneOptions) []Edge {
-	var kept []Edge
+	var flags []uint8
 	switch alg {
 	case WEP:
-		kept = g.collect(g.wepFlags(), false)
+		flags = g.wepFlags()
 	case CEP:
-		return g.pruneCEP(opts)
+		flags = g.cepFlags(opts)
 	case WNP:
-		kept = g.collect(g.wnpFlags(), opts.Reciprocal)
+		flags = g.wnpFlags()
 	case CNP:
-		kept = g.collect(g.cnpFlags(g.resolveK(opts)), opts.Reciprocal)
+		flags = g.cnpFlags(g.resolveK(opts))
+	default:
+		return nil
 	}
-	sortEdges(kept)
-	return kept
+	return g.place(flags, opts.Reciprocal)
 }
 
-// sortEdges orders es, given in ascending (A, B) order, by descending
-// weight under cmp.Compare: an LSD radix sort over descKey in 11-bit
-// digits that skips every digit all keys share. Each pass carries the
-// keys with the edge positions, so it reads sequentially; the edges
-// themselves move once, gathered into place at the end. Radix passes
-// are stable, so equal weights keep their (A, B) order and the result
-// is the total order "weight descending, then (A, B) ascending" — what
-// a comparator sort over all three fields produces — in O(n) time.
-// Scratch is 48 bytes per edge (keys and positions double-buffered,
-// the gathered copy), freed on return.
-func sortEdges(es []Edge) {
-	n := len(es)
-	if n < 2 {
-		return
+// place returns the edges flags keep (both endpoints' bits when
+// reciprocal, either otherwise) in the total order "weight descending
+// under cmp.Compare, then (A, B) ascending", in O(n) time. It lists the
+// kept edges' descKeys in (A, B) order and radix-sorts them with their
+// positions (stable LSD passes in 11-bit digits, skipping every digit
+// all keys share); inverting the positions gives each kept edge its
+// slot, and one walk of the rows drops it there. Scratch is 24 bytes
+// per kept edge, freed on return.
+func (g *Graph) place(flags []uint8, reciprocal bool) []Edge {
+	least := uint8(1) // flags ≥ least: either bit, or both when reciprocal
+	if reciprocal {
+		least = keptByA | keptByB
+	}
+	n := 0
+	for _, f := range flags {
+		if f >= least {
+			n++
+		}
+	}
+	out := make([]Edge, n)
+	keys, pos := make([]uint64, n), make([]int32, n)
+	i := 0
+	for si := range g.segs {
+		s := &g.segs[si]
+		for e, f := range flags[s.base : s.base+len(s.weight)] {
+			if f >= least {
+				keys[i] = descKey(s.weight[e])
+				i++
+			}
+		}
 	}
 	const bits, digits = 11, 6
 	const mask = 1<<bits - 1
-	keys := make([]uint64, n)
-	pos := make([]int32, n)
 	count := make([][1 << bits]int32, digits)
-	for i := range es {
-		k := descKey(es[i].Weight)
-		keys[i] = k
+	for i, k := range keys {
 		pos[i] = int32(i)
 		for d := range count {
 			count[d][(k>>(bits*d))&mask]++
 		}
 	}
-	keys2 := make([]uint64, n)
-	pos2 := make([]int32, n)
+	keys2, pos2 := make([]uint64, n), make([]int32, n)
 	for d := range count {
 		c := &count[d]
 		shift := bits * d
-		if c[(keys[0]>>shift)&mask] == int32(n) {
+		if n < 2 || c[(keys[0]>>shift)&mask] == int32(n) {
 			continue // every key has this digit: the pass would move nothing
 		}
 		sum := int32(0)
@@ -341,11 +352,20 @@ func sortEdges(es []Edge) {
 		keys, keys2 = keys2, keys
 		pos, pos2 = pos2, pos
 	}
-	out := make([]Edge, n)
+	at := pos2 // kept edge i's slot in the result
 	for j, i := range pos {
-		out[j] = es[i]
+		at[i] = int32(j)
 	}
-	copy(es, out)
+	i = 0
+	for r := range g.rows() {
+		for j, b := range r.nbr {
+			if flags[r.first+j] >= least {
+				out[at[i]] = Edge{A: r.a, B: int(b), Weight: r.w[j]}
+				i++
+			}
+		}
+	}
+	return out
 }
 
 // descKey maps a weight to a key whose ascending order is the weight's
@@ -395,20 +415,52 @@ func (g *Graph) wepFlags() []uint8 {
 	return flags
 }
 
-// pruneCEP keeps the K heaviest edges: the first K of the whole graph
-// in the total order "weight descending, then (A, B) ascending", which
-// sortEdges produces.
-func (g *Graph) pruneCEP(opts PruneOptions) []Edge {
+// cepFlags marks the K heaviest edges, the first K of the total order
+// "weight descending, then (A, B) ascending": a radix select, one
+// 11-bit digit of descKey per walk from the top, finds the K-th
+// smallest key (the cut) and how many keys lie below it; the edges
+// below the cut are kept, and the first K − below at it in (A, B) order.
+func (g *Graph) cepFlags(opts PruneOptions) []uint8 {
+	flags := make([]uint8, g.nEdge)
 	k := opts.K
 	if k <= 0 {
 		k = opts.Assignments / 2
 	}
-	all := slices.AppendSeq(make([]Edge, 0, g.nEdge), g.Edges())
-	sortEdges(all)
-	if k <= 0 || k >= len(all) {
-		return all
+	if k <= 0 || k > g.nEdge {
+		k = g.nEdge
 	}
-	return slices.Clone(all[:k])
+	const bits = 11
+	var count [1 << bits]int
+	cut, below := uint64(0), 0
+	for shift := 55; shift >= 0; shift -= bits {
+		clear(count[:])
+		for _, s := range g.segs {
+			for _, w := range s.weight {
+				if key := descKey(w); key>>(shift+bits) == cut>>(shift+bits) {
+					count[key>>shift&(1<<bits-1)]++
+				}
+			}
+		}
+		for d, c := range count {
+			if below+c >= k {
+				cut |= uint64(d) << shift
+				break
+			}
+			below += c
+		}
+	}
+	ties := k - below
+	for _, s := range g.segs {
+		for e, w := range s.weight {
+			if key := descKey(w); key < cut || key == cut && ties > 0 {
+				if key == cut {
+					ties--
+				}
+				flags[s.base+e] = keptByA | keptByB
+			}
+		}
+	}
+	return flags
 }
 
 // wnpFlags fills per-endpoint retention bits for weight node pruning
@@ -544,32 +596,4 @@ func (g *Graph) cnpFlags(k int) []uint8 {
 		flags[e.i] |= e.side
 	}
 	return flags
-}
-
-// collect materializes the edges flags keep — both endpoints' bits
-// when reciprocal, either otherwise — in (A, B) order, into an
-// exact-size slice.
-func (g *Graph) collect(flags []uint8, reciprocal bool) []Edge {
-	both := keptByA | keptByB
-	keep := func(f uint8) bool {
-		if reciprocal {
-			return f == both
-		}
-		return f != 0
-	}
-	n := 0
-	for _, f := range flags {
-		if keep(f) {
-			n++
-		}
-	}
-	kept := make([]Edge, 0, n)
-	for r := range g.rows() {
-		for j, b := range r.nbr {
-			if keep(flags[r.first+j]) {
-				kept = append(kept, Edge{A: r.a, B: int(b), Weight: r.w[j]})
-			}
-		}
-	}
-	return kept
 }

@@ -242,23 +242,33 @@ func TestPruneOrderSyntheticTies(t *testing.T) {
 	}
 }
 
-// TestSortEdgesKey checks the placement itself on inputs Prune never
+// TestPlaceKey checks the placement itself on inputs Prune never
 // produces — negative weights, infinities, NaN, signed zeros and
-// subnormals — given in (A, B) order: the result must equal the
-// comparator sort by bits.
-func TestSortEdgesKey(t *testing.T) {
+// subnormals — over random verdicts, either and both endpoints: the
+// kept edges must equal the comparator sort of the edges the verdicts
+// keep, by bits.
+func TestPlaceKey(t *testing.T) {
 	values := []float64{math.Inf(-1), -3, -1, -math.SmallestNonzeroFloat64, math.Copysign(0, -1), 0,
 		math.SmallestNonzeroFloat64, 0.25, 1, 1e300, math.Inf(1), math.NaN()}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		n := rng.Intn(300)
 		es := make([]Edge, n)
+		flags := make([]uint8, n)
 		for i := range es {
-			es[i] = Edge{A: i / 7, B: i, Weight: values[rng.Intn(len(values))]}
+			es[i] = Edge{A: i / 7, B: i + 1, Weight: values[rng.Intn(len(values))]}
+			flags[i] = uint8(rng.Intn(4))
 		}
-		want := slices.Clone(es)
-		comparatorSort(want)
-		sortEdges(es)
-		sameEdges(t, fmt.Sprintf("trial %d", trial), es, want)
+		g := graphOf(n+1, es)
+		for _, reciprocal := range []bool{false, true} {
+			var want []Edge
+			for i, e := range es {
+				if flags[i] == keptByA|keptByB || !reciprocal && flags[i] != 0 {
+					want = append(want, e)
+				}
+			}
+			comparatorSort(want)
+			sameEdges(t, fmt.Sprintf("trial %d/reciprocal=%v", trial, reciprocal), g.place(flags, reciprocal), want)
+		}
 	}
 }
